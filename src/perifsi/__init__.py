@@ -36,8 +36,6 @@ from .assembly import (
     GlobalBasis,
     TimeGridPath,
     assemble,
-    build_global_basis,
-    reconstruct,
 )
 from .solver_periodic import (
     EnergyLedger,

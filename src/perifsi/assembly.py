@@ -31,14 +31,10 @@ import numpy as np
 
 from .errors import BasisMismatch, DomainViolation, GridMismatch
 from .extension_ops import push_piola, push_piola_dt
+from .fluid_basis import disk_flux
 from .fluidgrid import FluidGrid, QuadJets
 from .geometry import check_injectivity
-from .shell_solid import (
-    CombinedSolidField,
-    LiftedSolidField,
-    SolidGrid,
-    shell_matrices,
-)
+from .shell_solid import LiftedSolidField, SolidGrid, shell_matrices
 
 
 @dataclass
@@ -122,13 +118,7 @@ class GlobalBasis:
         for j in range(half):
             self.solid_fields.append(LiftedSolidField(cyl, self.shell_modes[j]))
             self.solid_fields.append(interior_solid[j])
-        # entry k: ("coupled", j) at even positions, ("interior", j) at odd
-        self.entries = []
-        for j in range(half):
-            self.entries.append(("coupled", j))
-            self.entries.append(("interior", j))
         self.coupled_slice = slice(0, n, 2)
-        self.interior_slice = slice(1, n, 2)
 
     @property
     def half(self):
@@ -187,22 +177,6 @@ class GlobalBasis:
         return val, grad, dtX
 
 
-def build_global_basis(cyl, shell_basis, solid_basis, stokes_basis, ext_op, n,
-                       delta_path=None, margin=None):
-    """Assemble the interleaved basis; checks injectivity along a given path."""
-    if margin is None:
-        margin = 0.05 * cyl.R
-    if delta_path is not None:
-        for s in range(delta_path.n_t):
-            f = shell_basis.field(delta_path.samples[s])
-            if not check_injectivity(f, margin, cyl=cyl):
-                raise DomainViolation(
-                    "shell path breaks domain injectivity",
-                    time=s * delta_path.dt,
-                )
-    return GlobalBasis(cyl, shell_basis, solid_basis, stokes_basis, ext_op, n)
-
-
 class AssembledSystem:
     """Time-sampled matrices of the Galerkin ODE over one period.
 
@@ -220,6 +194,14 @@ class AssembledSystem:
         self.n = basis.n
         S = times.size
         self._fft = {k: np.fft.rfft(v, axis=0) for k, v in stacks.items()} if S > 1 else None
+
+    @classmethod
+    def from_sample(cls, T, sample, assembler, forcing):
+        """A constant-in-t system from one Assembler.sample: with a single
+        sample matrices_at never interpolates, so T only names the period."""
+        stacks = {k: v[None] for k, v in sample.items()}
+        return cls(T, np.zeros(1), stacks, assembler.constants, forcing,
+                   assembler.basis)
 
     def _interp(self, name, t):
         if self._fft is None:
@@ -255,11 +237,10 @@ class AssembledSystem:
 
     def forcing_at(self, t, mats=None):
         if self.forcing is None:
-            n = self.n
-            return np.zeros(n)
+            return np.zeros(self.n)
         if mats is None:
             mats = self.matrices_at(t)
-        pin, pout = self.forcing.values(t)
+        pin, pout = self.forcing.values(t % self.forcing.T)
         return pin[0] * mats["qin"] - pout[0] * mats["qout"]
 
     def dissipation_matrix(self, mats):
@@ -297,19 +278,14 @@ class Assembler:
         th, zz, _ = self._shell_quad
         self._shell_tab = basis.shell_basis.eval_modes(th, zz, 2)[: basis.half]
         self.constants = self._constant_blocks()
-        self._disk = {
-            "in": self.grid.disk(0.0),
-            "out": self.grid.disk(cyl.L),
-        }
         # interior modes are identical on the disks for every admissible
         # motion (the ALE map is the identity through first derivatives at
         # the clamped ends), so their flux vectors are constant
-        self._interior_disk_flux = {}
-        for side, (r, t, w, z) in self._disk.items():
-            flux = np.zeros(basis.half)
-            for j in range(basis.half):
-                flux[j] = basis.stokes_basis.modes[j].tables(r, t, z)["val"][2] @ w
-            self._interior_disk_flux[side] = flux
+        modes = basis.stokes_basis.modes[: basis.half]
+        self._interior_disk_flux = {
+            z0: [disk_flux(mode, self.grid, z0) for mode in modes]
+            for z0 in (0.0, cyl.L)
+        }
 
     def _constant_blocks(self):
         basis = self.basis
@@ -405,17 +381,14 @@ class Assembler:
             tab0 = self._shell_tab[:, 0]
             Qh = -0.5 * np.einsum("jx,kx,x->kj", tab0, tab0, wsh * dval * rval)
             Q[np.ix_(range(0, n, 2), range(0, n, 2))] = Qh
-        qin = self._flux_vector("in", ext_fields)
-        qout = self._flux_vector("out", ext_fields)
+        qin = self._flux_vector(0.0, ext_fields)
+        qout = self._flux_vector(self.cyl.L, ext_fields)
         return {"M": M, "G": G, "V": V, "B": B, "Q": Q, "qin": qin, "qout": qout}
 
-    def _flux_vector(self, side, ext_fields):
-        basis = self.basis
-        r, t, w, z = self._disk[side]
-        q = np.zeros(basis.n)
-        q[1::2] = self._interior_disk_flux[side]
-        for j, ext in enumerate(ext_fields):
-            q[2 * j] = ext.tables(r, t, z)["val"][2] @ w
+    def _flux_vector(self, z0, ext_fields):
+        q = np.zeros(self.basis.n)
+        q[1::2] = self._interior_disk_flux[z0]
+        q[::2] = [disk_flux(ext, self.grid, z0) for ext in ext_fields]
         return q
 
 
@@ -434,10 +407,7 @@ def assemble(assembler, T, forcing, delta_path=None, v_path=None,
     if delta_path is None:
         if v_path is not None:
             raise GridMismatch("a transport path requires a shell path grid")
-        sample = assembler.sample()
-        times = np.zeros(1)
-        stacks = {k: v[None] for k, v in sample.items()}
-        return AssembledSystem(T, times, stacks, assembler.constants, forcing, basis)
+        return AssembledSystem.from_sample(T, assembler.sample(), assembler, forcing)
     if v_path is not None and v_path.n_t != delta_path.n_t:
         raise GridMismatch("delta and transport paths must share one time grid")
     if n_samples is None:
@@ -459,38 +429,3 @@ def assemble(assembler, T, forcing, delta_path=None, v_path=None,
         for k, v in sample.items():
             stacks[k][s] = v
     return AssembledSystem(T, times, stacks, assembler.constants, forcing, basis)
-
-
-class ReconstructedFluid:
-    """u = sum a_dot_k X_k^F evaluated through stacked basis tables."""
-
-    physical_frame = True
-
-    def __init__(self, basis, a_dot, delta=None, dt_delta=None):
-        self.basis = basis
-        self.a_dot = np.asarray(a_dot, dtype=float)
-        self.delta = delta
-        self.dt_delta = dt_delta
-
-    def tables_from_jets(self, jets):
-        val, grad, _ = self.basis.fluid_tables(
-            jets, delta=self.delta, dt_delta=self.dt_delta, with_dt=False
-        )
-        v = np.einsum("k,kiq->iq", self.a_dot, val)
-        g = np.einsum("k,kijq->ijq", self.a_dot, grad)
-        return {"val": v, "grad": g, "div": np.einsum("iiq->q", g)}
-
-
-def reconstruct(state, basis):
-    """Physical fields of a Galerkin state: (fluid u, (eta, eta_dot),
-    (d, d_dot)).  Kinematic couplings hold by construction."""
-    if state.n != basis.n:
-        raise BasisMismatch(
-            f"state has {state.n} coefficients, basis expects {basis.n}"
-        )
-    eta = basis.shell_field(state.a)
-    eta_dot = basis.shell_field(state.a_dot)
-    d = CombinedSolidField(basis.solid_fields, state.a)
-    d_dot = CombinedSolidField(basis.solid_fields, state.a_dot)
-    u = ReconstructedFluid(basis, state.a_dot, delta=eta, dt_delta=eta_dot)
-    return u, (eta, eta_dot), (d, d_dot)

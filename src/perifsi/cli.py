@@ -12,15 +12,16 @@ Subcommands:
 
 Exit codes: 0 success, 2 domain violation, 3 outer loop did not converge,
 4 singular monodromy (resonance), 1 any other failure.  Runs are
-deterministic given (config, seed); PERIFSI_THREADS caps the worker threads
-used by the numeric backends.
+deterministic given (config, seed).  The numeric backends read their thread
+counts (OMP_NUM_THREADS, OPENBLAS_NUM_THREADS) when numpy loads, so set them
+in the environment before launch.
 """
 
 import argparse
 import csv
 import os
 import sys
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -453,24 +454,6 @@ def run_verify(cfg, out_dir):
 # entry point
 
 
-def _limit_threads():
-    raw = os.environ.get("PERIFSI_THREADS")
-    if not raw:
-        return None
-    try:
-        n = max(1, int(raw))
-    except ValueError:
-        return None
-    try:
-        import threadpoolctl
-
-        threadpoolctl.threadpool_limits(n)
-    except Exception:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ[var] = str(n)
-    return n
-
-
 def main(argv=None):
     parser = argparse.ArgumentParser(
         prog="perifsi",
@@ -486,7 +469,6 @@ def main(argv=None):
         p.add_argument("--seed", required=False, type=int, default=None,
                        help="override the configured random seed")
     args = parser.parse_args(argv)
-    _limit_threads()
     try:
         cfg = load_config(args.config) if args.config else RunConfig().validate()
         if args.seed is not None:

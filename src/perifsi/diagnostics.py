@@ -47,13 +47,6 @@ def dissipation_rate(system, state):
     return float(state.a_dot @ system.dissipation_matrix(mats) @ state.a_dot)
 
 
-def balance_residual(system, traj, dt):
-    """Worst per-step defect of the discrete energy identity along traj."""
-    from .solver_periodic import EnergyLedger
-
-    return EnergyLedger.from_trajectory(system, traj, dt).max_balance_residual()
-
-
 def korn_check(u, q, grid, delta=None, jets=None):
     """Relative residual of the Korn identity on the admissible fluid space:
 

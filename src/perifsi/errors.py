@@ -21,18 +21,6 @@ class GridMismatch(ValueError):
     """Sampled data does not line up with the expected time grid."""
 
 
-class RadiusOutOfRange(ValueError):
-    """Evaluation radius outside the validity range of a piecewise formula."""
-
-
-class NotMeanZero(ValueError):
-    """Divergence source handed to the corrector has nonzero mean."""
-
-
-class SolverFailure(RuntimeError):
-    """A constrained solve did not reach its tolerance."""
-
-
 class EigenFailure(RuntimeError):
     """The discrete eigenproblem could not deliver the requested modes."""
 

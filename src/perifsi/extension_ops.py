@@ -26,14 +26,14 @@ import numpy as np
 from scipy.linalg import solve_triangular
 
 from .basis1d import LegFamily, PiecewiseLegFamily, composite_gauss, gauss
-from .errors import (
-    DomainViolation,
-    NotMeanZero,
-    RadiusOutOfRange,
-    SolverFailure,
+from .errors import BasisMismatch, DomainViolation
+from .fluidgrid import (
+    _invert_grad,
+    cyl_tensor_to_cart,
+    cyl_vec_to_cart,
+    piola_derivative,
 )
-from .fluidgrid import cyl_tensor_to_cart, cyl_vec_to_cart
-from .geometry import ale_jets, check_injectivity
+from .geometry import ShellField, ale_jets, check_injectivity
 
 
 # ---------------------------------------------------------------------------
@@ -213,8 +213,8 @@ class _ModeSolver:
         U, s, Vt = np.linalg.svd(C, full_matrices=True)
         tol = 1e-10 * s[0]
         rank = int(np.sum(s > tol))
-        self._lsq = (U[:, :rank], s[:rank], Vt[:rank])
-        self._null = Vt[rank:].T  # (ndof, ndof - rank)
+        self._U = U[:, :rank]
+        N = Vt[rank:].T  # (ndof, ndof - rank)
 
         # H1-type seminorm Gram for the nullspace correction (separable)
         rq, wrq = composite_gauss(self.r_breaks, r_degree + 3)
@@ -241,9 +241,7 @@ class _ModeSolver:
         for i, blk in enumerate(blocks):
             sl = slice(i * self.block, (i + 1) * self.block)
             A[sl, sl] = blk
-        N = self._null
         chol = np.linalg.cholesky(N.T @ A @ N + 1e-12 * np.eye(N.shape[1]))
-        self._corr = (N, chol, A)
         # fold min-norm LSQ and the nullspace energy correction into a single
         # precomputed operator: dofs = PV (U^T g)
         PV = Vt[:rank].T * (1.0 / s[:rank])
@@ -253,23 +251,10 @@ class _ModeSolver:
         )
         self._solve_op = PV - N @ Y
 
-    def solve(self, g_nodes, need_resid=True):
-        """Solve for profile dofs matching div w = g at the collocation nodes.
-
-        g_nodes has shape (n_r_nodes, n_z_nodes); returns (dofs, residual_inf);
-        the residual is skipped (reported as 0) unless requested.
-        """
-        g = g_nodes.ravel()
-        U = self._lsq[0]
-        w = self._solve_op @ (U.T @ g)
-        resid = 0.0
-        if need_resid:
-            resid = float(np.max(np.abs(self._constraint_apply(w) - g)))
-        return w, resid
-
-    def _constraint_apply(self, dofs):
-        U, s, Vt = self._lsq
-        return U @ (s * (Vt @ dofs))
+    def solve(self, g_nodes):
+        """Profile dofs matching div w = g at the collocation nodes, with
+        g_nodes of shape (n_r_nodes, n_z_nodes)."""
+        return self._solve_op @ (self._U.T @ g_nodes.ravel())
 
     def _node_tables(self, r, z):
         """Family tables at a node set, memoized on the node content."""
@@ -332,73 +317,27 @@ class DivergenceCorrector:
             self._solvers[m] = _ModeSolver(self.cyl, m, self.r_degree, self.nz_modes)
         return self._solvers[m]
 
-    def correct_modes(self, mode_rhs, need_resid=True):
+    def correct_modes(self, mode_rhs):
         """Build a corrector field from per-(m, parity) node samples.
 
         mode_rhs maps (m, parity) -> array (n_r_nodes, n_z_nodes) of the
         divergence source profile at the wavenumber-m collocation nodes.
         """
         parts = []
-        worst = 0.0
         for (m, parity), g in mode_rhs.items():
-            scale = float(np.max(np.abs(g)))
-            if scale < 1e-15:
+            if float(np.max(np.abs(g))) < 1e-15:
                 continue
             sol = self.solver(m)
-            dofs, resid = sol.solve(g, need_resid=need_resid)
-            worst = max(worst, resid)
-            parts.append((sol, parity, dofs))
-        return CorrectorField(self.cyl, parts, worst)
-
-    def correct(self, g, mean_zero_tol=1e-9, resid_tol=1e-6):
-        """Correct a scalar source given as a callable g(r, theta, z) on C.
-
-        Raises NotMeanZero when the compatibility integral over C fails, and
-        SolverFailure when the collocation residual is large.
-
-        Pointwise matching is only possible for sources vanishing on the end
-        disks of C: any zero-trace vector field has identically vanishing
-        divergence on the corner circles (tangential derivatives die on both
-        adjacent faces), so the divergence can match an end-face-supported
-        source only in the least-squares sense.  Sources arising from clamped
-        shell data always vanish there.
-        """
-        sol0 = self.solver(0)
-        rc, zc = sol0.r_nodes, sol0.z_nodes
-        n_th = max(8, 4 * (self.max_m + 1))
-        th = np.linspace(0.0, 2.0 * np.pi, n_th, endpoint=False)
-        RR, TT, ZZ = np.meshgrid(rc, th, zc, indexing="ij")
-        G = np.asarray(g(RR.ravel(), TT.ravel(), ZZ.ravel()), dtype=float).reshape(RR.shape)
-
-        # compatibility integral over C with the cylindrical volume weight
-        R, L = self.cyl.R, self.cyl.L
-        _, wr = composite_gauss(sol0.r_breaks, self.r_degree + 2)
-        _, wz = gauss(len(zc), 0.0, L)
-        scale = float(np.max(np.abs(G))) or 1.0
-        vol = float(np.einsum("itz,i,z->", G, wr * rc, wz)) * (2.0 * np.pi / n_th)
-        if abs(vol) > mean_zero_tol * scale * (np.pi * R * R * L / 4.0):
-            raise NotMeanZero(f"source integral over C is {vol:.3e}")
-
-        H = np.fft.rfft(G, axis=1) / n_th
-        rhs = {(0, "cos"): H[:, 0, :].real}
-        for m in range(1, min(self.max_m, n_th // 2 - 1) + 1):
-            rhs[(m, "cos")] = 2.0 * H[:, m, :].real
-            rhs[(m, "sin")] = -2.0 * H[:, m, :].imag
-        field = self.correct_modes(rhs)
-        if resid_tol is not None and field.residual > resid_tol * scale:
-            raise SolverFailure(
-                f"divergence collocation residual {field.residual:.3e} for scale {scale:.3e}"
-            )
-        return field
+            parts.append((sol, parity, sol.solve(g)))
+        return CorrectorField(self.cyl, parts)
 
 
 class CorrectorField:
     """Vector field on C assembled from per-wavenumber corrector solves."""
 
-    def __init__(self, cyl, parts, residual):
+    def __init__(self, cyl, parts):
         self.cyl = cyl
         self.parts = parts
-        self.residual = residual
 
     def tables(self, r, theta, z):
         """Cylindrical value and frame gradient, zero outside r < R/2."""
@@ -424,46 +363,6 @@ class CorrectorField:
 
 
 # ---------------------------------------------------------------------------
-# raw extension and plug
-
-
-def raw_extend(cyl, delta, xi, r, theta, z):
-    """Outer radial extension ((R + delta) / r) xi e_r in Cartesian components.
-
-    Valid for r in (R/2, R + H/2]; raises RadiusOutOfRange outside.
-    """
-    r = np.asarray(r, dtype=float).ravel()
-    theta = np.asarray(theta, dtype=float).ravel()
-    z = np.asarray(z, dtype=float).ravel()
-    if np.any(r <= cyl.R / 2.0) or np.any(r > cyl.R + cyl.H / 2.0 + 1e-12):
-        raise RadiusOutOfRange("raw extension is defined on (R/2, R + H/2]")
-    src = BoundarySource(cyl, xi, delta)
-    h, _, _ = src.tables(theta, z)
-    return cyl_vec_to_cart(h / r, np.zeros_like(h), np.zeros_like(h), theta)
-
-
-def build_inner_plug(cyl, delta, xi):
-    """Axial compensating field of the extension on the inner cylinder.
-
-    Returns (a, field) where a(r) = Phi * bump(r) is the disk-flux profile
-    (2 pi int a r dr = Phi = int_omega (R + delta) xi dtheta dz) and
-    field(r, z) gives the Cartesian components of a(r) g(z) e_z.
-    """
-    flux = BoundarySource(cyl, xi, delta).flux()
-
-    def a(r):
-        return flux * plug_radial_profile(cyl, r)[0]
-
-    def field(r, z):
-        r = np.asarray(r, dtype=float).ravel()
-        z = np.asarray(z, dtype=float).ravel()
-        uz = a(r) * plug_axial_profile(cyl, z)[0]
-        return np.stack([np.zeros_like(uz), np.zeros_like(uz), uz])
-
-    return a, field
-
-
-# ---------------------------------------------------------------------------
 # the full extension operator
 
 
@@ -481,24 +380,21 @@ class ExtensionOperator:
         self.corrector = DivergenceCorrector(cyl, max_wavenumber, r_degree, nz_modes)
         self.max_m = self.corrector.max_m
 
-    def extend(self, delta, xi, check=True, need_resid=False):
+    def extend(self, delta, xi, check=True):
         """Divergence-free extension of xi e_r from the interface r = R + delta."""
         if check and delta is not None:
             if not check_injectivity(delta, 0.05 * self.cyl.R, cyl=self.cyl):
                 raise DomainViolation("shell displacement breaks domain injectivity")
-        return self._extend_source(
-            BoundarySource(self.cyl, xi, delta), need_resid=need_resid
-        )
+        return self._extend_source(BoundarySource(self.cyl, xi, delta))
 
-    def extend_dt(self, dt_delta, xi, need_resid=False):
+    def extend_dt(self, dt_delta, xi):
         """Time derivative of extend(delta, xi) for fixed xi: the extension of
         the product data dt_delta * xi (the operator itself is t-independent)."""
         return self._extend_source(
-            BoundarySource(self.cyl, xi, delta=dt_delta, add_R=False),
-            need_resid=need_resid,
+            BoundarySource(self.cyl, xi, delta=dt_delta, add_R=False)
         )
 
-    def _extend_source(self, src, need_resid=False):
+    def _extend_source(self, src):
         cyl = self.cyl
         flux = src.flux()
         sol0 = self.corrector.solver(0)
@@ -518,7 +414,7 @@ class ExtensionOperator:
         for m in range(1, min(self.max_m, n_th // 2 - 1) + 1):
             rhs[(m, "cos")] = base * (2.0 * H[m].real)[None, :]
             rhs[(m, "sin")] = base * (-2.0 * H[m].imag)[None, :]
-        corrector = self.corrector.correct_modes(rhs, need_resid=need_resid)
+        corrector = self.corrector.correct_modes(rhs)
         return ExtensionField(cyl, src, flux, corrector)
 
 
@@ -533,15 +429,6 @@ class ExtensionField:
         self.source = source
         self.flux = flux
         self.corrector = corrector
-
-    @property
-    def flux_budget(self):
-        """(1 / 2 pi) int_omega (R + delta) xi dA."""
-        return self.flux / (2.0 * np.pi)
-
-    @property
-    def residual(self):
-        return self.corrector.residual
 
     def tables(self, r, theta, z):
         """Cartesian value (3, Q), gradient (3, 3, Q) and divergence (Q)."""
@@ -654,21 +541,9 @@ class PiolaField:
                     "div": np.einsum("iiq->q", ref["grad"])}
         x, y = r * np.cos(theta), r * np.sin(theta)
         jets = ale_jets(self.cyl, self.eta, x, y, z, second=True)
-        det = jets["det"]
-        A = jets["grad"] / det
-        dg = jets["dgrad"]
-        g = jets["grad"]
-        ddet = (
-            dg[0, 0] * g[1, 1][None]
-            + g[0, 0][None] * dg[1, 1]
-            - dg[0, 1] * g[1, 0][None]
-            - g[0, 1][None] * dg[1, 0]
-        )
-        dA = dg / det - np.einsum("ijq,aq->ijaq", g, ddet / det**2)
-        from .fluidgrid import _invert_grad
-
-        ginv = _invert_grad(g)
-        val, grad = push_piola(A, dA, ginv, ref["val"], ref["grad"])
+        g, det = jets["grad"], jets["det"]
+        dA = piola_derivative(g, jets["dgrad"], det)
+        val, grad = push_piola(g / det, dA, _invert_grad(g), ref["val"], ref["grad"])
         return {"val": val, "grad": grad, "div": np.einsum("iiq->q", grad)}
 
     def tables_from_jets(self, jets):
@@ -684,11 +559,6 @@ class PiolaField:
 
     def __call__(self, r, theta, z):
         return self.tables(r, theta, z)["val"]
-
-
-def piola(cyl, eta, phi, margin=None):
-    """Piola transform of phi under the deformation generated by eta."""
-    return PiolaField(cyl, eta, phi, margin=margin)
 
 
 # ---------------------------------------------------------------------------
@@ -721,17 +591,17 @@ def mollify(signal, eps, dt):
 def mollify_shell(field, eps):
     """Azimuthal mollification of a shell field (periodic-theta bases only).
 
-    Multiplies the wavenumber-m coefficients by exp(-(m eps)^2 / 2) — exactly
-    convolution with a wrapped Gaussian, hence sup-norm non-increasing.
+    Multiplies the coefficients by azimuthal_damping — exactly convolution
+    with a wrapped Gaussian, hence sup-norm non-increasing.
     """
-    from .errors import BasisMismatch
-    from .geometry import ShellField
-
     basis = field.basis
     if basis.boundary_mode != "periodic-theta":
         raise BasisMismatch("azimuthal mollification needs a periodic theta basis")
-    coeff = field.coefficients.copy()
-    for k in range(basis.n_modes):
-        m = basis.azimuthal_wavenumber(k)
-        coeff[k] *= np.exp(-0.5 * (m * eps) ** 2)
-    return ShellField(basis, coeff)
+    return ShellField(basis, field.coefficients * azimuthal_damping(basis, eps))
+
+
+def azimuthal_damping(basis, eps):
+    """Per-mode transfer factors exp(-(m eps)^2 / 2) of the azimuthal
+    mollifier, m the wavenumber of each mode of a periodic-theta basis."""
+    m = np.array([basis.azimuthal_wavenumber(k) for k in range(basis.n_modes)])
+    return np.exp(-0.5 * (m * eps) ** 2)

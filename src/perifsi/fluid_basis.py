@@ -332,20 +332,3 @@ def disk_flux(q, grid, z0):
     r, th, w, z = grid.disk(z0)
     t = q.tables(r, th, z)
     return float(t["val"][2] @ w)
-
-
-def boundary_load(q, pin, pout, grid):
-    """Boundary pressure work functional on a reference test field:
-
-        <F, q> = P_in int_{z=0} q_z dA - P_out int_{z=L} q_z dA
-
-    (the weak-form boundary term with outward normals; positive when a higher
-    inlet pressure pushes along a field flowing in +z).  Linear in q and in
-    the pressure pair.
-    """
-    val = 0.0
-    if pin != 0.0:
-        val += pin * disk_flux(q, grid, 0.0)
-    if pout != 0.0:
-        val -= pout * disk_flux(q, grid, grid.cyl.L)
-    return val

@@ -119,19 +119,7 @@ class QuadJets:
             self.grad = g
             self.ginv = _invert_grad(g)
             self.A = g / self.det
-            if second:
-                dg = jets["dgrad"]
-                ddet = (
-                    dg[0, 0] * g[1, 1][None]
-                    + g[0, 0][None] * dg[1, 1]
-                    - dg[0, 1] * g[1, 0][None]
-                    - g[0, 1][None] * dg[1, 0]
-                )  # (3, Q): d_a det
-                self.dA = dg / self.det - np.einsum(
-                    "ijq,aq->ijaq", g, ddet / self.det**2
-                )
-            else:
-                self.dA = None
+            self.dA = piola_derivative(g, jets["dgrad"], self.det) if second else None
             if dt_delta is not None:
                 self.dt_psi = jets["dt_psi"]
                 self.dt_det = jets["dt_det"]
@@ -144,6 +132,19 @@ class QuadJets:
                 self.dt_det = np.zeros(Q)
             self.moving = True
         self.weight = grid.w * self.det
+
+
+def piola_derivative(g, dgrad, det):
+    """dA[i, j, a] = d_a A[i, j] of the Piola factor A = g / det, from the ALE
+    gradient g (third row (0, 0, 1), so det g is its leading 2 x 2 minor),
+    its derivatives dgrad[i, j, a] = d_a g[i, j] and det = det g."""
+    ddet = (
+        dgrad[0, 0] * g[1, 1][None]
+        + g[0, 0][None] * dgrad[1, 1]
+        - dgrad[0, 1] * g[1, 0][None]
+        - g[0, 1][None] * dgrad[1, 0]
+    )  # (3, Q): d_a det
+    return dgrad / det - np.einsum("ijq,aq->ijaq", g, ddet / det**2)
 
 
 def _invert_grad(g):

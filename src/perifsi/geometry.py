@@ -45,10 +45,6 @@ class ShellField:
         self.basis = basis
         self.coefficients = coefficients
 
-    @property
-    def basis_dims(self):
-        return (self.basis.n_theta, self.basis.n_z)
-
     def evaluate(self, theta, z, nderiv=0):
         """Return derivatives stacked as (ncomp, npts): [val], [val, d_theta,
         d_z] or [val, d_theta, d_z, d_tt, d_tz, d_zz]."""
@@ -57,9 +53,6 @@ class ShellField:
 
     def value(self, theta, z):
         return self.evaluate(theta, z, 0)[0]
-
-    def gradient(self, theta, z):
-        return self.evaluate(theta, z, 1)[1:]
 
     def __add__(self, other):
         self._check_same_basis(other)
@@ -231,16 +224,6 @@ def ale_map(cyl, delta, p, margin=None):
         gradient=jets["grad"][:, :, 0].copy(),
         det=float(jets["det"][0]),
     )
-
-
-def interface_jacobian(cyl, eta, theta, z):
-    """Surface Jacobian sqrt((1+(dz eta)^2)(R+eta)^2 + (dtheta eta)^2)."""
-    theta = np.asarray(theta, dtype=float)
-    z = np.asarray(z, dtype=float)
-    comp = eta.evaluate(theta.ravel(), z.ravel(), 1)
-    val, dth, dz = comp
-    J = np.sqrt((1.0 + dz**2) * (cyl.R + val) ** 2 + dth**2)
-    return J.reshape(theta.shape) if theta.shape else float(J[0])
 
 
 def check_injectivity(eta, margin, cyl=None, R=None):

@@ -94,13 +94,6 @@ class ShellBasis:
         self._tab_cache[key] = out
         return out
 
-    def shell_mode(self, k, theta, z):
-        """(value, gradient(2,), hessian(2,2)) of mode k at a point."""
-        tab = self.eval_modes(np.atleast_1d(theta), np.atleast_1d(z), 2)[k, :, 0]
-        grad = np.array([tab[1], tab[2]])
-        hess = np.array([[tab[3], tab[4]], [tab[4], tab[5]]])
-        return float(tab[0]), grad, hess
-
     def field(self, coefficients):
         return ShellField(self, coefficients)
 
@@ -302,25 +295,6 @@ class InteriorSolidMode(SolidVectorField):
         return {"val": val, "grad": grad, "div": div}
 
 
-class CombinedSolidField(SolidVectorField):
-    def __init__(self, fields, coefficients):
-        if len(fields) != len(coefficients):
-            raise BasisMismatch("coefficient count does not match field count")
-        self.fields = fields
-        self.coefficients = np.asarray(coefficients, dtype=float)
-
-    def tables(self, r, theta, z):
-        out = None
-        for c, f in zip(self.coefficients, self.fields):
-            t = f.tables(r, theta, z)
-            if out is None:
-                out = {k: c * v for k, v in t.items()}
-            else:
-                for k in out:
-                    out[k] += c * t[k]
-        return out
-
-
 class SolidBasis:
     """Lifted plus interior solid modes paired with a shell basis."""
 
@@ -328,9 +302,6 @@ class SolidBasis:
         self.cyl = cyl
         self.shell_basis = shell_basis
         self.n_r = int(n_r)
-
-    def lifted_mode(self, k):
-        return LiftedSolidField(self.cyl, self.shell_basis.unit_field(k))
 
     def interior_modes(self, count):
         """First `count` interior modes in a fixed deterministic order."""
@@ -348,12 +319,6 @@ class SolidBasis:
             f"solid basis too small: {len(modes)} interior modes available, "
             f"{count} requested (increase n_r_solid or n_z)"
         )
-
-
-def solid_lift(cyl, xi):
-    """Extension of a shell field into the solid annulus (trace xi e_r at the
-    interface, zero at the outer surface)."""
-    return LiftedSolidField(cyl, xi)
 
 
 def lame_form(d, d_dot, zeta, params, grid):

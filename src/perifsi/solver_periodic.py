@@ -19,7 +19,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import lu_factor, lu_solve
 
-from .assembly import GalerkinState, TimeGridPath, assemble
+from .assembly import AssembledSystem, GalerkinState, TimeGridPath, assemble
+from .diagnostics import energy
 from .errors import (
     DomainViolation,
     GridMismatch,
@@ -27,7 +28,7 @@ from .errors import (
     NoConvergence,
     SingularMonodromy,
 )
-from .extension_ops import mollify
+from .extension_ops import azimuthal_damping, mollify
 from .geometry import check_injectivity
 
 
@@ -172,26 +173,20 @@ class EnergyLedger:
 
     @classmethod
     def from_trajectory(cls, system, traj, dt):
+        energies = [energy(system, s) for s in traj]
         records = []
         for m in range(len(traj) - 1):
             s0, s1 = traj[m], traj[m + 1]
             t_mid = s0.t + 0.5 * dt
-            m0 = system.matrices_at(s0.t)
-            m1 = system.matrices_at(s1.t)
             mm = system.matrices_at(t_mid)
-            E0 = 0.5 * s0.a_dot @ m0["M"] @ s0.a_dot + 0.5 * s0.a @ m0["K"] @ s0.a
-            E1 = 0.5 * s1.a_dot @ m1["M"] @ s1.a_dot + 0.5 * s1.a @ m1["K"] @ s1.a
             vbar = 0.5 * (s0.a_dot + s1.a_dot)
             Dm = system.dissipation_matrix(mm)
             D = float(vbar @ Dm @ vbar)
             f = system.forcing_at(t_mid, mm)
             work = float(vbar @ f) - float(vbar @ mm["Q"] @ vbar)
-            resid = abs(E1 - E0 + dt * D - dt * work)
-            Ek = 0.5 * s0.a_dot @ m0["M"] @ s0.a_dot
-            Ee = 0.5 * s0.a @ m0["K"] @ s0.a
-            records.append(
-                EnergyRecord(s0.t, float(Ek), float(Ee), float(Ek + Ee), D, work, resid)
-            )
+            e0, e1 = energies[m], energies[m + 1]
+            resid = abs(e1.E - e0.E + dt * D - dt * work)
+            records.append(EnergyRecord(s0.t, e0.E_kin, e0.E_el, e0.E, D, work, resid))
         return cls(records)
 
     def as_arrays(self):
@@ -252,11 +247,8 @@ def _regularize_paths(basis, a_traj, v_traj, T, eps):
     dt = T / n_t
     shell_c = np.array([basis.shell_coefficients(a) for a in a_traj])
     shell_s = mollify(shell_c.T, eps, dt).T
-    sb = basis.shell_basis
-    if sb.boundary_mode == "periodic-theta":
-        for k in range(shell_s.shape[1]):
-            m = sb.azimuthal_wavenumber(k)
-            shell_s[:, k] *= np.exp(-0.5 * (m * eps) ** 2)
+    if basis.shell_basis.boundary_mode == "periodic-theta":
+        shell_s *= azimuthal_damping(basis.shell_basis, eps)
     v_s = mollify(v_traj.T, eps, dt).T
     return shell_s, v_s
 
@@ -334,35 +326,6 @@ class IvpResult:
         return self.violation_time is None
 
 
-class _FrozenSystem:
-    """Adapter exposing one assembled sample as a constant-in-t system."""
-
-    def __init__(self, assembler, sample, forcing):
-        self.constants = assembler.constants
-        self.sample = sample
-        self.forcing = forcing
-        self.n = assembler.basis.n
-
-    def matrices_at(self, t):
-        s, c = self.sample, self.constants
-        M = s["M"] + c["M_shell"] + c["M_solid"]
-        C = s["G"] + s["B"] + s["Q"] + s["V"] + c["A_visc"]
-        K = c["K_sh"] + c["A_el"]
-        return {"M": M, "C": C, "K": K, "V_fluid": s["V"], "Q": s["Q"],
-                "qin": s["qin"], "qout": s["qout"]}
-
-    def forcing_at(self, t, mats=None):
-        if self.forcing is None:
-            return np.zeros(self.n)
-        if mats is None:
-            mats = self.matrices_at(t)
-        pin, pout = self.forcing.values(t % self.forcing.T)
-        return pin[0] * mats["qin"] - pout[0] * mats["qout"]
-
-    def dissipation_matrix(self, mats):
-        return mats["V_fluid"] + self.constants["A_visc"]
-
-
 def solve_ivp(assembler, x0, t_final, dt, forcing=None, margin=None,
               with_ledger=True):
     """Nonlinear initial value integration with geometry lagged one step.
@@ -396,14 +359,13 @@ def solve_ivp(assembler, x0, t_final, dt, forcing=None, margin=None,
                 dt_delta=basis.shell_field(state.a_dot),
                 v_coeff=state.a_dot,
             )
+        elif np.any(state.a_dot):
+            sample = assembler.sample(v_coeff=state.a_dot)
         else:
-            if rest is None or np.any(state.a_dot):
-                sample = assembler.sample(v_coeff=state.a_dot)
-                if not np.any(state.a_dot):
-                    rest = sample
-            else:
-                sample = rest
-        frozen = _FrozenSystem(assembler, sample, forcing)
+            if rest is None:
+                rest = assembler.sample()
+            sample = rest
+        frozen = AssembledSystem.from_sample(t_final, sample, assembler, forcing)
         new = step(frozen, state, dt)
         if with_ledger:
             led = EnergyLedger.from_trajectory(frozen, [state, new], dt)

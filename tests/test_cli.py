@@ -180,10 +180,3 @@ class TestVerify:
         assert all(r[3] == "true" for r in rows[1:])
         assert len(rows) >= 5
 
-
-class TestThreadLimit:
-    def test_env_variable_consumed(self, monkeypatch):
-        monkeypatch.setenv("PERIFSI_THREADS", "1")
-        assert cli._limit_threads() == 1
-        monkeypatch.setenv("PERIFSI_THREADS", "junk")
-        assert cli._limit_threads() is None

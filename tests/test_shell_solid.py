@@ -13,6 +13,7 @@ from perifsi.shell_solid import (
     SolidParams,
     biharmonic_form,
     cutoff_profile,
+    lame_form,
     shell_matrices,
 )
 
@@ -150,3 +151,20 @@ class TestSolidBasis:
             for j in range(6):
                 gram[i, j] = np.einsum("iq,iq,q->", tabs[i], tabs[j], grid.w)
         assert np.all(np.linalg.eigvalsh(gram) > 0.0)
+
+
+class TestLameForm:
+    def test_oracle_for_assembled_blocks(self, small_model):
+        """Field-by-field quadrature of the Lame form reproduces the stacked
+        Gram products behind the assembled A_el and A_visc blocks."""
+        fields = small_model.basis.solid_fields
+        params, grid = small_model.params, small_model.solid_grid
+        c = small_model.constants
+        A_el = np.array([[lame_form(fk, None, fl, params, grid) for fl in fields]
+                         for fk in fields])
+        A_visc = np.array([[lame_form(None, fk, fl, params, grid) for fl in fields]
+                           for fk in fields])
+        assert np.max(np.abs(A_el - c["A_el"])) <= 1e-12 * np.max(np.abs(c["A_el"]))
+        assert np.max(np.abs(A_visc - c["A_visc"])) <= 1e-12 * np.max(
+            np.abs(c["A_visc"])
+        )

@@ -1,5 +1,7 @@
 """Time stepping, the periodic orbit solve, and the geometry fixed point."""
 
+from dataclasses import astuple
+
 import numpy as np
 import pytest
 
@@ -111,3 +113,25 @@ class TestIvp:
         res = solve_ivp(small_model, GalerkinState(a, np.zeros(n)), 0.1, 1.0 / 64)
         assert not res.completed
         assert res.violation_time is not None
+
+    def test_rest_step_matches_the_periodic_system(self, small_model, small_forcing,
+                                                   rest_system, rng):
+        """With the shell at rest (zero coupled entries, zero velocity) an IVP
+        step runs on the rest geometry, so it and its ledger record equal a
+        step of the assembled periodic system and that system's ledger."""
+        n = small_model.basis.n
+        a = np.zeros(n)
+        a[1::2] = 0.01 * rng.standard_normal(n // 2)
+        x0 = GalerkinState(a, np.zeros(n))
+        dt = 1.0 / 64
+        res = solve_ivp(small_model, x0, dt, dt, forcing=small_forcing)
+        got = res.trajectory[1]
+        want = step(rest_system, x0, dt)
+        scale = max(np.max(np.abs(want.a)), np.max(np.abs(want.a_dot)))
+        assert np.max(np.abs(got.a - want.a)) <= 1e-14 * scale
+        assert np.max(np.abs(got.a_dot - want.a_dot)) <= 1e-14 * scale
+        led = EnergyLedger.from_trajectory(rest_system, [x0, want], dt)
+        got_rec = np.array(astuple(res.ledger.records[0]))
+        want_rec = np.array(astuple(led.records[0]))
+        assert len(res.ledger.records) == 1
+        assert np.max(np.abs(got_rec - want_rec)) <= 1e-14 * np.max(np.abs(want_rec))
