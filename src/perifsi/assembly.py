@@ -29,6 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .basis1d import trig_weights
 from .errors import BasisMismatch, DomainViolation, GridMismatch
 from .extension_ops import push_piola, push_piola_dt
 from .fluid_basis import disk_flux
@@ -192,35 +193,24 @@ class AssembledSystem:
         self.forcing = forcing
         self.basis = basis
         self.n = basis.n
-        S = times.size
-        self._fft = {k: np.fft.rfft(v, axis=0) for k, v in stacks.items()} if S > 1 else None
 
     @classmethod
     def from_sample(cls, T, sample, assembler, forcing):
-        """A constant-in-t system from one Assembler.sample: with a single
-        sample matrices_at never interpolates, so T only names the period."""
+        """A constant-in-t system from one Assembler.sample: a single sample
+        has interpolation weight 1 at every t, so T only names the period."""
         stacks = {k: v[None] for k, v in sample.items()}
         return cls(T, np.zeros(1), stacks, assembler.constants, forcing,
                    assembler.basis)
-
-    def _interp(self, name, t):
-        if self._fft is None:
-            return self.stacks[name][0]
-        F = self._fft[name]
-        S = self.times.size
-        k = np.arange(F.shape[0])
-        scale = np.ones(F.shape[0])
-        scale[1:] = 2.0
-        if S % 2 == 0:
-            scale[-1] = 1.0
-        phase = (scale * np.exp(2j * np.pi * k * (t / self.T))) / S
-        return np.real(np.tensordot(phase, F, axes=(0, 0)))
 
     def matrices_at(self, t):
         """Return dict(M, G, B, Q, qin, qout) interpolated at t plus the
         constant blocks; damping C = G + V + B + Q + A_visc and stiffness
         K = K_sh + A_el are combined here."""
-        out = {name: self._interp(name, t) for name in self.stacks}
+        w = trig_weights(t, self.T, self.times.size)
+        out = {
+            name: (w @ v.reshape(w.size, -1)).reshape(v.shape[1:])
+            for name, v in self.stacks.items()
+        }
         c = self.constants
         M = out["M"] + c["M_shell"] + c["M_solid"]
         C = out["G"] + out["B"] + out["Q"] + out["V"] + c["A_visc"]

@@ -302,8 +302,17 @@ def write_summary(path, *, sup_E, integral_D, forcing_L2, diffusion_ratio,
 # run modes
 
 
+def _diffusion_ratio(integral_D, forcing):
+    """The measured diffusion ratio of a run; nan for zero pressure data."""
+    from .diagnostics import diffusion_ratio
+
+    try:
+        return diffusion_ratio(integral_D, forcing)
+    except ZeroForcing:
+        return float("nan")
+
+
 def run_periodic(cfg, out_dir):
-    from . import diagnostics
     from .solver_periodic import EnergyLedger, OuterLoopConfig, outer_fixed_point
 
     assembler = build_model(cfg)
@@ -318,10 +327,6 @@ def run_periodic(cfg, out_dir):
     ledger = EnergyLedger.from_trajectory(
         result.system, result.trajectory, cfg.T / cfg.n_t
     )
-    try:
-        ratio = diagnostics.diffusion_ratio(ledger.integral_dissipation(), forcing)
-    except ZeroForcing:
-        ratio = float("nan")
     write_energies(os.path.join(out_dir, "energies.csv"), ledger)
     write_coefficients(os.path.join(out_dir, "coefficients.csv"), result.trajectory)
     write_summary(
@@ -329,7 +334,7 @@ def run_periodic(cfg, out_dir):
         sup_E=ledger.sup_energy(),
         integral_D=ledger.integral_dissipation(),
         forcing_L2=forcing.l2_norm(),
-        diffusion_ratio=ratio,
+        diffusion_ratio=_diffusion_ratio(ledger.integral_dissipation(), forcing),
         periodic_residual=result.periodic_residual,
         outer_iters=result.iterations,
     )
@@ -363,7 +368,7 @@ def run_ivp(cfg, out_dir):
         sup_E=result.ledger.sup_energy(),
         integral_D=intd,
         forcing_L2=forcing_l2,
-        diffusion_ratio=intd / forcing_l2**2 if forcing_l2 else float("nan"),
+        diffusion_ratio=_diffusion_ratio(intd, forcing),
         periodic_residual=float("nan"),
         outer_iters=0,
     )
@@ -415,10 +420,10 @@ def run_verify(cfg, out_dir):
          float(np.max(np.abs(sm)) - np.max(np.abs(sig))), 1e-12)
     )
 
-    # frozen-geometry energy balance over a few steps
+    # frozen-geometry energy balance over one period
     forcing = build_forcing(cfg)
     system = assemble(assembler, cfg.T, forcing)
-    prob = PeriodicProblem(system, cfg.T, cfg.T / min(cfg.n_t, 64))
+    prob = PeriodicProblem(system, cfg.T, cfg.T / cfg.n_t)
     x0 = GalerkinState.zero(basis.n)
     traj = poincare_map(prob, x0, record=True)
     led = EnergyLedger.from_trajectory(system, traj, prob.dt)
@@ -429,7 +434,7 @@ def run_verify(cfg, out_dir):
 
     # zero forcing gives the zero periodic orbit
     system0 = assemble(assembler, cfg.T, None)
-    x_star, info = periodic_solve(PeriodicProblem(system0, cfg.T, cfg.T / 64))
+    x_star, info = periodic_solve(PeriodicProblem(system0, cfg.T, cfg.T / cfg.n_t))
     checks.append(
         ("zero_forcing_orbit", float(np.max(np.abs(x_star.a)) + np.max(np.abs(x_star.a_dot))), 1e-10)
     )

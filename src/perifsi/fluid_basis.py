@@ -18,7 +18,7 @@ mass-orthonormal, ascending, with a deterministic sign convention.
 import numpy as np
 from scipy.linalg import eigh
 
-from .basis1d import LegFamily, gauss
+from .basis1d import LegFamily, gauss, trig_weights
 from .errors import BasisMismatch, EigenFailure
 from .extension_ops import azimuthal_mode_tables
 from .fluidgrid import QuadJets, cyl_tensor_to_cart, cyl_vec_to_cart
@@ -295,9 +295,6 @@ class BoundaryForcing:
         self.t = t
         self.p_in = p_in
         self.p_out = p_out
-        self._fin = np.fft.rfft(p_in[:-1])
-        self._fout = np.fft.rfft(p_out[:-1])
-        self._n = t.size - 1
 
     @classmethod
     def from_callables(cls, f_in, f_out, T, n=257):
@@ -306,16 +303,8 @@ class BoundaryForcing:
 
     def values(self, time):
         """(P_in, P_out) at arbitrary times by trigonometric interpolation."""
-        time = np.atleast_1d(np.asarray(time, dtype=float))
-        k = np.arange(self._fin.size)
-        phase = np.exp(2j * np.pi * np.outer(time / self.T, k))
-        scale = np.ones(self._fin.size)
-        scale[1:] = 2.0
-        if self._n % 2 == 0:
-            scale[-1] = 1.0
-        pin = (phase * (scale * self._fin)).real.sum(axis=1) / self._n
-        pout = (phase * (scale * self._fout)).real.sum(axis=1) / self._n
-        return pin, pout
+        w = trig_weights(np.atleast_1d(time), self.T, self.t.size - 1)
+        return w @ self.p_in[:-1], w @ self.p_out[:-1]
 
     def l2_norm(self):
         """L2(0, T) norm of the pressure pair (trapezoid on the closed grid)."""

@@ -15,6 +15,7 @@ coefficients, and relax the pair towards them until self-consistency.
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy.linalg import lu_factor, lu_solve
@@ -46,6 +47,15 @@ class PeriodicProblem:
         if self.n_steps < 1 or abs(ratio - self.n_steps) > 1e-9 * ratio:
             raise GridMismatch("the period must be an integer number of steps")
 
+    @cached_property
+    def operators(self):
+        """The midpoint operator of every step, built on first use; the
+        monodromy and every replay of the period read the same list."""
+        return [
+            _midpoint_operator(self.system, (m + 0.5) * self.dt, self.dt)
+            for m in range(self.n_steps)
+        ]
+
 
 def _midpoint_operator(system, t_mid, dt):
     """Factor the implicit midpoint update at one step.
@@ -62,13 +72,12 @@ def _midpoint_operator(system, t_mid, dt):
         lu = lu_factor(P)
     except Exception as exc:  # LinAlgError or ValueError on bad values
         raise LinearSolveFailure(f"midpoint operator is singular at t={t_mid}") from exc
-    f = system.forcing_at(t_mid, mats)
-    return mats, lu, Pm, K, f
+    return lu, Pm, K, system.forcing_at(t_mid, mats)
 
 
-def step(system, state, dt):
-    """One implicit midpoint step of the assembled system."""
-    _, lu, Pm, K, f = _midpoint_operator(system, state.t + 0.5 * dt, dt)
+def _advance(operator, state, dt):
+    """The implicit midpoint update of state with a factored step operator."""
+    lu, Pm, K, f = operator
     rhs = Pm @ state.a_dot - dt * (K @ state.a) + dt * f
     v1 = lu_solve(lu, rhs)
     if not np.all(np.isfinite(v1)):
@@ -77,14 +86,19 @@ def step(system, state, dt):
     return GalerkinState(a1, v1, state.t + dt)
 
 
+def step(system, state, dt):
+    """One implicit midpoint step of the assembled system."""
+    return _advance(_midpoint_operator(system, state.t + 0.5 * dt, dt), state, dt)
+
+
 def poincare_map(problem, x0, record=False):
     """Integrate one period from x0; returns the final state, or the full
     trajectory (a list of n_steps + 1 states) when record is true."""
     dt = problem.dt
     state = GalerkinState(np.array(x0.a), np.array(x0.a_dot), 0.0)
     traj = [state]
-    for _ in range(problem.n_steps):
-        state = step(problem.system, state, dt)
+    for op in problem.operators:
+        state = _advance(op, state, dt)
         if record:
             traj.append(state)
     return traj if record else state
@@ -92,36 +106,26 @@ def poincare_map(problem, x0, record=False):
 
 def _affine_period_map(problem):
     """The one-period affine map x -> A x + b in x = (a, a')."""
-    system = problem.system
     dt = problem.dt
-    n = system.n
-    eye = np.eye(n)
-    Phi = np.eye(2 * n)
-    rho = np.zeros(2 * n)
-    for m in range(problem.n_steps):
-        t_mid = (m + 0.5) * dt
-        _, lu, Pm, K, f = _midpoint_operator(system, t_mid, dt)
-        Va = lu_solve(lu, -dt * K)
-        Vv = lu_solve(lu, Pm)
-        vf = dt * lu_solve(lu, f)
-        L = np.block(
-            [
-                [eye + 0.5 * dt * Va, 0.5 * dt * (eye + Vv)],
-                [Va, Vv],
-            ]
-        )
-        r = np.concatenate([0.5 * dt * vf, vf])
-        Phi = L @ Phi
-        rho = L @ rho + r
-    return Phi, rho
+    n = problem.system.n
+    Ab = np.eye(2 * n, 2 * n + 1)  # [A | b] of the steps taken so far
+    for lu, Pm, K, f in problem.operators:
+        # v+ = V (a, a', 1) and a+ = a + dt (a' + v+) / 2
+        V = lu_solve(lu, np.column_stack([-dt * K, Pm, dt * f]))
+        v1 = V[:, :-1] @ Ab
+        v1[:, -1] += V[:, -1]
+        Ab = np.vstack([Ab[:n] + 0.5 * dt * (Ab[n:] + v1), v1])
+    return Ab[:, :-1], Ab[:, -1]
 
 
-def periodic_solve(problem, check_residual=True):
+def periodic_solve(problem):
     """Fixed point of the Poincare map via the monodromy factorization.
 
-    Returns (x_star, info) with info containing the map residual and the
-    conditioning of I - A.  Raises SingularMonodromy when the period is
-    resonant with an undamped mode of the system.
+    Returns (x_star, info).  info holds the conditioning of I - A, the
+    periodic orbit replayed from x_star ("trajectory", n_steps + 1 states)
+    and the sup-norm gap between its end and x_star ("residual").  Raises
+    SingularMonodromy when the period is resonant with an undamped mode of
+    the system.
     """
     A, b = _affine_period_map(problem)
     n = problem.system.n
@@ -135,11 +139,10 @@ def periodic_solve(problem, check_residual=True):
         )
     xs = np.linalg.solve(F, b)
     x_star = GalerkinState(xs[:n], xs[n:], 0.0)
-    info = {"sigma_min": float(sig[-1]), "sigma_max": float(sig[0])}
-    if check_residual:
-        x_end = poincare_map(problem, x_star)
-        res = np.concatenate([x_end.a - x_star.a, x_end.a_dot - x_star.a_dot])
-        info["residual"] = float(np.max(np.abs(res)))
+    traj = poincare_map(problem, x_star, record=True)
+    gap = np.concatenate([traj[-1].a - x_star.a, traj[-1].a_dot - x_star.a_dot])
+    info = {"sigma_min": float(sig[-1]), "sigma_max": float(sig[0]),
+            "residual": float(np.max(np.abs(gap))), "trajectory": traj}
     return x_star, info
 
 
@@ -165,11 +168,13 @@ class EnergyLedger:
     with the dissipation D and the rate of work of the pressure load and the
     moving boundary evaluated at the midpoint.  For a frozen geometry the
     identity is exact for the implicit midpoint rule; for a moving geometry
-    the residual is O(dt^2) per period.
+    the residual is O(dt^2) per period.  dt is the step of the records, so a
+    one-record ledger still integrates its dissipation.
     """
 
-    def __init__(self, records):
+    def __init__(self, records, dt):
         self.records = records
+        self.dt = dt
 
     @classmethod
     def from_trajectory(cls, system, traj, dt):
@@ -187,7 +192,7 @@ class EnergyLedger:
             e0, e1 = energies[m], energies[m + 1]
             resid = abs(e1.E - e0.E + dt * D - dt * work)
             records.append(EnergyRecord(s0.t, e0.E_kin, e0.E_el, e0.E, D, work, resid))
-        return cls(records)
+        return cls(records, dt)
 
     def as_arrays(self):
         names = ["t", "E_kin", "E_el", "E", "D", "work_rate", "balance_residual"]
@@ -197,11 +202,7 @@ class EnergyLedger:
         return float(max((r.E for r in self.records), default=0.0))
 
     def integral_dissipation(self):
-        if not self.records:
-            return 0.0
-        t = np.array([r.t for r in self.records])
-        dt = t[1] - t[0] if t.size > 1 else 0.0
-        return float(sum(r.D for r in self.records) * dt)
+        return float(sum(r.D for r in self.records) * self.dt)
 
     def max_balance_residual(self):
         return float(max((r.balance_residual for r in self.records), default=0.0))
@@ -278,7 +279,7 @@ def outer_fixed_point(assembler, T, n_t, forcing, config, n_samples=None):
         )
         problem = PeriodicProblem(system, T, dt)
         x_star, info = periodic_solve(problem)
-        traj = poincare_map(problem, x_star, record=True)
+        traj = info["trajectory"]
         a_traj = np.array([s.a for s in traj[:-1]])
         v_traj = np.array([s.a_dot for s in traj[:-1]])
         shell_new, v_new = _regularize_paths(basis, a_traj, v_traj, T, config.eps)
@@ -305,7 +306,7 @@ def outer_fixed_point(assembler, T, n_t, forcing, config, n_samples=None):
         if update <= config.tol:
             return OuterResult(
                 x_star, system, delta_path, v_path, it, update,
-                info.get("residual", np.nan), traj,
+                info["residual"], traj,
             )
     raise NoConvergence(
         f"outer fixed point: update {history[-1]:.3e} > tol {config.tol:.3e} "
@@ -352,7 +353,7 @@ def solve_ivp(assembler, x0, t_final, dt, forcing=None, margin=None,
         )
         if moving and not check_injectivity(eta, margin, cyl=cyl):
             return IvpResult(traj, violation_time=state.t,
-                             ledger=EnergyLedger(records))
+                             ledger=EnergyLedger(records, dt))
         if moving:
             sample = assembler.sample(
                 delta=eta,
@@ -372,4 +373,4 @@ def solve_ivp(assembler, x0, t_final, dt, forcing=None, margin=None,
             records.extend(led.records)
         traj.append(new)
         state = new
-    return IvpResult(traj, ledger=EnergyLedger(records))
+    return IvpResult(traj, ledger=EnergyLedger(records, dt))

@@ -12,6 +12,7 @@ from perifsi.basis1d import (
     TrigFamily,
     composite_gauss,
     gauss,
+    trig_weights,
 )
 
 
@@ -115,3 +116,48 @@ class TestPiecewiseLegFamily:
         fam = PiecewiseLegFamily([0.0, 0.5, 1.0], 4)
         x = np.linspace(0.05, 0.45, 7)  # stay clear of the break
         assert _fd_check(fam, x) < 1e-5
+
+
+def _fft_interpolant(samples, t, T):
+    """Trigonometric interpolation through the real FFT of the samples."""
+    S = samples.shape[0]
+    F = np.fft.rfft(samples)
+    k = np.arange(F.size)
+    scale = np.ones(F.size)
+    scale[1:] = 2.0
+    if S % 2 == 0:
+        scale[-1] = 1.0
+    phase = scale * np.exp(2j * np.pi * np.multiply.outer(t / T, k)) / S
+    return np.real(phase @ F)
+
+
+class TestTrigWeights:
+    T = 1.7
+
+    @pytest.mark.parametrize("S", [1, 2, 3, 4, 7, 8, 256])
+    def test_matches_the_fft_interpolant(self, S):
+        rng = np.random.default_rng(S)
+        samples = rng.standard_normal(S)
+        grid = np.arange(S) * self.T / S
+        t = np.concatenate([
+            rng.uniform(0.0, self.T, 16),
+            grid,
+            [self.T, 2.3 * self.T, 7.9 * self.T],
+        ])
+        got = trig_weights(t, self.T, S) @ samples
+        want = _fft_interpolant(samples, t, self.T)
+        scale = np.max(np.abs(samples))
+        assert np.max(np.abs(got - want)) <= 1e-13 * scale
+        for s in t[:4]:
+            w = trig_weights(s, self.T, S)
+            assert w.shape == (S,)
+            assert abs(w @ samples - _fft_interpolant(samples, s, self.T)) <= 1e-13 * scale
+
+    @pytest.mark.parametrize("S", [1, 2, 3, 4, 7, 8, 256])
+    def test_reproduces_the_samples_on_the_grid(self, S):
+        grid = np.arange(S) * self.T / S
+        W = trig_weights(grid, self.T, S)
+        assert np.max(np.abs(W - np.eye(S))) <= 1e-13
+
+    def test_single_sample_has_unit_weight(self):
+        assert trig_weights(0.37, self.T, 1).tolist() == [1.0]

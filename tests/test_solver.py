@@ -5,6 +5,7 @@ from dataclasses import astuple
 import numpy as np
 import pytest
 
+from perifsi import solver_periodic
 from perifsi.assembly import GalerkinState, assemble
 from perifsi.errors import GridMismatch, NoConvergence
 from perifsi.solver_periodic import (
@@ -17,6 +18,24 @@ from perifsi.solver_periodic import (
     solve_ivp,
     step,
 )
+
+
+class _CountingSystem:
+    """A system wrapper that counts its matrices_at calls."""
+
+    def __init__(self, system):
+        self.system = system
+        self.n = system.n
+        self.calls = 0
+
+    def matrices_at(self, t):
+        self.calls += 1
+        return self.system.matrices_at(t)
+
+    def forcing_at(self, t, mats=None):
+        if mats is None:
+            mats = self.matrices_at(t)
+        return self.system.forcing_at(t, mats)
 
 
 @pytest.fixture(scope="module")
@@ -68,6 +87,26 @@ class TestPeriodicSolve:
         assert gap <= 1e-10 * scale
         assert info["sigma_min"] > 0.0
 
+    def test_each_step_is_built_once(self, rest_system):
+        counting = _CountingSystem(rest_system)
+        prob = PeriodicProblem(counting, 1.0, 1.0 / 32)
+        periodic_solve(prob)
+        assert counting.calls == prob.n_steps
+
+    def test_orbit_comes_from_the_solve(self, rest_system):
+        prob = PeriodicProblem(rest_system, 1.0, 1.0 / 32)
+        x_star, info = periodic_solve(prob)
+        traj = info["trajectory"]
+        assert len(traj) == prob.n_steps + 1
+        assert np.array_equal(traj[0].a, x_star.a)
+        assert np.array_equal(traj[0].a_dot, x_star.a_dot)
+        x_T = poincare_map(prob, x_star)
+        assert np.array_equal(traj[-1].a, x_T.a)
+        assert np.array_equal(traj[-1].a_dot, x_T.a_dot)
+        gap = max(np.max(np.abs(x_T.a - x_star.a)),
+                  np.max(np.abs(x_T.a_dot - x_star.a_dot)))
+        assert info["residual"] == gap
+
 
 class TestOuterLoop:
     def test_config_validation(self):
@@ -95,6 +134,22 @@ class TestOuterLoop:
         assert res.periodic_residual <= 1e-10 * scale
         assert len(res.trajectory) == 65
 
+    def test_one_period_replay_per_iteration(self, small_model, small_forcing,
+                                             monkeypatch):
+        passes = []
+        replay = solver_periodic.poincare_map
+
+        def counting(*args, **kwargs):
+            passes.append(1)
+            return replay(*args, **kwargs)
+
+        monkeypatch.setattr(solver_periodic, "poincare_map", counting)
+        cfg = OuterLoopConfig(eps=4.0 / 64, theta_r=0.5, max_iter=2, tol=1e-14)
+        with pytest.raises(NoConvergence):
+            outer_fixed_point(small_model, 1.0, 64, small_forcing, cfg,
+                              n_samples=8)
+        assert len(passes) == 2
+
 
 class TestIvp:
     def test_unforced_nonlinear_run_dissipates(self, small_model, rng):
@@ -113,6 +168,16 @@ class TestIvp:
         res = solve_ivp(small_model, GalerkinState(a, np.zeros(n)), 0.1, 1.0 / 64)
         assert not res.completed
         assert res.violation_time is not None
+
+    def test_one_step_ledger_integrates_dissipation(self, small_model, rng):
+        n = small_model.basis.n
+        x0 = GalerkinState(0.01 * rng.standard_normal(n),
+                           0.01 * rng.standard_normal(n))
+        dt = 1.0 / 64
+        res = solve_ivp(small_model, x0, dt, dt)
+        (rec,) = res.ledger.records
+        assert rec.D > 0.0
+        assert res.ledger.integral_dissipation() == rec.D * dt
 
     def test_rest_step_matches_the_periodic_system(self, small_model, small_forcing,
                                                    rest_system, rng):
