@@ -193,6 +193,7 @@ class AssembledSystem:
         self.forcing = forcing
         self.basis = basis
         self.n = basis.n
+        self.K = constants["K_sh"] + constants["A_el"]
 
     @classmethod
     def from_sample(cls, T, sample, assembler, forcing):
@@ -204,8 +205,9 @@ class AssembledSystem:
 
     def matrices_at(self, t):
         """Return dict(M, G, B, Q, qin, qout) interpolated at t plus the
-        constant blocks; damping C = G + V + B + Q + A_visc and stiffness
-        K = K_sh + A_el are combined here."""
+        constant blocks; damping C = G + V + B + Q + A_visc is combined here,
+        and the stiffness K = K_sh + A_el is the one array built with the
+        system."""
         w = trig_weights(t, self.T, self.times.size)
         out = {
             name: (w @ v.reshape(w.size, -1)).reshape(v.shape[1:])
@@ -214,11 +216,10 @@ class AssembledSystem:
         c = self.constants
         M = out["M"] + c["M_shell"] + c["M_solid"]
         C = out["G"] + out["B"] + out["Q"] + out["V"] + c["A_visc"]
-        K = c["K_sh"] + c["A_el"]
         return {
             "M": M,
             "C": C,
-            "K": K,
+            "K": self.K,
             "V_fluid": out["V"],
             "Q": out["Q"],
             "qin": out["qin"],

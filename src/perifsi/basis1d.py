@@ -39,6 +39,8 @@ def trig_weights(t, T, S):
     """Weights w such that w @ samples is the trigonometric interpolant at t
     of S samples on the grid j T / S (one row per time for an array t).  An
     even S gives the Nyquist mode half weight; S = 1 gives [1.0]."""
+    if S == 1:
+        return np.ones(np.shape(t) + (1,))
     k = np.arange(S // 2 + 1)
     phase = np.exp(-2j * np.pi * np.multiply.outer(np.asarray(t, dtype=float) / T, k))
     return np.fft.irfft(phase, n=S)

@@ -34,12 +34,14 @@ class SingularMonodromy(RuntimeError):
 
 
 class NoConvergence(RuntimeError):
-    """The outer fixed-point loop exhausted its iteration budget."""
+    """The outer fixed-point loop exhausted its iteration budget; history
+    holds the update of every iteration."""
 
-    def __init__(self, message, iterations=None, last_update=None):
+    def __init__(self, message, iterations=None, last_update=None, history=None):
         super().__init__(message)
         self.iterations = iterations
         self.last_update = last_update
+        self.history = history
 
 
 class ZeroForcing(ValueError):

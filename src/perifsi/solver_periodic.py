@@ -1,4 +1,4 @@
-"""Time stepping, periodic orbits, and the damped outer fixed point.
+"""Time stepping, periodic orbits, and the accelerated outer fixed point.
 
 The assembled system is the linear second-order ODE
 
@@ -11,7 +11,8 @@ P(x) = A x + b whose fixed point (the T-periodic trajectory) is found from
 the forcing period and an undamped mode.  The outer fixed point iterates the
 geometry: solve the linearized periodic problem for a prescribed (shell
 motion, transport) pair, mollify the resulting shell displacement and fluid
-coefficients, and relax the pair towards them until self-consistency.
+coefficients, and mix the pair with the last few passes (Anderson
+acceleration) until self-consistency.
 """
 
 from dataclasses import dataclass, field
@@ -31,6 +32,8 @@ from .errors import (
 )
 from .extension_ops import azimuthal_damping, mollify
 from .geometry import check_injectivity
+
+ANDERSON_DEPTH = 3  # residual differences kept by the outer loop's mixing
 
 
 @dataclass
@@ -210,7 +213,8 @@ class EnergyLedger:
 
 @dataclass
 class OuterLoopConfig:
-    """Damped Picard iteration parameters for the geometry fixed point."""
+    """Parameters of the Anderson-accelerated geometry fixed point; theta_r
+    is the mixing weight (the damped step when there is no history)."""
 
     eps: float
     theta_r: float = 0.5
@@ -222,7 +226,7 @@ class OuterLoopConfig:
         if self.eps <= 0.0:
             raise ValueError("mollification width eps must be positive")
         if not 0.0 < self.theta_r <= 1.0:
-            raise ValueError("relaxation weight theta_r must lie in (0, 1]")
+            raise ValueError("mixing weight theta_r must lie in (0, 1]")
 
 
 @dataclass
@@ -254,24 +258,54 @@ def _regularize_paths(basis, a_traj, v_traj, T, eps):
     return shell_s, v_s
 
 
-def outer_fixed_point(assembler, T, n_t, forcing, config, n_samples=None):
-    """Damped fixed point over the (shell motion, transport field) pair.
+def _unstack(p, n_shell, n_t):
+    """The (shell, transport) path samples of a stacked pair."""
+    return p[:n_shell].reshape(n_t, -1), p[n_shell:].reshape(n_t, -1)
 
-    Each pass assembles the linearized periodic system for the current pair,
-    solves for its periodic orbit, regularizes the resulting shell and fluid
-    coefficient paths, and relaxes the pair towards them.  Convergence is
-    declared when the relaxed update is below config.tol in the sup norm;
-    geometry excursions beyond the injectivity margin raise DomainViolation
-    and stagnation raises NoConvergence.
+
+def _shell_violation(basis, shell, dt, margin, cyl):
+    """The first grid time at which a shell path leaves the admissible
+    domain, or None when it is injective at every grid time."""
+    for s, c in enumerate(shell):
+        if not check_injectivity(basis.shell_basis.field(c), margin, cyl=cyl):
+            return s * dt
+    return None
+
+
+def outer_fixed_point(assembler, T, n_t, forcing, config, n_samples=None):
+    """Anderson-accelerated fixed point over the (shell motion, transport
+    field) pair.
+
+    Each pass assembles the linearized periodic system for the current pair
+    p (the stacked shell and transport path samples), solves for its periodic
+    orbit and regularizes the resulting paths into G(p).  The next pair is the
+    Anderson (type II) mixing of the last ANDERSON_DEPTH passes with weight
+    theta = config.theta_r,
+
+        p + theta r - (dP + theta dR) gamma,    gamma = argmin |r - dR gamma|,
+
+    where r = G(p) - p and dP, dR hold the differences of the pairs and of
+    their residuals (Walker & Ni, SIAM J. Numer. Anal. 49(4), 2011).  With an
+    empty history this is the damped step p + theta r; that step is also
+    taken, and the history cleared, when the mixed pair is not finite or its
+    shell path leaves the admissible domain.  Convergence is declared when
+    theta max|r| is below config.tol, and the result holds the pair that
+    produced the returned system.  A damped step beyond the injectivity
+    margin raises DomainViolation and stagnation raises NoConvergence.
     """
     basis = assembler.basis
     cyl = assembler.cyl
     margin = config.margin if config.margin is not None else 0.05 * cyl.R
     dt = T / n_t
-    delta_path = None
-    v_path = None
+    theta = config.theta_r
+    p = None  # the stacked pair of this pass; None is the rest state
+    prev = None  # (p, r) of the previous pass
+    dP, dR = [], []
     history = []
     for it in range(1, config.max_iter + 1):
+        delta_path = v_path = None
+        if p is not None:
+            delta_path, v_path = (TimeGridPath(T, s) for s in _unstack(p, n_shell, n_t))
         system = assemble(
             assembler, T, forcing,
             delta_path=delta_path, v_path=v_path,
@@ -283,36 +317,47 @@ def outer_fixed_point(assembler, T, n_t, forcing, config, n_samples=None):
         a_traj = np.array([s.a for s in traj[:-1]])
         v_traj = np.array([s.a_dot for s in traj[:-1]])
         shell_new, v_new = _regularize_paths(basis, a_traj, v_traj, T, config.eps)
-        old_shell = (
-            delta_path.samples if delta_path is not None else np.zeros_like(shell_new)
-        )
-        old_v = v_path.samples if v_path is not None else np.zeros_like(v_new)
-        upd_shell = config.theta_r * (shell_new - old_shell)
-        upd_v = config.theta_r * (v_new - old_v)
-        update = max(
-            np.max(np.abs(upd_shell)) if upd_shell.size else 0.0,
-            np.max(np.abs(upd_v)) if upd_v.size else 0.0,
-        )
-        delta_path = TimeGridPath(T, old_shell + upd_shell)
-        v_path = TimeGridPath(T, old_v + upd_v)
+        n_shell = shell_new.size
+        g = np.concatenate([shell_new.ravel(), v_new.ravel()])
+        if p is None:
+            p = np.zeros_like(g)
+        r = g - p
+        update = theta * float(np.max(np.abs(r)))
         history.append(update)
-        for s in range(delta_path.n_t):
-            f = basis.shell_basis.field(delta_path.samples[s])
-            if not check_injectivity(f, margin, cyl=cyl):
-                raise DomainViolation(
-                    "relaxed shell path breaks domain injectivity",
-                    time=s * delta_path.dt,
-                )
         if update <= config.tol:
+            delta_path, v_path = (TimeGridPath(T, s) for s in _unstack(p, n_shell, n_t))
             return OuterResult(
                 x_star, system, delta_path, v_path, it, update,
                 info["residual"], traj,
             )
+        if prev is not None:
+            dP = (dP + [p - prev[0]])[-ANDERSON_DEPTH:]
+            dR = (dR + [r - prev[1]])[-ANDERSON_DEPTH:]
+        prev = (p, r)
+        p_next = p + theta * r
+        if dR:
+            DP, DR = np.column_stack(dP), np.column_stack(dR)
+            gamma = np.linalg.lstsq(DR, r, rcond=None)[0]
+            mixed = p_next - (DP + theta * DR) @ gamma
+            if (np.all(np.isfinite(gamma)) and np.all(np.isfinite(mixed))
+                    and _shell_violation(basis, _unstack(mixed, n_shell, n_t)[0],
+                                         dt, margin, cyl) is None):
+                p = mixed
+                continue
+            dP, dR = [], []
+        bad = _shell_violation(basis, _unstack(p_next, n_shell, n_t)[0],
+                               dt, margin, cyl)
+        if bad is not None:
+            raise DomainViolation(
+                "damped shell path breaks domain injectivity", time=bad,
+            )
+        p = p_next
     raise NoConvergence(
         f"outer fixed point: update {history[-1]:.3e} > tol {config.tol:.3e} "
         f"after {config.max_iter} iterations",
         iterations=config.max_iter,
         last_update=history[-1],
+        history=history,
     )
 
 

@@ -114,6 +114,13 @@ class TestAssemble:
         mats = system.matrices_at(0.3)
         assert np.all(np.linalg.eigvalsh(mats["M"]) > 0.0)
 
+    def test_stiffness_is_built_once(self, small_model, small_forcing):
+        system = assemble(small_model, 1.0, small_forcing)
+        K0 = system.matrices_at(0.1)["K"]
+        assert system.matrices_at(0.6)["K"] is K0
+        c = small_model.constants
+        assert np.array_equal(K0, c["K_sh"] + c["A_el"])
+
     def test_transport_requires_geometry_path(self, small_model, small_forcing):
         v_path = TimeGridPath(1.0, np.zeros((8, small_model.basis.n)))
         with pytest.raises(GridMismatch):

@@ -7,7 +7,7 @@ import pytest
 
 from perifsi import solver_periodic
 from perifsi.assembly import GalerkinState, assemble
-from perifsi.errors import GridMismatch, NoConvergence
+from perifsi.errors import DomainViolation, GridMismatch, NoConvergence
 from perifsi.solver_periodic import (
     EnergyLedger,
     OuterLoopConfig,
@@ -122,6 +122,8 @@ class TestOuterLoop:
                               n_samples=8)
         assert err.value.iterations == 1
         assert err.value.last_update > 0.0
+        assert len(err.value.history) == err.value.iterations
+        assert err.value.history[-1] == err.value.last_update
 
     def test_converges_small_data(self, small_model, small_forcing):
         cfg = OuterLoopConfig(eps=4.0 / 64, theta_r=1.0, max_iter=30, tol=1e-7)
@@ -149,6 +151,107 @@ class TestOuterLoop:
             outer_fixed_point(small_model, 1.0, 64, small_forcing, cfg,
                               n_samples=8)
         assert len(passes) == 2
+
+
+def _outer_small(small_model, small_forcing, tol, max_iter=20):
+    cfg = OuterLoopConfig(eps=4.0 / 64, theta_r=0.5, max_iter=max_iter, tol=tol)
+    return outer_fixed_point(small_model, 1.0, 64, small_forcing, cfg,
+                             n_samples=8)
+
+
+@pytest.fixture(scope="module")
+def accelerated(small_model, small_forcing):
+    return _outer_small(small_model, small_forcing, 1e-8)
+
+
+class _Recorder:
+    """Wraps assemble and _regularize_paths to record each pass's shell and
+    transport paths p and their regularized images G(p)."""
+
+    def __init__(self, monkeypatch):
+        self.p, self.g = [], []
+        assemble_ = solver_periodic.assemble
+        regularize = solver_periodic._regularize_paths
+
+        def recording_assemble(*args, delta_path=None, v_path=None, **kwargs):
+            self.p.append((delta_path, v_path))
+            return assemble_(*args, delta_path=delta_path, v_path=v_path, **kwargs)
+
+        def recording_regularize(*args):
+            self.g.append(regularize(*args))
+            return self.g[-1]
+
+        monkeypatch.setattr(solver_periodic, "assemble", recording_assemble)
+        monkeypatch.setattr(solver_periodic, "_regularize_paths",
+                            recording_regularize)
+
+    def paths(self, k):
+        """The (shell, transport) samples of pass k (zero for the rest state)."""
+        delta_path, v_path = self.p[k]
+        if delta_path is None:
+            return tuple(np.zeros_like(g) for g in self.g[k])
+        return delta_path.samples, v_path.samples
+
+    def damped(self, k, theta):
+        """The damped step p + theta (G(p) - p) from pass k."""
+        return tuple(p + theta * (g - p) for p, g in zip(self.paths(k), self.g[k]))
+
+
+class TestAndersonOuterLoop:
+    def test_converges_in_few_iterations(self, accelerated):
+        assert accelerated.iterations <= 6
+        assert accelerated.update <= 1e-8
+
+    def test_matches_a_tight_solve(self, small_model, small_forcing, accelerated):
+        tight = _outer_small(small_model, small_forcing, 1e-12)
+        err = max(np.max(np.abs(accelerated.x_star.a - tight.x_star.a)),
+                  np.max(np.abs(accelerated.x_star.a_dot - tight.x_star.a_dot)))
+        assert err <= 0.1 * 1e-8
+
+    def test_result_holds_the_pair_of_its_system(self, small_model,
+                                                 small_forcing, monkeypatch):
+        rec = _Recorder(monkeypatch)
+        res = _outer_small(small_model, small_forcing, 1e-8)
+        shell, v = rec.paths(res.iterations - 1)
+        assert np.array_equal(res.delta_path.samples, shell)
+        assert np.array_equal(res.v_path.samples, v)
+
+    def test_inadmissible_mix_falls_back_to_the_damped_step(
+            self, small_model, small_forcing, monkeypatch):
+        rec = _Recorder(monkeypatch)
+        rejected = []
+
+        def only_damped(eta, margin, cyl=None):
+            shell = rec.damped(len(rec.g) - 1, 0.5)[0]
+            if np.any(np.all(shell == eta.coefficients, axis=1)):
+                return True
+            rejected.append(len(rec.g))
+            return False
+
+        monkeypatch.setattr(solver_periodic, "check_injectivity", only_damped)
+        with pytest.raises(NoConvergence):
+            _outer_small(small_model, small_forcing, 1e-14, max_iter=3)
+        assert rejected == [2, 3]
+        for k in (0, 1):
+            for got, want in zip(rec.paths(k + 1), rec.damped(k, 0.5)):
+                assert np.array_equal(got, want)
+
+    def test_inadmissible_damped_step_raises(self, small_model, small_forcing,
+                                             monkeypatch):
+        rec = _Recorder(monkeypatch)
+        calls = []
+
+        def reject_after_first_pass(eta, margin, cyl=None):
+            calls.append(len(rec.g))
+            return len(rec.g) < 2
+
+        monkeypatch.setattr(solver_periodic, "check_injectivity",
+                            reject_after_first_pass)
+        with pytest.raises(DomainViolation) as err:
+            _outer_small(small_model, small_forcing, 1e-14, max_iter=3)
+        assert err.value.time == 0.0
+        assert calls.count(2) == 2  # the mixed pair, then the damped step
+        assert len(rec.p) == 2
 
 
 class TestIvp:
