@@ -5,8 +5,8 @@ elastic shell backed by a viscoelastic solid annulus; time-periodic pressure
 data drives the flow through the inlet and outlet disks.  The package builds
 a divergence-free global basis coupling the three phases, assembles the
 resulting second-order Galerkin ODE on the moving domain, and solves either
-the time-periodic problem (via the monodromy map and a damped outer fixed
-point for the geometry) or the nonlinear initial value problem, with the
+the time-periodic problem (via the monodromy map and an Anderson-accelerated
+outer fixed point for the geometry) or the nonlinear initial value problem, with the
 discrete energy balance tracked as a built-in correctness check.
 """
 

@@ -26,6 +26,7 @@ trig-interpolated in time.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -34,7 +35,7 @@ from .errors import BasisMismatch, DomainViolation, GridMismatch
 from .extension_ops import push_piola, push_piola_dt
 from .fluid_basis import disk_flux
 from .fluidgrid import FluidGrid, QuadJets
-from .geometry import check_injectivity
+from .geometry import MARGIN_FRAC, check_injectivity
 from .shell_solid import LiftedSolidField, SolidGrid, shell_matrices
 
 
@@ -92,9 +93,6 @@ class TimeGridPath:
             )
         return np.arange(n_samples) * (self.n_t // n_samples)
 
-    def sup_norm(self):
-        return float(np.max(np.abs(self.samples))) if self.samples.size else 0.0
-
 
 class GlobalBasis:
     """The interleaved coupled/interior basis with cached component tables."""
@@ -141,8 +139,7 @@ class GlobalBasis:
             self.ext_op.extend(delta, Y, check=False) for Y in self.shell_modes
         ]
 
-    def fluid_tables(self, jets, delta=None, dt_delta=None, with_dt=False,
-                     ext_fields=None):
+    def fluid_tables(self, jets, delta=None, dt_delta=None, with_dt=False):
         """Stacked fluid-entry tables at the jets' quadrature nodes.
 
         Returns (val, grad, dtX) with shapes (n, 3, Q), (n, 3, 3, Q),
@@ -155,8 +152,7 @@ class GlobalBasis:
         grad = np.empty((self.n, 3, 3, Q))
         dtX = np.zeros((self.n, 3, Q))
         zval, zgrad = self.stokes_basis.tables_on(grid)
-        if ext_fields is None:
-            ext_fields = self.extension_fields(delta)
+        ext_fields = self.extension_fields(delta)
         for j in range(self.half):
             k_c, k_i = 2 * j, 2 * j + 1
             t = ext_fields[j].tables(jets.r_phys, jets.theta, jets.z)
@@ -242,8 +238,8 @@ class AssembledSystem:
 class Assembler:
     """Shared immutable ingredients for assembling the system at any sample.
 
-    Building one of these precomputes everything that does not depend on the
-    shell motion: constant shell/solid blocks, Stokes tables, disk tables.
+    Building one of these precomputes the constant shell/solid blocks; the
+    disk-flux tables are built with the first sample.
     """
 
     def __init__(self, cyl, basis, params, grid=None, solid_grid=None):
@@ -269,13 +265,23 @@ class Assembler:
         th, zz, _ = self._shell_quad
         self._shell_tab = basis.shell_basis.eval_modes(th, zz, 2)[: basis.half]
         self.constants = self._constant_blocks()
-        # interior modes are identical on the disks for every admissible
-        # motion (the ALE map is the identity through first derivatives at
-        # the clamped ends), so their flux vectors are constant
+
+    @cached_property
+    def _disk_flux(self):
+        """Per disk z0: the interior entries of the flux vector, and the
+        table (1 + n_shell, half) that gives the coupled entries when
+        contracted with the extension weights (R, c) of delta = sum c_k Y_k.
+
+        Interior modes are identical on the disks for every admissible motion
+        (the ALE map is the identity through first derivatives at the clamped
+        ends), so their fluxes are constant.
+        """
+        basis, grid = self.basis, self.grid
         modes = basis.stokes_basis.modes[: basis.half]
-        self._interior_disk_flux = {
-            z0: [disk_flux(mode, self.grid, z0) for mode in modes]
-            for z0 in (0.0, cyl.L)
+        return {
+            z0: (np.array([disk_flux(mode, grid, z0) for mode in modes]),
+                 basis.ext_op.disk_flux_table(grid, z0)[:, : basis.half])
+            for z0 in (0.0, self.cyl.L)
         }
 
     def _constant_blocks(self):
@@ -328,10 +334,8 @@ class Assembler:
             else self._identity_jets
         )
         with_dt = moving and dt_delta is not None
-        ext_fields = basis.extension_fields(delta)
         val, grad, dtX = basis.fluid_tables(
-            jets, delta=delta, dt_delta=dt_delta, with_dt=with_dt,
-            ext_fields=ext_fields,
+            jets, delta=delta, dt_delta=dt_delta, with_dt=with_dt
         )
         w = jets.weight
         Q_nodes = val.shape[-1]
@@ -372,14 +376,17 @@ class Assembler:
             tab0 = self._shell_tab[:, 0]
             Qh = -0.5 * np.einsum("jx,kx,x->kj", tab0, tab0, wsh * dval * rval)
             Q[np.ix_(range(0, n, 2), range(0, n, 2))] = Qh
-        qin = self._flux_vector(0.0, ext_fields)
-        qout = self._flux_vector(self.cyl.L, ext_fields)
+        c = delta.coefficients if moving else np.zeros(basis.shell_basis.n_modes)
+        weights = np.concatenate([[self.cyl.R], c])
+        qin = self._flux_vector(0.0, weights)
+        qout = self._flux_vector(self.cyl.L, weights)
         return {"M": M, "G": G, "V": V, "B": B, "Q": Q, "qin": qin, "qout": qout}
 
-    def _flux_vector(self, z0, ext_fields):
+    def _flux_vector(self, z0, weights):
+        interior, coupled = self._disk_flux[z0]
         q = np.zeros(self.basis.n)
-        q[1::2] = self._interior_disk_flux[z0]
-        q[::2] = [disk_flux(ext, self.grid, z0) for ext in ext_fields]
+        q[1::2] = interior
+        q[::2] = weights @ coupled
         return q
 
 
@@ -394,7 +401,7 @@ def assemble(assembler, T, forcing, delta_path=None, v_path=None,
     basis = assembler.basis
     cyl = assembler.cyl
     if margin is None:
-        margin = 0.05 * cyl.R
+        margin = MARGIN_FRAC * cyl.R
     if delta_path is None:
         if v_path is not None:
             raise GridMismatch("a transport path requires a shell path grid")

@@ -31,6 +31,7 @@ from .errors import (
     ZeroForcing,
     exit_code_for,
 )
+from .geometry import MARGIN_FRAC
 
 
 # ---------------------------------------------------------------------------
@@ -82,7 +83,7 @@ class RunConfig:
     theta_r: float = 0.5
     max_iter: int = 50
     tol: float = 1e-8
-    margin_frac: float = 0.05
+    margin_frac: float = MARGIN_FRAC
 
     def validate(self):
         if self.mode not in ("periodic", "ivp"):
@@ -223,7 +224,7 @@ def build_model(cfg):
     max_m = shell.max_azimuthal_wavenumber
     stokes = build_stokes_basis(cyl, cfg.n_interior, max_wavenumber=max_m)
     solid = SolidBasis(cyl, shell, n_r=cfg.n_r_solid)
-    ext = ExtensionOperator(cyl, max_wavenumber=max_m)
+    ext = ExtensionOperator(cyl, shell)
     n = 2 * min(shell.n_modes, stokes.n_modes)
     basis = GlobalBasis(cyl, shell, solid, stokes, ext, n)
     params = SolidParams(

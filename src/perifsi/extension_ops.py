@@ -17,10 +17,16 @@ extension is assembled from three pieces in physical cylindrical coordinates:
     integral of that source over C vanishes identically by the flux
     normalization, so the corrector exists.
 
-The corrector is computed once per azimuthal wavenumber from a constrained
-least-squares collocation problem on separable polynomial spaces and is linear
-in the data, so the whole extension is a fixed linear operator of h.
+The corrector solves a constrained least-squares collocation problem per
+azimuthal wavenumber and is linear in the data, so the whole extension is a
+fixed linear operator of h.  For xi = sum_i x_i Y_i and delta = sum_k c_k Y_k,
+h = sum_i x_i (R Y_i + sum_k c_k Y_k Y_i): one table per model over the unit
+data Y_i and Y_k Y_i holds every flux and corrector dof, and an extension is
+that table contracted with the weights (R, c) and x ((0, c') for its time
+derivative).
 """
+
+from functools import cached_property
 
 import numpy as np
 from scipy.linalg import solve_triangular
@@ -33,7 +39,10 @@ from .fluidgrid import (
     cyl_vec_to_cart,
     piola_derivative,
 )
-from .geometry import ShellField, ale_jets, check_injectivity
+from .geometry import MARGIN_FRAC, ShellField, ale_jets, check_injectivity
+
+R_DEGREE = 10  # polynomial degree of the corrector's radial elements
+NZ_MODES = 34  # axial modes of the corrector
 
 
 # ---------------------------------------------------------------------------
@@ -67,39 +76,6 @@ def plug_axial_profile(cyl, z, nderiv=0):
         return [g]
     dg = -30.0 * u**2 * (1.0 - u) ** 2 / cyl.L
     return [g, dg]
-
-
-# ---------------------------------------------------------------------------
-# boundary data h = (c + delta) * xi
-
-
-class BoundarySource:
-    """Shell data h = (R + delta) xi, or h = a xi for a plain product.
-
-    Evaluates h and its theta/z first derivatives; linearity in xi is manifest.
-    """
-
-    def __init__(self, cyl, xi, delta=None, add_R=True):
-        self.cyl = cyl
-        self.xi = xi
-        self.delta = delta
-        self.base = cyl.R if add_R else 0.0
-
-    def tables(self, theta, z):
-        """Return (h, dh_dtheta, dh_dz) at flattened points."""
-        xv, xt, xz = self.xi.evaluate(theta, z, 1)
-        if self.delta is None:
-            c = self.base
-            return c * xv, c * xt, c * xz
-        dv, dt, dz = self.delta.evaluate(theta, z, 1)
-        c = self.base + dv
-        return c * xv, dt * xv + c * xt, dz * xv + c * xz
-
-    def flux(self):
-        """Phi = int_omega h dtheta dz by shell-basis quadrature."""
-        th, zz, w = self.xi.basis.quadrature(refine=2)
-        h, _, _ = self.tables(th, zz)
-        return float(h @ w)
 
 
 # ---------------------------------------------------------------------------
@@ -172,17 +148,16 @@ class _ModeSolver:
     minimize an H1-type seminorm, which keeps the operator bounded.
     """
 
-    def __init__(self, cyl, m, r_degree, nz_modes):
-        self.cyl = cyl
+    def __init__(self, cyl, m):
         self.m = m
         R, L = cyl.R, cyl.L
         # four radial elements: the exact corrector profile has a smooth
         # inverse-square tail, and shorter elements sharply improve its
         # polynomial approximation at fixed degree
         self.r_breaks = [0.0, R / 8.0, R / 4.0, 3.0 * R / 8.0, R / 2.0]
-        self.fam_r = PiecewiseLegFamily(self.r_breaks, r_degree, right_zero=True)
+        self.fam_r = PiecewiseLegFamily(self.r_breaks, R_DEGREE, right_zero=True)
         self.fam_z = LegFamily.modal(
-            nz_modes, (0.0, L), factor=[L * L / 4.0, 0.0, -L * L / 4.0]
+            NZ_MODES, (0.0, L), factor=[L * L / 4.0, 0.0, -L * L / 4.0]
         )
         nfr, nfz = self.fam_r.nfun, self.fam_z.nfun
         self.comps = ["r", "z"] if m == 0 else ["r", "t", "z"]
@@ -190,8 +165,8 @@ class _ModeSolver:
         self.ndof = self.block * len(self.comps)
 
         # collocation nodes
-        rc, _ = composite_gauss(self.r_breaks, r_degree + 2)
-        zc, _ = gauss(nz_modes + 4, 0.0, L)
+        rc, _ = composite_gauss(self.r_breaks, R_DEGREE + 2)
+        zc, _ = gauss(NZ_MODES + 4, 0.0, L)
         self.r_nodes, self.z_nodes = rc, zc
         Tr = self.fam_r.eval_table(rc, 1)  # (nfr, 2, nr)
         Tz = self.fam_z.eval_table(zc, 1)  # (nfz, 2, nz)
@@ -217,8 +192,8 @@ class _ModeSolver:
         N = Vt[rank:].T  # (ndof, ndof - rank)
 
         # H1-type seminorm Gram for the nullspace correction (separable)
-        rq, wrq = composite_gauss(self.r_breaks, r_degree + 3)
-        zq, wzq = gauss(nz_modes + 4, 0.0, L)
+        rq, wrq = composite_gauss(self.r_breaks, R_DEGREE + 3)
+        zq, wzq = gauss(NZ_MODES + 4, 0.0, L)
         Trq = self.fam_r.eval_table(rq, 1)
         Tzq = self.fam_z.eval_table(zq, 1)
         Mz = np.einsum("iy,jy,y->ij", Tzq[:, 0], Tzq[:, 0], wzq)
@@ -252,9 +227,9 @@ class _ModeSolver:
         self._solve_op = PV - N @ Y
 
     def solve(self, g_nodes):
-        """Profile dofs matching div w = g at the collocation nodes, with
-        g_nodes of shape (n_r_nodes, n_z_nodes)."""
-        return self._solve_op @ (self._U.T @ g_nodes.ravel())
+        """Profile dofs (ndof, S) matching div w = g at the collocation nodes
+        for S sources, with g_nodes of shape (n_r_nodes, n_z_nodes, S)."""
+        return self._solve_op @ (self._U.T @ g_nodes.reshape(-1, g_nodes.shape[-1]))
 
     def _node_tables(self, r, z):
         """Family tables at a node set, memoized on the node content."""
@@ -297,71 +272,6 @@ class _ModeSolver:
         return out
 
 
-class DivergenceCorrector:
-    """Zero-trace right inverse of the divergence on the inner cylinder C.
-
-    Solvers are factorized once per azimuthal wavenumber and reused; correction
-    of sampled data is a pair of cheap triangular/back-substitution solves, and
-    the resulting operator is linear in the data.
-    """
-
-    def __init__(self, cyl, max_wavenumber=4, r_degree=10, nz_modes=None):
-        self.cyl = cyl
-        self.max_m = int(max_wavenumber)
-        self.r_degree = int(r_degree)
-        self.nz_modes = int(nz_modes) if nz_modes is not None else 34
-        self._solvers = {}
-
-    def solver(self, m):
-        if m not in self._solvers:
-            self._solvers[m] = _ModeSolver(self.cyl, m, self.r_degree, self.nz_modes)
-        return self._solvers[m]
-
-    def correct_modes(self, mode_rhs):
-        """Build a corrector field from per-(m, parity) node samples.
-
-        mode_rhs maps (m, parity) -> array (n_r_nodes, n_z_nodes) of the
-        divergence source profile at the wavenumber-m collocation nodes.
-        """
-        parts = []
-        for (m, parity), g in mode_rhs.items():
-            if float(np.max(np.abs(g))) < 1e-15:
-                continue
-            sol = self.solver(m)
-            parts.append((sol, parity, sol.solve(g)))
-        return CorrectorField(self.cyl, parts)
-
-
-class CorrectorField:
-    """Vector field on C assembled from per-wavenumber corrector solves."""
-
-    def __init__(self, cyl, parts):
-        self.cyl = cyl
-        self.parts = parts
-
-    def tables(self, r, theta, z):
-        """Cylindrical value and frame gradient, zero outside r < R/2."""
-        r = np.asarray(r, dtype=float).ravel()
-        theta = np.asarray(theta, dtype=float).ravel()
-        z = np.asarray(z, dtype=float).ravel()
-        Q = r.size
-        val = np.zeros((3, Q))
-        G = np.zeros((3, 3, Q))
-        mask = r < self.cyl.R / 2.0
-        if mask.any() and self.parts:
-            rm, tm, zm = r[mask], theta[mask], z[mask]
-            for sol, parity, dofs in self.parts:
-                prof = sol.profile_tables(dofs, rm, zm)
-                v, g = azimuthal_mode_tables(sol.m, parity, prof, rm, tm)
-                val[:, mask] += v
-                G[:, :, mask] += g
-        return val, G
-
-    def __call__(self, r, theta, z):
-        val, _ = self.tables(r, theta, z)
-        return val
-
-
 # ---------------------------------------------------------------------------
 # the full extension operator
 
@@ -370,65 +280,120 @@ class ExtensionOperator:
     """Fixed linear map from shell boundary data to divergence-free fluid
     fields on the (possibly deformed) cylinder.
 
-    The corrector factorizations depend only on the reference geometry and the
-    resolution, so one operator instance is shared across time steps and outer
-    iterations; `extend` closes over the data and is cheap.
+    The table holds the flux Phi and the corrector dofs per (m, parity) of
+    every unit datum Y_i (row 0) and Y_k Y_i (row 1 + k) of the shell basis.
+    It is built on the first extension; every extension after that is one
+    contraction of it, with no corrector solve and no flux quadrature.
     """
 
-    def __init__(self, cyl, max_wavenumber=4, r_degree=10, nz_modes=None):
+    def __init__(self, cyl, shell_basis):
         self.cyl = cyl
-        self.corrector = DivergenceCorrector(cyl, max_wavenumber, r_degree, nz_modes)
-        self.max_m = self.corrector.max_m
+        self.shell_basis = shell_basis
+        self.max_m = shell_basis.max_azimuthal_wavenumber
+
+    @cached_property
+    def solvers(self):
+        """One corrector solver per wavenumber 0..max_m; each costs an SVD."""
+        return [_ModeSolver(self.cyl, m) for m in range(self.max_m + 1)]
+
+    def source_nodes(self):
+        """Flattened (theta, z) nodes at which corrector_dofs takes its
+        sources: a uniform theta grid that resolves products of two shell
+        modes, times the corrector's z collocation nodes (theta-major)."""
+        n_th = max(8, 4 * (self.max_m + 1))
+        th = np.linspace(0.0, 2.0 * np.pi, n_th, endpoint=False)
+        TT, ZZ = np.meshgrid(th, self.solvers[0].z_nodes, indexing="ij")
+        return TT.ravel(), ZZ.ravel()
+
+    def corrector_dofs(self, h, flux):
+        """Corrector dofs of S boundary sources, one matrix product per
+        solver.
+
+        h (n_nodes, S) holds the sources at source_nodes() and flux (S,)
+        their fluxes Phi.  Returns [(solver, parity, dofs (ndof, S))].
+        """
+        cyl = self.cyl
+        sol0 = self.solvers[0]
+        rc, zc = sol0.r_nodes, sol0.z_nodes
+        n_th = h.shape[0] // zc.size
+        H = np.fft.rfft(h.reshape(n_th, zc.size, -1), axis=0) / n_th
+        base = 8.0 / cyl.R**2 * np.ones((rc.size, 1, 1))
+        plug = (plug_radial_profile(cyl, rc)[0][:, None]
+                * plug_axial_profile(cyl, zc, 1)[1][None, :])[..., None] * flux
+        parts = [(sol0, "cos", sol0.solve(base * H[0].real[None] + plug))]
+        for sol in self.solvers[1:]:
+            m = sol.m
+            parts.append((sol, "cos", sol.solve(base * (2.0 * H[m].real)[None])))
+            parts.append((sol, "sin", sol.solve(base * (-2.0 * H[m].imag)[None])))
+        return parts
+
+    @cached_property
+    def table(self):
+        """(flux (1 + n, n), [(solver, parity, dofs (1 + n, n, ndof))]) over
+        the unit data Y_i and Y_k Y_i of the n shell modes."""
+        basis = self.shell_basis
+        n = basis.n_modes
+
+        def unit_data(theta, z):
+            Y = basis.eval_modes(theta, z, 0)[:, 0]
+            return np.concatenate([Y[None], Y[:, None] * Y[None]])
+
+        th, zz, w = basis.quadrature(refine=2)
+        flux = unit_data(th, zz) @ w
+        h = unit_data(*self.source_nodes())
+        parts = self.corrector_dofs(h.reshape(-1, h.shape[-1]).T, flux.ravel())
+        return flux, [
+            (sol, parity, dofs.T.reshape(1 + n, n, -1))
+            for sol, parity, dofs in parts
+        ]
+
+    def disk_flux_table(self, grid, z0):
+        """The flux table's counterpart through the grid's disk z = z0: on a
+        disk the only axial part of an extension is its plug Phi a(r) g(z0),
+        so this is the flux table times the disk integral of a g(z0)."""
+        r, _, w, _ = grid.disk(z0)
+        plug = plug_radial_profile(self.cyl, r)[0] @ w
+        return plug * plug_axial_profile(self.cyl, z0)[0] * self.table[0]
 
     def extend(self, delta, xi, check=True):
         """Divergence-free extension of xi e_r from the interface r = R + delta."""
-        if check and delta is not None:
-            if not check_injectivity(delta, 0.05 * self.cyl.R, cyl=self.cyl):
-                raise DomainViolation("shell displacement breaks domain injectivity")
-        return self._extend_source(BoundarySource(self.cyl, xi, delta))
+        cyl = self.cyl
+        if (check and delta is not None
+                and not check_injectivity(delta, MARGIN_FRAC * cyl.R, cyl)):
+            raise DomainViolation("shell displacement breaks domain injectivity")
+        return self._contract(cyl.R, delta, xi)
 
     def extend_dt(self, dt_delta, xi):
         """Time derivative of extend(delta, xi) for fixed xi: the extension of
         the product data dt_delta * xi (the operator itself is t-independent)."""
-        return self._extend_source(
-            BoundarySource(self.cyl, xi, delta=dt_delta, add_R=False)
-        )
+        return self._contract(0.0, dt_delta, xi)
 
-    def _extend_source(self, src):
-        cyl = self.cyl
-        flux = src.flux()
-        sol0 = self.corrector.solver(0)
-        rc, zc = sol0.r_nodes, sol0.z_nodes
-        n_th = max(8, 4 * (self.max_m + 1))
-        th = np.linspace(0.0, 2.0 * np.pi, n_th, endpoint=False)
-        TT, ZZ = np.meshgrid(th, zc, indexing="ij")
-        h, _, _ = src.tables(TT.ravel(), ZZ.ravel())
-        H = np.fft.rfft(h.reshape(n_th, -1), axis=0) / n_th  # (n_th//2+1, nz)
-
-        c_in = 8.0 / cyl.R**2
-        base = c_in * np.ones((rc.size, 1))
-        plug = flux * plug_radial_profile(cyl, rc)[0][:, None] * plug_axial_profile(
-            cyl, zc, 1
-        )[1][None, :]
-        rhs = {(0, "cos"): base * H[0].real[None, :] + plug}
-        for m in range(1, min(self.max_m, n_th // 2 - 1) + 1):
-            rhs[(m, "cos")] = base * (2.0 * H[m].real)[None, :]
-            rhs[(m, "sin")] = base * (-2.0 * H[m].imag)[None, :]
-        corrector = self.corrector.correct_modes(rhs)
-        return ExtensionField(cyl, src, flux, corrector)
+    def _contract(self, base, delta, xi):
+        """The extension of h = (base + delta) xi from the table."""
+        flux, parts = self.table
+        c = np.zeros(flux.shape[0] - 1) if delta is None else delta.coefficients
+        w = np.concatenate([[base], c])
+        x = xi.coefficients
+        dofs = [(sol, parity, x @ np.tensordot(w, d, axes=1))
+                for sol, parity, d in parts]
+        return ExtensionField(self.cyl, xi, base, delta, float(w @ flux @ x), dofs)
 
 
 class ExtensionField:
-    """The assembled extension: evaluates value, gradient and divergence at
-    physical cylindrical points of the closed fluid region."""
+    """The assembled extension of h = (base + delta) xi: evaluates value,
+    gradient and divergence at physical cylindrical points of the closed
+    fluid region.  It holds its flux Phi and its corrector dofs
+    [(solver, parity, dofs)]."""
 
     physical_frame = True
 
-    def __init__(self, cyl, source, flux, corrector):
+    def __init__(self, cyl, xi, base, delta, flux, dofs):
         self.cyl = cyl
-        self.source = source
+        self.xi = xi
+        self.base = base
+        self.delta = delta
         self.flux = flux
-        self.corrector = corrector
+        self.dofs = dofs
 
     def tables(self, r, theta, z):
         """Cartesian value (3, Q), gradient (3, 3, Q) and divergence (Q)."""
@@ -437,7 +402,14 @@ class ExtensionField:
         z = np.asarray(z, dtype=float).ravel()
         Q = r.size
         cyl = self.cyl
-        h, ht, hz = self.source.tables(theta, z)
+        # the data h and its theta, z derivatives
+        xv, xt, xz = self.xi.evaluate(theta, z, 1)
+        if self.delta is None:
+            h, ht, hz = self.base * xv, self.base * xt, self.base * xz
+        else:
+            dv, dt, dz = self.delta.evaluate(theta, z, 1)
+            c = self.base + dv
+            h, ht, hz = c * xv, dt * xv + c * xt, dz * xv + c * xz
         val = np.zeros((3, Q))
         G = np.zeros((3, 3, Q))
         div = np.zeros(Q)
@@ -467,20 +439,21 @@ class ExtensionField:
             G[2, 2, inn] = self.flux * a * dg
             div[inn] = 2.0 * c4 * hi + self.flux * a * dg
 
-            wv, wG = self.corrector.tables(r, theta, z)
-            val -= wv
-            G -= wG
-            div -= np.einsum("iiq->q", wG)
+            # the corrector, supported in the inner cylinder r < R/2
+            zi = z[inn]
+            thi = theta[inn]
+            for sol, parity, dofs in self.dofs:
+                prof = sol.profile_tables(dofs, ri, zi)
+                wv, wG = azimuthal_mode_tables(sol.m, parity, prof, ri, thi)
+                val[:, inn] -= wv
+                G[:, :, inn] -= wG
+                div[inn] -= np.einsum("iiq->q", wG)
 
         return {
             "val": cyl_vec_to_cart(val[0], val[1], val[2], theta),
             "grad": cyl_tensor_to_cart(G, theta),
             "div": div,
         }
-
-    def tables_from_jets(self, jets):
-        """Evaluate at the physical node positions of moving-domain jets."""
-        return self.tables(jets.r_phys, jets.theta, jets.z)
 
     def __call__(self, r, theta, z):
         return self.tables(r, theta, z)["val"]
@@ -522,11 +495,9 @@ class PiolaField:
     and zero boundary traces survive the mapping).
     """
 
-    def __init__(self, cyl, eta, phi, margin=None):
-        if eta is not None:
-            m = margin if margin is not None else 0.05 * cyl.R
-            if not check_injectivity(eta, m, cyl=cyl):
-                raise DomainViolation("shell displacement breaks domain injectivity")
+    def __init__(self, cyl, eta, phi):
+        if eta is not None and not check_injectivity(eta, MARGIN_FRAC * cyl.R, cyl):
+            raise DomainViolation("shell displacement breaks domain injectivity")
         self.cyl = cyl
         self.eta = eta
         self.phi = phi

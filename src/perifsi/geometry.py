@@ -13,6 +13,8 @@ import numpy as np
 
 from .errors import DomainViolation
 
+MARGIN_FRAC = 0.05  # default admissibility margin, as a fraction of R
+
 
 @dataclass(frozen=True)
 class CylinderConfig:
@@ -74,18 +76,19 @@ class ShellField:
         ):
             raise ValueError("shell fields built on different bases")
 
-    def sample_grid(self, oversample=4):
-        """Dense tensor sample of the field (used for sup-norm checks)."""
-        basis = self.basis
-        nt = max(8, oversample * basis.n_theta)
-        nz = max(8, oversample * basis.n_z) + 2
-        theta = np.linspace(0.0, 2.0 * np.pi, nt, endpoint=False)
-        z = np.linspace(0.0, basis.L, nz)
-        tt, zz = np.meshgrid(theta, z, indexing="ij")
-        return self.value(tt.ravel(), zz.ravel())
+    def sup_norm(self):
+        return float(np.max(np.abs(self.value(*sup_grid(self.basis)))))
 
-    def sup_norm(self, oversample=4):
-        return float(np.max(np.abs(self.sample_grid(oversample))))
+
+def sup_grid(basis):
+    """Flattened (theta, z) of the dense (4x oversampled) tensor grid on
+    which sup norms of shell fields are sampled."""
+    nt = max(8, 4 * basis.n_theta)
+    nz = max(8, 4 * basis.n_z) + 2
+    theta = np.linspace(0.0, 2.0 * np.pi, nt, endpoint=False)
+    z = np.linspace(0.0, basis.L, nz)
+    tt, zz = np.meshgrid(theta, z, indexing="ij")
+    return tt.ravel(), zz.ravel()
 
 
 @dataclass(frozen=True)
@@ -214,7 +217,7 @@ def ale_map(cyl, delta, p, margin=None):
     Raises DomainViolation when the injectivity check fails.
     """
     if margin is None:
-        margin = 0.05 * cyl.R
+        margin = MARGIN_FRAC * cyl.R
     if not check_injectivity(delta, margin, cyl=cyl):
         raise DomainViolation("shell displacement breaks domain injectivity")
     p = np.asarray(p, dtype=float)
@@ -226,9 +229,14 @@ def ale_map(cyl, delta, p, margin=None):
     )
 
 
-def check_injectivity(eta, margin, cyl=None, R=None):
-    """True iff sup |eta| < R - margin on a dense (4x oversampled) grid."""
-    R = cyl.R if cyl is not None else R
+def injectivity_bound(margin, R):
+    """The bound R - margin that sup |eta| must stay strictly below."""
     if not (0.0 < margin < R):
         raise ValueError("margin must lie in (0, R)")
-    return eta.sup_norm(oversample=4) < R - margin
+    return R - margin
+
+
+def check_injectivity(eta, margin, cyl):
+    """True iff sup |eta| < R - margin on a dense (4x oversampled) grid."""
+    bound = injectivity_bound(margin, cyl.R)
+    return eta.sup_norm() < bound

@@ -31,7 +31,7 @@ from .errors import (
     SingularMonodromy,
 )
 from .extension_ops import azimuthal_damping, mollify
-from .geometry import check_injectivity
+from .geometry import MARGIN_FRAC, check_injectivity, injectivity_bound, sup_grid
 
 ANDERSON_DEPTH = 3  # residual differences kept by the outer loop's mixing
 
@@ -265,11 +265,13 @@ def _unstack(p, n_shell, n_t):
 
 def _shell_violation(basis, shell, dt, margin, cyl):
     """The first grid time at which a shell path leaves the admissible
-    domain, or None when it is injective at every grid time."""
-    for s, c in enumerate(shell):
-        if not check_injectivity(basis.shell_basis.field(c), margin, cyl=cyl):
-            return s * dt
-    return None
+    domain, or None when it is injective at every grid time: check_injectivity
+    for all times at once, as one product with the memoized mode table."""
+    bound = injectivity_bound(margin, cyl.R)
+    sb = basis.shell_basis
+    sup = np.max(np.abs(shell @ sb.eval_modes(*sup_grid(sb), 0)[:, 0]), axis=1)
+    bad = np.flatnonzero(~(sup < bound))
+    return float(bad[0] * dt) if bad.size else None
 
 
 def outer_fixed_point(assembler, T, n_t, forcing, config, n_samples=None):
@@ -295,7 +297,7 @@ def outer_fixed_point(assembler, T, n_t, forcing, config, n_samples=None):
     """
     basis = assembler.basis
     cyl = assembler.cyl
-    margin = config.margin if config.margin is not None else 0.05 * cyl.R
+    margin = config.margin if config.margin is not None else MARGIN_FRAC * cyl.R
     dt = T / n_t
     theta = config.theta_r
     p = None  # the stacked pair of this pass; None is the rest state
@@ -385,7 +387,7 @@ def solve_ivp(assembler, x0, t_final, dt, forcing=None, margin=None,
     basis = assembler.basis
     cyl = assembler.cyl
     if margin is None:
-        margin = 0.05 * cyl.R
+        margin = MARGIN_FRAC * cyl.R
     n_steps = int(round(t_final / dt))
     state = GalerkinState(np.array(x0.a), np.array(x0.a_dot), 0.0)
     traj = [state]

@@ -5,6 +5,7 @@ import pytest
 
 from perifsi.assembly import GalerkinState, TimeGridPath, assemble
 from perifsi.errors import BasisMismatch, DomainViolation, GridMismatch
+from perifsi.fluid_basis import disk_flux
 
 
 @pytest.fixture(scope="module")
@@ -96,6 +97,17 @@ class TestMovingMatrices:
         B = s["B"]
         assert np.max(np.abs(B + B.T)) < 1e-12 * (1 + np.max(np.abs(B)))
         assert abs(v @ B @ v) < 1e-10 * (1 + v @ v)
+
+    def test_flux_vectors_match_the_extension_fields(self, small_model, rng):
+        """The coupled flux entries from the table equal the disk quadrature
+        of the sample's own extension fields."""
+        delta, dt_delta, _, _ = _moving_inputs(small_model, rng, amp=0.05)
+        s = small_model.sample(delta=delta, dt_delta=dt_delta)
+        fields = small_model.basis.extension_fields(delta)
+        for name, z0 in (("qin", 0.0), ("qout", small_model.cyl.L)):
+            direct = [disk_flux(f, small_model.grid, z0) for f in fields]
+            assert np.max(np.abs(s[name][::2] - direct)) < 1e-12 * np.max(
+                np.abs(s["qin"][::2]))
 
     def test_shell_transport_block_structure(self, small_model, rng):
         delta, dt_delta, _, _ = _moving_inputs(small_model, rng)

@@ -5,9 +5,27 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from perifsi import extension_ops
+from perifsi.cli import build_model
 from perifsi.errors import DomainViolation
-from perifsi.extension_ops import PiolaField, mollify, mollify_shell
+from perifsi.extension_ops import ExtensionField, PiolaField, mollify, mollify_shell
 from perifsi.fluidgrid import QuadJets
+
+
+def _random_points(g, cyl, n=40):
+    """Points of the closed fluid region, both inside and outside r = R/2."""
+    return (g.uniform(0.01, 1.0, n) * cyl.R, g.uniform(0.0, 2 * np.pi, n),
+            g.uniform(0.0, cyl.L, n))
+
+
+def _rel_gap(a, b, ref=None):
+    """Largest gap of the tables a and b relative to the size of ref
+    (default b); the divergence, a cancelling trace, is measured against the
+    gradient."""
+    ref = b if ref is None else ref
+    scale = {k: np.max(np.abs(ref[k])) for k in ("val", "grad")}
+    scale["div"] = scale["grad"]
+    return max(np.max(np.abs(a[k] - b[k])) / scale[k] for k in scale)
 
 
 class TestExtension:
@@ -66,6 +84,79 @@ class TestExtension:
         shell = small_model.basis.shell_basis
         with pytest.raises(DomainViolation):
             ext_op.extend(shell.unit_field(0, amplitude=5.0), shell.unit_field(0))
+
+
+class TestExtensionTable:
+    def test_table_matches_a_direct_solve(self, small_model, rng):
+        """The contracted table equals the corrector solve of the pointwise
+        data (R + delta) xi and its quadrature flux."""
+        cyl = small_model.cyl
+        ext_op = small_model.basis.ext_op
+        shell = small_model.basis.shell_basis
+        delta = shell.field(0.02 * rng.standard_normal(shell.n_modes))
+        xi = shell.field(rng.standard_normal(shell.n_modes))
+
+        def data(theta, z):
+            return (cyl.R + delta.value(theta, z)) * xi.value(theta, z)
+
+        th, z, w = shell.quadrature(refine=2)
+        flux = float(data(th, z) @ w)
+        h = data(*ext_op.source_nodes())[:, None]
+        parts = ext_op.corrector_dofs(h, np.array([flux]))
+        direct = ExtensionField(cyl, xi, cyl.R, delta, flux,
+                                [(sol, p, d[:, 0]) for sol, p, d in parts])
+        field = ext_op.extend(delta, xi)
+        assert abs(field.flux - flux) <= 1e-12 * abs(flux)
+        for (s1, p1, d1), (s2, p2, d2) in zip(field.dofs, direct.dofs):
+            assert s1 is s2 and p1 == p2
+            assert np.max(np.abs(d1 - d2)) <= 1e-12 * np.max(np.abs(d2))
+        pts = _random_points(rng, cyl)
+        assert _rel_gap(field.tables(*pts), direct.tables(*pts)) <= 1e-12
+
+    @given(st.integers(min_value=0, max_value=10**6))
+    @settings(max_examples=25, deadline=None)
+    def test_extend_is_affine_in_delta(self, small_model, seed):
+        """extend(delta, xi) - extend(None, xi) == extend_dt(delta, xi), to
+        round-off in extend(delta, xi)."""
+        g = np.random.default_rng(seed)
+        ext_op = small_model.basis.ext_op
+        shell = small_model.basis.shell_basis
+        delta = shell.field(0.03 * g.standard_normal(shell.n_modes))
+        xi = shell.field(g.standard_normal(shell.n_modes))
+        pts = _random_points(g, small_model.cyl)
+        moved = ext_op.extend(delta, xi, check=False).tables(*pts)
+        rest = ext_op.extend(None, xi).tables(*pts)
+        dt = ext_op.extend_dt(delta, xi).tables(*pts)
+        diff = {k: moved[k] - rest[k] for k in moved}
+        assert _rel_gap(dt, diff, moved) <= 1e-12
+
+    def test_no_corrector_solve_after_the_first_extension(
+            self, small_model, rng, monkeypatch):
+        basis = small_model.basis
+        shell = basis.shell_basis
+        basis.ext_op.extend(None, shell.unit_field(0))
+        small_model.sample()
+        solves = []
+        solve = extension_ops._ModeSolver.solve
+
+        def counting(self, g_nodes):
+            solves.append(g_nodes.shape)
+            return solve(self, g_nodes)
+
+        monkeypatch.setattr(extension_ops._ModeSolver, "solve", counting)
+        delta = shell.field(0.02 * rng.standard_normal(shell.n_modes))
+        dt_delta = shell.field(0.02 * rng.standard_normal(shell.n_modes))
+        basis.ext_op.extend(delta, shell.unit_field(1))
+        basis.ext_op.extend_dt(dt_delta, shell.unit_field(1))
+        small_model.sample(delta=delta, dt_delta=dt_delta,
+                           v_coeff=rng.standard_normal(basis.n))
+        assert solves == []
+
+    def test_build_model_builds_no_solver_and_no_table(self, small_cfg):
+        model = build_model(small_cfg)
+        built = vars(model.basis.ext_op)
+        assert "solvers" not in built and "table" not in built
+        assert "_disk_flux" not in vars(model)
 
 
 class TestPiola:

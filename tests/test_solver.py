@@ -1,6 +1,7 @@
 """Time stepping, the periodic orbit solve, and the geometry fixed point."""
 
 from dataclasses import astuple
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -8,6 +9,8 @@ import pytest
 from perifsi import solver_periodic
 from perifsi.assembly import GalerkinState, assemble
 from perifsi.errors import DomainViolation, GridMismatch, NoConvergence
+from perifsi.geometry import CylinderConfig, check_injectivity
+from perifsi.shell_solid import ShellBasis
 from perifsi.solver_periodic import (
     EnergyLedger,
     OuterLoopConfig,
@@ -221,14 +224,13 @@ class TestAndersonOuterLoop:
         rec = _Recorder(monkeypatch)
         rejected = []
 
-        def only_damped(eta, margin, cyl=None):
-            shell = rec.damped(len(rec.g) - 1, 0.5)[0]
-            if np.any(np.all(shell == eta.coefficients, axis=1)):
-                return True
+        def only_damped(basis, shell, dt, margin, cyl):
+            if np.array_equal(shell, rec.damped(len(rec.g) - 1, 0.5)[0]):
+                return None
             rejected.append(len(rec.g))
-            return False
+            return 0.0
 
-        monkeypatch.setattr(solver_periodic, "check_injectivity", only_damped)
+        monkeypatch.setattr(solver_periodic, "_shell_violation", only_damped)
         with pytest.raises(NoConvergence):
             _outer_small(small_model, small_forcing, 1e-14, max_iter=3)
         assert rejected == [2, 3]
@@ -241,17 +243,64 @@ class TestAndersonOuterLoop:
         rec = _Recorder(monkeypatch)
         calls = []
 
-        def reject_after_first_pass(eta, margin, cyl=None):
+        def reject_after_first_pass(basis, shell, dt, margin, cyl):
             calls.append(len(rec.g))
-            return len(rec.g) < 2
+            return None if len(rec.g) < 2 else 0.0
 
-        monkeypatch.setattr(solver_periodic, "check_injectivity",
+        monkeypatch.setattr(solver_periodic, "_shell_violation",
                             reject_after_first_pass)
         with pytest.raises(DomainViolation) as err:
             _outer_small(small_model, small_forcing, 1e-14, max_iter=3)
         assert err.value.time == 0.0
         assert calls.count(2) == 2  # the mixed pair, then the damped step
         assert len(rec.p) == 2
+
+
+class TestShellViolation:
+    """The batched path check agrees with check_injectivity at every time."""
+
+    cyl = CylinderConfig(R=1.0, L=2.0, H=0.5)
+    basis = SimpleNamespace(shell_basis=ShellBasis(3, 4, 2.0))
+
+    def _per_time(self, shell, dt, margin):
+        for s, c in enumerate(shell):
+            field = self.basis.shell_basis.field(c)
+            if not check_injectivity(field, margin, cyl=self.cyl):
+                return s * dt
+        return None
+
+    def test_random_paths(self, rng):
+        n = self.basis.shell_basis.n_modes
+        dt, margin = 1.0 / 32, 0.05
+        found = 0
+        for _ in range(40):
+            shell = rng.uniform(0.05, 0.6) * rng.standard_normal((32, n))
+            want = self._per_time(shell, dt, margin)
+            got = solver_periodic._shell_violation(self.basis, shell, dt,
+                                                   margin, self.cyl)
+            assert got == want
+            found += want is not None
+        assert 0 < found < 40
+
+    def test_path_crossing_the_margin_at_a_known_step(self, rng):
+        sb = self.basis.shell_basis
+        dt, margin, s0 = 0.1, 0.2, 7
+        c = rng.standard_normal(sb.n_modes)
+        unit = c / sb.field(c).sup_norm()
+        bound = self.cyl.R - margin
+        shell = np.array([bound * (s + 0.5) / s0 * unit for s in range(16)])
+        got = solver_periodic._shell_violation(self.basis, shell, dt, margin,
+                                               self.cyl)
+        assert got == self._per_time(shell, dt, margin) == s0 * dt
+        assert solver_periodic._shell_violation(
+            self.basis, shell[:s0], dt, margin, self.cyl) is None
+
+    def test_margin_validated(self):
+        shell = np.zeros((4, self.basis.shell_basis.n_modes))
+        for margin in (0.0, self.cyl.R):
+            with pytest.raises(ValueError):
+                solver_periodic._shell_violation(self.basis, shell, 0.1,
+                                                 margin, self.cyl)
 
 
 class TestIvp:
