@@ -326,7 +326,7 @@ def run_periodic(cfg, out_dir):
         assembler, cfg.T, cfg.n_t, forcing, outer, n_samples=cfg.matrix_samples
     )
     ledger = EnergyLedger.from_trajectory(
-        result.system, result.trajectory, cfg.T / cfg.n_t
+        result.system, result.trajectory, cfg.T / cfg.n_t, result.problem.operators
     )
     write_energies(os.path.join(out_dir, "energies.csv"), ledger)
     write_coefficients(os.path.join(out_dir, "coefficients.csv"), result.trajectory)
@@ -427,7 +427,7 @@ def run_verify(cfg, out_dir):
     prob = PeriodicProblem(system, cfg.T, cfg.T / cfg.n_t)
     x0 = GalerkinState.zero(basis.n)
     traj = poincare_map(prob, x0, record=True)
-    led = EnergyLedger.from_trajectory(system, traj, prob.dt)
+    led = EnergyLedger.from_trajectory(system, traj, prob.dt, prob.operators)
     scale = max(led.sup_energy(), 1e-30)
     checks.append(
         ("frozen_energy_balance", led.max_balance_residual() / scale, 1e-10)

@@ -41,12 +41,6 @@ def energy(system, state):
     return EnergyBreakdown(Ek, Ee)
 
 
-def dissipation_rate(system, state):
-    """D = v' (V + A_visc) v: viscous fluid plus viscoelastic solid rate."""
-    mats = system.matrices_at(state.t)
-    return float(state.a_dot @ system.dissipation_matrix(mats) @ state.a_dot)
-
-
 def korn_check(u, q, grid, delta=None, jets=None):
     """Relative residual of the Korn identity on the admissible fluid space:
 

@@ -132,6 +132,21 @@ def azimuthal_mode_tables(m, parity, prof, r, theta):
     return val, G
 
 
+def _gram_apply(grams, X):
+    """A X for a block-diagonal Gram A with one block per component, each
+    the Kronecker sum Ar x Mz + Mr x Az + 1e-10 Mr x Mz given by its factors
+    (Ar, Mr, Mz, Az); X (n, k).  No block is formed."""
+    out, start = [], 0
+    for Ar, Mr, Mz, Az in grams:
+        nr, nz = Ar.shape[0], Mz.shape[0]
+        Xc = X[start : start + nr * nz].reshape(nr, nz, -1)
+        start += nr * nz
+        ArX = np.tensordot(Ar, Xc, axes=1)  # (nr, nz, k)
+        MrX = np.tensordot(Mr, Xc, axes=1)
+        out.append((Mz @ (ArX + 1e-10 * MrX) + Az @ MrX).reshape(nr * nz, -1))
+    return np.concatenate(out)
+
+
 class _ModeSolver:
     """Constrained divergence solve for one azimuthal wavenumber.
 
@@ -146,6 +161,17 @@ class _ModeSolver:
     a polynomial, collocated at tensor Gauss nodes; the minimum-norm solution
     of the collocation system is post-corrected inside its nullspace to
     minimize an H1-type seminorm, which keeps the operator bounded.
+
+    The system splits exactly by parity about z = L/2.  The z function j has
+    parity j % 2 (Legendre times the even factor z(L - z)) and the Gauss
+    z-nodes pair up as z_k, L - z_k, so at the lower half of the nodes the
+    half sum (g(z_k) + g(L - z_k)) / 2 of a source is collocated by the
+    z-even dofs alone (r and t with even j, z with odd j: d/dz flips parity)
+    and the half difference by the z-odd dofs.  The Gram couples equal
+    parities only.  Each parity is one half-size SVD with its own folded
+    solve operator; the rank cutoff 1e-10 max(s_even[0], s_odd[0]) is the
+    one of the whole system, and the minimum-norm solution and its nullspace
+    correction decouple, so this is the solve of the unsplit system.
     """
 
     def __init__(self, cyl, m):
@@ -164,44 +190,35 @@ class _ModeSolver:
         self.block = nfr * nfz
         self.ndof = self.block * len(self.comps)
 
-        # collocation nodes
+        # collocation nodes; an even count, so they pair up as z, L - z
         rc, _ = composite_gauss(self.r_breaks, R_DEGREE + 2)
         zc, _ = gauss(NZ_MODES + 4, 0.0, L)
         self.r_nodes, self.z_nodes = rc, zc
         Tr = self.fam_r.eval_table(rc, 1)  # (nfr, 2, nr)
-        Tz = self.fam_z.eval_table(zc, 1)  # (nfz, 2, nz)
+        Tz = self.fam_z.eval_table(zc[: zc.size // 2], 1)  # (nfz, 2, nz / 2)
 
-        cols = []
-        for comp in self.comps:
-            if comp == "r":
-                rad = 2.0 * Tr[:, 0, :] + rc[None, :] * Tr[:, 1, :]
-                ax = Tz[:, 0, :]
-            elif comp == "t":
-                rad = float(m) * Tr[:, 0, :]
-                ax = Tz[:, 0, :]
-            else:
-                rad = Tr[:, 0, :] if m == 0 else rc[None, :] * Tr[:, 0, :]
-                ax = Tz[:, 1, :]
-            cols.append(np.einsum("ix,jy->ijxy", rad, ax).reshape(self.block, -1))
-        C = np.concatenate(cols, axis=0).T  # (n_nodes, ndof)
-
-        U, s, Vt = np.linalg.svd(C, full_matrices=True)
-        tol = 1e-10 * s[0]
-        rank = int(np.sum(s > tol))
-        self._U = U[:, :rank]
-        N = Vt[rank:].T  # (ndof, ndof - rank)
-
-        # H1-type seminorm Gram for the nullspace correction (separable)
+        # H1-type seminorm Gram for the nullspace correction: one Kronecker
+        # sum per component, (Ar x Mz + Mr x Az + 1e-10 Mr x Mz)
         rq, wrq = composite_gauss(self.r_breaks, R_DEGREE + 3)
         zq, wzq = gauss(NZ_MODES + 4, 0.0, L)
         Trq = self.fam_r.eval_table(rq, 1)
         Tzq = self.fam_z.eval_table(zq, 1)
         Mz = np.einsum("iy,jy,y->ij", Tzq[:, 0], Tzq[:, 0], wzq)
         Az = np.einsum("iy,jy,y->ij", Tzq[:, 1], Tzq[:, 1], wzq)
-        blocks = []
+
+        # per component: its radial collocation factor, the z-table row it
+        # collocates (0 value, 1 derivative; also the parity j % 2 of its
+        # dofs in the z-even half) and its radial Gram factors (Ar, Mr)
+        comp_data = []
         for comp in self.comps:
-            with_r = comp in ("r", "t") or m > 0
-            if with_r:
+            if comp == "r":
+                rad, zrow = 2.0 * Tr[:, 0, :] + rc[None, :] * Tr[:, 1, :], 0
+            elif comp == "t":
+                rad, zrow = float(m) * Tr[:, 0, :], 0
+            else:
+                rad = Tr[:, 0, :] if m == 0 else rc[None, :] * Tr[:, 0, :]
+                zrow = 1
+            if comp in ("r", "t") or m > 0:
                 a = rq[None, :] * Trq[:, 0]
                 da = Trq[:, 0] + rq[None, :] * Trq[:, 1]
             else:
@@ -209,27 +226,47 @@ class _ModeSolver:
                 da = Trq[:, 1]
             Mr = np.einsum("ix,jx,x->ij", a, a, wrq * rq)
             Ar = np.einsum("ix,jx,x->ij", da, da, wrq * rq)
-            blk = np.kron(Ar, Mz) + np.kron(Mr, Az) + 1e-10 * np.kron(Mr, Mz)
-            blocks.append(blk)
-        n = self.ndof
-        A = np.zeros((n, n))
-        for i, blk in enumerate(blocks):
-            sl = slice(i * self.block, (i + 1) * self.block)
-            A[sl, sl] = blk
-        chol = np.linalg.cholesky(N.T @ A @ N + 1e-12 * np.eye(N.shape[1]))
-        # fold min-norm LSQ and the nullspace energy correction into a single
-        # precomputed operator: dofs = PV (U^T g)
-        PV = Vt[:rank].T * (1.0 / s[:rank])
-        X = N.T @ (A @ PV)
-        Y = solve_triangular(
-            chol.T, solve_triangular(chol, X, lower=True), lower=False
-        )
-        self._solve_op = PV - N @ Y
+            comp_data.append((rad, zrow, Ar, Mr))
+
+        n_rows = rc.size * Tz.shape[2]  # collocation rows of each half
+        halves = []
+        for parity in (0, 1):
+            idx, cols, grams = [], [], []
+            for i, (rad, zrow, Ar, Mr) in enumerate(comp_data):
+                js = np.arange((parity + zrow) % 2, nfz, 2)
+                idx.append(i * self.block + (np.arange(nfr)[:, None] * nfz + js).ravel())
+                ax = Tz[js, zrow, :]
+                cols.append(np.einsum("ix,jy->ijxy", rad, ax).reshape(-1, n_rows))
+                grams.append((Ar, Mr, Mz[np.ix_(js, js)], Az[np.ix_(js, js)]))
+            C = np.concatenate(cols, axis=0).T  # (n_rows, half the dofs)
+            svd = np.linalg.svd(C, full_matrices=True)
+            halves.append((np.concatenate(idx), grams, svd))
+
+        tol = 1e-10 * max(s[0] for _, _, (_, s, _) in halves)
+        self._halves = []
+        for idx, grams, (U, s, Vt) in halves:
+            rank = int(np.sum(s > tol))
+            N = Vt[rank:].T  # (half, half - rank)
+            AN = _gram_apply(grams, N)
+            chol = np.linalg.cholesky(N.T @ AN + 1e-12 * np.eye(N.shape[1]))
+            # fold min-norm LSQ and the nullspace energy correction into one
+            # operator on the folded sources: dofs = (PV - N Y) U^T g
+            PV = Vt[:rank].T * (1.0 / s[:rank])
+            Y = solve_triangular(
+                chol.T, solve_triangular(chol, AN.T @ PV, lower=True), lower=False
+            )
+            self._halves.append((idx, (PV - N @ Y) @ U[:, :rank].T))
 
     def solve(self, g_nodes):
         """Profile dofs (ndof, S) matching div w = g at the collocation nodes
         for S sources, with g_nodes of shape (n_r_nodes, n_z_nodes, S)."""
-        return self._solve_op @ (self._U.T @ g_nodes.reshape(-1, g_nodes.shape[-1]))
+        S = g_nodes.shape[-1]
+        nh = g_nodes.shape[1] // 2
+        low, high = g_nodes[:, :nh], g_nodes[:, ::-1][:, :nh]  # z_k, L - z_k
+        dofs = np.empty((self.ndof, S))
+        for (idx, op), g in zip(self._halves, (low + high, low - high)):
+            dofs[idx] = op @ (0.5 * g).reshape(-1, S)
+        return dofs
 
     def _node_tables(self, r, z):
         """Family tables at a node set, memoized on the node content."""

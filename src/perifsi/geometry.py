@@ -11,8 +11,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainViolation
-
 MARGIN_FRAC = 0.05  # default admissibility margin, as a fraction of R
 
 
@@ -89,15 +87,6 @@ def sup_grid(basis):
     z = np.linspace(0.0, basis.L, nz)
     tt, zz = np.meshgrid(theta, z, indexing="ij")
     return tt.ravel(), zz.ravel()
-
-
-@dataclass(frozen=True)
-class AleJet:
-    """Value, gradient and Jacobian determinant of the ALE map at one point."""
-
-    value: np.ndarray
-    gradient: np.ndarray
-    det: float
 
 
 def _delta_tables(cyl, delta, theta, z, nderiv):
@@ -209,24 +198,6 @@ def ale_jets(cyl, delta, x, y, z, second=False, dt_delta=None):
         out["dt_det"] = dt_det
 
     return out
-
-
-def ale_map(cyl, delta, p, margin=None):
-    """ALE jet at a single reference point p = (x, y, z).
-
-    Raises DomainViolation when the injectivity check fails.
-    """
-    if margin is None:
-        margin = MARGIN_FRAC * cyl.R
-    if not check_injectivity(delta, margin, cyl=cyl):
-        raise DomainViolation("shell displacement breaks domain injectivity")
-    p = np.asarray(p, dtype=float)
-    jets = ale_jets(cyl, delta, p[0:1], p[1:2], p[2:3])
-    return AleJet(
-        value=jets["psi"][:, 0].copy(),
-        gradient=jets["grad"][:, :, 0].copy(),
-        det=float(jets["det"][0]),
-    )
 
 
 def injectivity_bound(margin, R):

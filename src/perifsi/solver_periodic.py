@@ -53,7 +53,8 @@ class PeriodicProblem:
     @cached_property
     def operators(self):
         """The midpoint operator of every step, built on first use; the
-        monodromy and every replay of the period read the same list."""
+        monodromy, every replay of the period and the energy ledger read the
+        same list."""
         return [
             _midpoint_operator(self.system, (m + 0.5) * self.dt, self.dt)
             for m in range(self.n_steps)
@@ -65,7 +66,10 @@ def _midpoint_operator(system, t_mid, dt):
 
     Eliminating a_{m+1} from the midpoint equations leaves a single n x n
     solve:  P v+ = Pm v- - dt K a- + dt f,  a+ = a- + dt (v- + v+) / 2,
-    with P = M + dt C / 2 + dt^2 K / 4 and Pm its reflection.
+    with P = M + dt C / 2 + dt^2 K / 4 and Pm its reflection.  Returns
+    (lu, Pm, K, f, mats) with mats the midpoint matrices less M and C, which
+    P and Pm hold: the dissipation and transport blocks the energy ledger
+    reads.
     """
     mats = system.matrices_at(t_mid)
     M, C, K = mats["M"], mats["C"], mats["K"]
@@ -75,12 +79,13 @@ def _midpoint_operator(system, t_mid, dt):
         lu = lu_factor(P)
     except Exception as exc:  # LinAlgError or ValueError on bad values
         raise LinearSolveFailure(f"midpoint operator is singular at t={t_mid}") from exc
-    return lu, Pm, K, system.forcing_at(t_mid, mats)
+    rest = {k: v for k, v in mats.items() if k not in ("M", "C")}
+    return lu, Pm, K, system.forcing_at(t_mid, mats), rest
 
 
 def _advance(operator, state, dt):
     """The implicit midpoint update of state with a factored step operator."""
-    lu, Pm, K, f = operator
+    lu, Pm, K, f, _ = operator
     rhs = Pm @ state.a_dot - dt * (K @ state.a) + dt * f
     v1 = lu_solve(lu, rhs)
     if not np.all(np.isfinite(v1)):
@@ -112,7 +117,7 @@ def _affine_period_map(problem):
     dt = problem.dt
     n = problem.system.n
     Ab = np.eye(2 * n, 2 * n + 1)  # [A | b] of the steps taken so far
-    for lu, Pm, K, f in problem.operators:
+    for lu, Pm, K, f, _ in problem.operators:
         # v+ = V (a, a', 1) and a+ = a + dt (a' + v+) / 2
         V = lu_solve(lu, np.column_stack([-dt * K, Pm, dt * f]))
         v1 = V[:, :-1] @ Ab
@@ -172,7 +177,9 @@ class EnergyLedger:
     moving boundary evaluated at the midpoint.  For a frozen geometry the
     identity is exact for the implicit midpoint rule; for a moving geometry
     the residual is O(dt^2) per period.  dt is the step of the records, so a
-    one-record ledger still integrates its dissipation.
+    one-record ledger still integrates its dissipation.  Given the
+    trajectory's step operators (PeriodicProblem.operators), the midpoint
+    matrices and load are read from them instead of being interpolated again.
     """
 
     def __init__(self, records, dt):
@@ -180,17 +187,20 @@ class EnergyLedger:
         self.dt = dt
 
     @classmethod
-    def from_trajectory(cls, system, traj, dt):
+    def from_trajectory(cls, system, traj, dt, operators=None):
         energies = [energy(system, s) for s in traj]
         records = []
         for m in range(len(traj) - 1):
             s0, s1 = traj[m], traj[m + 1]
-            t_mid = s0.t + 0.5 * dt
-            mm = system.matrices_at(t_mid)
+            if operators is None:
+                t_mid = s0.t + 0.5 * dt
+                mm = system.matrices_at(t_mid)
+                f = system.forcing_at(t_mid, mm)
+            else:
+                f, mm = operators[m][3:]
             vbar = 0.5 * (s0.a_dot + s1.a_dot)
             Dm = system.dissipation_matrix(mm)
             D = float(vbar @ Dm @ vbar)
-            f = system.forcing_at(t_mid, mm)
             work = float(vbar @ f) - float(vbar @ mm["Q"] @ vbar)
             e0, e1 = energies[m], energies[m + 1]
             resid = abs(e1.E - e0.E + dt * D - dt * work)
@@ -239,6 +249,7 @@ class OuterResult:
     update: float
     periodic_residual: float
     trajectory: list = field(default_factory=list)
+    problem: PeriodicProblem = None  # the periodic problem of system
 
 
 def _regularize_paths(basis, a_traj, v_traj, T, eps):
@@ -330,7 +341,7 @@ def outer_fixed_point(assembler, T, n_t, forcing, config, n_samples=None):
             delta_path, v_path = (TimeGridPath(T, s) for s in _unstack(p, n_shell, n_t))
             return OuterResult(
                 x_star, system, delta_path, v_path, it, update,
-                info["residual"], traj,
+                info["residual"], traj, problem,
             )
         if prev is not None:
             dP = (dP + [p - prev[0]])[-ANDERSON_DEPTH:]

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from perifsi import extension_ops
-from perifsi.cli import build_model
+from perifsi.cli import RunConfig, build_model
 from perifsi.errors import DomainViolation
 from perifsi.extension_ops import ExtensionField, PiolaField, mollify, mollify_shell
 from perifsi.fluidgrid import QuadJets
@@ -157,6 +157,119 @@ class TestExtensionTable:
         built = vars(model.basis.ext_op)
         assert "solvers" not in built and "table" not in built
         assert "_disk_flux" not in vars(model)
+
+
+def _nodal_divergence(sol, dofs):
+    """div w at the collocation nodes (r-major, z) of the cos-parity field
+    with the given dofs (ndof, S), read off its frame gradient at theta = 0,
+    where the cos factor is 1."""
+    R, Z = np.meshgrid(sol.r_nodes, sol.z_nodes, indexing="ij")
+    r, z = R.ravel(), Z.ravel()
+    th = np.zeros_like(r)
+    out = []
+    for d in dofs.T:
+        _, G = extension_ops.azimuthal_mode_tables(
+            sol.m, "cos", sol.profile_tables(d, r, z), r, th)
+        out.append(np.einsum("iiq->q", G))
+    return np.stack(out, axis=-1).reshape(R.shape + (-1,))
+
+
+def _dense_solve(sol, g_nodes):
+    """The corrector solve as one full SVD of the whole collocation system
+    with a dense Gram: the reference for the parity-split solver."""
+    from scipy.linalg import solve_triangular
+
+    from perifsi.basis1d import composite_gauss, gauss
+
+    m, L = sol.m, sol.fam_z.domain[1]
+    rc, zc = sol.r_nodes, sol.z_nodes
+    Tr, Tz = sol.fam_r.eval_table(rc, 1), sol.fam_z.eval_table(zc, 1)
+    rq, wrq = composite_gauss(sol.r_breaks, extension_ops.R_DEGREE + 3)
+    zq, wzq = gauss(extension_ops.NZ_MODES + 4, 0.0, L)
+    Trq, Tzq = sol.fam_r.eval_table(rq, 1), sol.fam_z.eval_table(zq, 1)
+    Mz = np.einsum("iy,jy,y->ij", Tzq[:, 0], Tzq[:, 0], wzq)
+    Az = np.einsum("iy,jy,y->ij", Tzq[:, 1], Tzq[:, 1], wzq)
+    cols, A = [], np.zeros((sol.ndof, sol.ndof))
+    for i, comp in enumerate(sol.comps):
+        if comp == "r":
+            rad, ax = 2.0 * Tr[:, 0] + rc * Tr[:, 1], Tz[:, 0]
+        elif comp == "t":
+            rad, ax = float(m) * Tr[:, 0], Tz[:, 0]
+        else:
+            rad, ax = (Tr[:, 0] if m == 0 else rc * Tr[:, 0]), Tz[:, 1]
+        cols.append(np.einsum("ix,jy->ijxy", rad, ax).reshape(sol.block, -1))
+        if comp in ("r", "t") or m > 0:
+            a, da = rq * Trq[:, 0], Trq[:, 0] + rq * Trq[:, 1]
+        else:
+            a, da = Trq[:, 0], Trq[:, 1]
+        Mr = np.einsum("ix,jx,x->ij", a, a, wrq * rq)
+        Ar = np.einsum("ix,jx,x->ij", da, da, wrq * rq)
+        sl = slice(i * sol.block, (i + 1) * sol.block)
+        A[sl, sl] = np.kron(Ar, Mz) + np.kron(Mr, Az) + 1e-10 * np.kron(Mr, Mz)
+    U, s, Vt = np.linalg.svd(np.concatenate(cols).T, full_matrices=True)
+    rank = int(np.sum(s > 1e-10 * s[0]))
+    N = Vt[rank:].T
+    chol = np.linalg.cholesky(N.T @ A @ N + 1e-12 * np.eye(N.shape[1]))
+    PV = Vt[:rank].T / s[:rank]
+    Y = solve_triangular(chol.T, solve_triangular(chol, N.T @ (A @ PV), lower=True))
+    return (PV - N @ Y) @ (U[:, :rank].T @ g_nodes.reshape(-1, g_nodes.shape[-1]))
+
+
+@pytest.fixture(scope="module")
+def mode_solvers(small_model):
+    """The m = 0 solver of the small model and an m = 1 solver on its
+    cylinder (no model in the test suite has an m >= 1 shell mode)."""
+    return {0: small_model.basis.ext_op.solvers[0],
+            1: extension_ops._ModeSolver(small_model.cyl, 1)}
+
+
+class TestModeSolver:
+    @pytest.mark.parametrize("m", [0, 1])
+    def test_reproduces_a_nodal_divergence(self, mode_solvers, rng, m):
+        """A source that is the divergence of some dofs at the nodes is in
+        the range of the collocation system: the solve hits it there."""
+        sol = mode_solvers[m]
+        g = _nodal_divergence(sol, rng.standard_normal((sol.ndof, 2)))
+        got = _nodal_divergence(sol, sol.solve(g))
+        assert np.max(np.abs(got - g)) <= 1e-9 * np.max(np.abs(g))
+
+    @pytest.mark.parametrize("m", [0, 1])
+    def test_mirrored_source_mirrors_the_field(self, mode_solvers, rng, m):
+        """g(z) -> g(L - z) maps w_r, w_t to their mirror images and w_z to
+        minus its mirror image."""
+        sol = mode_solvers[m]
+        L = sol.fam_z.domain[1]
+        g = rng.standard_normal((sol.r_nodes.size, sol.z_nodes.size, 1))
+        d, d_mirror = sol.solve(g)[:, 0], sol.solve(g[:, ::-1])[:, 0]
+        r = rng.uniform(0.01, 1.0, 50) * sol.r_breaks[-1]
+        z = rng.uniform(0.0, L, 50)
+        p = sol.profile_tables(d, r, z)
+        q = sol.profile_tables(d_mirror, r, L - z)
+        scale = max(np.max(np.abs(p[k])) for k in ("fr", "fz"))
+        for key, sign in (("fr", 1.0), ("ft", 1.0), ("fz", -1.0)):
+            if key in p:
+                assert np.max(np.abs(q[key] - sign * p[key])) <= 1e-10 * scale
+
+    def test_matches_the_unsplit_solve_on_the_table_sources(self, monkeypatch):
+        """On the default model's table sources, the parity-split solver
+        equals the full-SVD solve to 1e-7 relative, a few times the
+        operator's own round-off (its table moves about 2e-8 between BLAS
+        thread counts)."""
+        sources = []
+        solve = extension_ops._ModeSolver.solve
+
+        def recording(self, g_nodes):
+            sources.append(g_nodes)
+            return solve(self, g_nodes)
+
+        monkeypatch.setattr(extension_ops._ModeSolver, "solve", recording)
+        ext_op = build_model(RunConfig().validate()).basis.ext_op
+        _, parts = ext_op.table
+        assert len(parts) == 1 and sources[0].shape[-1] == 72
+        sol, _, dofs = parts[0]
+        want = _dense_solve(sol, sources[0])
+        got = dofs.reshape(-1, sol.ndof).T
+        assert np.max(np.abs(got - want)) <= 1e-7 * np.max(np.abs(want))
 
 
 class TestPiola:

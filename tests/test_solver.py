@@ -40,6 +40,9 @@ class _CountingSystem:
             mats = self.matrices_at(t)
         return self.system.forcing_at(t, mats)
 
+    def dissipation_matrix(self, mats):
+        return self.system.dissipation_matrix(mats)
+
 
 @pytest.fixture(scope="module")
 def rest_system(small_model, small_forcing):
@@ -95,6 +98,18 @@ class TestPeriodicSolve:
         prob = PeriodicProblem(counting, 1.0, 1.0 / 32)
         periodic_solve(prob)
         assert counting.calls == prob.n_steps
+
+    def test_ledger_reads_the_step_operators(self, rest_system):
+        """Given the step operators, the ledger interpolates only the energy
+        of each state, and its records are the interpolating ledger's."""
+        counting = _CountingSystem(rest_system)
+        prob = PeriodicProblem(counting, 1.0, 1.0 / 32)
+        traj = periodic_solve(prob)[1]["trajectory"]
+        counting.calls = 0
+        led = EnergyLedger.from_trajectory(counting, traj, prob.dt, prob.operators)
+        assert counting.calls == len(traj)
+        want = EnergyLedger.from_trajectory(rest_system, traj, prob.dt)
+        assert [astuple(r) for r in led.records] == [astuple(r) for r in want.records]
 
     def test_orbit_comes_from_the_solve(self, rest_system):
         prob = PeriodicProblem(rest_system, 1.0, 1.0 / 32)
