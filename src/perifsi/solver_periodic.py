@@ -17,6 +17,7 @@ acceleration) until self-consistency.
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg import lu_factor, lu_solve
@@ -61,15 +62,24 @@ class PeriodicProblem:
         ]
 
 
+class StepOperator(NamedTuple):
+    """One step of the implicit midpoint rule, factored at the step's
+    midpoint; blocks holds the midpoint dissipation and transport blocks of
+    the energy ledger, where the system has them."""
+
+    lu: tuple
+    Pm: np.ndarray
+    K: np.ndarray
+    f: np.ndarray
+    blocks: dict
+
+
 def _midpoint_operator(system, t_mid, dt):
     """Factor the implicit midpoint update at one step.
 
     Eliminating a_{m+1} from the midpoint equations leaves a single n x n
     solve:  P v+ = Pm v- - dt K a- + dt f,  a+ = a- + dt (v- + v+) / 2,
-    with P = M + dt C / 2 + dt^2 K / 4 and Pm its reflection.  Returns
-    (lu, Pm, K, f, mats) with mats the midpoint matrices less M and C, which
-    P and Pm hold: the dissipation and transport blocks the energy ledger
-    reads.
+    with P = M + dt C / 2 + dt^2 K / 4 and Pm its reflection.
     """
     mats = system.matrices_at(t_mid)
     M, C, K = mats["M"], mats["C"], mats["K"]
@@ -79,24 +89,18 @@ def _midpoint_operator(system, t_mid, dt):
         lu = lu_factor(P)
     except Exception as exc:  # LinAlgError or ValueError on bad values
         raise LinearSolveFailure(f"midpoint operator is singular at t={t_mid}") from exc
-    rest = {k: v for k, v in mats.items() if k not in ("M", "C")}
-    return lu, Pm, K, system.forcing_at(t_mid, mats), rest
+    blocks = {k: mats[k] for k in ("V_fluid", "Q") if k in mats}
+    return StepOperator(lu, Pm, K, system.forcing_at(t_mid, mats), blocks)
 
 
-def _advance(operator, state, dt):
-    """The implicit midpoint update of state with a factored step operator."""
-    lu, Pm, K, f, _ = operator
-    rhs = Pm @ state.a_dot - dt * (K @ state.a) + dt * f
-    v1 = lu_solve(lu, rhs)
+def step(operator, state, dt):
+    """One implicit midpoint step of state with a factored step operator."""
+    rhs = operator.Pm @ state.a_dot - dt * (operator.K @ state.a) + dt * operator.f
+    v1 = lu_solve(operator.lu, rhs)
     if not np.all(np.isfinite(v1)):
         raise LinearSolveFailure(f"non-finite update at t={state.t}")
     a1 = state.a + 0.5 * dt * (state.a_dot + v1)
     return GalerkinState(a1, v1, state.t + dt)
-
-
-def step(system, state, dt):
-    """One implicit midpoint step of the assembled system."""
-    return _advance(_midpoint_operator(system, state.t + 0.5 * dt, dt), state, dt)
 
 
 def poincare_map(problem, x0, record=False):
@@ -106,7 +110,7 @@ def poincare_map(problem, x0, record=False):
     state = GalerkinState(np.array(x0.a), np.array(x0.a_dot), 0.0)
     traj = [state]
     for op in problem.operators:
-        state = _advance(op, state, dt)
+        state = step(op, state, dt)
         if record:
             traj.append(state)
     return traj if record else state
@@ -117,9 +121,9 @@ def _affine_period_map(problem):
     dt = problem.dt
     n = problem.system.n
     Ab = np.eye(2 * n, 2 * n + 1)  # [A | b] of the steps taken so far
-    for lu, Pm, K, f, _ in problem.operators:
+    for op in problem.operators:
         # v+ = V (a, a', 1) and a+ = a + dt (a' + v+) / 2
-        V = lu_solve(lu, np.column_stack([-dt * K, Pm, dt * f]))
+        V = lu_solve(op.lu, np.column_stack([-dt * op.K, op.Pm, dt * op.f]))
         v1 = V[:, :-1] @ Ab
         v1[:, -1] += V[:, -1]
         Ab = np.vstack([Ab[:n] + 0.5 * dt * (Ab[n:] + v1), v1])
@@ -177,9 +181,9 @@ class EnergyLedger:
     moving boundary evaluated at the midpoint.  For a frozen geometry the
     identity is exact for the implicit midpoint rule; for a moving geometry
     the residual is O(dt^2) per period.  dt is the step of the records, so a
-    one-record ledger still integrates its dissipation.  Given the
-    trajectory's step operators (PeriodicProblem.operators), the midpoint
-    matrices and load are read from them instead of being interpolated again.
+    one-record ledger still integrates its dissipation.  The midpoint blocks
+    and load are read from the trajectory's step operators (one StepOperator
+    per step, as in PeriodicProblem.operators), not interpolated again.
     """
 
     def __init__(self, records, dt):
@@ -187,21 +191,16 @@ class EnergyLedger:
         self.dt = dt
 
     @classmethod
-    def from_trajectory(cls, system, traj, dt, operators=None):
+    def from_trajectory(cls, system, traj, dt, operators):
         energies = [energy(system, s) for s in traj]
         records = []
         for m in range(len(traj) - 1):
             s0, s1 = traj[m], traj[m + 1]
-            if operators is None:
-                t_mid = s0.t + 0.5 * dt
-                mm = system.matrices_at(t_mid)
-                f = system.forcing_at(t_mid, mm)
-            else:
-                f, mm = operators[m][3:]
+            op = operators[m]
             vbar = 0.5 * (s0.a_dot + s1.a_dot)
-            Dm = system.dissipation_matrix(mm)
+            Dm = system.dissipation_matrix(op.blocks)
             D = float(vbar @ Dm @ vbar)
-            work = float(vbar @ f) - float(vbar @ mm["Q"] @ vbar)
+            work = float(vbar @ op.f) - float(vbar @ op.blocks["Q"] @ vbar)
             e0, e1 = energies[m], energies[m + 1]
             resid = abs(e1.E - e0.E + dt * D - dt * work)
             records.append(EnergyRecord(s0.t, e0.E_kin, e0.E_el, e0.E, D, work, resid))
@@ -425,9 +424,10 @@ def solve_ivp(assembler, x0, t_final, dt, forcing=None, margin=None,
                 rest = assembler.sample()
             sample = rest
         frozen = AssembledSystem.from_sample(t_final, sample, assembler, forcing)
-        new = step(frozen, state, dt)
+        op = _midpoint_operator(frozen, state.t + 0.5 * dt, dt)
+        new = step(op, state, dt)
         if with_ledger:
-            led = EnergyLedger.from_trajectory(frozen, [state, new], dt)
+            led = EnergyLedger.from_trajectory(frozen, [state, new], dt, [op])
             records.extend(led.records)
         traj.append(new)
         state = new

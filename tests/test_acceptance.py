@@ -53,7 +53,8 @@ def _outer_run(run_cfg):
     res = outer_fixed_point(asm, run_cfg.T, run_cfg.n_t, fc, oc,
                             n_samples=run_cfg.matrix_samples)
     ledger = EnergyLedger.from_trajectory(res.system, res.trajectory,
-                                          run_cfg.T / run_cfg.n_t)
+                                          run_cfg.T / run_cfg.n_t,
+                                          res.problem.operators)
     return {"cfg": run_cfg, "forcing": fc, "result": res, "ledger": ledger}
 
 
@@ -237,7 +238,7 @@ def test_criterion_05_energy_balance(model, forcing):
     prob = PeriodicProblem(system, 1.0, 1.0 / 256)
     x_star, _ = periodic_solve(prob)
     traj = poincare_map(prob, x_star, record=True)
-    led = EnergyLedger.from_trajectory(system, traj, prob.dt)
+    led = EnergyLedger.from_trajectory(system, traj, prob.dt, prob.operators)
     assert led.max_balance_residual() <= 1e-10 * max(led.sup_energy(), 1e-30)
 
     shell = model.basis.shell_basis
@@ -255,7 +256,7 @@ def test_criterion_05_energy_balance(model, forcing):
     for nt in (64, 128):
         p = PeriodicProblem(moving, 1.0, 1.0 / nt)
         tr = poincare_map(p, x0, record=True)
-        ledger = EnergyLedger.from_trajectory(moving, tr, p.dt)
+        ledger = EnergyLedger.from_trajectory(moving, tr, p.dt, p.operators)
         sums.append(float(np.sum(ledger.as_arrays()["balance_residual"])))
     ratio = sums[0] / sums[1]
     assert 4.0 * 0.8 <= ratio <= 4.0 * 1.2

@@ -65,13 +65,14 @@ class TestStepping:
                               0.01 * rng.standard_normal(n))
         prob = PeriodicProblem(free_system, 1.0, 1.0 / 64)
         traj = poincare_map(prob, state, record=True)
-        led = EnergyLedger.from_trajectory(free_system, traj, prob.dt)
+        led = EnergyLedger.from_trajectory(free_system, traj, prob.dt, prob.operators)
         E = led.as_arrays()["E"]
         assert np.all(np.diff(E) <= 1e-12 * E[0])
 
     def test_step_advances_time(self, rest_system):
         s0 = GalerkinState.zero(rest_system.n)
-        s1 = step(rest_system, s0, 1.0 / 64)
+        (op,) = PeriodicProblem(rest_system, 1.0 / 64, 1.0 / 64).operators
+        s1 = step(op, s0, 1.0 / 64)
         assert s1.t == pytest.approx(1.0 / 64)
 
 
@@ -100,16 +101,22 @@ class TestPeriodicSolve:
         assert counting.calls == prob.n_steps
 
     def test_ledger_reads_the_step_operators(self, rest_system):
-        """Given the step operators, the ledger interpolates only the energy
-        of each state, and its records are the interpolating ledger's."""
+        """The ledger interpolates only the energy of each state; its
+        dissipation and work rate are those of the midpoint matrices."""
         counting = _CountingSystem(rest_system)
         prob = PeriodicProblem(counting, 1.0, 1.0 / 32)
         traj = periodic_solve(prob)[1]["trajectory"]
         counting.calls = 0
         led = EnergyLedger.from_trajectory(counting, traj, prob.dt, prob.operators)
         assert counting.calls == len(traj)
-        want = EnergyLedger.from_trajectory(rest_system, traj, prob.dt)
-        assert [astuple(r) for r in led.records] == [astuple(r) for r in want.records]
+        for s0, s1, rec in zip(traj, traj[1:], led.records):
+            t_mid = s0.t + 0.5 * prob.dt
+            mm = rest_system.matrices_at(t_mid)
+            vbar = 0.5 * (s0.a_dot + s1.a_dot)
+            D = float(vbar @ rest_system.dissipation_matrix(mm) @ vbar)
+            work = (float(vbar @ rest_system.forcing_at(t_mid, mm))
+                    - float(vbar @ mm["Q"] @ vbar))
+            assert (rec.D, rec.work_rate) == (D, work)
 
     def test_orbit_comes_from_the_solve(self, rest_system):
         prob = PeriodicProblem(rest_system, 1.0, 1.0 / 32)
@@ -358,11 +365,12 @@ class TestIvp:
         dt = 1.0 / 64
         res = solve_ivp(small_model, x0, dt, dt, forcing=small_forcing)
         got = res.trajectory[1]
-        want = step(rest_system, x0, dt)
+        (op,) = PeriodicProblem(rest_system, dt, dt).operators
+        want = step(op, x0, dt)
         scale = max(np.max(np.abs(want.a)), np.max(np.abs(want.a_dot)))
         assert np.max(np.abs(got.a - want.a)) <= 1e-14 * scale
         assert np.max(np.abs(got.a_dot - want.a_dot)) <= 1e-14 * scale
-        led = EnergyLedger.from_trajectory(rest_system, [x0, want], dt)
+        led = EnergyLedger.from_trajectory(rest_system, [x0, want], dt, [op])
         got_rec = np.array(astuple(res.ledger.records[0]))
         want_rec = np.array(astuple(led.records[0]))
         assert len(res.ledger.records) == 1
