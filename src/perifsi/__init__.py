@@ -52,7 +52,7 @@ from .solver_periodic import (
 from .diagnostics import (
     coupling_residuals,
     diffusion_ratio,
-    energy,
+    energies,
     korn_check,
 )
 from .cli import RunConfig, emit_config, parse_config

@@ -112,6 +112,8 @@ class GlobalBasis:
         self.stokes_basis = stokes_basis
         self.ext_op = ext_op
         self.shell_modes = [shell_basis.unit_field(j) for j in range(half)]
+        # their shell coefficients, one row per coupled entry
+        self.coupled_block = np.array([Y.coefficients for Y in self.shell_modes])
         self.solid_fields = []
         interior_solid = solid_basis.interior_modes(half)
         for j in range(half):
@@ -134,43 +136,41 @@ class GlobalBasis:
         return self.shell_basis.field(self.shell_coefficients(a))
 
     def extension_fields(self, delta):
-        """The coupled fluid entries F_delta(Y_j) for a given shell field."""
-        return [
-            self.ext_op.extend(delta, Y, check=False) for Y in self.shell_modes
-        ]
+        """The coupled fluid entries F_delta(Y_j), j < half, as one stacked
+        ExtensionField of half fields."""
+        return self.ext_op.extend(delta, self.coupled_block, check=False)
 
     def fluid_tables(self, jets, delta=None, dt_delta=None, with_dt=False):
         """Stacked fluid-entry tables at the jets' quadrature nodes.
 
         Returns (val, grad, dtX) with shapes (n, 3, Q), (n, 3, 3, Q),
         (n, 3, Q); dtX is the Eulerian time derivative at fixed physical
-        points and is zero when with_dt is false.
+        points and is zero when with_dt is false.  The coupled entries are
+        one stacked extension (and one for their time derivatives), the
+        interior entries one stacked Piola push.
         """
         grid = jets.grid
         Q = grid.n_nodes
         val = np.empty((self.n, 3, Q))
         grad = np.empty((self.n, 3, 3, Q))
         dtX = np.zeros((self.n, 3, Q))
+        coupled, interior = slice(0, self.n, 2), slice(1, self.n, 2)
         zval, zgrad = self.stokes_basis.tables_on(grid)
-        ext_fields = self.extension_fields(delta)
-        for j in range(self.half):
-            k_c, k_i = 2 * j, 2 * j + 1
-            t = ext_fields[j].tables(jets.r_phys, jets.theta, jets.z)
-            val[k_c], grad[k_c] = t["val"], t["grad"]
+        zval, zgrad = zval[: self.half], zgrad[: self.half]
+        nodes = (jets.r_phys, jets.theta, jets.z)
+        t = self.extension_fields(delta).tables(*nodes)
+        val[coupled], grad[coupled] = t["val"], t["grad"]
+        if jets.moving:
+            val[interior], grad[interior] = push_piola(
+                jets.A, jets.dA, jets.ginv, zval, zgrad)
+        else:
+            val[interior], grad[interior] = zval, zgrad
+        if with_dt:
+            if dt_delta is not None:
+                dext = self.ext_op.extend_dt(dt_delta, self.coupled_block)
+                dtX[coupled] = dext.tables(*nodes)["val"]
             if jets.moving:
-                v, g = push_piola(jets.A, jets.dA, jets.ginv, zval[j], zgrad[j])
-                val[k_i], grad[k_i] = v, g
-            else:
-                val[k_i], grad[k_i] = zval[j], zgrad[j]
-            if with_dt:
-                if dt_delta is not None:
-                    dext = self.ext_op.extend_dt(dt_delta, self.shell_modes[j])
-                    dtX[k_c] = dext.tables(jets.r_phys, jets.theta, jets.z)["val"]
-                if jets.moving:
-                    dtX[k_i] = push_piola_dt(
-                        jets.A, jets.dA, jets.dt_A, jets.dt_psi, jets.ginv,
-                        zval[j], zgrad[j],
-                    )
+                dtX[interior] = push_piola_dt(jets.dt_A, jets.dt_psi, zval, grad[interior])
         return val, grad, dtX
 
 
@@ -221,6 +221,15 @@ class AssembledSystem:
             "qin": out["qin"],
             "qout": out["qout"],
         }
+
+    def mass_at(self, times):
+        """The mass matrices M(t) (len(times), n, n) at all the given times,
+        interpolated in one product; matrices_at(t)["M"] at each t."""
+        w = trig_weights(np.asarray(times, dtype=float), self.T, self.times.size)
+        v = self.stacks["M"]
+        c = self.constants
+        M = (w @ v.reshape(w.shape[-1], -1)).reshape((-1,) + v.shape[1:])
+        return M + c["M_shell"] + c["M_solid"]
 
     def forcing_at(self, t, mats=None):
         if self.forcing is None:

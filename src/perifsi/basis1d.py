@@ -252,7 +252,10 @@ class PiecewiseLegFamily:
             self._dcache[d] = D
         return self._dcache[d]
 
-    def eval_table(self, x, nderiv=0):
+    def element_table(self, x, nderiv=0):
+        """Values and derivatives of the per-element Legendre modes,
+        (nelem * (degree + 1), nderiv + 1, nx); the family's table is
+        dof_basis^T times this one."""
         x = np.asarray(x, dtype=float).ravel()
         p = self.degree + 1
         dof_vals = np.zeros((self.nelem * p, nderiv + 1, x.size))
@@ -269,4 +272,7 @@ class PiecewiseLegFamily:
                 dof_vals[e * p : (e + 1) * p, d, mask] = (
                     V @ self._der_mat(d).T
                 ).T * scale**d
-        return np.einsum("df,dkx->fkx", self.dof_basis, dof_vals)
+        return dof_vals
+
+    def eval_table(self, x, nderiv=0):
+        return np.einsum("df,dkx->fkx", self.dof_basis, self.element_table(x, nderiv))

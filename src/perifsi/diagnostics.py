@@ -29,16 +29,20 @@ class EnergyBreakdown:
         return self.E_kin + self.E_el
 
 
-def energy(system, state):
-    """Total energy of a Galerkin state under the assembled system.
+def energies(system, states):
+    """Total energies of Galerkin states under the assembled system.
 
     E_kin = v' M v / 2 collects fluid, shell and solid kinetic energy;
-    E_el = a' K a / 2 collects shell bending and solid elastic energy.
+    E_el = a' K a / 2 collects shell bending and solid elastic energy.  Only
+    the mass matrix moves with t; it is interpolated at all state times in
+    one product.
     """
-    mats = system.matrices_at(state.t)
-    Ek = 0.5 * float(state.a_dot @ mats["M"] @ state.a_dot)
-    Ee = 0.5 * float(state.a @ mats["K"] @ state.a)
-    return EnergyBreakdown(Ek, Ee)
+    M = system.mass_at([s.t for s in states])
+    return [
+        EnergyBreakdown(0.5 * float(s.a_dot @ Ms @ s.a_dot),
+                        0.5 * float(s.a @ system.K @ s.a))
+        for s, Ms in zip(states, M)
+    ]
 
 
 def korn_check(u, q, grid, delta=None, jets=None):
@@ -86,15 +90,11 @@ def coupling_residuals(state, basis, n_theta=24, n_z=33):
     eval_eta = eta.value(tflat, zflat)
     eval_etad = eta_dot.value(tflat, zflat)
     r_int = cyl.R + eval_eta
-
-    uval = np.zeros((3, tflat.size))
     moving = bool(np.any(basis.shell_coefficients(state.a)))
-    for j in range(basis.half):
-        c = state.a_dot[2 * j]
-        if c:
-            ext = basis.ext_op.extend(eta if moving else None,
-                                      basis.shell_modes[j], check=False)
-            uval += c * ext.tables(r_int, tflat, zflat)["val"]
+    # the extension is linear in xi: the coupled trace is the extension of
+    # the shell velocity itself
+    ext = basis.ext_op.extend(eta if moving else None, eta_dot, check=False)
+    uval = ext.tables(r_int, tflat, zflat)["val"][0]
     for j in range(basis.half):
         c = state.a_dot[2 * j + 1]
         if c:

@@ -83,52 +83,53 @@ def plug_axial_profile(cyl, z, nderiv=0):
 
 
 def azimuthal_mode_tables(m, parity, prof, r, theta):
-    """Cylindrical value and frame gradient of a single-wavenumber field.
+    """Cylindrical values and frame gradients of single-wavenumber fields.
 
     prof holds full component profiles including any radial factors:
-    fr, fr_r, fr_z, ft, ft_r, ft_z, fz, fz_r, fz_z (each shape (Q,); the
-    theta component may be None).  For parity "cos" the field is
-    (fr cos(m t), ft sin(m t), fz cos(m t)); for "sin" it is the rotated twin
-    (fr sin(m t), -ft cos(m t), fz sin(m t)); parity "axi" (m = 0 only) is the
-    axisymmetric field (fr, ft, fz) carrying a swirl component.  Returns
-    (val(3,Q), G(3,3,Q)) with G[i, j] the frame gradient (row component,
-    column direction).
+    fr, fr_r, fr_z, ft, ft_r, ft_z, fz, fz_r, fz_z, each of shape (..., Q)
+    with any leading field axes (the theta entries may be absent).  For
+    parity "cos" a field is (fr cos(m t), ft sin(m t), fz cos(m t)); for
+    "sin" it is the rotated twin (fr sin(m t), -ft cos(m t), fz sin(m t));
+    parity "axi" (m = 0 only) is the axisymmetric field (fr, ft, fz)
+    carrying a swirl component.  Returns (val (..., 3, Q), G (..., 3, 3, Q))
+    with G[..., i, j, :] the frame gradient (row component, column
+    direction).
     """
     fr, fr_r, fr_z = prof["fr"], prof["fr_r"], prof["fr_z"]
     fz, fz_r, fz_z = prof["fz"], prof["fz_r"], prof["fz_z"]
-    Q = r.size
-    zero = np.zeros(Q)
-    ft = prof.get("ft", None)
-    ft_r = prof.get("ft_r", zero)
-    ft_z = prof.get("ft_z", zero)
-    if ft is None:
-        ft = zero
+    zero = np.zeros_like(fr)
+    ft, ft_r, ft_z = (prof.get(k, zero) for k in ("ft", "ft_r", "ft_z"))
     inv_r = 1.0 / r
+
+    def tensor(rows):
+        G = np.empty(fr.shape[:-1] + (3, 3, fr.shape[-1]))
+        for i, row in enumerate(rows):
+            for j, entry in enumerate(row):
+                G[..., i, j, :] = entry
+        return G
+
     if parity == "axi":
         if m != 0:
             raise ValueError("axisymmetric parity requires m = 0")
-        val = np.stack([fr, ft, fz])
-        G = np.empty((3, 3, Q))
-        G[0, 0], G[0, 1], G[0, 2] = fr_r, -ft * inv_r, fr_z
-        G[1, 0], G[1, 1], G[1, 2] = ft_r, fr * inv_r, ft_z
-        G[2, 0], G[2, 1], G[2, 2] = fz_r, np.zeros(Q), fz_z
+        val = np.stack([fr, ft, fz], axis=-2)
+        G = tensor([[fr_r, -ft * inv_r, fr_z],
+                    [ft_r, fr * inv_r, ft_z],
+                    [fz_r, zero, fz_z]])
         return val, G
     c, s = np.cos(m * theta), np.sin(m * theta)
     cross1 = (m * fr + ft) * inv_r
     cross2 = (m * ft + fr) * inv_r
     cross3 = m * fz * inv_r
-    val = np.empty((3, Q))
-    G = np.empty((3, 3, Q))
     if parity == "cos":
-        val[0], val[1], val[2] = fr * c, ft * s, fz * c
-        G[0, 0], G[0, 1], G[0, 2] = fr_r * c, -cross1 * s, fr_z * c
-        G[1, 0], G[1, 1], G[1, 2] = ft_r * s, cross2 * c, ft_z * s
-        G[2, 0], G[2, 1], G[2, 2] = fz_r * c, -cross3 * s, fz_z * c
+        val = np.stack([fr * c, ft * s, fz * c], axis=-2)
+        G = tensor([[fr_r * c, -cross1 * s, fr_z * c],
+                    [ft_r * s, cross2 * c, ft_z * s],
+                    [fz_r * c, -cross3 * s, fz_z * c]])
     else:
-        val[0], val[1], val[2] = fr * s, -ft * c, fz * s
-        G[0, 0], G[0, 1], G[0, 2] = fr_r * s, cross1 * c, fr_z * s
-        G[1, 0], G[1, 1], G[1, 2] = -ft_r * c, cross2 * s, -ft_z * c
-        G[2, 0], G[2, 1], G[2, 2] = fz_r * s, cross3 * c, fz_z * s
+        val = np.stack([fr * s, -ft * c, fz * s], axis=-2)
+        G = tensor([[fr_r * s, cross1 * c, fr_z * s],
+                    [-ft_r * c, cross2 * s, -ft_z * c],
+                    [fz_r * s, cross3 * c, fz_z * s]])
     return val, G
 
 
@@ -268,45 +269,50 @@ class _ModeSolver:
             dofs[idx] = op @ (0.5 * g).reshape(-1, S)
         return dofs
 
-    def _node_tables(self, r, z):
-        """Family tables at a node set, memoized on the node content."""
-        if not hasattr(self, "_nt_cache"):
-            self._nt_cache = {}
-        key = (hash(r.tobytes()), hash(z.tobytes()))
-        hit = self._nt_cache.get(key)
-        if hit is None:
-            hit = (self.fam_r.eval_table(r, 1), self.fam_z.eval_table(z, 1))
-            if len(self._nt_cache) > 8:
-                self._nt_cache.clear()
-            self._nt_cache[key] = hit
-        return hit
-
     def profile_tables(self, dofs, r, z):
-        """Full component profiles (with radial factors) and derivatives."""
+        """Full component profiles (with radial factors) and first partials
+        of the fields with dofs (..., ndof) at the nodes (r, z), each of
+        shape (..., Q).
+
+        The corrector is supported in C, so the profiles are zero at nodes
+        with r >= R/2.  The nodes in C are taken one z-line (one distinct z
+        value) at a time: the whole dof block is contracted with the axial
+        table at the distinct z values, and each line's nodes then cost one
+        small product with their radial table.  Nodes sharing a z value, as
+        on a FluidGrid under the radial ALE map, share the axial work.
+        """
         r = np.asarray(r, dtype=float).ravel()
         z = np.asarray(z, dtype=float).ravel()
-        Tr, Tz = self._node_tables(r, z)
+        lead, Q = dofs.shape[:-1], r.size
+        nfr, nfz, nc = self.fam_r.nfun, self.fam_z.nfun, len(self.comps)
+        inside = np.flatnonzero(r < self.r_breaks[-1])
+        order = inside[np.argsort(z[inside], kind="stable")]
+        zs = z[order]
+        first = np.flatnonzero(np.diff(zs, prepend=np.nan) != 0.0)
+        bounds = np.append(first, order.size)
+        # (line, (field, component), z derivative, radial element mode)
+        D = dofs.reshape(-1, nc, nfr, nfz)
+        A = np.tensordot(D, self.fam_z.eval_table(zs[first], 1), axes=1)
+        A = A.transpose(4, 0, 1, 3, 2) @ self.fam_r.dof_basis.T
+        A = A.reshape(first.size, D.shape[0] * nc, 2, A.shape[-1])
+        # (radial element mode, r derivative, node), nodes in z order
+        Tr = self.fam_r.element_table(r[order], 1)
+        V = np.zeros((A.shape[1], 2, Q))  # W and W_z
+        V_r = np.zeros((A.shape[1], Q))
+        for k, (a, b) in enumerate(zip(bounds[:-1], bounds[1:])):
+            idx = order[a:b]
+            V[:, :, idx] = (A[k].reshape(-1, A.shape[-1]) @ Tr[:, 0, a:b]).reshape(
+                -1, 2, b - a)
+            V_r[:, idx] = A[k, :, 0] @ Tr[:, 1, a:b]
+        V, V_r = V.reshape(-1, nc, 2, Q), V_r.reshape(-1, nc, Q)
         out = {}
         for i, comp in enumerate(self.comps):
-            c = dofs[i * self.block : (i + 1) * self.block].reshape(
-                self.fam_r.nfun, self.fam_z.nfun
-            )
-            A0 = c.T @ Tr[:, 0]
-            A1 = c.T @ Tr[:, 1]
-            W = np.sum(A0 * Tz[:, 0], axis=0)
-            W_r = np.sum(A1 * Tz[:, 0], axis=0)
-            W_z = np.sum(A0 * Tz[:, 1], axis=0)
-            with_r = comp in ("r", "t") or self.m > 0
+            W, W_r, W_z = V[:, i, 0], V_r[:, i], V[:, i, 1]
             key = {"r": "fr", "t": "ft", "z": "fz"}[comp]
-            if with_r:
-                out[key] = r * W
-                out[key + "_r"] = W + r * W_r
-                out[key + "_z"] = r * W_z
-            else:
-                out[key] = W
-                out[key + "_r"] = W_r
-                out[key + "_z"] = W_z
-        return out
+            if comp in ("r", "t") or self.m > 0:
+                W, W_r, W_z = r * W, W + r * W_r, r * W_z
+            out[key], out[key + "_r"], out[key + "_z"] = W, W_r, W_z
+        return {k: v.reshape(lead + (Q,)) for k, v in out.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -393,7 +399,12 @@ class ExtensionOperator:
         return plug * plug_axial_profile(self.cyl, z0)[0] * self.table[0]
 
     def extend(self, delta, xi, check=True):
-        """Divergence-free extension of xi e_r from the interface r = R + delta."""
+        """Divergence-free extension of xi e_r from the interface r = R + delta.
+
+        xi is a shell field, or an (F, n_modes) block of the shell
+        coefficients of F data at once; the result is one ExtensionField of
+        F fields (F = 1 for a shell field).
+        """
         cyl = self.cyl
         if (check and delta is not None
                 and not check_injectivity(delta, MARGIN_FRAC * cyl.R, cyl)):
@@ -406,88 +417,85 @@ class ExtensionOperator:
         return self._contract(0.0, dt_delta, xi)
 
     def _contract(self, base, delta, xi):
-        """The extension of h = (base + delta) xi from the table."""
+        """The extensions of h_f = (base + delta) xi_f from the table."""
         flux, parts = self.table
         c = np.zeros(flux.shape[0] - 1) if delta is None else delta.coefficients
         w = np.concatenate([[base], c])
-        x = xi.coefficients
-        dofs = [(sol, parity, x @ np.tensordot(w, d, axes=1))
+        X = np.atleast_2d(xi.coefficients if isinstance(xi, ShellField) else xi)
+        dofs = [(sol, parity, X @ np.tensordot(w, d, axes=1))
                 for sol, parity, d in parts]
-        return ExtensionField(self.cyl, xi, base, delta, float(w @ flux @ x), dofs)
+        return ExtensionField(self.cyl, self.shell_basis, X, base, delta,
+                              X @ (w @ flux), dofs)
 
 
 class ExtensionField:
-    """The assembled extension of h = (base + delta) xi: evaluates value,
-    gradient and divergence at physical cylindrical points of the closed
-    fluid region.  It holds its flux Phi and its corrector dofs
-    [(solver, parity, dofs)]."""
+    """F assembled extensions at once, of the data h_f = (base + delta) xi_f
+    with xi_f = sum_k X[f, k] Y_k: evaluates their values, gradients and
+    divergences at physical cylindrical points of the closed fluid region.
+    It holds the fluxes Phi (F,) and the corrector dofs
+    [(solver, parity, dofs (F, ndof))]."""
 
     physical_frame = True
 
-    def __init__(self, cyl, xi, base, delta, flux, dofs):
+    def __init__(self, cyl, shell_basis, X, base, delta, flux, dofs):
         self.cyl = cyl
-        self.xi = xi
+        self.shell_basis = shell_basis
+        self.X = X
         self.base = base
         self.delta = delta
         self.flux = flux
         self.dofs = dofs
 
     def tables(self, r, theta, z):
-        """Cartesian value (3, Q), gradient (3, 3, Q) and divergence (Q)."""
+        """Cartesian values (F, 3, Q), gradients (F, 3, 3, Q) and
+        divergences (F, Q)."""
         r = np.asarray(r, dtype=float).ravel()
         theta = np.asarray(theta, dtype=float).ravel()
         z = np.asarray(z, dtype=float).ravel()
-        Q = r.size
+        F, Q = self.X.shape[0], r.size
         cyl = self.cyl
-        # the data h and its theta, z derivatives
-        xv, xt, xz = self.xi.evaluate(theta, z, 1)
+        # the data h and its theta, z derivatives of every field, from one
+        # shell-mode table and one evaluation of delta
+        tab = self.shell_basis.eval_modes(theta, z, 1)
+        xv, xt, xz = np.tensordot(self.X, tab, axes=1).transpose(1, 0, 2)
         if self.delta is None:
             h, ht, hz = self.base * xv, self.base * xt, self.base * xz
         else:
             dv, dt, dz = self.delta.evaluate(theta, z, 1)
             c = self.base + dv
             h, ht, hz = c * xv, dt * xv + c * xt, dz * xv + c * xz
-        val = np.zeros((3, Q))
-        G = np.zeros((3, 3, Q))
-        div = np.zeros(Q)
-
+        # the radial part: (h / r) e_r for r >= R/2, (4 r h / R^2) e_r inside
+        c4 = 4.0 / cyl.R**2
         out = r >= cyl.R / 2.0
-        if out.any():
-            ro, ho, hto, hzo = r[out], h[out], ht[out], hz[out]
-            val[0, out] = ho / ro
-            G[0, 0, out] = -ho / ro**2
-            G[0, 1, out] = hto / ro**2
-            G[0, 2, out] = hzo / ro
-            G[1, 1, out] = ho / ro**2
+        inv_r = 1.0 / np.maximum(r, cyl.R / 2.0)
+        f0 = np.where(out, inv_r, c4 * r)
+        f1 = np.where(out, inv_r**2, c4)
+        val = np.zeros((F, 3, Q))
+        G = np.zeros((F, 3, 3, Q))
+        val[:, 0] = f0 * h
+        G[:, 0, 0] = np.where(out, -f1, f1) * h
+        G[:, 0, 1] = f1 * ht
+        G[:, 0, 2] = f0 * hz
+        G[:, 1, 1] = f1 * h
+        # the axial plug Phi a(r) g(z), zero for r >= R/4
+        a, da = plug_radial_profile(cyl, r, 1)
+        g, dg = plug_axial_profile(cyl, z, 1)
+        flux = self.flux[:, None]
+        val[:, 2] = flux * a * g
+        G[:, 2, 0] = flux * da * g
+        G[:, 2, 2] = flux * a * dg
+        div = np.where(out, 0.0, 2.0 * c4) * h + flux * a * dg
 
-        inn = ~out
-        if inn.any():
-            c4 = 4.0 / cyl.R**2
-            ri, hi, hti, hzi = r[inn], h[inn], ht[inn], hz[inn]
-            val[0, inn] = c4 * ri * hi
-            G[0, 0, inn] = c4 * hi
-            G[0, 1, inn] = c4 * hti
-            G[0, 2, inn] = c4 * ri * hzi
-            G[1, 1, inn] = c4 * hi
-            a, da = plug_radial_profile(cyl, ri, 1)
-            g, dg = plug_axial_profile(cyl, z[inn], 1)
-            val[2, inn] = self.flux * a * g
-            G[2, 0, inn] = self.flux * da * g
-            G[2, 2, inn] = self.flux * a * dg
-            div[inn] = 2.0 * c4 * hi + self.flux * a * dg
-
-            # the corrector, supported in the inner cylinder r < R/2
-            zi = z[inn]
-            thi = theta[inn]
-            for sol, parity, dofs in self.dofs:
-                prof = sol.profile_tables(dofs, ri, zi)
-                wv, wG = azimuthal_mode_tables(sol.m, parity, prof, ri, thi)
-                val[:, inn] -= wv
-                G[:, :, inn] -= wG
-                div[inn] -= np.einsum("iiq->q", wG)
+        # the corrector, supported in the inner cylinder r < R/2
+        for sol, parity, dofs in self.dofs:
+            prof = sol.profile_tables(dofs, r, z)
+            wv, wG = azimuthal_mode_tables(sol.m, parity, prof, r, theta)
+            val -= wv
+            G -= wG
+            div -= wG[:, 0, 0] + wG[:, 1, 1] + wG[:, 2, 2]
 
         return {
-            "val": cyl_vec_to_cart(val[0], val[1], val[2], theta),
+            "val": cyl_vec_to_cart(val[:, 0], val[:, 1], val[:, 2], theta),
             "grad": cyl_tensor_to_cart(G, theta),
             "div": div,
         }
@@ -505,21 +513,23 @@ def push_piola(A, dA, ginv, phi_val, phi_grad):
 
     A = grad(psi)/det, dA[i,j,a] its reference-space derivative, ginv the
     inverse deformation gradient.  Returns (val, grad) at the corresponding
-    physical points with grad in physical coordinates.
+    physical points with grad in physical coordinates; the reference fields
+    phi_val (..., 3, Q) and phi_grad (..., 3, 3, Q) may carry leading field
+    axes.
     """
-    val = np.einsum("ijq,jq->iq", A, phi_val)
-    grad_ref = np.einsum("ijaq,jq->iaq", dA, phi_val) + np.einsum(
-        "ijq,jaq->iaq", A, phi_grad
+    val = np.einsum("ijq,...jq->...iq", A, phi_val)
+    grad_ref = np.einsum("ijaq,...jq->...iaq", dA, phi_val) + np.einsum(
+        "ijq,...jaq->...iaq", A, phi_grad
     )
-    grad = np.einsum("iaq,abq->ibq", grad_ref, ginv)
+    grad = np.einsum("...iaq,abq->...ibq", grad_ref, ginv)
     return val, grad
 
 
-def push_piola_dt(A, dA, dt_A, dt_psi, ginv, phi_val, phi_grad):
-    """Eulerian time derivative of the Piola field at fixed physical points."""
-    _, grad = push_piola(A, dA, ginv, phi_val, phi_grad)
-    return np.einsum("ijq,jq->iq", dt_A, phi_val) - np.einsum(
-        "ibq,bq->iq", grad, dt_psi
+def push_piola_dt(dt_A, dt_psi, phi_val, grad):
+    """Eulerian time derivative of the Piola field at fixed physical points,
+    given the pushed gradient grad from push_piola."""
+    return np.einsum("ijq,...jq->...iq", dt_A, phi_val) - np.einsum(
+        "...ibq,bq->...iq", grad, dt_psi
     )
 
 

@@ -20,7 +20,7 @@ from scipy.linalg import eigh
 
 from .basis1d import LegFamily, gauss, trig_weights
 from .errors import BasisMismatch, EigenFailure
-from .extension_ops import azimuthal_mode_tables
+from .extension_ops import ExtensionField, azimuthal_mode_tables
 from .fluidgrid import QuadJets, cyl_tensor_to_cart, cyl_vec_to_cart
 
 
@@ -55,18 +55,21 @@ class _SectorSpace:
         self.ndof = off
 
     def profile_tables(self, dofs, r, z):
-        """Component profiles and first partials for azimuthal_mode_tables."""
+        """Component profiles and first partials for azimuthal_mode_tables
+        of the fields with dofs (..., ndof), each of shape (..., Q)."""
         out = {}
         for c in self.comps:
             fr, fz = self.fam[c]
             nr, nz = fr.nfun, fz.nfun
-            cm = dofs[self.offsets[c] : self.offsets[c] + self.block[c]].reshape(nr, nz)
+            sl = slice(self.offsets[c], self.offsets[c] + self.block[c])
+            cm = dofs[..., sl].reshape(dofs.shape[:-1] + (nr, nz))
             Tr = fr.eval_table(r, 1)
             Tz = fz.eval_table(z, 1)
             key = {"r": "fr", "t": "ft", "z": "fz"}[c]
-            out[key] = np.einsum("ij,ix,jx->x", cm, Tr[:, 0], Tz[:, 0])
-            out[key + "_r"] = np.einsum("ij,ix,jx->x", cm, Tr[:, 1], Tz[:, 0])
-            out[key + "_z"] = np.einsum("ij,ix,jx->x", cm, Tr[:, 0], Tz[:, 1])
+            C0, C1 = cm @ Tz[:, 0], cm @ Tz[:, 1]  # (..., nr, Q)
+            out[key] = np.sum(C0 * Tr[:, 0], axis=-2)
+            out[key + "_r"] = np.sum(C0 * Tr[:, 1], axis=-2)
+            out[key + "_z"] = np.sum(C1 * Tr[:, 0], axis=-2)
         return out
 
 
@@ -101,24 +104,20 @@ def _sector_forms(space, cyl, n_r, n_z):
     WW = np.outer(wr * rq, wz).ravel()
     rr, zz = RR.ravel(), ZZ.ravel()
     weight = (2.0 * np.pi if m == 0 else np.pi) * WW
-    parity = "axi" if m == 0 else "cos"
-    vals = np.empty((space.ndof, 3, rr.size))
-    grads = np.empty((space.ndof, 3, 3, rr.size))
-    eye = np.eye(space.ndof)
     theta0 = np.zeros(rr.size)
-    for k in range(space.ndof):
-        prof = space.profile_tables(eye[k], rr, zz)
-        if parity == "cos":
-            # strip the trig factors: evaluate at theta = 0 and recover the
-            # sine-carrying entries from the twin at theta = pi/(2m)
-            v0, g0 = azimuthal_mode_tables(m, "cos", prof, rr, theta0)
-            v1, g1 = azimuthal_mode_tables(m, "cos", prof, rr, theta0 + np.pi / (2.0 * m))
-            vals[k] = v0 + v1
-            grads[k] = g0 + g1
-        else:
-            vals[k], grads[k] = azimuthal_mode_tables(0, "axi", prof, rr, theta0)
-    A = np.einsum("kijq,lijq,q->kl", grads, grads, weight)
-    M = np.einsum("kiq,liq,q->kl", vals, vals, weight)
+    # all unit dofs at once: one field per row of the identity
+    prof = space.profile_tables(np.eye(space.ndof), rr, zz)
+    if m == 0:
+        vals, grads = azimuthal_mode_tables(0, "axi", prof, rr, theta0)
+    else:
+        # strip the trig factors: evaluate at theta = 0 and recover the
+        # sine-carrying entries from the twin at theta = pi/(2m)
+        v0, g0 = azimuthal_mode_tables(m, "cos", prof, rr, theta0)
+        v1, g1 = azimuthal_mode_tables(m, "cos", prof, rr, theta0 + np.pi / (2.0 * m))
+        vals, grads = v0 + v1, g0 + g1
+    n = space.ndof
+    A = (grads * weight).reshape(n, -1) @ grads.reshape(n, -1).T
+    M = (vals * weight).reshape(n, -1) @ vals.reshape(n, -1).T
     return A, M
 
 
@@ -260,7 +259,10 @@ def _field_tables(f, jets):
                 f"{type(f).__name__} is a reference field; wrap it in a Piola "
                 "transform before integrating over a deformed domain"
             )
-        return f.tables(jets.r_phys, jets.theta, jets.z)
+        t = f.tables(jets.r_phys, jets.theta, jets.z)
+        if isinstance(f, ExtensionField):  # a stack of F = 1 fields
+            t = {k: v[0] for k, v in t.items()}
+        return t
     raise BasisMismatch(f"{type(f).__name__} does not expose field tables")
 
 
@@ -317,7 +319,7 @@ class BoundaryForcing:
 
 
 def disk_flux(q, grid, z0):
-    """Net axial flux int q_z dA of a reference fluid field through a disk."""
+    """Net axial flux int q_z dA of a reference fluid field through a disk;
+    an array of F fluxes for a stack of F fields."""
     r, th, w, z = grid.disk(z0)
-    t = q.tables(r, th, z)
-    return float(t["val"][2] @ w)
+    return q.tables(r, th, z)["val"][..., 2, :] @ w

@@ -18,26 +18,27 @@ from .basis1d import gauss
 from .geometry import ale_jets
 
 
-def frame_vectors(theta):
-    """Orthonormal cylindrical frame as a rotation matrix Q = [e_r e_t e_z]
-    with shape (3, 3, Q)."""
-    c, s = np.cos(theta), np.sin(theta)
-    z = np.zeros_like(c)
-    o = np.ones_like(c)
-    return np.array([[c, -s, z], [s, c, z], [z, z, o]])
-
-
 def cyl_vec_to_cart(vr, vt, vz, theta):
-    """Cartesian components of v_r e_r + v_t e_theta + v_z e_z, shape (3, Q)."""
+    """Cartesian components of v_r e_r + v_t e_theta + v_z e_z: shape
+    (..., 3, Q) for components of shape (..., Q), any leading field axes."""
     c, s = np.cos(theta), np.sin(theta)
-    return np.stack([vr * c - vt * s, vr * s + vt * c, vz])
+    return np.stack([vr * c - vt * s, vr * s + vt * c, vz], axis=-2)
 
 
 def cyl_tensor_to_cart(G, theta):
-    """Rotate a frame tensor G[i, j] (i component, j direction) to Cartesian:
-    Q G Q^T, vectorized over the trailing axis."""
-    Q = frame_vectors(theta)
-    return np.einsum("ikq,klq,jlq->ijq", Q, G, Q, optimize=True)
+    """Rotate frame tensors G[..., i, j, :] (i component, j direction) to
+    Cartesian: R G R^T with R = [e_r e_t e_z], vectorized over the trailing
+    node axis and any leading field axes."""
+    c, s = np.cos(theta), np.sin(theta)
+    RG = np.empty_like(G)  # rotate the rows
+    RG[..., 0, :, :] = c * G[..., 0, :, :] - s * G[..., 1, :, :]
+    RG[..., 1, :, :] = s * G[..., 0, :, :] + c * G[..., 1, :, :]
+    RG[..., 2, :, :] = G[..., 2, :, :]
+    out = np.empty_like(G)  # then the columns
+    out[..., 0, :] = c * RG[..., 0, :] - s * RG[..., 1, :]
+    out[..., 1, :] = s * RG[..., 0, :] + c * RG[..., 1, :]
+    out[..., 2, :] = RG[..., 2, :]
+    return out
 
 
 class FluidGrid:

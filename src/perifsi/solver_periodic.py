@@ -23,7 +23,7 @@ import numpy as np
 from scipy.linalg import lu_factor, lu_solve
 
 from .assembly import AssembledSystem, GalerkinState, TimeGridPath, assemble
-from .diagnostics import energy
+from .diagnostics import energies
 from .errors import (
     DomainViolation,
     GridMismatch,
@@ -192,7 +192,7 @@ class EnergyLedger:
 
     @classmethod
     def from_trajectory(cls, system, traj, dt, operators):
-        energies = [energy(system, s) for s in traj]
+        E = energies(system, traj)
         records = []
         for m in range(len(traj) - 1):
             s0, s1 = traj[m], traj[m + 1]
@@ -201,7 +201,7 @@ class EnergyLedger:
             Dm = system.dissipation_matrix(op.blocks)
             D = float(vbar @ Dm @ vbar)
             work = float(vbar @ op.f) - float(vbar @ op.blocks["Q"] @ vbar)
-            e0, e1 = energies[m], energies[m + 1]
+            e0, e1 = E[m], E[m + 1]
             resid = abs(e1.E - e0.E + dt * D - dt * work)
             records.append(EnergyRecord(s0.t, e0.E_kin, e0.E_el, e0.E, D, work, resid))
         return cls(records, dt)

@@ -126,16 +126,16 @@ def test_criterion_01_extension_divergence_and_traces(model):
         xi_sup = xi.sup_norm()
 
         jets = QuadJets(grid, delta)
-        div = F.tables(jets.r_phys, jets.theta, jets.z)["div"]
+        div = F.tables(jets.r_phys, jets.theta, jets.z)["div"][0]
         assert np.max(np.abs(div)) <= 1e-6 * xi_sup
 
         r_int = cyl.R + delta.value(tflat, zflat)
-        val = F.tables(r_int, tflat, zflat)["val"]
+        val = F.tables(r_int, tflat, zflat)["val"][0]
         er = np.stack([np.cos(tflat), np.sin(tflat), np.zeros_like(tflat)])
         trace_err = np.max(np.abs(val - er * xi.value(tflat, zflat)))
         assert trace_err <= 1e-10
 
-        vin = F.tables(rdisk, thdisk, zdisk)["val"]
+        vin = F.tables(rdisk, thdisk, zdisk)["val"][0]
         assert np.max(np.abs(vin[:2])) <= 1e-10
 
 

@@ -3,8 +3,12 @@
 import numpy as np
 import pytest
 
-from perifsi.assembly import GalerkinState, TimeGridPath, assemble
+from test_extension import per_field_extension
+
+from perifsi.assembly import GalerkinState, GlobalBasis, TimeGridPath, assemble
+from perifsi.cli import RunConfig, build_model
 from perifsi.errors import BasisMismatch, DomainViolation, GridMismatch
+from perifsi.extension_ops import push_piola, push_piola_dt
 from perifsi.fluid_basis import disk_flux
 
 
@@ -18,6 +22,68 @@ def _moving_inputs(small_model, rng, amp=0.02):
     c = amp * rng.standard_normal(shell.n_modes)
     dc = amp * rng.standard_normal(shell.n_modes)
     return shell.field(c), shell.field(dc), c, dc
+
+
+def _per_field_fluid_tables(basis, jets, delta=None, dt_delta=None, with_dt=False):
+    """GlobalBasis.fluid_tables one entry at a time: each coupled entry and
+    its time derivative by the per-field extension formula, each interior
+    entry by its own Piola push.  The reference for the stacked tables."""
+    Q = jets.grid.n_nodes
+    val = np.empty((basis.n, 3, Q))
+    grad = np.empty((basis.n, 3, 3, Q))
+    dtX = np.zeros((basis.n, 3, Q))
+    zval, zgrad = basis.stokes_basis.tables_on(jets.grid)
+    nodes = (jets.r_phys, jets.theta, jets.z)
+    for j, Y in enumerate(basis.shell_modes):
+        val[2 * j], grad[2 * j], _ = per_field_extension(
+            basis.ext_op, basis.cyl.R, delta, Y, *nodes)
+        if jets.moving:
+            val[2 * j + 1], grad[2 * j + 1] = push_piola(
+                jets.A, jets.dA, jets.ginv, zval[j], zgrad[j])
+        else:
+            val[2 * j + 1], grad[2 * j + 1] = zval[j], zgrad[j]
+        if with_dt:
+            dtX[2 * j] = per_field_extension(basis.ext_op, 0.0, dt_delta, Y, *nodes)[0]
+            if jets.moving:
+                dtX[2 * j + 1] = push_piola_dt(jets.dt_A, jets.dt_psi, zval[j],
+                                               grad[2 * j + 1])
+    return val, grad, dtX
+
+
+def _oracle_gap(model, monkeypatch, **inputs):
+    """Largest gap, relative to the block's size, between the sample blocks
+    and the same blocks from the per-field tables."""
+    got = model.sample(**inputs)
+    with monkeypatch.context() as mp:
+        mp.setattr(GlobalBasis, "fluid_tables", _per_field_fluid_tables)
+        want = model.sample(**inputs)
+    gaps = {}
+    for k in got:
+        scale = np.max(np.abs(want[k]))
+        gaps[k] = np.max(np.abs(got[k] - want[k])) / scale if scale else np.max(np.abs(got[k]))
+    return gaps
+
+
+class TestStackedSample:
+    def test_blocks_match_the_per_field_oracle(self, small_model, rng, monkeypatch):
+        """The rest sample and two moving samples with transport."""
+        assert max(_oracle_gap(small_model, monkeypatch).values()) <= 1e-12
+        for _ in range(2):
+            delta, dt_delta, _, _ = _moving_inputs(small_model, rng)
+            v = rng.standard_normal(small_model.basis.n)
+            gaps = _oracle_gap(small_model, monkeypatch, delta=delta,
+                               dt_delta=dt_delta, v_coeff=v)
+            assert max(gaps.values()) <= 1e-12, gaps
+
+    def test_m1_moving_sample_matches_the_per_field_oracle(self, rng, monkeypatch):
+        """A model with an m = 1 shell mode: cos and sin corrector parts."""
+        model = build_model(RunConfig(n_theta=2, n_z=2, n_interior=4).validate())
+        shell = model.basis.shell_basis
+        assert shell.max_azimuthal_wavenumber == 1
+        delta, dt_delta, _, _ = _moving_inputs(model, rng)
+        gaps = _oracle_gap(model, monkeypatch, delta=delta, dt_delta=dt_delta,
+                           v_coeff=rng.standard_normal(model.basis.n))
+        assert max(gaps.values()) <= 1e-12, gaps
 
 
 class TestGalerkinState:
@@ -105,7 +171,7 @@ class TestMovingMatrices:
         s = small_model.sample(delta=delta, dt_delta=dt_delta)
         fields = small_model.basis.extension_fields(delta)
         for name, z0 in (("qin", 0.0), ("qout", small_model.cyl.L)):
-            direct = [disk_flux(f, small_model.grid, z0) for f in fields]
+            direct = disk_flux(fields, small_model.grid, z0)
             assert np.max(np.abs(s[name][::2] - direct)) < 1e-12 * np.max(
                 np.abs(s["qin"][::2]))
 
@@ -132,6 +198,22 @@ class TestAssemble:
         assert system.matrices_at(0.6)["K"] is K0
         c = small_model.constants
         assert np.array_equal(K0, c["K_sh"] + c["A_el"])
+
+    def test_mass_at_is_matrices_at(self, small_model, small_forcing):
+        """The batched mass interpolation equals matrices_at(t)["M"] at each
+        t, on a sampled path and on a one-sample system."""
+        shell = small_model.basis.shell_basis
+        t = np.arange(16) / 16
+        samples = np.zeros((16, shell.n_modes))
+        samples[:, 0] = 0.02 * np.sin(2 * np.pi * t)
+        moving = assemble(small_model, 1.0, small_forcing,
+                          delta_path=TimeGridPath(1.0, samples), n_samples=8)
+        times = np.linspace(0.0, 1.0, 11)
+        for system in (moving, assemble(small_model, 1.0, small_forcing)):
+            M = system.mass_at(times)
+            for t, Mt in zip(times, M):
+                want = system.matrices_at(t)["M"]
+                assert np.max(np.abs(Mt - want)) <= 1e-14 * np.max(np.abs(want))
 
     def test_transport_requires_geometry_path(self, small_model, small_forcing):
         v_path = TimeGridPath(1.0, np.zeros((8, small_model.basis.n)))

@@ -7,7 +7,7 @@ from perifsi.assembly import GalerkinState, assemble
 from perifsi.diagnostics import (
     coupling_residuals,
     diffusion_ratio,
-    energy,
+    energies,
     korn_check,
 )
 from perifsi.errors import ZeroForcing
@@ -33,7 +33,7 @@ class TestEnergy:
         system = assemble(small_model, 1.0, small_forcing)
         n = system.n
         s = GalerkinState(rng.standard_normal(n), rng.standard_normal(n))
-        e = energy(system, s)
+        e = energies(system, [s])[0]
         assert e.E_kin > 0.0
         assert e.E_el > 0.0
         assert e.E == e.E_kin + e.E_el
@@ -42,7 +42,7 @@ class TestEnergy:
 
     def test_zero_state_zero_energy(self, small_model, small_forcing):
         system = assemble(small_model, 1.0, small_forcing)
-        e = energy(system, GalerkinState.zero(system.n))
+        e = energies(system, [GalerkinState.zero(system.n)])[0]
         assert e.E == 0.0
 
 

@@ -28,6 +28,68 @@ def _rel_gap(a, b, ref=None):
     return max(np.max(np.abs(a[k] - b[k])) / scale[k] for k in scale)
 
 
+def per_field_extension(ext_op, base, delta, xi, r, theta, z):
+    """Cartesian value (3, Q), gradient (3, 3, Q) and divergence (Q) of the
+    extension of h = (base + delta) xi, one field by itself: the data from
+    xi.evaluate, the corrector from its full radial and axial tables at every
+    node, the frame rotated by an explicit R G R^T.  The reference for the
+    stacked evaluation."""
+    cyl = ext_op.cyl
+    flux_table, parts = ext_op.table
+    c = np.zeros(flux_table.shape[0] - 1) if delta is None else delta.coefficients
+    w = np.concatenate([[base], c])
+    x = xi.coefficients
+    flux = float(w @ flux_table @ x)
+    xv, xt, xz = xi.evaluate(theta, z, 1)
+    if delta is None:
+        h, ht, hz = base * xv, base * xt, base * xz
+    else:
+        dv, dt, dz = delta.evaluate(theta, z, 1)
+        h, ht, hz = (base + dv) * xv, dt * xv + (base + dv) * xt, dz * xv + (base + dv) * xz
+    Q = r.size
+    val, G, div = np.zeros((3, Q)), np.zeros((3, 3, Q)), np.zeros(Q)
+    out = r >= cyl.R / 2.0
+    val[0, out] = h[out] / r[out]
+    G[0, 0, out] = -h[out] / r[out] ** 2
+    G[0, 1, out] = ht[out] / r[out] ** 2
+    G[0, 2, out] = hz[out] / r[out]
+    G[1, 1, out] = h[out] / r[out] ** 2
+    inn = ~out
+    c4 = 4.0 / cyl.R**2
+    ri, zi, thi = r[inn], z[inn], theta[inn]
+    val[0, inn] = c4 * ri * h[inn]
+    G[0, 0, inn] = G[1, 1, inn] = c4 * h[inn]
+    G[0, 1, inn] = c4 * ht[inn]
+    G[0, 2, inn] = c4 * ri * hz[inn]
+    a, da = extension_ops.plug_radial_profile(cyl, ri, 1)
+    g, dg = extension_ops.plug_axial_profile(cyl, zi, 1)
+    val[2, inn] = flux * a * g
+    G[2, 0, inn] = flux * da * g
+    G[2, 2, inn] = flux * a * dg
+    div[inn] = 2.0 * c4 * h[inn] + flux * a * dg
+    for sol, parity, d in parts:
+        dofs = x @ np.tensordot(w, d, axes=1)
+        Tr, Tz = sol.fam_r.eval_table(ri, 1), sol.fam_z.eval_table(zi, 1)
+        prof = {}
+        for i, comp in enumerate(sol.comps):
+            cm = dofs[i * sol.block:(i + 1) * sol.block].reshape(sol.fam_r.nfun, -1)
+            W = np.sum((cm.T @ Tr[:, 0]) * Tz[:, 0], axis=0)
+            W_r = np.sum((cm.T @ Tr[:, 1]) * Tz[:, 0], axis=0)
+            W_z = np.sum((cm.T @ Tr[:, 0]) * Tz[:, 1], axis=0)
+            if comp in ("r", "t") or sol.m > 0:
+                W, W_r, W_z = ri * W, W + ri * W_r, ri * W_z
+            key = {"r": "fr", "t": "ft", "z": "fz"}[comp]
+            prof[key], prof[key + "_r"], prof[key + "_z"] = W, W_r, W_z
+        wv, wG = extension_ops.azimuthal_mode_tables(sol.m, parity, prof, ri, thi)
+        val[:, inn] -= wv
+        G[:, :, inn] -= wG
+        div[inn] -= np.einsum("iiq->q", wG)
+    cs, sn, zero = np.cos(theta), np.sin(theta), np.zeros(Q)
+    rot = np.array([[cs, -sn, zero], [sn, cs, zero], [zero, zero, zero + 1.0]])
+    return (np.einsum("ikq,kq->iq", rot, val),
+            np.einsum("ikq,klq,jlq->ijq", rot, G, rot), div)
+
+
 class TestExtension:
     def test_linearity_in_boundary_data(self, small_model, rng):
         ext_op = small_model.basis.ext_op
@@ -54,7 +116,7 @@ class TestExtension:
         disk = {}
         for z0 in (0.0, cyl.L):
             r, th, w, z = grid.disk(z0)
-            disk[z0] = float(f.tables(r, th, z)["val"][2] @ w)
+            disk[z0] = float(f.tables(r, th, z)["val"][0, 2] @ w)
         th, z, w = shell.quadrature(refine=2)
         lateral = float((xi.value(th, z) * cyl.R) @ w)
         net = disk[cyl.L] - disk[0.0] + lateral
@@ -103,10 +165,10 @@ class TestExtensionTable:
         flux = float(data(th, z) @ w)
         h = data(*ext_op.source_nodes())[:, None]
         parts = ext_op.corrector_dofs(h, np.array([flux]))
-        direct = ExtensionField(cyl, xi, cyl.R, delta, flux,
-                                [(sol, p, d[:, 0]) for sol, p, d in parts])
+        direct = ExtensionField(cyl, shell, xi.coefficients[None], cyl.R, delta,
+                                np.array([flux]), [(sol, p, d.T) for sol, p, d in parts])
         field = ext_op.extend(delta, xi)
-        assert abs(field.flux - flux) <= 1e-12 * abs(flux)
+        assert abs(field.flux[0] - flux) <= 1e-12 * abs(flux)
         for (s1, p1, d1), (s2, p2, d2) in zip(field.dofs, direct.dofs):
             assert s1 is s2 and p1 == p2
             assert np.max(np.abs(d1 - d2)) <= 1e-12 * np.max(np.abs(d2))
@@ -157,6 +219,48 @@ class TestExtensionTable:
         built = vars(model.basis.ext_op)
         assert "solvers" not in built and "table" not in built
         assert "_disk_flux" not in vars(model)
+
+
+class TestStackedEvaluation:
+    @pytest.mark.parametrize("moving", [False, True])
+    def test_each_field_matches_the_per_field_formula(self, small_model, rng, moving):
+        """Every field of a stacked extension and of its time-derivative
+        twin equals the extension of its own data alone, at points inside
+        and outside r = R/2."""
+        ext_op = small_model.basis.ext_op
+        shell = small_model.basis.shell_basis
+        delta = shell.field(0.02 * rng.standard_normal(shell.n_modes)) if moving else None
+        X = rng.standard_normal((3, shell.n_modes))
+        pts = _random_points(rng, small_model.cyl, n=60)
+        stacks = [(small_model.cyl.R, delta, ext_op.extend(delta, X, check=False))]
+        if moving:
+            stacks.append((0.0, delta, ext_op.extend_dt(delta, X)))
+        for base, d, field in stacks:
+            got = field.tables(*pts)
+            for f, x in enumerate(X):
+                v, g, div = per_field_extension(ext_op, base, d, shell.field(x), *pts)
+                want = {"val": v, "grad": g, "div": div}
+                assert _rel_gap({k: got[k][f] for k in got}, want) <= 1e-12
+
+    @given(st.integers(min_value=0, max_value=10**6), st.booleans())
+    @settings(max_examples=20, deadline=None)
+    def test_node_order_only_permutes_the_output(self, small_model, seed, scattered):
+        """Shuffling the nodes of a moving grid, or of scattered random
+        points, permutes the tables and changes nothing else."""
+        g = np.random.default_rng(seed)
+        shell = small_model.basis.shell_basis
+        delta = shell.field(0.03 * g.standard_normal(shell.n_modes))
+        field = small_model.basis.ext_op.extend(
+            delta, g.standard_normal((2, shell.n_modes)), check=False)
+        if scattered:
+            pts = _random_points(g, small_model.cyl, n=200)
+        else:
+            jets = QuadJets(small_model.grid, delta)
+            pts = (jets.r_phys, jets.theta, jets.z)
+        perm = g.permutation(pts[0].size)
+        a = field.tables(*pts)
+        b = field.tables(*(p[perm] for p in pts))
+        assert _rel_gap(b, {k: v[..., perm] for k, v in a.items()}) <= 1e-14
 
 
 def _nodal_divergence(sol, dofs):

@@ -3,9 +3,42 @@
 import numpy as np
 import pytest
 
+from perifsi.basis1d import gauss
 from perifsi.errors import BasisMismatch, GridMismatch
-from perifsi.fluid_basis import BoundaryForcing, disk_flux, trilinear_b
+from perifsi.extension_ops import azimuthal_mode_tables
+from perifsi.fluid_basis import (
+    BoundaryForcing,
+    _SectorSpace,
+    _sector_forms,
+    disk_flux,
+    trilinear_b,
+)
 from perifsi.fluidgrid import QuadJets
+
+
+def _per_dof_sector_forms(space, cyl, n_r, n_z):
+    """The sector Grams one unit dof at a time: the reference for the
+    evaluation of all unit dofs in one call."""
+    m = space.m
+    rq, wr = gauss(n_r + 6, 0.0, cyl.R)
+    zq, wz = gauss(n_z + 6, 0.0, cyl.L)
+    RR, ZZ = np.meshgrid(rq, zq, indexing="ij")
+    rr, zz = RR.ravel(), ZZ.ravel()
+    weight = (2.0 * np.pi if m == 0 else np.pi) * np.outer(wr * rq, wz).ravel()
+    vals = np.empty((space.ndof, 3, rr.size))
+    grads = np.empty((space.ndof, 3, 3, rr.size))
+    theta0 = np.zeros(rr.size)
+    for k, unit in enumerate(np.eye(space.ndof)):
+        prof = space.profile_tables(unit, rr, zz)
+        if m == 0:
+            vals[k], grads[k] = azimuthal_mode_tables(0, "axi", prof, rr, theta0)
+        else:
+            v0, g0 = azimuthal_mode_tables(m, "cos", prof, rr, theta0)
+            v1, g1 = azimuthal_mode_tables(m, "cos", prof, rr, theta0 + np.pi / (2.0 * m))
+            vals[k], grads[k] = v0 + v1, g0 + g1
+    A = np.einsum("kijq,lijq,q->kl", grads, grads, weight)
+    M = np.einsum("kiq,liq,q->kl", vals, vals, weight)
+    return A, M
 
 
 class TestStokesBasis:
@@ -37,6 +70,16 @@ class TestStokesBasis:
             fin = disk_flux(mode, grid, 0.0)
             fout = disk_flux(mode, grid, small_model.cyl.L)
             assert fin == pytest.approx(fout, rel=1e-8, abs=1e-12)
+
+
+class TestSectorForms:
+    @pytest.mark.parametrize("m", [0, 1])
+    def test_all_unit_dofs_at_once_match_the_per_dof_loop(self, cyl, m):
+        space = _SectorSpace(cyl, m, 8, 8)
+        got = _sector_forms(space, cyl, 8, 8)
+        want = _per_dof_sector_forms(space, cyl, 8, 8)
+        for a, b in zip(got, want):
+            assert np.max(np.abs(a - b)) <= 1e-13 * np.max(np.abs(b))
 
 
 class TestTrilinear:

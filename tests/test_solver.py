@@ -24,16 +24,22 @@ from perifsi.solver_periodic import (
 
 
 class _CountingSystem:
-    """A system wrapper that counts its matrices_at calls."""
+    """A system wrapper that counts its matrices_at and mass_at calls."""
 
     def __init__(self, system):
         self.system = system
         self.n = system.n
+        self.K = system.K
         self.calls = 0
+        self.mass_calls = 0
 
     def matrices_at(self, t):
         self.calls += 1
         return self.system.matrices_at(t)
+
+    def mass_at(self, times):
+        self.mass_calls += 1
+        return self.system.mass_at(times)
 
     def forcing_at(self, t, mats=None):
         if mats is None:
@@ -101,14 +107,15 @@ class TestPeriodicSolve:
         assert counting.calls == prob.n_steps
 
     def test_ledger_reads_the_step_operators(self, rest_system):
-        """The ledger interpolates only the energy of each state; its
-        dissipation and work rate are those of the midpoint matrices."""
+        """The ledger interpolates only the mass matrix, once for all
+        states; its dissipation and work rate are those of the midpoint
+        matrices."""
         counting = _CountingSystem(rest_system)
         prob = PeriodicProblem(counting, 1.0, 1.0 / 32)
         traj = periodic_solve(prob)[1]["trajectory"]
         counting.calls = 0
         led = EnergyLedger.from_trajectory(counting, traj, prob.dt, prob.operators)
-        assert counting.calls == len(traj)
+        assert (counting.calls, counting.mass_calls) == (0, 1)
         for s0, s1, rec in zip(traj, traj[1:], led.records):
             t_mid = s0.t + 0.5 * prob.dt
             mm = rest_system.matrices_at(t_mid)
