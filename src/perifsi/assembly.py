@@ -168,7 +168,7 @@ class GlobalBasis:
         if with_dt:
             if dt_delta is not None:
                 dext = self.ext_op.extend_dt(dt_delta, self.coupled_block)
-                dtX[coupled] = dext.tables(*nodes)["val"]
+                dtX[coupled] = dext(*nodes)
             if jets.moving:
                 dtX[interior] = push_piola_dt(jets.dt_A, jets.dt_psi, zval, grad[interior])
         return val, grad, dtX

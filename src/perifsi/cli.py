@@ -386,6 +386,7 @@ def run_ivp(cfg, out_dir):
 def run_verify(cfg, out_dir):
     """Built-in identity checks on the configured model; writes a report."""
     from .assembly import GalerkinState, assemble
+    from .diagnostics import coupling_residuals, korn_check
     from .extension_ops import mollify
     from .fluid_basis import trilinear_b
     from .fluidgrid import QuadJets
@@ -413,6 +414,9 @@ def run_verify(cfg, out_dir):
     bsym = abs(trilinear_b(u, v, v, grid))
     checks.append(("trilinear_antisymmetry", bsym, 1e-12))
 
+    # Korn identity on two Stokes modes
+    checks.append(("korn_identity", korn_check(u, v, grid)[0], 1e-6))
+
     # mollifier non-expansion
     sig = rng.standard_normal(64)
     sm = mollify(sig, 4.0 / 64, 1.0 / 64)
@@ -438,6 +442,13 @@ def run_verify(cfg, out_dir):
     x_star, info = periodic_solve(PeriodicProblem(system0, cfg.T, cfg.T / cfg.n_t))
     checks.append(
         ("zero_forcing_orbit", float(np.max(np.abs(x_star.a)) + np.max(np.abs(x_star.a_dot))), 1e-10)
+    )
+
+    # kinematic coupling of a random state: fluid and solid traces
+    state = GalerkinState(0.01 * rng.standard_normal(basis.n),
+                          0.01 * rng.standard_normal(basis.n))
+    checks.append(
+        ("kinematic_coupling", max(coupling_residuals(state, basis).values()), 1e-8)
     )
 
     rows = []

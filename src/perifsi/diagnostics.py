@@ -94,7 +94,7 @@ def coupling_residuals(state, basis, n_theta=24, n_z=33):
     # the extension is linear in xi: the coupled trace is the extension of
     # the shell velocity itself
     ext = basis.ext_op.extend(eta if moving else None, eta_dot, check=False)
-    uval = ext.tables(r_int, tflat, zflat)["val"][0]
+    uval = ext(r_int, tflat, zflat)[0]
     for j in range(basis.half):
         c = state.a_dot[2 * j + 1]
         if c:

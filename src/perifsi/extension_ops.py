@@ -17,19 +17,23 @@ extension is assembled from three pieces in physical cylindrical coordinates:
     integral of that source over C vanishes identically by the flux
     normalization, so the corrector exists.
 
-The corrector solves a constrained least-squares collocation problem per
-azimuthal wavenumber and is linear in the data, so the whole extension is a
-fixed linear operator of h.  For xi = sum_i x_i Y_i and delta = sum_k c_k Y_k,
-h = sum_i x_i (R Y_i + sum_k c_k Y_k Y_i): one table per model over the unit
-data Y_i and Y_k Y_i holds every flux and corrector dof, and an extension is
-that table contracted with the weights (R, c) and x ((0, c') for its time
-derivative).
+The corrector is collocated per azimuthal wavenumber as a rank-deficient
+least-squares system C x = g.  Of its least-squares solutions it takes the
+one of least H1-type energy x^T (A + 1e-12 I) x: with A + 1e-12 I = L L^T
+that is the minimum-norm least-squares solution of the whitened system
+C L^-T, whose singular values drop by about nine decades at the rank, so
+the rank is well defined.  The solve is linear in the data, so the whole
+extension is a fixed linear operator of h.  For xi = sum_i x_i Y_i and
+delta = sum_k c_k Y_k, h = sum_i x_i (R Y_i + sum_k c_k Y_k Y_i): one table
+per model over the unit data Y_i and Y_k Y_i holds every flux and corrector
+dof, and an extension is that table contracted with the weights (R, c) and
+x ((0, c') for its time derivative).
 """
 
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import solve_triangular
+from scipy.linalg import lstsq, solve_triangular
 
 from .basis1d import LegFamily, PiecewiseLegFamily, composite_gauss, gauss
 from .errors import BasisMismatch, DomainViolation
@@ -82,6 +86,21 @@ def plug_axial_profile(cyl, z, nderiv=0):
 # per-wavenumber corrector solve on C = [0, R/2] x [0, L]
 
 
+def azimuthal_mode_values(m, parity, prof, theta):
+    """Cylindrical values (..., 3, Q) of the single-wavenumber fields of
+    azimuthal_mode_tables; only the value profiles fr, ft, fz are read."""
+    fr, fz = prof["fr"], prof["fz"]
+    ft = prof.get("ft", np.zeros_like(fr))
+    if parity == "axi":
+        if m != 0:
+            raise ValueError("axisymmetric parity requires m = 0")
+        return np.stack([fr, ft, fz], axis=-2)
+    c, s = np.cos(m * theta), np.sin(m * theta)
+    if parity == "cos":
+        return np.stack([fr * c, ft * s, fz * c], axis=-2)
+    return np.stack([fr * s, -ft * c, fz * s], axis=-2)
+
+
 def azimuthal_mode_tables(m, parity, prof, r, theta):
     """Cylindrical values and frame gradients of single-wavenumber fields.
 
@@ -95,6 +114,7 @@ def azimuthal_mode_tables(m, parity, prof, r, theta):
     with G[..., i, j, :] the frame gradient (row component, column
     direction).
     """
+    val = azimuthal_mode_values(m, parity, prof, theta)
     fr, fr_r, fr_z = prof["fr"], prof["fr_r"], prof["fr_z"]
     fz, fz_r, fz_z = prof["fz"], prof["fz_r"], prof["fz_z"]
     zero = np.zeros_like(fr)
@@ -109,43 +129,20 @@ def azimuthal_mode_tables(m, parity, prof, r, theta):
         return G
 
     if parity == "axi":
-        if m != 0:
-            raise ValueError("axisymmetric parity requires m = 0")
-        val = np.stack([fr, ft, fz], axis=-2)
-        G = tensor([[fr_r, -ft * inv_r, fr_z],
-                    [ft_r, fr * inv_r, ft_z],
-                    [fz_r, zero, fz_z]])
-        return val, G
+        return val, tensor([[fr_r, -ft * inv_r, fr_z],
+                            [ft_r, fr * inv_r, ft_z],
+                            [fz_r, zero, fz_z]])
     c, s = np.cos(m * theta), np.sin(m * theta)
     cross1 = (m * fr + ft) * inv_r
     cross2 = (m * ft + fr) * inv_r
     cross3 = m * fz * inv_r
     if parity == "cos":
-        val = np.stack([fr * c, ft * s, fz * c], axis=-2)
-        G = tensor([[fr_r * c, -cross1 * s, fr_z * c],
-                    [ft_r * s, cross2 * c, ft_z * s],
-                    [fz_r * c, -cross3 * s, fz_z * c]])
-    else:
-        val = np.stack([fr * s, -ft * c, fz * s], axis=-2)
-        G = tensor([[fr_r * s, cross1 * c, fr_z * s],
-                    [-ft_r * c, cross2 * s, -ft_z * c],
-                    [fz_r * s, cross3 * c, fz_z * s]])
-    return val, G
-
-
-def _gram_apply(grams, X):
-    """A X for a block-diagonal Gram A with one block per component, each
-    the Kronecker sum Ar x Mz + Mr x Az + 1e-10 Mr x Mz given by its factors
-    (Ar, Mr, Mz, Az); X (n, k).  No block is formed."""
-    out, start = [], 0
-    for Ar, Mr, Mz, Az in grams:
-        nr, nz = Ar.shape[0], Mz.shape[0]
-        Xc = X[start : start + nr * nz].reshape(nr, nz, -1)
-        start += nr * nz
-        ArX = np.tensordot(Ar, Xc, axes=1)  # (nr, nz, k)
-        MrX = np.tensordot(Mr, Xc, axes=1)
-        out.append((Mz @ (ArX + 1e-10 * MrX) + Az @ MrX).reshape(nr * nz, -1))
-    return np.concatenate(out)
+        return val, tensor([[fr_r * c, -cross1 * s, fr_z * c],
+                            [ft_r * s, cross2 * c, ft_z * s],
+                            [fz_r * c, -cross3 * s, fz_z * c]])
+    return val, tensor([[fr_r * s, cross1 * c, fr_z * s],
+                        [-ft_r * c, cross2 * s, -ft_z * c],
+                        [fz_r * s, cross3 * c, fz_z * s]])
 
 
 class _ModeSolver:
@@ -159,9 +156,18 @@ class _ModeSolver:
 
         [2 Wr + r dWr/dr + m Wt + dz-term] trig(m theta),
 
-    a polynomial, collocated at tensor Gauss nodes; the minimum-norm solution
-    of the collocation system is post-corrected inside its nullspace to
-    minimize an H1-type seminorm, which keeps the operator bounded.
+    a polynomial, collocated at tensor Gauss nodes as C x = g.  The
+    collocation system is rank deficient; of its least-squares solutions the
+    solve takes the one that minimizes the H1-type energy x^T (A + 1e-12 I) x,
+    which keeps the operator bounded.  A is block diagonal with one Kronecker
+    sum Ar x Mz + Mr x Az + 1e-10 Mr x Mz per component.
+
+    The energy is whitened: with A + 1e-12 I = L L^T and x = L^-T y the
+    problem is the minimum-norm least-squares solve of B = C L^-T, taken by
+    a pivoted QR (LAPACK gelsy) with the relative rank cutoff 1e-10.  The
+    whitened singular values drop from about 0.2 to about 6e-11 between the
+    784th and the 785th of each parity half, so any cutoff in that gap gives
+    the same rank.
 
     The system splits exactly by parity about z = L/2.  The z function j has
     parity j % 2 (Legendre times the even factor z(L - z)) and the Gauss
@@ -169,10 +175,7 @@ class _ModeSolver:
     half sum (g(z_k) + g(L - z_k)) / 2 of a source is collocated by the
     z-even dofs alone (r and t with even j, z with odd j: d/dz flips parity)
     and the half difference by the z-odd dofs.  The Gram couples equal
-    parities only.  Each parity is one half-size SVD with its own folded
-    solve operator; the rank cutoff 1e-10 max(s_even[0], s_odd[0]) is the
-    one of the whole system, and the minimum-norm solution and its nullspace
-    correction decouple, so this is the solve of the unsplit system.
+    parities only, so each parity is one half-size solve.
     """
 
     def __init__(self, cyl, m):
@@ -198,8 +201,7 @@ class _ModeSolver:
         Tr = self.fam_r.eval_table(rc, 1)  # (nfr, 2, nr)
         Tz = self.fam_z.eval_table(zc[: zc.size // 2], 1)  # (nfz, 2, nz / 2)
 
-        # H1-type seminorm Gram for the nullspace correction: one Kronecker
-        # sum per component, (Ar x Mz + Mr x Az + 1e-10 Mr x Mz)
+        # the Kronecker factors of the H1-type energy
         rq, wrq = composite_gauss(self.r_breaks, R_DEGREE + 3)
         zq, wzq = gauss(NZ_MODES + 4, 0.0, L)
         Trq = self.fam_r.eval_table(rq, 1)
@@ -230,43 +232,38 @@ class _ModeSolver:
             comp_data.append((rad, zrow, Ar, Mr))
 
         n_rows = rc.size * Tz.shape[2]  # collocation rows of each half
-        halves = []
+        # per parity: its dof indices, the Cholesky factor L_c of each
+        # component's energy block and the whitened system [C_c L_c^-T]_c
+        self._halves = []
         for parity in (0, 1):
-            idx, cols, grams = [], [], []
+            idx, chols, cols = [], [], []
             for i, (rad, zrow, Ar, Mr) in enumerate(comp_data):
                 js = np.arange((parity + zrow) % 2, nfz, 2)
                 idx.append(i * self.block + (np.arange(nfr)[:, None] * nfz + js).ravel())
-                ax = Tz[js, zrow, :]
-                cols.append(np.einsum("ix,jy->ijxy", rad, ax).reshape(-1, n_rows))
-                grams.append((Ar, Mr, Mz[np.ix_(js, js)], Az[np.ix_(js, js)]))
-            C = np.concatenate(cols, axis=0).T  # (n_rows, half the dofs)
-            svd = np.linalg.svd(C, full_matrices=True)
-            halves.append((np.concatenate(idx), grams, svd))
-
-        tol = 1e-10 * max(s[0] for _, _, (_, s, _) in halves)
-        self._halves = []
-        for idx, grams, (U, s, Vt) in halves:
-            rank = int(np.sum(s > tol))
-            N = Vt[rank:].T  # (half, half - rank)
-            AN = _gram_apply(grams, N)
-            chol = np.linalg.cholesky(N.T @ AN + 1e-12 * np.eye(N.shape[1]))
-            # fold min-norm LSQ and the nullspace energy correction into one
-            # operator on the folded sources: dofs = (PV - N Y) U^T g
-            PV = Vt[:rank].T * (1.0 / s[:rank])
-            Y = solve_triangular(
-                chol.T, solve_triangular(chol, AN.T @ PV, lower=True), lower=False
-            )
-            self._halves.append((idx, (PV - N @ Y) @ U[:, :rank].T))
+                Mzj, Azj = Mz[np.ix_(js, js)], Az[np.ix_(js, js)]
+                Ac = np.kron(Ar, Mzj) + np.kron(Mr, Azj) + 1e-10 * np.kron(Mr, Mzj)
+                chol = np.linalg.cholesky(Ac + 1e-12 * np.eye(Ac.shape[0]))
+                Ct = np.einsum("ix,jy->ijxy", rad, Tz[js, zrow, :]).reshape(-1, n_rows)
+                chols.append(chol)
+                cols.append(solve_triangular(chol, Ct, lower=True))
+            self._halves.append((np.concatenate(idx), chols,
+                                 np.concatenate(cols, axis=0).T))
 
     def solve(self, g_nodes):
         """Profile dofs (ndof, S) matching div w = g at the collocation nodes
-        for S sources, with g_nodes of shape (n_r_nodes, n_z_nodes, S)."""
+        for S sources, with g_nodes of shape (n_r_nodes, n_z_nodes, S).  Each
+        call factors both whitened systems, so pass all sources at once."""
         S = g_nodes.shape[-1]
         nh = g_nodes.shape[1] // 2
         low, high = g_nodes[:, :nh], g_nodes[:, ::-1][:, :nh]  # z_k, L - z_k
         dofs = np.empty((self.ndof, S))
-        for (idx, op), g in zip(self._halves, (low + high, low - high)):
-            dofs[idx] = op @ (0.5 * g).reshape(-1, S)
+        for (idx, chols, B), g in zip(self._halves, (low + high, low - high)):
+            y = lstsq(B, (0.5 * g).reshape(-1, S), cond=1e-10,
+                      lapack_driver="gelsy")[0]
+            # x = L^-T y, one equal-size component block at a time
+            dofs[idx] = np.concatenate([
+                solve_triangular(chol, yc, lower=True, trans="T")
+                for chol, yc in zip(chols, np.split(y, len(chols)))])
         return dofs
 
     def profile_tables(self, dofs, r, z):
@@ -336,7 +333,7 @@ class ExtensionOperator:
 
     @cached_property
     def solvers(self):
-        """One corrector solver per wavenumber 0..max_m; each costs an SVD."""
+        """One corrector solver per wavenumber 0..max_m."""
         return [_ModeSolver(self.cyl, m) for m in range(self.max_m + 1)]
 
     def source_nodes(self):
@@ -349,8 +346,7 @@ class ExtensionOperator:
         return TT.ravel(), ZZ.ravel()
 
     def corrector_dofs(self, h, flux):
-        """Corrector dofs of S boundary sources, one matrix product per
-        solver.
+        """Corrector dofs of S boundary sources, one solve per solver.
 
         h (n_nodes, S) holds the sources at source_nodes() and flux (S,)
         their fluxes Phi.  Returns [(solver, parity, dofs (ndof, S))].
@@ -364,10 +360,13 @@ class ExtensionOperator:
         plug = (plug_radial_profile(cyl, rc)[0][:, None]
                 * plug_axial_profile(cyl, zc, 1)[1][None, :])[..., None] * flux
         parts = [(sol0, "cos", sol0.solve(base * H[0].real[None] + plug))]
+        S = h.shape[-1]
         for sol in self.solvers[1:]:
             m = sol.m
-            parts.append((sol, "cos", sol.solve(base * (2.0 * H[m].real)[None])))
-            parts.append((sol, "sin", sol.solve(base * (-2.0 * H[m].imag)[None])))
+            # the cos and sin sources of a wavenumber share one solve
+            g = np.concatenate([2.0 * H[m].real, -2.0 * H[m].imag], axis=-1)
+            dofs = sol.solve(base * g[None])
+            parts += [(sol, "cos", dofs[:, :S]), (sol, "sin", dofs[:, S:])]
         return parts
 
     @cached_property
@@ -428,6 +427,16 @@ class ExtensionOperator:
                               X @ (w @ flux), dofs)
 
 
+def _radial_factors(cyl, r):
+    """(f0, f1) of the radial part of an extension: its value is f0 h e_r
+    and its frame gradient entries are multiples of f1 h.  Outside r = R/2
+    f0 = 1/r and f1 = 1/r^2; inside f0 = 4 r / R^2 and f1 = 4 / R^2."""
+    c4 = 4.0 / cyl.R**2
+    out = r >= cyl.R / 2.0
+    inv_r = 1.0 / np.maximum(r, cyl.R / 2.0)
+    return np.where(out, inv_r, c4 * r), np.where(out, inv_r**2, c4)
+
+
 class ExtensionField:
     """F assembled extensions at once, of the data h_f = (base + delta) xi_f
     with xi_f = sum_k X[f, k] Y_k: evaluates their values, gradients and
@@ -446,12 +455,10 @@ class ExtensionField:
         self.flux = flux
         self.dofs = dofs
 
-    def tables(self, r, theta, z):
-        """Cartesian values (F, 3, Q), gradients (F, 3, 3, Q) and
-        divergences (F, Q)."""
-        r = np.asarray(r, dtype=float).ravel()
-        theta = np.asarray(theta, dtype=float).ravel()
-        z = np.asarray(z, dtype=float).ravel()
+    def _values(self, r, theta, z):
+        """Cylindrical values (F, 3, Q) at flat nodes, with what tables
+        differentiates: the data (h, h_theta, h_z) and the corrector
+        profiles of every (solver, parity)."""
         F, Q = self.X.shape[0], r.size
         cyl = self.cyl
         # the data h and its theta, z derivatives of every field, from one
@@ -459,41 +466,47 @@ class ExtensionField:
         tab = self.shell_basis.eval_modes(theta, z, 1)
         xv, xt, xz = np.tensordot(self.X, tab, axes=1).transpose(1, 0, 2)
         if self.delta is None:
-            h, ht, hz = self.base * xv, self.base * xt, self.base * xz
+            data = self.base * xv, self.base * xt, self.base * xz
         else:
             dv, dt, dz = self.delta.evaluate(theta, z, 1)
             c = self.base + dv
-            h, ht, hz = c * xv, dt * xv + c * xt, dz * xv + c * xz
-        # the radial part: (h / r) e_r for r >= R/2, (4 r h / R^2) e_r inside
-        c4 = 4.0 / cyl.R**2
-        out = r >= cyl.R / 2.0
-        inv_r = 1.0 / np.maximum(r, cyl.R / 2.0)
-        f0 = np.where(out, inv_r, c4 * r)
-        f1 = np.where(out, inv_r**2, c4)
+            data = c * xv, dt * xv + c * xt, dz * xv + c * xz
         val = np.zeros((F, 3, Q))
-        G = np.zeros((F, 3, 3, Q))
-        val[:, 0] = f0 * h
+        # the radial part: (h / r) e_r for r >= R/2, (4 r h / R^2) e_r inside
+        val[:, 0] = _radial_factors(cyl, r)[0] * data[0]
+        # the axial plug Phi a(r) g(z), zero for r >= R/4
+        val[:, 2] = (self.flux[:, None] * plug_radial_profile(cyl, r)[0]
+                     * plug_axial_profile(cyl, z)[0])
+        # the corrector, supported in the inner cylinder r < R/2
+        profs = []
+        for sol, parity, dofs in self.dofs:
+            profs.append(sol.profile_tables(dofs, r, z))
+            val -= azimuthal_mode_values(sol.m, parity, profs[-1], theta)
+        return val, data, profs
+
+    def tables(self, r, theta, z):
+        """Cartesian values (F, 3, Q), gradients (F, 3, 3, Q) and
+        divergences (F, Q)."""
+        r, theta, z = (np.asarray(x, dtype=float).ravel() for x in (r, theta, z))
+        cyl = self.cyl
+        val, (h, ht, hz), profs = self._values(r, theta, z)
+        out = r >= cyl.R / 2.0
+        f0, f1 = _radial_factors(cyl, r)
+        G = np.zeros((val.shape[0], 3, 3, r.size))
         G[:, 0, 0] = np.where(out, -f1, f1) * h
         G[:, 0, 1] = f1 * ht
         G[:, 0, 2] = f0 * hz
         G[:, 1, 1] = f1 * h
-        # the axial plug Phi a(r) g(z), zero for r >= R/4
         a, da = plug_radial_profile(cyl, r, 1)
         g, dg = plug_axial_profile(cyl, z, 1)
         flux = self.flux[:, None]
-        val[:, 2] = flux * a * g
         G[:, 2, 0] = flux * da * g
         G[:, 2, 2] = flux * a * dg
-        div = np.where(out, 0.0, 2.0 * c4) * h + flux * a * dg
-
-        # the corrector, supported in the inner cylinder r < R/2
-        for sol, parity, dofs in self.dofs:
-            prof = sol.profile_tables(dofs, r, z)
-            wv, wG = azimuthal_mode_tables(sol.m, parity, prof, r, theta)
-            val -= wv
+        div = np.where(out, 0.0, 2.0 * f1) * h + flux * a * dg
+        for (sol, parity, _), prof in zip(self.dofs, profs):
+            wG = azimuthal_mode_tables(sol.m, parity, prof, r, theta)[1]
             G -= wG
             div -= wG[:, 0, 0] + wG[:, 1, 1] + wG[:, 2, 2]
-
         return {
             "val": cyl_vec_to_cart(val[:, 0], val[:, 1], val[:, 2], theta),
             "grad": cyl_tensor_to_cart(G, theta),
@@ -501,7 +514,11 @@ class ExtensionField:
         }
 
     def __call__(self, r, theta, z):
-        return self.tables(r, theta, z)["val"]
+        """Cartesian values (F, 3, Q) alone: no frame gradients and no
+        tensor rotation."""
+        r, theta, z = (np.asarray(x, dtype=float).ravel() for x in (r, theta, z))
+        val = self._values(r, theta, z)[0]
+        return cyl_vec_to_cart(val[:, 0], val[:, 1], val[:, 2], theta)
 
 
 # ---------------------------------------------------------------------------

@@ -179,4 +179,6 @@ class TestVerify:
         assert rows[0] == ["check", "measured", "tolerance", "pass"]
         assert all(r[3] == "true" for r in rows[1:])
         assert len(rows) >= 5
+        checks = {r[0] for r in rows[1:]}
+        assert {"korn_identity", "kinematic_coupling"} <= checks
 
