@@ -28,7 +28,7 @@ from .errors import (
 from .geometry import CylinderConfig, ShellField, check_injectivity
 from .shell_solid import ShellBasis, SolidBasis, SolidParams
 from .fluid_basis import BoundaryForcing, StokesBasis, build_stokes_basis
-from .extension_ops import ExtensionOperator, PiolaField, mollify
+from .extension_ops import ExtensionOperator, mollify
 from .assembly import (
     Assembler,
     AssembledSystem,

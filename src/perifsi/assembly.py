@@ -337,11 +337,7 @@ class Assembler:
         basis = self.basis
         n = basis.n
         moving = delta is not None
-        jets = (
-            QuadJets(self.grid, delta, dt_delta, second=True)
-            if moving
-            else self._identity_jets
-        )
+        jets = QuadJets(self.grid, delta, dt_delta) if moving else self._identity_jets
         with_dt = moving and dt_delta is not None
         val, grad, dtX = basis.fluid_tables(
             jets, delta=delta, dt_delta=dt_delta, with_dt=with_dt

@@ -13,8 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ZeroForcing
-from .extension_ops import PiolaField
-from .fluid_basis import _field_tables
+from .geometry import ale_jets
 
 
 @dataclass
@@ -45,27 +44,22 @@ def energies(system, states):
     ]
 
 
-def korn_check(u, q, grid, delta=None, jets=None):
+def korn_check(tu, tq, weight):
     """Relative residual of the Korn identity on the admissible fluid space:
 
         int grad u : grad q  =  2 int D(u) : D(q)
 
     which holds for divergence-free fields with normal trace structure on the
-    cylinder.  Returns (residual, lhs, rhs) with residual normalized by
-    1 + |lhs|; generic non-solenoidal fields serve as the negative control.
+    cylinder.  tu and tq hold the gradients "grad" (3, 3, Q) of u and q at
+    quadrature nodes of weights (Q,).  Returns (residual, lhs, rhs) with
+    residual normalized by 1 + |lhs|; generic non-solenoidal fields serve as
+    the negative control.
     """
-    if jets is None:
-        from .fluidgrid import QuadJets
-
-        jets = QuadJets(grid, delta)
-    tu = _field_tables(u, jets)
-    tq = _field_tables(q, jets)
     gu, gq = tu["grad"], tq["grad"]
-    w = jets.weight
-    lhs = float(np.einsum("ijq,ijq,q->", gu, gq, w))
+    lhs = float(np.einsum("ijq,ijq,q->", gu, gq, weight))
     su = 0.5 * (gu + gu.transpose(1, 0, 2))
     sq = 0.5 * (gq + gq.transpose(1, 0, 2))
-    rhs = 2.0 * float(np.einsum("ijq,ijq,q->", su, sq, w))
+    rhs = 2.0 * float(np.einsum("ijq,ijq,q->", su, sq, weight))
     return abs(lhs - rhs) / (1.0 + abs(lhs)), lhs, rhs
 
 
@@ -78,7 +72,8 @@ def coupling_residuals(state, basis, n_theta=24, n_z=33):
       * solid trace at r = R equals the shell displacement times e_r,
       * the fluid trace has no tangential part.
     All three hold structurally for the interleaved basis; the residuals
-    measure evaluation error only.
+    measure evaluation error only.  Raises DomainViolation when the state's
+    shell breaks domain injectivity.
     """
     cyl = basis.cyl
     eta = basis.shell_field(state.a)
@@ -90,17 +85,19 @@ def coupling_residuals(state, basis, n_theta=24, n_z=33):
     eval_eta = eta.value(tflat, zflat)
     eval_etad = eta_dot.value(tflat, zflat)
     r_int = cyl.R + eval_eta
-    moving = bool(np.any(basis.shell_coefficients(state.a)))
     # the extension is linear in xi: the coupled trace is the extension of
     # the shell velocity itself
-    ext = basis.ext_op.extend(eta if moving else None, eta_dot, check=False)
-    uval = ext(r_int, tflat, zflat)[0]
+    uval = basis.ext_op.extend(eta, eta_dot)(r_int, tflat, zflat)[0]
+    # the interior entries: their reference trace sum_j a'_{2j+1} Z_j at
+    # r = R, pushed to r = R + eta by the Piola factor grad / det
+    rR = np.full(tflat.size, cyl.R)
+    phi = np.zeros((3, tflat.size))
     for j in range(basis.half):
         c = state.a_dot[2 * j + 1]
         if c:
-            mode = basis.stokes_basis.modes[j]
-            field = PiolaField(cyl, eta if moving else None, mode)
-            uval += c * field.tables(np.full(tflat.size, cyl.R), tflat, zflat)["val"]
+            phi += c * basis.stokes_basis.modes[j].tables(rR, tflat, zflat)["val"]
+    jets = ale_jets(cyl, eta, rR * np.cos(tflat), rR * np.sin(tflat), zflat)
+    uval += np.einsum("ijq,jq->iq", jets["grad"] / jets["det"], phi)
 
     er = np.stack([np.cos(tflat), np.sin(tflat), np.zeros_like(tflat)])
     target = er * eval_etad
@@ -114,7 +111,7 @@ def coupling_residuals(state, basis, n_theta=24, n_z=33):
     for k, f in enumerate(basis.solid_fields):
         c = state.a[k]
         if c:
-            dval += c * f.tables(np.full(tflat.size, cyl.R), tflat, zflat)["val"]
+            dval += c * f.tables(rR, tflat, zflat)["val"]
     dval[0] -= eval_eta
     solid_resid = float(np.max(np.abs(dval)))
     return {

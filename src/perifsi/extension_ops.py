@@ -37,13 +37,8 @@ from scipy.linalg import lstsq, solve_triangular
 
 from .basis1d import LegFamily, PiecewiseLegFamily, composite_gauss, gauss
 from .errors import BasisMismatch, DomainViolation
-from .fluidgrid import (
-    _invert_grad,
-    cyl_tensor_to_cart,
-    cyl_vec_to_cart,
-    piola_derivative,
-)
-from .geometry import MARGIN_FRAC, ShellField, ale_jets, check_injectivity
+from .fluidgrid import cyl_tensor_to_cart, cyl_vec_to_cart
+from .geometry import MARGIN_FRAC, ShellField, check_injectivity
 
 R_DEGREE = 10  # polynomial degree of the corrector's radial elements
 NZ_MODES = 34  # axial modes of the corrector
@@ -212,7 +207,7 @@ class _ModeSolver:
         # per component: its radial collocation factor, the z-table row it
         # collocates (0 value, 1 derivative; also the parity j % 2 of its
         # dofs in the z-even half) and its radial Gram factors (Ar, Mr)
-        comp_data = []
+        self._comp_data = []
         for comp in self.comps:
             if comp == "r":
                 rad, zrow = 2.0 * Tr[:, 0, :] + rc[None, :] * Tr[:, 1, :], 0
@@ -229,25 +224,28 @@ class _ModeSolver:
                 da = Trq[:, 1]
             Mr = np.einsum("ix,jx,x->ij", a, a, wrq * rq)
             Ar = np.einsum("ix,jx,x->ij", da, da, wrq * rq)
-            comp_data.append((rad, zrow, Ar, Mr))
+            self._comp_data.append((rad, zrow, Ar, Mr))
+        self._Tz, self._Mz, self._Az = Tz, Mz, Az
 
-        n_rows = rc.size * Tz.shape[2]  # collocation rows of each half
-        # per parity: its dof indices, the Cholesky factor L_c of each
-        # component's energy block and the whitened system [C_c L_c^-T]_c
-        self._halves = []
-        for parity in (0, 1):
-            idx, chols, cols = [], [], []
-            for i, (rad, zrow, Ar, Mr) in enumerate(comp_data):
-                js = np.arange((parity + zrow) % 2, nfz, 2)
-                idx.append(i * self.block + (np.arange(nfr)[:, None] * nfz + js).ravel())
-                Mzj, Azj = Mz[np.ix_(js, js)], Az[np.ix_(js, js)]
-                Ac = np.kron(Ar, Mzj) + np.kron(Mr, Azj) + 1e-10 * np.kron(Mr, Mzj)
-                chol = np.linalg.cholesky(Ac + 1e-12 * np.eye(Ac.shape[0]))
-                Ct = np.einsum("ix,jy->ijxy", rad, Tz[js, zrow, :]).reshape(-1, n_rows)
-                chols.append(chol)
-                cols.append(solve_triangular(chol, Ct, lower=True))
-            self._halves.append((np.concatenate(idx), chols,
-                                 np.concatenate(cols, axis=0).T))
+    def _whitened(self, parity):
+        """The z-parity half's dof indices, the Cholesky factor L_c of each
+        component's energy block and the whitened system [C_c L_c^-T]_c.
+        Built afresh per solve and dropped after it: they are tens of MB
+        and the table needs one solve per wavenumber."""
+        nfr, nfz = self.fam_r.nfun, self.fam_z.nfun
+        Tz, Mz, Az = self._Tz, self._Mz, self._Az
+        n_rows = self.r_nodes.size * Tz.shape[2]  # collocation rows of a half
+        idx, chols, cols = [], [], []
+        for i, (rad, zrow, Ar, Mr) in enumerate(self._comp_data):
+            js = np.arange((parity + zrow) % 2, nfz, 2)
+            idx.append(i * self.block + (np.arange(nfr)[:, None] * nfz + js).ravel())
+            Mzj, Azj = Mz[np.ix_(js, js)], Az[np.ix_(js, js)]
+            Ac = np.kron(Ar, Mzj) + np.kron(Mr, Azj) + 1e-10 * np.kron(Mr, Mzj)
+            chol = np.linalg.cholesky(Ac + 1e-12 * np.eye(Ac.shape[0]))
+            Ct = np.einsum("ix,jy->ijxy", rad, Tz[js, zrow, :]).reshape(-1, n_rows)
+            chols.append(chol)
+            cols.append(solve_triangular(chol, Ct, lower=True))
+        return np.concatenate(idx), chols, np.concatenate(cols, axis=0).T
 
     def solve(self, g_nodes):
         """Profile dofs (ndof, S) matching div w = g at the collocation nodes
@@ -257,7 +255,8 @@ class _ModeSolver:
         nh = g_nodes.shape[1] // 2
         low, high = g_nodes[:, :nh], g_nodes[:, ::-1][:, :nh]  # z_k, L - z_k
         dofs = np.empty((self.ndof, S))
-        for (idx, chols, B), g in zip(self._halves, (low + high, low - high)):
+        for parity, g in enumerate((low + high, low - high)):
+            idx, chols, B = self._whitened(parity)
             y = lstsq(B, (0.5 * g).reshape(-1, S), cond=1e-10,
                       lapack_driver="gelsy")[0]
             # x = L^-T y, one equal-size component block at a time
@@ -444,8 +443,6 @@ class ExtensionField:
     It holds the fluxes Phi (F,) and the corrector dofs
     [(solver, parity, dofs (F, ndof))]."""
 
-    physical_frame = True
-
     def __init__(self, cyl, shell_basis, X, base, delta, flux, dofs):
         self.cyl = cyl
         self.shell_basis = shell_basis
@@ -548,52 +545,6 @@ def push_piola_dt(dt_A, dt_psi, phi_val, grad):
     return np.einsum("ijq,...jq->...iq", dt_A, phi_val) - np.einsum(
         "...ibq,bq->...iq", grad, dt_psi
     )
-
-
-class PiolaField:
-    """Piola transform of a reference-cylinder field under the shell motion.
-
-    Parameterized by reference position: tables(r, theta, z) takes reference
-    cylindrical coordinates and returns the transformed field at the image
-    points (Jacobian-weighted push-forward, so discrete divergence-freeness
-    and zero boundary traces survive the mapping).
-    """
-
-    def __init__(self, cyl, eta, phi):
-        if eta is not None and not check_injectivity(eta, MARGIN_FRAC * cyl.R, cyl):
-            raise DomainViolation("shell displacement breaks domain injectivity")
-        self.cyl = cyl
-        self.eta = eta
-        self.phi = phi
-
-    def tables(self, r, theta, z):
-        r = np.asarray(r, dtype=float).ravel()
-        theta = np.asarray(theta, dtype=float).ravel()
-        z = np.asarray(z, dtype=float).ravel()
-        ref = self.phi.tables(r, theta, z)
-        if self.eta is None:
-            return {"val": ref["val"], "grad": ref["grad"],
-                    "div": np.einsum("iiq->q", ref["grad"])}
-        x, y = r * np.cos(theta), r * np.sin(theta)
-        jets = ale_jets(self.cyl, self.eta, x, y, z, second=True)
-        g, det = jets["grad"], jets["det"]
-        dA = piola_derivative(g, jets["dgrad"], det)
-        val, grad = push_piola(g / det, dA, _invert_grad(g), ref["val"], ref["grad"])
-        return {"val": val, "grad": grad, "div": np.einsum("iiq->q", grad)}
-
-    def tables_from_jets(self, jets):
-        """Push the reference field through precomputed jets (the jets must
-        come from the same shell motion that defines this transform)."""
-        grid = jets.grid
-        ref = self.phi.tables(grid.r, grid.theta, grid.z)
-        if not jets.moving:
-            return {"val": ref["val"], "grad": ref["grad"],
-                    "div": np.einsum("iiq->q", ref["grad"])}
-        val, grad = push_piola(jets.A, jets.dA, jets.ginv, ref["val"], ref["grad"])
-        return {"val": val, "grad": grad, "div": np.einsum("iiq->q", grad)}
-
-    def __call__(self, r, theta, z):
-        return self.tables(r, theta, z)["val"]
 
 
 # ---------------------------------------------------------------------------

@@ -19,9 +19,9 @@ import numpy as np
 from scipy.linalg import eigh
 
 from .basis1d import LegFamily, gauss, trig_weights
-from .errors import BasisMismatch, EigenFailure
-from .extension_ops import ExtensionField, azimuthal_mode_tables
-from .fluidgrid import QuadJets, cyl_tensor_to_cart, cyl_vec_to_cart
+from .errors import EigenFailure
+from .extension_ops import azimuthal_mode_tables
+from .fluidgrid import cyl_tensor_to_cart, cyl_vec_to_cart
 
 
 class _SectorSpace:
@@ -148,9 +148,6 @@ class StokesMode:
             "div": np.einsum("iiq->q", G),
         }
 
-    def __call__(self, r, theta, z):
-        return self.tables(r, theta, z)["val"]
-
 
 class StokesBasis:
     """The n lowest interior Stokes modes, mass-orthonormal."""
@@ -228,42 +225,24 @@ def build_stokes_basis(cyl, n_interior, max_wavenumber=0, n_r=8, n_z=8):
 # trilinear convection form
 
 
-def trilinear_b(u, v, w, grid, delta=None, jets=None):
-    """Skew-symmetrized convection form on the current fluid domain:
+def trilinear_b(tu, tv, tw, weight):
+    """Skew-symmetrized convection form
 
         b(u, v, w) = 1/2 int (u . grad) v . w  -  1/2 int (u . grad) w . v
 
-    integrated over the deformed domain by pullback to the reference grid.
-    Fields must expose tables_from_jets(jets) or tables(r, theta, z); the
+    from the tables of u, v, w: dicts with "val" (3, Q) and "grad" (3, 3, Q)
+    at quadrature nodes of weights (Q,); on a moving domain, physical-frame
+    tables at the pulled-back nodes with the Jacobian-weighted weights.  The
     symmetrization happens pointwise before quadrature summation, so
     b(u, v, v) = 0 and b(u, v, w) = -b(u, w, v) hold exactly.
     """
-    if jets is None:
-        jets = QuadJets(grid, delta, second=delta is not None)
-    tu, tv, tw = (_field_tables(f, jets) for f in (u, v, w))
     conv_v = np.einsum("jq,ijq->iq", tu["val"], tv["grad"])
     conv_w = np.einsum("jq,ijq->iq", tu["val"], tw["grad"])
     integrand = 0.5 * (
         np.einsum("iq,iq->q", conv_v, tw["val"])
         - np.einsum("iq,iq->q", conv_w, tv["val"])
     )
-    return float(integrand @ jets.weight)
-
-
-def _field_tables(f, jets):
-    if hasattr(f, "tables_from_jets"):
-        return f.tables_from_jets(jets)
-    if hasattr(f, "tables"):
-        if jets.moving and not getattr(f, "physical_frame", False):
-            raise BasisMismatch(
-                f"{type(f).__name__} is a reference field; wrap it in a Piola "
-                "transform before integrating over a deformed domain"
-            )
-        t = f.tables(jets.r_phys, jets.theta, jets.z)
-        if isinstance(f, ExtensionField):  # a stack of F = 1 fields
-            t = {k: v[0] for k, v in t.items()}
-        return t
-    raise BasisMismatch(f"{type(f).__name__} does not expose field tables")
+    return float(integrand @ weight)
 
 
 # ---------------------------------------------------------------------------

@@ -5,9 +5,10 @@ All moving-domain fluid integrals are evaluated by pulling back to the fixed
 reference cylinder: nodes are a tensor product of a composite Gauss rule in r
 (elements [0, R/4], [R/4, R/2], [R/2, R], matching the piecewise structure of
 the extension operator), a uniform periodic rule in theta and Gauss in z.
-`QuadJets` bundles everything field evaluators need at those nodes for a given
-shell motion: physical positions, the deformation gradient, its inverse,
-spatial derivative and time derivative, and the Jacobian weight.
+`QuadJets` bundles what the moving-domain tables need at those nodes for a
+given shell motion: physical positions, the deformation gradient and its
+inverse, the Piola factor with its spatial and time derivatives, and the
+Jacobian weight.
 
 Gradient convention everywhere: grad[i, j] = d u_i / d x_j (row = component).
 """
@@ -88,7 +89,7 @@ class QuadJets:
     motion is supplied: dt_psi, dt_A, dt_det.
     """
 
-    def __init__(self, grid, delta=None, dt_delta=None, second=True):
+    def __init__(self, grid, delta=None, dt_delta=None):
         self.grid = grid
         self.delta = delta
         Q = grid.n_nodes
@@ -102,14 +103,14 @@ class QuadJets:
             self.grad = eye
             self.ginv = eye.copy()
             self.A = eye.copy()
-            self.dA = np.zeros((3, 3, 3, Q)) if second else None
+            self.dA = np.zeros((3, 3, 3, Q))
             self.dt_psi = np.zeros((3, Q))
             self.dt_A = np.zeros((3, 3, Q))
             self.dt_det = np.zeros(Q)
             self.moving = False
         else:
             jets = ale_jets(
-                grid.cyl, delta, grid.x, grid.y, grid.z, second=second, dt_delta=dt_delta
+                grid.cyl, delta, grid.x, grid.y, grid.z, second=True, dt_delta=dt_delta
             )
             psi = jets["psi"]
             self.r_phys = np.hypot(psi[0], psi[1])
@@ -120,7 +121,7 @@ class QuadJets:
             self.grad = g
             self.ginv = _invert_grad(g)
             self.A = g / self.det
-            self.dA = piola_derivative(g, jets["dgrad"], self.det) if second else None
+            self.dA = piola_derivative(g, jets["dgrad"], self.det)
             if dt_delta is not None:
                 self.dt_psi = jets["dt_psi"]
                 self.dt_det = jets["dt_det"]

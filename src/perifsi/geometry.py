@@ -2,9 +2,9 @@
 
 The deformation map sends a reference point (x, y, z) of the cylinder of
 radius R to ((R+d)/R x, (R+d)/R y, z) where d is the shell displacement at the
-angular coordinates of the point.  Everything downstream (moving-domain
-quadrature, Piola transforms, basis transport) consumes the jets computed
-here, so the gradient and its spatial/time derivatives are all analytic.
+angular coordinates of the point.  The moving-domain quadrature and the
+basis transport consume the jets computed here, so the gradient and its
+spatial/time derivatives are all analytic.
 """
 
 from dataclasses import dataclass

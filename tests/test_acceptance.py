@@ -13,7 +13,7 @@ from perifsi.assembly import GalerkinState, TimeGridPath, assemble
 from perifsi.cli import RunConfig, build_forcing, build_model
 from perifsi.diagnostics import diffusion_ratio, korn_check
 from perifsi.errors import EXIT_CODES, SingularMonodromy, exit_code_for
-from perifsi.extension_ops import PiolaField, mollify
+from perifsi.extension_ops import mollify, push_piola
 from perifsi.fluid_basis import BoundaryForcing, trilinear_b
 from perifsi.fluidgrid import FluidGrid, QuadJets
 from perifsi.solver_periodic import (
@@ -72,34 +72,11 @@ def outer_runs(model, forcing, cfg):
     return runs
 
 
-class _CachedField:
-    """Memoizes a mode's quadrature tables across repeated form evaluations."""
-
-    physical_frame = True
-
-    def __init__(self, mode):
-        self.mode = mode
-        self._tab = None
-
-    def tables_from_jets(self, jets):
-        if self._tab is None:
-            self._tab = self.mode.tables(jets.r_phys, jets.theta, jets.z)
-        return self._tab
-
-
-class _ComboField:
-    """Linear combination of stacked reference mode tables on one grid."""
-
-    physical_frame = True
-
-    def __init__(self, stokes_basis, coeff, grid):
-        val, grad = stokes_basis.tables_on(grid)
-        self.val = np.einsum("k,kiq->iq", coeff, val)
-        self.grad = np.einsum("k,kijq->ijq", coeff, grad)
-
-    def tables_from_jets(self, jets):
-        return {"val": self.val, "grad": self.grad,
-                "div": np.einsum("iiq->q", self.grad)}
+def _combo_tables(stokes_basis, coeff, grid):
+    """Tables of a linear combination of the reference modes on one grid."""
+    val, grad = stokes_basis.tables_on(grid)
+    return {"val": np.einsum("k,kiq->iq", coeff, val),
+            "grad": np.einsum("k,kijq->ijq", coeff, grad)}
 
 
 def test_criterion_01_extension_divergence_and_traces(model):
@@ -144,22 +121,15 @@ def test_criterion_02_trilinear_antisymmetry(model):
     relative to the product of field norms."""
     rng = np.random.default_rng(22)
     grid = model.grid
-    jets = QuadJets(grid)
-    fields = [_CachedField(m) for m in model.basis.stokes_basis.modes]
-
-    def norm(f):
-        t = f.tables_from_jets(jets)
-        return np.sqrt(np.einsum("iq,iq,q->", t["val"], t["val"], jets.weight))
-
-    norms = [norm(f) for f in fields]
+    val, grad = model.basis.stokes_basis.tables_on(grid)
+    fields = [{"val": v, "grad": g} for v, g in zip(val, grad)]
+    norms = [np.sqrt(np.einsum("iq,iq,q->", v, v, grid.w)) for v in val]
     for _ in range(100):
         i, j, k = rng.integers(0, len(fields), size=3)
         scale = norms[i] * norms[j] * norms[k] + 1e-30
         u, v, w = fields[i], fields[j], fields[k]
-        s1 = trilinear_b(u, v, w, grid, jets=jets) + trilinear_b(
-            u, w, v, grid, jets=jets
-        )
-        s2 = trilinear_b(u, v, v, grid, jets=jets)
+        s1 = trilinear_b(u, v, w, grid.w) + trilinear_b(u, w, v, grid.w)
+        s2 = trilinear_b(u, v, v, grid.w)
         assert abs(s1) <= 1e-12 * scale
         assert abs(s2) <= 1e-12 * scale
 
@@ -173,29 +143,22 @@ def test_criterion_03_korn_identity(model):
     grid = model.grid
     coarse = FluidGrid(model.cyl, n_r=3, n_theta=8, n_z=6)
     for _ in range(20):
-        cu = rng.standard_normal(basis.n_modes)
-        cq = rng.standard_normal(basis.n_modes)
-        u = _ComboField(basis, cu, grid)
-        q = _ComboField(basis, cq, grid)
-        resid, _, _ = korn_check(u, q, grid)
+        u = _combo_tables(basis, rng.standard_normal(basis.n_modes), grid)
+        q = _combo_tables(basis, rng.standard_normal(basis.n_modes), grid)
+        resid, _, _ = korn_check(u, q, grid.w)
         assert resid <= 1e-6
     for m in basis.modes[:5]:
-        rc, _, _ = korn_check(m, m, coarse)
-        rf, _, _ = korn_check(m, m, grid)
+        tc = m.tables(coarse.r, coarse.theta, coarse.z)
+        tf = m.tables(grid.r, grid.theta, grid.z)
+        rc, _, _ = korn_check(tc, tc, coarse.w)
+        rf, _, _ = korn_check(tf, tf, grid.w)
         assert rf <= rc + 1e-14
 
-    class Control:
-        physical_frame = True
-
-        def tables_from_jets(self, jets):
-            Q = jets.r_phys.size
-            val = np.zeros((3, Q))
-            val[0] = jets.r_phys * np.cos(jets.theta)
-            grad = np.zeros((3, 3, Q))
-            grad[0, 0] = 1.0
-            return {"val": val, "grad": grad, "div": np.ones(Q)}
-
-    bad, _, _ = korn_check(Control(), Control(), grid)
+    # the non-solenoidal control u = (x, 0, 0)
+    grad = np.zeros((3, 3, grid.n_nodes))
+    grad[0, 0] = 1.0
+    control = {"grad": grad}
+    bad, _, _ = korn_check(control, control, grid.w)
     assert bad > 1e-6
 
 
@@ -203,30 +166,24 @@ def test_criterion_04_piola_transform(model):
     """20 transported fields stay divergence free to 1e-6 on deformed
     domains, and the transform is the exact identity at eta = 0."""
     rng = np.random.default_rng(44)
-    cyl = model.cyl
     shell = model.basis.shell_basis
-    modes = model.basis.stokes_basis.modes
     grid = model.grid
+    zval, zgrad = model.basis.stokes_basis.tables_on(grid)
 
-    for mode in modes[:4]:
-        ref = PiolaField(cyl, None, mode)
-        r = np.linspace(0.1, 0.9, 9)
-        th = np.linspace(0.0, 2 * np.pi, 9, endpoint=False)
-        z = np.linspace(0.1, cyl.L - 0.1, 9)
-        a = ref.tables(r, th, z)
-        b = mode.tables(r, th, z)
-        assert np.max(np.abs(a["val"] - b["val"])) <= 1e-12
-        assert np.max(np.abs(a["grad"] - b["grad"])) <= 1e-10
+    jets = QuadJets(grid, shell.zero_field())
+    val, grad = push_piola(jets.A, jets.dA, jets.ginv, zval[:4], zgrad[:4])
+    assert np.max(np.abs(val - zval[:4])) <= 1e-12
+    assert np.max(np.abs(grad - zgrad[:4])) <= 1e-10
 
     count = 0
     while count < 20:
         decay = 1.0 / (1.0 + np.arange(shell.n_modes))
         eta = shell.field(0.03 * rng.standard_normal(shell.n_modes) * decay)
         jets = QuadJets(grid, eta)
-        for mode in (modes[count % len(modes)], modes[(count + 7) % len(modes)]):
-            tab = PiolaField(cyl, eta, mode).tables_from_jets(jets)
-            scale = np.max(np.abs(tab["val"])) + 1e-30
-            assert np.max(np.abs(tab["div"])) <= 1e-6 * scale
+        for k in (count % len(zval), (count + 7) % len(zval)):
+            val, grad = push_piola(jets.A, jets.dA, jets.ginv, zval[k], zgrad[k])
+            scale = np.max(np.abs(val)) + 1e-30
+            assert np.max(np.abs(np.einsum("iiq->q", grad))) <= 1e-6 * scale
             count += 1
 
 

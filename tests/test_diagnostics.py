@@ -10,22 +10,8 @@ from perifsi.diagnostics import (
     energies,
     korn_check,
 )
-from perifsi.errors import ZeroForcing
+from perifsi.errors import DomainViolation, ZeroForcing
 from perifsi.fluidgrid import FluidGrid
-
-
-class _LinearShear:
-    """Non-solenoidal control field u = (x, 0, 0) with div u = 1."""
-
-    physical_frame = True
-
-    def tables_from_jets(self, jets):
-        Q = jets.r_phys.size
-        val = np.zeros((3, Q))
-        val[0] = jets.r_phys * np.cos(jets.theta)
-        grad = np.zeros((3, 3, Q))
-        grad[0, 0] = 1.0
-        return {"val": val, "grad": grad, "div": np.ones(Q)}
 
 
 class TestEnergy:
@@ -46,11 +32,16 @@ class TestEnergy:
         assert e.E == 0.0
 
 
+def _mode_tables(mode, grid):
+    return mode.tables(grid.r, grid.theta, grid.z)
+
+
 class TestKorn:
     def test_identity_on_solenoidal_fields(self, small_model):
         grid = small_model.grid
         m = small_model.basis.stokes_basis.modes
-        resid, lhs, rhs = korn_check(m[0], m[1], grid)
+        resid, lhs, rhs = korn_check(_mode_tables(m[0], grid),
+                                     _mode_tables(m[1], grid), grid.w)
         assert resid < 1e-6
 
     def test_residual_decreases_under_refinement(self, small_model):
@@ -58,13 +49,18 @@ class TestKorn:
         m = small_model.basis.stokes_basis.modes
         coarse = FluidGrid(cyl, n_r=3, n_theta=8, n_z=6)
         fine = FluidGrid(cyl, n_r=10, n_theta=8, n_z=20)
-        rc, _, _ = korn_check(m[0], m[0], coarse)
-        rf, _, _ = korn_check(m[0], m[0], fine)
+        tc, tf = _mode_tables(m[0], coarse), _mode_tables(m[0], fine)
+        rc, _, _ = korn_check(tc, tc, coarse.w)
+        rf, _, _ = korn_check(tf, tf, fine.w)
         assert rf <= rc + 1e-14
 
     def test_negative_control_fails(self, small_model):
-        u = _LinearShear()
-        resid, _, _ = korn_check(u, u, small_model.grid)
+        """The non-solenoidal shear u = (x, 0, 0), div u = 1."""
+        grid = small_model.grid
+        grad = np.zeros((3, 3, grid.n_nodes))
+        grad[0, 0] = 1.0
+        u = {"grad": grad}
+        resid, _, _ = korn_check(u, u, grid.w)
         assert resid > 1e-3
 
 
@@ -78,6 +74,15 @@ class TestCouplingResiduals:
         assert res["fluid_trace"] < 1e-8
         assert res["tangential_trace"] < 1e-8
         assert res["solid_trace"] < 1e-8
+
+    def test_inadmissible_shell_rejected_at_rest(self, small_model):
+        """The shell is checked whatever the velocities: a displacement far
+        beyond the margin with a_dot = 0 raises."""
+        a = np.zeros(small_model.basis.n)
+        a[0] = 5.0
+        s = GalerkinState(a, np.zeros_like(a))
+        with pytest.raises(DomainViolation):
+            coupling_residuals(s, small_model.basis, n_theta=8, n_z=9)
 
 
 class TestDiffusionRatio:

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from perifsi import extension_ops
 from perifsi.cli import RunConfig, build_model
 from perifsi.errors import DomainViolation
-from perifsi.extension_ops import ExtensionField, PiolaField, mollify, mollify_shell
+from perifsi.extension_ops import ExtensionField, mollify, mollify_shell
 from perifsi.fluidgrid import QuadJets
 
 
@@ -331,6 +331,18 @@ def mode_solvers(small_model):
             1: extension_ops._ModeSolver(small_model.cyl, 1)}
 
 
+def _array_bytes(obj):
+    """Bytes of the numpy arrays an object holds in its attributes, also
+    inside lists, tuples and dicts."""
+    if isinstance(obj, np.ndarray):
+        return obj.nbytes
+    if isinstance(obj, (list, tuple)):
+        return sum(_array_bytes(x) for x in obj)
+    if isinstance(obj, dict):
+        return sum(_array_bytes(x) for x in obj.values())
+    return 0
+
+
 class TestModeSolver:
     @pytest.mark.parametrize("m", [0, 1])
     def test_reproduces_a_nodal_divergence(self, mode_solvers, rng, m):
@@ -348,7 +360,7 @@ class TestModeSolver:
         sol = mode_solvers[m]
         L = sol.fam_z.domain[1]
         g = rng.standard_normal((sol.r_nodes.size, sol.z_nodes.size, 1))
-        d, d_mirror = sol.solve(g)[:, 0], sol.solve(g[:, ::-1])[:, 0]
+        d, d_mirror = sol.solve(np.concatenate([g, g[:, ::-1]], axis=-1)).T
         r = rng.uniform(0.01, 1.0, 50) * sol.r_breaks[-1]
         z = rng.uniform(0.0, L, 50)
         p = sol.profile_tables(d, r, z)
@@ -407,30 +419,38 @@ class TestModeSolver:
             assert got.shape == ref.shape
             assert np.max(np.abs(got - ref)) <= 1e-6 * np.max(np.abs(ref))
 
+    def test_keeps_no_factors_after_the_table(self, small_model):
+        """The whitened systems and Cholesky factors (tens of MB) live only
+        inside a solve: once the table is built, each solver holds under
+        1 MiB of arrays."""
+        ext_op = small_model.basis.ext_op
+        ext_op.table
+        for sol in ext_op.solvers:
+            assert _array_bytes(vars(sol)) < 2**20
+
 
 class TestPiola:
+    """The interior rows of GlobalBasis.fluid_tables: the reference Stokes
+    modes pushed through the ALE map by the Piola transform."""
+
     def test_reference_identity(self, small_model):
-        """With no displacement the transform is the identity on fields."""
-        cyl = small_model.cyl
-        mode = small_model.basis.stokes_basis.modes[0]
-        pio = PiolaField(cyl, None, mode)
-        r = np.linspace(0.1, 0.9, 8)
-        th = np.linspace(0.0, 2 * np.pi, 8, endpoint=False)
-        z = np.linspace(0.1, 1.9, 8)
-        a = pio.tables(r, th, z)
-        b = mode.tables(r, th, z)
-        assert np.max(np.abs(a["val"] - b["val"])) < 1e-12
-        assert np.max(np.abs(a["grad"] - b["grad"])) < 1e-10
+        """With zero displacement the transform is the identity on fields."""
+        basis = small_model.basis
+        jets = QuadJets(small_model.grid, basis.shell_basis.zero_field())
+        val, grad, _ = basis.fluid_tables(jets, delta=jets.delta)
+        zval, zgrad = basis.stokes_basis.tables_on(small_model.grid)
+        assert np.max(np.abs(val[1::2] - zval[: basis.half])) < 1e-12
+        assert np.max(np.abs(grad[1::2] - zgrad[: basis.half])) < 1e-10
 
     def test_divergence_preserved_on_moving_domain(self, small_model, rng):
-        cyl = small_model.cyl
-        shell = small_model.basis.shell_basis
+        basis = small_model.basis
+        shell = basis.shell_basis
         eta = shell.field(0.03 * rng.standard_normal(shell.n_modes))
         jets = QuadJets(small_model.grid, eta)
-        for mode in small_model.basis.stokes_basis.modes[:2]:
-            tab = PiolaField(cyl, eta, mode).tables_from_jets(jets)
-            scale = np.max(np.abs(tab["val"])) + 1e-30
-            assert np.max(np.abs(tab["div"])) < 1e-8 * scale
+        val, grad, _ = basis.fluid_tables(jets, delta=eta)
+        for v, g in zip(val[1::2], grad[1::2]):
+            scale = np.max(np.abs(v)) + 1e-30
+            assert np.max(np.abs(np.einsum("iiq->q", g))) < 1e-8 * scale
 
 
 class TestMollify:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from perifsi.basis1d import gauss
-from perifsi.errors import BasisMismatch, GridMismatch
+from perifsi.errors import GridMismatch
 from perifsi.extension_ops import azimuthal_mode_tables
 from perifsi.fluid_basis import (
     BoundaryForcing,
@@ -13,7 +13,6 @@ from perifsi.fluid_basis import (
     disk_flux,
     trilinear_b,
 )
-from perifsi.fluidgrid import QuadJets
 
 
 def _per_dof_sector_forms(space, cyl, n_r, n_z):
@@ -85,19 +84,12 @@ class TestSectorForms:
 class TestTrilinear:
     def test_pointwise_skew_symmetry(self, small_model):
         grid = small_model.grid
-        m = small_model.basis.stokes_basis.modes
-        assert trilinear_b(m[0], m[1], m[1], grid) == 0.0
-        b1 = trilinear_b(m[0], m[1], m[2], grid)
-        b2 = trilinear_b(m[0], m[2], m[1], grid)
+        val, grad = small_model.basis.stokes_basis.tables_on(grid)
+        t = [{"val": v, "grad": g} for v, g in zip(val[:3], grad[:3])]
+        assert trilinear_b(t[0], t[1], t[1], grid.w) == 0.0
+        b1 = trilinear_b(t[0], t[1], t[2], grid.w)
+        b2 = trilinear_b(t[0], t[2], t[1], grid.w)
         assert b1 == pytest.approx(-b2, abs=1e-15)
-
-    def test_reference_field_rejected_on_moving_domain(self, small_model, rng):
-        shell = small_model.basis.shell_basis
-        eta = shell.field(0.02 * rng.standard_normal(shell.n_modes))
-        jets = QuadJets(small_model.grid, eta)
-        m = small_model.basis.stokes_basis.modes
-        with pytest.raises(BasisMismatch):
-            trilinear_b(m[0], m[1], m[2], small_model.grid, jets=jets)
 
 
 class TestBoundaryForcing:

@@ -3,8 +3,6 @@
 import numpy as np
 import pytest
 
-from perifsi.errors import DomainViolation
-from perifsi.extension_ops import PiolaField
 from perifsi.fluidgrid import FluidGrid, QuadJets
 from perifsi.geometry import CylinderConfig, check_injectivity
 from perifsi.shell_solid import ShellBasis
@@ -63,15 +61,6 @@ class TestInjectivity:
         cyl, shell = geo
         eta = shell.unit_field(0, amplitude=5.0)
         assert not check_injectivity(eta, 0.05 * cyl.R, cyl=cyl)
-
-    def test_piola_field_guard(self, geo):
-        """The ALE map of an inadmissible displacement is refused before any
-        field is pushed through it."""
-        cyl, shell = geo
-        eta = shell.unit_field(0, amplitude=5.0)
-        assert not check_injectivity(eta, 0.05 * cyl.R, cyl=cyl)
-        with pytest.raises(DomainViolation):
-            PiolaField(cyl, eta, phi=None)
 
 
 class TestQuadJets:
