@@ -34,9 +34,9 @@ from .basis1d import trig_weights
 from .errors import BasisMismatch, DomainViolation, GridMismatch
 from .extension_ops import push_piola, push_piola_dt
 from .fluid_basis import disk_flux
-from .fluidgrid import FluidGrid, QuadJets
-from .geometry import MARGIN_FRAC, check_injectivity
-from .shell_solid import LiftedSolidField, SolidGrid, shell_matrices
+from .fluidgrid import QuadJets
+from .geometry import check_injectivity
+from .shell_solid import LiftedSolidField, shell_matrices
 
 
 @dataclass
@@ -140,14 +140,15 @@ class GlobalBasis:
         ExtensionField of half fields."""
         return self.ext_op.extend(delta, self.coupled_block, check=False)
 
-    def fluid_tables(self, jets, delta=None, dt_delta=None, with_dt=False):
-        """Stacked fluid-entry tables at the jets' quadrature nodes.
+    def fluid_tables(self, jets):
+        """Stacked fluid-entry tables at the jets' quadrature nodes, for the
+        jets' shell motion delta and its time derivative dt_delta.
 
         Returns (val, grad, dtX) with shapes (n, 3, Q), (n, 3, 3, Q),
         (n, 3, Q); dtX is the Eulerian time derivative at fixed physical
-        points and is zero when with_dt is false.  The coupled entries are
-        one stacked extension (and one for their time derivatives), the
-        interior entries one stacked Piola push.
+        points and is zero when the jets carry no dt_delta.  The coupled
+        entries are one stacked extension (and one for their time
+        derivatives), the interior entries one stacked Piola push.
         """
         grid = jets.grid
         Q = grid.n_nodes
@@ -158,17 +159,16 @@ class GlobalBasis:
         zval, zgrad = self.stokes_basis.tables_on(grid)
         zval, zgrad = zval[: self.half], zgrad[: self.half]
         nodes = (jets.r_phys, jets.theta, jets.z)
-        t = self.extension_fields(delta).tables(*nodes)
+        t = self.extension_fields(jets.delta).tables(*nodes)
         val[coupled], grad[coupled] = t["val"], t["grad"]
         if jets.moving:
             val[interior], grad[interior] = push_piola(
                 jets.A, jets.dA, jets.ginv, zval, zgrad)
         else:
             val[interior], grad[interior] = zval, zgrad
-        if with_dt:
-            if dt_delta is not None:
-                dext = self.ext_op.extend_dt(dt_delta, self.coupled_block)
-                dtX[coupled] = dext(*nodes)
+        if jets.dt_delta is not None:
+            dext = self.ext_op.extend_dt(jets.dt_delta, self.coupled_block)
+            dtX[coupled] = dext(*nodes)
             if jets.moving:
                 dtX[interior] = push_piola_dt(jets.dt_A, jets.dt_psi, zval, grad[interior])
         return val, grad, dtX
@@ -251,24 +251,12 @@ class Assembler:
     disk-flux tables are built with the first sample.
     """
 
-    def __init__(self, cyl, basis, params, grid=None, solid_grid=None):
+    def __init__(self, cyl, basis, params, grid, solid_grid):
         self.cyl = cyl
         self.basis = basis
         self.params = params
-        sb = basis.shell_basis
-        m_shell = (
-            sb.max_azimuthal_wavenumber
-            if sb.boundary_mode == "periodic-theta"
-            else sb.n_theta
-        )
-        m_max = max(
-            m_shell, max((m.m for m in basis.stokes_basis.modes), default=0)
-        )
-        # uniform-theta rules are spectrally exact once the grid resolves
-        # the full bandwidth of triple products of basis fields
-        need_theta = max(8, 8 * m_max + 4)
-        self.grid = grid or FluidGrid(cyl, n_theta=need_theta)
-        self.solid_grid = solid_grid or SolidGrid(cyl, basis.shell_basis)
+        self.grid = grid
+        self.solid_grid = solid_grid
         self._identity_jets = QuadJets(self.grid, None)
         self._shell_quad = basis.shell_basis.quadrature()
         th, zz, _ = self._shell_quad
@@ -339,9 +327,7 @@ class Assembler:
         moving = delta is not None
         jets = QuadJets(self.grid, delta, dt_delta) if moving else self._identity_jets
         with_dt = moving and dt_delta is not None
-        val, grad, dtX = basis.fluid_tables(
-            jets, delta=delta, dt_delta=dt_delta, with_dt=with_dt
-        )
+        val, grad, dtX = basis.fluid_tables(jets)
         w = jets.weight
         Q_nodes = val.shape[-1]
         vflat = val.reshape(n, 3 * Q_nodes)
@@ -396,7 +382,7 @@ class Assembler:
 
 
 def assemble(assembler, T, forcing, delta_path=None, v_path=None,
-             n_samples=None, margin=None):
+             n_samples=None):
     """Assemble the linearized periodic system for a given (delta, v) path.
 
     With delta_path None the geometry is the rest cylinder and the matrices
@@ -405,8 +391,6 @@ def assemble(assembler, T, forcing, delta_path=None, v_path=None,
     """
     basis = assembler.basis
     cyl = assembler.cyl
-    if margin is None:
-        margin = MARGIN_FRAC * cyl.R
     if delta_path is None:
         if v_path is not None:
             raise GridMismatch("a transport path requires a shell path grid")
@@ -421,7 +405,7 @@ def assemble(assembler, T, forcing, delta_path=None, v_path=None,
     stacks = None
     for s, i in enumerate(idx):
         delta = basis.shell_basis.field(delta_path.samples[i])
-        if not check_injectivity(delta, margin, cyl=cyl):
+        if not check_injectivity(delta, cyl):
             raise DomainViolation("shell path breaks domain injectivity",
                                   time=float(times[s]))
         dtd = basis.shell_basis.field(ddt_path.samples[i])

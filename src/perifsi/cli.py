@@ -31,7 +31,6 @@ from .errors import (
     ZeroForcing,
     exit_code_for,
 )
-from .geometry import MARGIN_FRAC
 
 
 # ---------------------------------------------------------------------------
@@ -47,7 +46,6 @@ class RunConfig:
     """
 
     # run
-    mode: str = "periodic"
     seed: int = 0
     t_final: float = 1.0
     ivp_amplitude: float = 1e-3
@@ -83,11 +81,8 @@ class RunConfig:
     theta_r: float = 0.5
     max_iter: int = 50
     tol: float = 1e-8
-    margin_frac: float = MARGIN_FRAC
 
     def validate(self):
-        if self.mode not in ("periodic", "ivp"):
-            raise ValidationError("mode must be 'periodic' or 'ivp'")
         for name in ("R", "L", "H", "T", "lambda1", "rho_s2", "t_final"):
             if getattr(self, name) <= 0:
                 raise ValidationError(f"{name} must be positive")
@@ -100,8 +95,6 @@ class RunConfig:
                 raise ValidationError(f"{name} must be at least 1")
         if not 0.0 < self.theta_r <= 1.0:
             raise ValidationError("theta_r must lie in (0, 1]")
-        if not 0.0 < self.margin_frac < 1.0:
-            raise ValidationError("margin_frac must lie in (0, 1)")
         if self.tol <= 0:
             raise ValidationError("tol must be positive")
         if self.n_t % self.matrix_samples:
@@ -116,13 +109,9 @@ class RunConfig:
     def eps_value(self):
         return self.eps if self.eps > 0 else 4.0 * self.T / self.n_t
 
-    @property
-    def margin(self):
-        return self.margin_frac * self.R
-
 
 _SECTIONS = {
-    "run": ("mode", "seed", "t_final", "ivp_amplitude"),
+    "run": ("seed", "t_final", "ivp_amplitude"),
     "geometry": ("R", "L", "H"),
     "physics": ("lambda1", "lambda2", "delta_visc", "rho_s2"),
     "discretization": (
@@ -135,7 +124,7 @@ _SECTIONS = {
         "p_out_amplitude", "p_out_frequency", "p_out_phase",
         "p_in_series", "p_out_series",
     ),
-    "outer": ("eps", "theta_r", "max_iter", "tol", "margin_frac"),
+    "outer": ("eps", "theta_r", "max_iter", "tol"),
 }
 
 _KEY_SECTION = {k: s for s, keys in _SECTIONS.items() for k in keys}
@@ -220,7 +209,7 @@ def build_model(cfg):
     from .shell_solid import ShellBasis, SolidBasis, SolidParams, SolidGrid
 
     cyl = CylinderConfig(R=cfg.R, L=cfg.L, H=cfg.H)
-    shell = ShellBasis(cfg.n_theta, cfg.n_z, cfg.L, "periodic-theta")
+    shell = ShellBasis(cfg.n_theta, cfg.n_z, cfg.L)
     max_m = shell.max_azimuthal_wavenumber
     stokes = build_stokes_basis(cyl, cfg.n_interior, max_wavenumber=max_m)
     solid = SolidBasis(cyl, shell, n_r=cfg.n_r_solid)
@@ -231,6 +220,8 @@ def build_model(cfg):
         lambda1=cfg.lambda1, lambda2=cfg.lambda2,
         delta_visc=cfg.delta_visc, rho_s2=cfg.rho_s2,
     )
+    # uniform-theta rules are spectrally exact once the grid resolves the
+    # full bandwidth of triple products of basis fields
     grid = FluidGrid(cyl, n_r=cfg.n_r_fluid,
                      n_theta=max(8, 8 * max_m + 4), n_z=max(12, 2 * cfg.n_z + 4))
     solid_grid = SolidGrid(cyl, shell, n_r=cfg.n_r_solid + 8)
@@ -320,7 +311,7 @@ def run_periodic(cfg, out_dir):
     forcing = build_forcing(cfg)
     outer = OuterLoopConfig(
         eps=cfg.eps_value, theta_r=cfg.theta_r, max_iter=cfg.max_iter,
-        tol=cfg.tol, margin=cfg.margin,
+        tol=cfg.tol,
     )
     result = outer_fixed_point(
         assembler, cfg.T, cfg.n_t, forcing, outer, n_samples=cfg.matrix_samples
@@ -357,9 +348,7 @@ def run_ivp(cfg, out_dir):
         cfg.ivp_amplitude * rng.standard_normal(n),
     )
     dt = cfg.T / cfg.n_t
-    result = solve_ivp(
-        assembler, x0, cfg.t_final, dt, forcing=forcing, margin=cfg.margin
-    )
+    result = solve_ivp(assembler, x0, cfg.t_final, dt, forcing=forcing)
     write_energies(os.path.join(out_dir, "energies.csv"), result.ledger)
     write_coefficients(os.path.join(out_dir, "coefficients.csv"), result.trajectory)
     forcing_l2 = forcing.l2_norm() if forcing is not None else 0.0
@@ -488,10 +477,6 @@ def main(argv=None):
         cfg = load_config(args.config) if args.config else RunConfig().validate()
         if args.seed is not None:
             cfg = replace(cfg, seed=args.seed).validate()
-        if args.command == "run-periodic":
-            cfg = replace(cfg, mode="periodic").validate()
-        elif args.command == "run-ivp":
-            cfg = replace(cfg, mode="ivp").validate()
         os.makedirs(args.out_dir, exist_ok=True)
         if args.command == "run-periodic":
             return run_periodic(cfg, args.out_dir)

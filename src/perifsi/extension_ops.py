@@ -36,9 +36,9 @@ import numpy as np
 from scipy.linalg import lstsq, solve_triangular
 
 from .basis1d import LegFamily, PiecewiseLegFamily, composite_gauss, gauss
-from .errors import BasisMismatch, DomainViolation
+from .errors import DomainViolation
 from .fluidgrid import cyl_tensor_to_cart, cyl_vec_to_cart
-from .geometry import MARGIN_FRAC, ShellField, check_injectivity
+from .geometry import ShellField, check_injectivity
 
 R_DEGREE = 10  # polynomial degree of the corrector's radial elements
 NZ_MODES = 34  # axial modes of the corrector
@@ -404,8 +404,7 @@ class ExtensionOperator:
         F fields (F = 1 for a shell field).
         """
         cyl = self.cyl
-        if (check and delta is not None
-                and not check_injectivity(delta, MARGIN_FRAC * cyl.R, cyl)):
+        if check and delta is not None and not check_injectivity(delta, cyl):
             raise DomainViolation("shell displacement breaks domain injectivity")
         return self._contract(cyl.R, delta, xi)
 
@@ -574,20 +573,10 @@ def mollify(signal, eps, dt):
     )
 
 
-def mollify_shell(field, eps):
-    """Azimuthal mollification of a shell field (periodic-theta bases only).
-
-    Multiplies the coefficients by azimuthal_damping — exactly convolution
-    with a wrapped Gaussian, hence sup-norm non-increasing.
-    """
-    basis = field.basis
-    if basis.boundary_mode != "periodic-theta":
-        raise BasisMismatch("azimuthal mollification needs a periodic theta basis")
-    return ShellField(basis, field.coefficients * azimuthal_damping(basis, eps))
-
-
 def azimuthal_damping(basis, eps):
     """Per-mode transfer factors exp(-(m eps)^2 / 2) of the azimuthal
-    mollifier, m the wavenumber of each mode of a periodic-theta basis."""
+    mollifier, m the wavenumber of each shell mode.  Scaling a shell field's
+    coefficients by them is convolution in theta with a wrapped Gaussian, so
+    it never increases the sup norm."""
     m = np.array([basis.azimuthal_wavenumber(k) for k in range(basis.n_modes)])
     return np.exp(-0.5 * (m * eps) ** 2)

@@ -167,17 +167,18 @@ class StokesBasis:
 
     def tables_on(self, grid):
         """Stacked (val, grad) arrays of all modes at the grid's reference
-        nodes, cached per grid."""
-        key = id(grid)
-        if key not in self._grid_cache:
+        nodes, cached per grid.  The cache keys on the grid object itself
+        and so keeps it alive: a key by id() would hand a new grid that
+        reuses a freed grid's address the old grid's tables."""
+        if grid not in self._grid_cache:
             val = np.empty((self.n_modes, 3, grid.n_nodes))
             grad = np.empty((self.n_modes, 3, 3, grid.n_nodes))
             for k, mode in enumerate(self.modes):
                 t = mode.tables(grid.r, grid.theta, grid.z)
                 val[k] = t["val"]
                 grad[k] = t["grad"]
-            self._grid_cache[key] = (val, grad)
-        return self._grid_cache[key]
+            self._grid_cache[grid] = (val, grad)
+        return self._grid_cache[grid]
 
 
 def build_stokes_basis(cyl, n_interior, max_wavenumber=0, n_r=8, n_z=8):

@@ -83,15 +83,17 @@ class FluidGrid:
 class QuadJets:
     """ALE jets of a shell motion evaluated on a FluidGrid.
 
-    Attributes: grid; delta; r_phys/theta/z_phys physical cylindrical node
-    coordinates; det (Q); weight (quadrature weight times det); grad, ginv,
-    A = grad/det, dA[i,j,a] = d_a A[i,j]; and when a time derivative of the
-    motion is supplied: dt_psi, dt_A, dt_det.
+    Attributes: grid; delta and its time derivative dt_delta (None when not
+    supplied); r_phys/theta/z_phys physical cylindrical node coordinates; det
+    (Q); weight (quadrature weight times det); grad, ginv, A = grad/det,
+    dA[i,j,a] = d_a A[i,j]; and dt_psi, dt_A, dt_det, which are zero unless
+    both delta and dt_delta are supplied.
     """
 
     def __init__(self, grid, delta=None, dt_delta=None):
         self.grid = grid
         self.delta = delta
+        self.dt_delta = dt_delta
         Q = grid.n_nodes
         if delta is None:
             eye = np.zeros((3, 3, Q))

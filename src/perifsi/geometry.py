@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-MARGIN_FRAC = 0.05  # default admissibility margin, as a fraction of R
+MARGIN_FRAC = 0.05  # admissibility margin, as a fraction of R
 
 
 @dataclass(frozen=True)
@@ -26,6 +26,12 @@ class CylinderConfig:
     def __post_init__(self):
         if not (self.R > 0 and self.L > 0 and self.H > 0):
             raise ValueError("R, L, H must all be positive")
+
+    @property
+    def sup_bound(self):
+        """The bound R - MARGIN_FRAC R that sup |eta| must stay strictly
+        below for the deformed domain to be admissible."""
+        return self.R - MARGIN_FRAC * self.R
 
 
 class ShellField:
@@ -53,26 +59,6 @@ class ShellField:
 
     def value(self, theta, z):
         return self.evaluate(theta, z, 0)[0]
-
-    def __add__(self, other):
-        self._check_same_basis(other)
-        return ShellField(self.basis, self.coefficients + other.coefficients)
-
-    def __sub__(self, other):
-        self._check_same_basis(other)
-        return ShellField(self.basis, self.coefficients - other.coefficients)
-
-    def __mul__(self, scalar):
-        return ShellField(self.basis, self.coefficients * float(scalar))
-
-    __rmul__ = __mul__
-
-    def _check_same_basis(self, other):
-        if other.basis is not self.basis and (
-            other.basis.n_modes != self.basis.n_modes
-            or other.basis.boundary_mode != self.basis.boundary_mode
-        ):
-            raise ValueError("shell fields built on different bases")
 
     def sup_norm(self):
         return float(np.max(np.abs(self.value(*sup_grid(self.basis)))))
@@ -200,14 +186,6 @@ def ale_jets(cyl, delta, x, y, z, second=False, dt_delta=None):
     return out
 
 
-def injectivity_bound(margin, R):
-    """The bound R - margin that sup |eta| must stay strictly below."""
-    if not (0.0 < margin < R):
-        raise ValueError("margin must lie in (0, R)")
-    return R - margin
-
-
-def check_injectivity(eta, margin, cyl):
-    """True iff sup |eta| < R - margin on a dense (4x oversampled) grid."""
-    bound = injectivity_bound(margin, cyl.R)
-    return eta.sup_norm() < bound
+def check_injectivity(eta, cyl):
+    """True iff sup |eta| < cyl.sup_bound on a dense (4x oversampled) grid."""
+    return eta.sup_norm() < cyl.sup_bound

@@ -1,9 +1,10 @@
 """Clamped shell basis with the biharmonic form, and the solid annulus basis
 with the viscoelastic Lame form.
 
-Shell modes are tensor products of 1D clamped Euler-Bernoulli beam
-eigenfunctions (boundary_mode "clamped-all") or of a trigonometric azimuthal
-family with beam functions in z (boundary_mode "periodic-theta").  Solid modes
+The shell is the closed lateral wall of the cylinder, so it is 2 pi-periodic
+in theta and clamped at the ends z = 0, L: its modes are tensor products of a
+trigonometric azimuthal family with clamped Euler-Bernoulli beam
+eigenfunctions in z.  Solid modes
 live on the annulus r in (R, R+H): a lifted family s(r) Y_k(theta, z) e_r that
 carries the shell trace into the solid, plus interior modes vanishing on the
 interface and on the solid inlet/outlet rings while leaving the outer surface
@@ -18,25 +19,17 @@ from .basis1d import BeamFamily, TrigFamily, gauss
 from .errors import BasisMismatch
 from .geometry import ShellField
 
-_BOUNDARY_MODES = ("clamped-all", "periodic-theta")
-
 
 class ShellBasis:
     """Tensor basis of the shell displacement space on omega."""
 
-    def __init__(self, n_theta, n_z, L, boundary_mode="periodic-theta"):
-        if boundary_mode not in _BOUNDARY_MODES:
-            raise ValueError(f"boundary_mode must be one of {_BOUNDARY_MODES}")
+    def __init__(self, n_theta, n_z, L):
         if n_theta < 1 or n_z < 1:
             raise ValueError("mode counts must be at least 1")
         self.n_theta = int(n_theta)
         self.n_z = int(n_z)
         self.L = float(L)
-        self.boundary_mode = boundary_mode
-        if boundary_mode == "clamped-all":
-            self._theta_family = BeamFamily(self.n_theta, 2.0 * np.pi)
-        else:
-            self._theta_family = TrigFamily(self.n_theta)
+        self._theta_family = TrigFamily(self.n_theta)
         self._z_family = BeamFamily(self.n_z, self.L)
 
     @property
@@ -50,9 +43,7 @@ class ShellBasis:
         return divmod(k, self.n_z)
 
     def azimuthal_wavenumber(self, k):
-        """Azimuthal wavenumber m of mode k (periodic-theta basis only)."""
-        if self.boundary_mode != "periodic-theta":
-            raise ValueError("azimuthal wavenumbers only defined for periodic-theta")
+        """Azimuthal wavenumber m of mode k."""
         it, _ = self.mode_index(k)
         return self._theta_family.mode_m(it)
 
@@ -109,16 +100,12 @@ class ShellBasis:
         """Tensor quadrature over omega: (theta, z, w) flattened arrays.
 
         Exact for products of basis functions up to quadrature accuracy; the
-        azimuthal rule is a uniform (trapezoidal) grid in the periodic case,
-        which is spectrally exact for trigonometric integrands.
+        azimuthal rule is a uniform (trapezoidal) grid, which is spectrally
+        exact for trigonometric integrands.
         """
-        if self.boundary_mode == "periodic-theta":
-            nt = max(4, 2 * self.n_theta + 2) * refine
-            theta = np.linspace(0.0, 2.0 * np.pi, nt, endpoint=False)
-            wt = np.full(nt, 2.0 * np.pi / nt)
-        else:
-            nt = 3 * self.n_theta + 12 * refine
-            theta, wt = gauss(nt, 0.0, 2.0 * np.pi)
+        nt = max(4, 2 * self.n_theta + 2) * refine
+        theta = np.linspace(0.0, 2.0 * np.pi, nt, endpoint=False)
+        wt = np.full(nt, 2.0 * np.pi / nt)
         nz = 3 * self.n_z + 12 * refine
         z, wz = gauss(nz, 0.0, self.L)
         TT, ZZ = np.meshgrid(theta, z, indexing="ij")
@@ -128,7 +115,7 @@ class ShellBasis:
 
 def biharmonic_form(eta, xi, refine=1):
     """K(eta, xi) = int_omega Hess(eta) : Hess(xi) dA by tensor quadrature."""
-    if eta.basis.n_modes != xi.basis.n_modes or eta.basis.boundary_mode != xi.basis.boundary_mode:
+    if eta.basis.n_modes != xi.basis.n_modes:
         raise BasisMismatch("shell fields on different bases")
     theta, z, w = eta.basis.quadrature(refine)
     a = eta.evaluate(theta, z, 2)

@@ -32,7 +32,7 @@ from .errors import (
     SingularMonodromy,
 )
 from .extension_ops import azimuthal_damping, mollify
-from .geometry import MARGIN_FRAC, check_injectivity, injectivity_bound, sup_grid
+from .geometry import check_injectivity, sup_grid
 
 ANDERSON_DEPTH = 3  # residual differences kept by the outer loop's mixing
 
@@ -222,14 +222,15 @@ class EnergyLedger:
 
 @dataclass
 class OuterLoopConfig:
-    """Parameters of the Anderson-accelerated geometry fixed point; theta_r
-    is the mixing weight (the damped step when there is no history)."""
+    """Parameters of the Anderson-accelerated geometry fixed point: the
+    mollification width eps, the mixing weight theta_r (the damped step when
+    there is no history), the pass limit max_iter and the update tolerance
+    tol.  The admissibility margin is geometry.MARGIN_FRAC R."""
 
     eps: float
     theta_r: float = 0.5
     max_iter: int = 50
     tol: float = 1e-9
-    margin: float = None
 
     def __post_init__(self):
         if self.eps <= 0.0:
@@ -262,8 +263,7 @@ def _regularize_paths(basis, a_traj, v_traj, T, eps):
     dt = T / n_t
     shell_c = np.array([basis.shell_coefficients(a) for a in a_traj])
     shell_s = mollify(shell_c.T, eps, dt).T
-    if basis.shell_basis.boundary_mode == "periodic-theta":
-        shell_s *= azimuthal_damping(basis.shell_basis, eps)
+    shell_s *= azimuthal_damping(basis.shell_basis, eps)
     v_s = mollify(v_traj.T, eps, dt).T
     return shell_s, v_s
 
@@ -273,14 +273,13 @@ def _unstack(p, n_shell, n_t):
     return p[:n_shell].reshape(n_t, -1), p[n_shell:].reshape(n_t, -1)
 
 
-def _shell_violation(basis, shell, dt, margin, cyl):
+def _shell_violation(basis, shell, dt, cyl):
     """The first grid time at which a shell path leaves the admissible
     domain, or None when it is injective at every grid time: check_injectivity
     for all times at once, as one product with the memoized mode table."""
-    bound = injectivity_bound(margin, cyl.R)
     sb = basis.shell_basis
     sup = np.max(np.abs(shell @ sb.eval_modes(*sup_grid(sb), 0)[:, 0]), axis=1)
-    bad = np.flatnonzero(~(sup < bound))
+    bad = np.flatnonzero(~(sup < cyl.sup_bound))
     return float(bad[0] * dt) if bad.size else None
 
 
@@ -307,7 +306,6 @@ def outer_fixed_point(assembler, T, n_t, forcing, config, n_samples=None):
     """
     basis = assembler.basis
     cyl = assembler.cyl
-    margin = config.margin if config.margin is not None else MARGIN_FRAC * cyl.R
     dt = T / n_t
     theta = config.theta_r
     p = None  # the stacked pair of this pass; None is the rest state
@@ -320,8 +318,7 @@ def outer_fixed_point(assembler, T, n_t, forcing, config, n_samples=None):
             delta_path, v_path = (TimeGridPath(T, s) for s in _unstack(p, n_shell, n_t))
         system = assemble(
             assembler, T, forcing,
-            delta_path=delta_path, v_path=v_path,
-            n_samples=n_samples, margin=margin,
+            delta_path=delta_path, v_path=v_path, n_samples=n_samples,
         )
         problem = PeriodicProblem(system, T, dt)
         x_star, info = periodic_solve(problem)
@@ -353,12 +350,11 @@ def outer_fixed_point(assembler, T, n_t, forcing, config, n_samples=None):
             mixed = p_next - (DP + theta * DR) @ gamma
             if (np.all(np.isfinite(gamma)) and np.all(np.isfinite(mixed))
                     and _shell_violation(basis, _unstack(mixed, n_shell, n_t)[0],
-                                         dt, margin, cyl) is None):
+                                         dt, cyl) is None):
                 p = mixed
                 continue
             dP, dR = [], []
-        bad = _shell_violation(basis, _unstack(p_next, n_shell, n_t)[0],
-                               dt, margin, cyl)
+        bad = _shell_violation(basis, _unstack(p_next, n_shell, n_t)[0], dt, cyl)
         if bad is not None:
             raise DomainViolation(
                 "damped shell path breaks domain injectivity", time=bad,
@@ -384,8 +380,7 @@ class IvpResult:
         return self.violation_time is None
 
 
-def solve_ivp(assembler, x0, t_final, dt, forcing=None, margin=None,
-              with_ledger=True):
+def solve_ivp(assembler, x0, t_final, dt, forcing=None, with_ledger=True):
     """Nonlinear initial value integration with geometry lagged one step.
 
     At each step the domain motion and the convective transport are frozen at
@@ -396,8 +391,6 @@ def solve_ivp(assembler, x0, t_final, dt, forcing=None, margin=None,
     """
     basis = assembler.basis
     cyl = assembler.cyl
-    if margin is None:
-        margin = MARGIN_FRAC * cyl.R
     n_steps = int(round(t_final / dt))
     state = GalerkinState(np.array(x0.a), np.array(x0.a_dot), 0.0)
     traj = [state]
@@ -408,7 +401,7 @@ def solve_ivp(assembler, x0, t_final, dt, forcing=None, margin=None,
         moving = np.any(basis.shell_coefficients(state.a)) or np.any(
             basis.shell_coefficients(state.a_dot)
         )
-        if moving and not check_injectivity(eta, margin, cyl=cyl):
+        if moving and not check_injectivity(eta, cyl):
             return IvpResult(traj, violation_time=state.t,
                              ledger=EnergyLedger(records, dt))
         if moving:

@@ -49,7 +49,7 @@ def _outer_run(run_cfg):
     asm = build_model(run_cfg)
     fc = build_forcing(run_cfg)
     oc = OuterLoopConfig(eps=run_cfg.eps_value, theta_r=1.0, max_iter=50,
-                         tol=1e-8, margin=run_cfg.margin)
+                         tol=1e-8)
     res = outer_fixed_point(asm, run_cfg.T, run_cfg.n_t, fc, oc,
                             n_samples=run_cfg.matrix_samples)
     ledger = EnergyLedger.from_trajectory(res.system, res.trajectory,
@@ -266,7 +266,7 @@ def test_criterion_08_dissipation_bound(outer_runs):
         assert integral_D <= C_meas * run["forcing"].l2_norm() ** 2 * (1 + 1e-12)
 
 
-def test_criterion_09_initial_value_problem(model, cfg):
+def test_criterion_09_initial_value_problem(model):
     """Unforced nonlinear runs dissipate energy monotonically (1e-8 per-step
     slack); oversized forcing ends in a reported domain violation time rather
     than a crash."""
@@ -274,7 +274,7 @@ def test_criterion_09_initial_value_problem(model, cfg):
     n = model.basis.n
     x0 = GalerkinState(0.005 * rng.standard_normal(n) / (1 + np.arange(n)),
                        0.005 * rng.standard_normal(n) / (1 + np.arange(n)))
-    res = solve_ivp(model, x0, 0.25, 1.0 / 256, margin=cfg.margin)
+    res = solve_ivp(model, x0, 0.25, 1.0 / 256)
     assert res.completed
     E = res.ledger.as_arrays()["E"]
     assert np.all(np.diff(E) <= 1e-8 * (1.0 + E[0]))
@@ -282,8 +282,7 @@ def test_criterion_09_initial_value_problem(model, cfg):
     # a constant oversized inlet pressure inflates the shell monotonically
     # until it leaves the admissible region
     big = BoundaryForcing.from_callables(lambda t: 3.0e4, lambda t: 0.0, 1.0)
-    out = solve_ivp(model, GalerkinState.zero(n), 0.25, 1.0 / 256,
-                    forcing=big, margin=cfg.margin)
+    out = solve_ivp(model, GalerkinState.zero(n), 0.25, 1.0 / 256, forcing=big)
     assert not out.completed
     assert out.violation_time is not None and 0.0 <= out.violation_time <= 0.25
 

@@ -24,10 +24,11 @@ def _moving_inputs(small_model, rng, amp=0.02):
     return shell.field(c), shell.field(dc), c, dc
 
 
-def _per_field_fluid_tables(basis, jets, delta=None, dt_delta=None, with_dt=False):
+def _per_field_fluid_tables(basis, jets):
     """GlobalBasis.fluid_tables one entry at a time: each coupled entry and
     its time derivative by the per-field extension formula, each interior
     entry by its own Piola push.  The reference for the stacked tables."""
+    delta, dt_delta = jets.delta, jets.dt_delta
     Q = jets.grid.n_nodes
     val = np.empty((basis.n, 3, Q))
     grad = np.empty((basis.n, 3, 3, Q))
@@ -42,7 +43,7 @@ def _per_field_fluid_tables(basis, jets, delta=None, dt_delta=None, with_dt=Fals
                 jets.A, jets.dA, jets.ginv, zval[j], zgrad[j])
         else:
             val[2 * j + 1], grad[2 * j + 1] = zval[j], zgrad[j]
-        if with_dt:
+        if dt_delta is not None:
             dtX[2 * j] = per_field_extension(basis.ext_op, 0.0, dt_delta, Y, *nodes)[0]
             if jets.moving:
                 dtX[2 * j + 1] = push_piola_dt(jets.dt_A, jets.dt_psi, zval[j],

@@ -101,10 +101,6 @@ class TestValidation:
         with pytest.raises(ValidationError):
             RunConfig(theta_r=0.0).validate()
 
-    def test_mode_names(self):
-        with pytest.raises(ValidationError):
-            RunConfig(mode="steady").validate()
-
     def test_eps_default_is_four_steps(self):
         cfg = RunConfig(n_t=64).validate()
         assert cfg.eps_value == pytest.approx(4.0 / 64)

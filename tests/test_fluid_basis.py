@@ -8,11 +8,13 @@ from perifsi.errors import GridMismatch
 from perifsi.extension_ops import azimuthal_mode_tables
 from perifsi.fluid_basis import (
     BoundaryForcing,
+    StokesBasis,
     _SectorSpace,
     _sector_forms,
     disk_flux,
     trilinear_b,
 )
+from perifsi.fluidgrid import FluidGrid
 
 
 def _per_dof_sector_forms(space, cyl, n_r, n_z):
@@ -69,6 +71,17 @@ class TestStokesBasis:
             fin = disk_flux(mode, grid, 0.0)
             fout = disk_flux(mode, grid, small_model.cyl.L)
             assert fin == pytest.approx(fout, rel=1e-8, abs=1e-12)
+
+    def test_tables_follow_the_grid_not_its_address(self, small_model):
+        """Grids of alternating sizes built, used and dropped in turn: a new
+        grid that reuses a freed grid's address gets tables of its own."""
+        cyl = small_model.cyl
+        stokes = StokesBasis(cyl, small_model.basis.stokes_basis.modes)
+        for k in range(50):
+            grid = FluidGrid(cyl, n_r=2, n_theta=4, n_z=4 + 2 * (k % 2))
+            val, grad = stokes.tables_on(grid)
+            assert val.shape[-1] == grad.shape[-1] == grid.n_nodes
+            del grid
 
 
 class TestSectorForms:

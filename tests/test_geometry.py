@@ -26,11 +26,12 @@ class TestCylinderConfig:
 class TestShellField:
     def test_linearity_and_sup_norm(self, geo, rng):
         _, shell = geo
-        a = shell.field(rng.standard_normal(shell.n_modes))
-        b = shell.field(rng.standard_normal(shell.n_modes))
+        ca = rng.standard_normal(shell.n_modes)
+        cb = rng.standard_normal(shell.n_modes)
+        a, b = shell.field(ca), shell.field(cb)
         th = np.linspace(0.0, 2.0 * np.pi, 9)
         zz = np.linspace(0.1, 1.9, 9)
-        combo = (a + b * 2.0 - a * 0.5).value(th, zz)
+        combo = shell.field(ca + 2.0 * cb - 0.5 * ca).value(th, zz)
         direct = a.value(th, zz) + 2.0 * b.value(th, zz) - 0.5 * a.value(th, zz)
         assert np.max(np.abs(combo - direct)) < 1e-13
         # sup_norm samples a finite grid; it should agree with an independent
@@ -44,23 +45,17 @@ class TestShellField:
         assert np.max(np.abs(f.value(th, np.zeros(9)))) < 1e-10
         assert np.max(np.abs(f.value(th, np.full(9, shell.L)))) < 1e-10
 
-    def test_mixed_bases_rejected(self, geo):
-        _, shell = geo
-        other = ShellBasis(1, 3, shell.L)
-        with pytest.raises(ValueError):
-            shell.zero_field() + other.zero_field()
-
 
 class TestInjectivity:
     def test_small_displacement_admissible(self, geo):
         cyl, shell = geo
         eta = shell.unit_field(0, amplitude=0.01)
-        assert check_injectivity(eta, 0.05 * cyl.R, cyl=cyl)
+        assert check_injectivity(eta, cyl)
 
     def test_large_displacement_rejected(self, geo):
         cyl, shell = geo
         eta = shell.unit_field(0, amplitude=5.0)
-        assert not check_injectivity(eta, 0.05 * cyl.R, cyl=cyl)
+        assert not check_injectivity(eta, cyl)
 
 
 class TestQuadJets:

@@ -41,3 +41,32 @@ def test_every_module_level_name_is_used():
             if not used:
                 unused.append(f"{path.name}:{node.lineno} {node.name}")
     assert not unused, "no caller or test: " + ", ".join(unused)
+
+
+def test_every_run_config_field_is_read():
+    """Every RunConfig field is read as an attribute (`cfg.name`) somewhere in
+    src/perifsi outside RunConfig.validate, so no config key is accepted and
+    then ignored.  The check is by attribute name only: a field whose name
+    is also another object's attribute (R, L, H, T) passes trivially."""
+    from dataclasses import fields
+
+    from perifsi.cli import RunConfig
+
+    read = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        skip = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef) and node.name == "RunConfig":
+                for item in node.body:
+                    if isinstance(item, ast.FunctionDef) and item.name == "validate":
+                        skip |= {id(n) for n in ast.walk(item)}
+        read |= {
+            node.attr
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Load)
+            and id(node) not in skip
+        }
+    unread = [f.name for f in fields(RunConfig) if f.name not in read]
+    assert not unread, "RunConfig fields never read: " + ", ".join(unread)

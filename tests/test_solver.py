@@ -9,7 +9,7 @@ import pytest
 from perifsi import solver_periodic
 from perifsi.assembly import GalerkinState, assemble
 from perifsi.errors import DomainViolation, GridMismatch, NoConvergence
-from perifsi.geometry import CylinderConfig, check_injectivity
+from perifsi.geometry import MARGIN_FRAC, CylinderConfig, check_injectivity
 from perifsi.shell_solid import ShellBasis
 from perifsi.solver_periodic import (
     EnergyLedger,
@@ -253,7 +253,7 @@ class TestAndersonOuterLoop:
         rec = _Recorder(monkeypatch)
         rejected = []
 
-        def only_damped(basis, shell, dt, margin, cyl):
+        def only_damped(basis, shell, dt, cyl):
             if np.array_equal(shell, rec.damped(len(rec.g) - 1, 0.5)[0]):
                 return None
             rejected.append(len(rec.g))
@@ -272,7 +272,7 @@ class TestAndersonOuterLoop:
         rec = _Recorder(monkeypatch)
         calls = []
 
-        def reject_after_first_pass(basis, shell, dt, margin, cyl):
+        def reject_after_first_pass(basis, shell, dt, cyl):
             calls.append(len(rec.g))
             return None if len(rec.g) < 2 else 0.0
 
@@ -291,45 +291,37 @@ class TestShellViolation:
     cyl = CylinderConfig(R=1.0, L=2.0, H=0.5)
     basis = SimpleNamespace(shell_basis=ShellBasis(3, 4, 2.0))
 
-    def _per_time(self, shell, dt, margin):
+    def _per_time(self, shell, dt):
         for s, c in enumerate(shell):
             field = self.basis.shell_basis.field(c)
-            if not check_injectivity(field, margin, cyl=self.cyl):
+            if not check_injectivity(field, self.cyl):
                 return s * dt
         return None
 
     def test_random_paths(self, rng):
         n = self.basis.shell_basis.n_modes
-        dt, margin = 1.0 / 32, 0.05
+        dt = 1.0 / 32
         found = 0
         for _ in range(40):
             shell = rng.uniform(0.05, 0.6) * rng.standard_normal((32, n))
-            want = self._per_time(shell, dt, margin)
-            got = solver_periodic._shell_violation(self.basis, shell, dt,
-                                                   margin, self.cyl)
+            want = self._per_time(shell, dt)
+            got = solver_periodic._shell_violation(self.basis, shell, dt, self.cyl)
             assert got == want
             found += want is not None
         assert 0 < found < 40
 
     def test_path_crossing_the_margin_at_a_known_step(self, rng):
+        """The sup of the path grows linearly through R - MARGIN_FRAC R."""
         sb = self.basis.shell_basis
-        dt, margin, s0 = 0.1, 0.2, 7
+        dt, s0 = 0.1, 7
         c = rng.standard_normal(sb.n_modes)
         unit = c / sb.field(c).sup_norm()
-        bound = self.cyl.R - margin
+        bound = self.cyl.R - MARGIN_FRAC * self.cyl.R
         shell = np.array([bound * (s + 0.5) / s0 * unit for s in range(16)])
-        got = solver_periodic._shell_violation(self.basis, shell, dt, margin,
-                                               self.cyl)
-        assert got == self._per_time(shell, dt, margin) == s0 * dt
+        got = solver_periodic._shell_violation(self.basis, shell, dt, self.cyl)
+        assert got == self._per_time(shell, dt) == s0 * dt
         assert solver_periodic._shell_violation(
-            self.basis, shell[:s0], dt, margin, self.cyl) is None
-
-    def test_margin_validated(self):
-        shell = np.zeros((4, self.basis.shell_basis.n_modes))
-        for margin in (0.0, self.cyl.R):
-            with pytest.raises(ValueError):
-                solver_periodic._shell_violation(self.basis, shell, 0.1,
-                                                 margin, self.cyl)
+            self.basis, shell[:s0], dt, self.cyl) is None
 
 
 class TestIvp:
