@@ -146,31 +146,27 @@ class GlobalBasis:
 
         Returns (val, grad, dtX) with shapes (n, 3, Q), (n, 3, 3, Q),
         (n, 3, Q); dtX is the Eulerian time derivative at fixed physical
-        points and is zero when the jets carry no dt_delta.  The coupled
-        entries are one stacked extension (and one for their time
-        derivatives), the interior entries one stacked Piola push.
+        points.  The coupled entries are one stacked extension (and one for
+        their time derivatives), the interior entries one stacked Piola
+        push.  At rest (delta = dt_delta = 0) the push is the identity and
+        dtX is zero.
         """
         grid = jets.grid
         Q = grid.n_nodes
         val = np.empty((self.n, 3, Q))
         grad = np.empty((self.n, 3, 3, Q))
-        dtX = np.zeros((self.n, 3, Q))
+        dtX = np.empty((self.n, 3, Q))
         coupled, interior = slice(0, self.n, 2), slice(1, self.n, 2)
         zval, zgrad = self.stokes_basis.tables_on(grid)
         zval, zgrad = zval[: self.half], zgrad[: self.half]
         nodes = (jets.r_phys, jets.theta, jets.z)
         t = self.extension_fields(jets.delta).tables(*nodes)
         val[coupled], grad[coupled] = t["val"], t["grad"]
-        if jets.moving:
-            val[interior], grad[interior] = push_piola(
-                jets.A, jets.dA, jets.ginv, zval, zgrad)
-        else:
-            val[interior], grad[interior] = zval, zgrad
-        if jets.dt_delta is not None:
-            dext = self.ext_op.extend_dt(jets.dt_delta, self.coupled_block)
-            dtX[coupled] = dext(*nodes)
-            if jets.moving:
-                dtX[interior] = push_piola_dt(jets.dt_A, jets.dt_psi, zval, grad[interior])
+        val[interior], grad[interior] = push_piola(
+            jets.A, jets.dA, jets.ginv, zval, zgrad)
+        dext = self.ext_op.extend_dt(jets.dt_delta, self.coupled_block)
+        dtX[coupled] = dext(*nodes)
+        dtX[interior] = push_piola_dt(jets.dt_A, jets.dt_psi, zval, grad[interior])
         return val, grad, dtX
 
 
@@ -257,7 +253,6 @@ class Assembler:
         self.params = params
         self.grid = grid
         self.solid_grid = solid_grid
-        self._identity_jets = QuadJets(self.grid, None)
         self._shell_quad = basis.shell_basis.quadrature()
         th, zz, _ = self._shell_quad
         self._shell_tab = basis.shell_basis.eval_modes(th, zz, 2)[: basis.half]
@@ -317,16 +312,20 @@ class Assembler:
     def sample(self, delta=None, dt_delta=None, v_coeff=None):
         """Assemble the motion-dependent blocks for one time sample.
 
-        delta / dt_delta are shell fields (or None for the rest state);
-        v_coeff is the transport-field coefficient vector over the basis.
+        delta / dt_delta are shell fields and v_coeff is the transport-field
+        coefficient vector over the basis; None stands for zero, so
+        sample() is the rest cylinder, taken through the same moving-domain
+        path at delta = dt_delta = 0 and v = 0.
         Returns dict(M, G, V, B, Q, qin, qout) — the fluid blocks only;
         constant blocks are added by AssembledSystem.matrices_at.
         """
         basis = self.basis
         n = basis.n
-        moving = delta is not None
-        jets = QuadJets(self.grid, delta, dt_delta) if moving else self._identity_jets
-        with_dt = moving and dt_delta is not None
+        zero = basis.shell_basis.zero_field()
+        delta = zero if delta is None else delta
+        dt_delta = zero if dt_delta is None else dt_delta
+        v_coeff = np.zeros(n) if v_coeff is None else v_coeff
+        jets = QuadJets(self.grid, delta, dt_delta)
         val, grad, dtX = basis.fluid_tables(jets)
         w = jets.weight
         Q_nodes = val.shape[-1]
@@ -337,38 +336,32 @@ class Assembler:
         M = 0.5 * (M + M.T)
         V = (grad * w).reshape(n, 9 * Q_nodes) @ gflat.T
         V = 0.5 * (V + V.T)
-        G = np.zeros((n, n))
-        if with_dt:
-            # material derivative of each basis entry along the domain motion
-            mat = dtX + np.einsum("kijq,jq->kiq", grad, jets.dt_psi)
-            mflat = mat.reshape(n, 3 * Q_nodes)
-            T1 = mflat @ vwflat.T
-            dM = (
-                T1
-                + T1.T
-                + (val * (jets.grid.w * jets.dt_det)).reshape(n, 3 * Q_nodes)
-                @ vflat.T
-            )
-            D1 = (dtX * w).reshape(n, 3 * Q_nodes) @ vflat.T
-            S = D1.T - D1
-            G = 0.5 * dM + 0.5 * S
-        B = np.zeros((n, n))
-        if v_coeff is not None and np.any(v_coeff):
-            vval = np.einsum("k,kiq->iq", v_coeff, val)
-            conv = np.einsum("jq,kijq->kiq", vval, grad)
-            cw = conv.reshape(n, 3 * Q_nodes) @ vwflat.T
-            # B[k, j] = b(v, X_j, X_k) in the symmetrized (skew) form
-            B = 0.5 * (cw.T - cw)
+        # material derivative of each basis entry along the domain motion
+        mat = dtX + np.einsum("kijq,jq->kiq", grad, jets.dt_psi)
+        mflat = mat.reshape(n, 3 * Q_nodes)
+        T1 = mflat @ vwflat.T
+        dM = (
+            T1
+            + T1.T
+            + (val * (jets.grid.w * jets.dt_det)).reshape(n, 3 * Q_nodes)
+            @ vflat.T
+        )
+        D1 = (dtX * w).reshape(n, 3 * Q_nodes) @ vflat.T
+        S = D1.T - D1
+        G = 0.5 * dM + 0.5 * S
+        vval = np.einsum("k,kiq->iq", v_coeff, val)
+        conv = np.einsum("jq,kijq->kiq", vval, grad)
+        cw = conv.reshape(n, 3 * Q_nodes) @ vwflat.T
+        # B[k, j] = b(v, X_j, X_k) in the symmetrized (skew) form
+        B = 0.5 * (cw.T - cw)
+        th, zz, wsh = self._shell_quad
+        dval = dt_delta.value(th, zz)
+        rval = self.cyl.R + delta.value(th, zz)
+        tab0 = self._shell_tab[:, 0]
+        Qh = -0.5 * np.einsum("jx,kx,x->kj", tab0, tab0, wsh * dval * rval)
         Q = np.zeros((n, n))
-        if with_dt:
-            th, zz, wsh = self._shell_quad
-            dval = dt_delta.value(th, zz)
-            rval = self.cyl.R + delta.value(th, zz)
-            tab0 = self._shell_tab[:, 0]
-            Qh = -0.5 * np.einsum("jx,kx,x->kj", tab0, tab0, wsh * dval * rval)
-            Q[np.ix_(range(0, n, 2), range(0, n, 2))] = Qh
-        c = delta.coefficients if moving else np.zeros(basis.shell_basis.n_modes)
-        weights = np.concatenate([[self.cyl.R], c])
+        Q[np.ix_(range(0, n, 2), range(0, n, 2))] = Qh
+        weights = np.concatenate([[self.cyl.R], delta.coefficients])
         qin = self._flux_vector(0.0, weights)
         qout = self._flux_vector(self.cyl.L, weights)
         return {"M": M, "G": G, "V": V, "B": B, "Q": Q, "qin": qin, "qout": qout}

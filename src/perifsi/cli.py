@@ -392,7 +392,7 @@ def run_verify(cfg, out_dir):
     delta = shell.field(c)
     xi = shell.unit_field(min(1, shell.n_modes - 1))
     ext = basis.ext_op.extend(delta, xi)
-    jets = QuadJets(assembler.grid, delta)
+    jets = QuadJets(assembler.grid, delta, shell.zero_field())
     div = ext.tables(jets.r_phys, jets.theta, jets.z)["div"][0]
     checks.append(("extension_interior_div", float(np.max(np.abs(div))), 1e-6))
 

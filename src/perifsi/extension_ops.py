@@ -404,7 +404,7 @@ class ExtensionOperator:
         F fields (F = 1 for a shell field).
         """
         cyl = self.cyl
-        if check and delta is not None and not check_injectivity(delta, cyl):
+        if check and not check_injectivity(delta, cyl):
             raise DomainViolation("shell displacement breaks domain injectivity")
         return self._contract(cyl.R, delta, xi)
 
@@ -416,8 +416,7 @@ class ExtensionOperator:
     def _contract(self, base, delta, xi):
         """The extensions of h_f = (base + delta) xi_f from the table."""
         flux, parts = self.table
-        c = np.zeros(flux.shape[0] - 1) if delta is None else delta.coefficients
-        w = np.concatenate([[base], c])
+        w = np.concatenate([[base], delta.coefficients])
         X = np.atleast_2d(xi.coefficients if isinstance(xi, ShellField) else xi)
         dofs = [(sol, parity, X @ np.tensordot(w, d, axes=1))
                 for sol, parity, d in parts]
@@ -461,12 +460,9 @@ class ExtensionField:
         # shell-mode table and one evaluation of delta
         tab = self.shell_basis.eval_modes(theta, z, 1)
         xv, xt, xz = np.tensordot(self.X, tab, axes=1).transpose(1, 0, 2)
-        if self.delta is None:
-            data = self.base * xv, self.base * xt, self.base * xz
-        else:
-            dv, dt, dz = self.delta.evaluate(theta, z, 1)
-            c = self.base + dv
-            data = c * xv, dt * xv + c * xt, dz * xv + c * xz
+        dv, dt, dz = self.delta.evaluate(theta, z, 1)
+        c = self.base + dv
+        data = c * xv, dt * xv + c * xt, dz * xv + c * xz
         val = np.zeros((F, 3, Q))
         # the radial part: (h / r) e_r for r >= R/2, (4 r h / R^2) e_r inside
         val[:, 0] = _radial_factors(cyl, r)[0] * data[0]

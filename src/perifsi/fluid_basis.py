@@ -128,12 +128,11 @@ class StokesMode:
     divergence at reference-cylinder points.
     """
 
-    def __init__(self, cyl, space, parity, eigenvalue, dofs):
+    def __init__(self, cyl, space, parity, dofs):
         self.cyl = cyl
         self.space = space
         self.m = space.m
         self.parity = parity
-        self.eigenvalue = float(eigenvalue)
         self.dofs = dofs
 
     def tables(self, r, theta, z):
@@ -160,10 +159,6 @@ class StokesBasis:
     @property
     def n_modes(self):
         return len(self.modes)
-
-    @property
-    def eigenvalues(self):
-        return np.array([m.eigenvalue for m in self.modes])
 
     def tables_on(self, grid):
         """Stacked (val, grad) arrays of all modes at the grid's reference
@@ -211,7 +206,7 @@ def build_stokes_basis(cyl, n_interior, max_wavenumber=0, n_r=8, n_z=8):
                 dofs = -dofs
             parities = ["axi"] if m == 0 else ["cos", "sin"]
             for p_i, parity in enumerate(parities):
-                candidates.append((lam[i], m, p_i, StokesMode(cyl, space, parity, lam[i], dofs)))
+                candidates.append((lam[i], m, p_i, StokesMode(cyl, space, parity, dofs)))
     candidates.sort(key=lambda c: (c[0], c[1], c[2]))
     if len(candidates) < n_interior:
         raise EigenFailure(

@@ -69,7 +69,6 @@ class FluidGrid:
         self.x = self.r * np.cos(self.theta)
         self.y = self.r * np.sin(self.theta)
         self.n_nodes = self.r.size
-        self.n_theta = n_theta
         self._r1, self._wr1 = r1, wr1
         self._th1, self._wt1 = th1, wt1
 
@@ -83,58 +82,33 @@ class FluidGrid:
 class QuadJets:
     """ALE jets of a shell motion evaluated on a FluidGrid.
 
-    Attributes: grid; delta and its time derivative dt_delta (None when not
-    supplied); r_phys/theta/z_phys physical cylindrical node coordinates; det
-    (Q); weight (quadrature weight times det); grad, ginv, A = grad/det,
-    dA[i,j,a] = d_a A[i,j]; and dt_psi, dt_A, dt_det, which are zero unless
-    both delta and dt_delta are supplied.
+    delta is the shell displacement and dt_delta its time derivative; the
+    rest cylinder is delta = dt_delta = 0, where every jet is exactly the
+    identity and every time derivative exactly zero.  Attributes: grid;
+    delta; dt_delta; r_phys/theta/z physical cylindrical node coordinates;
+    det (Q); weight (quadrature weight times det); grad, ginv, A = grad/det,
+    dA[i,j,a] = d_a A[i,j]; and the time derivatives dt_psi, dt_A, dt_det.
     """
 
-    def __init__(self, grid, delta=None, dt_delta=None):
+    def __init__(self, grid, delta, dt_delta):
         self.grid = grid
         self.delta = delta
         self.dt_delta = dt_delta
-        Q = grid.n_nodes
-        if delta is None:
-            eye = np.zeros((3, 3, Q))
-            eye[0, 0] = eye[1, 1] = eye[2, 2] = 1.0
-            self.r_phys = grid.r
-            self.theta = grid.theta
-            self.z = grid.z
-            self.det = np.ones(Q)
-            self.grad = eye
-            self.ginv = eye.copy()
-            self.A = eye.copy()
-            self.dA = np.zeros((3, 3, 3, Q))
-            self.dt_psi = np.zeros((3, Q))
-            self.dt_A = np.zeros((3, 3, Q))
-            self.dt_det = np.zeros(Q)
-            self.moving = False
-        else:
-            jets = ale_jets(
-                grid.cyl, delta, grid.x, grid.y, grid.z, second=True, dt_delta=dt_delta
-            )
-            psi = jets["psi"]
-            self.r_phys = np.hypot(psi[0], psi[1])
-            self.theta = grid.theta
-            self.z = grid.z
-            self.det = jets["det"]
-            g = jets["grad"]
-            self.grad = g
-            self.ginv = _invert_grad(g)
-            self.A = g / self.det
-            self.dA = piola_derivative(g, jets["dgrad"], self.det)
-            if dt_delta is not None:
-                self.dt_psi = jets["dt_psi"]
-                self.dt_det = jets["dt_det"]
-                self.dt_A = jets["dt_grad"] / self.det - g * (
-                    self.dt_det / self.det**2
-                )
-            else:
-                self.dt_psi = np.zeros((3, Q))
-                self.dt_A = np.zeros((3, 3, Q))
-                self.dt_det = np.zeros(Q)
-            self.moving = True
+        jets = ale_jets(
+            grid.cyl, delta, grid.x, grid.y, grid.z, second=True, dt_delta=dt_delta
+        )
+        psi = jets["psi"]
+        self.r_phys = np.hypot(psi[0], psi[1])
+        self.theta = grid.theta
+        self.z = grid.z
+        self.det = jets["det"]
+        g = self.grad = jets["grad"]
+        self.ginv = _invert_grad(g)
+        self.A = g / self.det
+        self.dA = piola_derivative(g, jets["dgrad"], self.det)
+        self.dt_psi = jets["dt_psi"]
+        self.dt_det = jets["dt_det"]
+        self.dt_A = jets["dt_grad"] / self.det - g * (self.dt_det / self.det**2)
         self.weight = grid.w * self.det
 
 

@@ -31,6 +31,7 @@ class ShellBasis:
         self.L = float(L)
         self._theta_family = TrigFamily(self.n_theta)
         self._z_family = BeamFamily(self.n_z, self.L)
+        self._tab_cache = {}
 
     @property
     def n_modes(self):
@@ -55,16 +56,15 @@ class ShellBasis:
         """Mode table (n_modes, ncomp, npts) with derivative components
         [val], [val, d_t, d_z] or [val, d_t, d_z, d_tt, d_tz, d_zz].
 
-        Tables are memoized on the node-set content, so repeated evaluation
-        over a fixed quadrature grid costs one coefficient contraction.
+        Tables are memoized on the node bytes themselves (a hash alone could
+        alias two node sets), so repeated evaluation over a fixed quadrature
+        grid costs one coefficient contraction.
         """
         theta = np.asarray(theta, dtype=float).ravel()
         z = np.asarray(z, dtype=float).ravel()
         if theta.size != z.size:
             raise ValueError("theta and z node arrays must have equal length")
-        if not hasattr(self, "_tab_cache"):
-            self._tab_cache = {}
-        key = (hash(theta.tobytes()), hash(z.tobytes()), nderiv)
+        key = (theta.tobytes(), z.tobytes(), nderiv)
         hit = self._tab_cache.get(key)
         if hit is not None:
             return hit

@@ -63,40 +63,41 @@ class PeriodicProblem:
 
 
 class StepOperator(NamedTuple):
-    """One step of the implicit midpoint rule, factored at the step's
-    midpoint; blocks holds the midpoint dissipation and transport blocks of
-    the energy ledger, where the system has them."""
+    """One step of the implicit midpoint rule at the step's midpoint: the
+    step map V with v+ = V (a, a', 1), the midpoint load f, and blocks, the
+    midpoint dissipation and transport blocks of the energy ledger, where
+    the system has them."""
 
-    lu: tuple
-    Pm: np.ndarray
-    K: np.ndarray
+    V: np.ndarray
     f: np.ndarray
     blocks: dict
 
 
 def _midpoint_operator(system, t_mid, dt):
-    """Factor the implicit midpoint update at one step.
+    """The implicit midpoint update at one step as a step map.
 
     Eliminating a_{m+1} from the midpoint equations leaves a single n x n
     solve:  P v+ = Pm v- - dt K a- + dt f,  a+ = a- + dt (v- + v+) / 2,
-    with P = M + dt C / 2 + dt^2 K / 4 and Pm its reflection.
+    with P = M + dt C / 2 + dt^2 K / 4 and Pm its reflection, so
+    V = P^-1 [-dt K, Pm, dt f].  A singular or non-finite P leaves V
+    non-finite and raises LinearSolveFailure.
     """
     mats = system.matrices_at(t_mid)
     M, C, K = mats["M"], mats["C"], mats["K"]
     P = M + 0.5 * dt * C + 0.25 * dt * dt * K
     Pm = M - 0.5 * dt * C - 0.25 * dt * dt * K
-    try:
-        lu = lu_factor(P)
-    except Exception as exc:  # LinAlgError or ValueError on bad values
-        raise LinearSolveFailure(f"midpoint operator is singular at t={t_mid}") from exc
+    f = system.forcing_at(t_mid, mats)
+    lu = lu_factor(P, check_finite=False)
+    V = lu_solve(lu, np.column_stack([-dt * K, Pm, dt * f]), check_finite=False)
+    if not np.all(np.isfinite(V)):
+        raise LinearSolveFailure(f"midpoint operator is singular at t={t_mid}")
     blocks = {k: mats[k] for k in ("V_fluid", "Q") if k in mats}
-    return StepOperator(lu, Pm, K, system.forcing_at(t_mid, mats), blocks)
+    return StepOperator(V, f, blocks)
 
 
 def step(operator, state, dt):
-    """One implicit midpoint step of state with a factored step operator."""
-    rhs = operator.Pm @ state.a_dot - dt * (operator.K @ state.a) + dt * operator.f
-    v1 = lu_solve(operator.lu, rhs)
+    """One implicit midpoint step of state with a step operator."""
+    v1 = operator.V @ np.concatenate([state.a, state.a_dot, [1.0]])
     if not np.all(np.isfinite(v1)):
         raise LinearSolveFailure(f"non-finite update at t={state.t}")
     a1 = state.a + 0.5 * dt * (state.a_dot + v1)
@@ -123,9 +124,8 @@ def _affine_period_map(problem):
     Ab = np.eye(2 * n, 2 * n + 1)  # [A | b] of the steps taken so far
     for op in problem.operators:
         # v+ = V (a, a', 1) and a+ = a + dt (a' + v+) / 2
-        V = lu_solve(op.lu, np.column_stack([-dt * op.K, op.Pm, dt * op.f]))
-        v1 = V[:, :-1] @ Ab
-        v1[:, -1] += V[:, -1]
+        v1 = op.V[:, :-1] @ Ab
+        v1[:, -1] += op.V[:, -1]
         Ab = np.vstack([Ab[:n] + 0.5 * dt * (Ab[n:] + v1), v1])
     return Ab[:, :-1], Ab[:, -1]
 
@@ -243,8 +243,6 @@ class OuterLoopConfig:
 class OuterResult:
     x_star: GalerkinState
     system: object
-    delta_path: TimeGridPath
-    v_path: TimeGridPath
     iterations: int
     update: float
     periodic_residual: float
@@ -300,8 +298,8 @@ def outer_fixed_point(assembler, T, n_t, forcing, config, n_samples=None):
     empty history this is the damped step p + theta r; that step is also
     taken, and the history cleared, when the mixed pair is not finite or its
     shell path leaves the admissible domain.  Convergence is declared when
-    theta max|r| is below config.tol, and the result holds the pair that
-    produced the returned system.  A damped step beyond the injectivity
+    theta max|r| is below config.tol, and the returned system is that of the
+    last pass's pair.  A damped step beyond the injectivity
     margin raises DomainViolation and stagnation raises NoConvergence.
     """
     basis = assembler.basis
@@ -334,11 +332,8 @@ def outer_fixed_point(assembler, T, n_t, forcing, config, n_samples=None):
         update = theta * float(np.max(np.abs(r)))
         history.append(update)
         if update <= config.tol:
-            delta_path, v_path = (TimeGridPath(T, s) for s in _unstack(p, n_shell, n_t))
-            return OuterResult(
-                x_star, system, delta_path, v_path, it, update,
-                info["residual"], traj, problem,
-            )
+            return OuterResult(x_star, system, it, update, info["residual"],
+                               traj, problem)
         if prev is not None:
             dP = (dP + [p - prev[0]])[-ANDERSON_DEPTH:]
             dR = (dR + [r - prev[1]])[-ANDERSON_DEPTH:]
@@ -395,27 +390,12 @@ def solve_ivp(assembler, x0, t_final, dt, forcing=None, with_ledger=True):
     state = GalerkinState(np.array(x0.a), np.array(x0.a_dot), 0.0)
     traj = [state]
     records = []
-    rest = None
     for m in range(n_steps):
         eta = basis.shell_field(state.a)
-        moving = np.any(basis.shell_coefficients(state.a)) or np.any(
-            basis.shell_coefficients(state.a_dot)
-        )
-        if moving and not check_injectivity(eta, cyl):
+        if not check_injectivity(eta, cyl):
             return IvpResult(traj, violation_time=state.t,
                              ledger=EnergyLedger(records, dt))
-        if moving:
-            sample = assembler.sample(
-                delta=eta,
-                dt_delta=basis.shell_field(state.a_dot),
-                v_coeff=state.a_dot,
-            )
-        elif np.any(state.a_dot):
-            sample = assembler.sample(v_coeff=state.a_dot)
-        else:
-            if rest is None:
-                rest = assembler.sample()
-            sample = rest
+        sample = assembler.sample(eta, basis.shell_field(state.a_dot), state.a_dot)
         frozen = AssembledSystem.from_sample(t_final, sample, assembler, forcing)
         op = _midpoint_operator(frozen, state.t + 0.5 * dt, dt)
         new = step(op, state, dt)

@@ -102,7 +102,7 @@ def test_criterion_01_extension_divergence_and_traces(model):
         F = ext_op.extend(delta, xi)
         xi_sup = xi.sup_norm()
 
-        jets = QuadJets(grid, delta)
+        jets = QuadJets(grid, delta, shell.zero_field())
         div = F.tables(jets.r_phys, jets.theta, jets.z)["div"][0]
         assert np.max(np.abs(div)) <= 1e-6 * xi_sup
 
@@ -170,7 +170,7 @@ def test_criterion_04_piola_transform(model):
     grid = model.grid
     zval, zgrad = model.basis.stokes_basis.tables_on(grid)
 
-    jets = QuadJets(grid, shell.zero_field())
+    jets = QuadJets(grid, shell.zero_field(), shell.zero_field())
     val, grad = push_piola(jets.A, jets.dA, jets.ginv, zval[:4], zgrad[:4])
     assert np.max(np.abs(val - zval[:4])) <= 1e-12
     assert np.max(np.abs(grad - zgrad[:4])) <= 1e-10
@@ -179,7 +179,7 @@ def test_criterion_04_piola_transform(model):
     while count < 20:
         decay = 1.0 / (1.0 + np.arange(shell.n_modes))
         eta = shell.field(0.03 * rng.standard_normal(shell.n_modes) * decay)
-        jets = QuadJets(grid, eta)
+        jets = QuadJets(grid, eta, shell.zero_field())
         for k in (count % len(zval), (count + 7) % len(zval)):
             val, grad = push_piola(jets.A, jets.dA, jets.ginv, zval[k], zgrad[k])
             scale = np.max(np.abs(val)) + 1e-30

@@ -38,17 +38,36 @@ def _per_field_fluid_tables(basis, jets):
     for j, Y in enumerate(basis.shell_modes):
         val[2 * j], grad[2 * j], _ = per_field_extension(
             basis.ext_op, basis.cyl.R, delta, Y, *nodes)
-        if jets.moving:
-            val[2 * j + 1], grad[2 * j + 1] = push_piola(
-                jets.A, jets.dA, jets.ginv, zval[j], zgrad[j])
-        else:
-            val[2 * j + 1], grad[2 * j + 1] = zval[j], zgrad[j]
-        if dt_delta is not None:
-            dtX[2 * j] = per_field_extension(basis.ext_op, 0.0, dt_delta, Y, *nodes)[0]
-            if jets.moving:
-                dtX[2 * j + 1] = push_piola_dt(jets.dt_A, jets.dt_psi, zval[j],
-                                               grad[2 * j + 1])
+        val[2 * j + 1], grad[2 * j + 1] = push_piola(
+            jets.A, jets.dA, jets.ginv, zval[j], zgrad[j])
+        dtX[2 * j] = per_field_extension(basis.ext_op, 0.0, dt_delta, Y, *nodes)[0]
+        dtX[2 * j + 1] = push_piola_dt(jets.dt_A, jets.dt_psi, zval[j],
+                                       grad[2 * j + 1])
     return val, grad, dtX
+
+
+def _identity_jet_rest_sample(model):
+    """The rest sample by the identity-jet path: coupled tables at the
+    reference nodes, interior entries as the reference Stokes tables, no
+    Piola push and no time-derivative terms.  The reference for the rest
+    cylinder taken as delta = 0 of the moving path."""
+    basis, grid = model.basis, model.grid
+    n, Q = basis.n, grid.n_nodes
+    zero = basis.shell_basis.zero_field()
+    t = basis.extension_fields(zero).tables(grid.r, grid.theta, grid.z)
+    zval, zgrad = basis.stokes_basis.tables_on(grid)
+    val = np.empty((n, 3, Q))
+    grad = np.empty((n, 3, 3, Q))
+    val[0::2], grad[0::2] = t["val"], t["grad"]
+    val[1::2], grad[1::2] = zval[: basis.half], zgrad[: basis.half]
+    M = (val * grid.w).reshape(n, -1) @ val.reshape(n, -1).T
+    V = (grad * grid.w).reshape(n, -1) @ grad.reshape(n, -1).T
+    weights = np.concatenate([[model.cyl.R], zero.coefficients])
+    zeros = np.zeros((n, n))
+    return {"M": 0.5 * (M + M.T), "G": zeros, "V": 0.5 * (V + V.T),
+            "B": zeros, "Q": zeros,
+            "qin": model._flux_vector(0.0, weights),
+            "qout": model._flux_vector(model.cyl.L, weights)}
 
 
 def _oracle_gap(model, monkeypatch, **inputs):
@@ -128,6 +147,17 @@ class TestRestMatrices:
     def test_dissipation_psd(self, rest_sample, small_model):
         D = rest_sample["V"] + small_model.constants["A_visc"]
         assert np.all(np.linalg.eigvalsh(0.5 * (D + D.T)) > -1e-10)
+
+    def test_rest_sample_matches_the_identity_jet_path(self, rest_sample,
+                                                       small_model):
+        """The zero-motion sample of the moving path reproduces the
+        identity-jet rest path; only the physical radius hypot(x, y) of the
+        nodes rounds differently from the reference r."""
+        want = _identity_jet_rest_sample(small_model)
+        assert rest_sample.keys() == want.keys()
+        for k, w in want.items():
+            scale = np.max(np.abs(w))
+            assert np.max(np.abs(rest_sample[k] - w)) <= 1e-15 * scale, k
 
     def test_geometry_blocks_vanish_at_rest(self, rest_sample):
         for name in ("G", "B", "Q"):

@@ -38,16 +38,12 @@ def per_field_extension(ext_op, base, delta, xi, r, theta, z):
     stacked evaluation."""
     cyl = ext_op.cyl
     flux_table, parts = ext_op.table
-    c = np.zeros(flux_table.shape[0] - 1) if delta is None else delta.coefficients
-    w = np.concatenate([[base], c])
+    w = np.concatenate([[base], delta.coefficients])
     x = xi.coefficients
     flux = float(w @ flux_table @ x)
     xv, xt, xz = xi.evaluate(theta, z, 1)
-    if delta is None:
-        h, ht, hz = base * xv, base * xt, base * xz
-    else:
-        dv, dt, dz = delta.evaluate(theta, z, 1)
-        h, ht, hz = (base + dv) * xv, dt * xv + (base + dv) * xt, dz * xv + (base + dv) * xz
+    dv, dt, dz = delta.evaluate(theta, z, 1)
+    h, ht, hz = (base + dv) * xv, dt * xv + (base + dv) * xt, dz * xv + (base + dv) * xz
     Q = r.size
     val, G, div = np.zeros((3, Q)), np.zeros((3, 3, Q)), np.zeros(Q)
     out = r >= cyl.R / 2.0
@@ -101,9 +97,10 @@ class TestExtension:
         r = np.linspace(0.05, 0.95, 7)
         th = np.linspace(0.0, 2 * np.pi, 7, endpoint=False)
         z = np.linspace(0.1, 1.9, 7)
-        fa = ext_op.extend(None, shell.field(a))(r, th, z)
-        fb = ext_op.extend(None, shell.field(b))(r, th, z)
-        fab = ext_op.extend(None, shell.field(a + 2.0 * b))(r, th, z)
+        rest = shell.zero_field()
+        fa = ext_op.extend(rest, shell.field(a))(r, th, z)
+        fb = ext_op.extend(rest, shell.field(b))(r, th, z)
+        fab = ext_op.extend(rest, shell.field(a + 2.0 * b))(r, th, z)
         assert np.max(np.abs(fab - fa - 2.0 * fb)) < 1e-10
 
     def test_divergence_theorem_flux_balance(self, small_model, rng):
@@ -114,7 +111,7 @@ class TestExtension:
         shell = small_model.basis.shell_basis
         grid = small_model.grid
         xi = shell.field(rng.standard_normal(shell.n_modes))
-        f = ext_op.extend(None, xi)
+        f = ext_op.extend(shell.zero_field(), xi)
         disk = {}
         for z0 in (0.0, cyl.L):
             r, th, w, z = grid.disk(z0)
@@ -180,7 +177,7 @@ class TestExtensionTable:
     @given(st.integers(min_value=0, max_value=10**6))
     @settings(max_examples=25, deadline=None)
     def test_extend_is_affine_in_delta(self, small_model, seed):
-        """extend(delta, xi) - extend(None, xi) == extend_dt(delta, xi), to
+        """extend(delta, xi) - extend(0, xi) == extend_dt(delta, xi), to
         round-off in extend(delta, xi)."""
         g = np.random.default_rng(seed)
         ext_op = small_model.basis.ext_op
@@ -189,7 +186,7 @@ class TestExtensionTable:
         xi = shell.field(g.standard_normal(shell.n_modes))
         pts = _random_points(g, small_model.cyl)
         moved = ext_op.extend(delta, xi, check=False).tables(*pts)
-        rest = ext_op.extend(None, xi).tables(*pts)
+        rest = ext_op.extend(shell.zero_field(), xi).tables(*pts)
         dt = ext_op.extend_dt(delta, xi).tables(*pts)
         diff = {k: moved[k] - rest[k] for k in moved}
         assert _rel_gap(dt, diff, moved) <= 1e-12
@@ -198,7 +195,7 @@ class TestExtensionTable:
             self, small_model, rng, monkeypatch):
         basis = small_model.basis
         shell = basis.shell_basis
-        basis.ext_op.extend(None, shell.unit_field(0))
+        basis.ext_op.extend(shell.zero_field(), shell.unit_field(0))
         small_model.sample()
         solves = []
         solve = extension_ops._ModeSolver.solve
@@ -232,7 +229,8 @@ class TestStackedEvaluation:
         full tables."""
         ext_op = small_model.basis.ext_op
         shell = small_model.basis.shell_basis
-        delta = shell.field(0.02 * rng.standard_normal(shell.n_modes)) if moving else None
+        delta = (shell.field(0.02 * rng.standard_normal(shell.n_modes)) if moving
+                 else shell.zero_field())
         X = rng.standard_normal((3, shell.n_modes))
         pts = _random_points(rng, small_model.cyl, n=60)
         stacks = [(small_model.cyl.R, delta, ext_op.extend(delta, X, check=False))]
@@ -260,7 +258,7 @@ class TestStackedEvaluation:
         if scattered:
             pts = _random_points(g, small_model.cyl, n=200)
         else:
-            jets = QuadJets(small_model.grid, delta)
+            jets = QuadJets(small_model.grid, delta, shell.zero_field())
             pts = (jets.r_phys, jets.theta, jets.z)
         perm = g.permutation(pts[0].size)
         a = field.tables(*pts)
@@ -438,7 +436,8 @@ class TestPiola:
     def test_reference_identity(self, small_model):
         """With zero displacement the transform is the identity on fields."""
         basis = small_model.basis
-        jets = QuadJets(small_model.grid, basis.shell_basis.zero_field())
+        zero = basis.shell_basis.zero_field()
+        jets = QuadJets(small_model.grid, zero, zero)
         val, grad, _ = basis.fluid_tables(jets)
         zval, zgrad = basis.stokes_basis.tables_on(small_model.grid)
         assert np.max(np.abs(val[1::2] - zval[: basis.half])) < 1e-12
@@ -448,7 +447,7 @@ class TestPiola:
         basis = small_model.basis
         shell = basis.shell_basis
         eta = shell.field(0.03 * rng.standard_normal(shell.n_modes))
-        jets = QuadJets(small_model.grid, eta)
+        jets = QuadJets(small_model.grid, eta, shell.zero_field())
         val, grad, _ = basis.fluid_tables(jets)
         for v, g in zip(val[1::2], grad[1::2]):
             scale = np.max(np.abs(v)) + 1e-30

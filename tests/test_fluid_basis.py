@@ -59,9 +59,17 @@ class TestStokesBasis:
             assert np.max(np.abs(val)) < 1e-8
 
     def test_eigenvalues_positive_sorted(self, small_model):
-        ev = small_model.basis.stokes_basis.eigenvalues
-        assert np.all(ev > 0.0)
-        assert np.all(np.diff(ev) >= -1e-10)
+        """The modes come out mass-orthonormal in ascending eigenvalue order:
+        on the fluid grid their Gram matrix is the identity and their
+        Rayleigh quotients int |grad u|^2 / int |u|^2 are positive and
+        ascending."""
+        grid = small_model.grid
+        val, grad = small_model.basis.stokes_basis.tables_on(grid)
+        gram = np.einsum("kiq,liq,q->kl", val, val, grid.w)
+        assert np.max(np.abs(gram - np.eye(len(val)))) <= 1e-12
+        rq = np.einsum("kijq,kijq,q->k", grad, grad, grid.w) / np.diag(gram)
+        assert np.all(rq > 0.0)
+        assert np.all(np.diff(rq) >= -1e-12 * rq[1:])
 
     def test_flux_conserved_between_disks(self, small_model):
         """Interior modes are divergence free with zero lateral trace, so both

@@ -60,19 +60,27 @@ class TestInjectivity:
 
 class TestQuadJets:
     def test_identity_at_rest(self, geo):
-        cyl, _ = geo
+        """At delta = dt_delta = 0 the jets are exactly the identity map: the
+        rest cylinder needs no path of its own."""
+        cyl, shell = geo
         grid = FluidGrid(cyl, n_r=4, n_theta=8, n_z=6)
-        jets = QuadJets(grid)
-        assert not jets.moving
+        zero = shell.zero_field()
+        jets = QuadJets(grid, zero, zero)
+        eye = np.broadcast_to(np.eye(3)[:, :, None], jets.A.shape)
+        for name in ("grad", "ginv", "A"):
+            assert np.array_equal(getattr(jets, name), eye), name
+        assert np.array_equal(jets.det, np.ones(grid.n_nodes))
+        assert np.array_equal(jets.weight, grid.w)
+        for name in ("dA", "dt_psi", "dt_A", "dt_det"):
+            assert not np.any(getattr(jets, name)), name
         assert np.max(np.abs(jets.r_phys - grid.r)) < 1e-14
-        assert np.max(np.abs(jets.det - 1.0)) < 1e-14
 
     def test_moving_jacobian_consistency(self, geo, rng):
         """det of the assembled deformation gradient matches the stored det."""
         cyl, shell = geo
         grid = FluidGrid(cyl, n_r=4, n_theta=8, n_z=6)
         delta = shell.field(0.02 * rng.standard_normal(shell.n_modes))
-        jets = QuadJets(grid, delta)
+        jets = QuadJets(grid, delta, shell.zero_field())
         dets = np.linalg.det(jets.grad.transpose(2, 0, 1))
         assert np.max(np.abs(dets - jets.det)) < 1e-12
         prod = np.einsum("ikq,kjq->ijq", jets.grad, jets.ginv)
@@ -83,6 +91,6 @@ class TestQuadJets:
         cyl, shell = geo
         grid = FluidGrid(cyl, n_r=4, n_theta=8, n_z=6)
         delta = shell.field(0.03 * rng.standard_normal(shell.n_modes))
-        jets = QuadJets(grid, delta)
+        jets = QuadJets(grid, delta, shell.zero_field())
         assert np.all(jets.det > 0.0)
         assert np.all(jets.weight > 0.0)

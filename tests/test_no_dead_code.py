@@ -1,12 +1,15 @@
 """Dead-code guard: every module-level function and class of the package has
-a caller or a test.
+a caller or a test, and every method and property a caller in the package.
 
-A name counts as used when it occurs as a whole word somewhere in
-src/perifsi or tests/ outside the lines of its own definition.  The package
-__init__.py is not searched, because a re-export there is not a use.
-Methods and attributes are out of scope: a plain text search cannot tell
-`tables` on one class from `tables` on another, so only module-level names
-are checked.
+A module-level name counts as used when it occurs as a whole word somewhere
+in src/perifsi or tests/ outside the lines of its own definition.  The
+package __init__.py is not searched, because a re-export there is not a use.
+A method or property counts as used when it is read as an attribute
+(`.name`) somewhere in src/perifsi outside its own definition; a test alone
+does not keep it.  The check is by attribute name only, so it cannot tell
+`tables` on one class from `tables` on another: a method whose name another
+class's method shares passes trivially.  Dunder methods are called by the
+language and are not checked.
 """
 
 import ast
@@ -70,3 +73,24 @@ def test_every_run_config_field_is_read():
         }
     unread = [f.name for f in fields(RunConfig) if f.name not in read]
     assert not unread, "RunConfig fields never read: " + ", ".join(unread)
+
+
+def test_every_method_is_read_in_the_package():
+    reads = []  # (path, line index, attribute name) of every `.name` read
+    methods = []  # (path, class, def node)
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        reads += [(path, node.lineno - 1, node.attr) for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)]
+        methods += [(path, cls.name, item)
+                    for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+                    for item in cls.body if isinstance(item, ast.FunctionDef)
+                    and not (item.name.startswith("__") and item.name.endswith("__"))]
+    unused = [
+        f"{path.name}:{node.lineno} {cls}.{node.name}"
+        for path, cls, node in methods
+        if not any(name == node.name
+                   and not (p == path and node.lineno - 1 <= i < node.end_lineno)
+                   for p, i, name in reads)
+    ]
+    assert not unused, "no caller in src/perifsi: " + ", ".join(unused)

@@ -8,7 +8,12 @@ import pytest
 
 from perifsi import solver_periodic
 from perifsi.assembly import GalerkinState, assemble
-from perifsi.errors import DomainViolation, GridMismatch, NoConvergence
+from perifsi.errors import (
+    DomainViolation,
+    GridMismatch,
+    LinearSolveFailure,
+    NoConvergence,
+)
 from perifsi.geometry import MARGIN_FRAC, CylinderConfig, check_injectivity
 from perifsi.shell_solid import ShellBasis
 from perifsi.solver_periodic import (
@@ -99,6 +104,19 @@ class TestPeriodicSolve:
         scale = 1.0 + max(np.max(np.abs(x_star.a)), np.max(np.abs(x_star.a_dot)))
         assert gap <= 1e-10 * scale
         assert info["sigma_min"] > 0.0
+
+    def test_singular_step_is_a_linear_solve_failure(self):
+        """M = C = K = 0 makes every midpoint operator singular: the solve
+        names the first step's midpoint instead of failing inside the
+        monodromy's SVD."""
+        zero = np.zeros((2, 2))
+        system = SimpleNamespace(
+            n=2,
+            matrices_at=lambda t: {"M": zero, "C": zero, "K": zero},
+            forcing_at=lambda t, mats=None: np.zeros(2),
+        )
+        with pytest.raises(LinearSolveFailure, match="t=0.125"):
+            periodic_solve(PeriodicProblem(system, 1.0, 0.25))
 
     def test_each_step_is_built_once(self, rest_system):
         counting = _CountingSystem(rest_system)
@@ -240,13 +258,17 @@ class TestAndersonOuterLoop:
                   np.max(np.abs(accelerated.x_star.a_dot - tight.x_star.a_dot)))
         assert err <= 0.1 * 1e-8
 
-    def test_result_holds_the_pair_of_its_system(self, small_model,
-                                                 small_forcing, monkeypatch):
+    def test_result_system_is_that_of_the_last_pair(self, small_model,
+                                                    small_forcing, monkeypatch):
         rec = _Recorder(monkeypatch)
         res = _outer_small(small_model, small_forcing, 1e-8)
-        shell, v = rec.paths(res.iterations - 1)
-        assert np.array_equal(res.delta_path.samples, shell)
-        assert np.array_equal(res.v_path.samples, v)
+        assert len(rec.p) == res.iterations
+        delta_path, v_path = rec.p[-1]
+        want = assemble(small_model, 1.0, small_forcing, delta_path=delta_path,
+                        v_path=v_path, n_samples=8)
+        assert res.system.stacks.keys() == want.stacks.keys()
+        for k, v in want.stacks.items():
+            assert np.array_equal(res.system.stacks[k], v), k
 
     def test_inadmissible_mix_falls_back_to_the_damped_step(
             self, small_model, small_forcing, monkeypatch):
