@@ -11,10 +11,10 @@ Subcommands:
   verify         run the built-in identity checks and write a report
 
 Exit codes: 0 success, 2 domain violation, 3 outer loop did not converge,
-4 singular monodromy (resonance), 1 any other failure.  Runs are
-deterministic given (config, seed).  The numeric backends read their thread
-counts (OMP_NUM_THREADS, OPENBLAS_NUM_THREADS) when numpy loads, so set them
-in the environment before launch.
+4 singular monodromy (resonance), 5 singular time-step system, 1 any other
+failure.  Runs are deterministic given (config, seed).  The numeric backends
+read their thread counts (OMP_NUM_THREADS, OPENBLAS_NUM_THREADS) when numpy
+loads, so set them in the environment before launch.
 """
 
 import argparse
@@ -221,9 +221,13 @@ def build_model(cfg):
         delta_visc=cfg.delta_visc, rho_s2=cfg.rho_s2,
     )
     # uniform-theta rules are spectrally exact once the grid resolves the
-    # full bandwidth of triple products of basis fields
+    # full bandwidth of triple products of basis fields.  With max_m = 0
+    # every basis field and the radial ALE map are axisymmetric, so every
+    # integrand of a sample (a rotation-invariant scalar) is constant in
+    # theta and one node integrates it exactly
+    n_theta = 1 if max_m == 0 else max(8, 8 * max_m + 4)
     grid = FluidGrid(cyl, n_r=cfg.n_r_fluid,
-                     n_theta=max(8, 8 * max_m + 4), n_z=max(12, 2 * cfg.n_z + 4))
+                     n_theta=n_theta, n_z=max(12, 2 * cfg.n_z + 4))
     solid_grid = SolidGrid(cyl, shell, n_r=cfg.n_r_solid + 8)
     return Assembler(cyl, basis, params, grid=grid, solid_grid=solid_grid)
 

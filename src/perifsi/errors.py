@@ -1,7 +1,8 @@
 """Error types shared across the package.
 
 Exit-code mapping used by the CLI:
-    0 success, 2 DomainViolation, 3 NoConvergence, 4 SingularMonodromy.
+    0 success, 2 DomainViolation, 3 NoConvergence, 4 SingularMonodromy,
+    5 LinearSolveFailure, 1 anything else.
 """
 
 
@@ -66,6 +67,7 @@ EXIT_CODES = {
     DomainViolation: 2,
     NoConvergence: 3,
     SingularMonodromy: 4,
+    LinearSolveFailure: 5,
 }
 
 

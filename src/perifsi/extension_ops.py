@@ -265,10 +265,10 @@ class _ModeSolver:
                 for chol, yc in zip(chols, np.split(y, len(chols)))])
         return dofs
 
-    def profile_tables(self, dofs, r, z):
-        """Full component profiles (with radial factors) and first partials
-        of the fields with dofs (..., ndof) at the nodes (r, z), each of
-        shape (..., Q).
+    def profile_tables(self, dofs, r, z, partials=True):
+        """Full component profiles (with radial factors) and, unless partials
+        is false, their first partials, of the fields with dofs (..., ndof)
+        at the nodes (r, z), each of shape (..., Q).
 
         The corrector is supported in C, so the profiles are zero at nodes
         with r >= R/2.  The nodes in C are taken one z-line (one distinct z
@@ -281,6 +281,7 @@ class _ModeSolver:
         z = np.asarray(z, dtype=float).ravel()
         lead, Q = dofs.shape[:-1], r.size
         nfr, nfz, nc = self.fam_r.nfun, self.fam_z.nfun, len(self.comps)
+        nd = 2 if partials else 1  # axial table rows: value, z derivative
         inside = np.flatnonzero(r < self.r_breaks[-1])
         order = inside[np.argsort(z[inside], kind="stable")]
         zs = z[order]
@@ -288,26 +289,30 @@ class _ModeSolver:
         bounds = np.append(first, order.size)
         # (line, (field, component), z derivative, radial element mode)
         D = dofs.reshape(-1, nc, nfr, nfz)
-        A = np.tensordot(D, self.fam_z.eval_table(zs[first], 1), axes=1)
+        A = np.tensordot(D, self.fam_z.eval_table(zs[first], nd - 1), axes=1)
         A = A.transpose(4, 0, 1, 3, 2) @ self.fam_r.dof_basis.T
-        A = A.reshape(first.size, D.shape[0] * nc, 2, A.shape[-1])
+        A = A.reshape(first.size, D.shape[0] * nc, nd, A.shape[-1])
         # (radial element mode, r derivative, node), nodes in z order
-        Tr = self.fam_r.element_table(r[order], 1)
-        V = np.zeros((A.shape[1], 2, Q))  # W and W_z
+        Tr = self.fam_r.element_table(r[order], nd - 1)
+        V = np.zeros((A.shape[1], nd, Q))  # W, and W_z with partials
         V_r = np.zeros((A.shape[1], Q))
         for k, (a, b) in enumerate(zip(bounds[:-1], bounds[1:])):
             idx = order[a:b]
             V[:, :, idx] = (A[k].reshape(-1, A.shape[-1]) @ Tr[:, 0, a:b]).reshape(
-                -1, 2, b - a)
-            V_r[:, idx] = A[k, :, 0] @ Tr[:, 1, a:b]
-        V, V_r = V.reshape(-1, nc, 2, Q), V_r.reshape(-1, nc, Q)
+                -1, nd, b - a)
+            if partials:
+                V_r[:, idx] = A[k, :, 0] @ Tr[:, 1, a:b]
+        V, V_r = V.reshape(-1, nc, nd, Q), V_r.reshape(-1, nc, Q)
         out = {}
         for i, comp in enumerate(self.comps):
-            W, W_r, W_z = V[:, i, 0], V_r[:, i], V[:, i, 1]
+            W = V[:, i, 0]
             key = {"r": "fr", "t": "ft", "z": "fz"}[comp]
-            if comp in ("r", "t") or self.m > 0:
-                W, W_r, W_z = r * W, W + r * W_r, r * W_z
-            out[key], out[key + "_r"], out[key + "_z"] = W, W_r, W_z
+            radial = comp in ("r", "t") or self.m > 0
+            out[key] = r * W if radial else W
+            if partials:
+                W_r, W_z = V_r[:, i], V[:, i, 1]
+                out[key + "_r"] = W + r * W_r if radial else W_r
+                out[key + "_z"] = r * W_z if radial else W_z
         return {k: v.reshape(lead + (Q,)) for k, v in out.items()}
 
 
@@ -450,10 +455,11 @@ class ExtensionField:
         self.flux = flux
         self.dofs = dofs
 
-    def _values(self, r, theta, z):
+    def _values(self, r, theta, z, partials):
         """Cylindrical values (F, 3, Q) at flat nodes, with what tables
         differentiates: the data (h, h_theta, h_z) and the corrector
-        profiles of every (solver, parity)."""
+        profiles of every (solver, parity), with their first partials when
+        partials is true."""
         F, Q = self.X.shape[0], r.size
         cyl = self.cyl
         # the data h and its theta, z derivatives of every field, from one
@@ -472,7 +478,7 @@ class ExtensionField:
         # the corrector, supported in the inner cylinder r < R/2
         profs = []
         for sol, parity, dofs in self.dofs:
-            profs.append(sol.profile_tables(dofs, r, z))
+            profs.append(sol.profile_tables(dofs, r, z, partials))
             val -= azimuthal_mode_values(sol.m, parity, profs[-1], theta)
         return val, data, profs
 
@@ -481,7 +487,7 @@ class ExtensionField:
         divergences (F, Q)."""
         r, theta, z = (np.asarray(x, dtype=float).ravel() for x in (r, theta, z))
         cyl = self.cyl
-        val, (h, ht, hz), profs = self._values(r, theta, z)
+        val, (h, ht, hz), profs = self._values(r, theta, z, partials=True)
         out = r >= cyl.R / 2.0
         f0, f1 = _radial_factors(cyl, r)
         G = np.zeros((val.shape[0], 3, 3, r.size))
@@ -506,10 +512,10 @@ class ExtensionField:
         }
 
     def __call__(self, r, theta, z):
-        """Cartesian values (F, 3, Q) alone: no frame gradients and no
-        tensor rotation."""
+        """Cartesian values (F, 3, Q) alone: no corrector partials, no frame
+        gradients and no tensor rotation."""
         r, theta, z = (np.asarray(x, dtype=float).ravel() for x in (r, theta, z))
-        val = self._values(r, theta, z)[0]
+        val = self._values(r, theta, z, partials=False)[0]
         return cyl_vec_to_cart(val[:, 0], val[:, 1], val[:, 2], theta)
 
 

@@ -15,12 +15,13 @@ coefficients, and mix the pair with the last few passes (Anderson
 acceleration) until self-consistency.
 """
 
+import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
+from scipy.linalg import LinAlgWarning, lu_factor, lu_solve
 
 from .assembly import AssembledSystem, GalerkinState, TimeGridPath, assemble
 from .diagnostics import energies
@@ -87,7 +88,10 @@ def _midpoint_operator(system, t_mid, dt):
     P = M + 0.5 * dt * C + 0.25 * dt * dt * K
     Pm = M - 0.5 * dt * C - 0.25 * dt * dt * K
     f = system.forcing_at(t_mid, mats)
-    lu = lu_factor(P, check_finite=False)
+    with warnings.catch_warnings():
+        # an exactly singular P only warns here; the finite check on V decides
+        warnings.simplefilter("ignore", LinAlgWarning)
+        lu = lu_factor(P, check_finite=False)
     V = lu_solve(lu, np.column_stack([-dt * K, Pm, dt * f]), check_finite=False)
     if not np.all(np.isfinite(V)):
         raise LinearSolveFailure(f"midpoint operator is singular at t={t_mid}")

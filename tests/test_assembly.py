@@ -1,15 +1,25 @@
 """Assembled Galerkin matrices: structure, symmetries, and time sampling."""
 
+import csv
+
 import numpy as np
 import pytest
 
 from test_extension import per_field_extension
 
-from perifsi.assembly import GalerkinState, GlobalBasis, TimeGridPath, assemble
+from perifsi import cli
+from perifsi.assembly import (
+    Assembler,
+    GalerkinState,
+    GlobalBasis,
+    TimeGridPath,
+    assemble,
+)
 from perifsi.cli import RunConfig, build_model
 from perifsi.errors import BasisMismatch, DomainViolation, GridMismatch
 from perifsi.extension_ops import push_piola, push_piola_dt
 from perifsi.fluid_basis import disk_flux
+from perifsi.fluidgrid import FluidGrid
 
 
 @pytest.fixture(scope="module")
@@ -104,6 +114,94 @@ class TestStackedSample:
         gaps = _oracle_gap(model, monkeypatch, delta=delta, dt_delta=dt_delta,
                            v_coeff=rng.standard_normal(model.basis.n))
         assert max(gaps.values()) <= 1e-12, gaps
+
+
+def _eight_node_twin(model, cfg):
+    """The model on the m >= 1 theta rule max(8, 8 max_m + 4) taken at
+    max_m = 0, 8 nodes: the same basis, the same r and z nodes.  The
+    reference for the one-node rule of axisymmetric models."""
+    grid = FluidGrid(model.cyl, n_r=cfg.n_r_fluid, n_theta=8,
+                     n_z=max(12, 2 * cfg.n_z + 4))
+    return Assembler(model.cyl, model.basis, model.params, grid,
+                     model.solid_grid)
+
+
+def _eight_node_model(cfg):
+    return _eight_node_twin(build_model(cfg), cfg)
+
+
+def _rel_gap(got, want):
+    scale = np.max(np.abs(want))
+    return np.max(np.abs(got - want)) / scale if scale else np.max(np.abs(got))
+
+
+class TestOneThetaNode:
+    """Axisymmetric models integrate on one theta node: every integrand of a
+    sample is constant in theta, so the 8-node rule gives the same numbers."""
+
+    def test_grid_sizes(self, small_cfg, small_model):
+        n_z_grid = max(12, 2 * small_cfg.n_z + 4)
+        per_theta = 3 * small_cfg.n_r_fluid * n_z_grid
+        assert small_model.basis.shell_basis.max_azimuthal_wavenumber == 0
+        assert small_model.grid.n_nodes == per_theta
+        m1_cfg = RunConfig(n_theta=2, n_z=2, n_interior=4).validate()
+        m1 = build_model(m1_cfg)
+        assert m1.basis.shell_basis.max_azimuthal_wavenumber == 1
+        assert m1.grid.n_nodes == 12 * 3 * m1_cfg.n_r_fluid * max(
+            12, 2 * m1_cfg.n_z + 4)
+
+    @pytest.mark.parametrize("which", ["small", "default"])
+    def test_blocks_match_the_eight_node_rule(self, which, small_cfg,
+                                              small_model, rng):
+        """Rest, moving and transported samples on the small and the
+        default model, every block within 1e-13 relative."""
+        if which == "small":
+            cfg, model = small_cfg, small_model
+        else:
+            cfg = RunConfig().validate()
+            model = build_model(cfg)
+        twin = _eight_node_twin(model, cfg)
+        assert twin.grid.n_nodes == 8 * model.grid.n_nodes
+        for x in ("r", "z"):
+            assert np.array_equal(np.unique(getattr(twin.grid, x)),
+                                  np.unique(getattr(model.grid, x)))
+        shell = model.basis.shell_basis
+        inputs = [{}]
+        for v_amp in (0.0, 0.1):
+            inputs.append({
+                "delta": shell.field(0.02 * rng.standard_normal(shell.n_modes)),
+                "dt_delta": shell.field(0.05 * rng.standard_normal(shell.n_modes)),
+                "v_coeff": v_amp * rng.standard_normal(model.basis.n),
+            })
+        for kw in inputs:
+            got, want = model.sample(**kw), twin.sample(**kw)
+            assert got.keys() == want.keys()
+            gaps = {k: _rel_gap(got[k], want[k]) for k in want}
+            assert max(gaps.values()) <= 1e-13, gaps
+
+    @pytest.mark.parametrize("run", [cli.run_periodic, cli.run_ivp])
+    def test_runs_match_the_eight_node_rule(self, run, tmp_path, monkeypatch):
+        """x_star (row 0 of coefficients.csv; the final state too for the
+        IVP), sup_E and integral_D within 1e-12 relative, equal outer_iters."""
+        cfg = RunConfig(n_z=4, n_interior=4, n_t=32, matrix_samples=4,
+                        t_final=0.5, ivp_amplitude=1e-2).validate()
+        outputs = []
+        for tag, builder in (("one", build_model), ("eight", _eight_node_model)):
+            monkeypatch.setattr(cli, "build_model", builder)
+            out = tmp_path / tag
+            out.mkdir()
+            assert run(cfg, str(out)) == 0
+            with open(out / "summary.csv") as fh:
+                summary = next(csv.DictReader(fh))
+            coeff = np.loadtxt(out / "coefficients.csv", delimiter=",",
+                               skiprows=1)
+            outputs.append((summary, coeff[:, 1:]))
+        (s1, c1), (s8, c8) = outputs
+        for k in ("sup_E", "integral_D"):
+            assert _rel_gap(float(s1[k]), float(s8[k])) <= 1e-12, k
+        assert s1["outer_iters"] == s8["outer_iters"]
+        for row in (0, -1):
+            assert _rel_gap(c1[row], c8[row]) <= 1e-12, row
 
 
 class TestGalerkinState:

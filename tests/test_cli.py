@@ -14,6 +14,7 @@ from perifsi.cli import RunConfig, emit_config, parse_config
 from perifsi.errors import (
     EXIT_CODES,
     DomainViolation,
+    LinearSolveFailure,
     NoConvergence,
     ParseError,
     SingularMonodromy,
@@ -112,7 +113,9 @@ class TestExitCodes:
         assert EXIT_CODES[DomainViolation] == 2
         assert EXIT_CODES[NoConvergence] == 3
         assert EXIT_CODES[SingularMonodromy] == 4
+        assert EXIT_CODES[LinearSolveFailure] == 5
         assert exit_code_for(SingularMonodromy("x")) == 4
+        assert exit_code_for(LinearSolveFailure("x")) == 5
         assert exit_code_for(RuntimeError("x")) == 1
 
     def test_main_bad_config_returns_one(self, tmp_path):

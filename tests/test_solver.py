@@ -105,6 +105,7 @@ class TestPeriodicSolve:
         assert gap <= 1e-10 * scale
         assert info["sigma_min"] > 0.0
 
+    @pytest.mark.filterwarnings("error")
     def test_singular_step_is_a_linear_solve_failure(self):
         """M = C = K = 0 makes every midpoint operator singular: the solve
         names the first step's midpoint instead of failing inside the
