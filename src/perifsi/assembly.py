@@ -52,7 +52,7 @@ class GalerkinState:
         self.a_dot = np.asarray(self.a_dot, dtype=float)
         if self.a.shape != self.a_dot.shape or self.a.ndim != 1:
             raise BasisMismatch("a and a_dot must be 1D vectors of equal length")
-        if not (np.all(np.isfinite(self.a)) and np.all(np.isfinite(self.a_dot))):
+        if not (np.isfinite(self.a).all() and np.isfinite(self.a_dot).all()):
             raise ValueError("non-finite Galerkin state")
 
     @property
@@ -195,49 +195,64 @@ class AssembledSystem:
         return cls(T, np.zeros(1), stacks, assembler.constants, forcing,
                    assembler.basis)
 
+    def _interpolated(self, t, names):
+        """The named stacks trig-interpolated at t, a time or a 1-D array of
+        times (a leading time axis), in one product per stack."""
+        w = trig_weights(np.asarray(t, dtype=float), self.T, self.times.size)
+        out = {}
+        for name in names:
+            v = self.stacks[name]
+            out[name] = (w @ v.reshape(w.shape[-1], -1)).reshape(
+                w.shape[:-1] + v.shape[1:])
+        return out
+
     def matrices_at(self, t):
-        """Return dict(M, G, B, Q, qin, qout) interpolated at t plus the
-        constant blocks; damping C = G + V + B + Q + A_visc is combined here,
-        and the stiffness K = K_sh + A_el is the one array built with the
-        system."""
-        w = trig_weights(t, self.T, self.times.size)
-        out = {
-            name: (w @ v.reshape(w.size, -1)).reshape(v.shape[1:])
-            for name, v in self.stacks.items()
-        }
+        """Return dict(M, C, K, qin, qout) at t, a time or a 1-D array of
+        times; an array gives every entry but K a leading time axis.  The
+        samples are interpolated and the constant blocks added here, with
+        the damping C = G + V + B + Q + A_visc; the stiffness
+        K = K_sh + A_el is the one array built with the system."""
+        out = self._interpolated(t, ("M", "G", "B", "Q", "V", "qin", "qout"))
         c = self.constants
-        M = out["M"] + c["M_shell"] + c["M_solid"]
-        C = out["G"] + out["B"] + out["Q"] + out["V"] + c["A_visc"]
         return {
-            "M": M,
-            "C": C,
+            "M": out["M"] + c["M_shell"] + c["M_solid"],
+            "C": out["G"] + out["B"] + out["Q"] + out["V"] + c["A_visc"],
             "K": self.K,
-            "V_fluid": out["V"],
-            "Q": out["Q"],
             "qin": out["qin"],
             "qout": out["qout"],
         }
 
     def mass_at(self, times):
         """The mass matrices M(t) (len(times), n, n) at all the given times,
-        interpolated in one product; matrices_at(t)["M"] at each t."""
-        w = trig_weights(np.asarray(times, dtype=float), self.T, self.times.size)
-        v = self.stacks["M"]
+        interpolated in one product; matrices_at(times)["M"]."""
         c = self.constants
-        M = (w @ v.reshape(w.shape[-1], -1)).reshape((-1,) + v.shape[1:])
-        return M + c["M_shell"] + c["M_solid"]
+        return self._interpolated(times, ("M",))["M"] + c["M_shell"] + c["M_solid"]
 
     def forcing_at(self, t, mats=None):
+        """The load at t, a time or a 1-D array of times (then (len(t), n)),
+        from the matrices_at(t) flux vectors mats."""
         if self.forcing is None:
-            return np.zeros(self.n)
+            return np.zeros(np.shape(t) + (self.n,))
         if mats is None:
             mats = self.matrices_at(t)
-        pin, pout = self.forcing.values(t % self.forcing.T)
-        return pin[0] * mats["qin"] - pout[0] * mats["qout"]
+        pin, pout = (p.reshape(np.shape(t) + (1,))
+                     for p in self.forcing.values(np.asarray(t) % self.forcing.T))
+        return pin * mats["qin"] - pout * mats["qout"]
 
-    def dissipation_matrix(self, mats):
-        """The nonnegative dissipation block V + A_visc."""
-        return mats["V_fluid"] + self.constants["A_visc"]
+    def quadratic_forms(self, times, v):
+        """The dissipation v_m' (V + A_visc)(t_m) v_m and the shell transport
+        form v_m' Q(t_m) v_m for each time t_m and row v_m of v.  The forms
+        of the sampled blocks are weighted with the interpolation weights,
+        so no (n, n) block is interpolated."""
+        w = trig_weights(np.asarray(times, dtype=float), self.T, self.times.size)
+
+        def form(B):
+            return np.einsum("mi,mi->m", v @ B, v)
+
+        def sampled(name):
+            return np.einsum("ms,sm->m", w, np.array([form(B) for B in self.stacks[name]]))
+
+        return sampled("V") + form(self.constants["A_visc"]), sampled("Q")
 
 
 class Assembler:

@@ -252,26 +252,29 @@ class PiecewiseLegFamily:
             self._dcache[d] = D
         return self._dcache[d]
 
+    def local_table(self, x, nderiv=0):
+        """Each point's element, (nx,), and the values and derivatives of
+        that element's Legendre modes at the point, (nx, nderiv + 1,
+        degree + 1): column j is element mode e * (degree + 1) + j."""
+        x = np.asarray(x, dtype=float).ravel()
+        idx = np.clip(np.searchsorted(self.breaks, x, side="right") - 1, 0, self.nelem - 1)
+        a, b = self.breaks[idx], self.breaks[idx + 1]
+        scale = 2.0 / (b - a)
+        V = npleg.legvander((2.0 * x - (a + b)) / (b - a), self.degree)
+        return idx, np.stack(
+            [(V @ self._der_mat(d).T) * (scale**d)[:, None] for d in range(nderiv + 1)],
+            axis=1)
+
     def element_table(self, x, nderiv=0):
         """Values and derivatives of the per-element Legendre modes,
         (nelem * (degree + 1), nderiv + 1, nx); the family's table is
         dof_basis^T times this one."""
-        x = np.asarray(x, dtype=float).ravel()
+        idx, local = self.local_table(x, nderiv)
         p = self.degree + 1
-        dof_vals = np.zeros((self.nelem * p, nderiv + 1, x.size))
-        idx = np.clip(np.searchsorted(self.breaks, x, side="right") - 1, 0, self.nelem - 1)
-        for e in range(self.nelem):
-            mask = idx == e
-            if not mask.any():
-                continue
-            a, b = self.breaks[e], self.breaks[e + 1]
-            s = (2.0 * x[mask] - (a + b)) / (b - a)
-            scale = 2.0 / (b - a)
-            V = npleg.legvander(s, p - 1)
-            for d in range(nderiv + 1):
-                dof_vals[e * p : (e + 1) * p, d, mask] = (
-                    V @ self._der_mat(d).T
-                ).T * scale**d
+        nx = idx.size
+        dof_vals = np.zeros((self.nelem * p, nderiv + 1, nx))
+        rows = idx[:, None] * p + np.arange(p)
+        dof_vals[rows, :, np.arange(nx)[:, None]] = local.transpose(0, 2, 1)
         return dof_vals
 
     def eval_table(self, x, nderiv=0):

@@ -263,11 +263,21 @@ def _write_csv(path, header, rows):
         writer.writerows(rows)
 
 
+def _write_floats(path, header, values):
+    """A header and the rows of a float array, every value as %.17g, with
+    one format string per row.  The bytes are those of _write_csv over the
+    formatted strings: the csv module's default dialect ends lines with
+    \r\n and quotes no number, nan or inf."""
+    row = ",".join(["{:.17g}"] * len(header)) + "\r\n"
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\r\n")
+        fh.writelines(row.format(*r) for r in values.tolist())
+
+
 def write_energies(path, ledger):
     arr = ledger.as_arrays()
     names = ["t", "E_kin", "E_el", "E", "D", "work_rate", "balance_residual"]
-    rows = zip(*(arr[n] for n in names))
-    _write_csv(path, names, ([f"{x:.17g}" for x in row] for row in rows))
+    _write_floats(path, names, np.column_stack([arr[n] for n in names]))
 
 
 def write_coefficients(path, traj):
@@ -277,11 +287,9 @@ def write_coefficients(path, traj):
         + [f"a_{k + 1}" for k in range(n)]
         + [f"adot_{k + 1}" for k in range(n)]
     )
-    rows = (
-        [f"{s.t:.17g}"] + [f"{x:.17g}" for x in s.a] + [f"{x:.17g}" for x in s.a_dot]
-        for s in traj
-    )
-    _write_csv(path, header, rows)
+    values = np.column_stack([[s.t for s in traj], [s.a for s in traj],
+                              [s.a_dot for s in traj]])
+    _write_floats(path, header, values)
 
 
 def write_summary(path, *, sup_E, integral_D, forcing_L2, diffusion_ratio,
@@ -321,7 +329,7 @@ def run_periodic(cfg, out_dir):
         assembler, cfg.T, cfg.n_t, forcing, outer, n_samples=cfg.matrix_samples
     )
     ledger = EnergyLedger.from_trajectory(
-        result.system, result.trajectory, cfg.T / cfg.n_t, result.problem.operators
+        result.system, result.trajectory, cfg.T / cfg.n_t, result.problem.f
     )
     write_energies(os.path.join(out_dir, "energies.csv"), ledger)
     write_coefficients(os.path.join(out_dir, "coefficients.csv"), result.trajectory)
@@ -422,7 +430,7 @@ def run_verify(cfg, out_dir):
     prob = PeriodicProblem(system, cfg.T, cfg.T / cfg.n_t)
     x0 = GalerkinState.zero(basis.n)
     traj = poincare_map(prob, x0, record=True)
-    led = EnergyLedger.from_trajectory(system, traj, prob.dt, prob.operators)
+    led = EnergyLedger.from_trajectory(system, traj, prob.dt, prob.f)
     scale = max(led.sup_energy(), 1e-30)
     checks.append(
         ("frozen_energy_balance", led.max_balance_residual() / scale, 1e-10)

@@ -34,14 +34,14 @@ def energies(system, states):
     E_kin = v' M v / 2 collects fluid, shell and solid kinetic energy;
     E_el = a' K a / 2 collects shell bending and solid elastic energy.  Only
     the mass matrix moves with t; it is interpolated at all state times in
-    one product.
+    one product, and the forms of all states are taken at once.
     """
     M = system.mass_at([s.t for s in states])
-    return [
-        EnergyBreakdown(0.5 * float(s.a_dot @ Ms @ s.a_dot),
-                        0.5 * float(s.a @ system.K @ s.a))
-        for s, Ms in zip(states, M)
-    ]
+    a = np.array([s.a for s in states])
+    v = np.array([s.a_dot for s in states])
+    E_kin = 0.5 * np.einsum("mi,mi->m", (M @ v[:, :, None])[:, :, 0], v)
+    E_el = 0.5 * np.einsum("mi,mi->m", a @ system.K, a)
+    return [EnergyBreakdown(k, e) for k, e in zip(E_kin.tolist(), E_el.tolist())]
 
 
 def korn_check(tu, tq, weight):

@@ -271,37 +271,37 @@ class _ModeSolver:
         at the nodes (r, z), each of shape (..., Q).
 
         The corrector is supported in C, so the profiles are zero at nodes
-        with r >= R/2.  The nodes in C are taken one z-line (one distinct z
-        value) at a time: the whole dof block is contracted with the axial
-        table at the distinct z values, and each line's nodes then cost one
-        small product with their radial table.  Nodes sharing a z value, as
-        on a FluidGrid under the radial ALE map, share the axial work.
+        with r >= R/2.  The whole dof block is contracted once with the
+        axial table at the distinct z values of the nodes in C and with the
+        radial element modes.  Each node then gathers the block of its z
+        line and its radial element and contracts it with that element's
+        Legendre table, all nodes in one batched product; nodes sharing a z
+        value, as on a FluidGrid under the radial ALE map, share the axial
+        work.
         """
         r = np.asarray(r, dtype=float).ravel()
         z = np.asarray(z, dtype=float).ravel()
         lead, Q = dofs.shape[:-1], r.size
-        nfr, nfz, nc = self.fam_r.nfun, self.fam_z.nfun, len(self.comps)
-        nd = 2 if partials else 1  # axial table rows: value, z derivative
+        fam_r, nc = self.fam_r, len(self.comps)
+        nd = 2 if partials else 1  # z derivatives of the axial table
+        p = fam_r.degree + 1
         inside = np.flatnonzero(r < self.r_breaks[-1])
-        order = inside[np.argsort(z[inside], kind="stable")]
-        zs = z[order]
-        first = np.flatnonzero(np.diff(zs, prepend=np.nan) != 0.0)
-        bounds = np.append(first, order.size)
-        # (line, (field, component), z derivative, radial element mode)
-        D = dofs.reshape(-1, nc, nfr, nfz)
-        A = np.tensordot(D, self.fam_z.eval_table(zs[first], nd - 1), axes=1)
-        A = A.transpose(4, 0, 1, 3, 2) @ self.fam_r.dof_basis.T
-        A = A.reshape(first.size, D.shape[0] * nc, nd, A.shape[-1])
-        # (radial element mode, r derivative, node), nodes in z order
-        Tr = self.fam_r.element_table(r[order], nd - 1)
-        V = np.zeros((A.shape[1], nd, Q))  # W, and W_z with partials
-        V_r = np.zeros((A.shape[1], Q))
-        for k, (a, b) in enumerate(zip(bounds[:-1], bounds[1:])):
-            idx = order[a:b]
-            V[:, :, idx] = (A[k].reshape(-1, A.shape[-1]) @ Tr[:, 0, a:b]).reshape(
-                -1, nd, b - a)
-            if partials:
-                V_r[:, idx] = A[k, :, 0] @ Tr[:, 1, a:b]
+        zs, line = np.unique(z[inside], return_inverse=True)
+        D = dofs.reshape(-1, nc, fam_r.nfun, self.fam_z.nfun)
+        n_fc, n_el = D.shape[0] * nc, fam_r.dof_basis.shape[0]
+        # rows (line, radial element mode), columns ((field, component), z derivative)
+        A = np.tensordot(D, self.fam_z.eval_table(zs, nd - 1), axes=1)
+        A = np.tensordot(A, fam_r.dof_basis, axes=([2], [1]))
+        A = A.transpose(3, 4, 0, 1, 2).reshape(zs.size * n_el, n_fc * nd)
+        element, Tr = fam_r.local_table(r[inside], nd - 1)
+        rows = (line * n_el + element * p)[:, None] + np.arange(p)
+        # (node, r derivative, (field, component), z derivative)
+        prof = (Tr @ A[rows]).reshape(inside.size, nd, n_fc, nd)
+        V = np.zeros((n_fc, nd, Q))  # W, and W_z with partials
+        V_r = np.zeros((n_fc, Q))
+        V[:, :, inside] = prof[:, 0].transpose(1, 2, 0)
+        if partials:
+            V_r[:, inside] = prof[:, 1, :, 0].T
         V, V_r = V.reshape(-1, nc, nd, Q), V_r.reshape(-1, nc, Q)
         out = {}
         for i, comp in enumerate(self.comps):

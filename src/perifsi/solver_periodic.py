@@ -15,13 +15,10 @@ coefficients, and mix the pair with the last few passes (Anderson
 acceleration) until self-consistency.
 """
 
-import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import LinAlgWarning, lu_factor, lu_solve
 
 from .assembly import AssembledSystem, GalerkinState, TimeGridPath, assemble
 from .diagnostics import energies
@@ -36,72 +33,123 @@ from .extension_ops import azimuthal_damping, mollify
 from .geometry import check_injectivity, sup_grid
 
 ANDERSON_DEPTH = 3  # residual differences kept by the outer loop's mixing
+STEP_CHUNK = 256  # steps whose maps are interpolated, solved and reduced together
+
+
+def _whole_steps(span, dt, what):
+    """The number of steps of size dt in span; GridMismatch unless it is a
+    positive whole number (to 1e-9 relative)."""
+    ratio = span / dt
+    n_steps = int(round(ratio))
+    if n_steps < 1 or abs(ratio - n_steps) > 1e-9 * ratio:
+        raise GridMismatch(f"{what} must be an integer number of steps")
+    return n_steps
 
 
 @dataclass
 class PeriodicProblem:
-    """A linear periodic system together with its time grid."""
+    """A linear periodic system on its time grid, stacked over one period.
+
+    On first use the period is built STEP_CHUNK steps at a time: step_maps
+    gives a chunk's step maps from one interpolation and one batched solve,
+    a pairwise product tree reduces them to the chunk's affine map, and the
+    chunk maps compose in time order into the one-period map x -> A x + b.
+    The problem keeps the step map V (n_steps, n, 2n + 1) and the midpoint
+    load f (n_steps, n) of every step, which the orbit replay and the energy
+    ledger read, and the monodromy; no per-step (n, n) block is kept.
+    """
 
     system: object
     T: float
     dt: float
 
     def __post_init__(self):
-        ratio = self.T / self.dt
-        self.n_steps = int(round(ratio))
-        if self.n_steps < 1 or abs(ratio - self.n_steps) > 1e-9 * ratio:
-            raise GridMismatch("the period must be an integer number of steps")
+        self.n_steps = _whole_steps(self.T, self.dt, "the period")
 
     @cached_property
-    def operators(self):
-        """The midpoint operator of every step, built on first use; the
-        monodromy, every replay of the period and the energy ledger read the
-        same list."""
-        return [
-            _midpoint_operator(self.system, (m + 0.5) * self.dt, self.dt)
-            for m in range(self.n_steps)
-        ]
+    def _period(self):
+        n, dt = self.system.n, self.dt
+        V = np.empty((self.n_steps, n, 2 * n + 1))
+        f = np.empty((self.n_steps, n))
+        Ab = np.eye(2 * n + 1)  # the affine map of the steps built so far
+        for start in range(0, self.n_steps, STEP_CHUNK):
+            chunk = slice(start, min(start + STEP_CHUNK, self.n_steps))
+            t_mid = (np.arange(chunk.start, chunk.stop) + 0.5) * dt
+            V[chunk], f[chunk] = step_maps(self.system, t_mid, dt)
+            Ab = _chunk_map(V[chunk], dt) @ Ab
+        return V, f, (Ab[:-1, :-1], Ab[:-1, -1])
+
+    @property
+    def V(self):
+        return self._period[0]
+
+    @property
+    def f(self):
+        return self._period[1]
+
+    @property
+    def monodromy(self):
+        """The one-period affine map (A, b) in x = (a, a')."""
+        return self._period[2]
 
 
-class StepOperator(NamedTuple):
-    """One step of the implicit midpoint rule at the step's midpoint: the
-    step map V with v+ = V (a, a', 1), the midpoint load f, and blocks, the
-    midpoint dissipation and transport blocks of the energy ledger, where
-    the system has them."""
-
-    V: np.ndarray
-    f: np.ndarray
-    blocks: dict
-
-
-def _midpoint_operator(system, t_mid, dt):
-    """The implicit midpoint update at one step as a step map.
+def step_maps(system, t_mid, dt):
+    """The implicit midpoint step maps and loads at the midpoints t_mid.
 
     Eliminating a_{m+1} from the midpoint equations leaves a single n x n
-    solve:  P v+ = Pm v- - dt K a- + dt f,  a+ = a- + dt (v- + v+) / 2,
+    solve per step:  P v+ = Pm v- - dt K a- + dt f,  a+ = a- + dt (v- + v+) / 2,
     with P = M + dt C / 2 + dt^2 K / 4 and Pm its reflection, so
-    V = P^-1 [-dt K, Pm, dt f].  A singular or non-finite P leaves V
-    non-finite and raises LinearSolveFailure.
+    V = P^-1 [-dt K, Pm, dt f].  One matrices_at and one forcing_at call
+    interpolate every midpoint of the 1-D array t_mid and one batched solve
+    gives every V.  Returns the step maps (len(t_mid), n, 2n + 1) and loads
+    (len(t_mid), n); a singular or non-finite P raises LinearSolveFailure
+    at the first such midpoint.
     """
     mats = system.matrices_at(t_mid)
     M, C, K = mats["M"], mats["C"], mats["K"]
     P = M + 0.5 * dt * C + 0.25 * dt * dt * K
     Pm = M - 0.5 * dt * C - 0.25 * dt * dt * K
     f = system.forcing_at(t_mid, mats)
-    with warnings.catch_warnings():
-        # an exactly singular P only warns here; the finite check on V decides
-        warnings.simplefilter("ignore", LinAlgWarning)
-        lu = lu_factor(P, check_finite=False)
-    V = lu_solve(lu, np.column_stack([-dt * K, Pm, dt * f]), check_finite=False)
-    if not np.all(np.isfinite(V)):
-        raise LinearSolveFailure(f"midpoint operator is singular at t={t_mid}")
-    blocks = {k: mats[k] for k in ("V_fluid", "Q") if k in mats}
-    return StepOperator(V, f, blocks)
+    rhs = np.concatenate(
+        [np.broadcast_to(-dt * K, P.shape), Pm, dt * f[..., None]], axis=-1)
+    try:
+        V = np.linalg.solve(P, rhs)
+    except np.linalg.LinAlgError:  # an exactly singular P: find it
+        V = np.array([_solve_or_nan(Pk, rk) for Pk, rk in zip(P, rhs)])
+    bad = np.flatnonzero(~np.isfinite(V).all(axis=(1, 2)))
+    if bad.size:
+        raise LinearSolveFailure(
+            f"midpoint operator is singular at t={float(t_mid[bad[0]])}")
+    return V, f
 
 
-def step(operator, state, dt):
-    """One implicit midpoint step of state with a step operator."""
-    v1 = operator.V @ np.concatenate([state.a, state.a_dot, [1.0]])
+def _solve_or_nan(P, rhs):
+    try:
+        return np.linalg.solve(P, rhs)
+    except np.linalg.LinAlgError:
+        return np.full(rhs.shape, np.nan)
+
+
+def _chunk_map(V, dt):
+    """The affine map (2n + 1, 2n + 1) in (a, a', 1) of consecutive steps
+    with step maps V, reduced by a pairwise product tree."""
+    k, n = V.shape[:2]
+    i = np.arange(n)
+    S = np.zeros((k, 2 * n + 1, 2 * n + 1))
+    S[:, n:-1] = V  # v+ = V (a, a', 1)
+    S[:, :n] = 0.5 * dt * V  # a+ = a + dt (a' + v+) / 2
+    S[:, i, i] += 1.0
+    S[:, i, n + i] += 0.5 * dt
+    S[:, -1, -1] = 1.0
+    while len(S) > 1:
+        h = len(S) // 2
+        S = np.concatenate([S[1 : 2 * h : 2] @ S[0 : 2 * h : 2], S[2 * h :]])
+    return S[0]
+
+
+def step(V, state, dt):
+    """One implicit midpoint step of state with the step map V."""
+    v1 = V @ np.concatenate([state.a, state.a_dot, [1.0]])
     if not np.all(np.isfinite(v1)):
         raise LinearSolveFailure(f"non-finite update at t={state.t}")
     a1 = state.a + 0.5 * dt * (state.a_dot + v1)
@@ -109,29 +157,25 @@ def step(operator, state, dt):
 
 
 def poincare_map(problem, x0, record=False):
-    """Integrate one period from x0; returns the final state, or the full
+    """Integrate one period from x0 with the stored step maps, one
+    matrix-vector product per step; returns the final state, or the full
     trajectory (a list of n_steps + 1 states) when record is true."""
-    dt = problem.dt
-    state = GalerkinState(np.array(x0.a), np.array(x0.a_dot), 0.0)
-    traj = [state]
-    for op in problem.operators:
-        state = step(op, state, dt)
-        if record:
-            traj.append(state)
-    return traj if record else state
-
-
-def _affine_period_map(problem):
-    """The one-period affine map x -> A x + b in x = (a, a')."""
-    dt = problem.dt
-    n = problem.system.n
-    Ab = np.eye(2 * n, 2 * n + 1)  # [A | b] of the steps taken so far
-    for op in problem.operators:
-        # v+ = V (a, a', 1) and a+ = a + dt (a' + v+) / 2
-        v1 = op.V[:, :-1] @ Ab
-        v1[:, -1] += op.V[:, -1]
-        Ab = np.vstack([Ab[:n] + 0.5 * dt * (Ab[n:] + v1), v1])
-    return Ab[:, :-1], Ab[:, -1]
+    dt, n = problem.dt, x0.n
+    X = np.empty((problem.n_steps + 1, 2 * n))
+    X[0] = np.concatenate([x0.a, x0.a_dot])
+    x = np.append(X[0], 1.0)
+    for m, V in enumerate(problem.V):
+        v1 = V @ x
+        x[:n] += 0.5 * dt * (x[n:-1] + v1)
+        x[n:-1] = v1
+        X[m + 1] = x[:-1]
+    t = np.add.accumulate(np.append(0.0, np.full(problem.n_steps, dt)))
+    bad = np.flatnonzero(~np.isfinite(X).all(axis=1))
+    if bad.size:
+        raise LinearSolveFailure(f"non-finite update at t={t[bad[0] - 1]}")
+    if not record:
+        return GalerkinState(X[-1, :n], X[-1, n:], t[-1])
+    return [GalerkinState(x[:n], x[n:], tm) for x, tm in zip(X, t.tolist())]
 
 
 def periodic_solve(problem):
@@ -143,7 +187,7 @@ def periodic_solve(problem):
     SingularMonodromy when the period is resonant with an undamped mode of
     the system.
     """
-    A, b = _affine_period_map(problem)
+    A, b = problem.monodromy
     n = problem.system.n
     I2 = np.eye(2 * n)
     F = I2 - A
@@ -185,9 +229,10 @@ class EnergyLedger:
     moving boundary evaluated at the midpoint.  For a frozen geometry the
     identity is exact for the implicit midpoint rule; for a moving geometry
     the residual is O(dt^2) per period.  dt is the step of the records, so a
-    one-record ledger still integrates its dissipation.  The midpoint blocks
-    and load are read from the trajectory's step operators (one StepOperator
-    per step, as in PeriodicProblem.operators), not interpolated again.
+    one-record ledger still integrates its dissipation.  The midpoint loads
+    are the steps' stored loads (PeriodicProblem.f, or step_maps' f); the
+    dissipation and transport forms at all midpoints come from one call of
+    the system's quadratic_forms, with no (n, n) block per step.
     """
 
     def __init__(self, records, dt):
@@ -195,19 +240,19 @@ class EnergyLedger:
         self.dt = dt
 
     @classmethod
-    def from_trajectory(cls, system, traj, dt, operators):
+    def from_trajectory(cls, system, traj, dt, loads):
         E = energies(system, traj)
+        v = np.array([s.a_dot for s in traj])
+        vbar = 0.5 * (v[:-1] + v[1:])
+        t_mid = traj[0].t + (np.arange(len(traj) - 1) + 0.5) * dt
+        D, transport = system.quadratic_forms(t_mid, vbar)
+        work = np.einsum("mi,mi->m", vbar, loads) - transport
         records = []
-        for m in range(len(traj) - 1):
-            s0, s1 = traj[m], traj[m + 1]
-            op = operators[m]
-            vbar = 0.5 * (s0.a_dot + s1.a_dot)
-            Dm = system.dissipation_matrix(op.blocks)
-            D = float(vbar @ Dm @ vbar)
-            work = float(vbar @ op.f) - float(vbar @ op.blocks["Q"] @ vbar)
+        for m, (Dm, wm) in enumerate(zip(D.tolist(), work.tolist())):
             e0, e1 = E[m], E[m + 1]
-            resid = abs(e1.E - e0.E + dt * D - dt * work)
-            records.append(EnergyRecord(s0.t, e0.E_kin, e0.E_el, e0.E, D, work, resid))
+            resid = abs(e1.E - e0.E + dt * Dm - dt * wm)
+            records.append(
+                EnergyRecord(traj[m].t, e0.E_kin, e0.E_el, e0.E, Dm, wm, resid))
         return cls(records, dt)
 
     def as_arrays(self):
@@ -386,11 +431,12 @@ def solve_ivp(assembler, x0, t_final, dt, forcing=None, with_ledger=True):
     the current state (explicit in geometry), and the implicit midpoint step
     is taken in that geometry (implicit in physics).  A state that carries the
     shell beyond the injectivity margin ends the run gracefully: the result
-    reports the reached time instead of raising.
+    reports the reached time instead of raising.  t_final must be a whole
+    number of steps (GridMismatch otherwise).
     """
     basis = assembler.basis
     cyl = assembler.cyl
-    n_steps = int(round(t_final / dt))
+    n_steps = _whole_steps(t_final, dt, "t_final")
     state = GalerkinState(np.array(x0.a), np.array(x0.a_dot), 0.0)
     traj = [state]
     records = []
@@ -401,10 +447,10 @@ def solve_ivp(assembler, x0, t_final, dt, forcing=None, with_ledger=True):
                              ledger=EnergyLedger(records, dt))
         sample = assembler.sample(eta, basis.shell_field(state.a_dot), state.a_dot)
         frozen = AssembledSystem.from_sample(t_final, sample, assembler, forcing)
-        op = _midpoint_operator(frozen, state.t + 0.5 * dt, dt)
-        new = step(op, state, dt)
+        V, f = step_maps(frozen, np.array([state.t + 0.5 * dt]), dt)
+        new = step(V[0], state, dt)
         if with_ledger:
-            led = EnergyLedger.from_trajectory(frozen, [state, new], dt, [op])
+            led = EnergyLedger.from_trajectory(frozen, [state, new], dt, f)
             records.extend(led.records)
         traj.append(new)
         state = new

@@ -54,7 +54,7 @@ def _outer_run(run_cfg):
                             n_samples=run_cfg.matrix_samples)
     ledger = EnergyLedger.from_trajectory(res.system, res.trajectory,
                                           run_cfg.T / run_cfg.n_t,
-                                          res.problem.operators)
+                                          res.problem.f)
     return {"cfg": run_cfg, "forcing": fc, "result": res, "ledger": ledger}
 
 
@@ -195,7 +195,7 @@ def test_criterion_05_energy_balance(model, forcing):
     prob = PeriodicProblem(system, 1.0, 1.0 / 256)
     x_star, _ = periodic_solve(prob)
     traj = poincare_map(prob, x_star, record=True)
-    led = EnergyLedger.from_trajectory(system, traj, prob.dt, prob.operators)
+    led = EnergyLedger.from_trajectory(system, traj, prob.dt, prob.f)
     assert led.max_balance_residual() <= 1e-10 * max(led.sup_energy(), 1e-30)
 
     shell = model.basis.shell_basis
@@ -213,7 +213,7 @@ def test_criterion_05_energy_balance(model, forcing):
     for nt in (64, 128):
         p = PeriodicProblem(moving, 1.0, 1.0 / nt)
         tr = poincare_map(p, x0, record=True)
-        ledger = EnergyLedger.from_trajectory(moving, tr, p.dt, p.operators)
+        ledger = EnergyLedger.from_trajectory(moving, tr, p.dt, p.f)
         sums.append(float(np.sum(ledger.as_arrays()["balance_residual"])))
     ratio = sums[0] / sums[1]
     assert 4.0 * 0.8 <= ratio <= 4.0 * 1.2
@@ -315,10 +315,12 @@ class _ResonantPair:
         self.K = np.diag([omega2, 7.3])
 
     def matrices_at(self, t):
-        return {"M": self.M, "C": self.C, "K": self.K}
+        shape = np.shape(t) + (2, 2)
+        return {"M": np.broadcast_to(self.M, shape),
+                "C": np.broadcast_to(self.C, shape), "K": self.K}
 
     def forcing_at(self, t, mats=None):
-        return np.array([np.sin(2.0 * np.pi * t), np.cos(2.0 * np.pi * t)])
+        return np.stack([np.sin(2.0 * np.pi * t), np.cos(2.0 * np.pi * t)], axis=-1)
 
 
 def test_criterion_11_resonance_sentinel():

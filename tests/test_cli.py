@@ -164,6 +164,59 @@ class TestRunIvp:
         b = (out2 / "coefficients.csv").read_text()
         assert a != b
 
+    def test_off_grid_final_time_fails(self, tmp_path, capsys):
+        """With n_t = 64, t_final = 0.01 used to integrate to 0.015625 and
+        t_final = 0.005 to take no step at all and exit 0; a t_final that is
+        not a whole number of steps is a grid mismatch with exit code 1."""
+        cfg_path = tmp_path / "tiny.cfg"
+        for t_final in ("0.01", "0.005"):
+            cfg_path.write_text(TINY.replace("n_t = 16", "n_t = 64").replace(
+                "t_final = 0.125", f"t_final = {t_final}"))
+            out = tmp_path / t_final
+            assert cli.main(["run-ivp", "--config", str(cfg_path),
+                             "--out-dir", str(out)]) == 1
+            assert "GridMismatch" in capsys.readouterr().err
+            assert not (out / "summary.csv").exists()
+
+
+class TestCsvRows:
+    """The float writers give the bytes of the csv module's writer over the
+    %.17g strings of the same values."""
+
+    VALUES = [-1.5, 1.0 / 3.0, 5e-324, -2.2e-310, 1e300, -0.0, 0.0,
+              float("nan"), float("inf"), -float("inf"), 123456789.0]
+
+    @staticmethod
+    def _csv_module(path, header, rows):
+        with open(path, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(header)
+            writer.writerows([f"{x:.17g}" for x in row] for row in rows)
+        return path.read_bytes()
+
+    def test_energies(self, tmp_path):
+        from perifsi.solver_periodic import EnergyLedger, EnergyRecord
+
+        v = self.VALUES
+        rows = [[v[(i + j) % len(v)] for j in range(7)] for i in range(len(v))]
+        ledger = EnergyLedger([EnergyRecord(*r) for r in rows], 0.25)
+        cli.write_energies(tmp_path / "e.csv", ledger)
+        header = ["t", "E_kin", "E_el", "E", "D", "work_rate", "balance_residual"]
+        want = self._csv_module(tmp_path / "want.csv", header, rows)
+        assert (tmp_path / "e.csv").read_bytes() == want
+
+    def test_coefficients(self, tmp_path):
+        from perifsi.assembly import GalerkinState
+
+        finite = [x for x in self.VALUES if np.isfinite(x)]
+        traj = [GalerkinState(np.roll(finite, k)[:3], np.roll(finite, -k)[:3], t)
+                for k, t in enumerate([0.0, 1.0 / 3.0, float("nan"), -0.0, 1e-300])]
+        cli.write_coefficients(tmp_path / "c.csv", traj)
+        header = ["t", "a_1", "a_2", "a_3", "adot_1", "adot_2", "adot_3"]
+        rows = [[s.t, *s.a, *s.a_dot] for s in traj]
+        want = self._csv_module(tmp_path / "want.csv", header, rows)
+        assert (tmp_path / "c.csv").read_bytes() == want
+
 
 class TestVerify:
     def test_tiny_verify_passes(self, tmp_path):

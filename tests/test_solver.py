@@ -1,13 +1,17 @@
 """Time stepping, the periodic orbit solve, and the geometry fixed point."""
 
-from dataclasses import astuple
+import re
+from dataclasses import astuple, replace
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from scipy.linalg import lu_factor, lu_solve
 
 from perifsi import solver_periodic
-from perifsi.assembly import GalerkinState, assemble
+from perifsi.assembly import GalerkinState, TimeGridPath, assemble
+from perifsi.basis1d import trig_weights
+from perifsi.cli import build_forcing
 from perifsi.errors import (
     DomainViolation,
     GridMismatch,
@@ -17,6 +21,7 @@ from perifsi.errors import (
 from perifsi.geometry import MARGIN_FRAC, CylinderConfig, check_injectivity
 from perifsi.shell_solid import ShellBasis
 from perifsi.solver_periodic import (
+    STEP_CHUNK,
     EnergyLedger,
     OuterLoopConfig,
     PeriodicProblem,
@@ -51,13 +56,100 @@ class _CountingSystem:
             mats = self.matrices_at(t)
         return self.system.forcing_at(t, mats)
 
-    def dissipation_matrix(self, mats):
-        return self.system.dissipation_matrix(mats)
+    def quadratic_forms(self, times, v):
+        return self.system.quadratic_forms(times, v)
+
+
+def _oracle_operators(system, n_steps, dt):
+    """The sequential stepping path: one matrices_at call and one LU solve
+    per step, V = P^-1 [-dt K, Pm, dt f] with the step's midpoint load f."""
+    ops = []
+    for m in range(n_steps):
+        t = (m + 0.5) * dt
+        mats = system.matrices_at(t)
+        M, C, K = mats["M"], mats["C"], mats["K"]
+        P = M + 0.5 * dt * C + 0.25 * dt * dt * K
+        Pm = M - 0.5 * dt * C - 0.25 * dt * dt * K
+        f = system.forcing_at(t, mats)
+        V = lu_solve(lu_factor(P), np.column_stack([-dt * K, Pm, dt * f]))
+        ops.append((V, f))
+    return ops
+
+
+def _oracle_period_map(ops, dt, n):
+    """The one-period affine map [A | b], composed one step at a time."""
+    Ab = np.eye(2 * n, 2 * n + 1)
+    for V, _ in ops:
+        v1 = V[:, :-1] @ Ab
+        v1[:, -1] += V[:, -1]
+        Ab = np.vstack([Ab[:n] + 0.5 * dt * (Ab[n:] + v1), v1])
+    return Ab[:, :-1], Ab[:, -1]
+
+
+def _oracle_replay(ops, x0, dt):
+    """The states (n_steps + 1, 2n) from x0, one step map at a time."""
+    n = x0.size // 2
+    orbit = [x0]
+    for V, _ in ops:
+        a, v = orbit[-1][:n], orbit[-1][n:]
+        v1 = V @ np.concatenate([a, v, [1.0]])
+        orbit.append(np.concatenate([a + 0.5 * dt * (v + v1), v1]))
+    return np.array(orbit)
+
+
+def _oracle_ledger(system, ops, orbit, dt):
+    """The ledger's E, D and work rate along orbit, with every midpoint
+    block interpolated on its own."""
+    n = system.n
+    E = [0.5 * x[n:] @ system.matrices_at(m * dt)["M"] @ x[n:]
+         + 0.5 * x[:n] @ system.K @ x[:n] for m, x in enumerate(orbit[:-1])]
+    D, work = [], []
+    for m, (V, f) in enumerate(ops):
+        w = trig_weights((m + 0.5) * dt, system.T, system.times.size)
+        Vf, Q = (np.tensordot(w, system.stacks[k], axes=1) for k in ("V", "Q"))
+        vbar = 0.5 * (orbit[m, n:] + orbit[m + 1, n:])
+        D.append(vbar @ (Vf + system.constants["A_visc"]) @ vbar)
+        work.append(vbar @ f - vbar @ Q @ vbar)
+    return {"E": np.array(E), "D": np.array(D), "work_rate": np.array(work)}
+
+
+def _states(traj):
+    return np.array([np.concatenate([s.a, s.a_dot]) for s in traj])
+
+
+def _rel(got, want):
+    return np.max(np.abs(got - want)) / np.max(np.abs(want))
 
 
 @pytest.fixture(scope="module")
 def rest_system(small_model, small_forcing):
     return assemble(small_model, 1.0, small_forcing)
+
+
+@pytest.fixture(scope="module")
+def phased_forcing(small_cfg):
+    """An inlet pressure whose midpoint value is not zero even on a one-step
+    grid (the default phase puts the one midpoint at a zero of the sine)."""
+    return build_forcing(replace(small_cfg, p_in_phase=0.7))
+
+
+@pytest.fixture(scope="module")
+def rest_phased(small_model, phased_forcing):
+    return assemble(small_model, 1.0, phased_forcing)
+
+
+@pytest.fixture(scope="module")
+def moving_system(small_model, phased_forcing):
+    """A moving shell with a transport field, sampled 8 times a period."""
+    rng = np.random.default_rng(21)
+    t = np.arange(16) / 16
+    shell = np.zeros((16, small_model.basis.shell_basis.n_modes))
+    shell[:, 0] = 0.02 * np.sin(2 * np.pi * t)
+    shell[:, 1] = 0.01 * np.cos(2 * np.pi * t)
+    v = 0.05 * np.outer(np.sin(2 * np.pi * t), rng.standard_normal(small_model.basis.n))
+    return assemble(small_model, 1.0, phased_forcing,
+                    delta_path=TimeGridPath(1.0, shell),
+                    v_path=TimeGridPath(1.0, v), n_samples=8)
 
 
 @pytest.fixture(scope="module")
@@ -76,15 +168,73 @@ class TestStepping:
                               0.01 * rng.standard_normal(n))
         prob = PeriodicProblem(free_system, 1.0, 1.0 / 64)
         traj = poincare_map(prob, state, record=True)
-        led = EnergyLedger.from_trajectory(free_system, traj, prob.dt, prob.operators)
+        led = EnergyLedger.from_trajectory(free_system, traj, prob.dt, prob.f)
         E = led.as_arrays()["E"]
         assert np.all(np.diff(E) <= 1e-12 * E[0])
 
     def test_step_advances_time(self, rest_system):
         s0 = GalerkinState.zero(rest_system.n)
-        (op,) = PeriodicProblem(rest_system, 1.0 / 64, 1.0 / 64).operators
-        s1 = step(op, s0, 1.0 / 64)
+        (V,) = PeriodicProblem(rest_system, 1.0 / 64, 1.0 / 64).V
+        s1 = step(V, s0, 1.0 / 64)
         assert s1.t == pytest.approx(1.0 / 64)
+
+
+class TestStackedPeriod:
+    """The chunked, product-tree period against the sequential path."""
+
+    @pytest.mark.parametrize("n_steps", [1, 5, 300])
+    @pytest.mark.parametrize("name", ["rest_phased", "moving_system"])
+    def test_matches_the_sequential_path(self, name, n_steps, request):
+        """x_star and its orbit, and the orbit and ledger of a replay from a
+        random state (on a one-step periodic orbit the midpoint velocity is
+        zero, so its ledger is round-off); 300 steps cross a chunk boundary
+        and are not a power of two."""
+        system = request.getfixturevalue(name)
+        n, dt = system.n, 1.0 / n_steps
+        ops = _oracle_operators(system, n_steps, dt)
+        A, b = _oracle_period_map(ops, dt, n)
+        x_want = np.linalg.solve(np.eye(2 * n) - A, b)
+        prob = PeriodicProblem(system, 1.0, dt)
+        x_star, info = periodic_solve(prob)
+        assert _rel(np.concatenate([x_star.a, x_star.a_dot]), x_want) <= 1e-12
+        assert _rel(_states(info["trajectory"]), _oracle_replay(ops, x_want, dt)) <= 1e-12
+
+        x0 = 0.01 * np.random.default_rng(n_steps).standard_normal(2 * n)
+        traj = poincare_map(prob, GalerkinState(x0[:n], x0[n:]), record=True)
+        orbit = _oracle_replay(ops, x0, dt)
+        assert _rel(_states(traj), orbit) <= 1e-12
+        got = EnergyLedger.from_trajectory(system, traj, dt, prob.f).as_arrays()
+        for k, want in _oracle_ledger(system, ops, orbit, dt).items():
+            assert _rel(got[k], want) <= 1e-12, k
+
+    def test_step_maps_are_the_sequential_ones(self, moving_system):
+        n_steps = 300
+        prob = PeriodicProblem(moving_system, 1.0, 1.0 / n_steps)
+        ops = _oracle_operators(moving_system, n_steps, prob.dt)
+        assert prob.V.shape == (n_steps, prob.system.n, 2 * prob.system.n + 1)
+        assert _rel(prob.V, np.array([V for V, _ in ops])) <= 1e-12
+        assert _rel(prob.f, np.array([f for _, f in ops])) <= 1e-14
+
+    @pytest.mark.filterwarnings("error")
+    def test_singular_midpoint_in_a_later_chunk(self):
+        """P is singular at one midpoint of the second chunk only: the
+        failure names that midpoint."""
+        n_steps, bad = 300, STEP_CHUNK + 14
+        dt = 1.0 / n_steps
+        t_bad = (bad + 0.5) * dt
+
+        def matrices_at(t):
+            M = np.broadcast_to(np.eye(2), np.shape(t) + (2, 2)).copy()
+            M[np.asarray(t) == t_bad] = 0.0
+            return {"M": M, "C": np.zeros_like(M), "K": np.zeros((2, 2))}
+
+        system = SimpleNamespace(
+            n=2, matrices_at=matrices_at,
+            forcing_at=lambda t, mats=None: np.zeros(np.shape(t) + (2,)),
+        )
+        with pytest.raises(LinearSolveFailure,
+                           match=re.escape(f"t={t_bad}") + "$"):
+            periodic_solve(PeriodicProblem(system, 1.0, dt))
 
 
 class TestPeriodicSolve:
@@ -110,39 +260,39 @@ class TestPeriodicSolve:
         """M = C = K = 0 makes every midpoint operator singular: the solve
         names the first step's midpoint instead of failing inside the
         monodromy's SVD."""
-        zero = np.zeros((2, 2))
+        zero = np.zeros((4, 2, 2))
         system = SimpleNamespace(
             n=2,
-            matrices_at=lambda t: {"M": zero, "C": zero, "K": zero},
-            forcing_at=lambda t, mats=None: np.zeros(2),
+            matrices_at=lambda t: {"M": zero, "C": zero, "K": zero[0]},
+            forcing_at=lambda t, mats=None: np.zeros((4, 2)),
         )
         with pytest.raises(LinearSolveFailure, match="t=0.125"):
             periodic_solve(PeriodicProblem(system, 1.0, 0.25))
 
     def test_each_step_is_built_once(self, rest_system):
-        counting = _CountingSystem(rest_system)
-        prob = PeriodicProblem(counting, 1.0, 1.0 / 32)
-        periodic_solve(prob)
-        assert counting.calls == prob.n_steps
+        """One matrices_at call per chunk of steps, none in the replay."""
+        for n_steps, chunks in ((32, 1), (STEP_CHUNK, 1), (2 * STEP_CHUNK + 1, 3)):
+            counting = _CountingSystem(rest_system)
+            prob = PeriodicProblem(counting, 1.0, 1.0 / n_steps)
+            periodic_solve(prob)
+            assert counting.calls == chunks
 
-    def test_ledger_reads_the_step_operators(self, rest_system):
+    def test_ledger_reads_the_step_operators(self, moving_system):
         """The ledger interpolates only the mass matrix, once for all
-        states; its dissipation and work rate are those of the midpoint
-        matrices."""
-        counting = _CountingSystem(rest_system)
+        states, and reads the stored loads; its dissipation and work rate
+        are those of the midpoint matrices (1e-13 relative: the sampled
+        forms sum in another order)."""
+        counting = _CountingSystem(moving_system)
         prob = PeriodicProblem(counting, 1.0, 1.0 / 32)
         traj = periodic_solve(prob)[1]["trajectory"]
         counting.calls = 0
-        led = EnergyLedger.from_trajectory(counting, traj, prob.dt, prob.operators)
+        led = EnergyLedger.from_trajectory(counting, traj, prob.dt, prob.f)
         assert (counting.calls, counting.mass_calls) == (0, 1)
-        for s0, s1, rec in zip(traj, traj[1:], led.records):
-            t_mid = s0.t + 0.5 * prob.dt
-            mm = rest_system.matrices_at(t_mid)
-            vbar = 0.5 * (s0.a_dot + s1.a_dot)
-            D = float(vbar @ rest_system.dissipation_matrix(mm) @ vbar)
-            work = (float(vbar @ rest_system.forcing_at(t_mid, mm))
-                    - float(vbar @ mm["Q"] @ vbar))
-            assert (rec.D, rec.work_rate) == (D, work)
+        ops = _oracle_operators(moving_system, prob.n_steps, prob.dt)
+        want = _oracle_ledger(moving_system, ops, _states(traj), prob.dt)
+        got = led.as_arrays()
+        for k in ("D", "work_rate"):
+            np.testing.assert_allclose(got[k], want[k], rtol=1e-13, atol=0.0)
 
     def test_orbit_comes_from_the_solve(self, rest_system):
         prob = PeriodicProblem(rest_system, 1.0, 1.0 / 32)
@@ -361,9 +511,15 @@ class TestIvp:
         n = small_model.basis.n
         a = np.zeros(n)
         a[0] = 10.0  # coupled mode amplitude far beyond the margin
-        res = solve_ivp(small_model, GalerkinState(a, np.zeros(n)), 0.1, 1.0 / 64)
+        res = solve_ivp(small_model, GalerkinState(a, np.zeros(n)), 0.125, 1.0 / 64)
         assert not res.completed
-        assert res.violation_time is not None
+        assert res.violation_time == 0.0
+
+    def test_off_grid_final_time_is_a_grid_mismatch(self, small_model):
+        x0 = GalerkinState.zero(small_model.basis.n)
+        for t_final in (0.01, 0.005):
+            with pytest.raises(GridMismatch):
+                solve_ivp(small_model, x0, t_final, 1.0 / 64)
 
     def test_one_step_ledger_integrates_dissipation(self, small_model, rng):
         n = small_model.basis.n
@@ -387,12 +543,12 @@ class TestIvp:
         dt = 1.0 / 64
         res = solve_ivp(small_model, x0, dt, dt, forcing=small_forcing)
         got = res.trajectory[1]
-        (op,) = PeriodicProblem(rest_system, dt, dt).operators
-        want = step(op, x0, dt)
+        prob = PeriodicProblem(rest_system, dt, dt)
+        want = step(prob.V[0], x0, dt)
         scale = max(np.max(np.abs(want.a)), np.max(np.abs(want.a_dot)))
         assert np.max(np.abs(got.a - want.a)) <= 1e-14 * scale
         assert np.max(np.abs(got.a_dot - want.a_dot)) <= 1e-14 * scale
-        led = EnergyLedger.from_trajectory(rest_system, [x0, want], dt, [op])
+        led = EnergyLedger.from_trajectory(rest_system, [x0, want], dt, prob.f)
         got_rec = np.array(astuple(res.ledger.records[0]))
         want_rec = np.array(astuple(led.records[0]))
         assert len(res.ledger.records) == 1
