@@ -21,19 +21,22 @@ The corrector is collocated per azimuthal wavenumber as a rank-deficient
 least-squares system C x = g.  Of its least-squares solutions it takes the
 one of least H1-type energy x^T (A + 1e-12 I) x: with A + 1e-12 I = L L^T
 that is the minimum-norm least-squares solution of the whitened system
-C L^-T, whose singular values drop by about nine decades at the rank, so
-the rank is well defined.  The solve is linear in the data, so the whole
-extension is a fixed linear operator of h.  For xi = sum_i x_i Y_i and
-delta = sum_k c_k Y_k, h = sum_i x_i (R Y_i + sum_k c_k Y_k Y_i): one table
-per model over the unit data Y_i and Y_k Y_i holds every flux and corrector
-dof, and an extension is that table contracted with the weights (R, c) and
-x ((0, c') for its time derivative).
+B = C L^-T.  Relative to the largest, the singular values of B drop from
+about 1e-4 to about 1e-14 at the rank, so the rank is well defined, and a
+pivoted Cholesky of the Gram B B^T finds it.  The solve is linear in the
+data, so the whole extension is a fixed linear operator of h.  For
+xi = sum_i x_i Y_i and delta = sum_k c_k Y_k,
+h = sum_i x_i (R Y_i + sum_k c_k Y_k Y_i): one table per model over the unit
+data Y_i and Y_k Y_i holds every flux and corrector dof, and an extension is
+that table contracted with the weights (R, c) and x ((0, c') for its time
+derivative).
 """
 
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import lstsq, solve_triangular
+from scipy.linalg import cho_factor, cho_solve, solve_triangular
+from scipy.linalg.lapack import dpstrf
 
 from .basis1d import LegFamily, PiecewiseLegFamily, composite_gauss, gauss
 from .errors import DomainViolation
@@ -42,6 +45,7 @@ from .geometry import ShellField, check_injectivity
 
 R_DEGREE = 10  # polynomial degree of the corrector's radial elements
 NZ_MODES = 34  # axial modes of the corrector
+GRAM_CUTOFF = 1e-13  # relative pivot cutoff of the corrector's Gram (rank)
 
 
 # ---------------------------------------------------------------------------
@@ -140,6 +144,59 @@ def azimuthal_mode_tables(m, parity, prof, r, theta):
                         [fz_r * s, cross3 * c, fz_z * s]])
 
 
+def _pivoted_gram(B):
+    """Pivoted Cholesky K[p][:, p] = R^T R of the Gram K = B B^T, stopped at
+    the first pivot at or below GRAM_CUTOFF max diag K.  Returns (R, p,
+    rank): the first rank rows of the upper triangular R are the factor
+    [R11 R12], its other rows are scratch.  K is factored in place."""
+    K = B @ B.T
+    # K.T is the same symmetric K in Fortran order, so LAPACK needs no copy
+    R, piv, rank, _ = dpstrf(K.T, tol=GRAM_CUTOFF * K.diagonal().max(),
+                             overwrite_a=True)
+    return R, piv - 1, rank
+
+
+def _min_norm_solve(B, G):
+    """Minimum-norm least-squares solution y = B^+ G of a rank-deficient B
+    (n, N), from the pivoted Cholesky of its Gram (_pivoted_gram).
+
+    With rank r the rows B1 = B[p[:r]] span the row space of B and the
+    others are B2 = W B1, W = R12^T R11^-T.  The solution y = B1^T z lies in
+    range(B^T), and B y = [I; W] v with v = R11^T R11 z, so least squares
+    over v gives v = (I + W^T W)^-1 (G1 + W^T G2), taken by Woodbury with
+    the Cholesky factor of the (n - r)-square I + W W^T.
+
+    The map from v to y passes through R11^-1 R11^-T, which amplifies the
+    round-off by the square of the condition number of R11 before B^T
+    cancels it again, so one such solve is linear in G to only about 1e-12
+    relative on the corrector dofs: the solve of a sum of sources is that
+    far from the sum of their solves, which the table's contraction takes
+    to agree.
+    One step of iterative refinement, y += B^+ (G - B y), brings that to
+    about 2e-14, because the corrector's sources leave a least-squares
+    residual of only about 2e-5 relative.  y then lies within 4e-13 of a
+    full SVD solve.  Sources with a large part outside range(B) fare worse,
+    as forming the Gram squares the conditioning of the projection onto
+    range(B) and refinement cannot mend that: on random sources y is up to
+    1e-10 (m = 0) and 2e-9 (m = 1) from the SVD solve, relative, where a
+    pivoted-QR least-squares solve stays within 5e-13 and 1e-11.
+    """
+    R, p, r = _pivoted_gram(B)
+    R11 = R[:r, :r]
+    Wt = solve_triangular(R11, R[:r, r:])  # W^T
+    small = cho_factor(np.eye(B.shape[0] - r) + Wt.T @ Wt)
+
+    def pinv(G):
+        u = G[p[:r]] + Wt @ G[p[r:]]
+        v = u - Wt @ cho_solve(small, Wt.T @ u)
+        z = np.zeros((B.shape[0], G.shape[1]))
+        z[p[:r]] = solve_triangular(R11, solve_triangular(R11, v, trans="T"))
+        return B.T @ z
+
+    y = pinv(G)
+    return y + pinv(G - B @ y)
+
+
 class _ModeSolver:
     """Constrained divergence solve for one azimuthal wavenumber.
 
@@ -158,11 +215,14 @@ class _ModeSolver:
     sum Ar x Mz + Mr x Az + 1e-10 Mr x Mz per component.
 
     The energy is whitened: with A + 1e-12 I = L L^T and x = L^-T y the
-    problem is the minimum-norm least-squares solve of B = C L^-T, taken by
-    a pivoted QR (LAPACK gelsy) with the relative rank cutoff 1e-10.  The
-    whitened singular values drop from about 0.2 to about 6e-11 between the
-    784th and the 785th of each parity half, so any cutoff in that gap gives
-    the same rank.
+    problem is the minimum-norm least-squares solve y = B^+ g of
+    B = C L^-T, taken by _min_norm_solve from a pivoted Cholesky of the Gram
+    B B^T.  Relative to the largest, the whitened singular values of m = 0
+    drop from 5e-5 to 1e-4 at the 784th of each parity half to about 1.5e-14
+    at the 785th (m = 1: from about 2e-6 at the 852nd to about 2e-14), so
+    the rank is well defined: on cylinders with R / L from 1/8 to 1 and
+    m <= 2 the Gram's kept pivots stay above 2e-12 and its dropped ones
+    below 2e-15 of its largest diagonal, either side of GRAM_CUTOFF.
 
     The system splits exactly by parity about z = L/2.  The z function j has
     parity j % 2 (Legendre times the even factor z(L - z)) and the Gauss
@@ -240,8 +300,12 @@ class _ModeSolver:
             js = np.arange((parity + zrow) % 2, nfz, 2)
             idx.append(i * self.block + (np.arange(nfr)[:, None] * nfz + js).ravel())
             Mzj, Azj = Mz[np.ix_(js, js)], Az[np.ix_(js, js)]
-            Ac = np.kron(Ar, Mzj) + np.kron(Mr, Azj) + 1e-10 * np.kron(Mr, Mzj)
-            chol = np.linalg.cholesky(Ac + 1e-12 * np.eye(Ac.shape[0]))
+            # summed in place: a few MB less at the table build's peak
+            Ac = np.kron(Ar, Mzj)
+            Ac += np.kron(Mr, Azj)
+            Ac += 1e-10 * np.kron(Mr, Mzj)
+            Ac[np.diag_indices_from(Ac)] += 1e-12
+            chol = np.linalg.cholesky(Ac)
             Ct = np.einsum("ix,jy->ijxy", rad, Tz[js, zrow, :]).reshape(-1, n_rows)
             chols.append(chol)
             cols.append(solve_triangular(chol, Ct, lower=True))
@@ -250,19 +314,22 @@ class _ModeSolver:
     def solve(self, g_nodes):
         """Profile dofs (ndof, S) matching div w = g at the collocation nodes
         for S sources, with g_nodes of shape (n_r_nodes, n_z_nodes, S).  Each
-        call factors both whitened systems, so pass all sources at once."""
+        call factors both whitened systems, so pass all sources at once.
+        Raises ValueError on a source that is not finite."""
+        g_nodes = np.asarray_chkfinite(g_nodes)
         S = g_nodes.shape[-1]
         nh = g_nodes.shape[1] // 2
         low, high = g_nodes[:, :nh], g_nodes[:, ::-1][:, :nh]  # z_k, L - z_k
         dofs = np.empty((self.ndof, S))
         for parity, g in enumerate((low + high, low - high)):
             idx, chols, B = self._whitened(parity)
-            y = lstsq(B, (0.5 * g).reshape(-1, S), cond=1e-10,
-                      lapack_driver="gelsy")[0]
+            y = _min_norm_solve(B, (0.5 * g).reshape(-1, S))
             # x = L^-T y, one equal-size component block at a time
             dofs[idx] = np.concatenate([
                 solve_triangular(chol, yc, lower=True, trans="T")
                 for chol, yc in zip(chols, np.split(y, len(chols)))])
+            # free this half's system and factors before the next is built
+            del idx, chols, B, y
         return dofs
 
     def profile_tables(self, dofs, r, z, partials=True):

@@ -18,7 +18,7 @@ mass-orthonormal, ascending, with a deterministic sign convention.
 import numpy as np
 from scipy.linalg import eigh
 
-from .basis1d import LegFamily, gauss, trig_weights
+from .basis1d import LegFamily, gauss
 from .errors import EigenFailure
 from .extension_ops import azimuthal_mode_tables
 from .fluidgrid import cyl_tensor_to_cart, cyl_vec_to_cart
@@ -250,7 +250,8 @@ class BoundaryForcing:
 
     Samples live on the uniform closed grid t_j = j T / (n - 1) with the first
     and last samples equal; values at arbitrary times come from trigonometric
-    interpolation of the (n - 1)-point open grid.
+    interpolation of the (n - 1)-point open grid, evaluated as a cos/sin
+    series over the samples' discrete Fourier coefficients.
     """
 
     def __init__(self, t, p_in, p_out):
@@ -272,6 +273,15 @@ class BoundaryForcing:
         self.t = t
         self.p_in = p_in
         self.p_out = p_out
+        # the interpolant of the S open-grid samples at time s is
+        # Re sum_k c_k exp(2 pi i k s / T), with c_k the rfft coefficients
+        # times 2 / S, but 1 / S for the mean and an even S's Nyquist mode
+        S = t.size - 1
+        c = np.fft.rfft(np.stack([p_in[:-1], p_out[:-1]], axis=-1), axis=0) * (2.0 / S)
+        c[0] /= 2.0
+        if S % 2 == 0:
+            c[-1] /= 2.0
+        self._coef = c
 
     @classmethod
     def from_callables(cls, f_in, f_out, T, n=257):
@@ -280,8 +290,11 @@ class BoundaryForcing:
 
     def values(self, time):
         """(P_in, P_out) at arbitrary times by trigonometric interpolation."""
-        w = trig_weights(np.atleast_1d(time), self.T, self.t.size - 1)
-        return w @ self.p_in[:-1], w @ self.p_out[:-1]
+        c = self._coef
+        phase = np.multiply.outer(np.atleast_1d(time) * (2.0 * np.pi / self.T),
+                                  np.arange(c.shape[0]))
+        vals = np.cos(phase) @ c.real - np.sin(phase) @ c.imag
+        return vals[..., 0], vals[..., 1]
 
     def l2_norm(self):
         """L2(0, T) norm of the pressure pair (trapezoid on the closed grid)."""

@@ -10,7 +10,7 @@ from perifsi.cli import RunConfig, build_model
 from perifsi.errors import DomainViolation
 from perifsi.extension_ops import ExtensionField, azimuthal_damping, mollify
 from perifsi.fluidgrid import QuadJets
-from perifsi.geometry import ShellField
+from perifsi.geometry import CylinderConfig, ShellField
 from perifsi.shell_solid import ShellBasis
 
 
@@ -323,6 +323,25 @@ def _dense_solve(sol, g_nodes):
     return (PV - N @ Y) @ (U[:, :rank].T @ g_nodes.reshape(-1, g_nodes.shape[-1]))
 
 
+def _gelsy_solve(sol, g_nodes):
+    """The corrector solve with each whitened half taken by a pivoted QR
+    (LAPACK gelsy) at the relative rank cutoff 1e-10: the reference for the
+    pivoted Cholesky of the Gram."""
+    from scipy.linalg import lstsq, solve_triangular
+
+    S = g_nodes.shape[-1]
+    nh = g_nodes.shape[1] // 2
+    low, high = g_nodes[:, :nh], g_nodes[:, ::-1][:, :nh]
+    dofs = np.empty((sol.ndof, S))
+    for parity, g in enumerate((low + high, low - high)):
+        idx, chols, B = sol._whitened(parity)
+        y = lstsq(B, (0.5 * g).reshape(-1, S), cond=1e-10, lapack_driver="gelsy")[0]
+        dofs[idx] = np.concatenate([
+            solve_triangular(chol, yc, lower=True, trans="T")
+            for chol, yc in zip(chols, np.split(y, len(chols)))])
+    return dofs
+
+
 @pytest.fixture(scope="module")
 def mode_solvers(small_model):
     """The m = 0 solver of the small model and an m = 1 solver on its
@@ -431,9 +450,9 @@ class TestModeSolver:
 
     def test_matches_the_unsplit_solve_on_the_table_sources(self, monkeypatch):
         """On the default model's table sources, the parity-split solver
-        equals the full-SVD solve to 1e-7 relative, a few times the
-        operator's own round-off (its table moves about 2e-8 between BLAS
-        thread counts)."""
+        equals the full-SVD solve to 1e-7 relative, well above the
+        operator's own round-off (its table moves about 6e-10 between 1 and
+        2 BLAS threads)."""
         sources = []
         solve = extension_ops._ModeSolver.solve
 
@@ -477,6 +496,58 @@ class TestModeSolver:
             ref = want[:, :S] if parity == "cos" else want[:, S:]
             assert got.shape == ref.shape
             assert np.max(np.abs(got - ref)) <= 1e-6 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("cfg", [{}, {"n_theta": 2, "n_z": 2, "n_interior": 4}],
+                             ids=["default", "m1"])
+    def test_table_matches_the_gelsy_solve(self, monkeypatch, cfg):
+        """The table dofs of the default model and of a model with m = 1
+        shell modes are those of the pivoted-QR solve to 1e-8 relative
+        (measured 1.7e-10, and 5e-11 on m = 1)."""
+        calls = []
+        solve = extension_ops._ModeSolver.solve
+
+        def recording(self, g_nodes):
+            calls.append((self, g_nodes))
+            return solve(self, g_nodes)
+
+        monkeypatch.setattr(extension_ops._ModeSolver, "solve", recording)
+        _, parts = build_model(RunConfig(**cfg).validate()).basis.ext_op.table
+        want = {sol.m: _gelsy_solve(sol, g) for sol, g in calls}
+        for sol, parity, dofs in parts:
+            ref = want[sol.m]
+            S = ref.shape[-1] // (1 if sol.m == 0 else 2)
+            ref = ref[:, S:] if parity == "sin" else ref[:, :S]
+            got = dofs.reshape(-1, sol.ndof).T
+            assert np.max(np.abs(got - ref)) <= 1e-8 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("R, L", [(1.0, 2.0), (1.0, 8.0), (0.2, 2.0)])
+    def test_gram_rank_is_the_svd_rank(self, R, L):
+        """The pivoted Cholesky of each whitened half's Gram keeps exactly
+        the singular values above 1e-10 of the largest, and its last kept
+        and first dropped pivots each lie at least 10x from the cutoff
+        GRAM_CUTOFF max diag K (measured: kept >= 2.9e-12, dropped
+        <= 5.7e-16, relative)."""
+        cutoff = extension_ops.GRAM_CUTOFF
+        cyl = CylinderConfig(R=R, L=L, H=0.1)
+        for m, rank in ((0, 784), (2, 852)):
+            sol = extension_ops._ModeSolver(cyl, m)
+            for parity in (0, 1):
+                B = sol._whitened(parity)[2]
+                d = np.sum(B * B, axis=1)  # the Gram's diagonal
+                s = np.linalg.svd(B, compute_uv=False)
+                Rf, p, r = extension_ops._pivoted_gram(B)
+                assert r == rank == np.sum(s > 1e-10 * s[0])
+                kept = Rf[r - 1, r - 1] ** 2
+                dropped = np.max(d[p[r:]] - np.sum(Rf[:r, r:] ** 2, axis=0))
+                assert kept >= 10.0 * cutoff * d.max()
+                assert dropped <= 0.1 * cutoff * d.max()
+
+    def test_rejects_a_source_that_is_not_finite(self, mode_solvers):
+        sol = mode_solvers[0]
+        g = np.zeros((sol.r_nodes.size, sol.z_nodes.size, 2))
+        g[3, 5, 1] = np.nan
+        with pytest.raises(ValueError):
+            sol.solve(g)
 
     def test_keeps_no_factors_after_the_table(self, small_model):
         """The whitened systems and Cholesky factors (tens of MB) live only

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from perifsi.basis1d import gauss
+from perifsi.basis1d import gauss, trig_weights
 from perifsi.errors import GridMismatch
 from perifsi.extension_ops import azimuthal_mode_tables
 from perifsi.fluid_basis import (
@@ -122,6 +122,30 @@ class TestBoundaryForcing:
         pin, pout = f.values(t[:-1])
         assert np.max(np.abs(pin - p[:-1])) < 1e-12
         assert np.max(np.abs(pout)) < 1e-14
+
+    @pytest.mark.parametrize("n", [4, 5, 18, 33, 257])
+    def test_values_match_the_trig_weights(self, n):
+        """The cos/sin series over the cached spectrum equals the
+        trigonometric interpolant of trig_weights to 1e-14 relative, for
+        odd and even open-grid sample counts n - 1, at an array of times and
+        at a scalar time.  The signals are smooth, as forcing signals are:
+        random Fourier series whose modes decay like exp(-k / 4).  (On white
+        noise the two evaluations differ by some 5e-14, because each rounds
+        the phases 2 pi k t / T its own way.)"""
+        g = np.random.default_rng(n)
+        T = 1.3
+        t = np.linspace(0.0, T, n)
+        k = np.arange(n // 2 + 1)  # up to the Nyquist mode of an even n - 1
+        a, b = g.standard_normal((2, 2, k.size)) * np.exp(-k / 4.0)
+        phase = np.multiply.outer(2.0 * np.pi * t / T, k)
+        p = (np.cos(phase) @ a.T + np.sin(phase) @ b.T).T
+        f = BoundaryForcing(t, *p)
+        times = np.concatenate([g.uniform(0.0, T, 300), t])
+        for s in (times, times[0]):
+            w = trig_weights(np.atleast_1d(s), T, n - 1)
+            for got, q in zip(f.values(s), p):
+                assert got.shape == (np.size(s),)
+                assert np.max(np.abs(got - w @ q[:-1])) <= 1e-14 * np.max(np.abs(q))
 
     def test_l2_norm_of_sine(self):
         T = 2.0
