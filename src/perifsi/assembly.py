@@ -41,7 +41,8 @@ from .shell_solid import LiftedSolidField, shell_matrices
 
 @dataclass
 class GalerkinState:
-    """Shared Galerkin coefficients (a, a_dot) at time t."""
+    """Shared Galerkin coefficients (a, a_dot) at time t, or a trajectory of
+    them: the rows of (N, n) arrays a and a_dot at the N times of t."""
 
     a: np.ndarray
     a_dot: np.ndarray
@@ -50,14 +51,18 @@ class GalerkinState:
     def __post_init__(self):
         self.a = np.asarray(self.a, dtype=float)
         self.a_dot = np.asarray(self.a_dot, dtype=float)
-        if self.a.shape != self.a_dot.shape or self.a.ndim != 1:
-            raise BasisMismatch("a and a_dot must be 1D vectors of equal length")
+        if self.a.shape != self.a_dot.shape or self.a.ndim not in (1, 2):
+            raise BasisMismatch("a and a_dot must be vectors or stacks of equal shape")
+        if self.a.ndim == 2:
+            self.t = np.asarray(self.t, dtype=float)
+            if self.t.shape != self.a.shape[:1]:
+                raise BasisMismatch("a trajectory needs one time per state")
         if not (np.isfinite(self.a).all() and np.isfinite(self.a_dot).all()):
             raise ValueError("non-finite Galerkin state")
 
     @property
     def n(self):
-        return self.a.size
+        return self.a.shape[-1]
 
     @classmethod
     def zero(cls, n, t=0.0):

@@ -275,21 +275,18 @@ def _write_floats(path, header, values):
 
 
 def write_energies(path, ledger):
-    arr = ledger.as_arrays()
-    names = ["t", "E_kin", "E_el", "E", "D", "work_rate", "balance_residual"]
-    _write_floats(path, names, np.column_stack([arr[n] for n in names]))
+    names = ledger.COLUMNS
+    _write_floats(path, names, np.column_stack([getattr(ledger, k) for k in names]))
 
 
 def write_coefficients(path, traj):
-    n = traj[0].n
+    n = traj.n
     header = (
         ["t"]
         + [f"a_{k + 1}" for k in range(n)]
         + [f"adot_{k + 1}" for k in range(n)]
     )
-    values = np.column_stack([[s.t for s in traj], [s.a for s in traj],
-                              [s.a_dot for s in traj]])
-    _write_floats(path, header, values)
+    _write_floats(path, header, np.column_stack([traj.t, traj.a, traj.a_dot]))
 
 
 def write_summary(path, *, sup_E, integral_D, forcing_L2, diffusion_ratio,
@@ -329,7 +326,7 @@ def run_periodic(cfg, out_dir):
         assembler, cfg.T, cfg.n_t, forcing, outer, n_samples=cfg.matrix_samples
     )
     ledger = EnergyLedger.from_trajectory(
-        result.system, result.trajectory, cfg.T / cfg.n_t, result.problem.f
+        result.problem.system, result.trajectory, cfg.T / cfg.n_t, result.problem.f
     )
     write_energies(os.path.join(out_dir, "energies.csv"), ledger)
     write_coefficients(os.path.join(out_dir, "coefficients.csv"), result.trajectory)

@@ -8,40 +8,27 @@ converged periodic run into the single constant of the a-priori bound
 int_I D <= C * ||P||^2_{L2}.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import ZeroForcing
 from .geometry import ale_jets
 
 
-@dataclass
-class EnergyBreakdown:
-    """E = E_kin + E_el; both parts are nonnegative quadratic forms."""
-
-    E_kin: float
-    E_el: float
-
-    @property
-    def E(self):
-        return self.E_kin + self.E_el
-
-
-def energies(system, states):
-    """Total energies of Galerkin states under the assembled system.
+def energies(system, traj):
+    """The kinetic and elastic energies (E_kin, E_el) of a trajectory, one
+    (N,) array each; the total energy is E_kin + E_el.
 
     E_kin = v' M v / 2 collects fluid, shell and solid kinetic energy;
-    E_el = a' K a / 2 collects shell bending and solid elastic energy.  Only
-    the mass matrix moves with t; it is interpolated at all state times in
-    one product, and the forms of all states are taken at once.
+    E_el = a' K a / 2 collects shell bending and solid elastic energy.  Both
+    are nonnegative quadratic forms.  Only the mass matrix moves with t; it
+    is interpolated at all state times in one product, and the forms of all
+    states are taken at once.
     """
-    M = system.mass_at([s.t for s in states])
-    a = np.array([s.a for s in states])
-    v = np.array([s.a_dot for s in states])
+    M = system.mass_at(traj.t)
+    a, v = traj.a, traj.a_dot
     E_kin = 0.5 * np.einsum("mi,mi->m", (M @ v[:, :, None])[:, :, 0], v)
     E_el = 0.5 * np.einsum("mi,mi->m", a @ system.K, a)
-    return [EnergyBreakdown(k, e) for k, e in zip(E_kin.tolist(), E_el.tolist())]
+    return E_kin, E_el
 
 
 def korn_check(tu, tq, weight):

@@ -15,7 +15,7 @@ coefficients, and mix the pair with the last few passes (Anderson
 acceleration) until self-consistency.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -158,8 +158,9 @@ def step(V, state, dt):
 
 def poincare_map(problem, x0, record=False):
     """Integrate one period from x0 with the stored step maps, one
-    matrix-vector product per step; returns the final state, or the full
-    trajectory (a list of n_steps + 1 states) when record is true."""
+    matrix-vector product per step; returns the final state, or when record
+    is true the trajectory: one GalerkinState of the n_steps + 1 states,
+    a and a_dot (n_steps + 1, n) at the times t (n_steps + 1,)."""
     dt, n = problem.dt, x0.n
     X = np.empty((problem.n_steps + 1, 2 * n))
     X[0] = np.concatenate([x0.a, x0.a_dot])
@@ -175,17 +176,18 @@ def poincare_map(problem, x0, record=False):
         raise LinearSolveFailure(f"non-finite update at t={t[bad[0] - 1]}")
     if not record:
         return GalerkinState(X[-1, :n], X[-1, n:], t[-1])
-    return [GalerkinState(x[:n], x[n:], tm) for x, tm in zip(X, t.tolist())]
+    # contiguous copies: numpy's sums may round differently on strided views
+    return GalerkinState(X[:, :n].copy(), X[:, n:].copy(), t)
 
 
 def periodic_solve(problem):
     """Fixed point of the Poincare map via the monodromy factorization.
 
     Returns (x_star, info).  info holds the conditioning of I - A, the
-    periodic orbit replayed from x_star ("trajectory", n_steps + 1 states)
-    and the sup-norm gap between its end and x_star ("residual").  Raises
-    SingularMonodromy when the period is resonant with an undamped mode of
-    the system.
+    periodic orbit replayed from x_star ("trajectory", one GalerkinState of
+    the n_steps + 1 states) and the sup-norm gap between its end and x_star
+    ("residual").  Raises SingularMonodromy when the period is resonant with
+    an undamped mode of the system.
     """
     A, b = problem.monodromy
     n = problem.system.n
@@ -200,73 +202,65 @@ def periodic_solve(problem):
     xs = np.linalg.solve(F, b)
     x_star = GalerkinState(xs[:n], xs[n:], 0.0)
     traj = poincare_map(problem, x_star, record=True)
-    gap = np.concatenate([traj[-1].a - x_star.a, traj[-1].a_dot - x_star.a_dot])
+    gap = np.concatenate([traj.a[-1] - x_star.a, traj.a_dot[-1] - x_star.a_dot])
     info = {"sigma_min": float(sig[-1]), "sigma_max": float(sig[0]),
             "residual": float(np.max(np.abs(gap))), "trajectory": traj}
     return x_star, info
 
 
 @dataclass
-class EnergyRecord:
-    t: float
-    E_kin: float
-    E_el: float
-    E: float
-    D: float
-    work_rate: float
-    balance_residual: float
-
-
 class EnergyLedger:
-    """Per-step energy bookkeeping of a trajectory.
+    """Per-step energy bookkeeping of a trajectory, one (N,) array per column.
 
-    E = E_kin + E_el with E_kin = v' M v / 2 and E_el = a' K a / 2; the
-    per-step residual tests the discrete identity
+    Row m holds the state time t, E_kin = v' M v / 2, E_el = a' K a / 2 and
+    E = E_kin + E_el of state m, and the dissipation D, the rate of work and
+    the residual of the discrete identity
 
         E_{m+1} - E_m = dt [ work_rate - D ]
 
-    with the dissipation D and the rate of work of the pressure load and the
+    over step m, with D and the rate of work of the pressure load and the
     moving boundary evaluated at the midpoint.  For a frozen geometry the
     identity is exact for the implicit midpoint rule; for a moving geometry
-    the residual is O(dt^2) per period.  dt is the step of the records, so a
-    one-record ledger still integrates its dissipation.  The midpoint loads
+    the residual is O(dt^2) per period.  dt is the step of the rows, so a
+    one-row ledger still integrates its dissipation.  The midpoint loads
     are the steps' stored loads (PeriodicProblem.f, or step_maps' f); the
     dissipation and transport forms at all midpoints come from one call of
     the system's quadratic_forms, with no (n, n) block per step.
     """
 
-    def __init__(self, records, dt):
-        self.records = records
-        self.dt = dt
+    COLUMNS = ("t", "E_kin", "E_el", "E", "D", "work_rate", "balance_residual")
+
+    t: np.ndarray
+    E_kin: np.ndarray
+    E_el: np.ndarray
+    E: np.ndarray
+    D: np.ndarray
+    work_rate: np.ndarray
+    balance_residual: np.ndarray
+    dt: float
 
     @classmethod
     def from_trajectory(cls, system, traj, dt, loads):
-        E = energies(system, traj)
-        v = np.array([s.a_dot for s in traj])
+        E_kin, E_el = energies(system, traj)
+        E = E_kin + E_el
+        v = traj.a_dot
         vbar = 0.5 * (v[:-1] + v[1:])
-        t_mid = traj[0].t + (np.arange(len(traj) - 1) + 0.5) * dt
+        t_mid = traj.t[0] + (np.arange(len(traj.t) - 1) + 0.5) * dt
         D, transport = system.quadratic_forms(t_mid, vbar)
         work = np.einsum("mi,mi->m", vbar, loads) - transport
-        records = []
-        for m, (Dm, wm) in enumerate(zip(D.tolist(), work.tolist())):
-            e0, e1 = E[m], E[m + 1]
-            resid = abs(e1.E - e0.E + dt * Dm - dt * wm)
-            records.append(
-                EnergyRecord(traj[m].t, e0.E_kin, e0.E_el, e0.E, Dm, wm, resid))
-        return cls(records, dt)
-
-    def as_arrays(self):
-        names = ["t", "E_kin", "E_el", "E", "D", "work_rate", "balance_residual"]
-        return {n: np.array([getattr(r, n) for r in self.records]) for n in names}
+        resid = np.abs(E[1:] - E[:-1] + dt * D - dt * work)
+        return cls(traj.t[:-1], E_kin[:-1], E_el[:-1], E[:-1], D, work, resid, dt)
 
     def sup_energy(self):
-        return float(max((r.E for r in self.records), default=0.0))
+        return float(self.E.max()) if self.E.size else 0.0
 
     def integral_dissipation(self):
-        return float(sum(r.D for r in self.records) * self.dt)
+        # a left-to-right sum, as the rows were accumulated
+        return float(sum(self.D.tolist()) * self.dt)
 
     def max_balance_residual(self):
-        return float(max((r.balance_residual for r in self.records), default=0.0))
+        r = self.balance_residual
+        return float(r.max()) if r.size else 0.0
 
 
 @dataclass
@@ -290,13 +284,15 @@ class OuterLoopConfig:
 
 @dataclass
 class OuterResult:
+    """The converged pass: x_star, the orbit replayed from it and the
+    pass's periodic problem, whose system is that of the last pair."""
+
     x_star: GalerkinState
-    system: object
     iterations: int
     update: float
     periodic_residual: float
-    trajectory: list = field(default_factory=list)
-    problem: PeriodicProblem = None  # the periodic problem of system
+    trajectory: GalerkinState
+    problem: PeriodicProblem
 
 
 def _regularize_paths(basis, a_traj, v_traj, T, eps):
@@ -370,9 +366,8 @@ def outer_fixed_point(assembler, T, n_t, forcing, config, n_samples=None):
         problem = PeriodicProblem(system, T, dt)
         x_star, info = periodic_solve(problem)
         traj = info["trajectory"]
-        a_traj = np.array([s.a for s in traj[:-1]])
-        v_traj = np.array([s.a_dot for s in traj[:-1]])
-        shell_new, v_new = _regularize_paths(basis, a_traj, v_traj, T, config.eps)
+        shell_new, v_new = _regularize_paths(basis, traj.a[:-1], traj.a_dot[:-1],
+                                             T, config.eps)
         n_shell = shell_new.size
         g = np.concatenate([shell_new.ravel(), v_new.ravel()])
         if p is None:
@@ -381,8 +376,7 @@ def outer_fixed_point(assembler, T, n_t, forcing, config, n_samples=None):
         update = theta * float(np.max(np.abs(r)))
         history.append(update)
         if update <= config.tol:
-            return OuterResult(x_star, system, it, update, info["residual"],
-                               traj, problem)
+            return OuterResult(x_star, it, update, info["residual"], traj, problem)
         if prev is not None:
             dP = (dP + [p - prev[0]])[-ANDERSON_DEPTH:]
             dR = (dR + [r - prev[1]])[-ANDERSON_DEPTH:]
@@ -415,43 +409,58 @@ def outer_fixed_point(assembler, T, n_t, forcing, config, n_samples=None):
 
 @dataclass
 class IvpResult:
-    trajectory: list
-    violation_time: float = None
-    ledger: EnergyLedger = None
+    """The states reached (one stacked GalerkinState), their energy ledger
+    (one row per step taken) and the time at which the shell left the
+    admissible domain, None for a completed run."""
+
+    trajectory: GalerkinState
+    ledger: EnergyLedger
+    violation_time: float
 
     @property
     def completed(self):
         return self.violation_time is None
 
 
-def solve_ivp(assembler, x0, t_final, dt, forcing=None, with_ledger=True):
+def solve_ivp(assembler, x0, t_final, dt, forcing=None):
     """Nonlinear initial value integration with geometry lagged one step.
 
     At each step the domain motion and the convective transport are frozen at
     the current state (explicit in geometry), and the implicit midpoint step
     is taken in that geometry (implicit in physics).  A state that carries the
     shell beyond the injectivity margin ends the run gracefully: the result
-    reports the reached time instead of raising.  t_final must be a whole
-    number of steps (GridMismatch otherwise).
+    reports the reached time instead of raising.  Each step's ledger row is
+    that of the step's frozen system.  t_final must be a whole number of
+    steps (GridMismatch otherwise).
     """
     basis = assembler.basis
     cyl = assembler.cyl
     n_steps = _whole_steps(t_final, dt, "t_final")
     state = GalerkinState(np.array(x0.a), np.array(x0.a_dot), 0.0)
-    traj = [state]
-    records = []
+    states = [state]
+    ledgers = []
+    violation = None
     for m in range(n_steps):
         eta = basis.shell_field(state.a)
         if not check_injectivity(eta, cyl):
-            return IvpResult(traj, violation_time=state.t,
-                             ledger=EnergyLedger(records, dt))
+            violation = state.t
+            break
         sample = assembler.sample(eta, basis.shell_field(state.a_dot), state.a_dot)
         frozen = AssembledSystem.from_sample(t_final, sample, assembler, forcing)
         V, f = step_maps(frozen, np.array([state.t + 0.5 * dt]), dt)
         new = step(V[0], state, dt)
-        if with_ledger:
-            led = EnergyLedger.from_trajectory(frozen, [state, new], dt, f)
-            records.extend(led.records)
-        traj.append(new)
+        pair = _stack([state, new])
+        ledgers.append(EnergyLedger.from_trajectory(frozen, pair, dt, f))
+        states.append(new)
         state = new
-    return IvpResult(traj, ledger=EnergyLedger(records, dt))
+    # one row per step taken, none when the initial shell is outside
+    columns = ([getattr(led, k) for led in ledgers] for k in EnergyLedger.COLUMNS)
+    ledger = EnergyLedger(*(np.concatenate([np.empty(0), *c]) for c in columns), dt)
+    return IvpResult(_stack(states), ledger, violation)
+
+
+def _stack(states):
+    """One trajectory GalerkinState of a list of states."""
+    return GalerkinState(np.array([s.a for s in states]),
+                         np.array([s.a_dot for s in states]),
+                         np.array([s.t for s in states]))

@@ -52,7 +52,7 @@ def _outer_run(run_cfg):
                          tol=1e-8)
     res = outer_fixed_point(asm, run_cfg.T, run_cfg.n_t, fc, oc,
                             n_samples=run_cfg.matrix_samples)
-    ledger = EnergyLedger.from_trajectory(res.system, res.trajectory,
+    ledger = EnergyLedger.from_trajectory(res.problem.system, res.trajectory,
                                           run_cfg.T / run_cfg.n_t,
                                           res.problem.f)
     return {"cfg": run_cfg, "forcing": fc, "result": res, "ledger": ledger}
@@ -214,7 +214,7 @@ def test_criterion_05_energy_balance(model, forcing):
         p = PeriodicProblem(moving, 1.0, 1.0 / nt)
         tr = poincare_map(p, x0, record=True)
         ledger = EnergyLedger.from_trajectory(moving, tr, p.dt, p.f)
-        sums.append(float(np.sum(ledger.as_arrays()["balance_residual"])))
+        sums.append(float(np.sum(ledger.balance_residual)))
     ratio = sums[0] / sums[1]
     assert 4.0 * 0.8 <= ratio <= 4.0 * 1.2
 
@@ -276,7 +276,7 @@ def test_criterion_09_initial_value_problem(model):
                        0.005 * rng.standard_normal(n) / (1 + np.arange(n)))
     res = solve_ivp(model, x0, 0.25, 1.0 / 256)
     assert res.completed
-    E = res.ledger.as_arrays()["E"]
+    E = res.ledger.E
     assert np.all(np.diff(E) <= 1e-8 * (1.0 + E[0]))
 
     # a constant oversized inlet pressure inflates the shell monotonically

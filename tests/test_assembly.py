@@ -213,6 +213,29 @@ class TestGalerkinState:
         with pytest.raises(ValueError):
             GalerkinState(np.array([np.nan]), np.array([0.0]))
 
+    def test_stacked_trajectory(self):
+        a, v = np.arange(12.0).reshape(4, 3), -np.arange(12.0).reshape(4, 3)
+        traj = GalerkinState(a, v, [0.0, 0.25, 0.5, 0.75])
+        assert traj.n == 3
+        assert traj.a.shape == traj.a_dot.shape == (4, 3)
+        assert np.array_equal(traj.t, [0.0, 0.25, 0.5, 0.75])
+        for t in ([0.0, 0.25, 0.5], np.zeros(5), 0.0):
+            with pytest.raises(BasisMismatch):
+                GalerkinState(a, v, t)
+        with pytest.raises(BasisMismatch):
+            GalerkinState(a, v[:, :2], np.zeros(4))
+        with pytest.raises(BasisMismatch):
+            GalerkinState(a[None], v[None], np.zeros(4))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("field", ["a", "a_dot"])
+    @pytest.mark.parametrize("row", [0, 2, 3])
+    def test_a_non_finite_row_is_rejected(self, bad, field, row):
+        x = {"a": np.ones((4, 3)), "a_dot": np.ones((4, 3))}
+        x[field][row, 1] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            GalerkinState(x["a"], x["a_dot"], np.arange(4.0))
+
 
 class TestTimeGridPath:
     def test_spectral_derivative(self):

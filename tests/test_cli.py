@@ -21,6 +21,7 @@ from perifsi.errors import (
     ValidationError,
     exit_code_for,
 )
+from perifsi.solver_periodic import EnergyLedger
 
 TINY = """
 [run]
@@ -164,6 +165,50 @@ class TestRunIvp:
         b = (out2 / "coefficients.csv").read_text()
         assert a != b
 
+    @staticmethod
+    def _rows(path):
+        with open(path) as fh:
+            return list(csv.reader(fh))
+
+    def test_leaving_the_domain_exits_two(self, tmp_path, capsys):
+        """Seed 2 at amplitude 3.45 starts inside the admissible domain and
+        leaves it during the second step (shell sup 0.80, 0.92, 0.98 against
+        the bound 0.95 at t = 0, 1/16, 1/8): exit code 2, one energy row per
+        step taken and one coefficient row per state reached."""
+        cfg_path = tmp_path / "out.cfg"
+        cfg_path.write_text(TINY.replace("seed = 7", "seed = 2").replace(
+            "ivp_amplitude = 0.002", "ivp_amplitude = 3.45").replace(
+            "t_final = 0.125", "t_final = 0.25"))
+        out = tmp_path / "out"
+        assert cli.main(["run-ivp", "--config", str(cfg_path),
+                         "--out-dir", str(out)]) == 2
+        assert "t = 0.125" in capsys.readouterr().err
+        energies = self._rows(out / "energies.csv")
+        coefficients = self._rows(out / "coefficients.csv")
+        assert len(energies) - 1 == 2
+        assert len(coefficients) - 1 == 3
+        assert [float(r[0]) for r in energies[1:]] == [0.0, 0.0625]
+        assert [float(r[0]) for r in coefficients[1:]] == [0.0, 0.0625, 0.125]
+        summary = dict(zip(*self._rows(out / "summary.csv")))
+        assert float(summary["sup_E"]) == max(float(r[3]) for r in energies[1:]) > 0.0
+
+    def test_leaving_the_domain_at_the_start(self, tmp_path):
+        """At amplitude 6 the initial shell is outside the domain (sup 1.40):
+        no step is taken, energies.csv holds only its header and sup_E and
+        integral_D are 0."""
+        cfg_path = tmp_path / "out.cfg"
+        cfg_path.write_text(TINY.replace("seed = 7", "seed = 2").replace(
+            "ivp_amplitude = 0.002", "ivp_amplitude = 6.0"))
+        out = tmp_path / "out"
+        assert cli.main(["run-ivp", "--config", str(cfg_path),
+                         "--out-dir", str(out)]) == 2
+        assert self._rows(out / "energies.csv") == [list(EnergyLedger.COLUMNS)]
+        coefficients = self._rows(out / "coefficients.csv")
+        assert len(coefficients) == 2 and float(coefficients[1][0]) == 0.0
+        summary = dict(zip(*self._rows(out / "summary.csv")))
+        assert float(summary["sup_E"]) == 0.0
+        assert float(summary["integral_D"]) == 0.0
+
     def test_off_grid_final_time_fails(self, tmp_path, capsys):
         """With n_t = 64, t_final = 0.01 used to integrate to 0.015625 and
         t_final = 0.005 to take no step at all and exit 0; a t_final that is
@@ -195,11 +240,11 @@ class TestCsvRows:
         return path.read_bytes()
 
     def test_energies(self, tmp_path):
-        from perifsi.solver_periodic import EnergyLedger, EnergyRecord
+        from perifsi.solver_periodic import EnergyLedger
 
         v = self.VALUES
         rows = [[v[(i + j) % len(v)] for j in range(7)] for i in range(len(v))]
-        ledger = EnergyLedger([EnergyRecord(*r) for r in rows], 0.25)
+        ledger = EnergyLedger(*np.array(rows).T, 0.25)
         cli.write_energies(tmp_path / "e.csv", ledger)
         header = ["t", "E_kin", "E_el", "E", "D", "work_rate", "balance_residual"]
         want = self._csv_module(tmp_path / "want.csv", header, rows)
@@ -209,11 +254,12 @@ class TestCsvRows:
         from perifsi.assembly import GalerkinState
 
         finite = [x for x in self.VALUES if np.isfinite(x)]
-        traj = [GalerkinState(np.roll(finite, k)[:3], np.roll(finite, -k)[:3], t)
-                for k, t in enumerate([0.0, 1.0 / 3.0, float("nan"), -0.0, 1e-300])]
-        cli.write_coefficients(tmp_path / "c.csv", traj)
+        times = [0.0, 1.0 / 3.0, float("nan"), -0.0, 1e-300]
+        a = [np.roll(finite, k)[:3] for k in range(len(times))]
+        a_dot = [np.roll(finite, -k)[:3] for k in range(len(times))]
+        cli.write_coefficients(tmp_path / "c.csv", GalerkinState(a, a_dot, times))
         header = ["t", "a_1", "a_2", "a_3", "adot_1", "adot_2", "adot_3"]
-        rows = [[s.t, *s.a, *s.a_dot] for s in traj]
+        rows = [[t, *x, *v] for t, x, v in zip(times, a, a_dot)]
         want = self._csv_module(tmp_path / "want.csv", header, rows)
         assert (tmp_path / "c.csv").read_bytes() == want
 

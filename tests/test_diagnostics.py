@@ -18,18 +18,21 @@ class TestEnergy:
     def test_nonnegative_and_additive(self, small_model, small_forcing, rng):
         system = assemble(small_model, 1.0, small_forcing)
         n = system.n
-        s = GalerkinState(rng.standard_normal(n), rng.standard_normal(n))
-        e = energies(system, [s])[0]
-        assert e.E_kin > 0.0
-        assert e.E_el > 0.0
-        assert e.E == e.E_kin + e.E_el
-        D, _ = system.quadratic_forms([s.t], s.a_dot[None])
+        s = GalerkinState(rng.standard_normal((1, n)), rng.standard_normal((1, n)),
+                          [0.0])
+        E_kin, E_el = energies(system, s)
+        assert E_kin.shape == E_el.shape == (1,)
+        assert E_kin[0] > 0.0
+        assert E_el[0] > 0.0
+        D, _ = system.quadratic_forms(s.t, s.a_dot)
         assert D[0] > 0.0
 
     def test_zero_state_zero_energy(self, small_model, small_forcing):
         system = assemble(small_model, 1.0, small_forcing)
-        e = energies(system, [GalerkinState.zero(system.n)])[0]
-        assert e.E == 0.0
+        zero = GalerkinState(np.zeros((2, system.n)), np.zeros((2, system.n)),
+                             [0.0, 0.5])
+        E_kin, E_el = energies(system, zero)
+        assert np.array_equal(E_kin + E_el, [0.0, 0.0])
 
 
 def _mode_tables(mode, grid):
