@@ -55,6 +55,6 @@ from .diagnostics import (
     energies,
     korn_check,
 )
-from .cli import RunConfig, emit_config, parse_config
+from .config import RunConfig, emit_config, parse_config
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -19,10 +19,12 @@ extension is assembled from three pieces in physical cylindrical coordinates:
 
 The corrector is collocated per azimuthal wavenumber as a rank-deficient
 least-squares system C x = g.  Of its least-squares solutions it takes the
-one of least H1-type energy x^T (A + 1e-12 I) x: with A + 1e-12 I = L L^T
-that is the minimum-norm least-squares solution of the whitened system
-B = C L^-T.  Relative to the largest, the singular values of B drop from
-about 1e-4 to about 1e-14 at the rank, so the rank is well defined, and a
+one of least H1-type energy x^T A x: with a root X of the energy,
+X^T A X = I, that is x = X y for the minimum-norm least-squares solution y
+of the whitened system B = C X.  A is a Kronecker sum per component, so two
+small generalized eigenproblems give X exactly (fast diagonalization).
+Relative to the largest, the singular values of B drop from about 1e-4 to
+round-off (about 1e-15) at the rank, so the rank is well defined, and a
 pivoted Cholesky of the Gram B B^T finds it.  The solve is linear in the
 data, so the whole extension is a fixed linear operator of h.  For
 xi = sum_i x_i Y_i and delta = sum_k c_k Y_k,
@@ -35,7 +37,7 @@ derivative).
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, solve_triangular
+from scipy.linalg import cho_factor, cho_solve, eigh, solve_triangular
 from scipy.linalg.lapack import dpstrf
 
 from .basis1d import LegFamily, PiecewiseLegFamily, composite_gauss, gauss
@@ -168,18 +170,19 @@ def _min_norm_solve(B, G):
 
     The map from v to y passes through R11^-1 R11^-T, which amplifies the
     round-off by the square of the condition number of R11 before B^T
-    cancels it again, so one such solve is linear in G to only about 1e-12
-    relative on the corrector dofs: the solve of a sum of sources is that
-    far from the sum of their solves, which the table's contraction takes
-    to agree.
+    cancels it again, so one such solve is linear in G to only about 1e-13
+    (m = 0) and 1e-12 (m = 1) relative on the corrector dofs: the solve of
+    a sum of sources is that far from the sum of their solves, which the
+    table's contraction takes to agree.
     One step of iterative refinement, y += B^+ (G - B y), brings that to
-    about 2e-14, because the corrector's sources leave a least-squares
-    residual of only about 2e-5 relative.  y then lies within 4e-13 of a
-    full SVD solve.  Sources with a large part outside range(B) fare worse,
-    as forming the Gram squares the conditioning of the projection onto
-    range(B) and refinement cannot mend that: on random sources y is up to
-    1e-10 (m = 0) and 2e-9 (m = 1) from the SVD solve, relative, where a
-    pivoted-QR least-squares solve stays within 5e-13 and 1e-11.
+    about 1e-14 and 2e-13, because the corrector's sources leave a
+    least-squares residual of only 2e-5 to 5e-5 relative.  y then lies within
+    3e-13 of a full SVD solve.  Sources with a large part outside range(B)
+    fare worse, as forming the Gram squares the conditioning of the
+    projection onto range(B) and refinement cannot mend that: on random
+    sources y is up to 4e-11 (m = 0) and 1.3e-8 (m = 1) from the SVD solve,
+    relative, where a pivoted-QR least-squares solve stays within 3e-13 and
+    2e-11.
     """
     R, p, r = _pivoted_gram(B)
     R11 = R[:r, :r]
@@ -210,19 +213,24 @@ class _ModeSolver:
 
     a polynomial, collocated at tensor Gauss nodes as C x = g.  The
     collocation system is rank deficient; of its least-squares solutions the
-    solve takes the one that minimizes the H1-type energy x^T (A + 1e-12 I) x,
-    which keeps the operator bounded.  A is block diagonal with one Kronecker
-    sum Ar x Mz + Mr x Az + 1e-10 Mr x Mz per component.
+    solve takes the one that minimizes the H1-type energy x^T A x, which
+    keeps the operator bounded.  A is block diagonal with one Kronecker sum
+    (Ar + 1e-10 Mr) x Mz + Mr x Az per component, Mr and Mz positive
+    definite mass matrices.
 
-    The energy is whitened: with A + 1e-12 I = L L^T and x = L^-T y the
-    problem is the minimum-norm least-squares solve y = B^+ g of
-    B = C L^-T, taken by _min_norm_solve from a pivoted Cholesky of the Gram
-    B B^T.  Relative to the largest, the whitened singular values of m = 0
-    drop from 5e-5 to 1e-4 at the 784th of each parity half to about 1.5e-14
-    at the 785th (m = 1: from about 2e-6 at the 852nd to about 2e-14), so
-    the rank is well defined: on cylinders with R / L from 1/8 to 1 and
-    m <= 2 the Gram's kept pivots stay above 2e-12 and its dropped ones
-    below 2e-15 of its largest diagonal, either side of GRAM_CUTOFF.
+    The energy is whitened by fast diagonalization (Lynch, Rice & Thomas,
+    Numer. Math. 6, 1964): the generalized eigenvectors V, V^T Mr V = I, of
+    Ar + 1e-10 Mr (eigenvalues lam) and W, W^T Mz W = I, of Az (eigenvalues
+    mu) give the root X = (V x W) diag(s), s = (lam + mu)^-1/2, with
+    X^T A X = I.  With x = X y the problem is the minimum-norm least-squares
+    solve y = B^+ g of B = C X, taken by _min_norm_solve from a pivoted
+    Cholesky of the Gram B B^T = C A^-1 C^T.  Relative to the largest, the
+    whitened singular values of m = 0 drop from 5e-5 to 1e-4 at the 784th
+    of each parity half to round-off, about 1e-15, at the 785th (m = 1: from
+    about 2e-6 at the 852nd to about 4e-16), so the rank is well defined: on
+    cylinders with R / L from 1/8 to 1 and m <= 2 the Gram's kept pivots
+    stay above 2e-12 and its dropped ones below 1e-15 of its largest
+    diagonal, either side of GRAM_CUTOFF.
 
     The system splits exactly by parity about z = L/2.  The z function j has
     parity j % 2 (Legendre times the even factor z(L - z)) and the Gauss
@@ -288,33 +296,32 @@ class _ModeSolver:
         self._Tz, self._Mz, self._Az = Tz, Mz, Az
 
     def _whitened(self, parity):
-        """The z-parity half's dof indices, the Cholesky factor L_c of each
-        component's energy block and the whitened system [C_c L_c^-T]_c.
-        Built afresh per solve and dropped after it: they are tens of MB
-        and the table needs one solve per wavenumber."""
+        """The z-parity half's dof indices, the fast-diagonalization root
+        (V, W, s) of each component's energy block (V from the radial
+        factors, W from the half's axial ones) and the whitened system
+        [C_c X_c]_c with X_c = (V x W) diag(s).  Built afresh per solve and
+        dropped after it: the system is 10 MB for m = 0 and the table needs
+        one solve per wavenumber."""
         nfr, nfz = self.fam_r.nfun, self.fam_z.nfun
         Tz, Mz, Az = self._Tz, self._Mz, self._Az
         n_rows = self.r_nodes.size * Tz.shape[2]  # collocation rows of a half
-        idx, chols, cols = [], [], []
+        idx, roots, rows = [], [], []
         for i, (rad, zrow, Ar, Mr) in enumerate(self._comp_data):
             js = np.arange((parity + zrow) % 2, nfz, 2)
             idx.append(i * self.block + (np.arange(nfr)[:, None] * nfz + js).ravel())
-            Mzj, Azj = Mz[np.ix_(js, js)], Az[np.ix_(js, js)]
-            # summed in place: a few MB less at the table build's peak
-            Ac = np.kron(Ar, Mzj)
-            Ac += np.kron(Mr, Azj)
-            Ac += 1e-10 * np.kron(Mr, Mzj)
-            Ac[np.diag_indices_from(Ac)] += 1e-12
-            chol = np.linalg.cholesky(Ac)
-            Ct = np.einsum("ix,jy->ijxy", rad, Tz[js, zrow, :]).reshape(-1, n_rows)
-            chols.append(chol)
-            cols.append(solve_triangular(chol, Ct, lower=True))
-        return np.concatenate(idx), chols, np.concatenate(cols, axis=0).T
+            lam, V = eigh(Ar + 1e-10 * Mr, Mr)
+            mu, W = eigh(Az[np.ix_(js, js)], Mz[np.ix_(js, js)])
+            s = 1.0 / np.sqrt(lam[:, None] + mu[None, :])
+            # row (i, j) at node (x, y): (V^T rad)_ix (W^T Tz)_jy s_ij
+            rows.append(np.einsum("ix,jy,ij->ijxy", V.T @ rad,
+                                  W.T @ Tz[js, zrow], s).reshape(-1, n_rows))
+            roots.append((V, W, s))
+        return np.concatenate(idx), roots, np.concatenate(rows, axis=0).T
 
     def solve(self, g_nodes):
         """Profile dofs (ndof, S) matching div w = g at the collocation nodes
         for S sources, with g_nodes of shape (n_r_nodes, n_z_nodes, S).  Each
-        call factors both whitened systems, so pass all sources at once.
+        call whitens both halves afresh, so pass all sources at once.
         Raises ValueError on a source that is not finite."""
         g_nodes = np.asarray_chkfinite(g_nodes)
         S = g_nodes.shape[-1]
@@ -322,14 +329,17 @@ class _ModeSolver:
         low, high = g_nodes[:, :nh], g_nodes[:, ::-1][:, :nh]  # z_k, L - z_k
         dofs = np.empty((self.ndof, S))
         for parity, g in enumerate((low + high, low - high)):
-            idx, chols, B = self._whitened(parity)
+            idx, roots, B = self._whitened(parity)
             y = _min_norm_solve(B, (0.5 * g).reshape(-1, S))
-            # x = L^-T y, one equal-size component block at a time
-            dofs[idx] = np.concatenate([
-                solve_triangular(chol, yc, lower=True, trans="T")
-                for chol, yc in zip(chols, np.split(y, len(chols)))])
-            # free this half's system and factors before the next is built
-            del idx, chols, B, y
+            # x = V (s y) W^T per component and source, as two products
+            x = []
+            for (V, W, s), yc in zip(roots, np.split(y, len(roots))):
+                Y = s[..., None] * yc.reshape(s.shape + (S,))
+                Y = (V @ Y.reshape(len(V), -1)).reshape(Y.shape)
+                x.append((W @ Y).reshape(-1, S))
+            dofs[idx] = np.concatenate(x)
+            # free this half's system before the next is built
+            del idx, roots, B, y
         return dofs
 
     def profile_tables(self, dofs, r, z, partials=True):

@@ -2,7 +2,10 @@
 
 import csv
 import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from perifsi import cli
-from perifsi.cli import RunConfig, emit_config, parse_config
+from perifsi.config import RunConfig, emit_config, parse_config
 from perifsi.errors import (
     EXIT_CODES,
     DomainViolation,
@@ -126,6 +129,19 @@ class TestExitCodes:
 
     def test_main_missing_config_returns_one(self):
         assert cli.main(["run-ivp", "--config", "/no/such/file.cfg"]) == 1
+
+    def test_module_entry_runs_without_warnings(self):
+        """`python -m perifsi.cli` imports the package first; the package
+        must not import cli itself, or runpy warns that it executes the
+        module a second time."""
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        run = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "perifsi.cli", "--help"],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert run.returncode == 0, run.stderr
+        assert "RuntimeWarning" not in run.stderr
+        assert "run-periodic" in run.stdout
 
 
 class TestRunIvp:

@@ -281,12 +281,10 @@ def _nodal_divergence(sol, dofs):
     return np.stack(out, axis=-1).reshape(R.shape + (-1,))
 
 
-def _dense_solve(sol, g_nodes):
-    """The corrector solve as one full SVD of the whole collocation system
-    with a dense Gram and its nullspace correction: the reference for the
-    parity-split, whitened solver."""
-    from scipy.linalg import solve_triangular
-
+def _collocation_and_energy(sol):
+    """The whole collocation matrix C (nodes, ndof) of a solver, its nodes
+    r-major, and its unshifted block-diagonal energy
+    A = Ar x Mz + Mr x Az + 1e-10 Mr x Mz per component, built densely."""
     from perifsi.basis1d import composite_gauss, gauss
 
     m, L = sol.m, sol.fam_z.domain[1]
@@ -314,10 +312,20 @@ def _dense_solve(sol, g_nodes):
         Ar = np.einsum("ix,jx,x->ij", da, da, wrq * rq)
         sl = slice(i * sol.block, (i + 1) * sol.block)
         A[sl, sl] = np.kron(Ar, Mz) + np.kron(Mr, Az) + 1e-10 * np.kron(Mr, Mz)
-    U, s, Vt = np.linalg.svd(np.concatenate(cols).T, full_matrices=True)
+    return np.concatenate(cols).T, A
+
+
+def _dense_solve(sol, g_nodes):
+    """The corrector solve as one full SVD of the whole collocation system
+    with a dense Gram and its nullspace correction: the reference for the
+    parity-split, whitened solver."""
+    from scipy.linalg import solve_triangular
+
+    C, A = _collocation_and_energy(sol)
+    U, s, Vt = np.linalg.svd(C, full_matrices=True)
     rank = int(np.sum(s > 1e-10 * s[0]))
     N = Vt[rank:].T
-    chol = np.linalg.cholesky(N.T @ A @ N + 1e-12 * np.eye(N.shape[1]))
+    chol = np.linalg.cholesky(N.T @ A @ N)
     PV = Vt[:rank].T / s[:rank]
     Y = solve_triangular(chol.T, solve_triangular(chol, N.T @ (A @ PV), lower=True))
     return (PV - N @ Y) @ (U[:, :rank].T @ g_nodes.reshape(-1, g_nodes.shape[-1]))
@@ -325,20 +333,21 @@ def _dense_solve(sol, g_nodes):
 
 def _gelsy_solve(sol, g_nodes):
     """The corrector solve with each whitened half taken by a pivoted QR
-    (LAPACK gelsy) at the relative rank cutoff 1e-10: the reference for the
-    pivoted Cholesky of the Gram."""
-    from scipy.linalg import lstsq, solve_triangular
+    (LAPACK gelsy) at the relative rank cutoff 1e-10 and mapped back by the
+    dense roots (V kron W) diag(s): the reference for the pivoted Cholesky
+    of the Gram."""
+    from scipy.linalg import lstsq
 
     S = g_nodes.shape[-1]
     nh = g_nodes.shape[1] // 2
     low, high = g_nodes[:, :nh], g_nodes[:, ::-1][:, :nh]
     dofs = np.empty((sol.ndof, S))
     for parity, g in enumerate((low + high, low - high)):
-        idx, chols, B = sol._whitened(parity)
+        idx, roots, B = sol._whitened(parity)
         y = lstsq(B, (0.5 * g).reshape(-1, S), cond=1e-10, lapack_driver="gelsy")[0]
         dofs[idx] = np.concatenate([
-            solve_triangular(chol, yc, lower=True, trans="T")
-            for chol, yc in zip(chols, np.split(y, len(chols)))])
+            (np.kron(V, W) * s.ravel()) @ yc
+            for (V, W, s), yc in zip(roots, np.split(y, len(roots)))])
     return dofs
 
 
@@ -450,9 +459,9 @@ class TestModeSolver:
 
     def test_matches_the_unsplit_solve_on_the_table_sources(self, monkeypatch):
         """On the default model's table sources, the parity-split solver
-        equals the full-SVD solve to 1e-7 relative, well above the
-        operator's own round-off (its table moves about 6e-10 between 1 and
-        2 BLAS threads)."""
+        equals the full-SVD solve to 1e-7 relative (measured 1.1e-8 at 1
+        BLAS thread, 1.6e-8 at 2), well above the operator's own round-off
+        (its table moves about 3e-14 between 1 and 2 BLAS threads)."""
         sources = []
         solve = extension_ops._ModeSolver.solve
 
@@ -472,8 +481,9 @@ class TestModeSolver:
     def test_m1_table_sources_match_the_unsplit_solve_in_one_call(self, monkeypatch):
         """On a model with m = 1 shell modes, the m = 1 solver's table
         sources are solved to 1e-6 relative of the full-SVD solve (measured
-        about 2e-7), and the table build makes one solve per wavenumber:
-        the cos and sin sources of m = 1 share one call."""
+        4e-7 at 1 BLAS thread, 8e-8 at 2), and the table build makes one
+        solve per wavenumber: the cos and sin sources of m = 1 share one
+        call."""
         calls = []
         solve = extension_ops._ModeSolver.solve
 
@@ -502,7 +512,7 @@ class TestModeSolver:
     def test_table_matches_the_gelsy_solve(self, monkeypatch, cfg):
         """The table dofs of the default model and of a model with m = 1
         shell modes are those of the pivoted-QR solve to 1e-8 relative
-        (measured 1.7e-10, and 5e-11 on m = 1)."""
+        (measured 9e-14, and 1e-13 on m = 1)."""
         calls = []
         solve = extension_ops._ModeSolver.solve
 
@@ -525,8 +535,8 @@ class TestModeSolver:
         """The pivoted Cholesky of each whitened half's Gram keeps exactly
         the singular values above 1e-10 of the largest, and its last kept
         and first dropped pivots each lie at least 10x from the cutoff
-        GRAM_CUTOFF max diag K (measured: kept >= 2.9e-12, dropped
-        <= 5.7e-16, relative)."""
+        GRAM_CUTOFF max diag K (measured: kept >= 2.7e-12, dropped
+        <= 8.9e-16, relative)."""
         cutoff = extension_ops.GRAM_CUTOFF
         cyl = CylinderConfig(R=R, L=L, H=0.1)
         for m, rank in ((0, 784), (2, 852)):
@@ -542,6 +552,35 @@ class TestModeSolver:
                 assert kept >= 10.0 * cutoff * d.max()
                 assert dropped <= 0.1 * cutoff * d.max()
 
+    @pytest.mark.parametrize("m", [0, 1])
+    def test_root_whitens_the_energy(self, mode_solvers, rng, monkeypatch, m):
+        """Each parity half's roots X = (V kron W) diag(s), one per
+        component, take the unshifted dense energy block to the identity:
+        max |X^T A X - I| <= 1e-7 (measured at most 8.3e-9, on the
+        r-weighted components, whose Mr has eigenvalues down to 5e-10).
+        The solve itself builds no dense Kronecker block and no dense
+        Cholesky factor."""
+        sol = mode_solvers[m]
+
+        def dense(*args, **kwargs):
+            raise AssertionError("dense energy block or factor built")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(np, "kron", dense)
+            patch.setattr(np.linalg, "cholesky", dense)
+            sol.solve(rng.standard_normal((sol.r_nodes.size, sol.z_nodes.size, 1)))
+        A = _collocation_and_energy(sol)[1]
+        for parity in (0, 1):
+            idx, roots, _ = sol._whitened(parity)
+            assert len(roots) == len(sol.comps)
+            X = np.zeros((idx.size, idx.size))
+            at = 0
+            for V, W, s in roots:
+                X[at:at + s.size, at:at + s.size] = np.kron(V, W) * s.ravel()
+                at += s.size
+            gap = X.T @ A[np.ix_(idx, idx)] @ X - np.eye(idx.size)
+            assert np.max(np.abs(gap)) <= 1e-7
+
     def test_rejects_a_source_that_is_not_finite(self, mode_solvers):
         sol = mode_solvers[0]
         g = np.zeros((sol.r_nodes.size, sol.z_nodes.size, 2))
@@ -550,9 +589,9 @@ class TestModeSolver:
             sol.solve(g)
 
     def test_keeps_no_factors_after_the_table(self, small_model):
-        """The whitened systems and Cholesky factors (tens of MB) live only
-        inside a solve: once the table is built, each solver holds under
-        1 MiB of arrays."""
+        """The whitened systems (10 MB per half for m = 0) live only inside
+        a solve: once the table is built, each solver holds under 1 MiB of
+        arrays."""
         ext_op = small_model.basis.ext_op
         ext_op.table
         for sol in ext_op.solvers:
