@@ -22,11 +22,14 @@ least-squares system C x = g.  Of its least-squares solutions it takes the
 one of least H1-type energy x^T A x: with a root X of the energy,
 X^T A X = I, that is x = X y for the minimum-norm least-squares solution y
 of the whitened system B = C X.  A is a Kronecker sum per component, so two
-small generalized eigenproblems give X exactly (fast diagonalization).
-Relative to the largest, the singular values of B drop from about 1e-4 to
-round-off (about 1e-15) at the rank, so the rank is well defined, and a
-pivoted Cholesky of the Gram B B^T finds it.  The solve is linear in the
-data, so the whole extension is a fixed linear operator of h.  For
+small generalized eigenproblems give X exactly (fast diagonalization), and
+each component's block of B is then the outer product of a radial and an
+axial factor.  B is never formed: its Gram B B^T is one small matrix
+product of those factors, and B y and B^T z are two small products per
+component.  Relative to the largest, the singular values of B drop from
+about 1e-4 to round-off (about 1e-15) at the rank, so the rank is well
+defined, and a pivoted Cholesky of the Gram finds it.  The solve is linear
+in the data, so the whole extension is a fixed linear operator of h.  For
 xi = sum_i x_i Y_i and delta = sum_k c_k Y_k,
 h = sum_i x_i (R Y_i + sum_k c_k Y_k Y_i): one table per model over the unit
 data Y_i and Y_k Y_i holds every flux and corrector dof, and an extension is
@@ -41,7 +44,7 @@ from scipy.linalg import cho_factor, cho_solve, eigh, solve_triangular
 from scipy.linalg.lapack import dpstrf
 
 from .basis1d import LegFamily, PiecewiseLegFamily, composite_gauss, gauss
-from .errors import DomainViolation
+from .errors import DomainViolation, LinearSolveFailure
 from .fluidgrid import cyl_tensor_to_cart, cyl_vec_to_cart
 from .geometry import ShellField, check_injectivity
 
@@ -146,21 +149,61 @@ def azimuthal_mode_tables(m, parity, prof, r, theta):
                         [fz_r * s, cross3 * c, fz_z * s]])
 
 
-def _pivoted_gram(B):
-    """Pivoted Cholesky K[p][:, p] = R^T R of the Gram K = B B^T, stopped at
-    the first pivot at or below GRAM_CUTOFF max diag K.  Returns (R, p,
-    rank): the first rank rows of the upper triangular R are the factor
-    [R11 R12], its other rows are scratch.  K is factored in place."""
-    K = B @ B.T
+def _gram(rows):
+    """The Gram K = B B^T (n_rows square) of a whitened half B from its
+    factors rows = [(P, Z, s)] (_ModeSolver._whitened), where component c
+    has B_c[(x, y), (i, j)] = P[i, x] Z[j, y] s[i, j].  Then
+    K = sum_c sum_i (p_i p_i^T) x (Z^T diag(s_i^2) Z), one product of the
+    radial outer products (n_x^2, sum nfr) with the axial ones
+    (sum nfr, n_y^2), turned to (x, y), (X, Y) order: for m = 0
+    (2304 x 80) (80 x 361), 0.07 G multiply-adds against 1.1 G for the
+    product of the dense B with its transpose."""
+    nx, ny = rows[0][0].shape[1], rows[0][1].shape[1]
+    PP = np.concatenate([(P[:, :, None] * P[:, None, :]).reshape(len(P), -1)
+                         for P, _, _ in rows])
+    ZZ = np.concatenate([(s * s) @ (Z[:, :, None] * Z[:, None, :]).reshape(len(Z), -1)
+                         for _, Z, s in rows])
+    K = (PP.T @ ZZ).reshape(nx, nx, ny, ny).transpose(0, 2, 1, 3)
+    return K.reshape(nx * ny, nx * ny)
+
+
+def _whitened_matmul(rows, y):
+    """B y (n_rows, S) for the whitened half with factors rows and y
+    (sum of the components' dofs, S): P^T (s y_c) Z summed over the
+    components c."""
+    out = 0.0
+    for (P, Z, s), yc in zip(rows, np.split(y, len(rows))):
+        U = P.T @ (s[..., None] * yc.reshape(s.shape + (-1,))).reshape(len(P), -1)
+        out = out + Z.T @ U.reshape(P.shape[1], len(Z), -1)  # (x, y, S)
+    return out.reshape(-1, y.shape[-1])
+
+
+def _whitened_rmatmul(rows, z):
+    """B^T z for the whitened half with factors rows and z (n_rows, S): per
+    component s (P z Z^T), stacked."""
+    S = z.shape[-1]
+    nx = rows[0][0].shape[1]
+    return np.concatenate([
+        (s[..., None] * (Z @ (P @ z.reshape(nx, -1)).reshape(len(P), -1, S)))
+        .reshape(-1, S) for P, Z, s in rows])
+
+
+def _pivoted_gram(K):
+    """Pivoted Cholesky K[p][:, p] = R^T R of a Gram K, stopped at the first
+    pivot at or below GRAM_CUTOFF max diag K.  Returns (R, p, rank): the
+    first rank rows of the upper triangular R are the factor [R11 R12], its
+    other rows are scratch.  K is factored in place."""
     # K.T is the same symmetric K in Fortran order, so LAPACK needs no copy
     R, piv, rank, _ = dpstrf(K.T, tol=GRAM_CUTOFF * K.diagonal().max(),
                              overwrite_a=True)
     return R, piv - 1, rank
 
 
-def _min_norm_solve(B, G):
-    """Minimum-norm least-squares solution y = B^+ G of a rank-deficient B
-    (n, N), from the pivoted Cholesky of its Gram (_pivoted_gram).
+def _min_norm_solve(rows, G):
+    """Minimum-norm least-squares solution y = B^+ G of a rank-deficient
+    whitened half B (n, N) with factors rows, from the pivoted Cholesky of
+    its Gram (_gram, _pivoted_gram); B itself is only applied, through
+    _whitened_matmul and _whitened_rmatmul.
 
     With rank r the rows B1 = B[p[:r]] span the row space of B and the
     others are B2 = W B1, W = R12^T R11^-T.  The solution y = B1^T z lies in
@@ -170,34 +213,37 @@ def _min_norm_solve(B, G):
 
     The map from v to y passes through R11^-1 R11^-T, which amplifies the
     round-off by the square of the condition number of R11 before B^T
-    cancels it again, so one such solve is linear in G to only about 1e-13
-    (m = 0) and 1e-12 (m = 1) relative on the corrector dofs: the solve of
+    cancels it again, so one such solve is linear in G to only about 5e-14
+    (m = 0) and 3e-13 (m = 1) relative on the table's sources: the solve of
     a sum of sources is that far from the sum of their solves, which the
     table's contraction takes to agree.
     One step of iterative refinement, y += B^+ (G - B y), brings that to
-    about 1e-14 and 2e-13, because the corrector's sources leave a
-    least-squares residual of only 2e-5 to 5e-5 relative.  y then lies within
-    3e-13 of a full SVD solve.  Sources with a large part outside range(B)
-    fare worse, as forming the Gram squares the conditioning of the
+    about 7e-15 and 8e-14, because the corrector's sources leave a
+    least-squares residual of only 5e-5 relative or less.  y then lies
+    within 3e-13 of a full SVD solve.  Sources with a large part outside
+    range(B) fare worse, as forming the Gram squares the conditioning of the
     projection onto range(B) and refinement cannot mend that: on random
-    sources y is up to 4e-11 (m = 0) and 1.3e-8 (m = 1) from the SVD solve,
-    relative, where a pivoted-QR least-squares solve stays within 3e-13 and
-    2e-11.
+    sources y is up to 3e-11 (m = 0) and 2e-9 (m = 1) from the SVD solve,
+    relative, where a pivoted-QR least-squares solve stays within 1e-13 and
+    1e-11.
     """
-    R, p, r = _pivoted_gram(B)
+    n = G.shape[0]
+    R, p, r = _pivoted_gram(_gram(rows))
     R11 = R[:r, :r]
-    Wt = solve_triangular(R11, R[:r, r:])  # W^T
-    small = cho_factor(np.eye(B.shape[0] - r) + Wt.T @ Wt)
+    Wt = solve_triangular(R11, R[:r, r:], check_finite=False)  # W^T
+    small = cho_factor(np.eye(n - r) + Wt.T @ Wt, check_finite=False)
 
     def pinv(G):
         u = G[p[:r]] + Wt @ G[p[r:]]
-        v = u - Wt @ cho_solve(small, Wt.T @ u)
-        z = np.zeros((B.shape[0], G.shape[1]))
-        z[p[:r]] = solve_triangular(R11, solve_triangular(R11, v, trans="T"))
-        return B.T @ z
+        v = u - Wt @ cho_solve(small, Wt.T @ u, check_finite=False)
+        z = np.zeros((n, G.shape[1]))
+        z[p[:r]] = solve_triangular(
+            R11, solve_triangular(R11, v, trans="T", check_finite=False),
+            check_finite=False)
+        return _whitened_rmatmul(rows, z)
 
     y = pinv(G)
-    return y + pinv(G - B @ y)
+    return y + pinv(G - _whitened_matmul(rows, y))
 
 
 class _ModeSolver:
@@ -223,14 +269,18 @@ class _ModeSolver:
     Ar + 1e-10 Mr (eigenvalues lam) and W, W^T Mz W = I, of Az (eigenvalues
     mu) give the root X = (V x W) diag(s), s = (lam + mu)^-1/2, with
     X^T A X = I.  With x = X y the problem is the minimum-norm least-squares
-    solve y = B^+ g of B = C X, taken by _min_norm_solve from a pivoted
-    Cholesky of the Gram B B^T = C A^-1 C^T.  Relative to the largest, the
-    whitened singular values of m = 0 drop from 5e-5 to 1e-4 at the 784th
-    of each parity half to round-off, about 1e-15, at the 785th (m = 1: from
-    about 2e-6 at the 852nd to about 4e-16), so the rank is well defined: on
-    cylinders with R / L from 1/8 to 1 and m <= 2 the Gram's kept pivots
-    stay above 2e-12 and its dropped ones below 1e-15 of its largest
-    diagonal, either side of GRAM_CUTOFF.
+    solve y = B^+ g of B = C X (912 x 1360 per parity half for m = 0,
+    912 x 2040 for m >= 1), taken by _min_norm_solve from a pivoted Cholesky
+    of the Gram B B^T = C A^-1 C^T.  B is never formed: component c's
+    collocation rows are outer products of a radial table rad and an axial
+    table Tz, so B_c[(x, y), (i, j)] = (V^T rad)_ix (W^T Tz)_jy s_ij, and the
+    Gram and the products with B and B^T are taken from these factors.
+    Relative to the largest, the whitened singular values of m = 0 drop from
+    5e-5 to 1e-4 at the 784th of each parity half to round-off, about 1e-15,
+    at the 785th (m = 1: from about 2e-6 at the 852nd to about 4e-16), so
+    the rank is well defined: on cylinders with R / L from 1/8 to 1 and
+    m <= 2 the Gram's kept pivots stay above 2.7e-12 and its dropped ones
+    below 8e-16 of its largest diagonal, either side of GRAM_CUTOFF.
 
     The system splits exactly by parity about z = L/2.  The z function j has
     parity j % 2 (Legendre times the even factor z(L - z)) and the Gauss
@@ -298,39 +348,41 @@ class _ModeSolver:
     def _whitened(self, parity):
         """The z-parity half's dof indices, the fast-diagonalization root
         (V, W, s) of each component's energy block (V from the radial
-        factors, W from the half's axial ones) and the whitened system
-        [C_c X_c]_c with X_c = (V x W) diag(s).  Built afresh per solve and
-        dropped after it: the system is 10 MB for m = 0 and the table needs
-        one solve per wavenumber."""
+        factors, W from the half's axial ones) and the factors (P, Z, s),
+        P = V^T rad and Z = W^T Tz, of the component's block
+        C_c X_c = [P_ix Z_jy s_ij] of the whitened system, X_c = (V x W)
+        diag(s).  All of them are small (under 16 KiB per array for m = 0);
+        they are built afresh per solve, as the table needs one solve per
+        wavenumber."""
         nfr, nfz = self.fam_r.nfun, self.fam_z.nfun
         Tz, Mz, Az = self._Tz, self._Mz, self._Az
-        n_rows = self.r_nodes.size * Tz.shape[2]  # collocation rows of a half
         idx, roots, rows = [], [], []
         for i, (rad, zrow, Ar, Mr) in enumerate(self._comp_data):
             js = np.arange((parity + zrow) % 2, nfz, 2)
             idx.append(i * self.block + (np.arange(nfr)[:, None] * nfz + js).ravel())
-            lam, V = eigh(Ar + 1e-10 * Mr, Mr)
-            mu, W = eigh(Az[np.ix_(js, js)], Mz[np.ix_(js, js)])
+            lam, V = eigh(Ar + 1e-10 * Mr, Mr, check_finite=False)
+            mu, W = eigh(Az[np.ix_(js, js)], Mz[np.ix_(js, js)], check_finite=False)
             s = 1.0 / np.sqrt(lam[:, None] + mu[None, :])
-            # row (i, j) at node (x, y): (V^T rad)_ix (W^T Tz)_jy s_ij
-            rows.append(np.einsum("ix,jy,ij->ijxy", V.T @ rad,
-                                  W.T @ Tz[js, zrow], s).reshape(-1, n_rows))
             roots.append((V, W, s))
-        return np.concatenate(idx), roots, np.concatenate(rows, axis=0).T
+            rows.append((V.T @ rad, W.T @ Tz[js, zrow], s))
+        return np.concatenate(idx), roots, rows
 
     def solve(self, g_nodes):
         """Profile dofs (ndof, S) matching div w = g at the collocation nodes
         for S sources, with g_nodes of shape (n_r_nodes, n_z_nodes, S).  Each
-        call whitens both halves afresh, so pass all sources at once.
-        Raises ValueError on a source that is not finite."""
+        call whitens both halves afresh, so pass all sources at once.  The
+        largest arrays of a call are the Gram of one half and its factor
+        (6.3 MiB for any m); a call on 72 sources for m = 0 peaks at about
+        20 MiB of allocations.  Raises ValueError on a source that is not
+        finite and LinearSolveFailure if the dofs come out not finite."""
         g_nodes = np.asarray_chkfinite(g_nodes)
         S = g_nodes.shape[-1]
         nh = g_nodes.shape[1] // 2
         low, high = g_nodes[:, :nh], g_nodes[:, ::-1][:, :nh]  # z_k, L - z_k
         dofs = np.empty((self.ndof, S))
         for parity, g in enumerate((low + high, low - high)):
-            idx, roots, B = self._whitened(parity)
-            y = _min_norm_solve(B, (0.5 * g).reshape(-1, S))
+            idx, roots, rows = self._whitened(parity)
+            y = _min_norm_solve(rows, (0.5 * g).reshape(-1, S))
             # x = V (s y) W^T per component and source, as two products
             x = []
             for (V, W, s), yc in zip(roots, np.split(y, len(roots))):
@@ -338,8 +390,8 @@ class _ModeSolver:
                 Y = (V @ Y.reshape(len(V), -1)).reshape(Y.shape)
                 x.append((W @ Y).reshape(-1, S))
             dofs[idx] = np.concatenate(x)
-            # free this half's system before the next is built
-            del idx, roots, B, y
+        if not np.isfinite(dofs).all():
+            raise LinearSolveFailure(f"corrector solve for m = {self.m} is not finite")
         return dofs
 
     def profile_tables(self, dofs, r, z, partials=True):

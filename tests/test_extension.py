@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from perifsi import extension_ops
 from perifsi.cli import RunConfig, build_model
-from perifsi.errors import DomainViolation
+from perifsi.errors import DomainViolation, LinearSolveFailure
 from perifsi.extension_ops import ExtensionField, azimuthal_damping, mollify
 from perifsi.fluidgrid import QuadJets
 from perifsi.geometry import CylinderConfig, ShellField
@@ -331,6 +331,14 @@ def _dense_solve(sol, g_nodes):
     return (PV - N @ Y) @ (U[:, :rank].T @ g_nodes.reshape(-1, g_nodes.shape[-1]))
 
 
+def _dense_whitened(rows):
+    """The whitened system B (n_rows, sum of the components' dofs) of one
+    parity half, built densely from its factors [(P, Z, s)]:
+    B[(x, y), (i, j)] = P[i, x] Z[j, y] s[i, j] per component."""
+    return np.concatenate([np.einsum("ix,jy,ij->ijxy", P, Z, s).reshape(s.size, -1)
+                           for P, Z, s in rows]).T
+
+
 def _gelsy_solve(sol, g_nodes):
     """The corrector solve with each whitened half taken by a pivoted QR
     (LAPACK gelsy) at the relative rank cutoff 1e-10 and mapped back by the
@@ -343,8 +351,9 @@ def _gelsy_solve(sol, g_nodes):
     low, high = g_nodes[:, :nh], g_nodes[:, ::-1][:, :nh]
     dofs = np.empty((sol.ndof, S))
     for parity, g in enumerate((low + high, low - high)):
-        idx, roots, B = sol._whitened(parity)
-        y = lstsq(B, (0.5 * g).reshape(-1, S), cond=1e-10, lapack_driver="gelsy")[0]
+        idx, roots, rows = sol._whitened(parity)
+        y = lstsq(_dense_whitened(rows), (0.5 * g).reshape(-1, S), cond=1e-10,
+                  lapack_driver="gelsy")[0]
         dofs[idx] = np.concatenate([
             (np.kron(V, W) * s.ravel()) @ yc
             for (V, W, s), yc in zip(roots, np.split(y, len(roots)))])
@@ -512,7 +521,7 @@ class TestModeSolver:
     def test_table_matches_the_gelsy_solve(self, monkeypatch, cfg):
         """The table dofs of the default model and of a model with m = 1
         shell modes are those of the pivoted-QR solve to 1e-8 relative
-        (measured 9e-14, and 1e-13 on m = 1)."""
+        (measured 9e-14 on both)."""
         calls = []
         solve = extension_ops._ModeSolver.solve
 
@@ -532,20 +541,22 @@ class TestModeSolver:
 
     @pytest.mark.parametrize("R, L", [(1.0, 2.0), (1.0, 8.0), (0.2, 2.0)])
     def test_gram_rank_is_the_svd_rank(self, R, L):
-        """The pivoted Cholesky of each whitened half's Gram keeps exactly
-        the singular values above 1e-10 of the largest, and its last kept
-        and first dropped pivots each lie at least 10x from the cutoff
-        GRAM_CUTOFF max diag K (measured: kept >= 2.7e-12, dropped
-        <= 8.9e-16, relative)."""
+        """The pivoted Cholesky of each whitened half's Gram, taken from
+        the system's factors, keeps exactly the singular values above 1e-10
+        of the largest (SVD of the dense B built from the same factors), and
+        its last kept and first dropped pivots each lie at least 10x from
+        the cutoff GRAM_CUTOFF max diag K (measured: kept >= 2.7e-12,
+        dropped <= 8.0e-16, relative)."""
         cutoff = extension_ops.GRAM_CUTOFF
         cyl = CylinderConfig(R=R, L=L, H=0.1)
         for m, rank in ((0, 784), (2, 852)):
             sol = extension_ops._ModeSolver(cyl, m)
             for parity in (0, 1):
-                B = sol._whitened(parity)[2]
+                rows = sol._whitened(parity)[2]
+                B = _dense_whitened(rows)
                 d = np.sum(B * B, axis=1)  # the Gram's diagonal
                 s = np.linalg.svd(B, compute_uv=False)
-                Rf, p, r = extension_ops._pivoted_gram(B)
+                Rf, p, r = extension_ops._pivoted_gram(extension_ops._gram(rows))
                 assert r == rank == np.sum(s > 1e-10 * s[0])
                 kept = Rf[r - 1, r - 1] ** 2
                 dropped = np.max(d[p[r:]] - np.sum(Rf[:r, r:] ** 2, axis=0))
@@ -581,6 +592,41 @@ class TestModeSolver:
             gap = X.T @ A[np.ix_(idx, idx)] @ X - np.eye(idx.size)
             assert np.max(np.abs(gap)) <= 1e-7
 
+    @pytest.mark.parametrize("m", [0, 1])
+    def test_factored_operators_match_the_dense_system(self, mode_solvers, rng, m):
+        """For both parity halves, the Gram K = B B^T, B^T z and B y taken
+        from the Kronecker factors of the whitened system agree with the
+        dense B built from the same factors to 1e-13 relative."""
+        sol = mode_solvers[m]
+        for parity in (0, 1):
+            rows = sol._whitened(parity)[2]
+            B = _dense_whitened(rows)
+            z = rng.standard_normal((B.shape[0], 3))
+            y = rng.standard_normal((B.shape[1], 3))
+            for got, want in ((extension_ops._gram(rows), B @ B.T),
+                              (extension_ops._whitened_rmatmul(rows, z), B.T @ z),
+                              (extension_ops._whitened_matmul(rows, y), B @ y)):
+                assert got.shape == want.shape
+                assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("m", [0, 1])
+    def test_solve_forms_no_whitened_system(self, mode_solvers, rng, m):
+        """One solve of 72 (m = 0) or 144 (m = 1) sources peaks below 25 or
+        40 MiB of traced allocations: the dense whitened system (9.5 MiB per
+        half for m = 0) and its Gram product are never formed (measured
+        20.4 and 33.2 MiB; 29.8 and 47.3 MiB when they were)."""
+        import tracemalloc
+
+        sol = mode_solvers[m]
+        g = rng.standard_normal((sol.r_nodes.size, sol.z_nodes.size, 72 * (1 + m)))
+        tracemalloc.start()
+        try:
+            sol.solve(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < {0: 25, 1: 40}[m] * 2**20
+
     def test_rejects_a_source_that_is_not_finite(self, mode_solvers):
         sol = mode_solvers[0]
         g = np.zeros((sol.r_nodes.size, sol.z_nodes.size, 2))
@@ -588,10 +634,25 @@ class TestModeSolver:
         with pytest.raises(ValueError):
             sol.solve(g)
 
+    def test_raises_on_dofs_that_are_not_finite(self, mode_solvers, rng, monkeypatch):
+        """The solve checks only its sources and its result for finiteness:
+        a nan in the Gram's factor surfaces as LinearSolveFailure."""
+        sol = mode_solvers[0]
+        dpstrf = extension_ops.dpstrf
+
+        def poisoned(*args, **kwargs):
+            R, *rest = dpstrf(*args, **kwargs)
+            R[0, -1] = np.nan
+            return (R, *rest)
+
+        monkeypatch.setattr(extension_ops, "dpstrf", poisoned)
+        with pytest.raises(LinearSolveFailure):
+            sol.solve(rng.standard_normal((sol.r_nodes.size, sol.z_nodes.size, 1)))
+
     def test_keeps_no_factors_after_the_table(self, small_model):
-        """The whitened systems (10 MB per half for m = 0) live only inside
-        a solve: once the table is built, each solver holds under 1 MiB of
-        arrays."""
+        """The whitened factors and the Gram's pivoted Cholesky factor
+        (6.3 MiB per half for m = 0) live only inside a solve: once the table
+        is built, each solver holds under 1 MiB of arrays."""
         ext_op = small_model.basis.ext_op
         ext_op.table
         for sol in ext_op.solvers:
