@@ -151,10 +151,10 @@ class GlobalBasis:
 
         Returns (val, grad, dtX) with shapes (n, 3, Q), (n, 3, 3, Q),
         (n, 3, Q); dtX is the Eulerian time derivative at fixed physical
-        points.  The coupled entries are one stacked extension (and one for
-        their time derivatives), the interior entries one stacked Piola
-        push.  At rest (delta = dt_delta = 0) the push is the identity and
-        dtX is zero.
+        points.  The coupled entries and their time derivatives are one
+        stacked extension field of 2 half fields, evaluated in one pass; the
+        interior entries are one stacked Piola push.  At rest
+        (delta = dt_delta = 0) the push is the identity and dtX is zero.
         """
         grid = jets.grid
         Q = grid.n_nodes
@@ -164,13 +164,13 @@ class GlobalBasis:
         coupled, interior = slice(0, self.n, 2), slice(1, self.n, 2)
         zval, zgrad = self.stokes_basis.tables_on(grid)
         zval, zgrad = zval[: self.half], zgrad[: self.half]
-        nodes = (jets.r_phys, jets.theta, jets.z)
-        t = self.extension_fields(jets.delta).tables(*nodes)
-        val[coupled], grad[coupled] = t["val"], t["grad"]
+        fields = self.extension_fields(jets.delta).stack(
+            self.ext_op.extend_dt(jets.dt_delta, self.coupled_block))
+        t = fields.tables(jets.r_phys, jets.theta, jets.z)
+        val[coupled], grad[coupled] = t["val"][: self.half], t["grad"]
+        dtX[coupled] = t["val"][self.half:]
         val[interior], grad[interior] = push_piola(
             jets.A, jets.dA, jets.ginv, zval, zgrad)
-        dext = self.ext_op.extend_dt(jets.dt_delta, self.coupled_block)
-        dtX[coupled] = dext(*nodes)
         dtX[interior] = push_piola_dt(jets.dt_A, jets.dt_psi, zval, grad[interior])
         return val, grad, dtX
 

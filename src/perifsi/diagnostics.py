@@ -11,7 +11,7 @@ int_I D <= C * ||P||^2_{L2}.
 import numpy as np
 
 from .errors import ZeroForcing
-from .geometry import ale_jets
+from .geometry import ReferencePoints, ale_jets
 
 
 def energies(system, traj):
@@ -83,7 +83,8 @@ def coupling_residuals(state, basis, n_theta=24, n_z=33):
         c = state.a_dot[2 * j + 1]
         if c:
             phi += c * basis.stokes_basis.modes[j].tables(rR, tflat, zflat)["val"]
-    jets = ale_jets(cyl, eta, rR * np.cos(tflat), rR * np.sin(tflat), zflat)
+    pts = ReferencePoints(rR * np.cos(tflat), rR * np.sin(tflat), zflat)
+    jets = ale_jets(cyl, eta, pts)
     uval += np.einsum("ijq,jq->iq", jets["grad"] / jets["det"], phi)
 
     er = np.stack([np.cos(tflat), np.sin(tflat), np.zeros_like(tflat)])

@@ -237,9 +237,7 @@ def _min_norm_solve(rows, G):
         u = G[p[:r]] + Wt @ G[p[r:]]
         v = u - Wt @ cho_solve(small, Wt.T @ u, check_finite=False)
         z = np.zeros((n, G.shape[1]))
-        z[p[:r]] = solve_triangular(
-            R11, solve_triangular(R11, v, trans="T", check_finite=False),
-            check_finite=False)
+        z[p[:r]] = cho_solve((R11, False), v, check_finite=False)  # (R11^T R11)^-1 v
         return _whitened_rmatmul(rows, z)
 
     y = pinv(G)
@@ -394,55 +392,35 @@ class _ModeSolver:
             raise LinearSolveFailure(f"corrector solve for m = {self.m} is not finite")
         return dofs
 
-    def profile_tables(self, dofs, r, z, partials=True):
-        """Full component profiles (with radial factors) and, unless partials
-        is false, their first partials, of the fields with dofs (..., ndof)
-        at the nodes (r, z), each of shape (..., Q).
+    def line_block(self, dofs, zs):
+        """The dofs (..., ndof) contracted with the axial table and its z
+        derivative at the z values zs and with the radial element modes:
+        (zs.size, n_el, nc, 2, ...), n_el the radial family's per-element
+        Legendre modes and the dofs' leading axes last.  Component c of a
+        field is then sum_e B[k, e, c, 0] P_e(r) at z = zs[k], and its z
+        derivative has B[k, e, c, 1] in place of B[k, e, c, 0]."""
+        lead = dofs.shape[:-1]
+        D = dofs.reshape(-1, len(self.comps), self.fam_r.nfun, self.fam_z.nfun)
+        B = np.tensordot(D, self.fam_z.eval_table(zs, 1), axes=1)  # (.., nfr, 2, zs)
+        B = np.tensordot(B, self.fam_r.dof_basis, axes=([2], [1]))  # (.., 2, zs, n_el)
+        return B.transpose(3, 4, 1, 2, 0).reshape(B.shape[3:5] + B.shape[1:3] + lead)
 
-        The corrector is supported in C, so the profiles are zero at nodes
-        with r >= R/2.  The whole dof block is contracted once with the
-        axial table at the distinct z values of the nodes in C and with the
-        radial element modes.  Each node then gathers the block of its z
-        line and its radial element and contracts it with that element's
-        Legendre table, all nodes in one batched product; nodes sharing a z
-        value, as on a FluidGrid under the radial ALE map, share the axial
-        work.
-        """
-        r = np.asarray(r, dtype=float).ravel()
-        z = np.asarray(z, dtype=float).ravel()
-        lead, Q = dofs.shape[:-1], r.size
-        fam_r, nc = self.fam_r, len(self.comps)
-        nd = 2 if partials else 1  # z derivatives of the axial table
-        p = fam_r.degree + 1
-        inside = np.flatnonzero(r < self.r_breaks[-1])
-        zs, line = np.unique(z[inside], return_inverse=True)
-        D = dofs.reshape(-1, nc, fam_r.nfun, self.fam_z.nfun)
-        n_fc, n_el = D.shape[0] * nc, fam_r.dof_basis.shape[0]
-        # rows (line, radial element mode), columns ((field, component), z derivative)
-        A = np.tensordot(D, self.fam_z.eval_table(zs, nd - 1), axes=1)
-        A = np.tensordot(A, fam_r.dof_basis, axes=([2], [1]))
-        A = A.transpose(3, 4, 0, 1, 2).reshape(zs.size * n_el, n_fc * nd)
-        element, Tr = fam_r.local_table(r[inside], nd - 1)
-        rows = (line * n_el + element * p)[:, None] + np.arange(p)
-        # (node, r derivative, (field, component), z derivative)
-        prof = (Tr @ A[rows]).reshape(inside.size, nd, n_fc, nd)
-        V = np.zeros((n_fc, nd, Q))  # W, and W_z with partials
-        V_r = np.zeros((n_fc, Q))
-        V[:, :, inside] = prof[:, 0].transpose(1, 2, 0)
-        if partials:
-            V_r[:, inside] = prof[:, 1, :, 0].T
-        V, V_r = V.reshape(-1, nc, nd, Q), V_r.reshape(-1, nc, Q)
+    def component_profiles(self, r, V, V_z=None, V_r=None):
+        """Full component profiles (with radial factors) fr, ft, fz, each
+        (F, Q), of the component values V (F, nc, Q) at radii r; with the
+        components' z and r derivatives V_z, V_r (G, nc, Q) of the first G
+        fields also their first partials fr_r, fr_z, ..., each (G, Q)."""
         out = {}
         for i, comp in enumerate(self.comps):
-            W = V[:, i, 0]
+            W = V[:, i]
             key = {"r": "fr", "t": "ft", "z": "fz"}[comp]
             radial = comp in ("r", "t") or self.m > 0
             out[key] = r * W if radial else W
-            if partials:
-                W_r, W_z = V_r[:, i], V[:, i, 1]
+            if V_r is not None:
+                W, W_r, W_z = W[: len(V_r)], V_r[:, i], V_z[:, i]
                 out[key + "_r"] = W + r * W_r if radial else W_r
                 out[key + "_z"] = r * W_z if radial else W_z
-        return {k: v.reshape(lead + (Q,)) for k, v in out.items()}
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -455,14 +433,19 @@ class ExtensionOperator:
 
     The table holds the flux Phi and the corrector dofs per (m, parity) of
     every unit datum Y_i (row 0) and Y_k Y_i (row 1 + k) of the shell basis.
-    It is built on the first extension; every extension after that is one
-    contraction of it, with no corrector solve and no flux quadrature.
+    It is built on the first evaluation of an extension; every extension
+    after that is one contraction of it, with no corrector solve and no flux
+    quadrature.  The corrector dofs are contracted once per set of z values
+    with the axial table there (line_block): the radial ALE map moves no
+    node of a FluidGrid off its z line, so every sample on a grid reuses one
+    block.
     """
 
     def __init__(self, cyl, shell_basis):
         self.cyl = cyl
         self.shell_basis = shell_basis
         self.max_m = shell_basis.max_azimuthal_wavenumber
+        self._line_blocks = {}
 
     @cached_property
     def solvers(self):
@@ -522,6 +505,26 @@ class ExtensionOperator:
             for sol, parity, dofs in parts
         ]
 
+    def line_block(self, z):
+        """The z line of every node, an index into the distinct values zs of
+        z (Q,), and the table's corrector dofs at zs: _ModeSolver.line_block
+        of every (solver, parity), joined along the component axis in table
+        order, (1 + n, zs.size, n_el, C, 2, n).  Memoized on the node
+        coordinates z, as ShellBasis.eval_modes memoizes its tables: every
+        sample on one grid shares them (2.0 MB for the default model's 20
+        grid lines, 1.3 times its table)."""
+        key = z.tobytes()
+        hit = self._line_blocks.get(key)
+        if hit is not None:
+            return hit
+        zs, line = np.unique(z, return_inverse=True)
+        block = np.concatenate([sol.line_block(dofs.transpose(1, 0, 2), zs)
+                                for sol, _, dofs in self.table[1]], axis=2)
+        if len(self._line_blocks) > 16:
+            self._line_blocks.clear()
+        hit = self._line_blocks[key] = line, np.ascontiguousarray(np.moveaxis(block, -1, 0))
+        return hit
+
     def disk_flux_table(self, grid, z0):
         """The flux table's counterpart through the grid's disk z = z0: on a
         disk the only axial part of an extension is its plug Phi a(r) g(z0),
@@ -540,22 +543,18 @@ class ExtensionOperator:
         cyl = self.cyl
         if check and not check_injectivity(delta, cyl):
             raise DomainViolation("shell displacement breaks domain injectivity")
-        return self._contract(cyl.R, delta, xi)
+        return self._field(cyl.R, delta, xi)
 
     def extend_dt(self, dt_delta, xi):
         """Time derivative of extend(delta, xi) for fixed xi: the extension of
         the product data dt_delta * xi (the operator itself is t-independent)."""
-        return self._contract(0.0, dt_delta, xi)
+        return self._field(0.0, dt_delta, xi)
 
-    def _contract(self, base, delta, xi):
-        """The extensions of h_f = (base + delta) xi_f from the table."""
-        flux, parts = self.table
-        w = np.concatenate([[base], delta.coefficients])
+    def _field(self, base, delta, xi):
+        """The extensions of h_f = (base + delta) xi_f."""
+        W = np.concatenate([[base], delta.coefficients])[None]
         X = np.atleast_2d(xi.coefficients if isinstance(xi, ShellField) else xi)
-        dofs = [(sol, parity, X @ np.tensordot(w, d, axes=1))
-                for sol, parity, d in parts]
-        return ExtensionField(self.cyl, self.shell_basis, X, base, delta,
-                              X @ (w @ flux), dofs)
+        return ExtensionField(self, W, X)
 
 
 def _radial_factors(cyl, r):
@@ -569,71 +568,145 @@ def _radial_factors(cyl, r):
 
 
 class ExtensionField:
-    """F assembled extensions at once, of the data h_f = (base + delta) xi_f
-    with xi_f = sum_k X[f, k] Y_k: evaluates their values, gradients and
-    divergences at physical cylindrical points of the closed fluid region.
-    It holds the fluxes Phi (F,) and the corrector dofs
-    [(solver, parity, dofs (F, ndof))]."""
+    """S F assembled extensions at once: field s F + f is the extension of
+    the data h_sf = (w_s0 + sum_k w_sk Y_k) xi_f with xi_f = sum_k X[f, k]
+    Y_k, for the weight rows w_s of W (S, 1 + n).  The rows are (R, c) for
+    the extension from the interface r = R + delta, delta = sum_k c_k Y_k,
+    and (0, c') for its time derivative.  Every part of an extension is
+    linear in its weights and in X, so all S F fields are evaluated in one
+    pass: values, gradients and divergences at physical cylindrical points
+    of the closed fluid region.  The fields of the last `twins` weight rows
+    are values-only: tables gives their values but no gradients."""
 
-    def __init__(self, cyl, shell_basis, X, base, delta, flux, dofs):
-        self.cyl = cyl
-        self.shell_basis = shell_basis
+    def __init__(self, op, W, X, twins=0):
+        self.op = op
+        self.W = W
         self.X = X
-        self.base = base
-        self.delta = delta
-        self.flux = flux
-        self.dofs = dofs
+        self.twins = twins
 
-    def _values(self, r, theta, z, partials):
-        """Cylindrical values (F, 3, Q) at flat nodes, with what tables
-        differentiates: the data (h, h_theta, h_z) and the corrector
-        profiles of every (solver, parity), with their first partials when
-        partials is true."""
-        F, Q = self.X.shape[0], r.size
-        cyl = self.cyl
+    @cached_property
+    def flux(self):
+        """The fluxes Phi (S F,) of the fields."""
+        return (self.W @ self.op.table[0] @ self.X.T).ravel()
+
+    def stack(self, twin):
+        """One field of the fields of self followed by those of twin, the
+        extensions of the same data block X with other weights (as
+        extend_dt gives their time derivatives), evaluated in one pass;
+        tables gives the values of both and the gradients of self's only."""
+        if twin.op is not self.op or not np.array_equal(twin.X, self.X):
+            raise ValueError("stacked extensions must extend the same data")
+        return ExtensionField(self.op, np.concatenate([self.W, twin.W]), self.X,
+                              twins=len(twin.W))
+
+    def _values(self, r, theta, z, n_diff):
+        """Cylindrical values (S F, 3, Q) at flat nodes, with what tables
+        differentiates: the data (h, h_theta, h_z), the radial factors
+        (f0, f1) and the plug profiles (a, a') and (g, g'), and the corrector
+        profiles of _profiles, with the first partials of the fields of the
+        first n_diff weight rows."""
+        cyl, W, Q = self.op.cyl, self.W, r.size
+        # the first evaluation builds the operator's table here, before any
+        # array of its own is allocated
+        flux = self.flux[:, None]
         # the data h and its theta, z derivatives of every field, from one
-        # shell-mode table and one evaluation of delta
-        tab = self.shell_basis.eval_modes(theta, z, 1)
+        # shell-mode table: the weights give (base + delta) and its
+        # derivatives, X the xi_f
+        tab = self.op.shell_basis.eval_modes(theta, z, 1)
         xv, xt, xz = np.tensordot(self.X, tab, axes=1).transpose(1, 0, 2)
-        dv, dt, dz = self.delta.evaluate(theta, z, 1)
-        c = self.base + dv
-        data = c * xv, dt * xv + c * xt, dz * xv + c * xz
-        val = np.zeros((F, 3, Q))
+        dv, dt, dz = np.tensordot(W[:, 1:], tab, axes=1).transpose(1, 0, 2)[:, :, None]
+        c = W[:, :1, None] + dv
+        data = [d.reshape(-1, Q) for d in (c * xv, dt * xv + c * xt, dz * xv + c * xz)]
+        val = np.zeros((data[0].shape[0], 3, Q))
         # the radial part: (h / r) e_r for r >= R/2, (4 r h / R^2) e_r inside
-        val[:, 0] = _radial_factors(cyl, r)[0] * data[0]
+        factors = (_radial_factors(cyl, r), plug_radial_profile(cyl, r, 1),
+                   plug_axial_profile(cyl, z, 1))
+        val[:, 0] = factors[0][0] * data[0]
         # the axial plug Phi a(r) g(z), zero for r >= R/4
-        val[:, 2] = (self.flux[:, None] * plug_radial_profile(cyl, r)[0]
-                     * plug_axial_profile(cyl, z)[0])
+        val[:, 2] = flux * factors[1][0] * factors[2][0]
         # the corrector, supported in the inner cylinder r < R/2
-        profs = []
-        for sol, parity, dofs in self.dofs:
-            profs.append(sol.profile_tables(dofs, r, z, partials))
-            val -= azimuthal_mode_values(sol.m, parity, profs[-1], theta)
-        return val, data, profs
+        inside, profs = self._profiles(r, z, n_diff)
+        val[..., inside] -= sum(azimuthal_mode_values(sol.m, parity, prof, theta[inside])
+                                for sol, parity, prof in profs)
+        return val, data, factors, (inside, profs)
+
+    def _profiles(self, r, z, n_diff):
+        """The nodes inside C, where the corrector is supported, and there
+        [(solver, parity, component profiles)] of the correctors of all
+        fields, each profile (S F, nodes inside), with the first partials
+        (n_diff F, nodes inside) of the fields of the first n_diff weight
+        rows.
+
+        The weights and then X are contracted with the operator's memoized
+        line block of the nodes' distinct z values.  Each node then gathers
+        the block of its z line and its radial element and contracts it with
+        that element's Legendre table: one batched product for all nodes and
+        all fields.
+        """
+        parts = self.op.table[1]
+        fam_r = parts[0][0].fam_r
+        W, X = self.W, self.X
+        S, F = W.shape[0], X.shape[0]
+        nd = 2 if n_diff else 1  # derivatives of the axial and radial tables
+        p, n_el = fam_r.degree + 1, fam_r.dof_basis.shape[0]
+        C = sum(len(sol.comps) for sol, _, _ in parts)
+        inside = np.flatnonzero(r < parts[0][0].r_breaks[-1])
+        Q = inside.size
+        # (s, node, r derivative, component, z derivative, f)
+        shape = (S, Q, nd, C, nd, F)
+        if Q:
+            line, B = self.op.line_block(z)  # B: (1 + n, line, element mode, C, 2, n)
+            # the weights, then X: A[s, (line, element mode), component,
+            # z derivative, f]
+            A = (W @ B.reshape(B.shape[0], -1)).reshape(S, -1, B.shape[-1]) @ X.T
+            A = A.reshape(S, B.shape[1] * n_el, C, 2, F)[:, :, :, :nd]
+            element, Tr = fam_r.local_table(r[inside], nd - 1)
+            rows = (line[inside] * n_el + element * p)[:, None] + np.arange(p)
+            prof = (Tr @ np.take(A, rows, axis=1).reshape(S, Q, p, -1)).reshape(shape)
+        else:  # no line block for nodes all outside C, such as interface points
+            prof = np.zeros(shape)
+
+        def by_field(v):  # (s, node, component, f) -> ((s, f), component, node)
+            return v.transpose(0, 3, 2, 1).reshape(len(v) * F, C, Q)
+
+        V = [by_field(prof[:, :, 0, :, 0])]  # the values, then z and r derivatives
+        if n_diff:
+            V += [by_field(prof[:n_diff, :, 0, :, 1]), by_field(prof[:n_diff, :, 1, :, 0])]
+        out, at = [], 0
+        for sol, parity, _ in parts:
+            nc = len(sol.comps)
+            out.append((sol, parity, sol.component_profiles(
+                r[inside], *(v[:, at:at + nc] for v in V))))
+            at += nc
+        return inside, out
 
     def tables(self, r, theta, z):
-        """Cartesian values (F, 3, Q), gradients (F, 3, 3, Q) and
-        divergences (F, Q)."""
+        """Cartesian values (S F, 3, Q), and gradients (G, 3, 3, Q) and
+        divergences (G, Q) of the first G = (S - twins) F fields."""
         r, theta, z = (np.asarray(x, dtype=float).ravel() for x in (r, theta, z))
-        cyl = self.cyl
-        val, (h, ht, hz), profs = self._values(r, theta, z, partials=True)
+        cyl = self.op.cyl
+        n_diff = len(self.W) - self.twins
+        n = n_diff * len(self.X)
+        val, data, factors, (inside, profs) = self._values(r, theta, z, n_diff)
+        h, ht, hz = (d[:n] for d in data)
+        (f0, f1), (a, da), (g, dg) = factors
         out = r >= cyl.R / 2.0
-        f0, f1 = _radial_factors(cyl, r)
-        G = np.zeros((val.shape[0], 3, 3, r.size))
+        G = np.zeros((n, 3, 3, r.size))
         G[:, 0, 0] = np.where(out, -f1, f1) * h
         G[:, 0, 1] = f1 * ht
         G[:, 0, 2] = f0 * hz
         G[:, 1, 1] = f1 * h
-        a, da = plug_radial_profile(cyl, r, 1)
-        g, dg = plug_axial_profile(cyl, z, 1)
-        flux = self.flux[:, None]
+        flux = self.flux[:n, None]
         G[:, 2, 0] = flux * da * g
         G[:, 2, 2] = flux * a * dg
         div = np.where(out, 0.0, 2.0 * f1) * h + flux * a * dg
-        for (sol, parity, _), prof in zip(self.dofs, profs):
-            wG = azimuthal_mode_tables(sol.m, parity, prof, r, theta)[1]
-            G -= wG
-            div -= wG[:, 0, 0] + wG[:, 1, 1] + wG[:, 2, 2]
+        # the corrector's frame gradients, from the value profiles of the
+        # differentiated fields and their partials
+        wG = sum(azimuthal_mode_tables(sol.m, parity, {k: v[:n] for k, v in prof.items()},
+                                       r[inside], theta[inside])[1]
+                 for sol, parity, prof in profs)
+        G[..., inside] -= wG
+        div[:, inside] -= wG[:, 0, 0] + wG[:, 1, 1] + wG[:, 2, 2]
         return {
             "val": cyl_vec_to_cart(val[:, 0], val[:, 1], val[:, 2], theta),
             "grad": cyl_tensor_to_cart(G, theta),
@@ -641,10 +714,10 @@ class ExtensionField:
         }
 
     def __call__(self, r, theta, z):
-        """Cartesian values (F, 3, Q) alone: no corrector partials, no frame
-        gradients and no tensor rotation."""
+        """Cartesian values (S F, 3, Q) alone: no corrector partials, no
+        frame gradients and no tensor rotation."""
         r, theta, z = (np.asarray(x, dtype=float).ravel() for x in (r, theta, z))
-        val = self._values(r, theta, z, partials=False)[0]
+        val = self._values(r, theta, z, 0)[0]
         return cyl_vec_to_cart(val[:, 0], val[:, 1], val[:, 2], theta)
 
 

@@ -13,10 +13,12 @@ Jacobian weight.
 Gradient convention everywhere: grad[i, j] = d u_i / d x_j (row = component).
 """
 
+from functools import cached_property
+
 import numpy as np
 
 from .basis1d import gauss
-from .geometry import ale_jets
+from .geometry import ReferencePoints, ale_jets
 
 
 def cyl_vec_to_cart(vr, vt, vz, theta):
@@ -72,6 +74,12 @@ class FluidGrid:
         self._r1, self._wr1 = r1, wr1
         self._th1, self._wt1 = th1, wt1
 
+    @cached_property
+    def points(self):
+        """The nodes as ReferencePoints, with the motion-independent parts
+        of their ALE jets; built with the first sample."""
+        return ReferencePoints(self.x, self.y, self.z)
+
     def disk(self, z0):
         """Quadrature over the inlet/outlet disk at z = z0: (r, theta, w)."""
         RR, TT = np.meshgrid(self._r1, self._th1, indexing="ij")
@@ -94,9 +102,7 @@ class QuadJets:
         self.grid = grid
         self.delta = delta
         self.dt_delta = dt_delta
-        jets = ale_jets(
-            grid.cyl, delta, grid.x, grid.y, grid.z, second=True, dt_delta=dt_delta
-        )
+        jets = ale_jets(grid.cyl, delta, grid.points, second=True, dt_delta=dt_delta)
         psi = jets["psi"]
         self.r_phys = np.hypot(psi[0], psi[1])
         self.theta = grid.theta

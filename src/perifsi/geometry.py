@@ -90,24 +90,46 @@ def _delta_tables(cyl, delta, theta, z, nderiv):
     return out
 
 
-def ale_jets(cyl, delta, x, y, z, second=False, dt_delta=None):
-    """Vectorized ALE jets at reference points given in Cartesian coordinates.
+class ReferencePoints:
+    """Reference points of the cylinder, given in Cartesian coordinates,
+    with the parts of their ALE jets that no shell motion moves: the angle
+    theta = arctan2(y, x) at which delta is evaluated, its Cartesian
+    gradient theta_a (3, Q), and the four tables (4, 3, 3, Q) whose
+    combination with (s_tt, s_t, s_tz, s_zz) is the Cartesian Hessian of
+    any s(theta, z): theta_a theta_b, theta_ab, theta_a e_b + e_a theta_b
+    and e_a e_b, e = e_z."""
+
+    def __init__(self, x, y, z):
+        x, y, z = (np.asarray(v, dtype=float).ravel() for v in (x, y, z))
+        self.x, self.y, self.z = x, y, z
+        self.theta = np.arctan2(y, x)
+        r2 = np.maximum(x * x + y * y, 1e-300)
+        th = np.zeros((3, x.size))
+        th[0], th[1] = -y / r2, x / r2
+        ez = np.zeros((3, x.size))
+        ez[2] = 1.0
+        th2 = np.zeros((3, 3, x.size))
+        th2[0, 0] = 2.0 * x * y / r2**2
+        th2[0, 1] = th2[1, 0] = (y * y - x * x) / r2**2
+        th2[1, 1] = -2.0 * x * y / r2**2
+        self.theta_grad = th
+        self.hessian_tables = np.stack([
+            th[:, None] * th[None], th2, th[:, None] * ez[None] + ez[:, None] * th[None],
+            ez[:, None] * ez[None]])
+
+
+def ale_jets(cyl, delta, pts, second=False, dt_delta=None):
+    """Vectorized ALE jets at the ReferencePoints pts.
 
     Returns a dict with keys: psi (3,Q), grad (3,3,Q), det (Q); plus
     dgrad (3,3,3,Q) with dgrad[i,j,a] = d_a d_j psi_i when second=True; plus
     dt_psi, dt_grad, dt_det when the time derivative of delta is supplied.
     """
-    x = np.asarray(x, dtype=float).ravel()
-    y = np.asarray(y, dtype=float).ravel()
-    z = np.asarray(z, dtype=float).ravel()
-    theta = np.arctan2(y, x)
-    r2 = np.maximum(x * x + y * y, 1e-300)
-
+    x, y, z, theta = pts.x, pts.y, pts.z, pts.theta
     d = _delta_tables(cyl, delta, theta, z, 2 if second else 1)
     s, s_t, s_z = d["s"], d["s_t"], d["s_z"]
 
-    th_x = -y / r2
-    th_y = x / r2
+    th_x, th_y = pts.theta_grad[:2]
     s_x = s_t * th_x
     s_y = s_t * th_y
 
@@ -123,38 +145,18 @@ def ale_jets(cyl, delta, x, y, z, second=False, dt_delta=None):
     grad[2, 2] = 1.0
     det = grad[0, 0] * grad[1, 1] - grad[0, 1] * grad[1, 0]
 
-    out = {"psi": psi, "grad": grad, "det": det, "theta": theta}
+    out = {"psi": psi, "grad": grad, "det": det}
 
     if second:
-        s_tt, s_tz, s_zz = d["s_tt"], d["s_tz"], d["s_zz"]
-        th = np.zeros((3, Q))  # theta_a
-        th[0], th[1] = th_x, th_y
-        th2 = np.zeros((3, 3, Q))  # theta_ab
-        th2[0, 0] = 2.0 * x * y / r2**2
-        th2[0, 1] = th2[1, 0] = (y * y - x * x) / r2**2
-        th2[1, 1] = -2.0 * x * y / r2**2
-        ez = np.zeros((3, Q))
-        ez[2] = 1.0
         # Cartesian Hessian of s via the chain rule through (theta, z)
-        s_ab = (
-            np.einsum("q,aq,bq->abq", s_tt, th, th)
-            + np.einsum("q,abq->abq", s_t, th2)
-            + np.einsum("q,aq,bq->abq", s_tz, th, ez)
-            + np.einsum("q,aq,bq->abq", s_tz, ez, th)
-            + np.einsum("q,aq,bq->abq", s_zz, ez, ez)
-        )
+        coef = np.stack([d["s_tt"], s_t, d["s_tz"], d["s_zz"]])
+        s_ab = np.einsum("kq,kabq->abq", coef, pts.hessian_tables)
         s_a = np.stack([s_x, s_y, s_z])
-        xi = np.stack([x, y])
         dgrad = np.zeros((3, 3, 3, Q))
+        dgrad[:2] = np.stack([x, y])[:, None, None] * s_ab
         for i in range(2):
-            for j in range(3):
-                for a in range(3):
-                    term = xi[i] * s_ab[j, a]
-                    if i == j:
-                        term = term + s_a[a]
-                    if i == a:
-                        term = term + s_a[j]
-                    dgrad[i, j, a] = term
+            dgrad[i, i] += s_a
+            dgrad[i, :, i] += s_a
         out["dgrad"] = dgrad
 
     if dt_delta is not None:

@@ -304,7 +304,9 @@ def _regularize_paths(basis, a_traj, v_traj, T, eps):
     """
     n_t = a_traj.shape[0]
     dt = T / n_t
-    shell_c = np.array([basis.shell_coefficients(a) for a in a_traj])
+    # GlobalBasis.shell_coefficients of every row
+    shell_c = np.zeros((n_t, basis.shell_basis.n_modes))
+    shell_c[:, : basis.half] = a_traj[:, basis.coupled_slice]
     shell_s = mollify(shell_c.T, eps, dt).T
     shell_s *= azimuthal_damping(basis.shell_basis, eps)
     v_s = mollify(v_traj.T, eps, dt).T

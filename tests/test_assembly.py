@@ -5,7 +5,7 @@ import csv
 import numpy as np
 import pytest
 
-from test_extension import per_field_extension
+from test_extension import DofsExtension, per_field_extension
 
 from perifsi import cli
 from perifsi.assembly import (
@@ -56,6 +56,35 @@ def _per_field_fluid_tables(basis, jets):
     return val, grad, dtX
 
 
+def _two_call_fluid_tables(basis, jets):
+    """GlobalBasis.fluid_tables by the two calls it made before the line
+    block: the coupled extensions with their gradients, then the values of
+    their time-derivative twins, each a per-dofs DofsExtension; the interior
+    entries by the same Piola push.  The reference for the stacked pass."""
+    Q = jets.grid.n_nodes
+    val = np.empty((basis.n, 3, Q))
+    grad = np.empty((basis.n, 3, 3, Q))
+    dtX = np.empty((basis.n, 3, Q))
+    zval, zgrad = basis.stokes_basis.tables_on(jets.grid)
+    zval, zgrad = zval[: basis.half], zgrad[: basis.half]
+    nodes = (jets.r_phys, jets.theta, jets.z)
+    X = basis.coupled_block
+    t = DofsExtension.from_table(basis.ext_op, basis.cyl.R, jets.delta, X).tables(*nodes)
+    val[0::2], grad[0::2] = t["val"], t["grad"]
+    val[1::2], grad[1::2] = push_piola(jets.A, jets.dA, jets.ginv, zval, zgrad)
+    dtX[0::2] = DofsExtension.from_table(basis.ext_op, 0.0, jets.dt_delta, X)(*nodes)
+    dtX[1::2] = push_piola_dt(jets.dt_A, jets.dt_psi, zval, grad[1::2])
+    return val, grad, dtX
+
+
+@pytest.fixture(scope="module")
+def m1_model():
+    """A model with an m = 1 shell mode: cos and sin corrector parts."""
+    model = build_model(RunConfig(n_theta=2, n_z=2, n_interior=4).validate())
+    assert model.basis.shell_basis.max_azimuthal_wavenumber == 1
+    return model
+
+
 def _identity_jet_rest_sample(model):
     """The rest sample by the identity-jet path: coupled tables at the
     reference nodes, interior entries as the reference Stokes tables, no
@@ -80,13 +109,15 @@ def _identity_jet_rest_sample(model):
             "qout": model._flux_vector(model.cyl.L, weights)}
 
 
-def _oracle_gap(model, monkeypatch, **inputs):
+def _oracle_gap(model, monkeypatch, oracle=_per_field_fluid_tables, **inputs):
     """Largest gap, relative to the block's size, between the sample blocks
-    and the same blocks from the per-field tables."""
+    and the same blocks from the oracle's tables (default: the per-field
+    tables)."""
     got = model.sample(**inputs)
     with monkeypatch.context() as mp:
-        mp.setattr(GlobalBasis, "fluid_tables", _per_field_fluid_tables)
+        mp.setattr(GlobalBasis, "fluid_tables", oracle)
         want = model.sample(**inputs)
+    assert got.keys() == want.keys()
     gaps = {}
     for k in got:
         scale = np.max(np.abs(want[k]))
@@ -105,15 +136,32 @@ class TestStackedSample:
                                dt_delta=dt_delta, v_coeff=v)
             assert max(gaps.values()) <= 1e-12, gaps
 
-    def test_m1_moving_sample_matches_the_per_field_oracle(self, rng, monkeypatch):
+    def test_m1_moving_sample_matches_the_per_field_oracle(self, m1_model, rng,
+                                                           monkeypatch):
         """A model with an m = 1 shell mode: cos and sin corrector parts."""
-        model = build_model(RunConfig(n_theta=2, n_z=2, n_interior=4).validate())
-        shell = model.basis.shell_basis
-        assert shell.max_azimuthal_wavenumber == 1
-        delta, dt_delta, _, _ = _moving_inputs(model, rng)
-        gaps = _oracle_gap(model, monkeypatch, delta=delta, dt_delta=dt_delta,
-                           v_coeff=rng.standard_normal(model.basis.n))
+        delta, dt_delta, _, _ = _moving_inputs(m1_model, rng)
+        gaps = _oracle_gap(m1_model, monkeypatch, delta=delta, dt_delta=dt_delta,
+                           v_coeff=rng.standard_normal(m1_model.basis.n))
         assert max(gaps.values()) <= 1e-12, gaps
+
+    @pytest.mark.parametrize("moving", [False, True], ids=["rest", "moving"])
+    @pytest.mark.parametrize("which", ["small", "m1"])
+    def test_matches_the_two_call_evaluation(self, small_model, m1_model, rng,
+                                             monkeypatch, which, moving):
+        """Every block M, G, V, B, Q, qin, qout of a sample equals the one
+        from the two per-dofs calls it was assembled from before the line
+        block (extensions with gradients, then the twins' values) to 1e-13
+        relative, on the small model (m = 0) and on a model with an m = 1
+        shell mode, at rest and moving with transport."""
+        model = {"small": small_model, "m1": m1_model}[which]
+        inputs = {}
+        if moving:
+            delta, dt_delta, _, _ = _moving_inputs(model, rng)
+            inputs = {"delta": delta, "dt_delta": dt_delta,
+                      "v_coeff": rng.standard_normal(model.basis.n)}
+        gaps = _oracle_gap(model, monkeypatch, _two_call_fluid_tables, **inputs)
+        assert set(gaps) == {"M", "G", "V", "B", "Q", "qin", "qout"}
+        assert max(gaps.values()) <= 1e-13, gaps
 
 
 def _eight_node_twin(model, cfg):

@@ -9,7 +9,7 @@ from perifsi import extension_ops
 from perifsi.cli import RunConfig, build_model
 from perifsi.errors import DomainViolation, LinearSolveFailure
 from perifsi.extension_ops import ExtensionField, azimuthal_damping, mollify
-from perifsi.fluidgrid import QuadJets
+from perifsi.fluidgrid import QuadJets, cyl_tensor_to_cart, cyl_vec_to_cart
 from perifsi.geometry import CylinderConfig, ShellField
 from perifsi.shell_solid import ShellBasis
 
@@ -88,6 +88,126 @@ def per_field_extension(ext_op, base, delta, xi, r, theta, z):
             np.einsum("ikq,klq,jlq->ijq", rot, G, rot), div)
 
 
+def dof_profiles(sol, dofs, r, z, partials=True):
+    """Full component profiles (with radial factors) and, unless partials
+    is false, their first partials, of the solver's fields with dofs
+    (..., ndof) at the nodes (r, z), each of shape (..., Q): the dof block
+    contracted with the axial table at the distinct z values of the nodes in
+    C and with the radial element modes, then one batched product with each
+    node's radial Legendre table.  The per-dofs evaluation the package used
+    before the line block of the table; the reference for it and for solves
+    of arbitrary sources."""
+    r = np.asarray(r, dtype=float).ravel()
+    z = np.asarray(z, dtype=float).ravel()
+    lead, Q = dofs.shape[:-1], r.size
+    fam_r, nc = sol.fam_r, len(sol.comps)
+    nd = 2 if partials else 1
+    p = fam_r.degree + 1
+    inside = np.flatnonzero(r < sol.r_breaks[-1])
+    zs, line = np.unique(z[inside], return_inverse=True)
+    D = dofs.reshape(-1, nc, fam_r.nfun, sol.fam_z.nfun)
+    n_fc, n_el = D.shape[0] * nc, fam_r.dof_basis.shape[0]
+    A = np.tensordot(D, sol.fam_z.eval_table(zs, nd - 1), axes=1)
+    A = np.tensordot(A, fam_r.dof_basis, axes=([2], [1]))
+    A = A.transpose(3, 4, 0, 1, 2).reshape(zs.size * n_el, n_fc * nd)
+    element, Tr = fam_r.local_table(r[inside], nd - 1)
+    rows = (line * n_el + element * p)[:, None] + np.arange(p)
+    prof = (Tr @ A[rows]).reshape(inside.size, nd, n_fc, nd)
+    V = np.zeros((n_fc, nd, Q))
+    V_r = np.zeros((n_fc, Q))
+    V[:, :, inside] = prof[:, 0].transpose(1, 2, 0)
+    if partials:
+        V_r[:, inside] = prof[:, 1, :, 0].T
+    V, V_r = V.reshape(-1, nc, nd, Q), V_r.reshape(-1, nc, Q)
+    out = {}
+    for i, comp in enumerate(sol.comps):
+        W = V[:, i, 0]
+        key = {"r": "fr", "t": "ft", "z": "fz"}[comp]
+        radial = comp in ("r", "t") or sol.m > 0
+        out[key] = r * W if radial else W
+        if partials:
+            W_r, W_z = V_r[:, i], V[:, i, 1]
+            out[key + "_r"] = W + r * W_r if radial else W_r
+            out[key + "_z"] = r * W_z if radial else W_z
+    return {k: v.reshape(lead + (Q,)) for k, v in out.items()}
+
+
+class DofsExtension:
+    """F extensions of the data h_f = (base + delta) xi_f from their fluxes
+    (F,) and corrector dofs [(solver, parity, dofs (F, ndof))], each
+    evaluated on its own: dof_profiles per (solver, parity), the data from
+    delta.evaluate.  The two-call evaluation of a sample before the line
+    block (the extensions with their gradients, then their time-derivative
+    twins' values); the reference for the stacked one."""
+
+    def __init__(self, ext_op, X, base, delta, flux, dofs):
+        self.cyl = ext_op.cyl
+        self.shell_basis = ext_op.shell_basis
+        self.X = X
+        self.base = base
+        self.delta = delta
+        self.flux = flux
+        self.dofs = dofs
+
+    @classmethod
+    def from_table(cls, ext_op, base, delta, X):
+        flux, parts = ext_op.table
+        w = np.concatenate([[base], delta.coefficients])
+        dofs = [(sol, parity, X @ np.tensordot(w, d, axes=1))
+                for sol, parity, d in parts]
+        return cls(ext_op, X, base, delta, X @ (w @ flux), dofs)
+
+    def _values(self, r, theta, z, partials):
+        F, Q = self.X.shape[0], r.size
+        cyl = self.cyl
+        tab = self.shell_basis.eval_modes(theta, z, 1)
+        xv, xt, xz = np.tensordot(self.X, tab, axes=1).transpose(1, 0, 2)
+        dv, dt, dz = self.delta.evaluate(theta, z, 1)
+        c = self.base + dv
+        data = c * xv, dt * xv + c * xt, dz * xv + c * xz
+        val = np.zeros((F, 3, Q))
+        val[:, 0] = extension_ops._radial_factors(cyl, r)[0] * data[0]
+        val[:, 2] = (self.flux[:, None] * extension_ops.plug_radial_profile(cyl, r)[0]
+                     * extension_ops.plug_axial_profile(cyl, z)[0])
+        profs = []
+        for sol, parity, dofs in self.dofs:
+            profs.append(dof_profiles(sol, dofs, r, z, partials))
+            val -= extension_ops.azimuthal_mode_values(sol.m, parity, profs[-1], theta)
+        return val, data, profs
+
+    def tables(self, r, theta, z):
+        r, theta, z = (np.asarray(x, dtype=float).ravel() for x in (r, theta, z))
+        cyl = self.cyl
+        val, (h, ht, hz), profs = self._values(r, theta, z, partials=True)
+        out = r >= cyl.R / 2.0
+        f0, f1 = extension_ops._radial_factors(cyl, r)
+        G = np.zeros((val.shape[0], 3, 3, r.size))
+        G[:, 0, 0] = np.where(out, -f1, f1) * h
+        G[:, 0, 1] = f1 * ht
+        G[:, 0, 2] = f0 * hz
+        G[:, 1, 1] = f1 * h
+        a, da = extension_ops.plug_radial_profile(cyl, r, 1)
+        g, dg = extension_ops.plug_axial_profile(cyl, z, 1)
+        flux = self.flux[:, None]
+        G[:, 2, 0] = flux * da * g
+        G[:, 2, 2] = flux * a * dg
+        div = np.where(out, 0.0, 2.0 * f1) * h + flux * a * dg
+        for (sol, parity, _), prof in zip(self.dofs, profs):
+            wG = extension_ops.azimuthal_mode_tables(sol.m, parity, prof, r, theta)[1]
+            G -= wG
+            div -= wG[:, 0, 0] + wG[:, 1, 1] + wG[:, 2, 2]
+        return {
+            "val": cyl_vec_to_cart(val[:, 0], val[:, 1], val[:, 2], theta),
+            "grad": cyl_tensor_to_cart(G, theta),
+            "div": div,
+        }
+
+    def __call__(self, r, theta, z):
+        r, theta, z = (np.asarray(x, dtype=float).ravel() for x in (r, theta, z))
+        val = self._values(r, theta, z, partials=False)[0]
+        return cyl_vec_to_cart(val[:, 0], val[:, 1], val[:, 2], theta)
+
+
 class TestExtension:
     def test_linearity_in_boundary_data(self, small_model, rng):
         ext_op = small_model.basis.ext_op
@@ -164,11 +284,12 @@ class TestExtensionTable:
         flux = float(data(th, z) @ w)
         h = data(*ext_op.source_nodes())[:, None]
         parts = ext_op.corrector_dofs(h, np.array([flux]))
-        direct = ExtensionField(cyl, shell, xi.coefficients[None], cyl.R, delta,
-                                np.array([flux]), [(sol, p, d.T) for sol, p, d in parts])
+        direct = DofsExtension(ext_op, xi.coefficients[None], cyl.R, delta,
+                               np.array([flux]), [(sol, p, d.T) for sol, p, d in parts])
+        contracted = DofsExtension.from_table(ext_op, cyl.R, delta, xi.coefficients[None])
         field = ext_op.extend(delta, xi)
         assert abs(field.flux[0] - flux) <= 1e-12 * abs(flux)
-        for (s1, p1, d1), (s2, p2, d2) in zip(field.dofs, direct.dofs):
+        for (s1, p1, d1), (s2, p2, d2) in zip(contracted.dofs, direct.dofs):
             assert s1 is s2 and p1 == p2
             assert np.max(np.abs(d1 - d2)) <= 1e-12 * np.max(np.abs(d2))
         pts = _random_points(rng, cyl)
@@ -213,6 +334,57 @@ class TestExtensionTable:
                            v_coeff=rng.standard_normal(basis.n))
         assert solves == []
 
+    def test_a_moving_sample_reuses_the_line_block(self, small_model, rng,
+                                                   monkeypatch):
+        """After the first sample, a moving sample on the same grid takes no
+        corrector axial table (the line block of the grid's z lines is
+        memoized on the operator) and evaluates its extensions and their
+        time-derivative twins in one ExtensionField node evaluation."""
+        basis = small_model.basis
+        shell = basis.shell_basis
+        small_model.sample()
+        calls = []
+
+        def axial_table(*args, **kwargs):
+            raise AssertionError("corrector axial table evaluated")
+
+        for sol in basis.ext_op.solvers:
+            monkeypatch.setattr(sol.fam_z, "eval_table", axial_table)
+        values = ExtensionField._values
+
+        def counting(self, *args, **kwargs):
+            calls.append(len(self.W) * len(self.X))
+            return values(self, *args, **kwargs)
+
+        monkeypatch.setattr(ExtensionField, "_values", counting)
+        small_model.sample(
+            delta=shell.field(0.02 * rng.standard_normal(shell.n_modes)),
+            dt_delta=shell.field(0.02 * rng.standard_normal(shell.n_modes)),
+            v_coeff=rng.standard_normal(basis.n))
+        assert calls == [2 * basis.half]
+
+    def test_nodes_outside_the_corrector_build_no_line_block(self, small_model):
+        """Nodes with r >= R/2 (such as the interface points of the coupling
+        diagnostics) need no corrector, so their evaluation memoizes no line
+        block for their z values."""
+        ext_op = small_model.basis.ext_op
+        shell = small_model.basis.shell_basis
+        field = ext_op.extend(shell.zero_field(), shell.unit_field(0))
+        keys = set(ext_op._line_blocks)
+        r = np.linspace(0.5, 1.0, 7) * small_model.cyl.R
+        th, z = np.linspace(0.0, 6.0, 7), np.linspace(0.1, 1.9, 7)
+        assert field.tables(r, th, z)["grad"].shape == (1, 3, 3, 7)
+        assert field(r, th, z).shape == (1, 3, 7)
+        assert set(ext_op._line_blocks) == keys
+
+    def test_stacks_only_extensions_of_the_same_data(self, small_model, rng):
+        ext_op = small_model.basis.ext_op
+        shell = small_model.basis.shell_basis
+        X = rng.standard_normal((2, shell.n_modes))
+        ext = ext_op.extend(shell.zero_field(), X)
+        with pytest.raises(ValueError):
+            ext.stack(ext_op.extend_dt(shell.zero_field(), 2.0 * X))
+
     def test_build_model_builds_no_solver_and_no_table(self, small_cfg):
         model = build_model(small_cfg)
         built = vars(model.basis.ext_op)
@@ -223,27 +395,40 @@ class TestExtensionTable:
 class TestStackedEvaluation:
     @pytest.mark.parametrize("moving", [False, True])
     def test_each_field_matches_the_per_field_formula(self, small_model, rng, moving):
-        """Every field of a stacked extension and of its time-derivative
-        twin equals the extension of its own data alone, at points inside
-        and outside r = R/2; the values-only call gives the values of the
-        full tables."""
+        """Every field of a stacked extension, of its time-derivative twin
+        and of the two stacked into one field equals the extension of its
+        own data alone, at points inside and outside r = R/2: values,
+        gradients and divergences, and values alone for the twin's fields
+        in the stack; the values-only call gives the values of the full
+        tables."""
         ext_op = small_model.basis.ext_op
         shell = small_model.basis.shell_basis
+        R = small_model.cyl.R
         delta = (shell.field(0.02 * rng.standard_normal(shell.n_modes)) if moving
                  else shell.zero_field())
         X = rng.standard_normal((3, shell.n_modes))
         pts = _random_points(rng, small_model.cyl, n=60)
-        stacks = [(small_model.cyl.R, delta, ext_op.extend(delta, X, check=False))]
+        ext = ext_op.extend(delta, X, check=False)
+        stacks = [(ext, [R])]
         if moving:
-            stacks.append((0.0, delta, ext_op.extend_dt(delta, X)))
-        for base, d, field in stacks:
+            twin = ext_op.extend_dt(delta, X)
+            stacks += [(twin, [0.0]), (ext.stack(twin), [R, 0.0])]
+        for field, bases in stacks:
             got = field.tables(*pts)
             scale = np.max(np.abs(got["val"]))
             assert np.max(np.abs(field(*pts) - got["val"])) <= 1e-15 * scale
-            for f, x in enumerate(X):
-                v, g, div = per_field_extension(ext_op, base, d, shell.field(x), *pts)
-                want = {"val": v, "grad": g, "div": div}
-                assert _rel_gap({k: got[k][f] for k in got}, want) <= 1e-12
+            n_grad = (len(bases) - field.twins) * len(X)
+            assert got["grad"].shape[0] == got["div"].shape[0] == n_grad
+            for i, base in enumerate(bases):
+                for f, x in enumerate(X):
+                    v, g, div = per_field_extension(ext_op, base, delta, shell.field(x), *pts)
+                    row = i * len(X) + f
+                    if row < n_grad:
+                        want = {"val": v, "grad": g, "div": div}
+                        assert _rel_gap({k: got[k][row] for k in got}, want) <= 1e-12
+                    else:
+                        ref = max(np.max(np.abs(v)), 1e-300)
+                        assert np.max(np.abs(got["val"][row] - v)) <= 1e-12 * ref
 
     @given(st.integers(min_value=0, max_value=10**6), st.booleans())
     @settings(max_examples=20, deadline=None)
@@ -276,7 +461,7 @@ def _nodal_divergence(sol, dofs):
     out = []
     for d in dofs.T:
         _, G = extension_ops.azimuthal_mode_tables(
-            sol.m, "cos", sol.profile_tables(d, r, z), r, th)
+            sol.m, "cos", dof_profiles(sol, d, r, z), r, th)
         out.append(np.einsum("iiq->q", G))
     return np.stack(out, axis=-1).reshape(R.shape + (-1,))
 
@@ -368,43 +553,42 @@ def mode_solvers(small_model):
             1: extension_ops._ModeSolver(small_model.cyl, 1)}
 
 
-def _line_loop_profiles(sol, dofs, r, z, partials):
-    """The profile tables taken one z-line at a time: the dof block
-    contracted with the axial table at the distinct z values, then one
-    product with the radial element table per line."""
-    lead, Q = dofs.shape[:-1], r.size
-    nfr, nfz, nc = sol.fam_r.nfun, sol.fam_z.nfun, len(sol.comps)
+def _line_loop_profiles(field, r, z, partials):
+    """The corrector profiles of a stacked field taken one z-line at a time:
+    the field's weights and data block contracted with the operator's line
+    block of the distinct z values in C, as the field does, then one product
+    with the radial element table per line."""
+    ext_op, W, X = field.op, field.W, field.X
+    parts = ext_op.table[1]
+    fam_r = parts[0][0].fam_r
     nd = 2 if partials else 1
-    inside = np.flatnonzero(r < sol.r_breaks[-1])
+    inside = np.flatnonzero(r < parts[0][0].r_breaks[-1])
     order = inside[np.argsort(z[inside], kind="stable")]
     zs = z[order]
     first = np.flatnonzero(np.diff(zs, prepend=np.nan) != 0.0)
     bounds = np.append(first, order.size)
-    D = dofs.reshape(-1, nc, nfr, nfz)
-    A = np.tensordot(D, sol.fam_z.eval_table(zs[first], nd - 1), axes=1)
-    A = A.transpose(4, 0, 1, 3, 2) @ sol.fam_r.dof_basis.T
-    A = A.reshape(first.size, D.shape[0] * nc, nd, A.shape[-1])
-    Tr = sol.fam_r.element_table(r[order], nd - 1)
-    V = np.zeros((A.shape[1], nd, Q))
-    V_r = np.zeros((A.shape[1], Q))
-    for k, (a, b) in enumerate(zip(bounds[:-1], bounds[1:])):
+    line, B = ext_op.line_block(z)  # B: (1 + n, line, element mode, C, 2, n)
+    S, F, C = W.shape[0], X.shape[0], B.shape[3]
+    A = (W @ B.reshape(B.shape[0], -1)).reshape(S, -1, B.shape[-1]) @ X.T
+    # (line, (s, component, z derivative, f), element mode)
+    A = A.reshape(S, B.shape[1], -1, C, 2, F)[..., :nd, :]
+    A = A.transpose(1, 0, 3, 4, 5, 2).reshape(B.shape[1], -1, A.shape[2])
+    Tr = fam_r.element_table(r[order], nd - 1)
+    V = np.zeros((S, C, nd, F, nd, r.size))  # (.., z derivative, f, r derivative, node)
+    for a, b in zip(bounds[:-1], bounds[1:]):
         idx = order[a:b]
-        V[:, :, idx] = (A[k].reshape(-1, A.shape[-1]) @ Tr[:, 0, a:b]).reshape(
-            -1, nd, b - a)
-        if partials:
-            V_r[:, idx] = A[k, :, 0] @ Tr[:, 1, a:b]
-    V, V_r = V.reshape(-1, nc, nd, Q), V_r.reshape(-1, nc, Q)
-    out = {}
-    for i, comp in enumerate(sol.comps):
-        key = {"r": "fr", "t": "ft", "z": "fz"}[comp]
-        radial = comp in ("r", "t") or sol.m > 0
-        W = V[:, i, 0]
-        out[key] = r * W if radial else W
-        if partials:
-            W_r, W_z = V_r[:, i], V[:, i, 1]
-            out[key + "_r"] = W + r * W_r if radial else W_r
-            out[key + "_z"] = r * W_z if radial else W_z
-    return {k: v.reshape(lead + (Q,)) for k, v in out.items()}
+        V[..., idx] = (A[line[idx[0]]] @ Tr[:, :, a:b].reshape(A.shape[-1], -1)).reshape(
+            V.shape[:-1] + (b - a,))
+    V = V.transpose(0, 3, 1, 2, 4, 5).reshape(S * F, C, nd, nd, r.size)
+    out, at = [], 0
+    for sol, parity, _ in parts:
+        nc = len(sol.comps)
+        block = V[:, at:at + nc][..., inside]  # (field, component, z der, r der, node)
+        out.append((sol, parity, sol.component_profiles(
+            r[inside], block[:, :, 0, 0],
+            *((block[:, :, 1, 0], block[:, :, 0, 1]) if partials else ()))))
+        at += nc
+    return inside, out
 
 
 def _array_bytes(obj):
@@ -433,21 +617,35 @@ class TestModeSolver:
     @pytest.mark.parametrize("m", [0, 1])
     def test_profiles_match_the_line_loop(self, small_model, mode_solvers, rng,
                                           m, partials):
-        """The batched per-node contraction equals the one-z-line-at-a-time
-        loop to 1e-15 relative, on a moving grid's nodes (shared z lines)
-        and on scattered points in and outside C."""
-        sol = mode_solvers[m]
+        """A stacked field's corrector profiles, one batched per-node
+        contraction of its contracted line block, equal the
+        one-z-line-at-a-time loop over the same block to 1e-15 relative, on
+        a moving grid's nodes (shared z lines) and on scattered points in
+        and outside C.  The operator's table is random dofs on the m = 0
+        solver and, for m = 1, on the cos and sin parts of the m = 1 solver
+        too."""
         shell = small_model.basis.shell_basis
         delta = shell.field(0.03 * rng.standard_normal(shell.n_modes))
         jets = QuadJets(small_model.grid, delta, shell.zero_field())
         scattered = _random_points(rng, small_model.cyl, n=200)
-        dofs = rng.standard_normal((3, sol.ndof))
+        parts = [(mode_solvers[0], "cos")]
+        if m:
+            parts += [(mode_solvers[1], "cos"), (mode_solvers[1], "sin")]
+        ext_op = extension_ops.ExtensionOperator(small_model.cyl, shell)
+        ext_op.table = (None, [(sol, parity, rng.standard_normal((3, 2, sol.ndof)))
+                               for sol, parity in parts])
+        field = ExtensionField(ext_op, rng.standard_normal((2, 3)),
+                               rng.standard_normal((3, 2)))
         for r, _, z in ((jets.r_phys, jets.theta, jets.z), scattered):
-            got = sol.profile_tables(dofs, r, z, partials)
-            want = _line_loop_profiles(sol, dofs, r, z, partials)
-            assert got.keys() == want.keys()
-            for k, v in want.items():
-                assert np.max(np.abs(got[k] - v)) <= 1e-15 * np.max(np.abs(v)), k
+            inside, got = field._profiles(r, z, 2 if partials else 0)
+            inside_ref, want = _line_loop_profiles(field, r, z, partials)
+            assert np.array_equal(inside, inside_ref)
+            assert len(got) == len(want) == len(parts)
+            for (sol, parity, prof), (s2, p2, ref) in zip(got, want):
+                assert sol is s2 and parity == p2
+                assert prof.keys() == ref.keys()
+                for k, v in ref.items():
+                    assert np.max(np.abs(prof[k] - v)) <= 1e-15 * np.max(np.abs(v)), k
 
     @pytest.mark.parametrize("m", [0, 1])
     def test_mirrored_source_mirrors_the_field(self, mode_solvers, rng, m):
@@ -459,8 +657,8 @@ class TestModeSolver:
         d, d_mirror = sol.solve(np.concatenate([g, g[:, ::-1]], axis=-1)).T
         r = rng.uniform(0.01, 1.0, 50) * sol.r_breaks[-1]
         z = rng.uniform(0.0, L, 50)
-        p = sol.profile_tables(d, r, z)
-        q = sol.profile_tables(d_mirror, r, L - z)
+        p = dof_profiles(sol, d, r, z)
+        q = dof_profiles(sol, d_mirror, r, L - z)
         scale = max(np.max(np.abs(p[k])) for k in ("fr", "fz"))
         for key, sign in (("fr", 1.0), ("ft", 1.0), ("fz", -1.0)):
             if key in p:

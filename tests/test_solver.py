@@ -9,7 +9,7 @@ import pytest
 from scipy.linalg import lu_factor, lu_solve
 
 from perifsi import solver_periodic
-from perifsi.assembly import GalerkinState, TimeGridPath, assemble
+from perifsi.assembly import GalerkinState, GlobalBasis, TimeGridPath, assemble
 from perifsi.basis1d import trig_weights
 from perifsi.cli import build_forcing
 from perifsi.errors import (
@@ -18,6 +18,7 @@ from perifsi.errors import (
     LinearSolveFailure,
     NoConvergence,
 )
+from perifsi.extension_ops import azimuthal_damping, mollify
 from perifsi.geometry import MARGIN_FRAC, CylinderConfig, check_injectivity
 from perifsi.shell_solid import ShellBasis
 from perifsi.solver_periodic import (
@@ -497,6 +498,27 @@ class TestShellViolation:
         assert got == self._per_time(shell, dt) == s0 * dt
         assert solver_periodic._shell_violation(
             self.basis, shell[:s0], dt, self.cyl) is None
+
+
+class TestRegularizePaths:
+    @pytest.mark.parametrize("n", [8, 4])
+    def test_matches_the_per_row_shell_map(self, small_model, rng, n):
+        """The mollified paths equal, bitwise, those of the shell path taken
+        row by row through GlobalBasis.shell_coefficients, on the small
+        model's basis (as many coupled entries as shell modes) and on a
+        truncated one (fewer, so the shell path is zero padded)."""
+        b = small_model.basis
+        basis = GlobalBasis(b.cyl, b.shell_basis, b.solid_basis, b.stokes_basis,
+                            b.ext_op, n)
+        assert basis.half == min(n // 2, b.shell_basis.n_modes)
+        T, eps, n_t = 1.0, 4.0 / 64, 64
+        a, v = rng.standard_normal((2, n_t, n))
+        shell, vel = solver_periodic._regularize_paths(basis, a, v, T, eps)
+        per_row = np.array([basis.shell_coefficients(row) for row in a])
+        want = mollify(per_row.T, eps, T / n_t).T
+        want *= azimuthal_damping(basis.shell_basis, eps)
+        assert np.array_equal(shell, want)
+        assert np.array_equal(vel, mollify(v.T, eps, T / n_t).T)
 
 
 class TestIvp:
