@@ -25,7 +25,7 @@ from .errors import (
     EXIT_CODES,
     exit_code_for,
 )
-from .geometry import CylinderConfig, ShellField, check_injectivity
+from .geometry import CylinderConfig, ShellField, admissibility, check_injectivity
 from .shell_solid import ShellBasis, SolidBasis, SolidParams
 from .fluid_basis import BoundaryForcing, StokesBasis, build_stokes_basis
 from .extension_ops import ExtensionOperator, mollify
@@ -34,7 +34,6 @@ from .assembly import (
     AssembledSystem,
     GalerkinState,
     GlobalBasis,
-    TimeGridPath,
     assemble,
 )
 from .solver_periodic import (

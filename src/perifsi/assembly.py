@@ -35,7 +35,7 @@ from .errors import BasisMismatch, DomainViolation, GridMismatch
 from .extension_ops import push_piola, push_piola_dt
 from .fluid_basis import disk_flux
 from .fluidgrid import QuadJets
-from .geometry import check_injectivity
+from .geometry import admissibility
 from .shell_solid import LiftedSolidField, shell_matrices
 
 
@@ -69,38 +69,11 @@ class GalerkinState:
         return cls(np.zeros(n), np.zeros(n), t)
 
 
-class TimeGridPath:
-    """Periodic coefficient path sampled on the open uniform grid
-    t_j = j T / N, j = 0..N-1."""
-
-    def __init__(self, T, samples):
-        self.T = float(T)
-        self.samples = np.asarray(samples, dtype=float)
-        if self.samples.ndim != 2:
-            raise GridMismatch("path samples must be (N_t, n_coeff)")
-        self.n_t = self.samples.shape[0]
-
-    @property
-    def dt(self):
-        return self.T / self.n_t
-
-    def derivative(self):
-        """Spectral (circular) time derivative path."""
-        F = np.fft.rfft(self.samples, axis=0)
-        k = np.arange(F.shape[0])
-        F *= (2j * np.pi / self.T) * k[:, None]
-        return TimeGridPath(self.T, np.fft.irfft(F, self.n_t, axis=0))
-
-    def coarse_indices(self, n_samples):
-        if self.n_t % n_samples:
-            raise GridMismatch(
-                f"matrix sample count {n_samples} must divide the grid size {self.n_t}"
-            )
-        return np.arange(n_samples) * (self.n_t // n_samples)
-
-
 class GlobalBasis:
-    """The interleaved coupled/interior basis with cached component tables."""
+    """The interleaved coupled/interior basis with cached component tables.
+
+    The slices coupled (entries 2j) and interior (entries 2j + 1) name the
+    interleaved layout of a coefficient vector or of a block's rows."""
 
     def __init__(self, cyl, shell_basis, solid_basis, stokes_basis, ext_op, n):
         if n % 2:
@@ -124,17 +97,20 @@ class GlobalBasis:
         for j in range(half):
             self.solid_fields.append(LiftedSolidField(cyl, self.shell_modes[j]))
             self.solid_fields.append(interior_solid[j])
-        self.coupled_slice = slice(0, n, 2)
+        self.coupled = slice(0, n, 2)
+        self.interior = slice(1, n, 2)
 
     @property
     def half(self):
         return self.n // 2
 
     def shell_coefficients(self, a):
-        """Map global coefficients to shell-basis coefficients (coupled
-        entries carry the shell modes, interior entries carry none)."""
-        c = np.zeros(self.shell_basis.n_modes)
-        c[: self.half] = np.asarray(a)[self.coupled_slice]
+        """Map global coefficients (..., n) to shell-basis coefficients
+        (..., n_modes): coupled entries carry the shell modes, interior
+        entries carry none."""
+        a = np.asarray(a)
+        c = np.zeros(a.shape[:-1] + (self.shell_basis.n_modes,))
+        c[..., : self.half] = a[..., self.coupled]
         return c
 
     def shell_field(self, a):
@@ -161,7 +137,7 @@ class GlobalBasis:
         val = np.empty((self.n, 3, Q))
         grad = np.empty((self.n, 3, 3, Q))
         dtX = np.empty((self.n, 3, Q))
-        coupled, interior = slice(0, self.n, 2), slice(1, self.n, 2)
+        coupled, interior = self.coupled, self.interior
         zval, zgrad = self.stokes_basis.tables_on(grid)
         zval, zgrad = zval[: self.half], zgrad[: self.half]
         fields = self.extension_fields(jets.delta).stack(
@@ -304,9 +280,9 @@ class Assembler:
         Msh_half, Ksh_half = shell_matrices(basis.shell_basis, range(basis.half))
         M_shell = np.zeros((n, n))
         K_sh = np.zeros((n, n))
-        coupled = list(range(0, n, 2))
-        M_shell[np.ix_(coupled, coupled)] = Msh_half
-        K_sh[np.ix_(coupled, coupled)] = Ksh_half
+        c = basis.coupled
+        M_shell[c, c] = Msh_half
+        K_sh[c, c] = Ksh_half
 
         g = self.solid_grid
         Qs = g.r.size
@@ -380,50 +356,66 @@ class Assembler:
         tab0 = self._shell_tab[:, 0]
         Qh = -0.5 * np.einsum("jx,kx,x->kj", tab0, tab0, wsh * dval * rval)
         Q = np.zeros((n, n))
-        Q[np.ix_(range(0, n, 2), range(0, n, 2))] = Qh
+        Q[basis.coupled, basis.coupled] = Qh
         weights = np.concatenate([[self.cyl.R], delta.coefficients])
         qin = self._flux_vector(0.0, weights)
         qout = self._flux_vector(self.cyl.L, weights)
         return {"M": M, "G": G, "V": V, "B": B, "Q": Q, "qin": qin, "qout": qout}
 
     def _flux_vector(self, z0, weights):
+        basis = self.basis
         interior, coupled = self._disk_flux[z0]
-        q = np.zeros(self.basis.n)
-        q[1::2] = interior
-        q[::2] = weights @ coupled
+        q = np.zeros(basis.n)
+        q[basis.interior] = interior
+        q[basis.coupled] = weights @ coupled
         return q
 
 
-def assemble(assembler, T, forcing, delta_path=None, v_path=None,
+def assemble(assembler, T, forcing, shell=None, transport=None,
              n_samples=None):
-    """Assemble the linearized periodic system for a given (delta, v) path.
+    """Assemble the linearized periodic system for a given geometry path.
 
-    With delta_path None the geometry is the rest cylinder and the matrices
-    are constant (a single sample).  Paths live on the open uniform period
-    grid; matrices are sampled on a coarse divisor grid and trig-interpolated.
+    shell (n_t, n_modes) holds the shell coefficients of the prescribed
+    motion and transport (n_t, n) the Galerkin coefficients of the transport
+    field, both sampled on the open uniform period grid j T / n_t.  With
+    shell None the geometry is the rest cylinder and the matrices are
+    constant (a single sample).  Matrices are sampled on a coarse divisor
+    grid of n_samples times and trig-interpolated; the shell at every coarse
+    time is checked in one batch before any sample is built, and the first
+    inadmissible one raises DomainViolation.
     """
     basis = assembler.basis
-    cyl = assembler.cyl
-    if delta_path is None:
-        if v_path is not None:
+    if shell is None:
+        if transport is not None:
             raise GridMismatch("a transport path requires a shell path grid")
         return AssembledSystem.from_sample(T, assembler.sample(), assembler, forcing)
-    if v_path is not None and v_path.n_t != delta_path.n_t:
-        raise GridMismatch("delta and transport paths must share one time grid")
+    shell = np.asarray(shell, dtype=float)
+    if shell.ndim != 2:
+        raise GridMismatch("path samples must be (n_t, n_coeff)")
+    n_t = shell.shape[0]
+    if transport is not None and len(transport) != n_t:
+        raise GridMismatch("shell and transport paths must share one time grid")
     if n_samples is None:
-        n_samples = min(64, delta_path.n_t)
-    idx = delta_path.coarse_indices(n_samples)
-    ddt_path = delta_path.derivative()
-    times = idx * delta_path.dt
+        n_samples = min(64, n_t)
+    if n_t % n_samples:
+        raise GridMismatch(
+            f"matrix sample count {n_samples} must divide the grid size {n_t}")
+    idx = np.arange(n_samples) * (n_t // n_samples)
+    times = idx * (T / n_t)
+    bad = admissibility(assembler.cyl, basis.shell_basis, shell[idx])[1]
+    if bad is not None:
+        raise DomainViolation("shell path breaks domain injectivity",
+                              time=float(times[bad]))
+    # the spectral (circular) time derivative of the shell path
+    F = np.fft.rfft(shell, axis=0)
+    F *= (2j * np.pi / T) * np.arange(F.shape[0])[:, None]
+    dt_shell = np.fft.irfft(F, n_t, axis=0)
     stacks = None
     for s, i in enumerate(idx):
-        delta = basis.shell_basis.field(delta_path.samples[i])
-        if not check_injectivity(delta, cyl):
-            raise DomainViolation("shell path breaks domain injectivity",
-                                  time=float(times[s]))
-        dtd = basis.shell_basis.field(ddt_path.samples[i])
-        vc = None if v_path is None else v_path.samples[i]
-        sample = assembler.sample(delta=delta, dt_delta=dtd, v_coeff=vc)
+        sample = assembler.sample(
+            delta=basis.shell_basis.field(shell[i]),
+            dt_delta=basis.shell_basis.field(dt_shell[i]),
+            v_coeff=None if transport is None else transport[i])
         if stacks is None:
             stacks = {k: np.empty((n_samples,) + v.shape) for k, v in sample.items()}
         for k, v in sample.items():

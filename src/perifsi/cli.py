@@ -22,8 +22,24 @@ from dataclasses import replace
 
 import numpy as np
 
+from .assembly import Assembler, GalerkinState, GlobalBasis, assemble
 from .config import RunConfig, load_config
+from .diagnostics import coupling_residuals, diffusion_ratio, korn_check
 from .errors import ZeroForcing, exit_code_for
+from .extension_ops import ExtensionOperator, mollify
+from .fluid_basis import BoundaryForcing, build_stokes_basis, trilinear_b
+from .fluidgrid import FluidGrid, QuadJets
+from .geometry import CylinderConfig
+from .shell_solid import ShellBasis, SolidBasis, SolidGrid, SolidParams
+from .solver_periodic import (
+    EnergyLedger,
+    OuterLoopConfig,
+    PeriodicProblem,
+    outer_fixed_point,
+    periodic_solve,
+    poincare_map,
+    solve_ivp,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -32,13 +48,6 @@ from .errors import ZeroForcing, exit_code_for
 
 def build_model(cfg):
     """Instantiate the basis and assembler described by a configuration."""
-    from .assembly import GlobalBasis, Assembler
-    from .extension_ops import ExtensionOperator
-    from .fluid_basis import build_stokes_basis
-    from .fluidgrid import FluidGrid
-    from .geometry import CylinderConfig
-    from .shell_solid import ShellBasis, SolidBasis, SolidParams, SolidGrid
-
     cyl = CylinderConfig(R=cfg.R, L=cfg.L, H=cfg.H)
     shell = ShellBasis(cfg.n_theta, cfg.n_z, cfg.L)
     max_m = shell.max_azimuthal_wavenumber
@@ -64,8 +73,6 @@ def build_model(cfg):
 
 
 def build_forcing(cfg):
-    from .fluid_basis import BoundaryForcing
-
     if cfg.p_in_series:
         n = len(cfg.p_in_series)
         t = np.linspace(0.0, cfg.T, n)
@@ -136,8 +143,6 @@ def write_summary(path, *, sup_E, integral_D, forcing_L2, diffusion_ratio,
 
 def _diffusion_ratio(integral_D, forcing):
     """The measured diffusion ratio of a run; nan for zero pressure data."""
-    from .diagnostics import diffusion_ratio
-
     try:
         return diffusion_ratio(integral_D, forcing)
     except ZeroForcing:
@@ -145,8 +150,6 @@ def _diffusion_ratio(integral_D, forcing):
 
 
 def run_periodic(cfg, out_dir):
-    from .solver_periodic import EnergyLedger, OuterLoopConfig, outer_fixed_point
-
     assembler = build_model(cfg)
     forcing = build_forcing(cfg)
     outer = OuterLoopConfig(
@@ -174,9 +177,6 @@ def run_periodic(cfg, out_dir):
 
 
 def run_ivp(cfg, out_dir):
-    from .assembly import GalerkinState
-    from .solver_periodic import solve_ivp
-
     assembler = build_model(cfg)
     forcing = build_forcing(cfg)
     if forcing.is_zero():
@@ -214,13 +214,6 @@ def run_ivp(cfg, out_dir):
 
 def run_verify(cfg, out_dir):
     """Built-in identity checks on the configured model; writes a report."""
-    from .assembly import GalerkinState, assemble
-    from .diagnostics import coupling_residuals, korn_check
-    from .extension_ops import mollify
-    from .fluid_basis import trilinear_b
-    from .fluidgrid import QuadJets
-    from .solver_periodic import EnergyLedger, PeriodicProblem, periodic_solve, poincare_map
-
     rng = np.random.default_rng(cfg.seed)
     assembler = build_model(cfg)
     basis = assembler.basis
@@ -257,7 +250,7 @@ def run_verify(cfg, out_dir):
     system = assemble(assembler, cfg.T, forcing)
     prob = PeriodicProblem(system, cfg.T, cfg.T / cfg.n_t)
     x0 = GalerkinState.zero(basis.n)
-    traj = poincare_map(prob, x0, record=True)
+    traj = poincare_map(prob, x0)
     led = EnergyLedger.from_trajectory(system, traj, prob.dt, prob.f)
     scale = max(led.sup_energy(), 1e-30)
     checks.append(

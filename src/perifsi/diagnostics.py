@@ -74,15 +74,14 @@ def coupling_residuals(state, basis, n_theta=24, n_z=33):
     r_int = cyl.R + eval_eta
     # the extension is linear in xi: the coupled trace is the extension of
     # the shell velocity itself
-    uval = basis.ext_op.extend(eta, eta_dot)(r_int, tflat, zflat)[0]
+    uval = basis.ext_op.extend(eta, eta_dot).tables(r_int, tflat, zflat)["val"][0]
     # the interior entries: their reference trace sum_j a'_{2j+1} Z_j at
     # r = R, pushed to r = R + eta by the Piola factor grad / det
     rR = np.full(tflat.size, cyl.R)
     phi = np.zeros((3, tflat.size))
-    for j in range(basis.half):
-        c = state.a_dot[2 * j + 1]
+    for c, mode in zip(state.a_dot[basis.interior], basis.stokes_basis.modes):
         if c:
-            phi += c * basis.stokes_basis.modes[j].tables(rR, tflat, zflat)["val"]
+            phi += c * mode.tables(rR, tflat, zflat)["val"]
     pts = ReferencePoints(rR * np.cos(tflat), rR * np.sin(tflat), zflat)
     jets = ale_jets(cyl, eta, pts)
     uval += np.einsum("ijq,jq->iq", jets["grad"] / jets["det"], phi)

@@ -713,13 +713,6 @@ class ExtensionField:
             "div": div,
         }
 
-    def __call__(self, r, theta, z):
-        """Cartesian values (S F, 3, Q) alone: no corrector partials, no
-        frame gradients and no tensor rotation."""
-        r, theta, z = (np.asarray(x, dtype=float).ravel() for x in (r, theta, z))
-        val = self._values(r, theta, z, 0)[0]
-        return cyl_vec_to_cart(val[:, 0], val[:, 1], val[:, 2], theta)
-
 
 # ---------------------------------------------------------------------------
 # Piola transform

@@ -60,9 +60,6 @@ class ShellField:
     def value(self, theta, z):
         return self.evaluate(theta, z, 0)[0]
 
-    def sup_norm(self):
-        return float(np.max(np.abs(self.value(*sup_grid(self.basis)))))
-
 
 def sup_grid(basis):
     """Flattened (theta, z) of the dense (4x oversampled) tensor grid on
@@ -188,6 +185,20 @@ def ale_jets(cyl, delta, pts, second=False, dt_delta=None):
     return out
 
 
+def admissibility(cyl, basis, coefficients):
+    """sup |eta| on the sup_grid of every row of shell coefficients
+    (..., n_modes), as one product with the memoized mode table, and the
+    flat index of the first row whose sup is not below cyl.sup_bound (None
+    when every row keeps the deformed domain admissible).
+
+    This is the one admissibility test: check_injectivity, assemble and the
+    outer loop all decide with it."""
+    table = basis.eval_modes(*sup_grid(basis), 0)[:, 0]
+    sup = np.max(np.abs(np.asarray(coefficients, dtype=float) @ table), axis=-1)
+    bad = np.flatnonzero(~(sup < cyl.sup_bound))
+    return sup, (int(bad[0]) if bad.size else None)
+
+
 def check_injectivity(eta, cyl):
     """True iff sup |eta| < cyl.sup_bound on a dense (4x oversampled) grid."""
-    return eta.sup_norm() < cyl.sup_bound
+    return admissibility(cyl, eta.basis, eta.coefficients)[1] is None

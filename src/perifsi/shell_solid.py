@@ -192,18 +192,11 @@ class SolidGrid:
         self.w = (np.repeat(wr, ntz) * np.tile(wtz, r.size)) * self.r
 
 
-class SolidVectorField:
-    """Base class: solid displacement fields in cylindrical components."""
-
-    def tables(self, r, theta, z):
-        """Return dict with val (3,Q), grad (3,3,Q) in the orthonormal
-        cylindrical frame (e_r, e_theta, e_z), and div (Q)."""
-        raise NotImplementedError
-
-
 def _frame_tables(comp, f, f_r, f_t, f_z, r, Q):
     """Gradient/divergence of a single-component field comp in {0:r,1:t,2:z}
-    with scalar profile f and partials f_r, f_t, f_z."""
+    with scalar profile f and partials f_r, f_t, f_z: the val (3, Q), grad
+    (3, 3, Q) in the orthonormal cylindrical frame (e_r, e_theta, e_z) and
+    div (Q) that the tables of every solid field return."""
     val = np.zeros((3, Q))
     grad = np.zeros((3, 3, Q))
     val[comp] = f
@@ -221,7 +214,7 @@ def _frame_tables(comp, f, f_r, f_t, f_z, r, Q):
     return val, grad, div
 
 
-class LiftedSolidField(SolidVectorField):
+class LiftedSolidField:
     """F_S(xi) = s(r) xi(theta, z) e_r: carries the shell trace into the
     solid; identically zero at the outer surface."""
 
@@ -244,7 +237,7 @@ class LiftedSolidField(SolidVectorField):
         )
 
 
-class InteriorSolidMode(SolidVectorField):
+class InteriorSolidMode:
     """Tensor interior mode: radial sin((2i+1) pi (r-R)/(2H)) (zero at the
     interface, free value at the outer surface), shell-type theta factor,
     sin(j pi z / L) in z, times one frame vector."""

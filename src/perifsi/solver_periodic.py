@@ -20,7 +20,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .assembly import AssembledSystem, GalerkinState, TimeGridPath, assemble
+from .assembly import AssembledSystem, GalerkinState, assemble
 from .diagnostics import energies
 from .errors import (
     DomainViolation,
@@ -30,7 +30,7 @@ from .errors import (
     SingularMonodromy,
 )
 from .extension_ops import azimuthal_damping, mollify
-from .geometry import check_injectivity, sup_grid
+from .geometry import admissibility, check_injectivity
 
 ANDERSON_DEPTH = 3  # residual differences kept by the outer loop's mixing
 STEP_CHUNK = 256  # steps whose maps are interpolated, solved and reduced together
@@ -156,11 +156,11 @@ def step(V, state, dt):
     return GalerkinState(a1, v1, state.t + dt)
 
 
-def poincare_map(problem, x0, record=False):
+def poincare_map(problem, x0):
     """Integrate one period from x0 with the stored step maps, one
-    matrix-vector product per step; returns the final state, or when record
-    is true the trajectory: one GalerkinState of the n_steps + 1 states,
-    a and a_dot (n_steps + 1, n) at the times t (n_steps + 1,)."""
+    matrix-vector product per step; returns the trajectory: one
+    GalerkinState of the n_steps + 1 states, a and a_dot (n_steps + 1, n) at
+    the times t (n_steps + 1,), whose last row is the image of x0."""
     dt, n = problem.dt, x0.n
     X = np.empty((problem.n_steps + 1, 2 * n))
     X[0] = np.concatenate([x0.a, x0.a_dot])
@@ -174,8 +174,6 @@ def poincare_map(problem, x0, record=False):
     bad = np.flatnonzero(~np.isfinite(X).all(axis=1))
     if bad.size:
         raise LinearSolveFailure(f"non-finite update at t={t[bad[0] - 1]}")
-    if not record:
-        return GalerkinState(X[-1, :n], X[-1, n:], t[-1])
     # contiguous copies: numpy's sums may round differently on strided views
     return GalerkinState(X[:, :n].copy(), X[:, n:].copy(), t)
 
@@ -201,7 +199,7 @@ def periodic_solve(problem):
         )
     xs = np.linalg.solve(F, b)
     x_star = GalerkinState(xs[:n], xs[n:], 0.0)
-    traj = poincare_map(problem, x_star, record=True)
+    traj = poincare_map(problem, x_star)
     gap = np.concatenate([traj.a[-1] - x_star.a, traj.a_dot[-1] - x_star.a_dot])
     info = {"sigma_min": float(sig[-1]), "sigma_max": float(sig[0]),
             "residual": float(np.max(np.abs(gap))), "trajectory": traj}
@@ -302,12 +300,8 @@ def _regularize_paths(basis, a_traj, v_traj, T, eps):
     additionally damped in the azimuthal modes with the mollifier's transfer
     factor so the geometry stays uniformly smooth.
     """
-    n_t = a_traj.shape[0]
-    dt = T / n_t
-    # GlobalBasis.shell_coefficients of every row
-    shell_c = np.zeros((n_t, basis.shell_basis.n_modes))
-    shell_c[:, : basis.half] = a_traj[:, basis.coupled_slice]
-    shell_s = mollify(shell_c.T, eps, dt).T
+    dt = T / a_traj.shape[0]
+    shell_s = mollify(basis.shell_coefficients(a_traj).T, eps, dt).T
     shell_s *= azimuthal_damping(basis.shell_basis, eps)
     v_s = mollify(v_traj.T, eps, dt).T
     return shell_s, v_s
@@ -319,13 +313,10 @@ def _unstack(p, n_shell, n_t):
 
 
 def _shell_violation(basis, shell, dt, cyl):
-    """The first grid time at which a shell path leaves the admissible
-    domain, or None when it is injective at every grid time: check_injectivity
-    for all times at once, as one product with the memoized mode table."""
-    sb = basis.shell_basis
-    sup = np.max(np.abs(shell @ sb.eval_modes(*sup_grid(sb), 0)[:, 0]), axis=1)
-    bad = np.flatnonzero(~(sup < cyl.sup_bound))
-    return float(bad[0] * dt) if bad.size else None
+    """The first grid time at which a shell path (n_t, n_modes) leaves the
+    admissible domain, or None when it is admissible at every grid time."""
+    bad = admissibility(cyl, basis.shell_basis, shell)[1]
+    return None if bad is None else float(bad * dt)
 
 
 def outer_fixed_point(assembler, T, n_t, forcing, config, n_samples=None):
@@ -358,13 +349,9 @@ def outer_fixed_point(assembler, T, n_t, forcing, config, n_samples=None):
     dP, dR = [], []
     history = []
     for it in range(1, config.max_iter + 1):
-        delta_path = v_path = None
-        if p is not None:
-            delta_path, v_path = (TimeGridPath(T, s) for s in _unstack(p, n_shell, n_t))
-        system = assemble(
-            assembler, T, forcing,
-            delta_path=delta_path, v_path=v_path, n_samples=n_samples,
-        )
+        shell, transport = (None, None) if p is None else _unstack(p, n_shell, n_t)
+        system = assemble(assembler, T, forcing, shell=shell, transport=transport,
+                          n_samples=n_samples)
         problem = PeriodicProblem(system, T, dt)
         x_star, info = periodic_solve(problem)
         traj = info["trajectory"]

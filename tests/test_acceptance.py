@@ -9,13 +9,14 @@ tolerance, so `pytest -v` reports one pass/fail line per criterion.
 import numpy as np
 import pytest
 
-from perifsi.assembly import GalerkinState, TimeGridPath, assemble
+from perifsi.assembly import GalerkinState, assemble
 from perifsi.cli import RunConfig, build_forcing, build_model
 from perifsi.diagnostics import diffusion_ratio, korn_check
 from perifsi.errors import EXIT_CODES, SingularMonodromy, exit_code_for
 from perifsi.extension_ops import mollify, push_piola
 from perifsi.fluid_basis import BoundaryForcing, trilinear_b
 from perifsi.fluidgrid import FluidGrid, QuadJets
+from perifsi.geometry import admissibility
 from perifsi.solver_periodic import (
     EnergyLedger,
     OuterLoopConfig,
@@ -100,7 +101,7 @@ def test_criterion_01_extension_divergence_and_traces(model):
         delta = shell.field(0.02 * rng.standard_normal(shell.n_modes) * decay)
         xi = shell.field(rng.standard_normal(shell.n_modes) * decay)
         F = ext_op.extend(delta, xi)
-        xi_sup = xi.sup_norm()
+        xi_sup = admissibility(cyl, shell, xi.coefficients)[0]
 
         jets = QuadJets(grid, delta, shell.zero_field())
         div = F.tables(jets.r_phys, jets.theta, jets.z)["div"][0]
@@ -194,7 +195,7 @@ def test_criterion_05_energy_balance(model, forcing):
     system = assemble(model, 1.0, forcing)
     prob = PeriodicProblem(system, 1.0, 1.0 / 256)
     x_star, _ = periodic_solve(prob)
-    traj = poincare_map(prob, x_star, record=True)
+    traj = poincare_map(prob, x_star)
     led = EnergyLedger.from_trajectory(system, traj, prob.dt, prob.f)
     assert led.max_balance_residual() <= 1e-10 * max(led.sup_energy(), 1e-30)
 
@@ -203,8 +204,7 @@ def test_criterion_05_energy_balance(model, forcing):
     t = np.arange(N) / N
     samples = np.zeros((N, shell.n_modes))
     samples[:, 0] = 0.01 * np.sin(2 * np.pi * t)
-    moving = assemble(model, 1.0, None, delta_path=TimeGridPath(1.0, samples),
-                      n_samples=64)
+    moving = assemble(model, 1.0, None, shell=samples, n_samples=64)
     rng = np.random.default_rng(55)
     n = moving.n
     x0 = GalerkinState(0.01 * rng.standard_normal(n) / (1 + np.arange(n)),
@@ -212,7 +212,7 @@ def test_criterion_05_energy_balance(model, forcing):
     sums = []
     for nt in (64, 128):
         p = PeriodicProblem(moving, 1.0, 1.0 / nt)
-        tr = poincare_map(p, x0, record=True)
+        tr = poincare_map(p, x0)
         ledger = EnergyLedger.from_trajectory(moving, tr, p.dt, p.f)
         sums.append(float(np.sum(ledger.balance_residual)))
     ratio = sums[0] / sums[1]

@@ -12,7 +12,6 @@ from perifsi.assembly import (
     Assembler,
     GalerkinState,
     GlobalBasis,
-    TimeGridPath,
     assemble,
 )
 from perifsi.cli import RunConfig, build_model
@@ -285,23 +284,6 @@ class TestGalerkinState:
             GalerkinState(x["a"], x["a_dot"], np.arange(4.0))
 
 
-class TestTimeGridPath:
-    def test_spectral_derivative(self):
-        T = 2.0
-        N = 32
-        t = np.arange(N) * T / N
-        path = TimeGridPath(T, np.sin(2 * np.pi * t / T)[:, None])
-        d = path.derivative()
-        exact = (2 * np.pi / T) * np.cos(2 * np.pi * t / T)
-        assert np.max(np.abs(d.samples[:, 0] - exact)) < 1e-12
-
-    def test_coarse_indices_divisibility(self):
-        path = TimeGridPath(1.0, np.zeros((12, 1)))
-        assert list(path.coarse_indices(4)) == [0, 3, 6, 9]
-        with pytest.raises(GridMismatch):
-            path.coarse_indices(5)
-
-
 class TestRestMatrices:
     def test_mass_spd(self, rest_sample, small_model):
         M = rest_sample["M"] + small_model.constants["M_shell"] + small_model.constants["M_solid"]
@@ -406,8 +388,8 @@ class TestAssemble:
         t = np.arange(16) / 16
         samples = np.zeros((16, shell.n_modes))
         samples[:, 0] = 0.02 * np.sin(2 * np.pi * t)
-        moving = assemble(small_model, 1.0, small_forcing,
-                          delta_path=TimeGridPath(1.0, samples), n_samples=8)
+        moving = assemble(small_model, 1.0, small_forcing, shell=samples,
+                          n_samples=8)
         times = np.linspace(0.0, 1.0, 11)
         for system in (moving, assemble(small_model, 1.0, small_forcing)):
             M = system.mass_at(times)
@@ -416,9 +398,46 @@ class TestAssemble:
                 assert np.max(np.abs(Mt - want)) <= 1e-14 * np.max(np.abs(want))
 
     def test_transport_requires_geometry_path(self, small_model, small_forcing):
-        v_path = TimeGridPath(1.0, np.zeros((8, small_model.basis.n)))
+        transport = np.zeros((8, small_model.basis.n))
         with pytest.raises(GridMismatch):
-            assemble(small_model, 1.0, small_forcing, v_path=v_path)
+            assemble(small_model, 1.0, small_forcing, transport=transport)
+
+    def test_transport_path_of_another_length(self, small_model, small_forcing):
+        shell = np.zeros((16, small_model.basis.shell_basis.n_modes))
+        transport = np.zeros((8, small_model.basis.n))
+        with pytest.raises(GridMismatch):
+            assemble(small_model, 1.0, small_forcing, shell=shell,
+                     transport=transport)
+
+    def test_sample_count_must_divide_the_grid(self, small_model, small_forcing):
+        shell = np.zeros((12, small_model.basis.shell_basis.n_modes))
+        with pytest.raises(GridMismatch):
+            assemble(small_model, 1.0, small_forcing, shell=shell, n_samples=5)
+
+    def test_spectral_derivative_on_the_coarse_grid(self, small_model,
+                                                     monkeypatch):
+        """The samples sit at every (n_t / n_samples)-th grid time of the
+        period T, and each sees the spectral time derivative of the shell
+        path: 2 pi / T cos for a sin path."""
+        T, N = 2.0, 32
+        t = np.arange(N) * T / N
+        shell = np.zeros((N, small_model.basis.shell_basis.n_modes))
+        shell[:, 0] = 0.01 * np.sin(2 * np.pi * t / T)
+        seen = []
+        sample = small_model.sample
+
+        def recording(delta=None, dt_delta=None, v_coeff=None):
+            seen.append((delta.coefficients, dt_delta.coefficients, v_coeff))
+            return sample(delta, dt_delta, v_coeff)
+
+        monkeypatch.setattr(small_model, "sample", recording)
+        system = assemble(small_model, T, None, shell=shell, n_samples=4)
+        idx = [0, 8, 16, 24]
+        assert np.array_equal(system.times, t[idx])
+        exact = (2 * np.pi / T) * 0.01 * np.cos(2 * np.pi * t[idx] / T)
+        for (c, dc, v), i, want in zip(seen, idx, exact, strict=True):
+            assert np.array_equal(c, shell[i]) and v is None
+            assert abs(dc[0] - want) < 1e-12 and not np.any(dc[1:])
 
     def test_interpolation_hits_samples(self, small_model, small_forcing):
         shell = small_model.basis.shell_basis
@@ -426,9 +445,8 @@ class TestAssemble:
         t = np.arange(N) / N
         samples = np.zeros((N, shell.n_modes))
         samples[:, 0] = 0.02 * np.sin(2 * np.pi * t)
-        path = TimeGridPath(1.0, samples)
-        system = assemble(small_model, 1.0, small_forcing,
-                          delta_path=path, n_samples=8)
+        system = assemble(small_model, 1.0, small_forcing, shell=samples,
+                          n_samples=8)
         for s, ts in enumerate(system.times):
             M = system.matrices_at(float(ts))["M"]
             direct = (system.stacks["M"][s]
@@ -442,8 +460,21 @@ class TestAssemble:
         t = np.arange(N) / N
         samples = np.zeros((N, shell.n_modes))
         samples[:, 0] = 3.0 * np.sin(2 * np.pi * t)
-        path = TimeGridPath(1.0, samples)
         with pytest.raises(DomainViolation) as err:
-            assemble(small_model, 1.0, small_forcing, delta_path=path,
+            assemble(small_model, 1.0, small_forcing, shell=samples,
                      n_samples=8)
         assert err.value.time is not None
+
+    def test_inadmissible_path_builds_no_sample(self, small_model, monkeypatch):
+        """The coarse samples are checked in one batch: the first
+        inadmissible coarse time is reported before any sample is built,
+        though earlier coarse times are admissible."""
+        shell = small_model.basis.shell_basis
+        samples = np.zeros((16, shell.n_modes))
+        samples[6:, 0] = 3.0  # coarse (step 2) times 0, 2, 4 pass, 6 fails
+        built = []
+        monkeypatch.setattr(small_model, "sample", lambda *a, **k: built.append(1))
+        with pytest.raises(DomainViolation) as err:
+            assemble(small_model, 1.0, None, shell=samples, n_samples=8)
+        assert err.value.time == 6 / 16
+        assert built == []

@@ -9,7 +9,7 @@ import pytest
 from scipy.linalg import lu_factor, lu_solve
 
 from perifsi import solver_periodic
-from perifsi.assembly import GalerkinState, GlobalBasis, TimeGridPath, assemble
+from perifsi.assembly import GalerkinState, GlobalBasis, assemble
 from perifsi.basis1d import trig_weights
 from perifsi.cli import build_forcing
 from perifsi.errors import (
@@ -19,7 +19,7 @@ from perifsi.errors import (
     NoConvergence,
 )
 from perifsi.extension_ops import azimuthal_damping, mollify
-from perifsi.geometry import MARGIN_FRAC, CylinderConfig, check_injectivity
+from perifsi.geometry import MARGIN_FRAC, CylinderConfig, admissibility, sup_grid
 from perifsi.shell_solid import ShellBasis
 from perifsi.solver_periodic import (
     STEP_CHUNK,
@@ -148,9 +148,8 @@ def moving_system(small_model, phased_forcing):
     shell[:, 0] = 0.02 * np.sin(2 * np.pi * t)
     shell[:, 1] = 0.01 * np.cos(2 * np.pi * t)
     v = 0.05 * np.outer(np.sin(2 * np.pi * t), rng.standard_normal(small_model.basis.n))
-    return assemble(small_model, 1.0, phased_forcing,
-                    delta_path=TimeGridPath(1.0, shell),
-                    v_path=TimeGridPath(1.0, v), n_samples=8)
+    return assemble(small_model, 1.0, phased_forcing, shell=shell, transport=v,
+                    n_samples=8)
 
 
 @pytest.fixture(scope="module")
@@ -168,7 +167,7 @@ class TestStepping:
         state = GalerkinState(0.01 * rng.standard_normal(n),
                               0.01 * rng.standard_normal(n))
         prob = PeriodicProblem(free_system, 1.0, 1.0 / 64)
-        traj = poincare_map(prob, state, record=True)
+        traj = poincare_map(prob, state)
         led = EnergyLedger.from_trajectory(free_system, traj, prob.dt, prob.f)
         assert np.all(np.diff(led.E) <= 1e-12 * led.E[0])
 
@@ -200,7 +199,7 @@ class TestStackedPeriod:
         assert _rel(_states(info["trajectory"]), _oracle_replay(ops, x_want, dt)) <= 1e-12
 
         x0 = 0.01 * np.random.default_rng(n_steps).standard_normal(2 * n)
-        traj = poincare_map(prob, GalerkinState(x0[:n], x0[n:]), record=True)
+        traj = poincare_map(prob, GalerkinState(x0[:n], x0[n:]))
         orbit = _oracle_replay(ops, x0, dt)
         assert _rel(_states(traj), orbit) <= 1e-12
         got = EnergyLedger.from_trajectory(system, traj, dt, prob.f)
@@ -249,8 +248,8 @@ class TestPeriodicSolve:
         prob = PeriodicProblem(rest_system, 1.0, 1.0 / 128)
         x_star, info = periodic_solve(prob)
         x_T = poincare_map(prob, x_star)
-        gap = max(np.max(np.abs(x_T.a - x_star.a)),
-                  np.max(np.abs(x_T.a_dot - x_star.a_dot)))
+        gap = max(np.max(np.abs(x_T.a[-1] - x_star.a)),
+                  np.max(np.abs(x_T.a_dot[-1] - x_star.a_dot)))
         scale = 1.0 + max(np.max(np.abs(x_star.a)), np.max(np.abs(x_star.a_dot)))
         assert gap <= 1e-10 * scale
         assert info["sigma_min"] > 0.0
@@ -303,11 +302,11 @@ class TestPeriodicSolve:
         assert np.array_equal(traj.a[0], x_star.a)
         assert np.array_equal(traj.a_dot[0], x_star.a_dot)
         x_T = poincare_map(prob, x_star)
-        assert np.array_equal(traj.a[-1], x_T.a)
-        assert np.array_equal(traj.a_dot[-1], x_T.a_dot)
-        assert traj.t[-1] == x_T.t
-        gap = max(np.max(np.abs(x_T.a - x_star.a)),
-                  np.max(np.abs(x_T.a_dot - x_star.a_dot)))
+        assert np.array_equal(traj.a, x_T.a)
+        assert np.array_equal(traj.a_dot, x_T.a_dot)
+        assert np.array_equal(traj.t, x_T.t)
+        gap = max(np.max(np.abs(x_T.a[-1] - x_star.a)),
+                  np.max(np.abs(x_T.a_dot[-1] - x_star.a_dot)))
         assert info["residual"] == gap
 
 
@@ -376,9 +375,9 @@ class _Recorder:
         assemble_ = solver_periodic.assemble
         regularize = solver_periodic._regularize_paths
 
-        def recording_assemble(*args, delta_path=None, v_path=None, **kwargs):
-            self.p.append((delta_path, v_path))
-            return assemble_(*args, delta_path=delta_path, v_path=v_path, **kwargs)
+        def recording_assemble(*args, shell=None, transport=None, **kwargs):
+            self.p.append((shell, transport))
+            return assemble_(*args, shell=shell, transport=transport, **kwargs)
 
         def recording_regularize(*args):
             self.g.append(regularize(*args))
@@ -390,10 +389,10 @@ class _Recorder:
 
     def paths(self, k):
         """The (shell, transport) samples of pass k (zero for the rest state)."""
-        delta_path, v_path = self.p[k]
-        if delta_path is None:
+        shell, transport = self.p[k]
+        if shell is None:
             return tuple(np.zeros_like(g) for g in self.g[k])
-        return delta_path.samples, v_path.samples
+        return shell, transport
 
     def damped(self, k, theta):
         """The damped step p + theta (G(p) - p) from pass k."""
@@ -416,9 +415,9 @@ class TestAndersonOuterLoop:
         rec = _Recorder(monkeypatch)
         res = _outer_small(small_model, small_forcing, 1e-8)
         assert len(rec.p) == res.iterations
-        delta_path, v_path = rec.p[-1]
-        want = assemble(small_model, 1.0, small_forcing, delta_path=delta_path,
-                        v_path=v_path, n_samples=8)
+        shell, transport = rec.p[-1]
+        want = assemble(small_model, 1.0, small_forcing, shell=shell,
+                        transport=transport, n_samples=8)
         system = res.problem.system
         assert system.stacks.keys() == want.stacks.keys()
         for k, v in want.stacks.items():
@@ -462,28 +461,36 @@ class TestAndersonOuterLoop:
 
 
 class TestShellViolation:
-    """The batched path check agrees with check_injectivity at every time."""
+    """The one admissibility test, geometry.admissibility, and the outer
+    loop's path check built on it, against an independent per-row einsum
+    evaluation of each shell field on the sup grid."""
 
     cyl = CylinderConfig(R=1.0, L=2.0, H=0.5)
     basis = SimpleNamespace(shell_basis=ShellBasis(3, 4, 2.0))
 
-    def _per_time(self, shell, dt):
-        for s, c in enumerate(shell):
-            field = self.basis.shell_basis.field(c)
-            if not check_injectivity(field, self.cyl):
-                return s * dt
-        return None
+    def _per_row(self, shell):
+        """sup |eta| of each row, and the first row not below the bound."""
+        sb = self.basis.shell_basis
+        tab = sb.eval_modes(*sup_grid(sb), 0)[:, 0]
+        sup = np.array([np.max(np.abs(np.einsum("k,kx->x", c, tab))) for c in shell])
+        bad = [s for s, v in enumerate(sup) if not v < self.cyl.sup_bound]
+        return sup, (bad[0] if bad else None)
+
+    def _check(self, shell, dt):
+        sup, bad = self._per_row(shell)
+        got_sup, got_bad = admissibility(self.cyl, self.basis.shell_basis, shell)
+        np.testing.assert_allclose(got_sup, sup, rtol=1e-14, atol=0.0)
+        assert got_bad == bad
+        got = solver_periodic._shell_violation(self.basis, shell, dt, self.cyl)
+        assert got == (None if bad is None else bad * dt)
+        return bad
 
     def test_random_paths(self, rng):
         n = self.basis.shell_basis.n_modes
-        dt = 1.0 / 32
         found = 0
         for _ in range(40):
             shell = rng.uniform(0.05, 0.6) * rng.standard_normal((32, n))
-            want = self._per_time(shell, dt)
-            got = solver_periodic._shell_violation(self.basis, shell, dt, self.cyl)
-            assert got == want
-            found += want is not None
+            found += self._check(shell, 1.0 / 32) is not None
         assert 0 < found < 40
 
     def test_path_crossing_the_margin_at_a_known_step(self, rng):
@@ -491,13 +498,11 @@ class TestShellViolation:
         sb = self.basis.shell_basis
         dt, s0 = 0.1, 7
         c = rng.standard_normal(sb.n_modes)
-        unit = c / sb.field(c).sup_norm()
+        unit = c / self._per_row([c])[0][0]
         bound = self.cyl.R - MARGIN_FRAC * self.cyl.R
         shell = np.array([bound * (s + 0.5) / s0 * unit for s in range(16)])
-        got = solver_periodic._shell_violation(self.basis, shell, dt, self.cyl)
-        assert got == self._per_time(shell, dt) == s0 * dt
-        assert solver_periodic._shell_violation(
-            self.basis, shell[:s0], dt, self.cyl) is None
+        assert self._check(shell, dt) == s0
+        assert self._check(shell[:s0], dt) is None
 
 
 class TestRegularizePaths:
