@@ -154,8 +154,9 @@ class GlobalBasis:
 class AssembledSystem:
     """Time-sampled matrices of the Galerkin ODE over one period.
 
-    matrices_at(t) trig-interpolates the periodic samples; forcing_at(t)
-    combines the interpolated flux vectors with the pressure signals.
+    matrices_at(t) trig-interpolates the periodic samples.  The mass and
+    damping samples are summed with their constant blocks once, here, so an
+    interpolation takes one product per matrix.
     """
 
     def __init__(self, T, times, stacks, constants, forcing, basis):
@@ -166,7 +167,10 @@ class AssembledSystem:
         self.forcing = forcing
         self.basis = basis
         self.n = basis.n
-        self.K = constants["K_sh"] + constants["A_el"]
+        c = constants
+        self.K = c["K_sh"] + c["A_el"]
+        self._M = stacks["M"] + c["M_shell"] + c["M_solid"]
+        self._C = stacks["G"] + stacks["B"] + stacks["Q"] + stacks["V"] + c["A_visc"]
 
     @classmethod
     def from_sample(cls, T, sample, assembler, forcing):
@@ -176,49 +180,27 @@ class AssembledSystem:
         return cls(T, np.zeros(1), stacks, assembler.constants, forcing,
                    assembler.basis)
 
-    def _interpolated(self, t, names):
-        """The named stacks trig-interpolated at t, a time or a 1-D array of
-        times (a leading time axis), in one product per stack."""
+    def _interpolated(self, t, *stacks):
+        """The stacks (S, ...) trig-interpolated at t, a time or a 1-D array
+        of times (a leading time axis), in one product per stack."""
         w = trig_weights(np.asarray(t, dtype=float), self.T, self.times.size)
-        out = {}
-        for name in names:
-            v = self.stacks[name]
-            out[name] = (w @ v.reshape(w.shape[-1], -1)).reshape(
-                w.shape[:-1] + v.shape[1:])
-        return out
+        return [(w @ v.reshape(w.shape[-1], -1)).reshape(w.shape[:-1] + v.shape[1:])
+                for v in stacks]
 
     def matrices_at(self, t):
         """Return dict(M, C, K, qin, qout) at t, a time or a 1-D array of
-        times; an array gives every entry but K a leading time axis.  The
-        samples are interpolated and the constant blocks added here, with
-        the damping C = G + V + B + Q + A_visc; the stiffness
-        K = K_sh + A_el is the one array built with the system."""
-        out = self._interpolated(t, ("M", "G", "B", "Q", "V", "qin", "qout"))
-        c = self.constants
-        return {
-            "M": out["M"] + c["M_shell"] + c["M_solid"],
-            "C": out["G"] + out["B"] + out["Q"] + out["V"] + c["A_visc"],
-            "K": self.K,
-            "qin": out["qin"],
-            "qout": out["qout"],
-        }
+        times; an array gives every entry but K a leading time axis.  M and
+        the damping C = G + V + B + Q + A_visc are interpolated from their
+        summed samples, and the stiffness K = K_sh + A_el is the one array
+        built with the system."""
+        M, C, qin, qout = self._interpolated(
+            t, self._M, self._C, self.stacks["qin"], self.stacks["qout"])
+        return {"M": M, "C": C, "K": self.K, "qin": qin, "qout": qout}
 
     def mass_at(self, times):
         """The mass matrices M(t) (len(times), n, n) at all the given times,
         interpolated in one product; matrices_at(times)["M"]."""
-        c = self.constants
-        return self._interpolated(times, ("M",))["M"] + c["M_shell"] + c["M_solid"]
-
-    def forcing_at(self, t, mats=None):
-        """The load at t, a time or a 1-D array of times (then (len(t), n)),
-        from the matrices_at(t) flux vectors mats."""
-        if self.forcing is None:
-            return np.zeros(np.shape(t) + (self.n,))
-        if mats is None:
-            mats = self.matrices_at(t)
-        pin, pout = (p.reshape(np.shape(t) + (1,))
-                     for p in self.forcing.values(np.asarray(t) % self.forcing.T))
-        return pin * mats["qin"] - pout * mats["qout"]
+        return self._interpolated(times, self._M)[0]
 
     def quadratic_forms(self, times, v):
         """The dissipation v_m' (V + A_visc)(t_m) v_m and the shell transport
@@ -313,7 +295,7 @@ class Assembler:
         sample() is the rest cylinder, taken through the same moving-domain
         path at delta = dt_delta = 0 and v = 0.
         Returns dict(M, G, V, B, Q, qin, qout) — the fluid blocks only;
-        constant blocks are added by AssembledSystem.matrices_at.
+        constant blocks are added by AssembledSystem.
         """
         basis = self.basis
         n = basis.n

@@ -512,7 +512,9 @@ class ExtensionOperator:
         order, (1 + n, zs.size, n_el, C, 2, n).  Memoized on the node
         coordinates z, as ShellBasis.eval_modes memoizes its tables: every
         sample on one grid shares them (2.0 MB for the default model's 20
-        grid lines, 1.3 times its table)."""
+        grid lines, 1.3 times its table).  A node set whose nodes share no
+        z line (scattered points) is not kept: its block grows with the
+        node count (about 100 KB per node on the default model)."""
         key = z.tobytes()
         hit = self._line_blocks.get(key)
         if hit is not None:
@@ -520,9 +522,11 @@ class ExtensionOperator:
         zs, line = np.unique(z, return_inverse=True)
         block = np.concatenate([sol.line_block(dofs.transpose(1, 0, 2), zs)
                                 for sol, _, dofs in self.table[1]], axis=2)
-        if len(self._line_blocks) > 16:
-            self._line_blocks.clear()
-        hit = self._line_blocks[key] = line, np.ascontiguousarray(np.moveaxis(block, -1, 0))
+        hit = line, np.ascontiguousarray(np.moveaxis(block, -1, 0))
+        if zs.size < z.size:
+            if len(self._line_blocks) > 16:
+                self._line_blocks.clear()
+            self._line_blocks[key] = hit
         return hit
 
     def disk_flux_table(self, grid, z0):

@@ -19,7 +19,7 @@ import numpy as np
 from scipy.linalg import eigh
 
 from .basis1d import LegFamily, gauss
-from .errors import EigenFailure
+from .errors import EigenFailure, GridMismatch
 from .extension_ops import azimuthal_mode_tables
 from .fluidgrid import cyl_tensor_to_cart, cyl_vec_to_cart
 
@@ -251,15 +251,15 @@ class BoundaryForcing:
     Samples live on the uniform closed grid t_j = j T / (n - 1) with the first
     and last samples equal; values at arbitrary times come from trigonometric
     interpolation of the (n - 1)-point open grid, evaluated as a cos/sin
-    series over the samples' discrete Fourier coefficients.
+    series over the samples' discrete Fourier coefficients.  At the N
+    midpoints of a uniform grid of N steps over the period the same series
+    is one inverse FFT of length N (midpoint_values).
     """
 
     def __init__(self, t, p_in, p_out):
         t = np.asarray(t, dtype=float)
         p_in = np.asarray(p_in, dtype=float)
         p_out = np.asarray(p_out, dtype=float)
-        from .errors import GridMismatch
-
         if t.ndim != 1 or t.size < 3 or p_in.shape != t.shape or p_out.shape != t.shape:
             raise GridMismatch("forcing samples must share one 1D time grid")
         dt = np.diff(t)
@@ -295,6 +295,19 @@ class BoundaryForcing:
                                   np.arange(c.shape[0]))
         vals = np.cos(phase) @ c.real - np.sin(phase) @ c.imag
         return vals[..., 0], vals[..., 1]
+
+    def midpoint_values(self, n):
+        """(P_in, P_out) at the n midpoints (m + 1/2) T / n, m < n, from one
+        inverse FFT of length n.  At those times the series term of
+        coefficient k is that of frequency k mod n with the half step's phase
+        e^{i pi k / n}, so the shifted coefficients are folded mod n (a grid
+        of fewer points than coefficients aliases them) and transformed."""
+        c = self._coef
+        k = np.arange(c.shape[0])
+        shifted = c * np.exp(1j * np.pi * k / n)[:, None]
+        shifted = np.concatenate([shifted, np.zeros((-k.size % n, 2))])
+        vals = np.fft.ifft(shifted.reshape(-1, n, 2).sum(axis=0), axis=0).real * n
+        return vals[:, 0], vals[:, 1]
 
     def l2_norm(self):
         """L2(0, T) norm of the pressure pair (trapezoid on the closed grid)."""

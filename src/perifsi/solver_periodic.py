@@ -51,12 +51,16 @@ class PeriodicProblem:
     """A linear periodic system on its time grid, stacked over one period.
 
     On first use the period is built STEP_CHUNK steps at a time: step_maps
-    gives a chunk's step maps from one interpolation and one batched solve,
-    a pairwise product tree reduces them to the chunk's affine map, and the
-    chunk maps compose in time order into the one-period map x -> A x + b.
-    The problem keeps the step map V (n_steps, n, 2n + 1) and the midpoint
-    load f (n_steps, n) of every step, which the orbit replay and the energy
-    ledger read, and the monodromy; no per-step (n, n) block is kept.
+    gives a chunk's step maps from one interpolation and one batched
+    inverse, a pairwise product tree reduces them to the chunk's affine map,
+    and the chunk maps compose in time order into the one-period map
+    x -> A x + b.  The pressure signals at every midpoint come from one FFT
+    of the forcing when the steps span its period (BoundaryForcing.
+    midpoint_values), else from its series.  The problem keeps the step map
+    V (n_steps, n, 2n + 1) and the midpoint load f (n_steps, n) of every
+    step, which the orbit replay and the energy ledger read, the affine map
+    of the steps before each chunk (prefix_maps, which seed the replay's
+    chunks) and the monodromy; no per-step (n, n) block is kept.
     """
 
     system: object
@@ -71,13 +75,29 @@ class PeriodicProblem:
         n, dt = self.system.n, self.dt
         V = np.empty((self.n_steps, n, 2 * n + 1))
         f = np.empty((self.n_steps, n))
-        Ab = np.eye(2 * n + 1)  # the affine map of the steps built so far
-        for start in range(0, self.n_steps, STEP_CHUNK):
+        pressure = self._midpoint_pressures()
+        starts = range(0, self.n_steps, STEP_CHUNK)
+        # the affine maps of the steps before each chunk, then of the period
+        prefix = np.empty((len(starts) + 1, 2 * n + 1, 2 * n + 1))
+        prefix[0] = np.eye(2 * n + 1)
+        for c, start in enumerate(starts):
             chunk = slice(start, min(start + STEP_CHUNK, self.n_steps))
             t_mid = (np.arange(chunk.start, chunk.stop) + 0.5) * dt
-            V[chunk], f[chunk] = step_maps(self.system, t_mid, dt)
-            Ab = _chunk_map(V[chunk], dt) @ Ab
-        return V, f, (Ab[:-1, :-1], Ab[:-1, -1])
+            p = None if pressure is None else tuple(q[chunk] for q in pressure)
+            V[chunk], f[chunk] = step_maps(self.system, t_mid, dt, p)
+            prefix[c + 1] = _chunk_map(V[chunk], dt) @ prefix[c]
+        return V, f, prefix
+
+    def _midpoint_pressures(self):
+        """The forcing's (p_in, p_out) at every midpoint, None unforced.
+        The FFT gives them at (m + 1/2) T_f / n_steps for the forcing period
+        T_f, so it stands in for the series at (m + 1/2) dt only when the
+        steps span T_f to round-off (a one-step period, say, does not)."""
+        forcing = self.system.forcing
+        span = self.n_steps * self.dt
+        if forcing is not None and abs(span - forcing.T) <= 1e-14 * forcing.T:
+            return forcing.midpoint_values(self.n_steps)
+        return _pressures(forcing, (np.arange(self.n_steps) + 0.5) * self.dt)
 
     @property
     def V(self):
@@ -88,32 +108,51 @@ class PeriodicProblem:
         return self._period[1]
 
     @property
+    def prefix_maps(self):
+        """The affine maps (n_chunks, 2n + 1, 2n + 1) in (a, a', 1) of the
+        steps before each chunk of STEP_CHUNK steps; the first is I."""
+        return self._period[2][:-1]
+
+    @property
     def monodromy(self):
         """The one-period affine map (A, b) in x = (a, a')."""
-        return self._period[2]
+        Ab = self._period[2][-1]
+        return Ab[:-1, :-1], Ab[:-1, -1]
 
 
-def step_maps(system, t_mid, dt):
+def _pressures(forcing, t):
+    """The forcing's (p_in, p_out) at the times t, None without forcing."""
+    return None if forcing is None else forcing.values(np.asarray(t) % forcing.T)
+
+
+def step_maps(system, t_mid, dt, pressure):
     """The implicit midpoint step maps and loads at the midpoints t_mid.
 
     Eliminating a_{m+1} from the midpoint equations leaves a single n x n
-    solve per step:  P v+ = Pm v- - dt K a- + dt f,  a+ = a- + dt (v- + v+) / 2,
+    system per step:  P v+ = Pm v- - dt K a- + dt f,  a+ = a- + dt (v- + v+) / 2,
     with P = M + dt C / 2 + dt^2 K / 4 and Pm its reflection, so
-    V = P^-1 [-dt K, Pm, dt f].  One matrices_at and one forcing_at call
-    interpolate every midpoint of the 1-D array t_mid and one batched solve
-    gives every V.  Returns the step maps (len(t_mid), n, 2n + 1) and loads
-    (len(t_mid), n); a singular or non-finite P raises LinearSolveFailure
-    at the first such midpoint.
+    V = P^-1 [-dt K, Pm, dt f].  One matrices_at call interpolates every
+    midpoint of the 1-D array t_mid, the load is f = p_in qin - p_out qout
+    of the interpolated flux vectors and the pressures (p_in, p_out) at
+    t_mid (None: no load), and one batched inverse of P gives every V.
+    This is the one step-map builder: the period calls it once per chunk
+    and an IVP step once with a single midpoint.  Returns the step maps
+    (len(t_mid), n, 2n + 1) and loads (len(t_mid), n); a singular or
+    non-finite P raises LinearSolveFailure at the first such midpoint.
     """
     mats = system.matrices_at(t_mid)
     M, C, K = mats["M"], mats["C"], mats["K"]
     P = M + 0.5 * dt * C + 0.25 * dt * dt * K
     Pm = M - 0.5 * dt * C - 0.25 * dt * dt * K
-    f = system.forcing_at(t_mid, mats)
+    if pressure is None:
+        f = np.zeros(P.shape[:2])
+    else:
+        p_in, p_out = pressure
+        f = p_in[:, None] * mats["qin"] - p_out[:, None] * mats["qout"]
     rhs = np.concatenate(
         [np.broadcast_to(-dt * K, P.shape), Pm, dt * f[..., None]], axis=-1)
     try:
-        V = np.linalg.solve(P, rhs)
+        V = np.linalg.inv(P) @ rhs
     except np.linalg.LinAlgError:  # an exactly singular P: find it
         V = np.array([_solve_or_nan(Pk, rk) for Pk, rk in zip(P, rhs)])
     bad = np.flatnonzero(~np.isfinite(V).all(axis=(1, 2)))
@@ -156,21 +195,43 @@ def step(V, state, dt):
     return GalerkinState(a1, v1, state.t + dt)
 
 
+def _replay(V, x, out, dt):
+    """Step the states x (k, 2n + 1), each (a, a', 1), in lockstep through
+    the step maps V (k, s, n, 2n + 1), writing the state after each step to
+    out (k, s, 2n)."""
+    n = V.shape[2]
+    for j in range(V.shape[1]):
+        v1 = (V[:, j] @ x[:, :, None])[:, :, 0]
+        x[:, :n] += 0.5 * dt * (x[:, n:-1] + v1)
+        x[:, n:-1] = v1
+        out[:, j] = x[:, :-1]
+
+
 def poincare_map(problem, x0):
-    """Integrate one period from x0 with the stored step maps, one
-    matrix-vector product per step; returns the trajectory: one
-    GalerkinState of the n_steps + 1 states, a and a_dot (n_steps + 1, n) at
-    the times t (n_steps + 1,), whose last row is the image of x0."""
-    dt, n = problem.dt, x0.n
-    X = np.empty((problem.n_steps + 1, 2 * n))
-    X[0] = np.concatenate([x0.a, x0.a_dot])
-    x = np.append(X[0], 1.0)
-    for m, V in enumerate(problem.V):
-        v1 = V @ x
-        x[:n] += 0.5 * dt * (x[n:-1] + v1)
-        x[n:-1] = v1
-        X[m + 1] = x[:-1]
-    t = np.add.accumulate(np.append(0.0, np.full(problem.n_steps, dt)))
+    """Integrate one period from x0 with the stored step maps; returns the
+    trajectory: one GalerkinState of the n_steps + 1 states, a and a_dot
+    (n_steps + 1, n) at the times t (n_steps + 1,), whose last row is the
+    image of x0.
+
+    Each chunk of STEP_CHUNK steps starts from its seed, the image of x0
+    under the problem's prefix map of the steps before it.  All full chunks
+    step in lockstep, one batched matrix-vector product per step of a chunk,
+    and a ragged last chunk steps on its own.  Row c STEP_CHUNK holds chunk
+    c - 1's end, replayed from its seed; periodic_solve checks it against
+    chunk c's seed.
+    """
+    dt, n, N = problem.dt, x0.n, problem.n_steps
+    seeds = problem.prefix_maps @ np.concatenate([x0.a, x0.a_dot, [1.0]])
+    X = np.empty((N + 1, 2 * n))
+    X[0] = seeds[0, :-1]
+    full = N // STEP_CHUNK
+    split = full * STEP_CHUNK
+    if full:
+        _replay(problem.V[:split].reshape(full, STEP_CHUNK, n, 2 * n + 1),
+                seeds[:full], X[1 : split + 1].reshape(full, STEP_CHUNK, 2 * n), dt)
+    if split < N:
+        _replay(problem.V[None, split:], seeds[full:], X[None, split + 1 :], dt)
+    t = np.add.accumulate(np.append(0.0, np.full(N, dt)))
     bad = np.flatnonzero(~np.isfinite(X).all(axis=1))
     if bad.size:
         raise LinearSolveFailure(f"non-finite update at t={t[bad[0] - 1]}")
@@ -183,9 +244,11 @@ def periodic_solve(problem):
 
     Returns (x_star, info).  info holds the conditioning of I - A, the
     periodic orbit replayed from x_star ("trajectory", one GalerkinState of
-    the n_steps + 1 states) and the sup-norm gap between its end and x_star
-    ("residual").  Raises SingularMonodromy when the period is resonant with
-    an undamped mode of the system.
+    the n_steps + 1 states) and the whole-period check "residual": the
+    largest sup-norm seam gap of the replay, between each chunk's replayed
+    end and the next chunk's seed, and between the orbit's end and x_star.
+    Raises SingularMonodromy when the period is resonant with an undamped
+    mode of the system.
     """
     A, b = problem.monodromy
     n = problem.system.n
@@ -200,7 +263,11 @@ def periodic_solve(problem):
     xs = np.linalg.solve(F, b)
     x_star = GalerkinState(xs[:n], xs[n:], 0.0)
     traj = poincare_map(problem, x_star)
-    gap = np.concatenate([traj.a[-1] - x_star.a, traj.a_dot[-1] - x_star.a_dot])
+    # each chunk's replayed end against the next chunk's seed, the last
+    # chunk's against x_star
+    ends = np.append(np.arange(STEP_CHUNK, problem.n_steps, STEP_CHUNK), problem.n_steps)
+    seeds = (problem.prefix_maps @ np.append(xs, 1.0))[:, :-1]
+    gap = np.hstack([traj.a[ends], traj.a_dot[ends]]) - np.vstack([seeds[1:], xs])
     info = {"sigma_min": float(sig[-1]), "sigma_max": float(sig[0]),
             "residual": float(np.max(np.abs(gap))), "trajectory": traj}
     return x_star, info
@@ -278,6 +345,10 @@ class OuterLoopConfig:
             raise ValueError("mollification width eps must be positive")
         if not 0.0 < self.theta_r <= 1.0:
             raise ValueError("mixing weight theta_r must lie in (0, 1]")
+        if self.max_iter < 1:
+            raise ValueError("pass limit max_iter must be at least 1")
+        if not 0.0 < self.tol < np.inf:
+            raise ValueError("update tolerance tol must be positive and finite")
 
 
 @dataclass
@@ -436,7 +507,8 @@ def solve_ivp(assembler, x0, t_final, dt, forcing=None):
             break
         sample = assembler.sample(eta, basis.shell_field(state.a_dot), state.a_dot)
         frozen = AssembledSystem.from_sample(t_final, sample, assembler, forcing)
-        V, f = step_maps(frozen, np.array([state.t + 0.5 * dt]), dt)
+        t_mid = np.array([state.t + 0.5 * dt])
+        V, f = step_maps(frozen, t_mid, dt, _pressures(forcing, t_mid))
         new = step(V[0], state, dt)
         pair = _stack([state, new])
         ledgers.append(EnergyLedger.from_trajectory(frozen, pair, dt, f))

@@ -314,13 +314,16 @@ class _ResonantPair:
         self.C = np.diag([damping, 0.3])
         self.K = np.diag([omega2, 7.3])
 
+        # the load (sin 2 pi t, cos 2 pi t): p_in drives mode 0, p_out mode 1
+        self.forcing = BoundaryForcing.from_callables(
+            lambda s: np.sin(2.0 * np.pi * s), lambda s: -np.cos(2.0 * np.pi * s), 1.0)
+
     def matrices_at(self, t):
         shape = np.shape(t) + (2, 2)
         return {"M": np.broadcast_to(self.M, shape),
-                "C": np.broadcast_to(self.C, shape), "K": self.K}
-
-    def forcing_at(self, t, mats=None):
-        return np.stack([np.sin(2.0 * np.pi * t), np.cos(2.0 * np.pi * t)], axis=-1)
+                "C": np.broadcast_to(self.C, shape), "K": self.K,
+                "qin": np.broadcast_to([1.0, 0.0], np.shape(t) + (2,)),
+                "qout": np.broadcast_to([0.0, 1.0], np.shape(t) + (2,))}
 
 
 def test_criterion_11_resonance_sentinel():

@@ -14,6 +14,7 @@ from perifsi.assembly import (
     GlobalBasis,
     assemble,
 )
+from perifsi.basis1d import trig_weights
 from perifsi.cli import RunConfig, build_model
 from perifsi.errors import BasisMismatch, DomainViolation, GridMismatch
 from perifsi.extension_ops import push_piola, push_piola_dt
@@ -396,6 +397,32 @@ class TestAssemble:
             for t, Mt in zip(times, M):
                 want = system.matrices_at(t)["M"]
                 assert np.max(np.abs(Mt - want)) <= 1e-14 * np.max(np.abs(want))
+
+    def test_summed_stacks_match_the_per_block_interpolation(self, small_model,
+                                                              small_forcing, rng):
+        """matrices_at interpolates the mass and damping samples summed with
+        their constant blocks; that equals interpolating each sampled block
+        on its own and adding the constants after (the trig weights sum to
+        one), to 1e-14 relative, at a time and at an array of times."""
+        shell = small_model.basis.shell_basis
+        t = np.arange(16) / 16
+        samples = np.zeros((16, shell.n_modes))
+        samples[:, 0] = 0.02 * np.sin(2 * np.pi * t)
+        transport = 0.05 * np.outer(np.cos(2 * np.pi * t),
+                                    rng.standard_normal(small_model.basis.n))
+        system = assemble(small_model, 1.0, small_forcing, shell=samples,
+                          transport=transport, n_samples=8)
+        c = system.constants
+        for times in (0.37, rng.uniform(0.0, 1.0, 5)):
+            w = trig_weights(np.asarray(times), 1.0, 8)
+            blocks = {k: np.tensordot(w, v, axes=1) for k, v in system.stacks.items()}
+            want = {"M": blocks["M"] + c["M_shell"] + c["M_solid"],
+                    "C": blocks["G"] + blocks["B"] + blocks["Q"] + blocks["V"]
+                    + c["A_visc"], "qin": blocks["qin"], "qout": blocks["qout"]}
+            got = system.matrices_at(times)
+            for k, v in want.items():
+                assert got[k].shape == v.shape
+                assert np.max(np.abs(got[k] - v)) <= 1e-14 * np.max(np.abs(v)), k
 
     def test_transport_requires_geometry_path(self, small_model, small_forcing):
         transport = np.zeros((8, small_model.basis.n))

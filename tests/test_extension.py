@@ -377,6 +377,33 @@ class TestExtensionTable:
         assert t["val"].shape == (1, 3, 7) and t["grad"].shape == (1, 3, 3, 7)
         assert set(ext_op._line_blocks) == keys
 
+    def test_scattered_points_keep_no_line_block(self, small_model, rng,
+                                                 monkeypatch):
+        """200 scattered points inside C share no z line: their evaluation
+        builds a line block but the memo does not keep it, and a moving
+        sample on the grid still finds the grid's block there (it builds
+        none)."""
+        ext_op = small_model.basis.ext_op
+        shell = small_model.basis.shell_basis
+        small_model.sample()
+        keys = set(ext_op._line_blocks)
+        built = []
+        for sol in ext_op.solvers:
+            line_block = sol.line_block
+            monkeypatch.setattr(sol, "line_block",
+                                lambda *a, f=line_block: built.append(1) or f(*a))
+        field = ext_op.extend(shell.zero_field(), shell.unit_field(0))
+        R = small_model.cyl.R
+        r = rng.uniform(0.01, 0.49, 200) * R
+        th, z = rng.uniform(0.0, 2 * np.pi, 200), rng.uniform(0.0, small_model.cyl.L, 200)
+        assert field.tables(r, th, z)["val"].shape == (1, 3, 200)
+        assert built and set(ext_op._line_blocks) == keys
+        built.clear()
+        small_model.sample(
+            delta=shell.field(0.02 * rng.standard_normal(shell.n_modes)),
+            dt_delta=shell.field(0.02 * rng.standard_normal(shell.n_modes)))
+        assert built == []
+
     def test_stacks_only_extensions_of_the_same_data(self, small_model, rng):
         ext_op = small_model.basis.ext_op
         shell = small_model.basis.shell_basis

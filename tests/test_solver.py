@@ -41,6 +41,7 @@ class _CountingSystem:
         self.system = system
         self.n = system.n
         self.K = system.K
+        self.forcing = system.forcing
         self.calls = 0
         self.mass_calls = 0
 
@@ -52,13 +53,17 @@ class _CountingSystem:
         self.mass_calls += 1
         return self.system.mass_at(times)
 
-    def forcing_at(self, t, mats=None):
-        if mats is None:
-            mats = self.matrices_at(t)
-        return self.system.forcing_at(t, mats)
-
     def quadratic_forms(self, times, v):
         return self.system.quadratic_forms(times, v)
+
+
+def _oracle_load(system, t, mats):
+    """The pressure load p_in qin - p_out qout at t, from the forcing's
+    series at t."""
+    if system.forcing is None:
+        return np.zeros(system.n)
+    (p_in,), (p_out,) = system.forcing.values(t % system.forcing.T)
+    return p_in * mats["qin"] - p_out * mats["qout"]
 
 
 def _oracle_operators(system, n_steps, dt):
@@ -71,7 +76,7 @@ def _oracle_operators(system, n_steps, dt):
         M, C, K = mats["M"], mats["C"], mats["K"]
         P = M + 0.5 * dt * C + 0.25 * dt * dt * K
         Pm = M - 0.5 * dt * C - 0.25 * dt * dt * K
-        f = system.forcing_at(t, mats)
+        f = _oracle_load(system, t, mats)
         V = lu_solve(lu_factor(P), np.column_stack([-dt * K, Pm, dt * f]))
         ops.append((V, f))
     return ops
@@ -181,13 +186,15 @@ class TestStepping:
 class TestStackedPeriod:
     """The chunked, product-tree period against the sequential path."""
 
-    @pytest.mark.parametrize("n_steps", [1, 5, 300])
+    @pytest.mark.parametrize("n_steps", [1, 5, 300, 2 * STEP_CHUNK, 2 * STEP_CHUNK + 1])
     @pytest.mark.parametrize("name", ["rest_phased", "moving_system"])
     def test_matches_the_sequential_path(self, name, n_steps, request):
         """x_star and its orbit, and the orbit and ledger of a replay from a
         random state (on a one-step periodic orbit the midpoint velocity is
         zero, so its ledger is round-off); 300 steps cross a chunk boundary
-        and are not a power of two."""
+        and are not a power of two, 2 STEP_CHUNK steps are full chunks only
+        (all replayed in lockstep) and one step more leaves a one-step
+        tail."""
         system = request.getfixturevalue(name)
         n, dt = system.n, 1.0 / n_steps
         ops = _oracle_operators(system, n_steps, dt)
@@ -205,6 +212,23 @@ class TestStackedPeriod:
         got = EnergyLedger.from_trajectory(system, traj, dt, prob.f)
         for k, want in _oracle_ledger(system, ops, orbit, dt).items():
             assert _rel(getattr(got, k), want) <= 1e-12, k
+
+    def test_a_perturbed_step_map_opens_a_seam(self, rest_phased):
+        """Each chunk of the replay starts from its seed, the prefix map of
+        the steps before it applied to x_star, so a step map changed in the
+        middle of three chunks after the period is built leaves the orbit's
+        end at x_star but opens the seam after that chunk: the residual,
+        the largest seam gap, sees it."""
+        n_steps = 2 * STEP_CHUNK + 1
+        prob = PeriodicProblem(rest_phased, 1.0, 1.0 / n_steps)
+        x_star, info = periodic_solve(prob)
+        scale = np.max(np.abs(_states(info["trajectory"])))
+        assert info["residual"] <= 1e-12 * scale
+        prob.V[STEP_CHUNK + 10, :, -1] *= 1.0 + 1e-3
+        perturbed = periodic_solve(prob)[1]
+        end = _states(perturbed["trajectory"])[-1]
+        assert np.max(np.abs(end - _states(x_star))) <= 1e-12 * scale
+        assert perturbed["residual"] > 1e-8 * scale
 
     def test_step_maps_are_the_sequential_ones(self, moving_system):
         n_steps = 300
@@ -227,10 +251,7 @@ class TestStackedPeriod:
             M[np.asarray(t) == t_bad] = 0.0
             return {"M": M, "C": np.zeros_like(M), "K": np.zeros((2, 2))}
 
-        system = SimpleNamespace(
-            n=2, matrices_at=matrices_at,
-            forcing_at=lambda t, mats=None: np.zeros(np.shape(t) + (2,)),
-        )
+        system = SimpleNamespace(n=2, matrices_at=matrices_at, forcing=None)
         with pytest.raises(LinearSolveFailure,
                            match=re.escape(f"t={t_bad}") + "$"):
             periodic_solve(PeriodicProblem(system, 1.0, dt))
@@ -263,7 +284,7 @@ class TestPeriodicSolve:
         system = SimpleNamespace(
             n=2,
             matrices_at=lambda t: {"M": zero, "C": zero, "K": zero[0]},
-            forcing_at=lambda t, mats=None: np.zeros((4, 2)),
+            forcing=None,
         )
         with pytest.raises(LinearSolveFailure, match="t=0.125"):
             periodic_solve(PeriodicProblem(system, 1.0, 0.25))
@@ -316,6 +337,13 @@ class TestOuterLoop:
             OuterLoopConfig(eps=-1.0)
         with pytest.raises(ValueError):
             OuterLoopConfig(eps=0.1, theta_r=1.5)
+        for max_iter in (0, -3):
+            with pytest.raises(ValueError, match="max_iter"):
+                OuterLoopConfig(eps=0.1, max_iter=max_iter)
+        for tol in (0.0, -1e-9, np.nan, np.inf):
+            with pytest.raises(ValueError, match="tol"):
+                OuterLoopConfig(eps=0.1, tol=tol)
+        OuterLoopConfig(eps=0.1, max_iter=1, tol=1e-300)
 
     def test_exhausted_budget_raises(self, small_model, small_forcing):
         cfg = OuterLoopConfig(eps=4.0 / 64, theta_r=0.5, max_iter=1, tol=1e-14)
