@@ -119,7 +119,7 @@ class GlobalBasis:
     def extension_fields(self, delta):
         """The coupled fluid entries F_delta(Y_j), j < half, as one stacked
         ExtensionField of half fields."""
-        return self.ext_op.extend(delta, self.coupled_block, check=False)
+        return self.ext_op.extend(delta, self.coupled_block)
 
     def fluid_tables(self, jets):
         """Stacked fluid-entry tables at the jets' quadrature nodes, for the

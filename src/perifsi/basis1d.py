@@ -199,12 +199,13 @@ class TrigFamily:
 class PiecewiseLegFamily:
     """C0 piecewise-polynomial family on a partition, with linear constraints.
 
-    Functions are spanned by per-element Legendre modes; `constraints` rows act
+    Functions are spanned by per-element Legendre modes; constraint rows act
     on the stacked coefficient vector and the family is the nullspace of the
-    constraint matrix (continuity at interior breaks plus any boundary zeros).
+    constraint matrix (continuity at interior breaks, plus a zero at the
+    right end when right_zero).
     """
 
-    def __init__(self, breaks, degree, left_zero=False, right_zero=False):
+    def __init__(self, breaks, degree, right_zero=False):
         self.breaks = np.asarray(breaks, dtype=float)
         self.degree = int(degree)
         self.nelem = len(self.breaks) - 1
@@ -216,10 +217,6 @@ class PiecewiseLegFamily:
             row = np.zeros(ndof)
             row[e * p : (e + 1) * p] = self._edge_vals(e, +1.0)
             row[(e + 1) * p : (e + 2) * p] = -self._edge_vals(e + 1, -1.0)
-            rows.append(row)
-        if left_zero:
-            row = np.zeros(ndof)
-            row[:p] = self._edge_vals(0, -1.0)
             rows.append(row)
         if right_zero:
             row = np.zeros(ndof)

@@ -7,7 +7,8 @@ rejected with their line number.  The canonical emitter reproduces a parsed
 configuration exactly, so emit -> parse is the identity on RunConfig.
 """
 
-from dataclasses import dataclass, replace
+import math
+from dataclasses import dataclass, fields, replace
 
 from .errors import ParseError, ValidationError
 
@@ -58,6 +59,12 @@ class RunConfig:
     tol: float = 1e-8
 
     def validate(self):
+        # every number and series entry must be finite, since NaN would pass
+        # the sign checks below
+        for f in fields(self):
+            values = getattr(self, f.name)
+            if not all(map(math.isfinite, values if f.type is tuple else [values])):
+                raise ValidationError(f"{f.name} must be finite")
         for name in ("R", "L", "H", "T", "lambda1", "rho_s2", "t_final"):
             if getattr(self, name) <= 0:
                 raise ValidationError(f"{name} must be positive")

@@ -10,8 +10,8 @@ int_I D <= C * ||P||^2_{L2}.
 
 import numpy as np
 
-from .errors import ZeroForcing
-from .geometry import ReferencePoints, ale_jets
+from .errors import DomainViolation, ZeroForcing
+from .geometry import ReferencePoints, admissibility, ale_jets
 
 
 def energies(system, traj):
@@ -60,9 +60,12 @@ def coupling_residuals(state, basis, n_theta=24, n_z=33):
       * the fluid trace has no tangential part.
     All three hold structurally for the interleaved basis; the residuals
     measure evaluation error only.  Raises DomainViolation when the state's
-    shell breaks domain injectivity.
+    shell is outside the admissible domain (geometry.admissibility).
     """
     cyl = basis.cyl
+    shell = basis.shell_coefficients(state.a)
+    if admissibility(cyl, basis.shell_basis, shell)[1] is not None:
+        raise DomainViolation("shell displacement breaks domain injectivity")
     eta = basis.shell_field(state.a)
     eta_dot = basis.shell_field(state.a_dot)
     th = np.linspace(0.0, 2.0 * np.pi, n_theta, endpoint=False)

@@ -44,9 +44,9 @@ from scipy.linalg import cho_factor, cho_solve, eigh, solve_triangular
 from scipy.linalg.lapack import dpstrf
 
 from .basis1d import LegFamily, PiecewiseLegFamily, composite_gauss, gauss
-from .errors import DomainViolation, LinearSolveFailure
+from .errors import LinearSolveFailure
 from .fluidgrid import cyl_tensor_to_cart, cyl_vec_to_cart
-from .geometry import ShellField, check_injectivity
+from .geometry import ShellField
 
 R_DEGREE = 10  # polynomial degree of the corrector's radial elements
 NZ_MODES = 34  # axial modes of the corrector
@@ -537,17 +537,16 @@ class ExtensionOperator:
         plug = plug_radial_profile(self.cyl, r)[0] @ w
         return plug * plug_axial_profile(self.cyl, z0)[0] * self.table[0]
 
-    def extend(self, delta, xi, check=True):
+    def extend(self, delta, xi):
         """Divergence-free extension of xi e_r from the interface r = R + delta.
 
         xi is a shell field, or an (F, n_modes) block of the shell
         coefficients of F data at once; the result is one ExtensionField of
-        F fields (F = 1 for a shell field).
+        F fields (F = 1 for a shell field).  delta is not checked: a caller
+        that needs an admissible interface decides with
+        geometry.admissibility.
         """
-        cyl = self.cyl
-        if check and not check_injectivity(delta, cyl):
-            raise DomainViolation("shell displacement breaks domain injectivity")
-        return self._field(cyl.R, delta, xi)
+        return self._field(self.cyl.R, delta, xi)
 
     def extend_dt(self, dt_delta, xi):
         """Time derivative of extend(delta, xi) for fixed xi: the extension of

@@ -191,8 +191,9 @@ def admissibility(cyl, basis, coefficients):
     flat index of the first row whose sup is not below cyl.sup_bound (None
     when every row keeps the deformed domain admissible).
 
-    This is the one admissibility test: check_injectivity, assemble and the
-    outer loop all decide with it."""
+    This is the one admissibility test made in the package: assemble, the
+    outer loop, solve_ivp (every state it reaches) and
+    diagnostics.coupling_residuals all decide with it."""
     table = basis.eval_modes(*sup_grid(basis), 0)[:, 0]
     sup = np.max(np.abs(np.asarray(coefficients, dtype=float) @ table), axis=-1)
     bad = np.flatnonzero(~(sup < cyl.sup_bound))
@@ -200,5 +201,6 @@ def admissibility(cyl, basis, coefficients):
 
 
 def check_injectivity(eta, cyl):
-    """True iff sup |eta| < cyl.sup_bound on a dense (4x oversampled) grid."""
+    """True iff sup |eta| < cyl.sup_bound on a dense (4x oversampled) grid.
+    No package code calls it; perfbench/spans.py times it by name."""
     return admissibility(cyl, eta.basis, eta.coefficients)[1] is None

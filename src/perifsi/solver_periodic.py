@@ -30,7 +30,7 @@ from .errors import (
     SingularMonodromy,
 )
 from .extension_ops import azimuthal_damping, mollify
-from .geometry import admissibility, check_injectivity
+from .geometry import admissibility
 
 ANDERSON_DEPTH = 3  # residual differences kept by the outer loop's mixing
 STEP_CHUNK = 256  # steps whose maps are interpolated, solved and reduced together
@@ -278,19 +278,22 @@ class EnergyLedger:
     """Per-step energy bookkeeping of a trajectory, one (N,) array per column.
 
     Row m holds the state time t, E_kin = v' M v / 2, E_el = a' K a / 2 and
-    E = E_kin + E_el of state m, and the dissipation D, the rate of work and
-    the residual of the discrete identity
+    E = E_kin + E_el of state m, and the dissipation D and the rate of work
+    of step m, both evaluated at the midpoint: the work of the pressure load
+    and of the moving boundary.  E_end is the energy of the trajectory's
+    last state.  The balance residual of the discrete identity
 
         E_{m+1} - E_m = dt [ work_rate - D ]
 
-    over step m, with D and the rate of work of the pressure load and the
-    moving boundary evaluated at the midpoint.  For a frozen geometry the
-    identity is exact for the implicit midpoint rule; for a moving geometry
-    the residual is O(dt^2) per period.  dt is the step of the rows, so a
-    one-row ledger still integrates its dissipation.  The midpoint loads
-    are the steps' stored loads (PeriodicProblem.f, or step_maps' f); the
-    dissipation and transport forms at all midpoints come from one call of
-    the system's quadratic_forms, with no (n, n) block per step.
+    over step m reads E_{m+1} from row m + 1, and from E_end for the last
+    row, so it follows from the ledger's own columns.  For a frozen
+    geometry the identity is exact for the implicit midpoint rule; for a
+    moving geometry the residual is O(dt^2) per period.  dt is the step of
+    the rows, so a one-row ledger still integrates its dissipation.  The
+    midpoint loads are the steps' stored loads (PeriodicProblem.f, or
+    step_maps' f); the dissipation and transport forms at all midpoints come
+    from one call of the system's quadratic_forms, with no (n, n) block per
+    step.
     """
 
     COLUMNS = ("t", "E_kin", "E_el", "E", "D", "work_rate", "balance_residual")
@@ -301,7 +304,7 @@ class EnergyLedger:
     E: np.ndarray
     D: np.ndarray
     work_rate: np.ndarray
-    balance_residual: np.ndarray
+    E_end: float
     dt: float
 
     @classmethod
@@ -313,8 +316,13 @@ class EnergyLedger:
         t_mid = traj.t[0] + (np.arange(len(traj.t) - 1) + 0.5) * dt
         D, transport = system.quadratic_forms(t_mid, vbar)
         work = np.einsum("mi,mi->m", vbar, loads) - transport
-        resid = np.abs(E[1:] - E[:-1] + dt * D - dt * work)
-        return cls(traj.t[:-1], E_kin[:-1], E_el[:-1], E[:-1], D, work, resid, dt)
+        return cls(traj.t[:-1], E_kin[:-1], E_el[:-1], E[:-1], D, work,
+                   float(E[-1]), dt)
+
+    @property
+    def balance_residual(self):
+        E_next = np.append(self.E, self.E_end)[1:]
+        return np.abs(E_next - self.E + self.dt * self.D - self.dt * self.work_rate)
 
     def sup_energy(self):
         return float(self.E.max()) if self.E.size else 0.0
@@ -470,8 +478,8 @@ def outer_fixed_point(assembler, T, n_t, forcing, config, n_samples=None):
 @dataclass
 class IvpResult:
     """The states reached (one stacked GalerkinState), their energy ledger
-    (one row per step taken) and the time at which the shell left the
-    admissible domain, None for a completed run."""
+    (one row per step taken) and the time of the first state reached whose
+    shell is outside the admissible domain, None for a completed run."""
 
     trajectory: GalerkinState
     ledger: EnergyLedger
@@ -487,11 +495,13 @@ def solve_ivp(assembler, x0, t_final, dt, forcing=None):
 
     At each step the domain motion and the convective transport are frozen at
     the current state (explicit in geometry), and the implicit midpoint step
-    is taken in that geometry (implicit in physics).  A state that carries the
-    shell beyond the injectivity margin ends the run gracefully: the result
-    reports the reached time instead of raising.  Each step's ledger row is
-    that of the step's frozen system.  t_final must be a whole number of
-    steps (GridMismatch otherwise).
+    is taken in that geometry (implicit in physics).  Every state reached,
+    the final one included, is checked with geometry.admissibility; the first
+    whose shell is beyond the injectivity margin ends the run gracefully: the
+    result reports its time instead of raising.  Each step's ledger row books
+    E with the step's frozen mass, so E_{m+1} of row m is row m + 1's E and
+    the last state keeps the last step's frozen mass.  t_final must be a
+    whole number of steps (GridMismatch otherwise).
     """
     basis = assembler.basis
     cyl = assembler.cyl
@@ -500,12 +510,15 @@ def solve_ivp(assembler, x0, t_final, dt, forcing=None):
     states = [state]
     ledgers = []
     violation = None
-    for m in range(n_steps):
-        eta = basis.shell_field(state.a)
-        if not check_injectivity(eta, cyl):
+    for m in range(n_steps + 1):
+        shell = basis.shell_coefficients(state.a)
+        if admissibility(cyl, basis.shell_basis, shell)[1] is not None:
             violation = state.t
             break
-        sample = assembler.sample(eta, basis.shell_field(state.a_dot), state.a_dot)
+        if m == n_steps:
+            break
+        sample = assembler.sample(basis.shell_field(state.a),
+                                  basis.shell_field(state.a_dot), state.a_dot)
         frozen = AssembledSystem.from_sample(t_final, sample, assembler, forcing)
         t_mid = np.array([state.t + 0.5 * dt])
         V, f = step_maps(frozen, t_mid, dt, _pressures(forcing, t_mid))
@@ -514,9 +527,11 @@ def solve_ivp(assembler, x0, t_final, dt, forcing=None):
         ledgers.append(EnergyLedger.from_trajectory(frozen, pair, dt, f))
         states.append(new)
         state = new
-    # one row per step taken, none when the initial shell is outside
-    columns = ([getattr(led, k) for led in ledgers] for k in EnergyLedger.COLUMNS)
-    ledger = EnergyLedger(*(np.concatenate([np.empty(0), *c]) for c in columns), dt)
+    # one row per step taken, none when the initial shell is outside; no
+    # state's energy is booked then, so E_end is nan
+    columns = ([getattr(led, k) for led in ledgers] for k in EnergyLedger.COLUMNS[:-1])
+    E_end = ledgers[-1].E_end if ledgers else np.nan
+    ledger = EnergyLedger(*(np.concatenate([np.empty(0), *c]) for c in columns), E_end, dt)
     return IvpResult(_stack(states), ledger, violation)
 
 

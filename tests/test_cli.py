@@ -4,7 +4,7 @@ import csv
 import os
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -105,6 +105,27 @@ class TestValidation:
     def test_theta_range(self):
         with pytest.raises(ValidationError):
             RunConfig(theta_r=0.0).validate()
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    @pytest.mark.parametrize("name", [f.name for f in fields(RunConfig) if f.type is float])
+    def test_non_finite_float_is_rejected(self, name, bad):
+        with pytest.raises(ValidationError, match=rf"^{name} must be finite$"):
+            replace(RunConfig(), **{name: bad}).validate()
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    @pytest.mark.parametrize("name", [f.name for f in fields(RunConfig) if f.type is tuple])
+    def test_non_finite_series_entry_is_rejected(self, name, bad):
+        series = {f.name: (0.0, 1.0, 0.0) for f in fields(RunConfig) if f.type is tuple}
+        series[name] = (0.0, bad, 0.0)
+        with pytest.raises(ValidationError, match=rf"^{name} must be finite$"):
+            replace(RunConfig(), **series).validate()
+
+    def test_non_finite_value_exits_one(self, tmp_path, capsys):
+        cfg_path = tmp_path / "nan.cfg"
+        cfg_path.write_text("[forcing]\nT = nan\n")
+        assert cli.main(["run-ivp", "--config", str(cfg_path),
+                         "--out-dir", str(tmp_path / "out")]) == 1
+        assert "ValidationError: T must be finite" in capsys.readouterr().err
 
     def test_eps_default_is_four_steps(self):
         cfg = RunConfig(n_t=64).validate()
@@ -256,13 +277,16 @@ class TestCsvRows:
         return path.read_bytes()
 
     def test_energies(self, tmp_path):
-        from perifsi.solver_periodic import EnergyLedger
-
+        """The six stored columns cycle through VALUES; the residual column,
+        derived from them and E_end, holds nan and inf rows too."""
         v = self.VALUES
-        rows = [[v[(i + j) % len(v)] for j in range(7)] for i in range(len(v))]
-        ledger = EnergyLedger(*np.array(rows).T, 0.25)
+        rows = [[v[(i + j) % len(v)] for j in range(6)] for i in range(len(v))]
+        ledger = EnergyLedger(*np.array(rows).T, v[0], 0.25)
+        resid = ledger.balance_residual
+        assert np.isnan(resid).any() and np.isinf(resid).any()
         cli.write_energies(tmp_path / "e.csv", ledger)
         header = ["t", "E_kin", "E_el", "E", "D", "work_rate", "balance_residual"]
+        rows = [row + [r] for row, r in zip(rows, resid.tolist())]
         want = self._csv_module(tmp_path / "want.csv", header, rows)
         assert (tmp_path / "e.csv").read_bytes() == want
 

@@ -1,5 +1,6 @@
 """Dead-code guard: every module-level function and class of the package has
-a caller or a test, and every method and property a caller in the package.
+a caller or a test, every method and property a caller in the package, and
+every True/False flag a caller in the package that turns it.
 
 A module-level name counts as used when it occurs as a whole word somewhere
 in src/perifsi or tests/ outside the lines of its own definition.  The
@@ -94,3 +95,37 @@ def test_every_method_is_read_in_the_package():
                    for p, i, name in reads)
     ]
     assert not unused, "no caller in src/perifsi: " + ", ".join(unused)
+
+
+def test_every_bool_knob_is_turned_in_the_package():
+    """Every parameter of a function or method in src/perifsi whose default
+    is True or False is passed by keyword, with a value other than that
+    literal, somewhere in src/perifsi outside its own definition, so no flag
+    exists for tests alone.  The check is by keyword name only: a flag whose
+    name another function's call passes passes trivially, and a flag passed
+    only by position is reported."""
+    knobs = []  # (path, def node, parameter name, default)
+    passed = []  # (path, line index, keyword name, literal value or None)
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef):
+                args = node.args
+                positional = args.posonlyargs + args.args
+                pairs = list(zip(positional[len(positional) - len(args.defaults):],
+                                 args.defaults))
+                pairs += [(a, d) for a, d in zip(args.kwonlyargs, args.kw_defaults) if d]
+                knobs += [(path, node, a.arg, d.value) for a, d in pairs
+                          if isinstance(d, ast.Constant) and isinstance(d.value, bool)]
+            elif isinstance(node, ast.Call):
+                passed += [(path, node.lineno - 1, kw.arg,
+                            kw.value.value if isinstance(kw.value, ast.Constant) else None)
+                           for kw in node.keywords if kw.arg is not None]
+    unturned = [
+        f"{path.name}:{node.lineno} {node.name}({name}={default})"
+        for path, node, name, default in knobs
+        if not any(kw == name and value is not default
+                   and not (p == path and node.lineno - 1 <= i < node.end_lineno)
+                   for p, i, kw, value in passed)
+    ]
+    assert not unturned, "flag never turned in src/perifsi: " + ", ".join(unturned)

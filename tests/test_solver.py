@@ -572,6 +572,39 @@ class TestIvp:
         assert not res.completed
         assert res.violation_time == 0.0
 
+    @pytest.mark.parametrize("n_steps", [1, 2])
+    def test_leaving_the_domain_on_the_last_step(self, small_model, n_steps):
+        """A shell at 0.93 of the bound moving out fast reaches sup |eta|
+        0.964 > 0.95 = sup_bound after one step: the run stops there with
+        that state's time, whether or not it is the final one, after one
+        step and one ledger row."""
+        n = small_model.basis.n
+        shell = small_model.basis.shell_basis
+        sup_y0 = admissibility(small_model.cyl, shell, np.eye(shell.n_modes)[0])[0]
+        a, a_dot = np.zeros(n), np.zeros(n)
+        a[0] = 0.93 / sup_y0
+        a_dot[0] = 5.0 * np.sign(a[0])
+        dt = 1.0 / 64
+        res = solve_ivp(small_model, GalerkinState(a, a_dot), n_steps * dt, dt)
+        assert not res.completed
+        assert res.violation_time == dt
+        assert res.trajectory.t.tolist() == [0.0, dt]
+        assert res.ledger.t.tolist() == [0.0]
+
+    def test_balance_residual_falls_with_dt(self, small_model, small_forcing):
+        """Each row books E with its own step's frozen mass, so the summed
+        balance residual over one period, relative to sup E, falls with dt
+        (2.03x from 128 to 256 steps; 0.99x when E_{m+1} was booked with
+        step m's mass)."""
+        n = small_model.basis.n
+        rng = np.random.default_rng(0)
+        x0 = GalerkinState(1e-2 * rng.standard_normal(n), 1e-2 * rng.standard_normal(n))
+        sums = []
+        for n_t in (128, 256):
+            led = solve_ivp(small_model, x0, 1.0, 1.0 / n_t, forcing=small_forcing).ledger
+            sums.append(float(np.sum(led.balance_residual)) / led.sup_energy())
+        assert sums[0] / sums[1] >= 1.5
+
     def test_off_grid_final_time_is_a_grid_mismatch(self, small_model):
         x0 = GalerkinState.zero(small_model.basis.n)
         for t_final in (0.01, 0.005):
