@@ -36,7 +36,7 @@ from .extension_ops import push_piola, push_piola_dt
 from .fluid_basis import disk_flux
 from .fluidgrid import QuadJets
 from .geometry import admissibility
-from .shell_solid import LiftedSolidField, shell_matrices
+from .shell_solid import shell_matrices
 
 
 @dataclass
@@ -65,15 +65,18 @@ class GalerkinState:
         return self.a.shape[-1]
 
     @classmethod
-    def zero(cls, n, t=0.0):
-        return cls(np.zeros(n), np.zeros(n), t)
+    def zero(cls, n):
+        return cls(np.zeros(n), np.zeros(n))
 
 
 class GlobalBasis:
-    """The interleaved coupled/interior basis with cached component tables.
+    """The interleaved coupled/interior basis and its stacked component
+    tables.
 
     The slices coupled (entries 2j) and interior (entries 2j + 1) name the
-    interleaved layout of a coefficient vector or of a block's rows."""
+    interleaved layout of a coefficient vector or of a block's rows; the
+    coupled entries carry the first half shell modes, whose coefficients
+    are the rows of coupled_block."""
 
     def __init__(self, cyl, shell_basis, solid_basis, stokes_basis, ext_op, n):
         if n % 2:
@@ -89,14 +92,7 @@ class GlobalBasis:
         self.solid_basis = solid_basis
         self.stokes_basis = stokes_basis
         self.ext_op = ext_op
-        self.shell_modes = [shell_basis.unit_field(j) for j in range(half)]
-        # their shell coefficients, one row per coupled entry
-        self.coupled_block = np.array([Y.coefficients for Y in self.shell_modes])
-        self.solid_fields = []
-        interior_solid = solid_basis.interior_modes(half)
-        for j in range(half):
-            self.solid_fields.append(LiftedSolidField(cyl, self.shell_modes[j]))
-            self.solid_fields.append(interior_solid[j])
+        self.coupled_block = np.eye(half, shell_basis.n_modes)
         self.coupled = slice(0, n, 2)
         self.interior = slice(1, n, 2)
 
@@ -120,6 +116,20 @@ class GlobalBasis:
         """The coupled fluid entries F_delta(Y_j), j < half, as one stacked
         ExtensionField of half fields."""
         return self.ext_op.extend(delta, self.coupled_block)
+
+    def solid_tables(self, r, theta, z):
+        """Stacked solid-entry tables at solid nodes, in the cylindrical
+        frame: val (n, 3, Q), grad (n, 3, 3, Q) and div (n, Q).  The coupled
+        entries are the lifted shell modes and the interior entries the
+        interior solid modes, one stacked evaluation each."""
+        lifted = self.solid_basis.lifted_tables(self.half, r, theta, z)
+        interior = self.solid_basis.interior_tables(self.half, r, theta, z)
+        out = {}
+        for key, v in lifted.items():
+            out[key] = np.empty((self.n,) + v.shape[1:])
+            out[key][self.coupled] = v
+            out[key][self.interior] = interior[key]
+        return out
 
     def fluid_tables(self, jets):
         """Stacked fluid-entry tables at the jets' quadrature nodes, for the
@@ -247,9 +257,8 @@ class Assembler:
         ends), so their fluxes are constant.
         """
         basis, grid = self.basis, self.grid
-        modes = basis.stokes_basis.modes[: basis.half]
         return {
-            z0: (np.array([disk_flux(mode, grid, z0) for mode in modes]),
+            z0: (disk_flux(basis.stokes_basis, grid, z0)[: basis.half],
                  basis.ext_op.disk_flux_table(grid, z0)[:, : basis.half])
             for z0 in (0.0, self.cyl.L)
         }
@@ -267,13 +276,8 @@ class Assembler:
         K_sh[c, c] = Ksh_half
 
         g = self.solid_grid
-        Qs = g.r.size
-        sval = np.empty((n, 3, Qs))
-        sgrad = np.empty((n, 3, 3, Qs))
-        sdiv = np.empty((n, Qs))
-        for k, f in enumerate(basis.solid_fields):
-            t = f.tables(g.r, g.theta, g.z)
-            sval[k], sgrad[k], sdiv[k] = t["val"], t["grad"], t["div"]
+        t = basis.solid_tables(g.r, g.theta, g.z)
+        sval, sgrad, sdiv = t["val"], t["grad"], t["div"]
         M_solid = p.rho_s2 * np.einsum("kiq,liq,q->kl", sval, sval, g.w)
         grad_gram = np.einsum("kijq,lijq,q->kl", sgrad, sgrad, g.w)
         div_gram = np.einsum("kq,lq,q->kl", sdiv, sdiv, g.w)

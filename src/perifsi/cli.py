@@ -51,7 +51,10 @@ def build_model(cfg):
     cyl = CylinderConfig(R=cfg.R, L=cfg.L, H=cfg.H)
     shell = ShellBasis(cfg.n_theta, cfg.n_z, cfg.L)
     max_m = shell.max_azimuthal_wavenumber
-    stokes = build_stokes_basis(cyl, cfg.n_interior, max_wavenumber=max_m)
+    # the global basis uses min(n_shell, n_stokes) interior modes, so none
+    # beyond the shell mode count is built
+    stokes = build_stokes_basis(cyl, min(cfg.n_interior, shell.n_modes),
+                                max_wavenumber=max_m)
     solid = SolidBasis(cyl, shell, n_r=cfg.n_r_solid)
     ext = ExtensionOperator(cyl, shell)
     n = 2 * min(shell.n_modes, stokes.n_modes)
@@ -231,8 +234,8 @@ def run_verify(cfg, out_dir):
 
     # trilinear antisymmetry and the Korn identity on two Stokes modes
     grid = assembler.grid
-    modes = basis.stokes_basis.modes[: min(3, len(basis.stokes_basis.modes))]
-    tu, tv = (m.tables(grid.r, grid.theta, grid.z) for m in (modes[0], modes[-1]))
+    val, grad = basis.stokes_basis.tables_on(grid)
+    tu, tv = ({"val": val[k], "grad": grad[k]} for k in (0, min(3, len(val)) - 1))
     bsym = abs(trilinear_b(tu, tv, tv, grid.w))
     checks.append(("trilinear_antisymmetry", bsym, 1e-12))
     checks.append(("korn_identity", korn_check(tu, tv, grid.w)[0], 1e-6))

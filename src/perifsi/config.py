@@ -39,7 +39,7 @@ class RunConfig:
     n_z: int = 8
     n_r_fluid: int = 10
     n_r_solid: int = 4
-    n_interior: int = 16
+    n_interior: int = 16  # at most n_theta * n_z are built: the basis uses no more
     n_t: int = 256
     matrix_samples: int = 16
     # forcing

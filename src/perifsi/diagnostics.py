@@ -81,10 +81,8 @@ def coupling_residuals(state, basis, n_theta=24, n_z=33):
     # the interior entries: their reference trace sum_j a'_{2j+1} Z_j at
     # r = R, pushed to r = R + eta by the Piola factor grad / det
     rR = np.full(tflat.size, cyl.R)
-    phi = np.zeros((3, tflat.size))
-    for c, mode in zip(state.a_dot[basis.interior], basis.stokes_basis.modes):
-        if c:
-            phi += c * mode.tables(rR, tflat, zflat)["val"]
+    zval = basis.stokes_basis.tables(rR, tflat, zflat)["val"][: basis.half]
+    phi = np.einsum("k,kiq->iq", state.a_dot[basis.interior], zval)
     pts = ReferencePoints(rR * np.cos(tflat), rR * np.sin(tflat), zflat)
     jets = ale_jets(cyl, eta, pts)
     uval += np.einsum("ijq,jq->iq", jets["grad"] / jets["det"], phi)
@@ -97,11 +95,7 @@ def coupling_residuals(state, basis, n_theta=24, n_z=33):
     tangential_resid = float(np.max(np.abs(tangential)))
 
     # solid tables carry cylindrical frame components: target is (eta, 0, 0)
-    dval = np.zeros((3, tflat.size))
-    for k, f in enumerate(basis.solid_fields):
-        c = state.a[k]
-        if c:
-            dval += c * f.tables(rR, tflat, zflat)["val"]
+    dval = np.einsum("k,kiq->iq", state.a, basis.solid_tables(rR, tflat, zflat)["val"])
     dval[0] -= eval_eta
     solid_resid = float(np.max(np.abs(dval)))
     return {

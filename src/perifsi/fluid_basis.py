@@ -23,6 +23,9 @@ from .errors import EigenFailure, GridMismatch
 from .extension_ops import azimuthal_mode_tables
 from .fluidgrid import cyl_tensor_to_cart, cyl_vec_to_cart
 
+NR_STOKES = 8  # radial polynomial count of the Stokes sector spaces
+NZ_STOKES = 8  # axial polynomial count of the Stokes sector spaces
+
 
 class _SectorSpace:
     """Tensor-product component profiles of one azimuthal sector.
@@ -121,44 +124,35 @@ def _sector_forms(space, cyl, n_r, n_z):
     return A, M
 
 
-class StokesMode:
-    """One interior eigenmode: sector profiles plus azimuthal parity.
+class StokesBasis:
+    """The n lowest interior Stokes modes, mass-orthonormal.
 
-    tables(r, theta, z) evaluates the Cartesian value, gradient and pointwise
-    divergence at reference-cylinder points.
+    The modes come in groups of one sector space and one azimuthal parity:
+    groups holds (space, parity, rows, dofs), mode rows[i] being the field
+    of dofs[i] (len(rows), space.ndof) over the space.
     """
 
-    def __init__(self, cyl, space, parity, dofs):
+    def __init__(self, cyl, groups):
         self.cyl = cyl
-        self.space = space
-        self.m = space.m
-        self.parity = parity
-        self.dofs = dofs
-
-    def tables(self, r, theta, z):
-        r = np.asarray(r, dtype=float).ravel()
-        theta = np.asarray(theta, dtype=float).ravel()
-        z = np.asarray(z, dtype=float).ravel()
-        prof = self.space.profile_tables(self.dofs, r, z)
-        val, G = azimuthal_mode_tables(self.m, self.parity, prof, r, theta)
-        return {
-            "val": cyl_vec_to_cart(val[0], val[1], val[2], theta),
-            "grad": cyl_tensor_to_cart(G, theta),
-            "div": np.einsum("iiq->q", G),
-        }
-
-
-class StokesBasis:
-    """The n lowest interior Stokes modes, mass-orthonormal."""
-
-    def __init__(self, cyl, modes):
-        self.cyl = cyl
-        self.modes = modes
+        self.groups = groups
+        self.n_modes = sum(len(rows) for _, _, rows, _ in groups)
         self._grid_cache = {}
 
-    @property
-    def n_modes(self):
-        return len(self.modes)
+    def tables(self, r, theta, z):
+        """Cartesian values (n, 3, Q), gradients (n, 3, 3, Q) and pointwise
+        divergences (n, Q) of all modes at reference-cylinder points, one
+        stacked evaluation per group."""
+        r, theta, z = (np.asarray(x, dtype=float).ravel() for x in (r, theta, z))
+        val = np.empty((self.n_modes, 3, r.size))
+        G = np.empty((self.n_modes, 3, 3, r.size))
+        for space, parity, rows, dofs in self.groups:
+            prof = space.profile_tables(dofs, r, z)
+            val[rows], G[rows] = azimuthal_mode_tables(space.m, parity, prof, r, theta)
+        return {
+            "val": cyl_vec_to_cart(val[:, 0], val[:, 1], val[:, 2], theta),
+            "grad": cyl_tensor_to_cart(G, theta),
+            "div": np.einsum("kiiq->kq", G),
+        }
 
     def tables_on(self, grid):
         """Stacked (val, grad) arrays of all modes at the grid's reference
@@ -166,17 +160,12 @@ class StokesBasis:
         and so keeps it alive: a key by id() would hand a new grid that
         reuses a freed grid's address the old grid's tables."""
         if grid not in self._grid_cache:
-            val = np.empty((self.n_modes, 3, grid.n_nodes))
-            grad = np.empty((self.n_modes, 3, 3, grid.n_nodes))
-            for k, mode in enumerate(self.modes):
-                t = mode.tables(grid.r, grid.theta, grid.z)
-                val[k] = t["val"]
-                grad[k] = t["grad"]
-            self._grid_cache[grid] = (val, grad)
+            t = self.tables(grid.r, grid.theta, grid.z)
+            self._grid_cache[grid] = (t["val"], t["grad"])
         return self._grid_cache[grid]
 
 
-def build_stokes_basis(cyl, n_interior, max_wavenumber=0, n_r=8, n_z=8):
+def build_stokes_basis(cyl, n_interior, max_wavenumber=0):
     """Solve the constrained Stokes eigenproblem and return the lowest modes.
 
     Deterministic: ascending eigenvalue (ties broken by wavenumber, then
@@ -185,6 +174,7 @@ def build_stokes_basis(cyl, n_interior, max_wavenumber=0, n_r=8, n_z=8):
     """
     if n_interior < 1:
         raise ValueError("n_interior must be at least 1")
+    n_r, n_z = NR_STOKES, NZ_STOKES
     candidates = []
     for m in range(max_wavenumber + 1):
         space = _SectorSpace(cyl, m, n_r, n_z)
@@ -206,7 +196,7 @@ def build_stokes_basis(cyl, n_interior, max_wavenumber=0, n_r=8, n_z=8):
                 dofs = -dofs
             parities = ["axi"] if m == 0 else ["cos", "sin"]
             for p_i, parity in enumerate(parities):
-                candidates.append((lam[i], m, p_i, StokesMode(cyl, space, parity, dofs)))
+                candidates.append((lam[i], m, p_i, space, parity, dofs))
     candidates.sort(key=lambda c: (c[0], c[1], c[2]))
     if len(candidates) < n_interior:
         raise EigenFailure(
@@ -214,7 +204,13 @@ def build_stokes_basis(cyl, n_interior, max_wavenumber=0, n_r=8, n_z=8):
         )
     if candidates and candidates[0][0] <= 0:
         raise EigenFailure("nonpositive Stokes eigenvalue: discretization broken")
-    return StokesBasis(cyl, [c[3] for c in candidates[:n_interior]])
+    chosen = candidates[:n_interior]
+    groups = []
+    for m, parity in dict.fromkeys((c[1], c[4]) for c in chosen):
+        rows = [k for k, c in enumerate(chosen) if c[1] == m and c[4] == parity]
+        groups.append((chosen[rows[0]][3], parity, np.array(rows),
+                       np.array([chosen[k][5] for k in rows])))
+    return StokesBasis(cyl, groups)
 
 
 # ---------------------------------------------------------------------------
@@ -321,6 +317,10 @@ class BoundaryForcing:
 
 def disk_flux(q, grid, z0):
     """Net axial flux int q_z dA of a reference fluid field through a disk;
-    an array of F fluxes for a stack of F fields."""
+    an array of F fluxes for a stack of F fields, such as a StokesBasis.
+    Each flux is one dot product of its field's axial values with the disk
+    weights (a (1, Q) @ (Q, 1) product per field), so a field's flux does
+    not depend on the stack it is evaluated in."""
     r, th, w, z = grid.disk(z0)
-    return q.tables(r, th, z)["val"][..., 2, :] @ w
+    qz = q.tables(r, th, z)["val"][..., 2, None, :]
+    return (qz @ w[:, None])[..., 0, 0]

@@ -180,10 +180,10 @@ def cutoff_profile(cyl, r, nderiv=0):
 class SolidGrid:
     """Tensor quadrature over the solid annulus (r, theta, z)."""
 
-    def __init__(self, cyl, shell_basis, n_r=12, refine=1):
+    def __init__(self, cyl, shell_basis, n_r=12):
         self.cyl = cyl
-        r, wr = gauss(n_r + 4 * refine, cyl.R, cyl.R + cyl.H)
-        theta, z, wtz = shell_basis.quadrature(refine)
+        r, wr = gauss(n_r + 4, cyl.R, cyl.R + cyl.H)
+        theta, z, wtz = shell_basis.quadrature()
         ntz = theta.size
         self.r = np.repeat(r, ntz)
         self.theta = np.tile(theta, r.size)
@@ -192,129 +192,90 @@ class SolidGrid:
         self.w = (np.repeat(wr, ntz) * np.tile(wtz, r.size)) * self.r
 
 
-def _frame_tables(comp, f, f_r, f_t, f_z, r, Q):
-    """Gradient/divergence of a single-component field comp in {0:r,1:t,2:z}
-    with scalar profile f and partials f_r, f_t, f_z: the val (3, Q), grad
-    (3, 3, Q) in the orthonormal cylindrical frame (e_r, e_theta, e_z) and
-    div (Q) that the tables of every solid field return."""
-    val = np.zeros((3, Q))
-    grad = np.zeros((3, 3, Q))
-    val[comp] = f
-    grad[comp, 0] = f_r
-    grad[comp, 1] = f_t / r
-    grad[comp, 2] = f_z
-    if comp == 0:
-        grad[1, 1] = f / r  # (d_theta d_theta + d_r)/r row
-        div = f_r + f / r
-    elif comp == 1:
-        grad[0, 1] = -f / r
-        div = f_t / r
-    else:
-        div = f_z
-    return val, grad, div
-
-
-class LiftedSolidField:
-    """F_S(xi) = s(r) xi(theta, z) e_r: carries the shell trace into the
-    solid; identically zero at the outer surface."""
-
-    def __init__(self, cyl, xi):
-        self.cyl = cyl
-        self.xi = xi
-
-    def tables(self, r, theta, z):
-        r = np.asarray(r, dtype=float).ravel()
-        s = cutoff_profile(self.cyl, r, 1)
-        comp = self.xi.evaluate(theta, z, 1)
-        f = s[0] * comp[0]
-        return dict(
-            zip(
-                ("val", "grad", "div"),
-                _frame_tables(
-                    0, f, s[1] * comp[0], s[0] * comp[1], s[0] * comp[2], r, r.size
-                ),
-            )
-        )
-
-
-class InteriorSolidMode:
-    """Tensor interior mode: radial sin((2i+1) pi (r-R)/(2H)) (zero at the
-    interface, free value at the outer surface), shell-type theta factor,
-    sin(j pi z / L) in z, times one frame vector."""
-
-    def __init__(self, cyl, shell_basis, comp, i_r, i_theta, i_z):
-        self.cyl = cyl
-        self.basis = shell_basis
-        self.comp = comp
-        self.i_r = i_r
-        self.i_theta = i_theta
-        self.i_z = i_z
-
-    def tables(self, r, theta, z):
-        cyl = self.cyl
-        r = np.asarray(r, dtype=float).ravel()
-        theta = np.asarray(theta, dtype=float).ravel()
-        z = np.asarray(z, dtype=float).ravel()
-        kr = (2 * self.i_r + 1) * np.pi / (2.0 * cyl.H)
-        pr = np.sin(kr * (r - cyl.R))
-        dpr = kr * np.cos(kr * (r - cyl.R))
-        tt = self.basis._theta_family.eval_table(theta, 1)[self.i_theta]
-        kz = self.i_z * np.pi / self.basis.L
-        pz = np.sin(kz * z)
-        dpz = kz * np.cos(kz * z)
-        f = pr * tt[0] * pz
-        val, grad, div = _frame_tables(
-            self.comp,
-            f,
-            dpr * tt[0] * pz,
-            pr * tt[1] * pz,
-            pr * tt[0] * dpz,
-            r,
-            r.size,
-        )
-        return {"val": val, "grad": grad, "div": div}
+def _component_tables(comp, f, f_r, f_t, f_z, r):
+    """Tables of F fields with one frame component each: field k is
+    f[k] times the frame vector comp[k] in {0: e_r, 1: e_theta, 2: e_z},
+    with partials f_r[k], f_t[k], f_z[k] (each (F, Q)).  Returns the val
+    (F, 3, Q) and grad (F, 3, 3, Q) in the orthonormal cylindrical frame
+    (e_r, e_theta, e_z) and the div (F, Q)."""
+    F, Q = f.shape
+    k = np.arange(F)
+    val = np.zeros((F, 3, Q))
+    grad = np.zeros((F, 3, 3, Q))
+    val[k, comp] = f
+    grad[k, comp, 0] = f_r
+    grad[k, comp, 1] = f_t / r
+    grad[k, comp, 2] = f_z
+    radial, azimuthal = comp == 0, comp == 1
+    grad[radial, 1, 1] = f[radial] / r  # (d_theta d_theta + d_r)/r row
+    grad[azimuthal, 0, 1] = -f[azimuthal] / r
+    div = np.where(radial[:, None], f_r + f / r,
+                   np.where(azimuthal[:, None], f_t / r, f_z))
+    return {"val": val, "grad": grad, "div": div}
 
 
 class SolidBasis:
-    """Lifted plus interior solid modes paired with a shell basis."""
+    """Lifted plus interior solid modes paired with a shell basis.
+
+    The lifted mode of shell mode Y_j is s(r) Y_j(theta, z) e_r: it carries
+    the shell trace into the solid and is identically zero at the outer
+    surface.  An interior mode is a tensor product of a radial
+    sin((2i+1) pi (r-R)/(2H)) (zero at the interface, free value at the
+    outer surface), a shell-type theta factor and sin(j pi z / L) in z,
+    times one frame vector; they come in a fixed deterministic order (by
+    radial index, then axial index, frame vector and theta index).  Both
+    give stacked frame tables of their first `count` modes.
+    """
 
     def __init__(self, cyl, shell_basis, n_r=4):
         self.cyl = cyl
         self.shell_basis = shell_basis
         self.n_r = int(n_r)
 
-    def interior_modes(self, count):
-        """First `count` interior modes in a fixed deterministic order."""
-        modes = []
-        for i_r in range(self.n_r):
-            for i_z in range(1, self.shell_basis.n_z + 1):
-                for comp in range(3):
-                    for i_t in range(self.shell_basis.n_theta):
-                        modes.append(
-                            InteriorSolidMode(self.cyl, self.shell_basis, comp, i_r, i_t, i_z)
-                        )
-                        if len(modes) == count:
-                            return modes
-        raise ValueError(
-            f"solid basis too small: {len(modes)} interior modes available, "
-            f"{count} requested (increase n_r_solid or n_z)"
-        )
+    def lifted_tables(self, count, r, theta, z):
+        """Tables of the lifted modes of the first `count` shell modes."""
+        r = np.asarray(r, dtype=float).ravel()
+        s = cutoff_profile(self.cyl, r, 1)
+        Y = self.shell_basis.eval_modes(theta, z, 1)[:count]
+        return _component_tables(np.zeros(count, dtype=int), s[0] * Y[:, 0],
+                                 s[1] * Y[:, 0], s[0] * Y[:, 1], s[0] * Y[:, 2], r)
+
+    def interior_tables(self, count, r, theta, z):
+        """Tables of the first `count` interior modes."""
+        cyl, shell = self.cyl, self.shell_basis
+        sizes = (self.n_r, shell.n_z, 3, shell.n_theta)
+        if count > np.prod(sizes):
+            raise ValueError(
+                f"solid basis too small: {np.prod(sizes)} interior modes available, "
+                f"{count} requested (increase n_r_solid or n_z)"
+            )
+        i_r, i_z, comp, i_t = np.unravel_index(np.arange(count), sizes)
+        r, theta, z = (np.asarray(x, dtype=float).ravel() for x in (r, theta, z))
+        kr = ((2 * i_r + 1) * np.pi / (2.0 * cyl.H))[:, None]
+        pr = np.sin(kr * (r - cyl.R))
+        dpr = kr * np.cos(kr * (r - cyl.R))
+        tt = shell._theta_family.eval_table(theta, 1)[i_t]
+        kz = ((i_z + 1) * np.pi / shell.L)[:, None]
+        pz = np.sin(kz * z)
+        dpz = kz * np.cos(kz * z)
+        return _component_tables(comp, pr * tt[:, 0] * pz, dpr * tt[:, 0] * pz,
+                                 pr * tt[:, 1] * pz, pr * tt[:, 0] * dpz, r)
 
 
-def lame_form(d, d_dot, zeta, params, grid):
+def lame_form(td, tdd, tz, params, weight):
     """lambda1 int grad d : grad zeta + lambda1 delta_visc int grad d_dot :
-    grad zeta + lambda2 int (div d)(div zeta) over the solid annulus."""
-    tz = zeta.tables(grid.r, grid.theta, grid.z)
+    grad zeta + lambda2 int (div d)(div zeta) over the solid annulus, from
+    the tables of d, d_dot and zeta: dicts with "grad" (3, 3, Q) and "div"
+    (Q,) at quadrature nodes of weights (Q,).  None stands for a zero d or
+    d_dot."""
     total = 0.0
-    td = d.tables(grid.r, grid.theta, grid.z) if d is not None else None
     if td is not None:
         total += params.lambda1 * np.einsum(
-            "ijq,ijq,q->", td["grad"], tz["grad"], grid.w
+            "ijq,ijq,q->", td["grad"], tz["grad"], weight
         )
-        total += params.lambda2 * np.einsum("q,q,q->", td["div"], tz["div"], grid.w)
-    if d_dot is not None and params.delta_visc > 0:
-        tdd = d_dot.tables(grid.r, grid.theta, grid.z)
+        total += params.lambda2 * np.einsum("q,q,q->", td["div"], tz["div"], weight)
+    if tdd is not None and params.delta_visc > 0:
         total += params.lambda1 * params.delta_visc * np.einsum(
-            "ijq,ijq,q->", tdd["grad"], tz["grad"], grid.w
+            "ijq,ijq,q->", tdd["grad"], tz["grad"], weight
         )
     return float(total)

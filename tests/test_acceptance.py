@@ -148,9 +148,11 @@ def test_criterion_03_korn_identity(model):
         q = _combo_tables(basis, rng.standard_normal(basis.n_modes), grid)
         resid, _, _ = korn_check(u, q, grid.w)
         assert resid <= 1e-6
-    for m in basis.modes[:5]:
-        tc = m.tables(coarse.r, coarse.theta, coarse.z)
-        tf = m.tables(grid.r, grid.theta, grid.z)
+    cval, cgrad = basis.tables_on(coarse)
+    fval, fgrad = basis.tables_on(grid)
+    for k in range(min(5, basis.n_modes)):
+        tc = {"val": cval[k], "grad": cgrad[k]}
+        tf = {"val": fval[k], "grad": fgrad[k]}
         rc, _, _ = korn_check(tc, tc, coarse.w)
         rf, _, _ = korn_check(tf, tf, grid.w)
         assert rf <= rc + 1e-14

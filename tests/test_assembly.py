@@ -45,7 +45,8 @@ def _per_field_fluid_tables(basis, jets):
     dtX = np.zeros((basis.n, 3, Q))
     zval, zgrad = basis.stokes_basis.tables_on(jets.grid)
     nodes = (jets.r_phys, jets.theta, jets.z)
-    for j, Y in enumerate(basis.shell_modes):
+    for j in range(basis.half):
+        Y = basis.shell_basis.unit_field(j)
         val[2 * j], grad[2 * j], _ = per_field_extension(
             basis.ext_op, basis.cyl.R, delta, Y, *nodes)
         val[2 * j + 1], grad[2 * j + 1] = push_piola(

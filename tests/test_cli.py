@@ -320,3 +320,21 @@ class TestVerify:
         checks = {r[0] for r in rows[1:]}
         assert {"korn_identity", "kinematic_coupling"} <= checks
 
+
+
+class TestBuildModel:
+    def test_interior_modes_beyond_the_shell_modes_are_not_built(self):
+        """The global basis uses min(n_theta n_z, n_interior) Stokes modes,
+        so n_interior = 16 on the default model (8 shell modes) builds the 8
+        that n_interior = 8 builds and gives the same system."""
+        big, small = (cli.build_model(RunConfig(n_interior=k).validate())
+                      for k in (16, 8))
+        assert big.basis.n == small.basis.n == 16
+        assert big.basis.stokes_basis.n_modes == 8
+        assert big.constants.keys() == small.constants.keys()
+        for key, value in small.constants.items():
+            assert np.array_equal(big.constants[key], value)
+        rest_big, rest_small = big.sample(), small.sample()
+        assert rest_big.keys() == rest_small.keys()
+        for key, value in rest_small.items():
+            assert np.array_equal(rest_big[key], value)

@@ -35,24 +35,25 @@ class TestEnergy:
         assert np.array_equal(E_kin + E_el, [0.0, 0.0])
 
 
-def _mode_tables(mode, grid):
-    return mode.tables(grid.r, grid.theta, grid.z)
+def _mode_tables(stokes, grid, *rows):
+    """Table dicts of the given Stokes modes on a grid."""
+    t = stokes.tables(grid.r, grid.theta, grid.z)
+    return [{"val": t["val"][k], "grad": t["grad"][k]} for k in rows]
 
 
 class TestKorn:
     def test_identity_on_solenoidal_fields(self, small_model):
         grid = small_model.grid
-        m = small_model.basis.stokes_basis.modes
-        resid, lhs, rhs = korn_check(_mode_tables(m[0], grid),
-                                     _mode_tables(m[1], grid), grid.w)
+        tu, tq = _mode_tables(small_model.basis.stokes_basis, grid, 0, 1)
+        resid, lhs, rhs = korn_check(tu, tq, grid.w)
         assert resid < 1e-6
 
     def test_residual_decreases_under_refinement(self, small_model):
         cyl = small_model.cyl
-        m = small_model.basis.stokes_basis.modes
+        stokes = small_model.basis.stokes_basis
         coarse = FluidGrid(cyl, n_r=3, n_theta=8, n_z=6)
         fine = FluidGrid(cyl, n_r=10, n_theta=8, n_z=20)
-        tc, tf = _mode_tables(m[0], coarse), _mode_tables(m[0], fine)
+        (tc,), (tf,) = _mode_tables(stokes, coarse, 0), _mode_tables(stokes, fine, 0)
         rc, _, _ = korn_check(tc, tc, coarse.w)
         rf, _, _ = korn_check(tf, tf, fine.w)
         assert rf <= rc + 1e-14

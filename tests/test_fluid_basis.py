@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from perifsi.basis1d import gauss, trig_weights
+from perifsi.cli import RunConfig, build_model
 from perifsi.errors import GridMismatch
 from perifsi.extension_ops import azimuthal_mode_tables
 from perifsi.fluid_basis import (
@@ -14,7 +15,7 @@ from perifsi.fluid_basis import (
     disk_flux,
     trilinear_b,
 )
-from perifsi.fluidgrid import FluidGrid
+from perifsi.fluidgrid import FluidGrid, cyl_tensor_to_cart, cyl_vec_to_cart
 
 
 def _per_dof_sector_forms(space, cyl, n_r, n_z):
@@ -45,18 +46,17 @@ def _per_dof_sector_forms(space, cyl, n_r, n_z):
 class TestStokesBasis:
     def test_modes_divergence_free(self, small_model):
         grid = small_model.grid
-        for mode in small_model.basis.stokes_basis.modes:
-            tab = mode.tables(grid.r, grid.theta, grid.z)
-            scale = np.max(np.abs(tab["val"])) + 1e-30
-            assert np.max(np.abs(tab["div"])) < 1e-8 * scale
+        tab = small_model.basis.stokes_basis.tables(grid.r, grid.theta, grid.z)
+        for val, div in zip(tab["val"], tab["div"]):
+            scale = np.max(np.abs(val)) + 1e-30
+            assert np.max(np.abs(div)) < 1e-8 * scale
 
     def test_zero_lateral_trace(self, small_model):
         cyl = small_model.cyl
         th = np.linspace(0.0, 2 * np.pi, 16, endpoint=False)
         z = np.linspace(0.05, cyl.L - 0.05, 16)
-        for mode in small_model.basis.stokes_basis.modes:
-            val = mode.tables(np.full(16, cyl.R), th, z)["val"]
-            assert np.max(np.abs(val)) < 1e-8
+        val = small_model.basis.stokes_basis.tables(np.full(16, cyl.R), th, z)["val"]
+        assert np.max(np.abs(val)) < 1e-8
 
     def test_eigenvalues_positive_sorted(self, small_model):
         """The modes come out mass-orthonormal in ascending eigenvalue order:
@@ -75,21 +75,45 @@ class TestStokesBasis:
         """Interior modes are divergence free with zero lateral trace, so both
         disk fluxes agree."""
         grid = small_model.grid
-        for mode in small_model.basis.stokes_basis.modes:
-            fin = disk_flux(mode, grid, 0.0)
-            fout = disk_flux(mode, grid, small_model.cyl.L)
-            assert fin == pytest.approx(fout, rel=1e-8, abs=1e-12)
+        stokes = small_model.basis.stokes_basis
+        fin = disk_flux(stokes, grid, 0.0)
+        fout = disk_flux(stokes, grid, small_model.cyl.L)
+        assert fin.shape == (stokes.n_modes,)
+        assert fin == pytest.approx(fout, rel=1e-8, abs=1e-12)
 
     def test_tables_follow_the_grid_not_its_address(self, small_model):
         """Grids of alternating sizes built, used and dropped in turn: a new
         grid that reuses a freed grid's address gets tables of its own."""
         cyl = small_model.cyl
-        stokes = StokesBasis(cyl, small_model.basis.stokes_basis.modes)
+        stokes = StokesBasis(cyl, small_model.basis.stokes_basis.groups)
         for k in range(50):
             grid = FluidGrid(cyl, n_r=2, n_theta=4, n_z=4 + 2 * (k % 2))
             val, grad = stokes.tables_on(grid)
             assert val.shape[-1] == grad.shape[-1] == grid.n_nodes
             del grid
+
+
+@pytest.mark.parametrize("kw", [{}, {"n_theta": 2, "n_z": 2, "n_interior": 4}],
+                         ids=["default", "m1"])
+def test_stacked_rows_match_one_mode_evaluations(kw):
+    """Each row of the stacked tables is bitwise the evaluation of its mode
+    alone: its dofs through profile_tables and azimuthal_mode_tables, then
+    rotated to the Cartesian frame."""
+    model = build_model(RunConfig(**kw).validate())
+    stokes, grid = model.basis.stokes_basis, model.grid
+    r, theta, z = grid.r, grid.theta, grid.z
+    tab = stokes.tables(r, theta, z)
+    seen = []
+    for space, parity, rows, dofs in stokes.groups:
+        for k, d in zip(rows, dofs):
+            val, G = azimuthal_mode_tables(space.m, parity, space.profile_tables(d, r, z),
+                                           r, theta)
+            assert np.array_equal(tab["val"][k], cyl_vec_to_cart(*val, theta))
+            assert np.array_equal(tab["grad"][k], cyl_tensor_to_cart(G, theta))
+            assert np.array_equal(tab["div"][k], G[0, 0] + G[1, 1] + G[2, 2])
+            seen.append(k)
+    assert sorted(seen) == list(range(stokes.n_modes))
+    assert {p for _, p, _, _ in stokes.groups} == ({"axi"} if not kw else {"axi", "cos", "sin"})
 
 
 class TestSectorForms:

@@ -5,8 +5,6 @@ import pytest
 
 from perifsi.geometry import CylinderConfig
 from perifsi.shell_solid import (
-    LiftedSolidField,
-    InteriorSolidMode,
     ShellBasis,
     SolidBasis,
     SolidGrid,
@@ -87,27 +85,33 @@ class TestCutoff:
         assert np.max(np.abs(s[1])) < 1e-14  # s' = 0 at both ends
 
 
+def _lift(cyl, shell, xi, r, theta, z):
+    """Tables of the lifted field s(r) xi e_r of a shell field xi: its
+    coefficients contracted with the stacked lifted modes."""
+    t = SolidBasis(cyl, shell).lifted_tables(shell.n_modes, r, theta, z)
+    return {k: np.tensordot(xi.coefficients, v, axes=1) for k, v in t.items()}
+
+
 class TestSolidFields:
     def test_lift_carries_trace(self, setup, rng):
         """At r = R the lifted field equals xi e_r in frame components and
         vanishes on the outer surface r = R + H."""
         cyl, shell = setup
         xi = shell.field(rng.standard_normal(shell.n_modes))
-        lift = LiftedSolidField(cyl, xi)
         th = np.linspace(0.0, 2.0 * np.pi, 9)
         zz = np.linspace(0.1, 1.9, 9)
-        inner = lift.tables(np.full(9, cyl.R), th, zz)["val"]
+        inner = _lift(cyl, shell, xi, np.full(9, cyl.R), th, zz)["val"]
         assert np.max(np.abs(inner[0] - xi.value(th, zz))) < 1e-12
         assert np.max(np.abs(inner[1:])) < 1e-14
-        outer = lift.tables(np.full(9, cyl.R + cyl.H), th, zz)["val"]
+        outer = _lift(cyl, shell, xi, np.full(9, cyl.R + cyl.H), th, zz)["val"]
         assert np.max(np.abs(outer)) < 1e-13
 
     def test_interior_mode_zero_at_interface(self, setup):
         cyl, shell = setup
-        mode = InteriorSolidMode(cyl, shell, 0, 0, 0, 1)
         th = np.linspace(0.0, 2.0 * np.pi, 9)
         zz = np.linspace(0.1, 1.9, 9)
-        val = mode.tables(np.full(9, cyl.R), th, zz)["val"]
+        basis = SolidBasis(cyl, shell)
+        val = basis.interior_tables(12, np.full(9, cyl.R), th, zz)["val"]
         assert np.max(np.abs(val)) < 1e-14
 
     def test_frame_gradient_against_finite_differences(self, setup, rng):
@@ -115,13 +119,13 @@ class TestSolidFields:
         rotated into the (e_r, e_theta, e_z) frame."""
         cyl, shell = setup
         xi = shell.field(rng.standard_normal(shell.n_modes))
-        lift = LiftedSolidField(cyl, xi)
         r0, t0, z0 = 1.2, 0.7, 0.9
-        tab = lift.tables(np.array([r0]), np.array([t0]), np.array([z0]))
+        tab = _lift(cyl, shell, xi, np.array([r0]), np.array([t0]), np.array([z0]))
         h = 1e-6
 
         def val(r, t, z):
-            return lift.tables(np.array([r]), np.array([t]), np.array([z]))["val"][:, 0]
+            return _lift(cyl, shell, xi, np.array([r]), np.array([t]),
+                         np.array([z]))["val"][:, 0]
 
         fd_r = (val(r0 + h, t0, z0) - val(r0 - h, t0, z0)) / (2 * h)
         fd_z = (val(r0, t0, z0 + h) - val(r0, t0, z0 - h)) / (2 * h)
@@ -142,27 +146,32 @@ class TestSolidBasis:
     def test_interior_mode_count_and_gram(self, setup):
         cyl, shell = setup
         basis = SolidBasis(cyl, shell)
-        modes = basis.interior_modes(6)
-        assert len(modes) == 6
         grid = SolidGrid(cyl, shell)
-        gram = np.empty((6, 6))
-        tabs = [m.tables(grid.r, grid.theta, grid.z)["val"] for m in modes]
-        for i in range(6):
-            for j in range(6):
-                gram[i, j] = np.einsum("iq,iq,q->", tabs[i], tabs[j], grid.w)
+        val = basis.interior_tables(6, grid.r, grid.theta, grid.z)["val"]
+        assert len(val) == 6
+        gram = np.einsum("kiq,liq,q->kl", val, val, grid.w)
         assert np.all(np.linalg.eigvalsh(gram) > 0.0)
+
+    def test_too_many_interior_modes_rejected(self, setup):
+        cyl, shell = setup
+        basis = SolidBasis(cyl, shell, n_r=1)
+        th = z = np.zeros(1)
+        assert len(basis.interior_tables(12, np.ones(1), th, z)["val"]) == 12
+        with pytest.raises(ValueError, match="solid basis too small"):
+            basis.interior_tables(13, np.ones(1), th, z)
 
 
 class TestLameForm:
     def test_oracle_for_assembled_blocks(self, small_model):
         """Field-by-field quadrature of the Lame form reproduces the stacked
         Gram products behind the assembled A_el and A_visc blocks."""
-        fields = small_model.basis.solid_fields
         params, grid = small_model.params, small_model.solid_grid
+        t = small_model.basis.solid_tables(grid.r, grid.theta, grid.z)
+        fields = [{"grad": g, "div": d} for g, d in zip(t["grad"], t["div"])]
         c = small_model.constants
-        A_el = np.array([[lame_form(fk, None, fl, params, grid) for fl in fields]
+        A_el = np.array([[lame_form(fk, None, fl, params, grid.w) for fl in fields]
                          for fk in fields])
-        A_visc = np.array([[lame_form(None, fk, fl, params, grid) for fl in fields]
+        A_visc = np.array([[lame_form(None, fk, fl, params, grid.w) for fl in fields]
                            for fk in fields])
         assert np.max(np.abs(A_el - c["A_el"])) <= 1e-12 * np.max(np.abs(c["A_el"]))
         assert np.max(np.abs(A_visc - c["A_visc"])) <= 1e-12 * np.max(
