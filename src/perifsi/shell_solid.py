@@ -113,11 +113,11 @@ class ShellBasis:
         return TT.ravel(), ZZ.ravel(), WW.ravel()
 
 
-def biharmonic_form(eta, xi, refine=1):
+def biharmonic_form(eta, xi):
     """K(eta, xi) = int_omega Hess(eta) : Hess(xi) dA by tensor quadrature."""
     if eta.basis.n_modes != xi.basis.n_modes:
         raise BasisMismatch("shell fields on different bases")
-    theta, z, w = eta.basis.quadrature(refine)
+    theta, z, w = eta.basis.quadrature()
     a = eta.evaluate(theta, z, 2)
     b = xi.evaluate(theta, z, 2)
     integrand = a[3] * b[3] + 2.0 * a[4] * b[4] + a[5] * b[5]

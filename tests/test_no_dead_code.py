@@ -1,6 +1,7 @@
 """Dead-code guard: every module-level function and class of the package has
-a caller or a test, every method and property a caller in the package, and
-every True/False flag a caller in the package that turns it.
+a caller or a test, every method and property a caller in the package,
+every True/False flag a caller in the package that turns it, and every
+defaulted parameter a call in the package or the tests that passes it.
 
 A module-level name counts as used when it occurs as a whole word somewhere
 in src/perifsi or tests/ outside the lines of its own definition.  The
@@ -129,3 +130,56 @@ def test_every_bool_knob_is_turned_in_the_package():
                    for p, i, kw, value in passed)
     ]
     assert not unturned, "flag never turned in src/perifsi: " + ", ".join(unturned)
+
+
+def test_every_defaulted_parameter_is_passed():
+    """Every parameter with a default of a function, method or constructor
+    in src/perifsi is passed, by keyword or by position, by some call of
+    that name in src/perifsi or tests/ outside its own definition, so no
+    option exists that nothing sets.  A constructor is called by its class
+    name, a method by its attribute name; the first parameter of a method
+    (self or cls) takes no argument.  A call with *args or **kwargs counts
+    as passing every parameter it could reach.  The check is by name only:
+    a parameter passed to another function of the same name passes."""
+    calls = []  # (path, line index, called name, call node)
+    for path in list(sorted(PACKAGE.glob("*.py"))) + sorted((ROOT / "tests").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                f = node.func
+                name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+                calls.append((path, node.lineno - 1, name, node))
+
+    def passes(call, index, name):
+        """Whether call passes parameter name, at position index (None for
+        a keyword-only parameter)."""
+        if any(kw.arg in (name, None) for kw in call.keywords):
+            return True
+        if index is None:
+            return False
+        starred = [i for i, a in enumerate(call.args) if isinstance(a, ast.Starred)]
+        return index < len(call.args) or bool(starred and starred[0] <= index)
+
+    unset = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        defs = [(node, None) for node in tree.body if isinstance(node, ast.FunctionDef)]
+        defs += [(item, cls) for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+                 for item in cls.body if isinstance(item, ast.FunctionDef)]
+        for node, cls in defs:
+            args = node.args
+            positional = args.posonlyargs + args.args
+            static = any(getattr(d, "id", None) == "staticmethod"
+                         for d in node.decorator_list)
+            skip = 1 if cls is not None and not static else 0
+            called = cls.name if node.name == "__init__" else node.name
+            first = len(positional) - len(args.defaults)
+            params = [(a.arg, i - skip) for i, a in enumerate(positional) if i >= first]
+            params += [(a.arg, None) for a, d in zip(args.kwonlyargs, args.kw_defaults)
+                       if d is not None]
+            own = range(node.lineno - 1, node.end_lineno)
+            for name, index in params:
+                if not any(c == called and not (p == path and i in own)
+                           and passes(call, index, name)
+                           for p, i, c, call in calls):
+                    unset.append(f"{path.name}:{node.lineno} {called}({name}=)")
+    assert not unset, "option that no call passes: " + ", ".join(unset)
