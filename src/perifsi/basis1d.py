@@ -15,7 +15,6 @@ mode count used here.
 
 import numpy as np
 from numpy.polynomial import legendre as npleg
-from scipy.optimize import brentq
 
 
 def gauss(n, a, b):
@@ -111,13 +110,19 @@ class LegFamily:
 
 
 def beam_roots(n):
-    """First n positive roots of cosh(X) cos(X) = 1 (clamped-clamped beam)."""
-    roots = []
-    for k in range(1, n + 1):
-        f = lambda x: np.cos(x) - 1.0 / np.cosh(x)
-        a, b = k * np.pi + 1e-9, (k + 1) * np.pi - 1e-9
-        roots.append(brentq(f, a, b, xtol=1e-15, rtol=8.9e-16))
-    return np.array(roots)
+    """First n positive roots of cosh(X) cos(X) = 1 (clamped-clamped beam).
+
+    They are the zeros of f(x) = cos x - 1 / cosh x, the k-th within
+    1 / cosh((k + 1/2) pi) < 0.018 of the asymptote (k + 1/2) pi, where
+    |f'| = |tanh x / cosh x - sin x| is about 1.  Newton steps from the
+    asymptotes, all roots at once, converge quadratically: three reach
+    round-off (relative errors 8e-7, 5e-14, 2e-16 for the first root),
+    and the fourth is a margin.
+    """
+    x = (np.arange(1, n + 1) + 0.5) * np.pi
+    for _ in range(4):
+        x = x - (np.cos(x) - 1.0 / np.cosh(x)) / (np.tanh(x) / np.cosh(x) - np.sin(x))
+    return x
 
 
 class BeamFamily:

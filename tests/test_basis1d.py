@@ -10,6 +10,7 @@ from perifsi.basis1d import (
     LegFamily,
     PiecewiseLegFamily,
     TrigFamily,
+    beam_roots,
     composite_gauss,
     gauss,
     trig_weights,
@@ -23,6 +24,22 @@ def _fd_check(family, x, h=1e-6):
     tm = family.eval_table(x - h)
     fd = (tp[:, 0] - tm[:, 0]) / (2.0 * h)
     return np.max(np.abs(t0[:, 1] - fd))
+
+
+class TestBeamRoots:
+    def test_newton_roots_match_the_bracketed_solver(self):
+        """The k-th root is brentq's root of cos x - 1 / cosh x on the
+        bracket (k pi, (k + 1) pi), to 1e-15 relative, for k = 1..40."""
+        from scipy.optimize import brentq
+
+        def f(x):
+            return np.cos(x) - 1.0 / np.cosh(x)
+
+        want = np.array([brentq(f, k * np.pi + 1e-9, (k + 1) * np.pi - 1e-9,
+                                xtol=1e-15, rtol=8.9e-16) for k in range(1, 41)])
+        got = beam_roots(40)
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want) / want) <= 1e-15
 
 
 class TestGauss:
