@@ -132,8 +132,7 @@ class StokesBasis:
     of dofs[i] (len(rows), space.ndof) over the space.
     """
 
-    def __init__(self, cyl, groups):
-        self.cyl = cyl
+    def __init__(self, groups):
         self.groups = groups
         self.n_modes = sum(len(rows) for _, _, rows, _ in groups)
         self._grid_cache = {}
@@ -210,7 +209,7 @@ def build_stokes_basis(cyl, n_interior, max_wavenumber=0):
         rows = [k for k, c in enumerate(chosen) if c[1] == m and c[4] == parity]
         groups.append((chosen[rows[0]][3], parity, np.array(rows),
                        np.array([chosen[k][5] for k in rows])))
-    return StokesBasis(cyl, groups)
+    return StokesBasis(groups)
 
 
 # ---------------------------------------------------------------------------

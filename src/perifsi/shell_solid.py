@@ -244,9 +244,10 @@ class SolidBasis:
         """Tables of the first `count` interior modes."""
         cyl, shell = self.cyl, self.shell_basis
         sizes = (self.n_r, shell.n_z, 3, shell.n_theta)
-        if count > np.prod(sizes):
+        available = int(np.prod(sizes))
+        if count > available:
             raise ValueError(
-                f"solid basis too small: {np.prod(sizes)} interior modes available, "
+                f"solid basis too small: {available} interior modes available, "
                 f"{count} requested (increase n_r_solid or n_z)"
             )
         i_r, i_z, comp, i_t = np.unravel_index(np.arange(count), sizes)

@@ -85,7 +85,7 @@ class TestStokesBasis:
         """Grids of alternating sizes built, used and dropped in turn: a new
         grid that reuses a freed grid's address gets tables of its own."""
         cyl = small_model.cyl
-        stokes = StokesBasis(cyl, small_model.basis.stokes_basis.groups)
+        stokes = StokesBasis(small_model.basis.stokes_basis.groups)
         for k in range(50):
             grid = FluidGrid(cyl, n_r=2, n_theta=4, n_z=4 + 2 * (k % 2))
             val, grad = stokes.tables_on(grid)
