@@ -142,7 +142,7 @@ def test_every_defaulted_parameter_is_passed():
     as passing every parameter it could reach.  The check is by name only:
     a parameter passed to another function of the same name passes."""
     calls = []  # (path, line index, called name, call node)
-    for path in list(sorted(PACKAGE.glob("*.py"))) + sorted((ROOT / "tests").glob("*.py")):
+    for path in sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "tests").glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.Call):
                 f = node.func
