@@ -25,7 +25,7 @@ from .errors import (
     EXIT_CODES,
     exit_code_for,
 )
-from .geometry import CylinderConfig, ShellField, admissibility, check_injectivity
+from .geometry import CylinderConfig, admissibility, check_injectivity
 from .shell_solid import ShellBasis, SolidBasis, SolidParams
 from .fluid_basis import BoundaryForcing, StokesBasis, build_stokes_basis
 from .extension_ops import ExtensionOperator, mollify

@@ -109,9 +109,6 @@ class GlobalBasis:
         c[..., : self.half] = a[..., self.coupled]
         return c
 
-    def shell_field(self, a):
-        return self.shell_basis.field(self.shell_coefficients(a))
-
     def extension_fields(self, delta):
         """The coupled fluid entries F_delta(Y_j), j < half, as one stacked
         ExtensionField of half fields."""
@@ -133,7 +130,8 @@ class GlobalBasis:
 
     def fluid_tables(self, jets):
         """Stacked fluid-entry tables at the jets' quadrature nodes, for the
-        jets' shell motion delta and its time derivative dt_delta.
+        jets' shell motion delta and its time derivative dt_delta (shell
+        coefficient vectors).
 
         Returns (val, grad, dtX) with shapes (n, 3, Q), (n, 3, 3, Q),
         (n, 3, Q); dtX is the Eulerian time derivative at fixed physical
@@ -294,8 +292,9 @@ class Assembler:
     def sample(self, delta=None, dt_delta=None, v_coeff=None):
         """Assemble the motion-dependent blocks for one time sample.
 
-        delta / dt_delta are shell fields and v_coeff is the transport-field
-        coefficient vector over the basis; None stands for zero, so
+        delta / dt_delta are shell coefficient vectors (n_modes,) over
+        ShellBasis and v_coeff is the transport-field coefficient vector
+        over the basis; None stands for zero, so
         sample() is the rest cylinder, taken through the same moving-domain
         path at delta = dt_delta = 0 and v = 0.
         Returns dict(M, G, V, B, Q, qin, qout) — the fluid blocks only;
@@ -303,11 +302,12 @@ class Assembler:
         """
         basis = self.basis
         n = basis.n
-        zero = basis.shell_basis.zero_field()
+        shell = basis.shell_basis
+        zero = np.zeros(shell.n_modes)
         delta = zero if delta is None else delta
         dt_delta = zero if dt_delta is None else dt_delta
         v_coeff = np.zeros(n) if v_coeff is None else v_coeff
-        jets = QuadJets(self.grid, delta, dt_delta)
+        jets = QuadJets(self.grid, shell, delta, dt_delta)
         val, grad, dtX = basis.fluid_tables(jets)
         w = jets.weight
         Q_nodes = val.shape[-1]
@@ -337,13 +337,13 @@ class Assembler:
         # B[k, j] = b(v, X_j, X_k) in the symmetrized (skew) form
         B = 0.5 * (cw.T - cw)
         th, zz, wsh = self._shell_quad
-        dval = dt_delta.value(th, zz)
-        rval = self.cyl.R + delta.value(th, zz)
+        dval = shell.evaluate(dt_delta, th, zz, 0)[0]
+        rval = self.cyl.R + shell.evaluate(delta, th, zz, 0)[0]
         tab0 = self._shell_tab[:, 0]
         Qh = -0.5 * np.einsum("jx,kx,x->kj", tab0, tab0, wsh * dval * rval)
         Q = np.zeros((n, n))
         Q[basis.coupled, basis.coupled] = Qh
-        weights = np.concatenate([[self.cyl.R], delta.coefficients])
+        weights = np.concatenate([[self.cyl.R], delta])
         qin = self._flux_vector(0.0, weights)
         qout = self._flux_vector(self.cyl.L, weights)
         return {"M": M, "G": G, "V": V, "B": B, "Q": Q, "qin": qin, "qout": qout}
@@ -399,8 +399,7 @@ def assemble(assembler, T, forcing, shell=None, transport=None,
     stacks = None
     for s, i in enumerate(idx):
         sample = assembler.sample(
-            delta=basis.shell_basis.field(shell[i]),
-            dt_delta=basis.shell_basis.field(dt_shell[i]),
+            delta=shell[i], dt_delta=dt_shell[i],
             v_coeff=None if transport is None else transport[i])
         if stacks is None:
             stacks = {k: np.empty((n_samples,) + v.shape) for k, v in sample.items()}

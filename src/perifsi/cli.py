@@ -153,8 +153,8 @@ def _diffusion_ratio(integral_D, forcing):
 
 
 def run_periodic(cfg, out_dir):
-    assembler = build_model(cfg)
     forcing = build_forcing(cfg)
+    assembler = build_model(cfg)
     outer = OuterLoopConfig(
         eps=cfg.eps_value, theta_r=cfg.theta_r, max_iter=cfg.max_iter,
         tol=cfg.tol,
@@ -180,8 +180,8 @@ def run_periodic(cfg, out_dir):
 
 
 def run_ivp(cfg, out_dir):
-    assembler = build_model(cfg)
     forcing = build_forcing(cfg)
+    assembler = build_model(cfg)
     if forcing.is_zero():
         forcing = None
     n = assembler.basis.n
@@ -218,6 +218,7 @@ def run_ivp(cfg, out_dir):
 def run_verify(cfg, out_dir):
     """Built-in identity checks on the configured model; writes a report."""
     rng = np.random.default_rng(cfg.seed)
+    forcing = build_forcing(cfg)
     assembler = build_model(cfg)
     basis = assembler.basis
     shell = basis.shell_basis
@@ -225,10 +226,9 @@ def run_verify(cfg, out_dir):
 
     # extension divergence on interior nodes
     c = 0.01 * rng.standard_normal(shell.n_modes)
-    delta = shell.field(c)
-    xi = shell.unit_field(min(1, shell.n_modes - 1))
-    ext = basis.ext_op.extend(delta, xi)
-    jets = QuadJets(assembler.grid, delta, shell.zero_field())
+    xi = np.eye(shell.n_modes)[min(1, shell.n_modes - 1)]
+    ext = basis.ext_op.extend(c, xi)
+    jets = QuadJets(assembler.grid, shell, c, np.zeros(shell.n_modes))
     div = ext.tables(jets.r_phys, jets.theta, jets.z)["div"][0]
     checks.append(("extension_interior_div", float(np.max(np.abs(div))), 1e-6))
 
@@ -249,7 +249,6 @@ def run_verify(cfg, out_dir):
     )
 
     # frozen-geometry energy balance over one period
-    forcing = build_forcing(cfg)
     system = assemble(assembler, cfg.T, forcing)
     prob = PeriodicProblem(system, cfg.T, cfg.T / cfg.n_t)
     x0 = GalerkinState.zero(basis.n)

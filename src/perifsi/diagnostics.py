@@ -62,29 +62,28 @@ def coupling_residuals(state, basis, n_theta=24, n_z=33):
     measure evaluation error only.  Raises DomainViolation when the state's
     shell is outside the admissible domain (geometry.admissibility).
     """
-    cyl = basis.cyl
+    cyl, shell_basis = basis.cyl, basis.shell_basis
     shell = basis.shell_coefficients(state.a)
-    if admissibility(cyl, basis.shell_basis, shell)[1] is not None:
+    if admissibility(cyl, shell_basis, shell)[1] is not None:
         raise DomainViolation("shell displacement breaks domain injectivity")
-    eta = basis.shell_field(state.a)
-    eta_dot = basis.shell_field(state.a_dot)
+    shell_dot = basis.shell_coefficients(state.a_dot)
     th = np.linspace(0.0, 2.0 * np.pi, n_theta, endpoint=False)
     zz = np.linspace(0.0, cyl.L, n_z)
     TT, ZZ = np.meshgrid(th, zz, indexing="ij")
     tflat, zflat = TT.ravel(), ZZ.ravel()
-    eval_eta = eta.value(tflat, zflat)
-    eval_etad = eta_dot.value(tflat, zflat)
+    eval_eta = shell_basis.evaluate(shell, tflat, zflat, 0)[0]
+    eval_etad = shell_basis.evaluate(shell_dot, tflat, zflat, 0)[0]
     r_int = cyl.R + eval_eta
     # the extension is linear in xi: the coupled trace is the extension of
     # the shell velocity itself
-    uval = basis.ext_op.extend(eta, eta_dot).tables(r_int, tflat, zflat)["val"][0]
+    uval = basis.ext_op.extend(shell, shell_dot).tables(r_int, tflat, zflat)["val"][0]
     # the interior entries: their reference trace sum_j a'_{2j+1} Z_j at
     # r = R, pushed to r = R + eta by the Piola factor grad / det
     rR = np.full(tflat.size, cyl.R)
     zval = basis.stokes_basis.tables(rR, tflat, zflat)["val"][: basis.half]
     phi = np.einsum("k,kiq->iq", state.a_dot[basis.interior], zval)
     pts = ReferencePoints(rR * np.cos(tflat), rR * np.sin(tflat), zflat)
-    jets = ale_jets(cyl, eta, pts)
+    jets = ale_jets(cyl, shell_basis, shell, pts)
     uval += np.einsum("ijq,jq->iq", jets["grad"] / jets["det"], phi)
 
     er = np.stack([np.cos(tflat), np.sin(tflat), np.zeros_like(tflat)])

@@ -46,7 +46,6 @@ from scipy.linalg.lapack import dpstrf
 from .basis1d import LegFamily, PiecewiseLegFamily, composite_gauss, gauss
 from .errors import LinearSolveFailure
 from .fluidgrid import cyl_tensor_to_cart, cyl_vec_to_cart
-from .geometry import ShellField
 
 R_DEGREE = 10  # polynomial degree of the corrector's radial elements
 NZ_MODES = 34  # axial modes of the corrector
@@ -540,9 +539,10 @@ class ExtensionOperator:
     def extend(self, delta, xi):
         """Divergence-free extension of xi e_r from the interface r = R + delta.
 
-        xi is a shell field, or an (F, n_modes) block of the shell
+        delta is the shell coefficient vector (n_modes,) of the interface and
+        xi the coefficients of one datum, or an (F, n_modes) block of the
         coefficients of F data at once; the result is one ExtensionField of
-        F fields (F = 1 for a shell field).  delta is not checked: a caller
+        F fields (F = 1 for one datum).  delta is not checked: a caller
         that needs an admissible interface decides with
         geometry.admissibility.
         """
@@ -555,8 +555,8 @@ class ExtensionOperator:
 
     def _field(self, base, delta, xi):
         """The extensions of h_f = (base + delta) xi_f."""
-        W = np.concatenate([[base], delta.coefficients])[None]
-        X = np.atleast_2d(xi.coefficients if isinstance(xi, ShellField) else xi)
+        W = np.concatenate([[base], delta])[None]
+        X = np.atleast_2d(xi)
         return ExtensionField(self, W, X)
 
 
@@ -758,8 +758,8 @@ def mollify(signal, eps, dt):
     the sup norm never increases; as a circulant it commutes exactly with the
     discrete (circular) time derivative.
     """
-    if eps <= 0.0:
-        raise ValueError("mollification width must be positive")
+    if not 0.0 < eps < np.inf:
+        raise ValueError("mollification width must be positive and finite")
     signal = np.asarray(signal, dtype=float)
     n = signal.shape[-1]
     period = n * dt

@@ -255,8 +255,11 @@ class BoundaryForcing:
         t = np.asarray(t, dtype=float)
         p_in = np.asarray(p_in, dtype=float)
         p_out = np.asarray(p_out, dtype=float)
-        if t.ndim != 1 or t.size < 3 or p_in.shape != t.shape or p_out.shape != t.shape:
+        if t.ndim != 1 or p_in.shape != t.shape or p_out.shape != t.shape:
             raise GridMismatch("forcing samples must share one 1D time grid")
+        if t.size < 3:
+            raise GridMismatch(
+                f"forcing needs at least 3 samples over the period, got {t.size}")
         dt = np.diff(t)
         if not np.allclose(dt, dt[0], rtol=1e-10, atol=1e-12 * t[-1]):
             raise GridMismatch("forcing time grid must be uniform")

@@ -90,19 +90,21 @@ class FluidGrid:
 class QuadJets:
     """ALE jets of a shell motion evaluated on a FluidGrid.
 
-    delta is the shell displacement and dt_delta its time derivative; the
-    rest cylinder is delta = dt_delta = 0, where every jet is exactly the
-    identity and every time derivative exactly zero.  Attributes: grid;
-    delta; dt_delta; r_phys/theta/z physical cylindrical node coordinates;
-    det (Q); weight (quadrature weight times det); grad, ginv, A = grad/det,
-    dA[i,j,a] = d_a A[i,j]; and the time derivatives dt_psi, dt_A, dt_det.
+    delta and dt_delta are the coefficient vectors (n_modes,) over the
+    ShellBasis shell_basis of the shell displacement and its time
+    derivative; the rest cylinder is delta = dt_delta = 0, where every jet
+    is exactly the identity and every time derivative exactly zero.
+    Attributes: grid; delta; dt_delta; r_phys/theta/z physical cylindrical
+    node coordinates; det (Q); weight (quadrature weight times det); grad,
+    ginv, A = grad/det, dA[i,j,a] = d_a A[i,j]; and the time derivatives
+    dt_psi, dt_A, dt_det.
     """
 
-    def __init__(self, grid, delta, dt_delta):
+    def __init__(self, grid, shell_basis, delta, dt_delta):
         self.grid = grid
         self.delta = delta
         self.dt_delta = dt_delta
-        jets = ale_jets(grid.cyl, delta, grid.points, second=True, dt_delta=dt_delta)
+        jets = ale_jets(grid.cyl, shell_basis, delta, grid.points, dt_delta=dt_delta)
         psi = jets["psi"]
         self.r_phys = np.hypot(psi[0], psi[1])
         self.theta = grid.theta

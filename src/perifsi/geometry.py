@@ -34,33 +34,6 @@ class CylinderConfig:
         return self.R - MARGIN_FRAC * self.R
 
 
-class ShellField:
-    """Scalar field on omega = (0, 2pi) x (0, L) expanded on a shell basis.
-
-    Reused for the displacement eta, the prescribed motion delta and test
-    functions xi.  The basis object supplies mode evaluation tables; see
-    shell_solid.ShellBasis.
-    """
-
-    def __init__(self, basis, coefficients):
-        coefficients = np.asarray(coefficients, dtype=float)
-        if coefficients.shape != (basis.n_modes,):
-            raise ValueError(
-                f"expected {basis.n_modes} coefficients, got {coefficients.shape}"
-            )
-        self.basis = basis
-        self.coefficients = coefficients
-
-    def evaluate(self, theta, z, nderiv=0):
-        """Return derivatives stacked as (ncomp, npts): [val], [val, d_theta,
-        d_z] or [val, d_theta, d_z, d_tt, d_tz, d_zz]."""
-        tab = self.basis.eval_modes(theta, z, nderiv)
-        return np.einsum("k,kcx->cx", self.coefficients, tab)
-
-    def value(self, theta, z):
-        return self.evaluate(theta, z, 0)[0]
-
-
 def sup_grid(basis):
     """Flattened (theta, z) of the dense (4x oversampled) tensor grid on
     which sup norms of shell fields are sampled."""
@@ -72,18 +45,13 @@ def sup_grid(basis):
     return tt.ravel(), zz.ravel()
 
 
-def _delta_tables(cyl, delta, theta, z, nderiv):
-    """Evaluate delta and scaled derivative combinations s = (R+delta)/R."""
-    comp = delta.evaluate(theta, z, nderiv)
-    R = cyl.R
-    out = {"s": (R + comp[0]) / R}
-    if nderiv >= 1:
-        out["s_t"] = comp[1] / R
-        out["s_z"] = comp[2] / R
-    if nderiv >= 2:
-        out["s_tt"] = comp[3] / R
-        out["s_tz"] = comp[4] / R
-        out["s_zz"] = comp[5] / R
+def _delta_tables(cyl, basis, delta, theta, z, nderiv):
+    """The scaling s = (R + delta)/R of the shell coefficients delta over
+    basis, stacked with its derivatives as basis.evaluate orders them:
+    [s, s_t, s_z] for nderiv 1, then s_tt, s_tz, s_zz for nderiv 2."""
+    comp = basis.evaluate(delta, theta, z, nderiv)
+    out = comp / cyl.R
+    out[0] = (cyl.R + comp[0]) / cyl.R
     return out
 
 
@@ -115,16 +83,17 @@ class ReferencePoints:
             ez[:, None] * ez[None]])
 
 
-def ale_jets(cyl, delta, pts, second=False, dt_delta=None):
-    """Vectorized ALE jets at the ReferencePoints pts.
+def ale_jets(cyl, basis, delta, pts, dt_delta=None):
+    """Vectorized ALE jets at the ReferencePoints pts of the shell motion
+    with coefficients delta (n_modes,) over the ShellBasis basis.
 
-    Returns a dict with keys: psi (3,Q), grad (3,3,Q), det (Q); plus
-    dgrad (3,3,3,Q) with dgrad[i,j,a] = d_a d_j psi_i when second=True; plus
-    dt_psi, dt_grad, dt_det when the time derivative of delta is supplied.
+    Returns a dict with keys: psi (3,Q), grad (3,3,Q), det (Q) and dgrad
+    (3,3,3,Q) with dgrad[i,j,a] = d_a d_j psi_i; plus dt_psi, dt_grad,
+    dt_det when the coefficients dt_delta of the time derivative of delta
+    are supplied.
     """
     x, y, z, theta = pts.x, pts.y, pts.z, pts.theta
-    d = _delta_tables(cyl, delta, theta, z, 2 if second else 1)
-    s, s_t, s_z = d["s"], d["s_t"], d["s_z"]
+    s, s_t, s_z, s_tt, s_tz, s_zz = _delta_tables(cyl, basis, delta, theta, z, 2)
 
     th_x, th_y = pts.theta_grad[:2]
     s_x = s_t * th_x
@@ -142,26 +111,23 @@ def ale_jets(cyl, delta, pts, second=False, dt_delta=None):
     grad[2, 2] = 1.0
     det = grad[0, 0] * grad[1, 1] - grad[0, 1] * grad[1, 0]
 
-    out = {"psi": psi, "grad": grad, "det": det}
+    # Cartesian Hessian of s via the chain rule through (theta, z)
+    coef = np.stack([s_tt, s_t, s_tz, s_zz])
+    s_ab = np.einsum("kq,kabq->abq", coef, pts.hessian_tables)
+    s_a = np.stack([s_x, s_y, s_z])
+    dgrad = np.zeros((3, 3, 3, Q))
+    dgrad[:2] = np.stack([x, y])[:, None, None] * s_ab
+    for i in range(2):
+        dgrad[i, i] += s_a
+        dgrad[i, :, i] += s_a
 
-    if second:
-        # Cartesian Hessian of s via the chain rule through (theta, z)
-        coef = np.stack([d["s_tt"], s_t, d["s_tz"], d["s_zz"]])
-        s_ab = np.einsum("kq,kabq->abq", coef, pts.hessian_tables)
-        s_a = np.stack([s_x, s_y, s_z])
-        dgrad = np.zeros((3, 3, 3, Q))
-        dgrad[:2] = np.stack([x, y])[:, None, None] * s_ab
-        for i in range(2):
-            dgrad[i, i] += s_a
-            dgrad[i, :, i] += s_a
-        out["dgrad"] = dgrad
+    out = {"psi": psi, "grad": grad, "det": det, "dgrad": dgrad}
 
     if dt_delta is not None:
-        dd = _delta_tables(cyl, dt_delta, theta, z, 1)
+        s_dot, sd_t, sd_z = _delta_tables(cyl, basis, dt_delta, theta, z, 1)
         # dt_delta enters psi and grad exactly like delta does: the entries
         # are linear in (s, s_theta, s_z)
-        sd = dd["s"] - 1.0  # (R + ddot)/R - 1 = ddot/R
-        sd_t, sd_z = dd["s_t"], dd["s_z"]
+        sd = s_dot - 1.0  # (R + ddot)/R - 1 = ddot/R
         sd_x = sd_t * th_x
         sd_y = sd_t * th_y
         dt_psi = np.stack([sd * x, sd * y, np.zeros(Q)])
@@ -200,7 +166,8 @@ def admissibility(cyl, basis, coefficients):
     return sup, (int(bad[0]) if bad.size else None)
 
 
-def check_injectivity(eta, cyl):
-    """True iff sup |eta| < cyl.sup_bound on a dense (4x oversampled) grid.
-    No package code calls it; perfbench/spans.py times it by name."""
-    return admissibility(cyl, eta.basis, eta.coefficients)[1] is None
+def check_injectivity(cyl, basis, coefficients):
+    """True iff sup |eta| < cyl.sup_bound on a dense (4x oversampled) grid,
+    for the shell coefficients (n_modes,) of eta over basis.  No package
+    code calls it; perfbench/spans.py times it by name."""
+    return admissibility(cyl, basis, coefficients)[1] is None

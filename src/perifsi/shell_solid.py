@@ -16,8 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis1d import BeamFamily, TrigFamily, gauss
-from .errors import BasisMismatch
-from .geometry import ShellField
 
 
 class ShellBasis:
@@ -85,16 +83,12 @@ class ShellBasis:
         self._tab_cache[key] = out
         return out
 
-    def field(self, coefficients):
-        return ShellField(self, coefficients)
-
-    def unit_field(self, k, amplitude=1.0):
-        c = np.zeros(self.n_modes)
-        c[k] = amplitude
-        return ShellField(self, c)
-
-    def zero_field(self):
-        return ShellField(self, np.zeros(self.n_modes))
+    def evaluate(self, coefficients, theta, z, nderiv):
+        """The field with coefficients (n_modes,) over this basis at the
+        nodes (theta, z), its derivatives stacked as (ncomp, npts) like
+        eval_modes' components.  ValueError for another coefficient
+        count."""
+        return np.einsum("k,kcx->cx", coefficients, self.eval_modes(theta, z, nderiv))
 
     def quadrature(self, refine=1):
         """Tensor quadrature over omega: (theta, z, w) flattened arrays.
@@ -113,13 +107,12 @@ class ShellBasis:
         return TT.ravel(), ZZ.ravel(), WW.ravel()
 
 
-def biharmonic_form(eta, xi):
-    """K(eta, xi) = int_omega Hess(eta) : Hess(xi) dA by tensor quadrature."""
-    if eta.basis.n_modes != xi.basis.n_modes:
-        raise BasisMismatch("shell fields on different bases")
-    theta, z, w = eta.basis.quadrature()
-    a = eta.evaluate(theta, z, 2)
-    b = xi.evaluate(theta, z, 2)
+def biharmonic_form(basis, eta, xi):
+    """K(eta, xi) = int_omega Hess(eta) : Hess(xi) dA by tensor quadrature,
+    for coefficient vectors eta and xi over basis."""
+    theta, z, w = basis.quadrature()
+    a = basis.evaluate(eta, theta, z, 2)
+    b = basis.evaluate(xi, theta, z, 2)
     integrand = a[3] * b[3] + 2.0 * a[4] * b[4] + a[5] * b[5]
     return float(integrand @ w)
 

@@ -349,8 +349,8 @@ class OuterLoopConfig:
     tol: float = 1e-9
 
     def __post_init__(self):
-        if self.eps <= 0.0:
-            raise ValueError("mollification width eps must be positive")
+        if not 0.0 < self.eps < np.inf:
+            raise ValueError("mollification width eps must be positive and finite")
         if not 0.0 < self.theta_r <= 1.0:
             raise ValueError("mixing weight theta_r must lie in (0, 1]")
         if self.max_iter < 1:
@@ -517,8 +517,8 @@ def solve_ivp(assembler, x0, t_final, dt, forcing=None):
             break
         if m == n_steps:
             break
-        sample = assembler.sample(basis.shell_field(state.a),
-                                  basis.shell_field(state.a_dot), state.a_dot)
+        sample = assembler.sample(shell, basis.shell_coefficients(state.a_dot),
+                                  state.a_dot)
         frozen = AssembledSystem.from_sample(t_final, sample, assembler, forcing)
         t_mid = np.array([state.t + 0.5 * dt])
         V, f = step_maps(frozen, t_mid, dt, _pressures(forcing, t_mid))

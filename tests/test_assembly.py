@@ -31,7 +31,7 @@ def _moving_inputs(small_model, rng, amp=0.02):
     shell = small_model.basis.shell_basis
     c = amp * rng.standard_normal(shell.n_modes)
     dc = amp * rng.standard_normal(shell.n_modes)
-    return shell.field(c), shell.field(dc), c, dc
+    return c, dc
 
 
 def _per_field_fluid_tables(basis, jets):
@@ -46,7 +46,7 @@ def _per_field_fluid_tables(basis, jets):
     zval, zgrad = basis.stokes_basis.tables_on(jets.grid)
     nodes = (jets.r_phys, jets.theta, jets.z)
     for j in range(basis.half):
-        Y = basis.shell_basis.unit_field(j)
+        Y = np.eye(basis.shell_basis.n_modes)[j]
         val[2 * j], grad[2 * j], _ = per_field_extension(
             basis.ext_op, basis.cyl.R, delta, Y, *nodes)
         val[2 * j + 1], grad[2 * j + 1] = push_piola(
@@ -93,7 +93,7 @@ def _identity_jet_rest_sample(model):
     cylinder taken as delta = 0 of the moving path."""
     basis, grid = model.basis, model.grid
     n, Q = basis.n, grid.n_nodes
-    zero = basis.shell_basis.zero_field()
+    zero = np.zeros(basis.shell_basis.n_modes)
     t = basis.extension_fields(zero).tables(grid.r, grid.theta, grid.z)
     zval, zgrad = basis.stokes_basis.tables_on(grid)
     val = np.empty((n, 3, Q))
@@ -102,7 +102,7 @@ def _identity_jet_rest_sample(model):
     val[1::2], grad[1::2] = zval[: basis.half], zgrad[: basis.half]
     M = (val * grid.w).reshape(n, -1) @ val.reshape(n, -1).T
     V = (grad * grid.w).reshape(n, -1) @ grad.reshape(n, -1).T
-    weights = np.concatenate([[model.cyl.R], zero.coefficients])
+    weights = np.concatenate([[model.cyl.R], zero])
     zeros = np.zeros((n, n))
     return {"M": 0.5 * (M + M.T), "G": zeros, "V": 0.5 * (V + V.T),
             "B": zeros, "Q": zeros,
@@ -131,7 +131,7 @@ class TestStackedSample:
         """The rest sample and two moving samples with transport."""
         assert max(_oracle_gap(small_model, monkeypatch).values()) <= 1e-12
         for _ in range(2):
-            delta, dt_delta, _, _ = _moving_inputs(small_model, rng)
+            delta, dt_delta = _moving_inputs(small_model, rng)
             v = rng.standard_normal(small_model.basis.n)
             gaps = _oracle_gap(small_model, monkeypatch, delta=delta,
                                dt_delta=dt_delta, v_coeff=v)
@@ -140,7 +140,7 @@ class TestStackedSample:
     def test_m1_moving_sample_matches_the_per_field_oracle(self, m1_model, rng,
                                                            monkeypatch):
         """A model with an m = 1 shell mode: cos and sin corrector parts."""
-        delta, dt_delta, _, _ = _moving_inputs(m1_model, rng)
+        delta, dt_delta = _moving_inputs(m1_model, rng)
         gaps = _oracle_gap(m1_model, monkeypatch, delta=delta, dt_delta=dt_delta,
                            v_coeff=rng.standard_normal(m1_model.basis.n))
         assert max(gaps.values()) <= 1e-12, gaps
@@ -157,7 +157,7 @@ class TestStackedSample:
         model = {"small": small_model, "m1": m1_model}[which]
         inputs = {}
         if moving:
-            delta, dt_delta, _, _ = _moving_inputs(model, rng)
+            delta, dt_delta = _moving_inputs(model, rng)
             inputs = {"delta": delta, "dt_delta": dt_delta,
                       "v_coeff": rng.standard_normal(model.basis.n)}
         gaps = _oracle_gap(model, monkeypatch, _two_call_fluid_tables, **inputs)
@@ -218,8 +218,8 @@ class TestOneThetaNode:
         inputs = [{}]
         for v_amp in (0.0, 0.1):
             inputs.append({
-                "delta": shell.field(0.02 * rng.standard_normal(shell.n_modes)),
-                "dt_delta": shell.field(0.05 * rng.standard_normal(shell.n_modes)),
+                "delta": 0.02 * rng.standard_normal(shell.n_modes),
+                "dt_delta": 0.05 * rng.standard_normal(shell.n_modes),
                 "v_coeff": v_amp * rng.standard_normal(model.basis.n),
             })
         for kw in inputs:
@@ -329,19 +329,18 @@ class TestMovingMatrices:
     def test_mass_derivative_matches_geometry_block(self, small_model, rng):
         """G + G^T equals dM/dt along the prescribed motion (the antisymmetric
         half cancels), checked against central differences in the geometry."""
-        delta, dt_delta, c, dc = _moving_inputs(small_model, rng)
-        shell = small_model.basis.shell_basis
+        delta, dt_delta = _moving_inputs(small_model, rng)
         s = small_model.sample(delta=delta, dt_delta=dt_delta)
         h = 1e-4
-        Mp = small_model.sample(delta=shell.field(c + h * dc))["M"]
-        Mm = small_model.sample(delta=shell.field(c - h * dc))["M"]
+        Mp = small_model.sample(delta=delta + h * dt_delta)["M"]
+        Mm = small_model.sample(delta=delta - h * dt_delta)["M"]
         fd = (Mp - Mm) / (2.0 * h)
         G = s["G"]
         scale = np.max(np.abs(fd)) + 1e-30
         assert np.max(np.abs(G + G.T - fd)) < 1e-5 * scale
 
     def test_convection_block_skew(self, small_model, rng):
-        delta, dt_delta, _, _ = _moving_inputs(small_model, rng)
+        delta, dt_delta = _moving_inputs(small_model, rng)
         v = rng.standard_normal(small_model.basis.n)
         s = small_model.sample(delta=delta, dt_delta=dt_delta, v_coeff=v)
         B = s["B"]
@@ -351,7 +350,7 @@ class TestMovingMatrices:
     def test_flux_vectors_match_the_extension_fields(self, small_model, rng):
         """The coupled flux entries from the table equal the disk quadrature
         of the sample's own extension fields."""
-        delta, dt_delta, _, _ = _moving_inputs(small_model, rng, amp=0.05)
+        delta, dt_delta = _moving_inputs(small_model, rng, amp=0.05)
         s = small_model.sample(delta=delta, dt_delta=dt_delta)
         fields = small_model.basis.extension_fields(delta)
         for name, z0 in (("qin", 0.0), ("qout", small_model.cyl.L)):
@@ -360,7 +359,7 @@ class TestMovingMatrices:
                 np.abs(s["qin"][::2]))
 
     def test_shell_transport_block_structure(self, small_model, rng):
-        delta, dt_delta, _, _ = _moving_inputs(small_model, rng)
+        delta, dt_delta = _moving_inputs(small_model, rng)
         s = small_model.sample(delta=delta, dt_delta=dt_delta)
         Q = s["Q"]
         assert np.max(np.abs(Q - Q.T)) < 1e-12 * (1 + np.max(np.abs(Q)))
@@ -455,7 +454,7 @@ class TestAssemble:
         sample = small_model.sample
 
         def recording(delta=None, dt_delta=None, v_coeff=None):
-            seen.append((delta.coefficients, dt_delta.coefficients, v_coeff))
+            seen.append((delta, dt_delta, v_coeff))
             return sample(delta, dt_delta, v_coeff)
 
         monkeypatch.setattr(small_model, "sample", recording)

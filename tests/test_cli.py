@@ -165,6 +165,33 @@ class TestExitCodes:
         assert "run-periodic" in run.stdout
 
 
+class TestForcingSeries:
+    """A bad p_in_series / p_out_series fails in build_forcing, before any
+    model is built, with its own GridMismatch message and exit code 1.  A
+    2-entry series used to be reported as samples that do not share one
+    time grid, and only after the model was built."""
+
+    @pytest.mark.parametrize("series, message", [
+        ("0.0, 1.0", "forcing needs at least 3 samples over the period, got 2"),
+        ("0.0, 1.0, 0.5", "forcing signals must close the period"),
+    ], ids=["two_samples", "open_period"])
+    @pytest.mark.parametrize("command", ["run-periodic", "run-ivp", "verify"])
+    def test_bad_series_fails_before_the_model(self, tmp_path, capsys, monkeypatch,
+                                               command, series, message):
+        def no_model(cfg):
+            raise AssertionError("model built before the forcing")
+
+        monkeypatch.setattr(cli, "build_model", no_model)
+        cfg_path = tmp_path / "series.cfg"
+        cfg_path.write_text(
+            f"[forcing]\np_in_series = {series}\np_out_series = {series}\n")
+        out = tmp_path / "out"
+        assert cli.main([command, "--config", str(cfg_path),
+                         "--out-dir", str(out)]) == 1
+        assert f"GridMismatch: {message}" in capsys.readouterr().err
+        assert not any(out.iterdir())
+
+
 class TestRunIvp:
     def test_outputs_and_determinism(self, tmp_path):
         cfg_path = tmp_path / "tiny.cfg"

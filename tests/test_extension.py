@@ -33,16 +33,15 @@ def _rel_gap(a, b, ref=None):
 def per_field_extension(ext_op, base, delta, xi, r, theta, z):
     """Cartesian value (3, Q), gradient (3, 3, Q) and divergence (Q) of the
     extension of h = (base + delta) xi, one field by itself: the data from
-    xi.evaluate, the corrector from its full radial and axial tables at every
-    node, the frame rotated by an explicit R G R^T.  The reference for the
-    stacked evaluation."""
+    ShellBasis.evaluate, the corrector from its full radial and axial tables
+    at every node, the frame rotated by an explicit R G R^T.  The reference
+    for the stacked evaluation."""
     cyl = ext_op.cyl
     flux_table, parts = ext_op.table
-    w = np.concatenate([[base], delta.coefficients])
-    x = xi.coefficients
-    flux = float(w @ flux_table @ x)
-    xv, xt, xz = xi.evaluate(theta, z, 1)
-    dv, dt, dz = delta.evaluate(theta, z, 1)
+    w = np.concatenate([[base], delta])
+    flux = float(w @ flux_table @ xi)
+    xv, xt, xz = ext_op.shell_basis.evaluate(xi, theta, z, 1)
+    dv, dt, dz = ext_op.shell_basis.evaluate(delta, theta, z, 1)
     h, ht, hz = (base + dv) * xv, dt * xv + (base + dv) * xt, dz * xv + (base + dv) * xz
     Q = r.size
     val, G, div = np.zeros((3, Q)), np.zeros((3, 3, Q)), np.zeros(Q)
@@ -66,7 +65,7 @@ def per_field_extension(ext_op, base, delta, xi, r, theta, z):
     G[2, 2, inn] = flux * a * dg
     div[inn] = 2.0 * c4 * h[inn] + flux * a * dg
     for sol, parity, d in parts:
-        dofs = x @ np.tensordot(w, d, axes=1)
+        dofs = xi @ np.tensordot(w, d, axes=1)
         Tr, Tz = sol.fam_r.eval_table(ri, 1), sol.fam_z.eval_table(zi, 1)
         prof = {}
         for i, comp in enumerate(sol.comps):
@@ -152,7 +151,7 @@ class DofsExtension:
     @classmethod
     def from_table(cls, ext_op, base, delta, X):
         flux, parts = ext_op.table
-        w = np.concatenate([[base], delta.coefficients])
+        w = np.concatenate([[base], delta])
         dofs = [(sol, parity, X @ np.tensordot(w, d, axes=1))
                 for sol, parity, d in parts]
         return cls(ext_op, X, base, delta, X @ (w @ flux), dofs)
@@ -162,7 +161,7 @@ class DofsExtension:
         cyl = self.cyl
         tab = self.shell_basis.eval_modes(theta, z, 1)
         xv, xt, xz = np.tensordot(self.X, tab, axes=1).transpose(1, 0, 2)
-        dv, dt, dz = self.delta.evaluate(theta, z, 1)
+        dv, dt, dz = self.shell_basis.evaluate(self.delta, theta, z, 1)
         c = self.base + dv
         data = c * xv, dt * xv + c * xt, dz * xv + c * xz
         val = np.zeros((F, 3, Q))
@@ -217,10 +216,10 @@ class TestExtension:
         r = np.linspace(0.05, 0.95, 7)
         th = np.linspace(0.0, 2 * np.pi, 7, endpoint=False)
         z = np.linspace(0.1, 1.9, 7)
-        rest = shell.zero_field()
-        fa = ext_op.extend(rest, shell.field(a)).tables(r, th, z)["val"]
-        fb = ext_op.extend(rest, shell.field(b)).tables(r, th, z)["val"]
-        fab = ext_op.extend(rest, shell.field(a + 2.0 * b)).tables(r, th, z)["val"]
+        rest = np.zeros(shell.n_modes)
+        fa = ext_op.extend(rest, a).tables(r, th, z)["val"]
+        fb = ext_op.extend(rest, b).tables(r, th, z)["val"]
+        fab = ext_op.extend(rest, a + 2.0 * b).tables(r, th, z)["val"]
         assert np.max(np.abs(fab - fa - 2.0 * fb)) < 1e-10
 
     def test_divergence_theorem_flux_balance(self, small_model, rng):
@@ -230,14 +229,14 @@ class TestExtension:
         ext_op = small_model.basis.ext_op
         shell = small_model.basis.shell_basis
         grid = small_model.grid
-        xi = shell.field(rng.standard_normal(shell.n_modes))
-        f = ext_op.extend(shell.zero_field(), xi)
+        xi = rng.standard_normal(shell.n_modes)
+        f = ext_op.extend(np.zeros(shell.n_modes), xi)
         disk = {}
         for z0 in (0.0, cyl.L):
             r, th, w, z = grid.disk(z0)
             disk[z0] = float(f.tables(r, th, z)["val"][0, 2] @ w)
         th, z, w = shell.quadrature(refine=2)
-        lateral = float((xi.value(th, z) * cyl.R) @ w)
+        lateral = float((shell.evaluate(xi, th, z, 0)[0] * cyl.R) @ w)
         net = disk[cyl.L] - disk[0.0] + lateral
         scale = abs(lateral) + abs(disk[0.0]) + abs(disk[cyl.L]) + 1e-30
         assert abs(net) < 1e-8 * scale
@@ -249,15 +248,15 @@ class TestExtension:
         shell = small_model.basis.shell_basis
         c0 = 0.02 * rng.standard_normal(shell.n_modes)
         dc = 0.01 * rng.standard_normal(shell.n_modes)
-        xi = shell.field(rng.standard_normal(shell.n_modes))
+        xi = rng.standard_normal(shell.n_modes)
         r = np.linspace(0.05, 0.9, 6)
         th = np.linspace(0.0, 2 * np.pi, 6, endpoint=False)
         z = np.linspace(0.2, 1.8, 6)
         h = 1e-5
-        fp = ext_op.extend(shell.field(c0 + h * dc), xi).tables(r, th, z)["val"]
-        fm = ext_op.extend(shell.field(c0 - h * dc), xi).tables(r, th, z)["val"]
+        fp = ext_op.extend(c0 + h * dc, xi).tables(r, th, z)["val"]
+        fm = ext_op.extend(c0 - h * dc, xi).tables(r, th, z)["val"]
         fd = (fp - fm) / (2.0 * h)
-        dt_field = ext_op.extend_dt(shell.field(dc), xi).tables(r, th, z)["val"]
+        dt_field = ext_op.extend_dt(dc, xi).tables(r, th, z)["val"]
         assert np.max(np.abs(dt_field - fd)) < 1e-6
 
 
@@ -268,19 +267,20 @@ class TestExtensionTable:
         cyl = small_model.cyl
         ext_op = small_model.basis.ext_op
         shell = small_model.basis.shell_basis
-        delta = shell.field(0.02 * rng.standard_normal(shell.n_modes))
-        xi = shell.field(rng.standard_normal(shell.n_modes))
+        delta = 0.02 * rng.standard_normal(shell.n_modes)
+        xi = rng.standard_normal(shell.n_modes)
 
         def data(theta, z):
-            return (cyl.R + delta.value(theta, z)) * xi.value(theta, z)
+            dv, xv = (shell.evaluate(c, theta, z, 0)[0] for c in (delta, xi))
+            return (cyl.R + dv) * xv
 
         th, z, w = shell.quadrature(refine=2)
         flux = float(data(th, z) @ w)
         h = data(*ext_op.source_nodes())[:, None]
         parts = ext_op.corrector_dofs(h, np.array([flux]))
-        direct = DofsExtension(ext_op, xi.coefficients[None], cyl.R, delta,
+        direct = DofsExtension(ext_op, xi[None], cyl.R, delta,
                                np.array([flux]), [(sol, p, d.T) for sol, p, d in parts])
-        contracted = DofsExtension.from_table(ext_op, cyl.R, delta, xi.coefficients[None])
+        contracted = DofsExtension.from_table(ext_op, cyl.R, delta, xi[None])
         field = ext_op.extend(delta, xi)
         assert abs(field.flux[0] - flux) <= 1e-12 * abs(flux)
         for (s1, p1, d1), (s2, p2, d2) in zip(contracted.dofs, direct.dofs):
@@ -297,11 +297,11 @@ class TestExtensionTable:
         g = np.random.default_rng(seed)
         ext_op = small_model.basis.ext_op
         shell = small_model.basis.shell_basis
-        delta = shell.field(0.03 * g.standard_normal(shell.n_modes))
-        xi = shell.field(g.standard_normal(shell.n_modes))
+        delta = 0.03 * g.standard_normal(shell.n_modes)
+        xi = g.standard_normal(shell.n_modes)
         pts = _random_points(g, small_model.cyl)
         moved = ext_op.extend(delta, xi).tables(*pts)
-        rest = ext_op.extend(shell.zero_field(), xi).tables(*pts)
+        rest = ext_op.extend(np.zeros(shell.n_modes), xi).tables(*pts)
         dt = ext_op.extend_dt(delta, xi).tables(*pts)
         diff = {k: moved[k] - rest[k] for k in moved}
         assert _rel_gap(dt, diff, moved) <= 1e-12
@@ -310,7 +310,7 @@ class TestExtensionTable:
             self, small_model, rng, monkeypatch):
         basis = small_model.basis
         shell = basis.shell_basis
-        basis.ext_op.extend(shell.zero_field(), shell.unit_field(0))
+        basis.ext_op.extend(np.zeros(shell.n_modes), np.eye(shell.n_modes)[0])
         small_model.sample()
         solves = []
         solve = extension_ops._ModeSolver.solve
@@ -320,10 +320,10 @@ class TestExtensionTable:
             return solve(self, g_nodes)
 
         monkeypatch.setattr(extension_ops._ModeSolver, "solve", counting)
-        delta = shell.field(0.02 * rng.standard_normal(shell.n_modes))
-        dt_delta = shell.field(0.02 * rng.standard_normal(shell.n_modes))
-        basis.ext_op.extend(delta, shell.unit_field(1))
-        basis.ext_op.extend_dt(dt_delta, shell.unit_field(1))
+        delta = 0.02 * rng.standard_normal(shell.n_modes)
+        dt_delta = 0.02 * rng.standard_normal(shell.n_modes)
+        basis.ext_op.extend(delta, np.eye(shell.n_modes)[1])
+        basis.ext_op.extend_dt(dt_delta, np.eye(shell.n_modes)[1])
         small_model.sample(delta=delta, dt_delta=dt_delta,
                            v_coeff=rng.standard_normal(basis.n))
         assert solves == []
@@ -352,8 +352,8 @@ class TestExtensionTable:
 
         monkeypatch.setattr(ExtensionField, "_values", counting)
         small_model.sample(
-            delta=shell.field(0.02 * rng.standard_normal(shell.n_modes)),
-            dt_delta=shell.field(0.02 * rng.standard_normal(shell.n_modes)),
+            delta=0.02 * rng.standard_normal(shell.n_modes),
+            dt_delta=0.02 * rng.standard_normal(shell.n_modes),
             v_coeff=rng.standard_normal(basis.n))
         assert calls == [2 * basis.half]
 
@@ -363,7 +363,7 @@ class TestExtensionTable:
         block for their z values."""
         ext_op = small_model.basis.ext_op
         shell = small_model.basis.shell_basis
-        field = ext_op.extend(shell.zero_field(), shell.unit_field(0))
+        field = ext_op.extend(np.zeros(shell.n_modes), np.eye(shell.n_modes)[0])
         keys = set(ext_op._line_blocks)
         r = np.linspace(0.5, 1.0, 7) * small_model.cyl.R
         th, z = np.linspace(0.0, 6.0, 7), np.linspace(0.1, 1.9, 7)
@@ -386,7 +386,7 @@ class TestExtensionTable:
             line_block = sol.line_block
             monkeypatch.setattr(sol, "line_block",
                                 lambda *a, f=line_block: built.append(1) or f(*a))
-        field = ext_op.extend(shell.zero_field(), shell.unit_field(0))
+        field = ext_op.extend(np.zeros(shell.n_modes), np.eye(shell.n_modes)[0])
         R = small_model.cyl.R
         r = rng.uniform(0.01, 0.49, 200) * R
         th, z = rng.uniform(0.0, 2 * np.pi, 200), rng.uniform(0.0, small_model.cyl.L, 200)
@@ -394,17 +394,17 @@ class TestExtensionTable:
         assert built and set(ext_op._line_blocks) == keys
         built.clear()
         small_model.sample(
-            delta=shell.field(0.02 * rng.standard_normal(shell.n_modes)),
-            dt_delta=shell.field(0.02 * rng.standard_normal(shell.n_modes)))
+            delta=0.02 * rng.standard_normal(shell.n_modes),
+            dt_delta=0.02 * rng.standard_normal(shell.n_modes))
         assert built == []
 
     def test_stacks_only_extensions_of_the_same_data(self, small_model, rng):
         ext_op = small_model.basis.ext_op
         shell = small_model.basis.shell_basis
         X = rng.standard_normal((2, shell.n_modes))
-        ext = ext_op.extend(shell.zero_field(), X)
+        ext = ext_op.extend(np.zeros(shell.n_modes), X)
         with pytest.raises(ValueError):
-            ext.stack(ext_op.extend_dt(shell.zero_field(), 2.0 * X))
+            ext.stack(ext_op.extend_dt(np.zeros(shell.n_modes), 2.0 * X))
 
     def test_build_model_builds_no_solver_and_no_table(self, small_cfg):
         model = build_model(small_cfg)
@@ -424,8 +424,8 @@ class TestStackedEvaluation:
         ext_op = small_model.basis.ext_op
         shell = small_model.basis.shell_basis
         R = small_model.cyl.R
-        delta = (shell.field(0.02 * rng.standard_normal(shell.n_modes)) if moving
-                 else shell.zero_field())
+        delta = (0.02 * rng.standard_normal(shell.n_modes) if moving
+                 else np.zeros(shell.n_modes))
         X = rng.standard_normal((3, shell.n_modes))
         pts = _random_points(rng, small_model.cyl, n=60)
         ext = ext_op.extend(delta, X)
@@ -439,7 +439,7 @@ class TestStackedEvaluation:
             assert got["grad"].shape[0] == got["div"].shape[0] == n_grad
             for i, base in enumerate(bases):
                 for f, x in enumerate(X):
-                    v, g, div = per_field_extension(ext_op, base, delta, shell.field(x), *pts)
+                    v, g, div = per_field_extension(ext_op, base, delta, x, *pts)
                     row = i * len(X) + f
                     if row < n_grad:
                         want = {"val": v, "grad": g, "div": div}
@@ -455,13 +455,13 @@ class TestStackedEvaluation:
         points, permutes the tables and changes nothing else."""
         g = np.random.default_rng(seed)
         shell = small_model.basis.shell_basis
-        delta = shell.field(0.03 * g.standard_normal(shell.n_modes))
+        delta = 0.03 * g.standard_normal(shell.n_modes)
         field = small_model.basis.ext_op.extend(
             delta, g.standard_normal((2, shell.n_modes)))
         if scattered:
             pts = _random_points(g, small_model.cyl, n=200)
         else:
-            jets = QuadJets(small_model.grid, delta, shell.zero_field())
+            jets = QuadJets(small_model.grid, shell, delta, np.zeros(shell.n_modes))
             pts = (jets.r_phys, jets.theta, jets.z)
         perm = g.permutation(pts[0].size)
         a = field.tables(*pts)
@@ -643,8 +643,8 @@ class TestModeSolver:
         solver and, for m = 1, on the cos and sin parts of the m = 1 solver
         too."""
         shell = small_model.basis.shell_basis
-        delta = shell.field(0.03 * rng.standard_normal(shell.n_modes))
-        jets = QuadJets(small_model.grid, delta, shell.zero_field())
+        delta = 0.03 * rng.standard_normal(shell.n_modes)
+        jets = QuadJets(small_model.grid, shell, delta, np.zeros(shell.n_modes))
         scattered = _random_points(rng, small_model.cyl, n=200)
         parts = [(mode_solvers[0], "cos")]
         if m:
@@ -882,8 +882,8 @@ class TestPiola:
     def test_reference_identity(self, small_model):
         """With zero displacement the transform is the identity on fields."""
         basis = small_model.basis
-        zero = basis.shell_basis.zero_field()
-        jets = QuadJets(small_model.grid, zero, zero)
+        zero = np.zeros(basis.shell_basis.n_modes)
+        jets = QuadJets(small_model.grid, basis.shell_basis, zero, zero)
         val, grad, _ = basis.fluid_tables(jets)
         zval, zgrad = basis.stokes_basis.tables_on(small_model.grid)
         assert np.max(np.abs(val[1::2] - zval[: basis.half])) < 1e-12
@@ -892,8 +892,8 @@ class TestPiola:
     def test_divergence_preserved_on_moving_domain(self, small_model, rng):
         basis = small_model.basis
         shell = basis.shell_basis
-        eta = shell.field(0.03 * rng.standard_normal(shell.n_modes))
-        jets = QuadJets(small_model.grid, eta, shell.zero_field())
+        eta = 0.03 * rng.standard_normal(shell.n_modes)
+        jets = QuadJets(small_model.grid, shell, eta, np.zeros(shell.n_modes))
         val, grad, _ = basis.fluid_tables(jets)
         for v, g in zip(val[1::2], grad[1::2]):
             scale = np.max(np.abs(v)) + 1e-30
@@ -910,6 +910,13 @@ class TestMollify:
         dt = 1.0 / n
         out = mollify(sig, g.uniform(1.0, 8.0) * dt, dt)
         assert np.max(np.abs(out)) <= np.max(np.abs(sig)) + 1e-12
+
+    def test_nonfinite_or_nonpositive_width_rejected(self):
+        """A NaN width used to give an all-NaN path; inf and NaN are
+        rejected like zero and negative widths."""
+        for eps in (0.0, -1.0, np.nan, np.inf):
+            with pytest.raises(ValueError, match="positive and finite"):
+                mollify(np.ones(16), eps, 1.0 / 16)
 
     def test_constants_fixed(self):
         sig = np.full(64, 0.73)

@@ -203,6 +203,12 @@ class TestBoundaryForcing:
         with pytest.raises(GridMismatch):
             BoundaryForcing(t, np.zeros(4), np.zeros(4))
 
+    def test_too_few_samples_rejected(self):
+        for n in (1, 2):
+            t = np.linspace(0.0, 1.0, n)
+            with pytest.raises(GridMismatch, match="at least 3 samples"):
+                BoundaryForcing(t, np.zeros(n), np.zeros(n))
+
     def test_open_period_rejected(self):
         t = np.linspace(0.0, 1.0, 17)
         p = np.sin(1.5 * np.pi * t)  # p(0) != p(T)

@@ -65,8 +65,8 @@ tracer = spans.Tracer()
 tracer.install()
 shell = model.basis.shell_basis
 rng = np.random.default_rng(0)
-model.sample(delta=shell.field(0.02 * rng.standard_normal(shell.n_modes)),
-             dt_delta=shell.field(0.02 * rng.standard_normal(shell.n_modes)),
+model.sample(delta=0.02 * rng.standard_normal(shell.n_modes),
+             dt_delta=0.02 * rng.standard_normal(shell.n_modes),
              v_coeff=rng.standard_normal(model.basis.n))
 json.dump([[name, end - start] for name, start, end, _ in tracer.spans], sys.stdout)
 """

@@ -333,8 +333,9 @@ class TestPeriodicSolve:
 
 class TestOuterLoop:
     def test_config_validation(self):
-        with pytest.raises(ValueError):
-            OuterLoopConfig(eps=-1.0)
+        for eps in (-1.0, 0.0, np.nan, np.inf):
+            with pytest.raises(ValueError, match="eps"):
+                OuterLoopConfig(eps=eps)
         with pytest.raises(ValueError):
             OuterLoopConfig(eps=0.1, theta_r=1.5)
         for max_iter in (0, -3):
