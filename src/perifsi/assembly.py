@@ -226,6 +226,14 @@ class AssembledSystem:
         return sampled("V") + form(self.constants["A_visc"]), sampled("Q")
 
 
+def _weighted_gram(x, w):
+    """The symmetrized Gram sum_q w_q x[k, ..., q] x[l, ..., q] (n, n) of a
+    table x (n, ..., Q) with quadrature weights w (Q,), as one product."""
+    n = len(x)
+    G = (x * w).reshape(n, -1) @ x.reshape(n, -1).T
+    return 0.5 * (G + G.T)
+
+
 class Assembler:
     """Shared immutable ingredients for assembling the system at any sample.
 
@@ -276,9 +284,9 @@ class Assembler:
         g = self.solid_grid
         t = basis.solid_tables(g.r, g.theta, g.z)
         sval, sgrad, sdiv = t["val"], t["grad"], t["div"]
-        M_solid = p.rho_s2 * np.einsum("kiq,liq,q->kl", sval, sval, g.w)
-        grad_gram = np.einsum("kijq,lijq,q->kl", sgrad, sgrad, g.w)
-        div_gram = np.einsum("kq,lq,q->kl", sdiv, sdiv, g.w)
+        M_solid = p.rho_s2 * _weighted_gram(sval, g.w)
+        grad_gram = _weighted_gram(sgrad, g.w)
+        div_gram = _weighted_gram(sdiv, g.w)
         A_el = p.lambda1 * grad_gram + p.lambda2 * div_gram
         A_visc = p.lambda1 * p.delta_visc * grad_gram
         return {
@@ -313,11 +321,9 @@ class Assembler:
         Q_nodes = val.shape[-1]
         vflat = val.reshape(n, 3 * Q_nodes)
         vwflat = (val * w).reshape(n, 3 * Q_nodes)
-        gflat = grad.reshape(n, 9 * Q_nodes)
         M = vwflat @ vflat.T
         M = 0.5 * (M + M.T)
-        V = (grad * w).reshape(n, 9 * Q_nodes) @ gflat.T
-        V = 0.5 * (V + V.T)
+        V = _weighted_gram(grad, w)
         # material derivative of each basis entry along the domain motion
         mat = dtX + np.einsum("kijq,jq->kiq", grad, jets.dt_psi)
         mflat = mat.reshape(n, 3 * Q_nodes)

@@ -13,13 +13,24 @@ well scaled, so the clamped end conditions hold at machine precision for every
 mode count used here.
 """
 
+from functools import lru_cache
+
 import numpy as np
 from numpy.polynomial import legendre as npleg
 
 
+@lru_cache(maxsize=None)
+def _leggauss(n):
+    """Read-only Gauss-Legendre rule of n points on [-1, 1], memoized: a
+    model's set-up asks for a few distinct n many times over."""
+    x, w = npleg.leggauss(n)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
+
+
 def gauss(n, a, b):
-    """Gauss-Legendre nodes and weights on [a, b]."""
-    x, w = np.polynomial.legendre.leggauss(n)
+    """Gauss-Legendre nodes and weights on [a, b], as fresh arrays."""
+    x, w = _leggauss(n)
     half = 0.5 * (b - a)
     return a + half * (x + 1.0), half * w
 

@@ -224,9 +224,12 @@ def run_verify(cfg, out_dir):
     shell = basis.shell_basis
     checks = []
 
-    # extension divergence on interior nodes
+    # extension divergence on interior nodes, of the first shell mode of the
+    # highest wavenumber: its products with delta reach the top corrector
     c = 0.01 * rng.standard_normal(shell.n_modes)
-    xi = np.eye(shell.n_modes)[min(1, shell.n_modes - 1)]
+    top = next(k for k in range(shell.n_modes)
+               if shell.azimuthal_wavenumber(k) == shell.max_azimuthal_wavenumber)
+    xi = np.eye(shell.n_modes)[top]
     ext = basis.ext_op.extend(c, xi)
     jets = QuadJets(assembler.grid, shell, c, np.zeros(shell.n_modes))
     div = ext.tables(jets.r_phys, jets.theta, jets.z)["div"][0]

@@ -28,13 +28,17 @@ axial factor.  B is never formed: its Gram B B^T is one small matrix
 product of those factors, and B y and B^T z are two small products per
 component.  Relative to the largest, the singular values of B drop from
 about 1e-4 to round-off (about 1e-15) at the rank, so the rank is well
-defined, and a pivoted Cholesky of the Gram finds it.  The solve is linear
-in the data, so the whole extension is a fixed linear operator of h.  For
-xi = sum_i x_i Y_i and delta = sum_k c_k Y_k,
-h = sum_i x_i (R Y_i + sum_k c_k Y_k Y_i): one table per model over the unit
-data Y_i and Y_k Y_i holds every flux and corrector dof, and an extension is
-that table contracted with the weights (R, c) and x ((0, c') for its time
-derivative).
+defined, and a pivoted Cholesky of the Gram finds it.  The extension is
+a fixed linear operator of h.  For xi = sum_i x_i Y_i and
+delta = sum_k c_k Y_k, h = sum_i x_i (R Y_i + sum_k c_k Y_k Y_i): one table
+per model over the unit data Y_i and Y_k Y_i holds every flux and corrector
+dof, and an extension is that table contracted with the weights (R, c) and
+x ((0, c') for its time derivative).  The products Y_k Y_i carry
+wavenumbers 0..2 max_m, max_m the largest of the shell modes, and so does
+the table.  Its corrector dofs are themselves a contraction: at the
+collocation nodes every source is a combination of 38 unit sources, one per
+axial node, and the plug's, so each wavenumber solves those once
+(ExtensionOperator.corrector_dofs).
 """
 
 from functools import cached_property
@@ -213,13 +217,11 @@ def _min_norm_solve(rows, G):
     The map from v to y passes through R11^-1 R11^-T, which amplifies the
     round-off by the square of the condition number of R11 before B^T
     cancels it again, so one such solve is linear in G to only about 5e-14
-    (m = 0) and 3e-13 (m = 1) relative on the table's sources: the solve of
-    a sum of sources is that far from the sum of their solves, which the
-    table's contraction takes to agree.
+    (m = 0) and 3e-13 (m = 1) relative on the corrector's sources.
     One step of iterative refinement, y += B^+ (G - B y), brings that to
-    about 7e-15 and 8e-14, because the corrector's sources leave a
-    least-squares residual of only 5e-5 relative or less.  y then lies
-    within 3e-13 of a full SVD solve.  Sources with a large part outside
+    about 7e-15 and 8e-14, because those sources leave a least-squares
+    residual of only 5e-5 relative or less.  y then lies within 3e-13 of a
+    full SVD solve.  Sources with a large part outside
     range(B) fare worse, as forming the Gram squares the conditioning of the
     projection onto range(B) and refinement cannot mend that: on random
     sources y is up to 3e-11 (m = 0) and 2e-9 (m = 1) from the SVD solve,
@@ -350,7 +352,7 @@ class _ModeSolver:
         C_c X_c = [P_ix Z_jy s_ij] of the whitened system, X_c = (V x W)
         diag(s).  All of them are small (under 16 KiB per array for m = 0);
         they are built afresh per solve, as the table needs one solve per
-        wavenumber."""
+        solver."""
         nfr, nfz = self.fam_r.nfun, self.fam_z.nfun
         Tz, Mz, Az = self._Tz, self._Mz, self._Az
         idx, roots, rows = [], [], []
@@ -369,8 +371,9 @@ class _ModeSolver:
         for S sources, with g_nodes of shape (n_r_nodes, n_z_nodes, S).  Each
         call whitens both halves afresh, so pass all sources at once.  The
         largest arrays of a call are the Gram of one half and its factor
-        (6.3 MiB for any m); a call on 72 sources for m = 0 peaks at about
-        20 MiB of allocations.  Raises ValueError on a source that is not
+        (6.3 MiB for any m); a call on the 39 unit sources of m = 0
+        (corrector_dofs) peaks at about 17 MiB of allocations, on the 38 of
+        m = 1 at about 19 MiB.  Raises ValueError on a source that is not
         finite and LinearSolveFailure if the dofs come out not finite."""
         g_nodes = np.asarray_chkfinite(g_nodes)
         S = g_nodes.shape[-1]
@@ -448,8 +451,10 @@ class ExtensionOperator:
 
     @cached_property
     def solvers(self):
-        """One corrector solver per wavenumber 0..max_m."""
-        return [_ModeSolver(self.cyl, m) for m in range(self.max_m + 1)]
+        """One corrector solver per wavenumber 0..2 max_m: the product data
+        Y_k Y_i of two shell modes carry up to twice the largest shell
+        wavenumber."""
+        return [_ModeSolver(self.cyl, m) for m in range(2 * self.max_m + 1)]
 
     def source_nodes(self):
         """Flattened (theta, z) nodes at which corrector_dofs takes its
@@ -461,33 +466,45 @@ class ExtensionOperator:
         return TT.ravel(), ZZ.ravel()
 
     def corrector_dofs(self, h, flux):
-        """Corrector dofs of S boundary sources, one solve per solver.
+        """Corrector dofs of S boundary sources.
 
         h (n_nodes, S) holds the sources at source_nodes() and flux (S,)
-        their fluxes Phi.  Returns [(solver, parity, dofs (ndof, S))].
+        their fluxes Phi.  At the collocation nodes the wavenumber-m part of
+        a source is (8 / R^2) H_m(z), constant in r, with H_m the m-th
+        azimuthal Fourier coefficient of h, plus the plug's Phi a(r) g'(z)
+        for m = 0.  So every source lies in the span of the unit sources
+        (8 / R^2) 1_r x e_k, one per z node, and (for m = 0) the plug:
+        each solver makes one solve of those (39 sources for m = 0, 38 for
+        m >= 1), and the dofs are its unit dofs contracted with H_m and the
+        flux, linear in h by construction.  Returns
+        [(solver, parity, dofs (ndof, S))].  Raises ValueError on a source
+        that is not finite.
         """
+        h = np.asarray_chkfinite(h)
         cyl = self.cyl
         sol0 = self.solvers[0]
         rc, zc = sol0.r_nodes, sol0.z_nodes
         n_th = h.shape[0] // zc.size
         H = np.fft.rfft(h.reshape(n_th, zc.size, -1), axis=0) / n_th
-        base = 8.0 / cyl.R**2 * np.ones((rc.size, 1, 1))
+        units = np.broadcast_to(8.0 / cyl.R**2 * np.eye(zc.size), (rc.size,) + (zc.size,) * 2)
         plug = (plug_radial_profile(cyl, rc)[0][:, None]
-                * plug_axial_profile(cyl, zc, 1)[1][None, :])[..., None] * flux
-        parts = [(sol0, "cos", sol0.solve(base * H[0].real[None] + plug))]
+                * plug_axial_profile(cyl, zc, 1)[1][None, :])
+        D = sol0.solve(np.concatenate([units, plug[..., None]], axis=-1))
+        parts = [(sol0, "cos", D @ np.concatenate([H[0].real, flux[None]]))]
         S = h.shape[-1]
         for sol in self.solvers[1:]:
-            m = sol.m
-            # the cos and sin sources of a wavenumber share one solve
-            g = np.concatenate([2.0 * H[m].real, -2.0 * H[m].imag], axis=-1)
-            dofs = sol.solve(base * g[None])
+            # the cos and sin dofs of a wavenumber in one product
+            dofs = sol.solve(units) @ np.concatenate(
+                [2.0 * H[sol.m].real, -2.0 * H[sol.m].imag], axis=-1)
             parts += [(sol, "cos", dofs[:, :S]), (sol, "sin", dofs[:, S:])]
         return parts
 
     @cached_property
     def table(self):
         """(flux (1 + n, n), [(solver, parity, dofs (1 + n, n, ndof))]) over
-        the unit data Y_i and Y_k Y_i of the n shell modes."""
+        the unit data Y_i and Y_k Y_i of the n shell modes: the m = 0 cos
+        part, then the cos and sin parts of m = 1..2 max_m, taken by
+        corrector_dofs with one solve per solver."""
         basis = self.shell_basis
         n = basis.n_modes
 

@@ -99,29 +99,53 @@ def _divergence_constraint(space, cyl, n_r, n_z):
 
 def _sector_forms(space, cyl, n_r, n_z):
     """Dirichlet and mass Gram matrices over the sector (2D quadrature with
-    the exact azimuthal weight: 2 pi for m = 0, pi otherwise)."""
+    the exact azimuthal weight: 2 pi for m = 0, pi otherwise), by sum
+    factorization.  With its trig factor stripped, every frame-gradient
+    entry of a unit dof (azimuthal_mode_tables) is one tensor-product term
+    k rho(r) zeta(z), rho one of f, f' and f / r of the dof's radial factor
+    and zeta one of g, g' of its axial one: entry (0, 1), -(m fr + ft) / r,
+    takes the term -m fr / r from an r dof and -ft / r from a t dof.  So
+    the block of two components is a sum of Kronecker products of a radial
+    Gram int rho rho' r dr and an axial Gram int zeta zeta' dz, one per
+    entry they share, and the mass is one product per component."""
     m = space.m
     rq, wr = gauss(n_r + 6, 0.0, cyl.R)
     zq, wz = gauss(n_z + 6, 0.0, cyl.L)
-    RR, ZZ = np.meshgrid(rq, zq, indexing="ij")
-    WW = np.outer(wr * rq, wz).ravel()
-    rr, zz = RR.ravel(), ZZ.ravel()
-    weight = (2.0 * np.pi if m == 0 else np.pi) * WW
-    theta0 = np.zeros(rr.size)
-    # all unit dofs at once: one field per row of the identity
-    prof = space.profile_tables(np.eye(space.ndof), rr, zz)
-    if m == 0:
-        vals, grads = azimuthal_mode_tables(0, "axi", prof, rr, theta0)
-    else:
-        # strip the trig factors: evaluate at theta = 0 and recover the
-        # sine-carrying entries from the twin at theta = pi/(2m)
-        v0, g0 = azimuthal_mode_tables(m, "cos", prof, rr, theta0)
-        v1, g1 = azimuthal_mode_tables(m, "cos", prof, rr, theta0 + np.pi / (2.0 * m))
-        vals, grads = v0 + v1, g0 + g1
-    n = space.ndof
-    A = (grads * weight).reshape(n, -1) @ grads.reshape(n, -1).T
-    M = (vals * weight).reshape(n, -1) @ vals.reshape(n, -1).T
-    return A, M
+    wr = (2.0 * np.pi if m == 0 else np.pi) * wr * rq  # r dr dtheta
+    # per component: {gradient entry: (k, rho, zeta)}, and its value (rho, zeta)
+    terms, values = {}, {}
+    for c in space.comps:
+        fr, fz = space.fam[c]
+        Tr, Tz = fr.eval_table(rq, 1), fz.eval_table(zq, 1)
+        f, df, f_r = Tr[:, 0], Tr[:, 1], Tr[:, 0] / rq
+        g, dg = Tz[:, 0], Tz[:, 1]
+        i = "rtz".index(c)
+        # the r and z derivatives (columns 0 and 2), then the terms over r
+        # of the theta column
+        terms[c] = {(i, 0): (1.0, df, g), (i, 2): (1.0, f, dg)}
+        cross = {"r": [((0, 1), -m), ((1, 1), 1.0)],
+                 "t": [((0, 1), -1.0), ((1, 1), m)],
+                 "z": [((2, 1), -m)]}[c]
+        terms[c].update((e, (k, f_r, g)) for e, k in cross if k)
+        values[c] = (f, g)
+
+    def gram(a, b, w):
+        return (a * w) @ b.T
+
+    off = space.offsets
+    A = np.zeros((space.ndof, space.ndof))
+    M = np.zeros_like(A)
+    for n, c in enumerate(space.comps):
+        sc = slice(off[c], off[c] + space.block[c])
+        f, g = values[c]
+        M[sc, sc] = np.kron(gram(f, f, wr), gram(g, g, wz))
+        for d in space.comps[n:]:
+            sd = slice(off[d], off[d] + space.block[d])
+            for e, (ka, ra, za) in terms[c].items():
+                if e in terms[d]:
+                    kb, rb, zb = terms[d][e]
+                    A[sc, sd] += ka * kb * np.kron(gram(ra, rb, wr), gram(za, zb, wz))
+    return np.triu(A) + np.triu(A, 1).T, M
 
 
 class StokesBasis:

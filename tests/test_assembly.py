@@ -312,6 +312,23 @@ class TestRestMatrices:
             scale = np.max(np.abs(w))
             assert np.max(np.abs(rest_sample[k] - w)) <= 1e-15 * scale, k
 
+    @pytest.mark.parametrize("which", ["small", "m1"])
+    def test_solid_blocks_match_the_einsum_form(self, small_model, m1_model, which):
+        """The constant solid blocks, each one product of the stacked solid
+        table, equal the quadrature sums taken by einsum to 1e-13 relative,
+        and are symmetric."""
+        model = small_model if which == "small" else m1_model
+        g, p, c = model.solid_grid, model.params, model.constants
+        t = model.basis.solid_tables(g.r, g.theta, g.z)
+        grad_gram = np.einsum("kijq,lijq,q->kl", t["grad"], t["grad"], g.w)
+        div_gram = np.einsum("kq,lq,q->kl", t["div"], t["div"], g.w)
+        want = {"M_solid": p.rho_s2 * np.einsum("kiq,liq,q->kl", t["val"], t["val"], g.w),
+                "A_el": p.lambda1 * grad_gram + p.lambda2 * div_gram,
+                "A_visc": p.lambda1 * p.delta_visc * grad_gram}
+        for k, w in want.items():
+            assert np.array_equal(c[k], c[k].T), k
+            assert np.max(np.abs(c[k] - w)) <= 1e-13 * np.max(np.abs(w)), k
+
     def test_geometry_blocks_vanish_at_rest(self, rest_sample):
         for name in ("G", "B", "Q"):
             assert np.max(np.abs(rest_sample[name])) == 0.0

@@ -64,6 +64,17 @@ class TestGauss:
         exact = sum(ck * 2.0 ** (k + 1) / (k + 1) for k, ck in enumerate(c))
         assert approx == pytest.approx(exact, rel=1e-12, abs=1e-12)
 
+    def test_mutating_a_returned_rule_leaves_the_next_one(self):
+        """The rule on [-1, 1] is memoized per point count, but every call
+        hands out arrays of its own: writing into one changes no later
+        call's nodes or weights."""
+        x0, w0 = (a.copy() for a in gauss(7, -1.0, 1.0))
+        x, w = gauss(7, -1.0, 1.0)
+        x[:] = 0.0
+        w *= 2.0
+        x1, w1 = gauss(7, -1.0, 1.0)
+        assert np.array_equal(x1, x0) and np.array_equal(w1, w0)
+
     def test_composite_matches_single_interval(self):
         f = lambda x: np.cos(3.0 * x)
         x1, w1 = gauss(24, 0.0, 1.0)

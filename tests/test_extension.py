@@ -241,6 +241,19 @@ class TestExtension:
         scale = abs(lateral) + abs(disk[0.0]) + abs(disk[cyl.L]) + 1e-30
         assert abs(net) < 1e-8 * scale
 
+    def test_m1_extensions_are_divergence_free_on_a_moving_grid(self):
+        """On a model with m = 1 shell modes, the coupled extensions from an
+        interface moved by 0.05 in every shell mode have max |div| below
+        1e-8 of max |grad| on the moved grid's nodes (measured 2.4e-10):
+        their data's products of two m = 1 modes carry m = 2, which the
+        m = 2 corrector removes."""
+        model = build_model(RunConfig(n_theta=2, n_z=2, n_interior=4).validate())
+        shell = model.basis.shell_basis
+        delta = np.full(shell.n_modes, 0.05)
+        jets = QuadJets(model.grid, shell, delta, np.zeros(shell.n_modes))
+        t = model.basis.extension_fields(delta).tables(jets.r_phys, jets.theta, jets.z)
+        assert np.max(np.abs(t["div"])) <= 1e-8 * np.max(np.abs(t["grad"]))
+
     def test_time_derivative_matches_finite_difference(self, small_model, rng):
         """extend is affine in delta, so along delta(t) = delta0 + t ddelta the
         field's time derivative is extend_dt(ddelta, xi)."""
@@ -288,6 +301,15 @@ class TestExtensionTable:
             assert np.max(np.abs(d1 - d2)) <= 1e-12 * np.max(np.abs(d2))
         pts = _random_points(rng, cyl)
         assert _rel_gap(field.tables(*pts), direct.tables(*pts)) <= 1e-12
+
+    def test_corrector_dofs_reject_a_source_that_is_not_finite(self, small_model):
+        """The solves see only unit sources, so the data are checked where
+        they enter."""
+        ext_op = small_model.basis.ext_op
+        h = np.zeros((ext_op.source_nodes()[0].size, 2))
+        h[7, 1] = np.inf
+        with pytest.raises(ValueError):
+            ext_op.corrector_dofs(h, np.zeros(2))
 
     @given(st.integers(min_value=0, max_value=10**6))
     @settings(max_examples=25, deadline=None)
@@ -563,6 +585,49 @@ def _gelsy_solve(sol, g_nodes):
     return dofs
 
 
+def _recorded_solves(monkeypatch):
+    """A list that records (m, number of sources) of every
+    _ModeSolver.solve made from now on."""
+    calls = []
+    solve = extension_ops._ModeSolver.solve
+
+    def recording(self, g_nodes):
+        calls.append((self.m, g_nodes.shape[-1]))
+        return solve(self, g_nodes)
+
+    monkeypatch.setattr(extension_ops._ModeSolver, "solve", recording)
+    return calls
+
+
+def _table_sources(ext_op):
+    """The table's corrector sources at the collocation nodes per
+    wavenumber m, {m: (n_r_nodes, n_z_nodes, S)}, rebuilt from the unit data
+    Y_i and Y_k Y_i at source_nodes() and their quadrature fluxes:
+    (8 / R^2) H_m(z) at every radius, H_m the m-th azimuthal Fourier
+    coefficient of the data, plus the plug Phi a(r) g'(z) for m = 0; for
+    m >= 1 the cos sources 2 Re H_m followed by the sin sources -2 Im H_m."""
+    cyl, basis = ext_op.cyl, ext_op.shell_basis
+
+    def unit_data(theta, z):
+        Y = basis.eval_modes(theta, z, 0)[:, 0]
+        return np.concatenate([Y[None], Y[:, None] * Y[None]]).reshape(-1, Y.shape[-1])
+
+    th, zz, w = basis.quadrature(refine=2)
+    flux = unit_data(th, zz) @ w
+    sol0 = ext_op.solvers[0]
+    rc, zc = sol0.r_nodes, sol0.z_nodes
+    h = unit_data(*ext_op.source_nodes()).T.reshape(-1, zc.size, flux.size)
+    H = np.fft.rfft(h, axis=0) / len(h)
+    base = 8.0 / cyl.R**2 * np.ones((rc.size, 1, 1))
+    plug = (extension_ops.plug_radial_profile(cyl, rc)[0][:, None]
+            * extension_ops.plug_axial_profile(cyl, zc, 1)[1][None, :])[..., None] * flux
+    out = {0: base * H[0].real[None] + plug}
+    for sol in ext_op.solvers[1:]:
+        m = sol.m
+        out[m] = base * np.concatenate([2.0 * H[m].real, -2.0 * H[m].imag], axis=-1)[None]
+    return out
+
+
 @pytest.fixture(scope="module")
 def mode_solvers(small_model):
     """The m = 0 solver of the small model and an m = 1 solver on its
@@ -683,50 +748,40 @@ class TestModeSolver:
                 assert np.max(np.abs(q[key] - sign * p[key])) <= 1e-10 * scale
 
     def test_matches_the_unsplit_solve_on_the_table_sources(self, monkeypatch):
-        """On the default model's table sources, the parity-split solver
-        equals the full-SVD solve to 1e-7 relative (measured 1.1e-8 at 1
-        BLAS thread, 1.6e-8 at 2), well above the operator's own round-off
-        (its table moves about 3e-14 between 1 and 2 BLAS threads)."""
-        sources = []
-        solve = extension_ops._ModeSolver.solve
-
-        def recording(self, g_nodes):
-            sources.append(g_nodes)
-            return solve(self, g_nodes)
-
-        monkeypatch.setattr(extension_ops._ModeSolver, "solve", recording)
+        """On the default model's 72 table sources, the table's dofs equal
+        the full-SVD solve to 1e-7 relative (measured 1.1e-8 at 1 BLAS
+        thread, 1.6e-8 at 2), well above the operator's own round-off (its
+        table moves about 3e-14 between 1 and 2 BLAS threads).  The table
+        build makes one solve, of the 38 unit sources and the plug."""
+        calls = _recorded_solves(monkeypatch)
         ext_op = build_model(RunConfig().validate()).basis.ext_op
         _, parts = ext_op.table
-        assert len(parts) == 1 and sources[0].shape[-1] == 72
+        assert calls == [(0, 39)] and len(parts) == 1
+        sources = _table_sources(ext_op)[0]
+        assert sources.shape[-1] == 72
         sol, _, dofs = parts[0]
-        want = _dense_solve(sol, sources[0])
+        want = _dense_solve(sol, sources)
         got = dofs.reshape(-1, sol.ndof).T
         assert np.max(np.abs(got - want)) <= 1e-7 * np.max(np.abs(want))
 
     def test_m1_table_sources_match_the_unsplit_solve_in_one_call(self, monkeypatch):
-        """On a model with m = 1 shell modes, the m = 1 solver's table
-        sources are solved to 1e-6 relative of the full-SVD solve (measured
-        4e-7 at 1 BLAS thread, 8e-8 at 2), and the table build makes one
-        solve per wavenumber: the cos and sin sources of m = 1 share one
-        call."""
-        calls = []
-        solve = extension_ops._ModeSolver.solve
-
-        def recording(self, g_nodes):
-            calls.append((self.m, g_nodes))
-            return solve(self, g_nodes)
-
-        monkeypatch.setattr(extension_ops._ModeSolver, "solve", recording)
+        """On a model with m = 1 shell modes, the table's m = 1 dofs are
+        the full-SVD solve of its 40 cos and sin sources to 1e-6 relative
+        (measured 4e-7 at 1 BLAS thread, 8e-8 at 2), and the table build
+        makes one solve per solver, m = 0, 1 and 2 for the products of two
+        m = 1 modes: 39 unit sources for m = 0 and 38 for m >= 1."""
+        calls = _recorded_solves(monkeypatch)
         cfg = RunConfig(n_theta=2, n_z=2, n_interior=4).validate()
         ext_op = build_model(cfg).basis.ext_op
         _, parts = ext_op.table
-        assert [m for m, _ in calls] == [0, 1]
+        assert calls == [(0, 39), (1, 38), (2, 38)]
         assert [(sol.m, parity) for sol, parity, _ in parts] == [
-            (0, "cos"), (1, "cos"), (1, "sin")]
-        sources = calls[1][1]
+            (0, "cos"), (1, "cos"), (1, "sin"), (2, "cos"), (2, "sin")]
+        sources = _table_sources(ext_op)[1]
+        assert sources.shape[-1] == 40
         want = _dense_solve(ext_op.solvers[1], sources)
         S = sources.shape[-1] // 2
-        for sol, parity, dofs in parts[1:]:
+        for sol, parity, dofs in parts[1:3]:
             got = dofs.reshape(-1, sol.ndof).T
             ref = want[:, :S] if parity == "cos" else want[:, S:]
             assert got.shape == ref.shape
@@ -734,20 +789,17 @@ class TestModeSolver:
 
     @pytest.mark.parametrize("cfg", [{}, {"n_theta": 2, "n_z": 2, "n_interior": 4}],
                              ids=["default", "m1"])
-    def test_table_matches_the_gelsy_solve(self, monkeypatch, cfg):
+    def test_table_matches_the_gelsy_solve(self, cfg):
         """The table dofs of the default model and of a model with m = 1
-        shell modes are those of the pivoted-QR solve to 1e-8 relative
-        (measured 9e-14 on both)."""
-        calls = []
-        solve = extension_ops._ModeSolver.solve
-
-        def recording(self, g_nodes):
-            calls.append((self, g_nodes))
-            return solve(self, g_nodes)
-
-        monkeypatch.setattr(extension_ops._ModeSolver, "solve", recording)
-        _, parts = build_model(RunConfig(**cfg).validate()).basis.ext_op.table
-        want = {sol.m: _gelsy_solve(sol, g) for sol, g in calls}
+        shell modes (and so m = 2 products) are the pivoted-QR solves of
+        their table sources to 1e-8 relative.  Measured 1e-13 where the
+        sources carry data; the m1 model's shell modes are cos modes only, so
+        its sin sources are round-off, and there the gap is 5e-10 (m = 1)
+        and 1.3e-9 (m = 2) of those parts' own size."""
+        ext_op = build_model(RunConfig(**cfg).validate()).basis.ext_op
+        _, parts = ext_op.table
+        sources = _table_sources(ext_op)
+        want = {sol.m: _gelsy_solve(sol, sources[sol.m]) for sol in ext_op.solvers}
         for sol, parity, dofs in parts:
             ref = want[sol.m]
             S = ref.shape[-1] // (1 if sol.m == 0 else 2)
@@ -762,10 +814,10 @@ class TestModeSolver:
         of the largest (SVD of the dense B built from the same factors), and
         its last kept and first dropped pivots each lie at least 10x from
         the cutoff GRAM_CUTOFF max diag K (measured: kept >= 2.7e-12,
-        dropped <= 8.0e-16, relative)."""
+        dropped <= 1.3e-15, relative), for m = 0, 1 and 2."""
         cutoff = extension_ops.GRAM_CUTOFF
         cyl = CylinderConfig(R=R, L=L, H=0.1)
-        for m, rank in ((0, 784), (2, 852)):
+        for m, rank in ((0, 784), (1, 852), (2, 852)):
             sol = extension_ops._ModeSolver(cyl, m)
             for parity in (0, 1):
                 rows = sol._whitened(parity)[2]

@@ -19,8 +19,8 @@ from perifsi.fluidgrid import FluidGrid, cyl_tensor_to_cart, cyl_vec_to_cart
 
 
 def _per_dof_sector_forms(space, cyl, n_r, n_z):
-    """The sector Grams one unit dof at a time: the reference for the
-    evaluation of all unit dofs in one call."""
+    """The sector Grams one unit dof at a time, from its tabulated frame
+    gradient and value: the reference for the sum factorization."""
     m = space.m
     rq, wr = gauss(n_r + 6, 0.0, cyl.R)
     zq, wz = gauss(n_z + 6, 0.0, cyl.L)
@@ -117,11 +117,16 @@ def test_stacked_rows_match_one_mode_evaluations(kw):
 
 
 class TestSectorForms:
-    @pytest.mark.parametrize("m", [0, 1])
-    def test_all_unit_dofs_at_once_match_the_per_dof_loop(self, cyl, m):
+    @pytest.mark.parametrize("m", [0, 1, 2])
+    def test_sum_factorization_matches_the_per_dof_loop(self, cyl, m):
+        """The sector Grams as sums of Kronecker products of radial and
+        axial Grams equal the quadrature of every unit dof's tabulated
+        frame gradient and value to 1e-13 relative, and the Dirichlet form
+        is symmetric."""
         space = _SectorSpace(cyl, m, 8, 8)
         got = _sector_forms(space, cyl, 8, 8)
         want = _per_dof_sector_forms(space, cyl, 8, 8)
+        assert np.array_equal(got[0], got[0].T)
         for a, b in zip(got, want):
             assert np.max(np.abs(a - b)) <= 1e-13 * np.max(np.abs(b))
 
