@@ -213,15 +213,15 @@ class TrigFamily:
 
 
 class PiecewiseLegFamily:
-    """C0 piecewise-polynomial family on a partition, with linear constraints.
+    """C0 piecewise-polynomial family on a partition, zero at its right end.
 
     Functions are spanned by per-element Legendre modes; constraint rows act
     on the stacked coefficient vector and the family is the nullspace of the
     constraint matrix (continuity at interior breaks, plus a zero at the
-    right end when right_zero).
+    right end).
     """
 
-    def __init__(self, breaks, degree, right_zero=False):
+    def __init__(self, breaks, degree):
         self.breaks = np.asarray(breaks, dtype=float)
         self.degree = int(degree)
         self.nelem = len(self.breaks) - 1
@@ -234,19 +234,14 @@ class PiecewiseLegFamily:
             row[e * p : (e + 1) * p] = self._edge_vals(e, +1.0)
             row[(e + 1) * p : (e + 2) * p] = -self._edge_vals(e + 1, -1.0)
             rows.append(row)
-        if right_zero:
-            row = np.zeros(ndof)
-            row[-p:] = self._edge_vals(self.nelem - 1, +1.0)
-            rows.append(row)
-        if rows:
-            C = np.vstack(rows)
-            _, s, vt = np.linalg.svd(C)
-            rank = int(np.sum(s > 1e-12 * s[0]))
-            basis = vt[rank:].T
-        else:
-            basis = np.eye(ndof)
-        self.dof_basis = basis  # (ndof, nfun)
-        self.nfun = basis.shape[1]
+        # a zero at the right end
+        row = np.zeros(ndof)
+        row[-p:] = self._edge_vals(self.nelem - 1, +1.0)
+        rows.append(row)
+        _, s, vt = np.linalg.svd(np.vstack(rows))
+        rank = int(np.sum(s > 1e-12 * s[0]))
+        self.dof_basis = vt[rank:].T  # (ndof, nfun)
+        self.nfun = self.dof_basis.shape[1]
 
     def _edge_vals(self, elem, s):
         p = self.degree + 1

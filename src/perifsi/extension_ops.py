@@ -49,7 +49,7 @@ from scipy.linalg.lapack import dpstrf
 
 from .basis1d import LegFamily, PiecewiseLegFamily, composite_gauss, gauss
 from .errors import LinearSolveFailure
-from .fluidgrid import cyl_tensor_to_cart, cyl_vec_to_cart
+from .fluidgrid import azimuthal_factors, cyl_tensor_to_cart, cyl_vec_to_cart, frame_tables
 
 R_DEGREE = 10  # polynomial degree of the corrector's radial elements
 NZ_MODES = 34  # axial modes of the corrector
@@ -91,65 +91,6 @@ def plug_axial_profile(cyl, z, nderiv=0):
 
 # ---------------------------------------------------------------------------
 # per-wavenumber corrector solve on C = [0, R/2] x [0, L]
-
-
-def azimuthal_mode_values(m, parity, prof, theta):
-    """Cylindrical values (..., 3, Q) of the single-wavenumber fields of
-    azimuthal_mode_tables; only the value profiles fr, ft, fz are read."""
-    fr, fz = prof["fr"], prof["fz"]
-    ft = prof.get("ft", np.zeros_like(fr))
-    if parity == "axi":
-        if m != 0:
-            raise ValueError("axisymmetric parity requires m = 0")
-        return np.stack([fr, ft, fz], axis=-2)
-    c, s = np.cos(m * theta), np.sin(m * theta)
-    if parity == "cos":
-        return np.stack([fr * c, ft * s, fz * c], axis=-2)
-    return np.stack([fr * s, -ft * c, fz * s], axis=-2)
-
-
-def azimuthal_mode_tables(m, parity, prof, r, theta):
-    """Cylindrical values and frame gradients of single-wavenumber fields.
-
-    prof holds full component profiles including any radial factors:
-    fr, fr_r, fr_z, ft, ft_r, ft_z, fz, fz_r, fz_z, each of shape (..., Q)
-    with any leading field axes (the theta entries may be absent).  For
-    parity "cos" a field is (fr cos(m t), ft sin(m t), fz cos(m t)); for
-    "sin" it is the rotated twin (fr sin(m t), -ft cos(m t), fz sin(m t));
-    parity "axi" (m = 0 only) is the axisymmetric field (fr, ft, fz)
-    carrying a swirl component.  Returns (val (..., 3, Q), G (..., 3, 3, Q))
-    with G[..., i, j, :] the frame gradient (row component, column
-    direction).
-    """
-    val = azimuthal_mode_values(m, parity, prof, theta)
-    fr, fr_r, fr_z = prof["fr"], prof["fr_r"], prof["fr_z"]
-    fz, fz_r, fz_z = prof["fz"], prof["fz_r"], prof["fz_z"]
-    zero = np.zeros_like(fr)
-    ft, ft_r, ft_z = (prof.get(k, zero) for k in ("ft", "ft_r", "ft_z"))
-    inv_r = 1.0 / r
-
-    def tensor(rows):
-        G = np.empty(fr.shape[:-1] + (3, 3, fr.shape[-1]))
-        for i, row in enumerate(rows):
-            for j, entry in enumerate(row):
-                G[..., i, j, :] = entry
-        return G
-
-    if parity == "axi":
-        return val, tensor([[fr_r, -ft * inv_r, fr_z],
-                            [ft_r, fr * inv_r, ft_z],
-                            [fz_r, zero, fz_z]])
-    c, s = np.cos(m * theta), np.sin(m * theta)
-    cross1 = (m * fr + ft) * inv_r
-    cross2 = (m * ft + fr) * inv_r
-    cross3 = m * fz * inv_r
-    if parity == "cos":
-        return val, tensor([[fr_r * c, -cross1 * s, fr_z * c],
-                            [ft_r * s, cross2 * c, ft_z * s],
-                            [fz_r * c, -cross3 * s, fz_z * c]])
-    return val, tensor([[fr_r * s, cross1 * c, fr_z * s],
-                        [-ft_r * c, cross2 * s, -ft_z * c],
-                        [fz_r * s, cross3 * c, fz_z * s]])
 
 
 def _gram(rows):
@@ -297,7 +238,7 @@ class _ModeSolver:
         # inverse-square tail, and shorter elements sharply improve its
         # polynomial approximation at fixed degree
         self.r_breaks = [0.0, R / 8.0, R / 4.0, 3.0 * R / 8.0, R / 2.0]
-        self.fam_r = PiecewiseLegFamily(self.r_breaks, R_DEGREE, right_zero=True)
+        self.fam_r = PiecewiseLegFamily(self.r_breaks, R_DEGREE)
         self.fam_z = LegFamily.modal(
             NZ_MODES, (0.0, L), factor=[L * L / 4.0, 0.0, -L * L / 4.0]
         )
@@ -395,34 +336,17 @@ class _ModeSolver:
         return dofs
 
     def line_block(self, dofs, zs):
-        """The dofs (..., ndof) contracted with the axial table and its z
-        derivative at the z values zs and with the radial element modes:
-        (zs.size, n_el, nc, 2, ...), n_el the radial family's per-element
-        Legendre modes and the dofs' leading axes last.  Component c of a
-        field is then sum_e B[k, e, c, 0] P_e(r) at z = zs[k], and its z
-        derivative has B[k, e, c, 1] in place of B[k, e, c, 0]."""
-        lead = dofs.shape[:-1]
+        """The table dofs (1 + n, n, ndof) of this solver contracted with
+        the axial table and its z derivative at the z values zs and with the
+        radial element modes: a (1 + n, zs.size, n_el, nc, 2, n) view of the
+        contraction, n_el the radial family's per-element Legendre modes, so
+        that joining the solvers' views is the only copy.  Component c of
+        datum (s, f) is then sum_e B[s, k, e, c, 0, f] P_e(r) at z = zs[k],
+        and its z derivative has B[s, k, e, c, 1, f] in its place."""
         D = dofs.reshape(-1, len(self.comps), self.fam_r.nfun, self.fam_z.nfun)
         B = np.tensordot(D, self.fam_z.eval_table(zs, 1), axes=1)  # (.., nfr, 2, zs)
         B = np.tensordot(B, self.fam_r.dof_basis, axes=([2], [1]))  # (.., 2, zs, n_el)
-        return B.transpose(3, 4, 1, 2, 0).reshape(B.shape[3:5] + B.shape[1:3] + lead)
-
-    def component_profiles(self, r, V, V_z=None, V_r=None):
-        """Full component profiles (with radial factors) fr, ft, fz, each
-        (F, Q), of the component values V (F, nc, Q) at radii r; with the
-        components' z and r derivatives V_z, V_r (G, nc, Q) of the first G
-        fields also their first partials fr_r, fr_z, ..., each (G, Q)."""
-        out = {}
-        for i, comp in enumerate(self.comps):
-            W = V[:, i]
-            key = {"r": "fr", "t": "ft", "z": "fz"}[comp]
-            radial = comp in ("r", "t") or self.m > 0
-            out[key] = r * W if radial else W
-            if V_r is not None:
-                W, W_r, W_z = W[: len(V_r)], V_r[:, i], V_z[:, i]
-                out[key + "_r"] = W + r * W_r if radial else W_r
-                out[key + "_z"] = r * W_z if radial else W_z
-        return out
+        return B.reshape(dofs.shape[:2] + B.shape[1:]).transpose(0, 4, 5, 2, 3, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -536,9 +460,12 @@ class ExtensionOperator:
         if hit is not None:
             return hit
         zs, line = np.unique(z, return_inverse=True)
-        block = np.concatenate([sol.line_block(dofs.transpose(1, 0, 2), zs)
-                                for sol, _, dofs in self.table[1]], axis=2)
-        hit = line, np.ascontiguousarray(np.moveaxis(block, -1, 0))
+        views = [sol.line_block(dofs, zs) for sol, _, dofs in self.table[1]]
+        shape = list(views[0].shape)
+        shape[3] = sum(v.shape[3] for v in views)
+        # into a C-ordered block: joined alone, the views would keep their
+        # transposed layout, and every sample's reshape would copy it
+        hit = line, np.concatenate(views, axis=3, out=np.empty(shape))
         if zs.size < z.size:
             if len(self._line_blocks) > 16:
                 self._line_blocks.clear()
@@ -578,13 +505,12 @@ class ExtensionOperator:
 
 
 def _radial_factors(cyl, r):
-    """(f0, f1) of the radial part of an extension: its value is f0 h e_r
-    and its frame gradient entries are multiples of f1 h.  Outside r = R/2
-    f0 = 1/r and f1 = 1/r^2; inside f0 = 4 r / R^2 and f1 = 4 / R^2."""
+    """(f0, f0') of the radial part f0 h e_r of an extension: f0 = 1/r
+    outside r = R/2 and 4 r / R^2 inside."""
     c4 = 4.0 / cyl.R**2
     out = r >= cyl.R / 2.0
     inv_r = 1.0 / np.maximum(r, cyl.R / 2.0)
-    return np.where(out, inv_r, c4 * r), np.where(out, inv_r**2, c4)
+    return np.where(out, inv_r, c4 * r), np.where(out, -inv_r**2, c4)
 
 
 class ExtensionField:
@@ -595,8 +521,11 @@ class ExtensionField:
     and (0, c') for its time derivative.  Every part of an extension is
     linear in its weights and in X, so all S F fields are evaluated in one
     pass: values, gradients and divergences at physical cylindrical points
-    of the closed fluid region.  The fields of the last `twins` weight rows
-    are values-only: tables gives their values but no gradients."""
+    of the closed fluid region.  The pass sums the three parts of every
+    field into one set of cylindrical components and their partials
+    (_values), and fluidgrid.frame_tables turns those into frame gradients.
+    The fields of the last `twins` weight rows are values-only: tables
+    gives their values but no gradients."""
 
     def __init__(self, op, W, X, twins=0):
         self.op = op
@@ -620,11 +549,10 @@ class ExtensionField:
                               twins=len(twin.W))
 
     def _values(self, r, theta, z, n_diff):
-        """Cylindrical values (S F, 3, Q) at flat nodes, with what tables
-        differentiates: the data (h, h_theta, h_z), the radial factors
-        (f0, f1) and the plug profiles (a, a') and (g, g'), and the corrector
-        profiles of _profiles, with the first partials of the fields of the
-        first n_diff weight rows."""
+        """Cylindrical components u (S F, 3, Q) of the fields at flat nodes,
+        and the r, theta and z partials du (3, n_diff F, 3, Q) of the fields
+        of the first n_diff weight rows: the radial part f0 h e_r, plus the
+        axial plug Phi a g e_z, minus the corrector inside C."""
         cyl, W, Q = self.op.cyl, self.W, r.size
         # the first evaluation builds the operator's table here, before any
         # array of its own is allocated
@@ -636,32 +564,41 @@ class ExtensionField:
         xv, xt, xz = np.tensordot(self.X, tab, axes=1).transpose(1, 0, 2)
         dv, dt, dz = np.tensordot(W[:, 1:], tab, axes=1).transpose(1, 0, 2)[:, :, None]
         c = W[:, :1, None] + dv
-        data = [d.reshape(-1, Q) for d in (c * xv, dt * xv + c * xt, dz * xv + c * xz)]
-        val = np.zeros((data[0].shape[0], 3, Q))
+        h, ht, hz = (d.reshape(-1, Q) for d in (c * xv, dt * xv + c * xt, dz * xv + c * xz))
+        n = n_diff * len(self.X)
+        (f0, df0), (a, da), (g, dg) = (_radial_factors(cyl, r), plug_radial_profile(cyl, r, 1),
+                                       plug_axial_profile(cyl, z, 1))
+        u = np.zeros((len(h), 3, Q))
+        du = np.zeros((3, n, 3, Q))
         # the radial part: (h / r) e_r for r >= R/2, (4 r h / R^2) e_r inside
-        factors = (_radial_factors(cyl, r), plug_radial_profile(cyl, r, 1),
-                   plug_axial_profile(cyl, z, 1))
-        val[:, 0] = factors[0][0] * data[0]
+        u[:, 0] = f0 * h
+        du[:, :, 0] = df0 * h[:n], f0 * ht[:n], f0 * hz[:n]
         # the axial plug Phi a(r) g(z), zero for r >= R/4
-        val[:, 2] = flux * factors[1][0] * factors[2][0]
+        u[:, 2] = flux * a * g
+        du[0, :, 2] = flux[:n] * da * g
+        du[2, :, 2] = flux[:n] * a * dg
         # the corrector, supported in the inner cylinder r < R/2
-        inside, profs = self._profiles(r, z, n_diff)
-        val[..., inside] -= sum(azimuthal_mode_values(sol.m, parity, prof, theta[inside])
-                                for sol, parity, prof in profs)
-        return val, data, factors, (inside, profs)
+        inside, w, dw = self._corrector(r, theta, z, n_diff)
+        u[..., inside] -= w
+        du[..., inside] -= dw
+        return u, du
 
-    def _profiles(self, r, z, n_diff):
+    def _corrector(self, r, theta, z, n_diff):
         """The nodes inside C, where the corrector is supported, and there
-        [(solver, parity, component profiles)] of the correctors of all
-        fields, each profile (S F, nodes inside), with the first partials
-        (n_diff F, nodes inside) of the fields of the first n_diff weight
-        rows.
+        the cylindrical components (S F, 3, nodes inside) of the correctors
+        of all fields and their r, theta and z partials (3, n_diff F, 3,
+        nodes inside) of the fields of the first n_diff weight rows.
 
         The weights and then X are contracted with the operator's memoized
         line block of the nodes' distinct z values.  Each node then gathers
         the block of its z line and its radial element and contracts it with
         that element's Legendre table: one batched product for all nodes and
-        all fields.
+        all fields gives the profile of every column of the block, one
+        component of one (solver, parity) part.  The column's radial factor
+        (r, but 1 for the axial component of m = 0) and theta factor
+        (azimuthal_factors) make it a frame component, and one product with
+        the (3, C) matrix that picks each column's frame component sums the
+        columns.
         """
         parts = self.op.table[1]
         fam_r = parts[0][0].fam_r
@@ -669,9 +606,23 @@ class ExtensionField:
         S, F = W.shape[0], X.shape[0]
         nd = 2 if n_diff else 1  # derivatives of the axial and radial tables
         p, n_el = fam_r.degree + 1, fam_r.dof_basis.shape[0]
-        C = sum(len(sol.comps) for sol, _, _ in parts)
         inside = np.flatnonzero(r < parts[0][0].r_breaks[-1])
-        Q = inside.size
+        ri, Q = r[inside], inside.size
+        # per column: its frame component, whether its radial factor is r,
+        # and its theta factor with that factor's derivative
+        kind, radial, T, dT = [], [], [], []
+        for sol, parity, _ in parts:
+            Tp, dTp = azimuthal_factors(sol.m, parity, theta[inside])
+            for i in map("rtz".index, sol.comps):
+                kind.append(i)
+                radial.append(i < 2 or sol.m > 0)
+                T.append(Tp[i])
+                dT.append(dTp[i])
+        C = len(kind)
+        pick = np.eye(3)[:, kind]
+        T, dT = np.array(T), np.array(dT)
+        dfac = np.array(radial, dtype=float)[:, None]  # d_r of the radial factor
+        fac = np.where(dfac, ri, 1.0)
         # (s, node, r derivative, component, z derivative, f)
         shape = (S, Q, nd, C, nd, F)
         if Q:
@@ -680,7 +631,7 @@ class ExtensionField:
             # z derivative, f]
             A = (W @ B.reshape(B.shape[0], -1)).reshape(S, -1, B.shape[-1]) @ X.T
             A = A.reshape(S, B.shape[1] * n_el, C, 2, F)[:, :, :, :nd]
-            element, Tr = fam_r.local_table(r[inside], nd - 1)
+            element, Tr = fam_r.local_table(ri, nd - 1)
             rows = (line[inside] * n_el + element * p)[:, None] + np.arange(p)
             prof = (Tr @ np.take(A, rows, axis=1).reshape(S, Q, p, -1)).reshape(shape)
         else:  # no line block for nodes all outside C, such as interface points
@@ -689,47 +640,25 @@ class ExtensionField:
         def by_field(v):  # (s, node, component, f) -> ((s, f), component, node)
             return v.transpose(0, 3, 2, 1).reshape(len(v) * F, C, Q)
 
-        V = [by_field(prof[:, :, 0, :, 0])]  # the values, then z and r derivatives
-        if n_diff:
-            V += [by_field(prof[:n_diff, :, 0, :, 1]), by_field(prof[:n_diff, :, 1, :, 0])]
-        out, at = [], 0
-        for sol, parity, _ in parts:
-            nc = len(sol.comps)
-            out.append((sol, parity, sol.component_profiles(
-                r[inside], *(v[:, at:at + nc] for v in V))))
-            at += nc
-        return inside, out
+        V = by_field(prof[:, :, 0, :, 0])
+        w = pick @ (fac * V * T)
+        if not n_diff:
+            return inside, w, np.zeros((3, 0, 3, Q))
+        V = V[:n_diff * F]
+        V_z, V_r = by_field(prof[:n_diff, :, 0, :, 1]), by_field(prof[:n_diff, :, 1, :, 0])
+        return inside, w, pick @ np.stack([(fac * V_r + dfac * V) * T, fac * V * dT,
+                                           fac * V_z * T])
 
     def tables(self, r, theta, z):
         """Cartesian values (S F, 3, Q), and gradients (G, 3, 3, Q) and
-        divergences (G, Q) of the first G = (S - twins) F fields."""
+        divergences (G, Q) of the first G = (S - twins) F fields, from the
+        cylindrical components of _values by frame_tables."""
         r, theta, z = (np.asarray(x, dtype=float).ravel() for x in (r, theta, z))
-        cyl = self.op.cyl
-        n_diff = len(self.W) - self.twins
-        n = n_diff * len(self.X)
-        val, data, factors, (inside, profs) = self._values(r, theta, z, n_diff)
-        h, ht, hz = (d[:n] for d in data)
-        (f0, f1), (a, da), (g, dg) = factors
-        out = r >= cyl.R / 2.0
-        G = np.zeros((n, 3, 3, r.size))
-        G[:, 0, 0] = np.where(out, -f1, f1) * h
-        G[:, 0, 1] = f1 * ht
-        G[:, 0, 2] = f0 * hz
-        G[:, 1, 1] = f1 * h
-        flux = self.flux[:n, None]
-        G[:, 2, 0] = flux * da * g
-        G[:, 2, 2] = flux * a * dg
-        div = np.where(out, 0.0, 2.0 * f1) * h + flux * a * dg
-        # the corrector's frame gradients, from the value profiles of the
-        # differentiated fields and their partials
-        wG = sum(azimuthal_mode_tables(sol.m, parity, {k: v[:n] for k, v in prof.items()},
-                                       r[inside], theta[inside])[1]
-                 for sol, parity, prof in profs)
-        G[..., inside] -= wG
-        div[:, inside] -= wG[:, 0, 0] + wG[:, 1, 1] + wG[:, 2, 2]
+        u, du = self._values(r, theta, z, len(self.W) - self.twins)
+        grad, div = frame_tables(u[:du.shape[1]], *du, r)
         return {
-            "val": cyl_vec_to_cart(val[:, 0], val[:, 1], val[:, 2], theta),
-            "grad": cyl_tensor_to_cart(G, theta),
+            "val": cyl_vec_to_cart(u[:, 0], u[:, 1], u[:, 2], theta),
+            "grad": cyl_tensor_to_cart(grad, theta),
             "div": div,
         }
 

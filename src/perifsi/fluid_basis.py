@@ -20,8 +20,7 @@ from scipy.linalg import eigh
 
 from .basis1d import LegFamily, gauss
 from .errors import EigenFailure, GridMismatch
-from .extension_ops import azimuthal_mode_tables
-from .fluidgrid import cyl_tensor_to_cart, cyl_vec_to_cart
+from .fluidgrid import azimuthal_factors, cyl_tensor_to_cart, cyl_vec_to_cart, frame_tables
 
 NR_STOKES = 8  # radial polynomial count of the Stokes sector spaces
 NZ_STOKES = 8  # axial polynomial count of the Stokes sector spaces
@@ -58,21 +57,22 @@ class _SectorSpace:
         self.ndof = off
 
     def profile_tables(self, dofs, r, z):
-        """Component profiles and first partials for azimuthal_mode_tables
-        of the fields with dofs (..., ndof), each of shape (..., Q)."""
-        out = {}
-        for c in self.comps:
+        """The profiles f of the r, theta and z components of the fields
+        with dofs (..., ndof) and their r and z partials f_r, f_z, stacked
+        as (3, ..., 3, Q): a field of parity "cos" is
+        (f_r cos, f_t sin, f_z cos)(m theta) (fluidgrid.azimuthal_factors)."""
+        out = np.empty((3,) + dofs.shape[:-1] + (3, len(r)))
+        for i, c in enumerate(self.comps):
             fr, fz = self.fam[c]
             nr, nz = fr.nfun, fz.nfun
             sl = slice(self.offsets[c], self.offsets[c] + self.block[c])
             cm = dofs[..., sl].reshape(dofs.shape[:-1] + (nr, nz))
             Tr = fr.eval_table(r, 1)
             Tz = fz.eval_table(z, 1)
-            key = {"r": "fr", "t": "ft", "z": "fz"}[c]
             C0, C1 = cm @ Tz[:, 0], cm @ Tz[:, 1]  # (..., nr, Q)
-            out[key] = np.sum(C0 * Tr[:, 0], axis=-2)
-            out[key + "_r"] = np.sum(C0 * Tr[:, 1], axis=-2)
-            out[key + "_z"] = np.sum(C1 * Tr[:, 0], axis=-2)
+            out[0, ..., i, :] = np.sum(C0 * Tr[:, 0], axis=-2)
+            out[1, ..., i, :] = np.sum(C0 * Tr[:, 1], axis=-2)
+            out[2, ..., i, :] = np.sum(C1 * Tr[:, 0], axis=-2)
         return out
 
 
@@ -101,7 +101,8 @@ def _sector_forms(space, cyl, n_r, n_z):
     """Dirichlet and mass Gram matrices over the sector (2D quadrature with
     the exact azimuthal weight: 2 pi for m = 0, pi otherwise), by sum
     factorization.  With its trig factor stripped, every frame-gradient
-    entry of a unit dof (azimuthal_mode_tables) is one tensor-product term
+    entry of a unit dof (fluidgrid.frame_tables of its components times
+    fluidgrid.azimuthal_factors) is one tensor-product term
     k rho(r) zeta(z), rho one of f, f' and f / r of the dof's radial factor
     and zeta one of g, g' of its axial one: entry (0, 1), -(m fr + ft) / r,
     takes the term -m fr / r from an r dof and -ft / r from a t dof.  So
@@ -168,13 +169,16 @@ class StokesBasis:
         r, theta, z = (np.asarray(x, dtype=float).ravel() for x in (r, theta, z))
         val = np.empty((self.n_modes, 3, r.size))
         G = np.empty((self.n_modes, 3, 3, r.size))
+        div = np.empty((self.n_modes, r.size))
         for space, parity, rows, dofs in self.groups:
-            prof = space.profile_tables(dofs, r, z)
-            val[rows], G[rows] = azimuthal_mode_tables(space.m, parity, prof, r, theta)
+            f, f_r, f_z = space.profile_tables(dofs, r, z)
+            T, dT = azimuthal_factors(space.m, parity, theta)
+            val[rows] = f * T
+            G[rows], div[rows] = frame_tables(val[rows], f_r * T, f * dT, f_z * T, r)
         return {
             "val": cyl_vec_to_cart(val[:, 0], val[:, 1], val[:, 2], theta),
             "grad": cyl_tensor_to_cart(G, theta),
-            "div": np.einsum("kiiq->kq", G),
+            "div": div,
         }
 
     def tables_on(self, grid):

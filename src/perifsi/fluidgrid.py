@@ -44,6 +44,35 @@ def cyl_tensor_to_cart(G, theta):
     return out
 
 
+def frame_tables(u, u_r, u_t, u_z, r):
+    """Frame gradients (..., 3, 3, Q) and divergences (..., Q) of fields
+    with cylindrical components u (..., 3, Q) and their r, theta and z
+    partials u_r, u_t, u_z, at radii r (Q,): row i is
+    (d_r u_i, d_theta u_i / r, d_z u_i), plus the turning of the frame,
+    -u_theta / r in entry (0, 1) and u_r / r in entry (1, 1)."""
+    inv_r = 1.0 / r
+    grad = np.stack([u_r, u_t * inv_r, u_z], axis=-2)
+    grad[..., 0, 1, :] -= u[..., 1, :] * inv_r
+    grad[..., 1, 1, :] += u[..., 0, :] * inv_r
+    return grad, grad[..., 0, 0, :] + grad[..., 1, 1, :] + grad[..., 2, 2, :]
+
+
+def azimuthal_factors(m, parity, theta):
+    """The theta factors T (3, Q) of the r, theta and z components of a
+    field of wavenumber m, and their theta derivatives dT: a field of
+    parity "cos" is (f_r cos, f_t sin, f_z cos)(m theta), its rotated twin
+    "sin" is (f_r sin, -f_t cos, f_z sin)(m theta), and "axi" (m = 0 only)
+    is (f_r, f_t, f_z), swirl included."""
+    if parity == "axi":
+        if m != 0:
+            raise ValueError("axisymmetric parity requires m = 0")
+        return np.ones((3, theta.size)), np.zeros((3, theta.size))
+    c, s = np.cos(m * theta), np.sin(m * theta)
+    if parity == "cos":
+        return np.stack([c, s, c]), m * np.stack([-s, c, -s])
+    return np.stack([s, -c, s]), m * np.stack([c, s, c])
+
+
 class FluidGrid:
     """Tensor quadrature over the reference fluid cylinder."""
 

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis1d import BeamFamily, TrigFamily, gauss
+from .fluidgrid import frame_tables
 
 
 class ShellBasis:
@@ -194,16 +195,10 @@ def _component_tables(comp, f, f_r, f_t, f_z, r):
     F, Q = f.shape
     k = np.arange(F)
     val = np.zeros((F, 3, Q))
-    grad = np.zeros((F, 3, 3, Q))
     val[k, comp] = f
-    grad[k, comp, 0] = f_r
-    grad[k, comp, 1] = f_t / r
-    grad[k, comp, 2] = f_z
-    radial, azimuthal = comp == 0, comp == 1
-    grad[radial, 1, 1] = f[radial] / r  # (d_theta d_theta + d_r)/r row
-    grad[azimuthal, 0, 1] = -f[azimuthal] / r
-    div = np.where(radial[:, None], f_r + f / r,
-                   np.where(azimuthal[:, None], f_t / r, f_z))
+    du = np.zeros((3, F, 3, Q))  # the r, theta and z partials
+    du[:, k, comp] = f_r, f_t, f_z
+    grad, div = frame_tables(val, *du, r)
     return {"val": val, "grad": grad, "div": div}
 
 

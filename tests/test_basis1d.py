@@ -136,7 +136,7 @@ class TestPiecewiseLegFamily:
         assert np.max(np.abs(left[:, 0] - right[:, 0])) < 1e-6
 
     def test_boundary_flags(self):
-        fam = PiecewiseLegFamily([0.0, 0.5, 1.0], 3, right_zero=True)
+        fam = PiecewiseLegFamily([0.0, 0.5, 1.0], 3)
         left, right = fam.eval_table(np.array([0.0, 1.0]))[:, 0].T
         assert np.max(np.abs(right)) < 1e-12
         assert np.max(np.abs(left)) > 0.1

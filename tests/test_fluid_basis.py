@@ -6,7 +6,6 @@ import pytest
 from perifsi.basis1d import gauss, trig_weights
 from perifsi.cli import RunConfig, build_model
 from perifsi.errors import GridMismatch
-from perifsi.extension_ops import azimuthal_mode_tables
 from perifsi.fluid_basis import (
     BoundaryForcing,
     StokesBasis,
@@ -15,7 +14,22 @@ from perifsi.fluid_basis import (
     disk_flux,
     trilinear_b,
 )
-from perifsi.fluidgrid import FluidGrid, cyl_tensor_to_cart, cyl_vec_to_cart
+from perifsi.fluidgrid import (
+    FluidGrid,
+    azimuthal_factors,
+    cyl_tensor_to_cart,
+    cyl_vec_to_cart,
+    frame_tables,
+)
+
+
+def _mode_tables(space, parity, dofs, r, theta, z):
+    """Cylindrical values, frame gradients and divergences of the fields
+    with dofs (..., ndof) over the sector space, of the given parity: their
+    profiles times the theta factors, through frame_tables."""
+    f, f_r, f_z = space.profile_tables(dofs, r, z)
+    T, dT = azimuthal_factors(space.m, parity, theta)
+    return (f * T, *frame_tables(f * T, f_r * T, f * dT, f_z * T, r))
 
 
 def _per_dof_sector_forms(space, cyl, n_r, n_z):
@@ -31,12 +45,11 @@ def _per_dof_sector_forms(space, cyl, n_r, n_z):
     grads = np.empty((space.ndof, 3, 3, rr.size))
     theta0 = np.zeros(rr.size)
     for k, unit in enumerate(np.eye(space.ndof)):
-        prof = space.profile_tables(unit, rr, zz)
         if m == 0:
-            vals[k], grads[k] = azimuthal_mode_tables(0, "axi", prof, rr, theta0)
+            vals[k], grads[k], _ = _mode_tables(space, "axi", unit, rr, theta0, zz)
         else:
-            v0, g0 = azimuthal_mode_tables(m, "cos", prof, rr, theta0)
-            v1, g1 = azimuthal_mode_tables(m, "cos", prof, rr, theta0 + np.pi / (2.0 * m))
+            v0, g0, _ = _mode_tables(space, "cos", unit, rr, theta0, zz)
+            v1, g1, _ = _mode_tables(space, "cos", unit, rr, theta0 + np.pi / (2.0 * m), zz)
             vals[k], grads[k] = v0 + v1, g0 + g1
     A = np.einsum("kijq,lijq,q->kl", grads, grads, weight)
     M = np.einsum("kiq,liq,q->kl", vals, vals, weight)
@@ -97,8 +110,8 @@ class TestStokesBasis:
                          ids=["default", "m1"])
 def test_stacked_rows_match_one_mode_evaluations(kw):
     """Each row of the stacked tables is bitwise the evaluation of its mode
-    alone: its dofs through profile_tables and azimuthal_mode_tables, then
-    rotated to the Cartesian frame."""
+    alone: its dofs through profile_tables, azimuthal_factors and
+    frame_tables, then rotated to the Cartesian frame."""
     model = build_model(RunConfig(**kw).validate())
     stokes, grid = model.basis.stokes_basis, model.grid
     r, theta, z = grid.r, grid.theta, grid.z
@@ -106,11 +119,10 @@ def test_stacked_rows_match_one_mode_evaluations(kw):
     seen = []
     for space, parity, rows, dofs in stokes.groups:
         for k, d in zip(rows, dofs):
-            val, G = azimuthal_mode_tables(space.m, parity, space.profile_tables(d, r, z),
-                                           r, theta)
+            val, G, div = _mode_tables(space, parity, d, r, theta, z)
             assert np.array_equal(tab["val"][k], cyl_vec_to_cart(*val, theta))
             assert np.array_equal(tab["grad"][k], cyl_tensor_to_cart(G, theta))
-            assert np.array_equal(tab["div"][k], G[0, 0] + G[1, 1] + G[2, 2])
+            assert np.array_equal(tab["div"][k], div)
             seen.append(k)
     assert sorted(seen) == list(range(stokes.n_modes))
     assert {p for _, p, _, _ in stokes.groups} == ({"axi"} if not kw else {"axi", "cos", "sin"})
