@@ -49,7 +49,8 @@ from scipy.linalg.lapack import dpstrf
 
 from .basis1d import LegFamily, PiecewiseLegFamily, composite_gauss, gauss
 from .errors import LinearSolveFailure
-from .fluidgrid import azimuthal_factors, cyl_tensor_to_cart, cyl_vec_to_cart, frame_tables
+from .fluidgrid import (azimuthal_factors, cyl_tensor_to_cart, cyl_vec_to_cart, frame_tables,
+                        unit_frame_tables)
 
 R_DEGREE = 10  # polynomial degree of the corrector's radial elements
 NZ_MODES = 34  # axial modes of the corrector
@@ -191,18 +192,17 @@ class _ModeSolver:
 
     Components are w_r = r Wr(r, z) trig, w_t = r Wt trig, and w_z = Wz trig
     for m = 0 or r Wz trig for m >= 1 (the extra r keeps the frame gradient
-    regular on the axis).  All radial profiles vanish at r = R/2 and the
-    shared z factor z(L - z) vanishes at the ends, so w = 0 on the boundary
-    of C.  The divergence is then
-
-        [2 Wr + r dWr/dr + m Wt + dz-term] trig(m theta),
-
-    a polynomial, collocated at tensor Gauss nodes as C x = g.  The
-    collocation system is rank deficient; of its least-squares solutions the
-    solve takes the one that minimizes the H1-type energy x^T A x, which
-    keeps the operator bounded.  A is block diagonal with one Kronecker sum
-    (Ar + 1e-10 Mr) x Mz + Mr x Az per component, Mr and Mz positive
-    definite mass matrices.
+    regular on the axis); radial holds that factor rule per component.  All
+    radial profiles vanish at r = R/2 and the shared z factor z(L - z)
+    vanishes at the ends, so w = 0 on the boundary of C.  The divergence is
+    then a polynomial times trig(m theta): per component, the trig-stripped
+    divergence of its unit fields (fluidgrid.unit_frame_tables), times the
+    axial table, or its z derivative for w_z.  It is collocated at tensor
+    Gauss nodes as C x = g.  The collocation system is rank deficient; of
+    its least-squares solutions the solve takes the one that minimizes the
+    H1-type energy x^T A x, which keeps the operator bounded.  A is block
+    diagonal with one Kronecker sum (Ar + 1e-10 Mr) x Mz + Mr x Az per
+    component, Mr and Mz positive definite mass matrices.
 
     The energy is whitened by fast diagonalization (Lynch, Rice & Thomas,
     Numer. Math. 6, 1964): the generalized eigenvectors V, V^T Mr V = I, of
@@ -244,6 +244,8 @@ class _ModeSolver:
         )
         nfr, nfz = self.fam_r.nfun, self.fam_z.nfun
         self.comps = ["r", "z"] if m == 0 else ["r", "t", "z"]
+        # the radial factor per component: r, but 1 for the axial one of m = 0
+        self.radial = [c != "z" or m > 0 for c in self.comps]
         self.block = nfr * nfz
         self.ndof = self.block * len(self.comps)
 
@@ -262,27 +264,21 @@ class _ModeSolver:
         Mz = np.einsum("iy,jy,y->ij", Tzq[:, 0], Tzq[:, 0], wzq)
         Az = np.einsum("iy,jy,y->ij", Tzq[:, 1], Tzq[:, 1], wzq)
 
-        # per component: its radial collocation factor, the z-table row it
-        # collocates (0 value, 1 derivative; also the parity j % 2 of its
-        # dofs in the z-even half) and its radial Gram factors (Ar, Mr)
+        def profiles(T, r, radial):  # a radial profile r P (or P) and its d_r
+            return (r * T[:, 0], T[:, 0] + r * T[:, 1]) if radial else (T[:, 0], T[:, 1])
+
+        # per component: its radial collocation factor, the divergence of
+        # its unit fields; the z-table row it collocates (0 value, 1
+        # derivative; also the parity j % 2 of its dofs in the z-even half);
+        # and its radial Gram factors (Ar, Mr)
         self._comp_data = []
-        for comp in self.comps:
-            if comp == "r":
-                rad, zrow = 2.0 * Tr[:, 0, :] + rc[None, :] * Tr[:, 1, :], 0
-            elif comp == "t":
-                rad, zrow = float(m) * Tr[:, 0, :], 0
-            else:
-                rad = Tr[:, 0, :] if m == 0 else rc[None, :] * Tr[:, 0, :]
-                zrow = 1
-            if comp in ("r", "t") or m > 0:
-                a = rq[None, :] * Trq[:, 0]
-                da = Trq[:, 0] + rq[None, :] * Trq[:, 1]
-            else:
-                a = Trq[:, 0]
-                da = Trq[:, 1]
+        for comp, radial in zip(self.comps, self.radial):
+            i = "rtz".index(comp)
+            rad = unit_frame_tables(m, i, *profiles(Tr, rc, radial), rc)[1]
+            a, da = profiles(Trq, rq, radial)
             Mr = np.einsum("ix,jx,x->ij", a, a, wrq * rq)
             Ar = np.einsum("ix,jx,x->ij", da, da, wrq * rq)
-            self._comp_data.append((rad, zrow, Ar, Mr))
+            self._comp_data.append((rad, int(i == 2), Ar, Mr))
         self._Tz, self._Mz, self._Az = Tz, Mz, Az
 
     def _whitened(self, parity):
@@ -550,7 +546,7 @@ class ExtensionField:
 
     def _values(self, r, theta, z, n_diff):
         """Cylindrical components u (S F, 3, Q) of the fields at flat nodes,
-        and the r, theta and z partials du (3, n_diff F, 3, Q) of the fields
+        and the r, theta and z partials du (n_diff F, 3, 3, Q) of the fields
         of the first n_diff weight rows: the radial part f0 h e_r, plus the
         axial plug Phi a g e_z, minus the corrector inside C."""
         cyl, W, Q = self.op.cyl, self.W, r.size
@@ -569,18 +565,18 @@ class ExtensionField:
         (f0, df0), (a, da), (g, dg) = (_radial_factors(cyl, r), plug_radial_profile(cyl, r, 1),
                                        plug_axial_profile(cyl, z, 1))
         u = np.zeros((len(h), 3, Q))
-        du = np.zeros((3, n, 3, Q))
+        du = np.zeros((n, 3, 3, Q))
         # the radial part: (h / r) e_r for r >= R/2, (4 r h / R^2) e_r inside
         u[:, 0] = f0 * h
-        du[:, :, 0] = df0 * h[:n], f0 * ht[:n], f0 * hz[:n]
+        du[:, 0, 0], du[:, 0, 1], du[:, 0, 2] = df0 * h[:n], f0 * ht[:n], f0 * hz[:n]
         # the axial plug Phi a(r) g(z), zero for r >= R/4
         u[:, 2] = flux * a * g
-        du[0, :, 2] = flux[:n] * da * g
-        du[2, :, 2] = flux[:n] * a * dg
+        du[:, 2, 0] = flux[:n] * da * g
+        du[:, 2, 2] = flux[:n] * a * dg
         # the corrector, supported in the inner cylinder r < R/2
         inside, w, dw = self._corrector(r, theta, z, n_diff)
         u[..., inside] -= w
-        du[..., inside] -= dw
+        du[..., inside] -= dw.transpose(1, 2, 0, 3)
         return u, du
 
     def _corrector(self, r, theta, z, n_diff):
@@ -595,7 +591,7 @@ class ExtensionField:
         that element's Legendre table: one batched product for all nodes and
         all fields gives the profile of every column of the block, one
         component of one (solver, parity) part.  The column's radial factor
-        (r, but 1 for the axial component of m = 0) and theta factor
+        (_ModeSolver.radial) and theta factor
         (azimuthal_factors) make it a frame component, and one product with
         the (3, C) matrix that picks each column's frame component sums the
         columns.
@@ -613,14 +609,14 @@ class ExtensionField:
         kind, radial, T, dT = [], [], [], []
         for sol, parity, _ in parts:
             Tp, dTp = azimuthal_factors(sol.m, parity, theta[inside])
-            for i in map("rtz".index, sol.comps):
-                kind.append(i)
-                radial.append(i < 2 or sol.m > 0)
-                T.append(Tp[i])
-                dT.append(dTp[i])
+            i = ["rtz".index(c) for c in sol.comps]
+            kind += i
+            radial += sol.radial
+            T.append(Tp[i])
+            dT.append(dTp[i])
         C = len(kind)
         pick = np.eye(3)[:, kind]
-        T, dT = np.array(T), np.array(dT)
+        T, dT = np.concatenate(T), np.concatenate(dT)
         dfac = np.array(radial, dtype=float)[:, None]  # d_r of the radial factor
         fac = np.where(dfac, ri, 1.0)
         # (s, node, r derivative, component, z derivative, f)
@@ -655,7 +651,7 @@ class ExtensionField:
         cylindrical components of _values by frame_tables."""
         r, theta, z = (np.asarray(x, dtype=float).ravel() for x in (r, theta, z))
         u, du = self._values(r, theta, z, len(self.W) - self.twins)
-        grad, div = frame_tables(u[:du.shape[1]], *du, r)
+        grad, div = frame_tables(u[:len(du)], du, r)
         return {
             "val": cyl_vec_to_cart(u[:, 0], u[:, 1], u[:, 2], theta),
             "grad": cyl_tensor_to_cart(grad, theta),

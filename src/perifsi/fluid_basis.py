@@ -20,7 +20,8 @@ from scipy.linalg import eigh
 
 from .basis1d import LegFamily, gauss
 from .errors import EigenFailure, GridMismatch
-from .fluidgrid import azimuthal_factors, cyl_tensor_to_cart, cyl_vec_to_cart, frame_tables
+from .fluidgrid import (azimuthal_factors, cyl_tensor_to_cart, cyl_vec_to_cart, frame_tables,
+                        unit_frame_tables)
 
 NR_STOKES = 8  # radial polynomial count of the Stokes sector spaces
 NZ_STOKES = 8  # axial polynomial count of the Stokes sector spaces
@@ -33,7 +34,8 @@ class _SectorSpace:
     always, and for the axial component r(R - r) when m >= 1 but only (R - r)
     when m = 0 (the axial velocity may be nonzero on the axis); z factors
     z(L - z) for the in-plane components (clamped on the disks) and free
-    polynomials for the axial one.
+    polynomials for the axial one.  n_r and n_z, the radial and axial
+    polynomial counts, also size the grids of the space's forms.
     """
 
     def __init__(self, cyl, m, n_r, n_z):
@@ -41,7 +43,7 @@ class _SectorSpace:
         rr_fac = [R * R / 4.0, 0.0, -R * R / 4.0]  # r(R-r) in the mapped variable
         zz_fac = [L * L / 4.0, 0.0, -L * L / 4.0]  # z(L-z)
         rz_fac = rr_fac if m >= 1 else [R / 2.0, -R / 2.0]  # (R-r) for axial m=0
-        self.m = m
+        self.m, self.n_r, self.n_z = m, n_r, n_z
         self.fam = {
             "r": (LegFamily.modal(n_r, (0.0, R), rr_fac), LegFamily.modal(n_z, (0.0, L), zz_fac)),
             "t": (LegFamily.modal(n_r, (0.0, R), rr_fac), LegFamily.modal(n_z, (0.0, L), zz_fac)),
@@ -76,76 +78,58 @@ class _SectorSpace:
         return out
 
 
-def _divergence_constraint(space, cyl, n_r, n_z):
-    """Collocation matrix of r * div over the sector space (a polynomial)."""
-    m = space.m
-    rc, _ = gauss(n_r + 4, 0.0, cyl.R)
-    zc, _ = gauss(n_z + 4, 0.0, cyl.L)
-    rows = {}
-    for c in space.comps:
+def _divergence_constraint(space, cyl):
+    """Collocation matrix of r * div over the sector space (a polynomial):
+    per component, r times the trig-stripped divergence of its unit fields
+    (fluidgrid.unit_frame_tables) times the axial factor zeta, or zeta' for
+    the axial component."""
+    rc, _ = gauss(space.n_r + 4, 0.0, cyl.R)
+    zc, _ = gauss(space.n_z + 4, 0.0, cyl.L)
+    rows = []
+    for i, c in enumerate(space.comps):
         fr, fz = space.fam[c]
         Tr = fr.eval_table(rc, 1)
-        Tz = fz.eval_table(zc, 1)
-        if c == "r":
-            # r d_r f + f  (from (1/r) d_r (r f) times r)
-            rad, ax = rc[None, :] * Tr[:, 1] + Tr[:, 0], Tz[:, 0]
-        elif c == "t":
-            rad, ax = float(m) * Tr[:, 0], Tz[:, 0]
-        else:
-            rad, ax = rc[None, :] * Tr[:, 0], Tz[:, 1]
-        rows[c] = np.einsum("ix,jy->ijxy", rad, ax).reshape(space.block[c], -1)
-    return np.concatenate([rows[c] for c in space.comps], axis=0).T
+        div = unit_frame_tables(space.m, i, Tr[:, 0], Tr[:, 1], rc)[1]
+        ax = fz.eval_table(zc, 1)[:, int(i == 2)]
+        rows.append(np.einsum("ix,jy->ijxy", rc * div, ax).reshape(space.block[c], -1))
+    return np.concatenate(rows, axis=0).T
 
 
-def _sector_forms(space, cyl, n_r, n_z):
+def _sector_forms(space, cyl):
     """Dirichlet and mass Gram matrices over the sector (2D quadrature with
     the exact azimuthal weight: 2 pi for m = 0, pi otherwise), by sum
     factorization.  With its trig factor stripped, every frame-gradient
-    entry of a unit dof (fluidgrid.frame_tables of its components times
-    fluidgrid.azimuthal_factors) is one tensor-product term
-    k rho(r) zeta(z), rho one of f, f' and f / r of the dof's radial factor
-    and zeta one of g, g' of its axial one: entry (0, 1), -(m fr + ft) / r,
-    takes the term -m fr / r from an r dof and -ft / r from a t dof.  So
-    the block of two components is a sum of Kronecker products of a radial
-    Gram int rho rho' r dr and an axial Gram int zeta zeta' dz, one per
-    entry they share, and the mass is one product per component."""
+    entry of a unit dof is a radial profile times its axial factor zeta, or
+    zeta' in column 2 (fluidgrid.unit_frame_tables), and the entry's trig
+    factor is the same for every dof.  So the block of two components is a
+    sum of Kronecker products of a radial Gram int rho rho' r dr and an
+    axial Gram int zeta zeta' dz, one per entry on which both have a
+    nonzero profile, and the mass is one product per component."""
     m = space.m
-    rq, wr = gauss(n_r + 6, 0.0, cyl.R)
-    zq, wz = gauss(n_z + 6, 0.0, cyl.L)
+    rq, wr = gauss(space.n_r + 6, 0.0, cyl.R)
+    zq, wz = gauss(space.n_z + 6, 0.0, cyl.L)
     wr = (2.0 * np.pi if m == 0 else np.pi) * wr * rq  # r dr dtheta
-    # per component: {gradient entry: (k, rho, zeta)}, and its value (rho, zeta)
-    terms, values = {}, {}
-    for c in space.comps:
-        fr, fz = space.fam[c]
-        Tr, Tz = fr.eval_table(rq, 1), fz.eval_table(zq, 1)
-        f, df, f_r = Tr[:, 0], Tr[:, 1], Tr[:, 0] / rq
-        g, dg = Tz[:, 0], Tz[:, 1]
-        i = "rtz".index(c)
-        # the r and z derivatives (columns 0 and 2), then the terms over r
-        # of the theta column
-        terms[c] = {(i, 0): (1.0, df, g), (i, 2): (1.0, f, dg)}
-        cross = {"r": [((0, 1), -m), ((1, 1), 1.0)],
-                 "t": [((0, 1), -1.0), ((1, 1), m)],
-                 "z": [((2, 1), -m)]}[c]
-        terms[c].update((e, (k, f_r, g)) for e, k in cross if k)
-        values[c] = (f, g)
 
     def gram(a, b, w):
         return (a * w) @ b.T
 
-    off = space.offsets
     A = np.zeros((space.ndof, space.ndof))
     M = np.zeros_like(A)
-    for n, c in enumerate(space.comps):
-        sc = slice(off[c], off[c] + space.block[c])
-        f, g = values[c]
-        M[sc, sc] = np.kron(gram(f, f, wr), gram(g, g, wz))
-        for d in space.comps[n:]:
-            sd = slice(off[d], off[d] + space.block[d])
-            for e, (ka, ra, za) in terms[c].items():
-                if e in terms[d]:
-                    kb, rb, zb = terms[d][e]
-                    A[sc, sd] += ka * kb * np.kron(gram(ra, rb, wr), gram(za, zb, wz))
+    # per component: its slice, its stripped gradients, the mask of their
+    # nonzero entries and the axial factor of each gradient column
+    comps = []
+    for i, c in enumerate(space.comps):
+        fr, fz = space.fam[c]
+        Tr, Tz = fr.eval_table(rq, 1), fz.eval_table(zq, 1)
+        G = unit_frame_tables(m, i, Tr[:, 0], Tr[:, 1], rq)[0]
+        sl = slice(space.offsets[c], space.offsets[c] + space.block[c])
+        M[sl, sl] = np.kron(gram(Tr[:, 0], Tr[:, 0], wr), gram(Tz[:, 0], Tz[:, 0], wz))
+        comps.append((sl, G, np.any(G != 0.0, axis=(0, 3)), (Tz[:, 0], Tz[:, 0], Tz[:, 1])))
+    for n, (sc, Gc, used_c, zeta_c) in enumerate(comps):
+        for sd, Gd, used_d, zeta_d in comps[n:]:
+            for i, j in zip(*np.nonzero(used_c & used_d)):
+                A[sc, sd] += np.kron(gram(Gc[:, i, j], Gd[:, i, j], wr),
+                                     gram(zeta_c[j], zeta_d[j], wz))
     return np.triu(A) + np.triu(A, 1).T, M
 
 
@@ -174,7 +158,8 @@ class StokesBasis:
             f, f_r, f_z = space.profile_tables(dofs, r, z)
             T, dT = azimuthal_factors(space.m, parity, theta)
             val[rows] = f * T
-            G[rows], div[rows] = frame_tables(val[rows], f_r * T, f * dT, f_z * T, r)
+            du = np.stack([f_r * T, f * dT, f_z * T], axis=-2)
+            G[rows], div[rows] = frame_tables(val[rows], du, r)
         return {
             "val": cyl_vec_to_cart(val[:, 0], val[:, 1], val[:, 2], theta),
             "grad": cyl_tensor_to_cart(G, theta),
@@ -201,17 +186,16 @@ def build_stokes_basis(cyl, n_interior, max_wavenumber=0):
     """
     if n_interior < 1:
         raise ValueError("n_interior must be at least 1")
-    n_r, n_z = NR_STOKES, NZ_STOKES
     candidates = []
     for m in range(max_wavenumber + 1):
-        space = _SectorSpace(cyl, m, n_r, n_z)
-        C = _divergence_constraint(space, cyl, n_r, n_z)
+        space = _SectorSpace(cyl, m, NR_STOKES, NZ_STOKES)
+        C = _divergence_constraint(space, cyl)
         _, s, Vt = np.linalg.svd(C, full_matrices=True)
         rank = int(np.sum(s > 1e-10 * s[0]))
         N = Vt[rank:].T
         if N.shape[1] == 0:
             continue
-        A, M = _sector_forms(space, cyl, n_r, n_z)
+        A, M = _sector_forms(space, cyl)
         try:
             lam, vecs = eigh(N.T @ A @ N, N.T @ M @ N)
         except np.linalg.LinAlgError as exc:

@@ -44,17 +44,52 @@ def cyl_tensor_to_cart(G, theta):
     return out
 
 
-def frame_tables(u, u_r, u_t, u_z, r):
+def frame_tables(u, du, r):
     """Frame gradients (..., 3, 3, Q) and divergences (..., Q) of fields
-    with cylindrical components u (..., 3, Q) and their r, theta and z
-    partials u_r, u_t, u_z, at radii r (Q,): row i is
-    (d_r u_i, d_theta u_i / r, d_z u_i), plus the turning of the frame,
-    -u_theta / r in entry (0, 1) and u_r / r in entry (1, 1)."""
+    with cylindrical components u (..., 3, Q) and their partials du
+    (..., 3, 3, Q), row i (d_r u_i, d_theta u_i, d_z u_i), at radii r (Q,).
+    du becomes the gradient in place: row i (d_r u_i, d_theta u_i / r,
+    d_z u_i), plus the turning of the frame, -u_theta / r in entry (0, 1)
+    and u_r / r in entry (1, 1)."""
     inv_r = 1.0 / r
-    grad = np.stack([u_r, u_t * inv_r, u_z], axis=-2)
-    grad[..., 0, 1, :] -= u[..., 1, :] * inv_r
-    grad[..., 1, 1, :] += u[..., 0, :] * inv_r
-    return grad, grad[..., 0, 0, :] + grad[..., 1, 1, :] + grad[..., 2, 2, :]
+    du[..., 1, :] *= inv_r
+    du[..., 0, 1, :] -= u[..., 1, :] * inv_r
+    du[..., 1, 1, :] += u[..., 0, :] * inv_r
+    return du, du[..., 0, 0, :] + du[..., 1, 1, :] + du[..., 2, 2, :]
+
+
+def component_tables(comp, f, f_r, f_t, f_z, r):
+    """Tables of F fields with one frame component each: field k is
+    f[k] times the frame vector comp[k] in {0: e_r, 1: e_theta, 2: e_z},
+    with partials f_r[k], f_t[k], f_z[k] (each (F, Q)).  Returns the val
+    (F, 3, Q) and grad (F, 3, 3, Q) in the orthonormal cylindrical frame
+    (e_r, e_theta, e_z) and the div (F, Q)."""
+    F, Q = f.shape
+    k = np.arange(F)
+    val = np.zeros((F, 3, Q))
+    val[k, comp] = f
+    grad = np.zeros((F, 3, 3, Q))
+    grad[k, comp, 0], grad[k, comp, 1], grad[k, comp, 2] = f_r, f_t, f_z
+    grad, div = frame_tables(val, grad, r)
+    return {"val": val, "grad": grad, "div": div}
+
+
+def unit_frame_tables(m, comp, f, df, r):
+    """Trig-stripped frame gradients (F, 3, 3, Q) and divergences (F, Q) of
+    the unit fields f[k](r) zeta(z) e_comp of wavenumber m, with radial
+    profiles f and their derivatives df (F, Q) at radii r (Q,).  Columns 0
+    and 1 multiply zeta and column 2 zeta', so the divergence multiplies
+    zeta' for the axial component and zeta for the others.  An entry of the
+    cos-parity field is the entry here times cos or sin of m theta, and of
+    its sin twin sin or -cos: by linearity, G_cos(0) - G_sin(0) (G_axi(0)
+    for m = 0) is one call with the differences of the theta factors."""
+    T, dT = azimuthal_factors(m, "cos" if m else "axi", np.zeros(1))
+    if m:
+        Ts, dTs = azimuthal_factors(m, "sin", np.zeros(1))
+        T, dT = T - Ts, dT - dTs
+    t, dt = T[comp], dT[comp]
+    tab = component_tables(np.full(len(f), comp), t * f, t * df, dt * f, t * f, r)
+    return tab["grad"], tab["div"]
 
 
 def azimuthal_factors(m, parity, theta):

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis1d import BeamFamily, TrigFamily, gauss
-from .fluidgrid import frame_tables
+from .fluidgrid import component_tables
 
 
 class ShellBasis:
@@ -186,22 +186,6 @@ class SolidGrid:
         self.w = (np.repeat(wr, ntz) * np.tile(wtz, r.size)) * self.r
 
 
-def _component_tables(comp, f, f_r, f_t, f_z, r):
-    """Tables of F fields with one frame component each: field k is
-    f[k] times the frame vector comp[k] in {0: e_r, 1: e_theta, 2: e_z},
-    with partials f_r[k], f_t[k], f_z[k] (each (F, Q)).  Returns the val
-    (F, 3, Q) and grad (F, 3, 3, Q) in the orthonormal cylindrical frame
-    (e_r, e_theta, e_z) and the div (F, Q)."""
-    F, Q = f.shape
-    k = np.arange(F)
-    val = np.zeros((F, 3, Q))
-    val[k, comp] = f
-    du = np.zeros((3, F, 3, Q))  # the r, theta and z partials
-    du[:, k, comp] = f_r, f_t, f_z
-    grad, div = frame_tables(val, *du, r)
-    return {"val": val, "grad": grad, "div": div}
-
-
 class SolidBasis:
     """Lifted plus interior solid modes paired with a shell basis.
 
@@ -225,8 +209,8 @@ class SolidBasis:
         r = np.asarray(r, dtype=float).ravel()
         s = cutoff_profile(self.cyl, r, 1)
         Y = self.shell_basis.eval_modes(theta, z, 1)[:count]
-        return _component_tables(np.zeros(count, dtype=int), s[0] * Y[:, 0],
-                                 s[1] * Y[:, 0], s[0] * Y[:, 1], s[0] * Y[:, 2], r)
+        return component_tables(np.zeros(count, dtype=int), s[0] * Y[:, 0],
+                                s[1] * Y[:, 0], s[0] * Y[:, 1], s[0] * Y[:, 2], r)
 
     def interior_tables(self, count, r, theta, z):
         """Tables of the first `count` interior modes."""
@@ -247,8 +231,8 @@ class SolidBasis:
         kz = ((i_z + 1) * np.pi / shell.L)[:, None]
         pz = np.sin(kz * z)
         dpz = kz * np.cos(kz * z)
-        return _component_tables(comp, pr * tt[:, 0] * pz, dpr * tt[:, 0] * pz,
-                                 pr * tt[:, 1] * pz, pr * tt[:, 0] * dpz, r)
+        return component_tables(comp, pr * tt[:, 0] * pz, dpr * tt[:, 0] * pz,
+                                pr * tt[:, 1] * pz, pr * tt[:, 0] * dpz, r)
 
 
 def lame_form(td, tdd, tz, params, weight):

@@ -71,7 +71,7 @@ def _corrector_tables(sol, parity, f, f_r, f_z, r, theta):
     partials f_r, f_z (..., 3, Q): the profiles times azimuthal_factors,
     through frame_tables."""
     T, dT = azimuthal_factors(sol.m, parity, theta)
-    return (f * T, *frame_tables(f * T, f_r * T, f * dT, f_z * T, r))
+    return (f * T, *frame_tables(f * T, np.stack([f_r * T, f * dT, f_z * T], axis=-2), r))
 
 
 def per_field_extension(ext_op, base, delta, xi, r, theta, z):

@@ -9,6 +9,7 @@ from perifsi.errors import GridMismatch
 from perifsi.fluid_basis import (
     BoundaryForcing,
     StokesBasis,
+    _divergence_constraint,
     _SectorSpace,
     _sector_forms,
     disk_flux,
@@ -29,7 +30,7 @@ def _mode_tables(space, parity, dofs, r, theta, z):
     profiles times the theta factors, through frame_tables."""
     f, f_r, f_z = space.profile_tables(dofs, r, z)
     T, dT = azimuthal_factors(space.m, parity, theta)
-    return (f * T, *frame_tables(f * T, f_r * T, f * dT, f_z * T, r))
+    return (f * T, *frame_tables(f * T, np.stack([f_r * T, f * dT, f_z * T], axis=-2), r))
 
 
 def _per_dof_sector_forms(space, cyl, n_r, n_z):
@@ -136,11 +137,28 @@ class TestSectorForms:
         frame gradient and value to 1e-13 relative, and the Dirichlet form
         is symmetric."""
         space = _SectorSpace(cyl, m, 8, 8)
-        got = _sector_forms(space, cyl, 8, 8)
+        got = _sector_forms(space, cyl)
         want = _per_dof_sector_forms(space, cyl, 8, 8)
         assert np.array_equal(got[0], got[0].T)
         for a, b in zip(got, want):
             assert np.max(np.abs(a - b)) <= 1e-13 * np.max(np.abs(b))
+
+    @pytest.mark.parametrize("m", [0, 1, 2])
+    def test_collocation_is_r_times_the_tabulated_divergence(self, cyl, m):
+        """The divergence collocation matrix equals r times the divergence
+        of every unit dof at the collocation nodes (r-major), tabulated
+        through profile_tables, azimuthal_factors and frame_tables at
+        theta = 0 with cos parity (axi for m = 0), to 1e-14 relative."""
+        space = _SectorSpace(cyl, m, 8, 8)
+        rc, _ = gauss(space.n_r + 4, 0.0, cyl.R)
+        zc, _ = gauss(space.n_z + 4, 0.0, cyl.L)
+        RR, ZZ = np.meshgrid(rc, zc, indexing="ij")
+        rr, zz = RR.ravel(), ZZ.ravel()
+        div = _mode_tables(space, "axi" if m == 0 else "cos", np.eye(space.ndof),
+                           rr, np.zeros(rr.size), zz)[2]
+        got, want = _divergence_constraint(space, cyl), (rr * div).T
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
 
 class TestTrilinear:
