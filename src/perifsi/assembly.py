@@ -182,22 +182,28 @@ class AssembledSystem:
 
     @classmethod
     def from_sample(cls, T, sample, assembler, forcing):
-        """A constant-in-t system from one Assembler.sample: a single sample
-        has interpolation weight 1 at every t, so T only names the period."""
+        """A constant-in-t system from one Assembler.sample: matrices_at
+        gives that sample at every t, so T only names the period."""
         stacks = {k: v[None] for k, v in sample.items()}
         return cls(T, np.zeros(1), stacks, assembler.constants, forcing,
                    assembler.basis)
 
     def _interpolated(self, t, *stacks):
         """The stacks (S, ...) trig-interpolated at t, a time or a 1-D array
-        of times (a leading time axis), in one product per stack."""
+        of times (a leading time axis), in one product per stack.  A
+        one-sample system is constant in t: it gives its sample itself, with
+        a time axis of length 1 for an array of times, which broadcasts
+        against any number of times."""
+        if self.times.size == 1:
+            return [v if np.ndim(t) else v[0] for v in stacks]
         w = trig_weights(np.asarray(t, dtype=float), self.T, self.times.size)
         return [(w @ v.reshape(w.shape[-1], -1)).reshape(w.shape[:-1] + v.shape[1:])
                 for v in stacks]
 
     def matrices_at(self, t):
         """Return dict(M, C, K, qin, qout) at t, a time or a 1-D array of
-        times; an array gives every entry but K a leading time axis.  M and
+        times; an array gives every entry but K a leading time axis, of
+        length len(t), or 1 for a one-sample system (constant in t).  M and
         the damping C = G + V + B + Q + A_visc are interpolated from their
         summed samples, and the stiffness K = K_sh + A_el is the one array
         built with the system."""
@@ -207,7 +213,8 @@ class AssembledSystem:
 
     def mass_at(self, times):
         """The mass matrices M(t) (len(times), n, n) at all the given times,
-        interpolated in one product; matrices_at(times)["M"]."""
+        interpolated in one product; matrices_at(times)["M"], so a
+        one-sample system gives its one M (1, n, n)."""
         return self._interpolated(times, self._M)[0]
 
     def quadratic_forms(self, times, v):

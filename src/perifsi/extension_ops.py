@@ -53,7 +53,7 @@ from .fluidgrid import (azimuthal_factors, cyl_tensor_to_cart, cyl_vec_to_cart, 
                         unit_frame_tables)
 
 R_DEGREE = 10  # polynomial degree of the corrector's radial elements
-NZ_MODES = 34  # axial modes of the corrector
+NZ_MODES = 34  # the fewest axial modes of the corrector
 GRAM_CUTOFF = 1e-13  # relative pivot cutoff of the corrector's Gram (rank)
 
 
@@ -188,7 +188,8 @@ def _min_norm_solve(rows, G):
 
 
 class _ModeSolver:
-    """Constrained divergence solve for one azimuthal wavenumber.
+    """Constrained divergence solve for one azimuthal wavenumber, with an
+    axial family of nz_modes modes (the sizes quoted below are for 34).
 
     Components are w_r = r Wr(r, z) trig, w_t = r Wt trig, and w_z = Wz trig
     for m = 0 or r Wz trig for m >= 1 (the extra r keeps the frame gradient
@@ -231,7 +232,7 @@ class _ModeSolver:
     parities only, so each parity is one half-size solve.
     """
 
-    def __init__(self, cyl, m):
+    def __init__(self, cyl, m, nz_modes):
         self.m = m
         R, L = cyl.R, cyl.L
         # four radial elements: the exact corrector profile has a smooth
@@ -240,7 +241,7 @@ class _ModeSolver:
         self.r_breaks = [0.0, R / 8.0, R / 4.0, 3.0 * R / 8.0, R / 2.0]
         self.fam_r = PiecewiseLegFamily(self.r_breaks, R_DEGREE)
         self.fam_z = LegFamily.modal(
-            NZ_MODES, (0.0, L), factor=[L * L / 4.0, 0.0, -L * L / 4.0]
+            nz_modes, (0.0, L), factor=[L * L / 4.0, 0.0, -L * L / 4.0]
         )
         nfr, nfz = self.fam_r.nfun, self.fam_z.nfun
         self.comps = ["r", "z"] if m == 0 else ["r", "t", "z"]
@@ -251,14 +252,14 @@ class _ModeSolver:
 
         # collocation nodes; an even count, so they pair up as z, L - z
         rc, _ = composite_gauss(self.r_breaks, R_DEGREE + 2)
-        zc, _ = gauss(NZ_MODES + 4, 0.0, L)
+        zc, _ = gauss(nz_modes + 4, 0.0, L)
         self.r_nodes, self.z_nodes = rc, zc
         Tr = self.fam_r.eval_table(rc, 1)  # (nfr, 2, nr)
         Tz = self.fam_z.eval_table(zc[: zc.size // 2], 1)  # (nfz, 2, nz / 2)
 
         # the Kronecker factors of the H1-type energy
         rq, wrq = composite_gauss(self.r_breaks, R_DEGREE + 3)
-        zq, wzq = gauss(NZ_MODES + 4, 0.0, L)
+        zq, wzq = gauss(nz_modes + 4, 0.0, L)
         Trq = self.fam_r.eval_table(rq, 1)
         Tzq = self.fam_z.eval_table(zq, 1)
         Mz = np.einsum("iy,jy,y->ij", Tzq[:, 0], Tzq[:, 0], wzq)
@@ -373,8 +374,11 @@ class ExtensionOperator:
     def solvers(self):
         """One corrector solver per wavenumber 0..2 max_m: the product data
         Y_k Y_i of two shell modes carry up to twice the largest shell
-        wavenumber."""
-        return [_ModeSolver(self.cyl, m) for m in range(2 * self.max_m + 1)]
+        wavenumber.  Their axial family follows the shell's: max(NZ_MODES,
+        4 n_z + 2) modes resolve the products of its highest beam modes
+        (34 for n_z = 8; 50 and 66 for n_z = 12 and 16)."""
+        nz_modes = max(NZ_MODES, 4 * self.shell_basis.n_z + 2)
+        return [_ModeSolver(self.cyl, m, nz_modes) for m in range(2 * self.max_m + 1)]
 
     def source_nodes(self):
         """Flattened (theta, z) nodes at which corrector_dofs takes its

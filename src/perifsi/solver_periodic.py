@@ -33,7 +33,8 @@ from .extension_ops import azimuthal_damping, mollify
 from .geometry import admissibility
 
 ANDERSON_DEPTH = 3  # residual differences kept by the outer loop's mixing
-STEP_CHUNK = 256  # steps whose maps are interpolated, solved and reduced together
+STEP_CHUNK = 256  # steps whose maps are interpolated and solved together; the longest lane
+LANES = 16  # lanes a period of up to LANES * STEP_CHUNK steps is stepped in
 
 
 def _whole_steps(span, dt, what):
@@ -50,17 +51,22 @@ def _whole_steps(span, dt, what):
 class PeriodicProblem:
     """A linear periodic system on its time grid, stacked over one period.
 
-    On first use the period is built STEP_CHUNK steps at a time: step_maps
-    gives a chunk's step maps from one interpolation and one batched
-    inverse, a pairwise product tree reduces them to the chunk's affine map,
-    and the chunk maps compose in time order into the one-period map
+    The period's steps split into lanes of `lane` consecutive steps,
+    min(STEP_CHUNK, ceil(n_steps / LANES)), the last one possibly shorter,
+    so a period of up to LANES STEP_CHUNK steps has LANES lanes or fewer.
+    On first use the period is built: step_maps gives the step maps of
+    STEP_CHUNK steps at a time from one interpolation and one batched
+    inverse (one inverse in all for a one-sample system, which is constant
+    in t); the 2n + 1 identity columns in (a, a', 1) are stepped through
+    every lane at once (_replay), which gives each lane's affine map; and
+    the lane maps compose in time order into the one-period map
     x -> A x + b.  The pressure signals at every midpoint come from one FFT
     of the forcing when the steps span its period (BoundaryForcing.
     midpoint_values), else from its series.  The problem keeps the step map
     V (n_steps, n, 2n + 1) and the midpoint load f (n_steps, n) of every
     step, which the orbit replay and the energy ledger read, the affine map
-    of the steps before each chunk (prefix_maps, which seed the replay's
-    chunks) and the monodromy; no per-step (n, n) block is kept.
+    of the steps before each lane (prefix_maps, which seed the replay's
+    lanes) and the monodromy; no per-step (n, n) block is kept.
     """
 
     system: object
@@ -69,23 +75,27 @@ class PeriodicProblem:
 
     def __post_init__(self):
         self.n_steps = _whole_steps(self.T, self.dt, "the period")
+        self.lane = min(STEP_CHUNK, -(-self.n_steps // LANES))
 
     @cached_property
     def _period(self):
-        n, dt = self.system.n, self.dt
-        V = np.empty((self.n_steps, n, 2 * n + 1))
-        f = np.empty((self.n_steps, n))
+        n, dt, N = self.system.n, self.dt, self.n_steps
+        V = np.empty((N, n, 2 * n + 1))
+        f = np.empty((N, n))
         pressure = self._midpoint_pressures()
-        starts = range(0, self.n_steps, STEP_CHUNK)
-        # the affine maps of the steps before each chunk, then of the period
-        prefix = np.empty((len(starts) + 1, 2 * n + 1, 2 * n + 1))
-        prefix[0] = np.eye(2 * n + 1)
-        for c, start in enumerate(starts):
-            chunk = slice(start, min(start + STEP_CHUNK, self.n_steps))
-            t_mid = (np.arange(chunk.start, chunk.stop) + 0.5) * dt
-            p = None if pressure is None else tuple(q[chunk] for q in pressure)
-            V[chunk], f[chunk] = step_maps(self.system, t_mid, dt, p)
-            prefix[c + 1] = _chunk_map(V[chunk], dt) @ prefix[c]
+        for start in range(0, N, STEP_CHUNK):
+            block = slice(start, min(start + STEP_CHUNK, N))
+            t_mid = (np.arange(block.start, block.stop) + 0.5) * dt
+            p = None if pressure is None else tuple(q[block] for q in pressure)
+            V[block], f[block] = step_maps(self.system, t_mid, dt, p)
+        eye = np.eye(2 * n + 1)
+        lanes = np.tile(eye, (-(-N // self.lane), 1, 1))
+        _replay(V, lanes, dt, self.lane, None)
+        # the affine maps of the steps before each lane, then of the period
+        prefix = np.empty((len(lanes) + 1, 2 * n + 1, 2 * n + 1))
+        prefix[0] = eye
+        for k, lane_map in enumerate(lanes):
+            prefix[k + 1] = lane_map @ prefix[k]
         return V, f, prefix
 
     def _midpoint_pressures(self):
@@ -109,8 +119,8 @@ class PeriodicProblem:
 
     @property
     def prefix_maps(self):
-        """The affine maps (n_chunks, 2n + 1, 2n + 1) in (a, a', 1) of the
-        steps before each chunk of STEP_CHUNK steps; the first is I."""
+        """The affine maps (n_lanes, 2n + 1, 2n + 1) in (a, a', 1) of the
+        steps before each lane; the first is I."""
         return self._period[2][:-1]
 
     @property
@@ -130,31 +140,36 @@ def step_maps(system, t_mid, dt, pressure):
 
     Eliminating a_{m+1} from the midpoint equations leaves a single n x n
     system per step:  P v+ = Pm v- - dt K a- + dt f,  a+ = a- + dt (v- + v+) / 2,
-    with P = M + dt C / 2 + dt^2 K / 4 and Pm its reflection, so
-    V = P^-1 [-dt K, Pm, dt f].  One matrices_at call interpolates every
-    midpoint of the 1-D array t_mid, the load is f = p_in qin - p_out qout
-    of the interpolated flux vectors and the pressures (p_in, p_out) at
-    t_mid (None: no load), and one batched inverse of P gives every V.
-    This is the one step-map builder: the period calls it once per chunk
-    and an IVP step once with a single midpoint.  Returns the step maps
-    (len(t_mid), n, 2n + 1) and loads (len(t_mid), n); a singular or
-    non-finite P raises LinearSolveFailure at the first such midpoint.
+    with P = M + dt C / 2 + dt^2 K / 4 and Pm = 2 M - P its reflection, so
+    V = [-dt P^-1 K, P^-1 Pm, dt P^-1 f].  One matrices_at call interpolates
+    every midpoint of the 1-D array t_mid, the load is f = p_in qin - p_out
+    qout of the interpolated flux vectors and the pressures (p_in, p_out) at
+    t_mid (None: no load), and one batched inverse of P gives every V.  A
+    one-sample system gives its matrices with a time axis of length 1, which
+    broadcasts: P is inverted once and its first two blocks serve every
+    midpoint.  This is the one step-map builder: the period calls it once
+    per STEP_CHUNK steps and an IVP step once with a single midpoint.
+    Returns the step maps (len(t_mid), n, 2n + 1) and loads (len(t_mid), n);
+    a singular or non-finite P raises LinearSolveFailure at the first such
+    midpoint.
     """
     mats = system.matrices_at(t_mid)
     M, C, K = mats["M"], mats["C"], mats["K"]
+    n, k = system.n, len(t_mid)
     P = M + 0.5 * dt * C + 0.25 * dt * dt * K
-    Pm = M - 0.5 * dt * C - 0.25 * dt * dt * K
     if pressure is None:
-        f = np.zeros(P.shape[:2])
+        f = np.zeros((k, n))
     else:
         p_in, p_out = pressure
         f = p_in[:, None] * mats["qin"] - p_out[:, None] * mats["qout"]
-    rhs = np.concatenate(
-        [np.broadcast_to(-dt * K, P.shape), Pm, dt * f[..., None]], axis=-1)
     try:
-        V = np.linalg.inv(P) @ rhs
+        P_inv = np.linalg.inv(P)
     except np.linalg.LinAlgError:  # an exactly singular P: find it
-        V = np.array([_solve_or_nan(Pk, rk) for Pk, rk in zip(P, rhs)])
+        P_inv = np.array([_inv_or_nan(Pk) for Pk in P])
+    V = np.empty((k, n, 2 * n + 1))
+    V[:, :, :n] = P_inv @ (-dt * K)
+    V[:, :, n:-1] = P_inv @ (2.0 * M - P)
+    V[:, :, -1] = dt * (P_inv @ f[:, :, None])[:, :, 0]
     bad = np.flatnonzero(~np.isfinite(V).all(axis=(1, 2)))
     if bad.size:
         raise LinearSolveFailure(
@@ -162,28 +177,11 @@ def step_maps(system, t_mid, dt, pressure):
     return V, f
 
 
-def _solve_or_nan(P, rhs):
+def _inv_or_nan(P):
     try:
-        return np.linalg.solve(P, rhs)
+        return np.linalg.inv(P)
     except np.linalg.LinAlgError:
-        return np.full(rhs.shape, np.nan)
-
-
-def _chunk_map(V, dt):
-    """The affine map (2n + 1, 2n + 1) in (a, a', 1) of consecutive steps
-    with step maps V, reduced by a pairwise product tree."""
-    k, n = V.shape[:2]
-    i = np.arange(n)
-    S = np.zeros((k, 2 * n + 1, 2 * n + 1))
-    S[:, n:-1] = V  # v+ = V (a, a', 1)
-    S[:, :n] = 0.5 * dt * V  # a+ = a + dt (a' + v+) / 2
-    S[:, i, i] += 1.0
-    S[:, i, n + i] += 0.5 * dt
-    S[:, -1, -1] = 1.0
-    while len(S) > 1:
-        h = len(S) // 2
-        S = np.concatenate([S[1 : 2 * h : 2] @ S[0 : 2 * h : 2], S[2 * h :]])
-    return S[0]
+        return np.full(P.shape, np.nan)
 
 
 def step(V, state, dt):
@@ -195,16 +193,22 @@ def step(V, state, dt):
     return GalerkinState(a1, v1, state.t + dt)
 
 
-def _replay(V, x, out, dt):
-    """Step the states x (k, 2n + 1), each (a, a', 1), in lockstep through
-    the step maps V (k, s, n, 2n + 1), writing the state after each step to
-    out (k, s, 2n)."""
-    n = V.shape[2]
-    for j in range(V.shape[1]):
-        v1 = (V[:, j] @ x[:, :, None])[:, :, 0]
-        x[:, :n] += 0.5 * dt * (x[:, n:-1] + v1)
-        x[:, n:-1] = v1
-        out[:, j] = x[:, :-1]
+def _replay(V, x, dt, lane, out):
+    """Step every lane of the step maps V (N, n, 2n + 1) in lockstep: lane
+    l is the `lane` steps from step l lane on (the last lane may be
+    shorter).  x (n_lanes, 2n + 1, c) holds c columns (a, a', 1) per lane,
+    its start, and is stepped in place to the lane's end; out (N, 2n, c),
+    unless None, gets the state after each step.  Step j of every lane is
+    one batched matrix product."""
+    n = V.shape[1]
+    for j in range(lane):
+        Vj = V[j::lane]  # step j of each lane long enough to have one
+        xj = x[: len(Vj)]
+        v1 = Vj @ xj
+        xj[:, :n] += 0.5 * dt * (xj[:, n:-1] + v1)
+        xj[:, n:-1] = v1
+        if out is not None:
+            out[j::lane] = xj[:, :-1]
 
 
 def poincare_map(problem, x0):
@@ -213,24 +217,17 @@ def poincare_map(problem, x0):
     (n_steps + 1, n) at the times t (n_steps + 1,), whose last row is the
     image of x0.
 
-    Each chunk of STEP_CHUNK steps starts from its seed, the image of x0
-    under the problem's prefix map of the steps before it.  All full chunks
-    step in lockstep, one batched matrix-vector product per step of a chunk,
-    and a ragged last chunk steps on its own.  Row c STEP_CHUNK holds chunk
-    c - 1's end, replayed from its seed; periodic_solve checks it against
-    chunk c's seed.
+    Each lane starts from its seed, the image of x0 under the problem's
+    prefix map of the steps before it, and all lanes step in lockstep
+    (_replay), one batched matrix-vector product per step of a lane.  Row
+    k lane holds lane k - 1's end, replayed from its seed; periodic_solve
+    checks it against lane k's seed.
     """
     dt, n, N = problem.dt, x0.n, problem.n_steps
     seeds = problem.prefix_maps @ np.concatenate([x0.a, x0.a_dot, [1.0]])
     X = np.empty((N + 1, 2 * n))
     X[0] = seeds[0, :-1]
-    full = N // STEP_CHUNK
-    split = full * STEP_CHUNK
-    if full:
-        _replay(problem.V[:split].reshape(full, STEP_CHUNK, n, 2 * n + 1),
-                seeds[:full], X[1 : split + 1].reshape(full, STEP_CHUNK, 2 * n), dt)
-    if split < N:
-        _replay(problem.V[None, split:], seeds[full:], X[None, split + 1 :], dt)
+    _replay(problem.V, seeds[:, :, None], dt, problem.lane, X[1:, :, None])
     t = np.add.accumulate(np.append(0.0, np.full(N, dt)))
     bad = np.flatnonzero(~np.isfinite(X).all(axis=1))
     if bad.size:
@@ -242,13 +239,14 @@ def poincare_map(problem, x0):
 def periodic_solve(problem):
     """Fixed point of the Poincare map via the monodromy factorization.
 
-    Returns (x_star, info).  info holds the conditioning of I - A, the
-    periodic orbit replayed from x_star ("trajectory", one GalerkinState of
-    the n_steps + 1 states) and the whole-period check "residual": the
-    largest sup-norm seam gap of the replay, between each chunk's replayed
-    end and the next chunk's seed, and between the orbit's end and x_star.
-    Raises SingularMonodromy when the period is resonant with an undamped
-    mode of the system.
+    Returns (x_star, info).  Reading the monodromy builds the problem's
+    period on first use.  info holds the conditioning of I - A
+    ("sigma_min", "sigma_max"), the periodic orbit replayed from x_star
+    ("trajectory", one GalerkinState of the n_steps + 1 states) and the
+    whole-period check "residual": the largest sup-norm gap at a lane seam
+    of the replay, between each lane's replayed end and the next lane's
+    seed, and between the orbit's end and x_star.  Raises SingularMonodromy
+    when the period is resonant with an undamped mode of the system.
     """
     A, b = problem.monodromy
     n = problem.system.n
@@ -263,9 +261,10 @@ def periodic_solve(problem):
     xs = np.linalg.solve(F, b)
     x_star = GalerkinState(xs[:n], xs[n:], 0.0)
     traj = poincare_map(problem, x_star)
-    # each chunk's replayed end against the next chunk's seed, the last
-    # chunk's against x_star
-    ends = np.append(np.arange(STEP_CHUNK, problem.n_steps, STEP_CHUNK), problem.n_steps)
+    # each lane's replayed end against the next lane's seed, the last
+    # lane's against x_star
+    ends = np.append(np.arange(problem.lane, problem.n_steps, problem.lane),
+                     problem.n_steps)
     seeds = (problem.prefix_maps @ np.append(xs, 1.0))[:, :-1]
     gap = np.hstack([traj.a[ends], traj.a_dot[ends]]) - np.vstack([seeds[1:], xs])
     info = {"sigma_min": float(sig[-1]), "sigma_max": float(sig[0]),

@@ -16,10 +16,12 @@ from perifsi.assembly import (
 )
 from perifsi.basis1d import trig_weights
 from perifsi.cli import RunConfig, build_model
+from perifsi.diagnostics import energies
 from perifsi.errors import BasisMismatch, DomainViolation, GridMismatch
 from perifsi.extension_ops import push_piola, push_piola_dt
 from perifsi.fluid_basis import disk_flux
 from perifsi.fluidgrid import FluidGrid
+from perifsi.solver_periodic import EnergyLedger
 
 
 @pytest.fixture(scope="module")
@@ -399,21 +401,50 @@ class TestAssemble:
         c = small_model.constants
         assert np.array_equal(K0, c["K_sh"] + c["A_el"])
 
-    def test_mass_at_is_matrices_at(self, small_model, small_forcing):
+    def test_mass_at_is_matrices_at(self, small_model, small_forcing, rng):
         """The batched mass interpolation equals matrices_at(t)["M"] at each
-        t, on a sampled path and on a one-sample system."""
+        t, on a sampled path and on a one-sample system, whose mass_at and
+        matrices_at give their one sample with a time axis of length 1;
+        the energies and the ledger of a trajectory equal their per-time
+        values on both."""
         shell = small_model.basis.shell_basis
+        n = small_model.basis.n
         t = np.arange(16) / 16
         samples = np.zeros((16, shell.n_modes))
         samples[:, 0] = 0.02 * np.sin(2 * np.pi * t)
         moving = assemble(small_model, 1.0, small_forcing, shell=samples,
                           n_samples=8)
         times = np.linspace(0.0, 1.0, 11)
-        for system in (moving, assemble(small_model, 1.0, small_forcing)):
+        dt = times[1]
+        traj = GalerkinState(rng.standard_normal((11, n)), rng.standard_normal((11, n)),
+                             times)
+        loads = rng.standard_normal((10, n))
+        rest = assemble(small_model, 1.0, small_forcing)
+        for system, steps in ((moving, 11), (rest, 1)):
             M = system.mass_at(times)
-            for t, Mt in zip(times, M):
+            mats = system.matrices_at(times)
+            assert M.shape == mats["M"].shape == (steps, n, n)
+            assert mats["C"].shape == (steps, n, n)
+            assert mats["qin"].shape == mats["qout"].shape == (steps, n)
+            for t, Mt in zip(times, np.broadcast_to(M, (11, n, n))):
                 want = system.matrices_at(t)["M"]
                 assert np.max(np.abs(Mt - want)) <= 1e-14 * np.max(np.abs(want))
+            E_kin, E_el = energies(system, traj)
+            want = np.array([[0.5 * v @ system.matrices_at(t)["M"] @ v, 0.5 * a @ system.K @ a]
+                             for t, a, v in zip(times, traj.a, traj.a_dot)])
+            np.testing.assert_allclose(np.column_stack([E_kin, E_el]), want,
+                                       rtol=1e-14, atol=0.0)
+            led = EnergyLedger.from_trajectory(system, traj, dt, loads)
+            vbar = 0.5 * (traj.a_dot[:-1] + traj.a_dot[1:])
+            D, work = [], []
+            for m, v in enumerate(vbar):
+                w = trig_weights((m + 0.5) * dt, 1.0, system.times.size)
+                Vm, Qm = (np.tensordot(w, system.stacks[k], axes=1) for k in ("V", "Q"))
+                D.append(v @ (Vm + system.constants["A_visc"]) @ v)
+                work.append(v @ loads[m] - v @ Qm @ v)
+            assert np.array_equal(led.E, E_kin[:-1] + E_el[:-1])
+            np.testing.assert_allclose(led.D, D, rtol=1e-13, atol=0.0)
+            np.testing.assert_allclose(led.work_rate, work, rtol=1e-13, atol=0.0)
 
     def test_summed_stacks_match_the_per_block_interpolation(self, small_model,
                                                               small_forcing, rng):

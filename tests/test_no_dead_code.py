@@ -1,10 +1,12 @@
-"""Dead-code guard: every module-level function and class of the package has
-a caller or a test, every method and property a caller in the package,
+"""Dead-code guard: every module-level function, class and UPPER_CASE
+constant of the package has a use or a test, every method and property a
+caller in the package,
 every True/False flag a caller in the package that turns it, and every
 defaulted parameter a call in the package or the tests that passes it.
 
 A module-level name counts as used when it occurs as a whole word somewhere
-in src/perifsi or tests/ outside the lines of its own definition.  The
+in src/perifsi or tests/ outside the lines of its own definition (for a
+constant, the line of its assignment).  The
 package __init__.py is not searched, because a re-export there is not a use.
 A method or property counts as used when it is read as an attribute
 (`.name`) somewhere in src/perifsi outside its own definition; a test alone
@@ -28,14 +30,25 @@ def _searched_files():
     return {p: p.read_text().splitlines() for p in files}
 
 
+def _module_level_names(tree):
+    """(name, definition node) of each module-level function, class and
+    UPPER_CASE constant of a parsed module."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name, node
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                if isinstance(target, ast.Name) and re.fullmatch(r"[A-Z][A-Z0-9_]*", target.id):
+                    yield target.id, node
+
+
 def test_every_module_level_name_is_used():
     files = _searched_files()
     unused = []
     for path in sorted(PACKAGE.glob("*.py")):
-        for node in ast.parse(path.read_text()).body:
-            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                continue
-            word = re.compile(rf"\b{re.escape(node.name)}\b")
+        for name, node in _module_level_names(ast.parse(path.read_text())):
+            word = re.compile(rf"\b{re.escape(name)}\b")
             own = range(node.lineno - 1, node.end_lineno)
             used = any(
                 word.search(line)
@@ -44,8 +57,18 @@ def test_every_module_level_name_is_used():
                 if not (p == path and i in own)
             )
             if not used:
-                unused.append(f"{path.name}:{node.lineno} {node.name}")
-    assert not unused, "no caller or test: " + ", ".join(unused)
+                unused.append(f"{path.name}:{node.lineno} {name}")
+    assert not unused, "no use or test: " + ", ".join(unused)
+
+
+def test_the_guard_sees_module_constants():
+    """The constants of the package are among the checked names, and one
+    that only its own line names is reported."""
+    names = {name for path in sorted(PACKAGE.glob("*.py"))
+             for name, _ in _module_level_names(ast.parse(path.read_text()))}
+    assert {"STEP_CHUNK", "LANES", "ANDERSON_DEPTH", "NZ_MODES"} <= names
+    tree = ast.parse("UNUSED = 1\nlower = 2\n_Private = 3\nX: int = 4\n")
+    assert [name for name, _ in _module_level_names(tree)] == ["UNUSED", "X"]
 
 
 def test_every_run_config_field_is_read():

@@ -22,6 +22,7 @@ from perifsi.extension_ops import azimuthal_damping, mollify
 from perifsi.geometry import MARGIN_FRAC, CylinderConfig, admissibility, sup_grid
 from perifsi.shell_solid import ShellBasis
 from perifsi.solver_periodic import (
+    LANES,
     STEP_CHUNK,
     EnergyLedger,
     OuterLoopConfig,
@@ -183,18 +184,25 @@ class TestStepping:
         assert s1.t == pytest.approx(1.0 / 64)
 
 
-class TestStackedPeriod:
-    """The chunked, product-tree period against the sequential path."""
+def _lane_ends(prob):
+    """The step index after each lane of a problem's period."""
+    return np.append(np.arange(prob.lane, prob.n_steps, prob.lane), prob.n_steps)
 
-    @pytest.mark.parametrize("n_steps", [1, 5, 300, 2 * STEP_CHUNK, 2 * STEP_CHUNK + 1])
+
+class TestStackedPeriod:
+    """The period stepped in lockstep lanes against the sequential path."""
+
+    @pytest.mark.parametrize("n_steps", [1, 5, 15, 16, 17, 64, 300, 2 * STEP_CHUNK,
+                                         2 * STEP_CHUNK + 1])
     @pytest.mark.parametrize("name", ["rest_phased", "moving_system"])
     def test_matches_the_sequential_path(self, name, n_steps, request):
         """x_star and its orbit, and the orbit and ledger of a replay from a
         random state (on a one-step periodic orbit the midpoint velocity is
-        zero, so its ledger is round-off); 300 steps cross a chunk boundary
-        and are not a power of two, 2 STEP_CHUNK steps are full chunks only
-        (all replayed in lockstep) and one step more leaves a one-step
-        tail."""
+        zero, so its ledger is round-off).  Up to LANES steps are one step
+        per lane; 17 and 300 steps leave a ragged last lane (9 lanes of 2
+        steps, the last of 1, and 16 of 19, the last of 15); 64 steps are
+        16 lanes of 4; 2 STEP_CHUNK steps are two full build blocks, and
+        one step more adds a one-step third block."""
         system = request.getfixturevalue(name)
         n, dt = system.n, 1.0 / n_steps
         ops = _oracle_operators(system, n_steps, dt)
@@ -214,21 +222,26 @@ class TestStackedPeriod:
             assert _rel(getattr(got, k), want) <= 1e-12, k
 
     def test_a_perturbed_step_map_opens_a_seam(self, rest_phased):
-        """Each chunk of the replay starts from its seed, the prefix map of
+        """Each lane of the replay starts from its seed, the prefix map of
         the steps before it applied to x_star, so a step map changed in the
-        middle of three chunks after the period is built leaves the orbit's
-        end at x_star but opens the seam after that chunk: the residual,
-        the largest seam gap, sees it."""
+        middle of a lane after the period is built leaves the orbit's end
+        at x_star but opens the seam at that lane's end: the residual, the
+        largest seam gap, sees it, and no other seam opens."""
         n_steps = 2 * STEP_CHUNK + 1
         prob = PeriodicProblem(rest_phased, 1.0, 1.0 / n_steps)
         x_star, info = periodic_solve(prob)
         scale = np.max(np.abs(_states(info["trajectory"])))
         assert info["residual"] <= 1e-12 * scale
-        prob.V[STEP_CHUNK + 10, :, -1] *= 1.0 + 1e-3
+        lane = LANES // 2
+        prob.V[lane * prob.lane + prob.lane // 2, :, -1] *= 1.0 + 1e-3
         perturbed = periodic_solve(prob)[1]
-        end = _states(perturbed["trajectory"])[-1]
-        assert np.max(np.abs(end - _states(x_star))) <= 1e-12 * scale
+        orbit = _states(perturbed["trajectory"])
+        assert np.max(np.abs(orbit[-1] - _states(x_star))) <= 1e-12 * scale
         assert perturbed["residual"] > 1e-8 * scale
+        seeds = (prob.prefix_maps @ np.append(_states(x_star), 1.0))[1:, :-1]
+        gaps = np.max(np.abs(orbit[_lane_ends(prob)[:-1]] - seeds), axis=1)
+        assert np.flatnonzero(gaps > 1e-12 * scale).tolist() == [lane]
+        assert gaps[lane] == perturbed["residual"]
 
     def test_step_maps_are_the_sequential_ones(self, moving_system):
         n_steps = 300
@@ -240,8 +253,9 @@ class TestStackedPeriod:
 
     @pytest.mark.filterwarnings("error")
     def test_singular_midpoint_in_a_later_chunk(self):
-        """P is singular at one midpoint of the second chunk only: the
-        failure names that midpoint."""
+        """P is singular at one midpoint of the second build block of
+        STEP_CHUNK steps only, in the middle of a lane: the failure names
+        that midpoint."""
         n_steps, bad = 300, STEP_CHUNK + 14
         dt = 1.0 / n_steps
         t_bad = (bad + 0.5) * dt
@@ -289,13 +303,32 @@ class TestPeriodicSolve:
         with pytest.raises(LinearSolveFailure, match="t=0.125"):
             periodic_solve(PeriodicProblem(system, 1.0, 0.25))
 
-    def test_each_step_is_built_once(self, rest_system):
-        """One matrices_at call per chunk of steps, none in the replay."""
-        for n_steps, chunks in ((32, 1), (STEP_CHUNK, 1), (2 * STEP_CHUNK + 1, 3)):
+    def test_each_step_is_built_once(self, rest_system, monkeypatch):
+        """One matrices_at call per build block of STEP_CHUNK steps, none in
+        the replay, and one lockstep stepping of the lanes for the period
+        map and one for the orbit; a period has LANES lanes of
+        ceil(n_steps / LANES) steps, at most STEP_CHUNK, so a longer one
+        has more."""
+        replays = []
+        replay = solver_periodic._replay
+
+        def counting_replay(V, x, dt, lane, out):
+            replays.append((len(V), x.shape[::2], lane))
+            return replay(V, x, dt, lane, out)
+
+        monkeypatch.setattr(solver_periodic, "_replay", counting_replay)
+        n = rest_system.n
+        for n_steps, blocks, lane, lanes in ((32, 1, 2, 16), (64, 1, 4, 16),
+                                             (STEP_CHUNK, 1, 16, 16),
+                                             (2 * STEP_CHUNK + 1, 3, 33, 16),
+                                             (LANES * STEP_CHUNK + 1, 17, STEP_CHUNK, 17)):
             counting = _CountingSystem(rest_system)
             prob = PeriodicProblem(counting, 1.0, 1.0 / n_steps)
+            replays.clear()
             periodic_solve(prob)
-            assert counting.calls == chunks
+            assert counting.calls == blocks
+            assert replays == [(n_steps, (lanes, 2 * n + 1), lane),
+                               (n_steps, (lanes, 1), lane)]
 
     def test_ledger_reads_the_step_operators(self, moving_system):
         """The ledger interpolates only the mass matrix, once for all
@@ -326,9 +359,54 @@ class TestPeriodicSolve:
         assert np.array_equal(traj.a, x_T.a)
         assert np.array_equal(traj.a_dot, x_T.a_dot)
         assert np.array_equal(traj.t, x_T.t)
-        gap = max(np.max(np.abs(x_T.a[-1] - x_star.a)),
-                  np.max(np.abs(x_T.a_dot[-1] - x_star.a_dot)))
-        assert info["residual"] == gap
+        # the residual is the largest gap at a lane seam, the orbit's end
+        # against x_star included
+        x = _states(x_T)
+        seeds = (prob.prefix_maps @ np.append(x[0], 1.0))[1:, :-1]
+        gaps = np.abs(x[_lane_ends(prob)] - np.vstack([seeds, x[0]]))
+        assert info["residual"] == np.max(gaps)
+        assert np.max(gaps[-1]) == max(np.max(np.abs(x_T.a[-1] - x_star.a)),
+                                       np.max(np.abs(x_T.a_dot[-1] - x_star.a_dot)))
+
+
+class TestConstantSystem:
+    """A one-sample system (the rest cylinder) is constant in t: its
+    matrices come with a time axis of length 1 and step_maps inverts its P
+    once per build block."""
+
+    def test_step_maps_are_the_sequential_ones(self, rest_phased):
+        n_steps = 300
+        prob = PeriodicProblem(rest_phased, 1.0, 1.0 / n_steps)
+        ops = _oracle_operators(rest_phased, n_steps, prob.dt)
+        assert prob.V.shape == (n_steps, prob.system.n, 2 * prob.system.n + 1)
+        assert _rel(prob.V, np.array([V for V, _ in ops])) <= 1e-12
+        assert _rel(prob.f, np.array([f for _, f in ops])) <= 1e-14
+
+    def test_one_inverse_per_build_block(self, rest_phased, monkeypatch):
+        inverted = []
+        inv = np.linalg.inv
+
+        def spy(P):
+            inverted.append(P.shape)
+            return inv(P)
+
+        monkeypatch.setattr(solver_periodic.np.linalg, "inv", spy)
+        n = rest_phased.n
+        periodic_solve(PeriodicProblem(rest_phased, 1.0, 1.0 / (2 * STEP_CHUNK + 1)))
+        assert inverted == [(1, n, n)] * 3
+
+    @pytest.mark.filterwarnings("error")
+    def test_singular_constant_operator(self):
+        """A constant P that is singular fails at the first midpoint."""
+        zero = np.zeros((1, 2, 2))
+        system = SimpleNamespace(
+            n=2,
+            matrices_at=lambda t: {"M": zero, "C": zero, "K": zero[0]},
+            forcing=None,
+        )
+        dt = 1.0 / 300
+        with pytest.raises(LinearSolveFailure, match=re.escape(f"t={0.5 * dt}") + "$"):
+            periodic_solve(PeriodicProblem(system, 1.0, dt))
 
 
 class TestOuterLoop:
