@@ -56,6 +56,15 @@ def trig_weights(t, T, S):
     return np.fft.irfft(phase, n=S)
 
 
+def _padded_legder(coef, d):
+    """The d-th derivatives of the Legendre series in the rows of coef,
+    zero padded to coef's shape."""
+    out = np.zeros_like(coef)
+    if d < coef.shape[1]:
+        out[:, : coef.shape[1] - d] = npleg.legder(coef, d, axis=1)
+    return out
+
+
 class LegFamily:
     """A family of 1D functions stored as Legendre series on a common domain.
 
@@ -76,19 +85,23 @@ class LegFamily:
         """Legendre polynomials on `domain`, optionally multiplied by `factor`.
 
         factor is given as a plain polynomial in the mapped variable
-        s in [-1, 1] (numpy polynomial coefficients, low order first).
+        s in [-1, 1] (numpy polynomial coefficients, low order first).  Row
+        i of the coefficients is e_i f(X), with X the Legendre
+        multiply-by-s matrix, s P_i = (i P_(i-1) + (i + 1) P_(i+1)) / (2i + 1),
+        taken by Horner's rule on f for every function at once.
         """
-        ncoef = nfun
-        fac_leg = None
-        if factor is not None:
-            fac_leg = npleg.poly2leg(np.asarray(factor, dtype=float))
-            ncoef = nfun + len(fac_leg) - 1
-        coef = np.zeros((nfun, ncoef))
-        for i in range(nfun):
-            e = np.zeros(i + 1)
-            e[i] = 1.0
-            c = e if fac_leg is None else npleg.legmul(fac_leg, e)
-            coef[i, : len(c)] = c
+        if factor is None:
+            return cls(np.eye(nfun), domain)
+        factor = np.asarray(factor, dtype=float)
+        ncoef = nfun + len(factor) - 1
+        i = np.arange(ncoef - 1)
+        X = np.zeros((ncoef, ncoef))
+        X[i, i + 1] = (i + 1) / (2.0 * i + 1.0)
+        X[i + 1, i] = (i + 1) / (2.0 * i + 3.0)
+        coef = factor[-1] * np.eye(nfun, ncoef)
+        for a in factor[-2::-1]:
+            coef = coef @ X
+            coef[:, :nfun] += a * np.eye(nfun)
         return cls(coef, domain)
 
     def _mapped(self, x):
@@ -100,12 +113,7 @@ class LegFamily:
         if not hasattr(self, "_dcache"):
             self._dcache = {}
         if d not in self._dcache:
-            ncoef = self.coef.shape[1]
-            C = np.zeros((self.nfun, ncoef))
-            for i in range(self.nfun):
-                cd = npleg.legder(self.coef[i], d) if d else self.coef[i]
-                C[i, : len(cd)] = cd
-            self._dcache[d] = C
+            self._dcache[d] = _padded_legder(self.coef, d)
         return self._dcache[d]
 
     def eval_table(self, x, nderiv=0):
@@ -152,12 +160,9 @@ class BeamFamily:
         den = np.sinh(X) - np.sin(X)
         self.one_minus_sigma = num / den
         self.sigma = 1.0 - self.one_minus_sigma
-        # L2 normalization by dense quadrature (one-time, exact to roundoff)
-        m = max(80, 6 * self.nfun + 40)
-        xq, wq = gauss(m, 0.0, self.ell)
-        self.norm = np.ones(self.nfun)
-        tab = self.eval_table(xq, 0)
-        self.norm = np.sqrt(tab[:, 0, :] ** 2 @ wq)
+        # L2 norms in closed form: in this form every clamped-clamped mode
+        # has int_0^ell phi_k^2 = ell
+        self.norm = np.full(self.nfun, np.sqrt(self.ell))
 
     def eval_table(self, x, nderiv=0):
         x = np.asarray(x, dtype=float).ravel()
@@ -231,33 +236,28 @@ class PiecewiseLegFamily:
         # continuity at interior breaks
         for e in range(self.nelem - 1):
             row = np.zeros(ndof)
-            row[e * p : (e + 1) * p] = self._edge_vals(e, +1.0)
-            row[(e + 1) * p : (e + 2) * p] = -self._edge_vals(e + 1, -1.0)
+            row[e * p : (e + 1) * p] = self._edge_vals(+1.0)
+            row[(e + 1) * p : (e + 2) * p] = -self._edge_vals(-1.0)
             rows.append(row)
         # a zero at the right end
         row = np.zeros(ndof)
-        row[-p:] = self._edge_vals(self.nelem - 1, +1.0)
+        row[-p:] = self._edge_vals(+1.0)
         rows.append(row)
         _, s, vt = np.linalg.svd(np.vstack(rows))
         rank = int(np.sum(s > 1e-12 * s[0]))
         self.dof_basis = vt[rank:].T  # (ndof, nfun)
         self.nfun = self.dof_basis.shape[1]
 
-    def _edge_vals(self, elem, s):
-        p = self.degree + 1
-        return np.array([npleg.legval(s, np.eye(p)[i]) for i in range(p)])
+    def _edge_vals(self, s):
+        """The element's Legendre modes at the end s = -1 or +1: P_i(s) = s^i."""
+        return s ** np.arange(self.degree + 1)
 
     def _der_mat(self, d):
         """(p, p) matrix whose row i holds legder(e_i, d), zero padded."""
         if not hasattr(self, "_dcache"):
             self._dcache = {}
         if d not in self._dcache:
-            p = self.degree + 1
-            D = np.zeros((p, p))
-            for i in range(p):
-                cd = npleg.legder(np.eye(p)[i], d) if d else np.eye(p)[i]
-                D[i, : len(cd)] = cd
-            self._dcache[d] = D
+            self._dcache[d] = _padded_legder(np.eye(self.degree + 1), d)
         return self._dcache[d]
 
     def local_table(self, x, nderiv=0):

@@ -37,8 +37,9 @@ x ((0, c') for its time derivative).  The products Y_k Y_i carry
 wavenumbers 0..2 max_m, max_m the largest of the shell modes, and so does
 the table.  Its corrector dofs are themselves a contraction: at the
 collocation nodes every source is a combination of 38 unit sources, one per
-axial node, and the plug's, so each wavenumber solves those once
-(ExtensionOperator.corrector_dofs).
+axial node, and the plug's.  A unit source and its mirror about z = L/2
+differ only in the sign of the z-odd dofs, so each wavenumber solves the 19
+of the lower half and the plug once (ExtensionOperator.corrector_dofs).
 """
 
 from functools import cached_property
@@ -172,8 +173,10 @@ def _min_norm_solve(rows, G):
     """
     n = G.shape[0]
     R, p, r = _pivoted_gram(_gram(rows))
-    R11 = R[:r, :r]
-    Wt = solve_triangular(R11, R[:r, r:], check_finite=False)  # W^T
+    # the factor as contiguous arrays, which LAPACK would otherwise copy
+    # from the strided views on every call
+    R11, R12 = np.asfortranarray(R[:r, :r]), np.asfortranarray(R[:r, r:])
+    Wt = solve_triangular(R11, R12, overwrite_b=True, check_finite=False)  # W^T
     small = cho_factor(np.eye(n - r) + Wt.T @ Wt, check_finite=False)
 
     def pinv(G):
@@ -281,6 +284,21 @@ class _ModeSolver:
             Ar = np.einsum("ix,jx,x->ij", da, da, wrq * rq)
             self._comp_data.append((rad, int(i == 2), Ar, Mr))
         self._Tz, self._Mz, self._Az = Tz, Mz, Az
+        # per z-parity half (0 even, 1 odd): each component's z functions
+        # and the half's dof indices
+        self._js = [[np.arange((parity + zrow) % 2, nfz, 2)
+                     for _, zrow, _, _ in self._comp_data] for parity in (0, 1)]
+        self._halves = [
+            np.concatenate([i * self.block + (np.arange(nfr)[:, None] * nfz + js).ravel()
+                            for i, js in enumerate(self._js[parity])])
+            for parity in (0, 1)]
+        # per component, the parity-independent radial half of the
+        # whitening: the eigenpairs (lam, V), V^T Mr V = I, of
+        # Ar + 1e-10 Mr and the radial factor P = V^T rad
+        self._radial = []
+        for rad, _, Ar, Mr in self._comp_data:
+            lam, V = eigh(Ar + 1e-10 * Mr, Mr, check_finite=False)
+            self._radial.append((lam, V, V.T @ rad))
 
     def _whitened(self, parity):
         """The z-parity half's dof indices, the fast-diagonalization root
@@ -288,31 +306,29 @@ class _ModeSolver:
         factors, W from the half's axial ones) and the factors (P, Z, s),
         P = V^T rad and Z = W^T Tz, of the component's block
         C_c X_c = [P_ix Z_jy s_ij] of the whitened system, X_c = (V x W)
-        diag(s).  All of them are small (under 16 KiB per array for m = 0);
-        they are built afresh per solve, as the table needs one solve per
-        solver."""
-        nfr, nfz = self.fam_r.nfun, self.fam_z.nfun
+        diag(s).  The radial half (lam, V, P) is the solver's own; the axial
+        half is built afresh per call, as the table needs one solve per
+        solver.  All of them are small (under 16 KiB per array for m = 0)."""
         Tz, Mz, Az = self._Tz, self._Mz, self._Az
-        idx, roots, rows = [], [], []
-        for i, (rad, zrow, Ar, Mr) in enumerate(self._comp_data):
-            js = np.arange((parity + zrow) % 2, nfz, 2)
-            idx.append(i * self.block + (np.arange(nfr)[:, None] * nfz + js).ravel())
-            lam, V = eigh(Ar + 1e-10 * Mr, Mr, check_finite=False)
+        roots, rows = [], []
+        for (_, zrow, _, _), (lam, V, P), js in zip(self._comp_data, self._radial,
+                                                     self._js[parity]):
             mu, W = eigh(Az[np.ix_(js, js)], Mz[np.ix_(js, js)], check_finite=False)
             s = 1.0 / np.sqrt(lam[:, None] + mu[None, :])
             roots.append((V, W, s))
-            rows.append((V.T @ rad, W.T @ Tz[js, zrow], s))
-        return np.concatenate(idx), roots, rows
+            rows.append((P, W.T @ Tz[js, zrow], s))
+        return self._halves[parity], roots, rows
 
     def solve(self, g_nodes):
         """Profile dofs (ndof, S) matching div w = g at the collocation nodes
         for S sources, with g_nodes of shape (n_r_nodes, n_z_nodes, S).  Each
-        call whitens both halves afresh, so pass all sources at once.  The
-        largest arrays of a call are the Gram of one half and its factor
-        (6.3 MiB for any m); a call on the 39 unit sources of m = 0
-        (corrector_dofs) peaks at about 17 MiB of allocations, on the 38 of
-        m = 1 at about 19 MiB.  Raises ValueError on a source that is not
-        finite and LinearSolveFailure if the dofs come out not finite."""
+        call takes the axial whitening of both halves afresh, so pass all
+        sources at once.  The largest arrays of a call are the Gram of one
+        half and its factor (6.3 MiB for any m); a call on the 19 unit
+        sources and the plug of m = 0 (corrector_dofs) peaks at about
+        16 MiB of allocations, on the 19 of m = 1 at about 18 MiB.  Raises
+        ValueError on a source that is not finite and LinearSolveFailure if
+        the dofs come out not finite."""
         g_nodes = np.asarray_chkfinite(g_nodes)
         S = g_nodes.shape[-1]
         nh = g_nodes.shape[1] // 2
@@ -331,6 +347,22 @@ class _ModeSolver:
         if not np.isfinite(dofs).all():
             raise LinearSolveFailure(f"corrector solve for m = {self.m} is not finite")
         return dofs
+
+    def contract_units(self, D, H):
+        """sum_k d_k H[k] over all n_z collocation nodes z_k, d_k the dofs
+        of the unit source e_k at node z_k, from the dofs D (ndof, n_z / 2)
+        of the unit sources at the lower half of the nodes only, with
+        weights H (n_z, S).  The unit source at the mirror L - z_k of z_k
+        has the same half sum and the opposite half difference in solve,
+        so its dofs are D's column k with the z-odd dofs negated: the z-even
+        dofs take D times H_low + H_high, the z-odd ones D times
+        H_low - H_high, H_high the rows of the mirrors."""
+        nh = D.shape[1]
+        low, high = H[:nh], H[::-1][:nh]
+        out = np.empty((self.ndof, H.shape[1]))
+        for idx, h in zip(self._halves, (low + high, low - high)):
+            out[idx] = D[idx] @ h
+        return out
 
     def line_block(self, dofs, zs):
         """The table dofs (1 + n, n, ndof) of this solver contracted with
@@ -397,10 +429,13 @@ class ExtensionOperator:
         a source is (8 / R^2) H_m(z), constant in r, with H_m the m-th
         azimuthal Fourier coefficient of h, plus the plug's Phi a(r) g'(z)
         for m = 0.  So every source lies in the span of the unit sources
-        (8 / R^2) 1_r x e_k, one per z node, and (for m = 0) the plug:
-        each solver makes one solve of those (39 sources for m = 0, 38 for
-        m >= 1), and the dofs are its unit dofs contracted with H_m and the
-        flux, linear in h by construction.  Returns
+        (8 / R^2) 1_r x e_k, one per z node, and (for m = 0) the plug.
+        The unit source at a node's mirror L - z_k has the node's dofs with
+        the z-odd ones negated, so each solver makes one solve of the unit
+        sources at the lower half of the nodes and (for m = 0) the plug
+        (20 sources for m = 0, 19 for m >= 1), and the dofs are its unit
+        dofs contracted with H_m over all nodes (_ModeSolver.contract_units)
+        and the plug's with the flux, linear in h by construction.  Returns
         [(solver, parity, dofs (ndof, S))].  Raises ValueError on a source
         that is not finite.
         """
@@ -408,18 +443,19 @@ class ExtensionOperator:
         cyl = self.cyl
         sol0 = self.solvers[0]
         rc, zc = sol0.r_nodes, sol0.z_nodes
-        n_th = h.shape[0] // zc.size
+        n_th, nh = h.shape[0] // zc.size, zc.size // 2
         H = np.fft.rfft(h.reshape(n_th, zc.size, -1), axis=0) / n_th
-        units = np.broadcast_to(8.0 / cyl.R**2 * np.eye(zc.size), (rc.size,) + (zc.size,) * 2)
+        units = np.broadcast_to(8.0 / cyl.R**2 * np.eye(zc.size, nh), (rc.size, zc.size, nh))
         plug = (plug_radial_profile(cyl, rc)[0][:, None]
                 * plug_axial_profile(cyl, zc, 1)[1][None, :])
         D = sol0.solve(np.concatenate([units, plug[..., None]], axis=-1))
-        parts = [(sol0, "cos", D @ np.concatenate([H[0].real, flux[None]]))]
+        parts = [(sol0, "cos", sol0.contract_units(D[:, :nh], H[0].real)
+                  + D[:, nh:] @ flux[None])]
         S = h.shape[-1]
         for sol in self.solvers[1:]:
             # the cos and sin dofs of a wavenumber in one product
-            dofs = sol.solve(units) @ np.concatenate(
-                [2.0 * H[sol.m].real, -2.0 * H[sol.m].imag], axis=-1)
+            dofs = sol.contract_units(sol.solve(units), np.concatenate(
+                [2.0 * H[sol.m].real, -2.0 * H[sol.m].imag], axis=-1))
             parts += [(sol, "cos", dofs[:, :S]), (sol, "sin", dofs[:, S:])]
         return parts
 

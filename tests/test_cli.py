@@ -347,6 +347,22 @@ class TestVerify:
         checks = {r[0] for r in rows[1:]}
         assert {"korn_identity", "kinematic_coupling"} <= checks
 
+    def test_default_verify_bounds_the_moving_balance_order(self, tmp_path):
+        """On the default config the report has a passing
+        moving_energy_balance_order row: halving the step on a prescribed
+        moving path divides the summed ledger defect by 4 within 20%
+        (measured ratio 4 (1 - 0.0064))."""
+        cfg_path = tmp_path / "default.cfg"
+        cfg_path.write_text("")
+        out = tmp_path / "v"
+        assert cli.main(["verify", "--config", str(cfg_path),
+                         "--out-dir", str(out)]) == 0
+        with open(out / "verify_report.csv") as fh:
+            rows = {r[0]: r for r in csv.reader(fh)}
+        _, measured, tolerance, ok = rows["moving_energy_balance_order"]
+        assert ok == "true" and float(tolerance) == 0.2
+        assert 0.0 <= float(measured) <= 0.2
+
 
 
 class TestBuildModel:

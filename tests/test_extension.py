@@ -781,16 +781,37 @@ class TestModeSolver:
         for k, sign in enumerate((1.0, 1.0, -1.0)):
             assert np.max(np.abs(q[k] - sign * p[k])) <= 1e-10 * scale
 
+    @pytest.mark.parametrize("m", [0, 1])
+    def test_mirrored_unit_dofs_match_the_direct_solve(self, mode_solvers, m):
+        """The dofs of the unit sources at the upper half of the axial
+        nodes, taken by contract_units from those of the lower half with
+        the z-odd dofs negated, equal a direct solve of the upper-half unit
+        sources to 1e-12 of each column's largest entry (measured 1.2e-14
+        for m = 0 and 2.0e-13 for m = 1: the solve is linear in its sources
+        only to its round-off), and the lower half's are passed through
+        bitwise."""
+        sol = mode_solvers[m]
+        nz = sol.z_nodes.size
+        nh = nz // 2
+        units = np.broadcast_to(np.eye(nz), (sol.r_nodes.size, nz, nz))
+        low, high = sol.solve(units[..., :nh]), sol.solve(units[..., nh:])
+        got = sol.contract_units(low, np.eye(nz))
+        assert got.shape == (sol.ndof, nz)
+        assert np.array_equal(got[:, :nh], low)
+        gap = np.max(np.abs(got[:, nh:] - high), axis=0)
+        assert np.all(gap <= 1e-12 * np.max(np.abs(high), axis=0))
+
     def test_matches_the_unsplit_solve_on_the_table_sources(self, monkeypatch):
         """On the default model's 72 table sources, the table's dofs equal
         the full-SVD solve to 1e-7 relative (measured 1.1e-8 at 1 BLAS
         thread, 1.6e-8 at 2), well above the operator's own round-off (its
         table moves about 3e-14 between 1 and 2 BLAS threads).  The table
-        build makes one solve, of the 38 unit sources and the plug."""
+        build makes one solve, of the 19 unit sources at the lower half of
+        the 38 axial nodes and the plug."""
         calls = _recorded_solves(monkeypatch)
         ext_op = build_model(RunConfig().validate()).basis.ext_op
         _, parts = ext_op.table
-        assert calls == [(0, 39)] and len(parts) == 1
+        assert calls == [(0, 20)] and len(parts) == 1
         sources = _table_sources(ext_op)[0]
         assert sources.shape[-1] == 72
         sol, _, dofs = parts[0]
@@ -803,12 +824,13 @@ class TestModeSolver:
         the full-SVD solve of its 40 cos and sin sources to 1e-6 relative
         (measured 4e-7 at 1 BLAS thread, 8e-8 at 2), and the table build
         makes one solve per solver, m = 0, 1 and 2 for the products of two
-        m = 1 modes: 39 unit sources for m = 0 and 38 for m >= 1."""
+        m = 1 modes: 19 unit sources, those at the lower half of the axial
+        nodes, and the plug for m = 0, and 19 for m >= 1."""
         calls = _recorded_solves(monkeypatch)
         cfg = RunConfig(n_theta=2, n_z=2, n_interior=4).validate()
         ext_op = build_model(cfg).basis.ext_op
         _, parts = ext_op.table
-        assert calls == [(0, 39), (1, 38), (2, 38)]
+        assert calls == [(0, 20), (1, 19), (2, 19)]
         assert [(sol.m, parity) for sol, parity, _ in parts] == [
             (0, "cos"), (1, "cos"), (1, "sin"), (2, "cos"), (2, "sin")]
         sources = _table_sources(ext_op)[1]
