@@ -235,6 +235,13 @@ def run_verify(cfg, out_dir):
     div = ext.tables(jets.r_phys, jets.theta, jets.z)["div"][0]
     checks.append(("extension_interior_div", float(np.max(np.abs(div))), 1e-6))
 
+    # every coupled extension from the same interface on the moved grid:
+    # the largest of their max |div| / max |grad|
+    t = basis.ext_op.extend(c, basis.coupled_block).tables(jets.r_phys, jets.theta, jets.z)
+    grad = np.max(np.abs(t["grad"]).reshape(len(t["grad"]), -1), axis=-1)
+    checks.append(("coupled_extension_div",
+                   float(np.max(np.max(np.abs(t["div"]), axis=-1) / grad)), 1e-5))
+
     # trilinear antisymmetry and the Korn identity on two Stokes modes
     grid = assembler.grid
     val, grad = basis.stokes_basis.tables_on(grid)

@@ -100,16 +100,18 @@ def _gram(rows):
     factors rows = [(P, Z, s)] (_ModeSolver._whitened), where component c
     has B_c[(x, y), (i, j)] = P[i, x] Z[j, y] s[i, j].  Then
     K = sum_c sum_i (p_i p_i^T) x (Z^T diag(s_i^2) Z), one product of the
-    radial outer products (n_x^2, sum nfr) with the axial ones
-    (sum nfr, n_y^2), turned to (x, y), (X, Y) order: for m = 0
-    (2304 x 80) (80 x 361), 0.07 G multiply-adds against 1.1 G for the
-    product of the dense B with its transpose."""
+    radial outer products with the axial ones (sum nfr, n_y^2), turned to
+    (x, y), (X, Y) order.  K is symmetric and _pivoted_gram reads only its
+    lower triangle, so only the blocks x >= X that hold it are formed: the
+    product takes the radial pairs x >= X alone, for m = 0
+    (1176 x 80) (80 x 361), and the blocks x < X are left zero."""
     nx, ny = rows[0][0].shape[1], rows[0][1].shape[1]
-    PP = np.concatenate([(P[:, :, None] * P[:, None, :]).reshape(len(P), -1)
-                         for P, _, _ in rows])
+    x, X = np.tril_indices(nx)
+    PP = np.concatenate([P[:, x] * P[:, X] for P, _, _ in rows])
     ZZ = np.concatenate([(s * s) @ (Z[:, :, None] * Z[:, None, :]).reshape(len(Z), -1)
                          for _, Z, s in rows])
-    K = (PP.T @ ZZ).reshape(nx, nx, ny, ny).transpose(0, 2, 1, 3)
+    K = np.zeros((nx, ny, nx, ny))
+    K[x, :, X] = (PP.T @ ZZ).reshape(-1, ny, ny)
     return K.reshape(nx * ny, nx * ny)
 
 
@@ -136,10 +138,12 @@ def _whitened_rmatmul(rows, z):
 
 def _pivoted_gram(K):
     """Pivoted Cholesky K[p][:, p] = R^T R of a Gram K, stopped at the first
-    pivot at or below GRAM_CUTOFF max diag K.  Returns (R, p, rank): the
+    pivot at or below GRAM_CUTOFF max diag K.  Only the lower triangle of K
+    (row >= column, as _gram fills it) is read.  Returns (R, p, rank): the
     first rank rows of the upper triangular R are the factor [R11 R12], its
     other rows are scratch.  K is factored in place."""
-    # K.T is the same symmetric K in Fortran order, so LAPACK needs no copy
+    # K.T is K in Fortran order, so LAPACK needs no copy, and the upper
+    # triangle that dpstrf reads there is K's lower one
     R, piv, rank, _ = dpstrf(K.T, tol=GRAM_CUTOFF * K.diagonal().max(),
                              overwrite_a=True)
     return R, piv - 1, rank
@@ -323,12 +327,12 @@ class _ModeSolver:
         """Profile dofs (ndof, S) matching div w = g at the collocation nodes
         for S sources, with g_nodes of shape (n_r_nodes, n_z_nodes, S).  Each
         call takes the axial whitening of both halves afresh, so pass all
-        sources at once.  The largest arrays of a call are the Gram of one
-        half and its factor (6.3 MiB for any m); a call on the 19 unit
+        sources at once.  The largest array of a call is the Gram of one
+        half, factored in place (6.3 MiB for any m); a call on the 19 unit
         sources and the plug of m = 0 (corrector_dofs) peaks at about
-        16 MiB of allocations, on the 19 of m = 1 at about 18 MiB.  Raises
-        ValueError on a source that is not finite and LinearSolveFailure if
-        the dofs come out not finite."""
+        14.5 MiB of allocations, on the 19 of m = 1 at about 15.4 MiB.
+        Raises ValueError on a source that is not finite and
+        LinearSolveFailure if the dofs come out not finite."""
         g_nodes = np.asarray_chkfinite(g_nodes)
         S = g_nodes.shape[-1]
         nh = g_nodes.shape[1] // 2
@@ -367,15 +371,15 @@ class _ModeSolver:
     def line_block(self, dofs, zs):
         """The table dofs (1 + n, n, ndof) of this solver contracted with
         the axial table and its z derivative at the z values zs and with the
-        radial element modes: a (1 + n, zs.size, n_el, nc, 2, n) view of the
+        radial element modes: a (1 + n, zs.size, n_el, 2, nc, n) view of the
         contraction, n_el the radial family's per-element Legendre modes, so
         that joining the solvers' views is the only copy.  Component c of
-        datum (s, f) is then sum_e B[s, k, e, c, 0, f] P_e(r) at z = zs[k],
-        and its z derivative has B[s, k, e, c, 1, f] in its place."""
+        datum (s, f) is then sum_e B[s, k, e, 0, c, f] P_e(r) at z = zs[k],
+        and its z derivative has B[s, k, e, 1, c, f] in its place."""
         D = dofs.reshape(-1, len(self.comps), self.fam_r.nfun, self.fam_z.nfun)
         B = np.tensordot(D, self.fam_z.eval_table(zs, 1), axes=1)  # (.., nfr, 2, zs)
         B = np.tensordot(B, self.fam_r.dof_basis, axes=([2], [1]))  # (.., 2, zs, n_el)
-        return B.reshape(dofs.shape[:2] + B.shape[1:]).transpose(0, 4, 5, 2, 3, 1)
+        return B.reshape(dofs.shape[:2] + B.shape[1:]).transpose(0, 4, 5, 3, 2, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -485,12 +489,17 @@ class ExtensionOperator:
         """The z line of every node, an index into the distinct values zs of
         z (Q,), and the table's corrector dofs at zs: _ModeSolver.line_block
         of every (solver, parity), joined along the component axis in table
-        order, (1 + n, zs.size, n_el, C, 2, n).  Memoized on the node
-        coordinates z, as ShellBasis.eval_modes memoizes its tables: every
-        sample on one grid shares them (2.0 MB for the default model's 20
-        grid lines, 1.3 times its table).  A node set whose nodes share no
-        z line (scattered points) is not kept: its block grows with the
-        node count (about 100 KB per node on the default model)."""
+        order, (1 + n, zs.size, n_el, 2, C, n).  The z derivative axis
+        precedes the components, so that once the weights and X are
+        contracted the value and the z-derivative columns of one z line and
+        radial element are each one matrix for ExtensionField._corrector.
+        Memoized on the node coordinates z, as ShellBasis.eval_modes
+        memoizes its tables: every sample on one grid shares them (2.0 MB
+        for the default model's 20 grid lines, 1.3 times its table).  The
+        nodes' radial elements are not: the ALE map moves the radii.  A node
+        set whose nodes share no z line (scattered points) is not kept: its
+        block grows with the node count (about 100 KB per node on the
+        default model)."""
         key = z.tobytes()
         hit = self._line_blocks.get(key)
         if hit is not None:
@@ -498,10 +507,10 @@ class ExtensionOperator:
         zs, line = np.unique(z, return_inverse=True)
         views = [sol.line_block(dofs, zs) for sol, _, dofs in self.table[1]]
         shape = list(views[0].shape)
-        shape[3] = sum(v.shape[3] for v in views)
+        shape[4] = sum(v.shape[4] for v in views)
         # into a C-ordered block: joined alone, the views would keep their
         # transposed layout, and every sample's reshape would copy it
-        hit = line, np.concatenate(views, axis=3, out=np.empty(shape))
+        hit = line, np.concatenate(views, axis=4, out=np.empty(shape))
         if zs.size < z.size:
             if len(self._line_blocks) > 16:
                 self._line_blocks.clear()
@@ -614,76 +623,80 @@ class ExtensionField:
         du[:, 2, 0] = flux[:n] * da * g
         du[:, 2, 2] = flux[:n] * a * dg
         # the corrector, supported in the inner cylinder r < R/2
-        inside, w, dw = self._corrector(r, theta, z, n_diff)
-        u[..., inside] -= w
-        du[..., inside] -= dw.transpose(1, 2, 0, 3)
+        self._corrector(u, du, r, theta, z)
         return u, du
 
-    def _corrector(self, r, theta, z, n_diff):
-        """The nodes inside C, where the corrector is supported, and there
-        the cylindrical components (S F, 3, nodes inside) of the correctors
-        of all fields and their r, theta and z partials (3, n_diff F, 3,
-        nodes inside) of the fields of the first n_diff weight rows.
+    def _corrector(self, u, du, r, theta, z):
+        """Subtract the correctors of the fields from their cylindrical
+        components u (S F, 3, Q) and from the partials du (n_diff F, 3, 3,
+        Q) of the fields of the first n_diff weight rows.
 
-        The weights and then X are contracted with the operator's memoized
-        line block of the nodes' distinct z values.  Each node then gathers
-        the block of its z line and its radial element and contracts it with
-        that element's Legendre table: one batched product for all nodes and
-        all fields gives the profile of every column of the block, one
-        component of one (solver, parity) part.  The column's radial factor
-        (_ModeSolver.radial) and theta factor
-        (azimuthal_factors) make it a frame component, and one product with
-        the (3, C) matrix that picks each column's frame component sums the
-        columns.
+        The corrector is supported in the inner cylinder C.  The weights
+        and then X are contracted with the operator's memoized line block
+        of the nodes' distinct z values, and its element modes with the
+        nodes' radial Legendre tables (fam_r.local_table) one z line and
+        radial element at a time: the nodes inside C are grouped by line
+        and element, each group's tables fill its slots (padded to the
+        largest group, plus a spare slot that stays zero), and one batched
+        product per pair of radial and axial derivatives gives every slot
+        the profile of every column of the block, one component of one
+        (solver, parity) part, for all fields.  Each node takes the row of
+        its slot, a node outside C the spare one.  The column's radial
+        factor (_ModeSolver.radial) and theta factor (azimuthal_factors)
+        make it a frame component, which is subtracted straight from u and
+        du.  The values-only twin rows take the value tables only.
         """
         parts = self.op.table[1]
-        fam_r = parts[0][0].fam_r
+        sol0 = parts[0][0]
+        fam_r = sol0.fam_r
+        inside = np.flatnonzero(r < sol0.r_breaks[-1])
+        if not inside.size:  # no line block for nodes all outside C, such as interface points
+            return
         W, X = self.W, self.X
-        S, F = W.shape[0], X.shape[0]
-        nd = 2 if n_diff else 1  # derivatives of the axial and radial tables
-        p, n_el = fam_r.degree + 1, fam_r.dof_basis.shape[0]
-        inside = np.flatnonzero(r < parts[0][0].r_breaks[-1])
-        ri, Q = r[inside], inside.size
-        # per column: its frame component, whether its radial factor is r,
-        # and its theta factor with that factor's derivative
-        kind, radial, T, dT = [], [], [], []
+        S, F, Q = len(W), len(X), r.size
+        n_diff = len(du) // F
+        p, n_elem = fam_r.degree + 1, fam_r.nelem
+        line, B = self.op.line_block(z)  # B: (1 + n, line, element mode, 2, C, n)
+        G, C = B.shape[1] * n_elem, B.shape[4]
+        # the weights, then X: A[s, (line, element), mode, z derivative, (component, f)]
+        A = (W @ B.reshape(len(B), -1)).reshape(S, -1, B.shape[-1]) @ X.T
+        A = A.reshape(S, G, p, 2, C * F)
+        element, Tr = fam_r.local_table(r[inside], 1 if n_diff else 0)
+        # the nodes inside C grouped by (line, element), each at its slot
+        group = line[inside] * n_elem + element
+        order = np.argsort(group, kind="stable")
+        group = group[order]
+        count = np.bincount(group, minlength=G)
+        n_slot = count.max() + 1
+        at = group * n_slot + np.arange(group.size) - (np.cumsum(count) - count)[group]
+        Tg = np.zeros((G * n_slot,) + Tr.shape[1:])
+        Tg[at] = Tr[order]
+        Tg = Tg.reshape(G, n_slot, -1, p)
+        slot = np.full(Q, n_slot - 1)
+        slot[inside[order]] = at
+
+        def profiles(rows, dr, dz):  # (s, component, f, node)
+            v = (Tg[:, :, dr] @ A[rows, :, :, dz]).reshape(-1, G * n_slot, C * F)
+            return np.take(v.transpose(0, 2, 1), slot, axis=2).reshape(len(v), C, F, Q)
+
+        V = profiles(slice(None), 0, 0)
+        if n_diff:
+            V_r, V_z = profiles(slice(n_diff), 1, 0), profiles(slice(n_diff), 0, 1)
+        u, du = u.reshape(S, F, 3, Q), du.reshape(n_diff, F, 3, 3, Q)  # views by weight row
+        c = 0
         for sol, parity, _ in parts:
-            Tp, dTp = azimuthal_factors(sol.m, parity, theta[inside])
-            i = ["rtz".index(c) for c in sol.comps]
-            kind += i
-            radial += sol.radial
-            T.append(Tp[i])
-            dT.append(dTp[i])
-        C = len(kind)
-        pick = np.eye(3)[:, kind]
-        T, dT = np.concatenate(T), np.concatenate(dT)
-        dfac = np.array(radial, dtype=float)[:, None]  # d_r of the radial factor
-        fac = np.where(dfac, ri, 1.0)
-        # (s, node, r derivative, component, z derivative, f)
-        shape = (S, Q, nd, C, nd, F)
-        if Q:
-            line, B = self.op.line_block(z)  # B: (1 + n, line, element mode, C, 2, n)
-            # the weights, then X: A[s, (line, element mode), component,
-            # z derivative, f]
-            A = (W @ B.reshape(B.shape[0], -1)).reshape(S, -1, B.shape[-1]) @ X.T
-            A = A.reshape(S, B.shape[1] * n_el, C, 2, F)[:, :, :, :nd]
-            element, Tr = fam_r.local_table(ri, nd - 1)
-            rows = (line[inside] * n_el + element * p)[:, None] + np.arange(p)
-            prof = (Tr @ np.take(A, rows, axis=1).reshape(S, Q, p, -1)).reshape(shape)
-        else:  # no line block for nodes all outside C, such as interface points
-            prof = np.zeros(shape)
-
-        def by_field(v):  # (s, node, component, f) -> ((s, f), component, node)
-            return v.transpose(0, 3, 2, 1).reshape(len(v) * F, C, Q)
-
-        V = by_field(prof[:, :, 0, :, 0])
-        w = pick @ (fac * V * T)
-        if not n_diff:
-            return inside, w, np.zeros((3, 0, 3, Q))
-        V = V[:n_diff * F]
-        V_z, V_r = by_field(prof[:n_diff, :, 0, :, 1]), by_field(prof[:n_diff, :, 1, :, 0])
-        return inside, w, pick @ np.stack([(fac * V_r + dfac * V) * T, fac * V * dT,
-                                           fac * V_z * T])
+            T, dT = azimuthal_factors(sol.m, parity, theta)
+            for comp, radial in zip(sol.comps, sol.radial):
+                k = "rtz".index(comp)
+                v = V[:, c]  # (s, f, node)
+                fv = r * v if radial else v
+                u[:, :, k] -= fv * T[k]
+                if n_diff:
+                    v_r, v_z = V_r[:, c], V_z[:, c]
+                    du[:, :, k, 0] -= (r * v_r + v[:n_diff] if radial else v_r) * T[k]
+                    du[:, :, k, 1] -= fv[:n_diff] * dT[k]
+                    du[:, :, k, 2] -= (r * v_z if radial else v_z) * T[k]
+                c += 1
 
     def tables(self, r, theta, z):
         """Cartesian values (S F, 3, Q), and gradients (G, 3, 3, Q) and

@@ -345,7 +345,7 @@ class TestVerify:
         assert all(r[3] == "true" for r in rows[1:])
         assert len(rows) >= 5
         checks = {r[0] for r in rows[1:]}
-        assert {"korn_identity", "kinematic_coupling"} <= checks
+        assert {"korn_identity", "kinematic_coupling", "coupled_extension_div"} <= checks
 
     def test_default_verify_bounds_the_moving_balance_order(self, tmp_path):
         """On the default config the report has a passing

@@ -518,6 +518,28 @@ class TestStackedEvaluation:
         b = field.tables(*(p[perm] for p in pts))
         assert _rel_gap(b, {k: v[..., perm] for k, v in a.items()}) <= 1e-14
 
+    @pytest.mark.parametrize("n_theta", [1, 2])
+    def test_a_moving_grids_tables_do_not_depend_on_its_node_order(self, small_model,
+                                                                  rng, n_theta):
+        """A sample's stacked field (the coupled extensions and their
+        time-derivative twins) on a random permutation of a moving grid's
+        nodes gives the permuted tables to 1e-15 relative: the per-line
+        grouping of the corrector sees each node on its own.  On the small
+        model (m = 0) and an m = 1 one."""
+        model = small_model if n_theta == 1 else build_model(
+            RunConfig(n_theta=2, n_z=2, n_interior=4).validate())
+        basis = model.basis
+        shell = basis.shell_basis
+        delta, dt_delta = 0.03 * rng.standard_normal((2, shell.n_modes))
+        jets = QuadJets(model.grid, shell, delta, dt_delta)
+        field = basis.extension_fields(delta).stack(
+            basis.ext_op.extend_dt(dt_delta, basis.coupled_block))
+        pts = (jets.r_phys, jets.theta, jets.z)
+        perm = rng.permutation(pts[0].size)
+        a = field.tables(*pts)
+        b = field.tables(*(p[perm] for p in pts))
+        assert _rel_gap(b, {k: v[..., perm] for k, v in a.items()}) <= 1e-15
+
 
 def _nodal_divergence(sol, dofs):
     """div w at the collocation nodes (r-major, z) of the cos-parity field
@@ -662,52 +684,53 @@ def mode_solvers(small_model):
             1: extension_ops._ModeSolver(small_model.cyl, 1, extension_ops.NZ_MODES)}
 
 
-def _line_loop_corrector(field, r, theta, z, partials):
-    """The corrector components of a stacked field and, with partials,
-    their r, theta and z partials, taken one z-line at a time: the field's
-    weights and data block contracted with the operator's line block of the
-    distinct z values in C, as the field does, then one product with the
-    radial element table per line, and each (solver, parity) part's
-    profiles summed into the frame components part by part."""
+def _line_loop_corrector(field, r, theta, z, n_diff):
+    """The corrector components (S F, 3, Q) of a stacked field and the r,
+    theta and z partials (n_diff F, 3, 3, Q) of the fields of its first
+    n_diff weight rows, zero outside C, taken one z-line at a time: the
+    field's weights and data block contracted with the operator's line
+    block of the distinct z values in C, as the field does, then one
+    product with the radial element table per line, and each (solver,
+    parity) part's profiles summed into the frame components part by
+    part."""
     ext_op, W, X = field.op, field.W, field.X
     parts = ext_op.table[1]
     fam_r = parts[0][0].fam_r
-    nd = 2 if partials else 1
     inside = np.flatnonzero(r < parts[0][0].r_breaks[-1])
     order = inside[np.argsort(z[inside], kind="stable")]
     zs = z[order]
     first = np.flatnonzero(np.diff(zs, prepend=np.nan) != 0.0)
     bounds = np.append(first, order.size)
-    line, B = ext_op.line_block(z)  # B: (1 + n, line, element mode, C, 2, n)
-    S, F, C = W.shape[0], X.shape[0], B.shape[3]
+    line, B = ext_op.line_block(z)  # B: (1 + n, line, element mode, 2, C, n)
+    S, F, C = W.shape[0], X.shape[0], B.shape[4]
     A = (W @ B.reshape(B.shape[0], -1)).reshape(S, -1, B.shape[-1]) @ X.T
-    # (line, (s, component, z derivative, f), element mode)
-    A = A.reshape(S, B.shape[1], -1, C, 2, F)[..., :nd, :]
+    # (line, (s, z derivative, component, f), element mode)
+    A = A.reshape(S, B.shape[1], -1, 2, C, F)
     A = A.transpose(1, 0, 3, 4, 5, 2).reshape(B.shape[1], -1, A.shape[2])
-    Tr = fam_r.element_table(r[order], nd - 1)
-    V = np.zeros((S, C, nd, F, nd, r.size))  # (.., z derivative, f, r derivative, node)
+    Tr = fam_r.element_table(r[order], 1)
+    V = np.zeros((S, 2, C, F, 2, r.size))  # (.., f, r derivative, node)
     for a, b in zip(bounds[:-1], bounds[1:]):
         idx = order[a:b]
         V[..., idx] = (A[line[idx[0]]] @ Tr[:, :, a:b].reshape(A.shape[-1], -1)).reshape(
             V.shape[:-1] + (b - a,))
-    V = V.transpose(0, 3, 1, 2, 4, 5).reshape(S * F, C, nd, nd, r.size)[..., inside]
-    ri, thi = r[inside], theta[inside]
-    w = np.zeros((S * F, 3, inside.size))
-    dw = np.zeros((3, S * F if partials else 0, 3, inside.size))
+    # ((s, f), component, z derivative, r derivative, node)
+    V = V.transpose(0, 3, 2, 1, 4, 5).reshape(S * F, C, 2, 2, r.size)
+    w = np.zeros((S * F, 3, r.size))
+    dw = np.zeros((S * F, 3, 3, r.size))
     at = 0
     for sol, parity, _ in parts:
-        T, dT = azimuthal_factors(sol.m, parity, thi)
+        T, dT = azimuthal_factors(sol.m, parity, theta)
         for i, comp in enumerate(sol.comps):
             k = "rtz".index(comp)
-            W, W_z = V[:, at + i, 0, 0], V[:, at + i, -1, 0]
-            W_r = V[:, at + i, 0, -1]
+            W, W_z, W_r = V[:, at + i, 0, 0], V[:, at + i, 1, 0], V[:, at + i, 0, 1]
             if comp in ("r", "t") or sol.m > 0:
-                W, W_r, W_z = ri * W, W + ri * W_r, ri * W_z
+                W, W_r, W_z = r * W, W + r * W_r, r * W_z
             w[:, k] += W * T[k]
-            if partials:
-                dw[:, :, k] += W_r * T[k], W * dT[k], W_z * T[k]
+            dw[:, k, 0] += W_r * T[k]
+            dw[:, k, 1] += W * dT[k]
+            dw[:, k, 2] += W_z * T[k]
         at += len(sol.comps)
-    return inside, w, dw
+    return w, dw[:n_diff * F]
 
 
 def _array_bytes(obj):
@@ -736,17 +759,28 @@ class TestModeSolver:
     @pytest.mark.parametrize("m", [0, 1])
     def test_profiles_match_the_line_loop(self, small_model, mode_solvers, rng,
                                           m, partials):
-        """A stacked field's corrector components and their partials, from
-        one batched per-node contraction of its contracted line block,
-        equal the one-z-line-at-a-time loop over the same block to 1e-15
-        relative, on a moving grid's nodes (shared z lines) and on scattered
-        points in and outside C.  The operator's table is random dofs on the m = 0
-        solver and, for m = 1, on the cos and sin parts of the m = 1 solver
-        too."""
+        """The corrector a stacked field subtracts from its components and
+        their partials, from one batched product per z line and radial
+        element of its contracted line block, equals the
+        one-z-line-at-a-time loop over the same block to 1e-15 relative.
+        With partials the stack's two weight rows take partials, or only
+        the first does and the second is a values-only twin (as in every
+        sample); without, neither does.  The nodes are a moving grid's
+        (shared z lines), scattered points in and outside C, both together
+        (groups of unequal sizes, so the slots are padded), and one z line
+        with three nodes in the first radial element and two outside C (one
+        group, full but for its spare slot).  The operator's table is random
+        dofs on the m = 0 solver and, for m = 1, on the cos and sin parts of
+        the m = 1 solver too."""
         shell = small_model.basis.shell_basis
+        R, L = small_model.cyl.R, small_model.cyl.L
         delta = 0.03 * rng.standard_normal(shell.n_modes)
         jets = QuadJets(small_model.grid, shell, delta, np.zeros(shell.n_modes))
+        grid = (jets.r_phys, jets.theta, jets.z)
         scattered = _random_points(rng, small_model.cyl, n=200)
+        ragged = tuple(np.concatenate(x) for x in zip(grid, scattered))
+        one_group = (np.array([0.05, 0.7, 0.06, 0.9, 0.07]) * R,
+                     rng.uniform(0.0, 2 * np.pi, 5), np.full(5, 0.3 * L))
         parts = [(mode_solvers[0], "cos")]
         if m:
             parts += [(mode_solvers[1], "cos"), (mode_solvers[1], "sin")]
@@ -755,15 +789,16 @@ class TestModeSolver:
                                for sol, parity in parts])
         field = ExtensionField(ext_op, rng.standard_normal((2, 3)),
                                rng.standard_normal((3, 2)))
-        for r, theta, z in ((jets.r_phys, jets.theta, jets.z), scattered):
-            inside, *got = field._corrector(r, theta, z, 2 if partials else 0)
-            inside_ref, *want = _line_loop_corrector(field, r, theta, z, partials)
-            assert np.array_equal(inside, inside_ref)
-            assert got[1].shape == want[1].shape
-            pairs = zip([got[0], *got[1]], [want[0], *want[1]]) if partials else [
-                (got[0], want[0])]
-            for k, (a, b) in enumerate(pairs):
-                assert np.max(np.abs(a - b)) <= 1e-15 * np.max(np.abs(b)), k
+        for r, theta, z in (grid, scattered, ragged, one_group):
+            for n_diff in ((2, 1) if partials else (0,)):
+                Q = r.size
+                u, du = np.zeros((6, 3, Q)), np.zeros((3 * n_diff, 3, 3, Q))
+                field._corrector(u, du, r, theta, z)
+                w, dw = _line_loop_corrector(field, r, theta, z, n_diff)
+                pairs = [(-u, w)] + [(-du[:, :, j], dw[:, :, j]) for j in range(3) if n_diff]
+                for k, (a, b) in enumerate(pairs):
+                    assert a.shape == b.shape
+                    assert np.max(np.abs(a - b)) <= 1e-15 * np.max(np.abs(b)), (n_diff, k)
 
     @pytest.mark.parametrize("m", [0, 1])
     def test_mirrored_source_mirrors_the_field(self, mode_solvers, rng, m):
@@ -918,20 +953,37 @@ class TestModeSolver:
 
     @pytest.mark.parametrize("m", [0, 1])
     def test_factored_operators_match_the_dense_system(self, mode_solvers, rng, m):
-        """For both parity halves, the Gram K = B B^T, B^T z and B y taken
-        from the Kronecker factors of the whitened system agree with the
-        dense B built from the same factors to 1e-13 relative."""
+        """For both parity halves, the lower triangle of the Gram K = B B^T
+        (all of it that _gram forms), B^T z and B y taken from the Kronecker
+        factors of the whitened system agree with the dense B built from
+        the same factors to 1e-13 relative."""
         sol = mode_solvers[m]
         for parity in (0, 1):
             rows = sol._whitened(parity)[2]
             B = _dense_whitened(rows)
             z = rng.standard_normal((B.shape[0], 3))
             y = rng.standard_normal((B.shape[1], 3))
-            for got, want in ((extension_ops._gram(rows), B @ B.T),
+            for got, want in ((np.tril(extension_ops._gram(rows)), np.tril(B @ B.T)),
                               (extension_ops._whitened_rmatmul(rows, z), B.T @ z),
                               (extension_ops._whitened_matmul(rows, y), B @ y)):
                 assert got.shape == want.shape
                 assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("m", [0, 1])
+    def test_pivoted_gram_of_the_triangle_equals_that_of_the_full_gram(
+            self, mode_solvers, m):
+        """_gram forms only the blocks of the Gram that hold its lower
+        triangle; the pivoted Cholesky factor, pivots and rank taken from
+        it are bitwise those taken from the whole symmetric Gram, for both
+        parity halves."""
+        sol = mode_solvers[m]
+        for parity in (0, 1):
+            K = extension_ops._gram(sol._whitened(parity)[2])
+            full = np.tril(K) + np.tril(K, -1).T
+            R, piv, rank = extension_ops._pivoted_gram(K)
+            R_full, piv_full, rank_full = extension_ops._pivoted_gram(full)
+            assert rank == rank_full and np.array_equal(piv, piv_full)
+            assert np.array_equal(np.triu(R), np.triu(R_full))
 
     @pytest.mark.parametrize("m", [0, 1])
     def test_solve_forms_no_whitened_system(self, mode_solvers, rng, m):
