@@ -134,10 +134,8 @@ def write_summary(path, *, sup_E, integral_D, forcing_L2, diffusion_ratio,
                   periodic_residual, outer_iters):
     header = ["sup_E", "integral_D", "forcing_L2", "diffusion_ratio",
               "periodic_residual", "outer_iters"]
-    row = [f"{sup_E:.17g}", f"{integral_D:.17g}", f"{forcing_L2:.17g}",
-           f"{diffusion_ratio:.17g}", f"{periodic_residual:.17g}",
-           str(outer_iters)]
-    _write_csv(path, header, [row])
+    _write_floats(path, header, np.array([[sup_E, integral_D, forcing_L2, diffusion_ratio,
+                                           periodic_residual, outer_iters]]))
 
 
 # ---------------------------------------------------------------------------

@@ -68,7 +68,7 @@ class RunConfig:
         for name in ("R", "L", "H", "T", "lambda1", "rho_s2", "t_final"):
             if getattr(self, name) <= 0:
                 raise ValidationError(f"{name} must be positive")
-        for name in ("lambda2", "delta_visc", "eps", "ivp_amplitude"):
+        for name in ("seed", "lambda2", "delta_visc", "eps", "ivp_amplitude"):
             if getattr(self, name) < 0:
                 raise ValidationError(f"{name} must be nonnegative")
         for name in ("n_theta", "n_z", "n_r_fluid", "n_r_solid",

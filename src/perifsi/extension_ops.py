@@ -50,8 +50,7 @@ from scipy.linalg.lapack import dpstrf
 
 from .basis1d import LegFamily, PiecewiseLegFamily, composite_gauss, gauss
 from .errors import LinearSolveFailure
-from .fluidgrid import (azimuthal_factors, cyl_tensor_to_cart, cyl_vec_to_cart, frame_tables,
-                        unit_frame_tables)
+from .fluidgrid import azimuthal_factors, frame_tables, unit_frame_tables
 
 R_DEGREE = 10  # polynomial degree of the corrector's radial elements
 NZ_MODES = 34  # the fewest axial modes of the corrector
@@ -699,17 +698,13 @@ class ExtensionField:
                 c += 1
 
     def tables(self, r, theta, z):
-        """Cartesian values (S F, 3, Q), and gradients (G, 3, 3, Q) and
-        divergences (G, Q) of the first G = (S - twins) F fields, from the
-        cylindrical components of _values by frame_tables."""
+        """Frame values (S F, 3, Q), the cylindrical components of _values,
+        and frame gradients (G, 3, 3, Q) and divergences (G, Q) of the first
+        G = (S - twins) F fields, by frame_tables."""
         r, theta, z = (np.asarray(x, dtype=float).ravel() for x in (r, theta, z))
         u, du = self._values(r, theta, z, len(self.W) - self.twins)
         grad, div = frame_tables(u[:len(du)], du, r)
-        return {
-            "val": cyl_vec_to_cart(u[:, 0], u[:, 1], u[:, 2], theta),
-            "grad": cyl_tensor_to_cart(grad, theta),
-            "div": div,
-        }
+        return {"val": u, "grad": grad, "div": div}
 
 
 # ---------------------------------------------------------------------------

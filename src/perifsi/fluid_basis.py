@@ -20,8 +20,7 @@ from scipy.linalg import eigh
 
 from .basis1d import LegFamily, gauss
 from .errors import EigenFailure, GridMismatch
-from .fluidgrid import (azimuthal_factors, cyl_tensor_to_cart, cyl_vec_to_cart, frame_tables,
-                        unit_frame_tables)
+from .fluidgrid import azimuthal_factors, frame_tables, unit_frame_tables
 
 NR_STOKES = 8  # radial polynomial count of the Stokes sector spaces
 NZ_STOKES = 8  # axial polynomial count of the Stokes sector spaces
@@ -147,7 +146,7 @@ class StokesBasis:
         self._grid_cache = {}
 
     def tables(self, r, theta, z):
-        """Cartesian values (n, 3, Q), gradients (n, 3, 3, Q) and pointwise
+        """Frame values (n, 3, Q), frame gradients (n, 3, 3, Q) and pointwise
         divergences (n, Q) of all modes at reference-cylinder points, one
         stacked evaluation per group."""
         r, theta, z = (np.asarray(x, dtype=float).ravel() for x in (r, theta, z))
@@ -160,11 +159,7 @@ class StokesBasis:
             val[rows] = f * T
             du = np.stack([f_r * T, f * dT, f_z * T], axis=-2)
             G[rows], div[rows] = frame_tables(val[rows], du, r)
-        return {
-            "val": cyl_vec_to_cart(val[:, 0], val[:, 1], val[:, 2], theta),
-            "grad": cyl_tensor_to_cart(G, theta),
-            "div": div,
-        }
+        return {"val": val, "grad": G, "div": div}
 
     def tables_on(self, grid):
         """Stacked (val, grad) arrays of all modes at the grid's reference

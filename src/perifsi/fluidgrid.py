@@ -6,42 +6,21 @@ reference cylinder: nodes are a tensor product of a composite Gauss rule in r
 (elements [0, R/4], [R/4, R/2], [R/2, R], matching the piecewise structure of
 the extension operator), a uniform periodic rule in theta and Gauss in z.
 `QuadJets` bundles what the moving-domain tables need at those nodes for a
-given shell motion: physical positions, the deformation gradient and its
+given shell motion: physical radii, the deformation gradient and its
 inverse, the Piola factor with its spatial and time derivatives, and the
 Jacobian weight.
 
-Gradient convention everywhere: grad[i, j] = d u_i / d x_j (row = component).
+Convention everywhere: vectors and tensors are given by their components in
+the orthonormal cylindrical frame (e_r, e_theta, e_z) at their node, and
+grad[i, j] is the derivative of component i along e_j (row = component).
+The radial ALE map moves no theta, so a reference node and its physical
+image share one frame.
 """
-
-from functools import cached_property
 
 import numpy as np
 
 from .basis1d import gauss
-from .geometry import ReferencePoints, ale_jets
-
-
-def cyl_vec_to_cart(vr, vt, vz, theta):
-    """Cartesian components of v_r e_r + v_t e_theta + v_z e_z: shape
-    (..., 3, Q) for components of shape (..., Q), any leading field axes."""
-    c, s = np.cos(theta), np.sin(theta)
-    return np.stack([vr * c - vt * s, vr * s + vt * c, vz], axis=-2)
-
-
-def cyl_tensor_to_cart(G, theta):
-    """Rotate frame tensors G[..., i, j, :] (i component, j direction) to
-    Cartesian: R G R^T with R = [e_r e_t e_z], vectorized over the trailing
-    node axis and any leading field axes."""
-    c, s = np.cos(theta), np.sin(theta)
-    RG = np.empty_like(G)  # rotate the rows
-    RG[..., 0, :, :] = c * G[..., 0, :, :] - s * G[..., 1, :, :]
-    RG[..., 1, :, :] = s * G[..., 0, :, :] + c * G[..., 1, :, :]
-    RG[..., 2, :, :] = G[..., 2, :, :]
-    out = np.empty_like(G)  # then the columns
-    out[..., 0, :] = c * RG[..., 0, :] - s * RG[..., 1, :]
-    out[..., 1, :] = s * RG[..., 0, :] + c * RG[..., 1, :]
-    out[..., 2, :] = RG[..., 2, :]
-    return out
+from .geometry import ale_jets
 
 
 def frame_tables(u, du, r):
@@ -132,17 +111,9 @@ class FluidGrid:
         self.theta = TT.ravel()
         self.z = ZZ.ravel()
         self.w = WW.ravel()
-        self.x = self.r * np.cos(self.theta)
-        self.y = self.r * np.sin(self.theta)
         self.n_nodes = self.r.size
         self._r1, self._wr1 = r1, wr1
         self._th1, self._wt1 = th1, wt1
-
-    @cached_property
-    def points(self):
-        """The nodes as ReferencePoints, with the motion-independent parts
-        of their ALE jets; built with the first sample."""
-        return ReferencePoints(self.x, self.y, self.z)
 
     def disk(self, z0):
         """Quadrature over the inlet/outlet disk at z = z0: (r, theta, w)."""
@@ -159,18 +130,19 @@ class QuadJets:
     derivative; the rest cylinder is delta = dt_delta = 0, where every jet
     is exactly the identity and every time derivative exactly zero.
     Attributes: grid; delta; dt_delta; r_phys/theta/z physical cylindrical
-    node coordinates; det (Q); weight (quadrature weight times det); grad,
-    ginv, A = grad/det, dA[i,j,a] = d_a A[i,j]; and the time derivatives
-    dt_psi, dt_A, dt_det.
+    node coordinates; det (Q); weight (quadrature weight times det); the
+    frame tensors grad, ginv, A = grad/det and dA[i,j,a], the frame
+    derivative of A[i,j] along e_a; and the time derivatives dt_psi (the
+    node velocity, a frame vector), dt_A, dt_det.
     """
 
     def __init__(self, grid, shell_basis, delta, dt_delta):
         self.grid = grid
         self.delta = delta
         self.dt_delta = dt_delta
-        jets = ale_jets(grid.cyl, shell_basis, delta, grid.points, dt_delta=dt_delta)
-        psi = jets["psi"]
-        self.r_phys = np.hypot(psi[0], psi[1])
+        jets = ale_jets(grid.cyl, shell_basis, delta, grid.r, grid.theta, grid.z,
+                        dt_delta=dt_delta)
+        self.r_phys = jets["r_phys"]
         self.theta = grid.theta
         self.z = grid.z
         self.det = jets["det"]
@@ -187,7 +159,9 @@ class QuadJets:
 def piola_derivative(g, dgrad, det):
     """dA[i, j, a] = d_a A[i, j] of the Piola factor A = g / det, from the ALE
     gradient g (third row (0, 0, 1), so det g is its leading 2 x 2 minor),
-    its derivatives dgrad[i, j, a] = d_a g[i, j] and det = det g."""
+    its frame derivatives dgrad[i, j, a] = d_a g[i, j] and det = det g.  The
+    frame's turning enters dgrad as a commutator [K, g], which changes no
+    determinant, so the minor's product rule gives d_a det."""
     ddet = (
         dgrad[0, 0] * g[1, 1][None]
         + g[0, 0][None] * dgrad[1, 1]

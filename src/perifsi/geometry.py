@@ -1,10 +1,12 @@
 """Reference cylinder geometry, the radial ALE map, and admissibility checks.
 
-The deformation map sends a reference point (x, y, z) of the cylinder of
-radius R to ((R+d)/R x, (R+d)/R y, z) where d is the shell displacement at the
-angular coordinates of the point.  The moving-domain quadrature and the
-basis transport consume the jets computed here, so the gradient and its
-spatial/time derivatives are all analytic.
+The deformation map sends a reference point (r, theta, z) of the cylinder of
+radius R to ((R+d)/R r, theta, z) where d is the shell displacement at
+(theta, z).  It moves no theta, so the jets computed here are given in the
+cylindrical frame (e_r, e_theta, e_z) shared by a node and its image, the
+frame of every table in the package.  The moving-domain quadrature and the
+basis transport consume them, so the gradient and its spatial/time
+derivatives are all analytic.
 """
 
 from dataclasses import dataclass
@@ -55,98 +57,51 @@ def _delta_tables(cyl, basis, delta, theta, z, nderiv):
     return out
 
 
-class ReferencePoints:
-    """Reference points of the cylinder, given in Cartesian coordinates,
-    with the parts of their ALE jets that no shell motion moves: the angle
-    theta = arctan2(y, x) at which delta is evaluated, its Cartesian
-    gradient theta_a (3, Q), and the four tables (4, 3, 3, Q) whose
-    combination with (s_tt, s_t, s_tz, s_zz) is the Cartesian Hessian of
-    any s(theta, z): theta_a theta_b, theta_ab, theta_a e_b + e_a theta_b
-    and e_a e_b, e = e_z."""
+def ale_jets(cyl, basis, delta, r, theta, z, dt_delta=None):
+    """Vectorized ALE jets, in the cylindrical frame (e_r, e_theta, e_z), at
+    reference nodes (r, theta, z) (Q,) of the shell motion with coefficients
+    delta (n_modes,) over the ShellBasis basis.
 
-    def __init__(self, x, y, z):
-        x, y, z = (np.asarray(v, dtype=float).ravel() for v in (x, y, z))
-        self.x, self.y, self.z = x, y, z
-        self.theta = np.arctan2(y, x)
-        r2 = np.maximum(x * x + y * y, 1e-300)
-        th = np.zeros((3, x.size))
-        th[0], th[1] = -y / r2, x / r2
-        ez = np.zeros((3, x.size))
-        ez[2] = 1.0
-        th2 = np.zeros((3, 3, x.size))
-        th2[0, 0] = 2.0 * x * y / r2**2
-        th2[0, 1] = th2[1, 0] = (y * y - x * x) / r2**2
-        th2[1, 1] = -2.0 * x * y / r2**2
-        self.theta_grad = th
-        self.hessian_tables = np.stack([
-            th[:, None] * th[None], th2, th[:, None] * ez[None] + ez[:, None] * th[None],
-            ez[:, None] * ez[None]])
-
-
-def ale_jets(cyl, basis, delta, pts, dt_delta=None):
-    """Vectorized ALE jets at the ReferencePoints pts of the shell motion
-    with coefficients delta (n_modes,) over the ShellBasis basis.
-
-    Returns a dict with keys: psi (3,Q), grad (3,3,Q), det (Q) and dgrad
-    (3,3,3,Q) with dgrad[i,j,a] = d_a d_j psi_i; plus dt_psi, dt_grad,
-    dt_det when the coefficients dt_delta of the time derivative of delta
-    are supplied.
+    The map (r, theta, z) -> (s r, theta, z) moves no theta, so a node and
+    its image share one frame.  Returns a dict with keys: r_phys (Q), the
+    gradient grad (3,3,Q) = [[s, s_t, r s_z], [0, s, 0], [0, 0, 1]] with
+    row i (d_r, d_theta / r, d_z) of component i, det (Q) = s^2 and dgrad
+    (3,3,3,Q), dgrad[..., a] the frame derivative of grad along e_a: d_r
+    grad, then (d_theta grad + [K, grad]) / r with the frame's turning
+    K = [[0, -1, 0], [1, 0, 0], [0, 0, 0]], then d_z grad; plus dt_psi,
+    dt_grad, dt_det when the coefficients dt_delta of the time derivative
+    of delta are supplied.
     """
-    x, y, z, theta = pts.x, pts.y, pts.z, pts.theta
     s, s_t, s_z, s_tt, s_tz, s_zz = _delta_tables(cyl, basis, delta, theta, z, 2)
-
-    th_x, th_y = pts.theta_grad[:2]
-    s_x = s_t * th_x
-    s_y = s_t * th_y
-
-    Q = x.size
-    psi = np.stack([s * x, s * y, z])
+    Q = r.size
+    inv_r = 1.0 / r
     grad = np.zeros((3, 3, Q))
-    grad[0, 0] = s + x * s_x
-    grad[0, 1] = x * s_y
-    grad[0, 2] = x * s_z
-    grad[1, 0] = y * s_x
-    grad[1, 1] = s + y * s_y
-    grad[1, 2] = y * s_z
+    grad[0, 0] = grad[1, 1] = s
+    grad[0, 1] = s_t
+    grad[0, 2] = r * s_z
     grad[2, 2] = 1.0
-    det = grad[0, 0] * grad[1, 1] - grad[0, 1] * grad[1, 0]
-
-    # Cartesian Hessian of s via the chain rule through (theta, z)
-    coef = np.stack([s_tt, s_t, s_tz, s_zz])
-    s_ab = np.einsum("kq,kabq->abq", coef, pts.hessian_tables)
-    s_a = np.stack([s_x, s_y, s_z])
+    # d_r grad has s_z at (0, 2); the theta slot is [[0, s_tt, r s_tz],
+    # [0, 2 s_t, r s_z], 0] / r; d_z grad is that of s, s_t, r s_z
     dgrad = np.zeros((3, 3, 3, Q))
-    dgrad[:2] = np.stack([x, y])[:, None, None] * s_ab
-    for i in range(2):
-        dgrad[i, i] += s_a
-        dgrad[i, :, i] += s_a
-
-    out = {"psi": psi, "grad": grad, "det": det, "dgrad": dgrad}
+    dgrad[0, 2, 0] = dgrad[0, 0, 2] = dgrad[1, 1, 2] = dgrad[1, 2, 1] = s_z
+    dgrad[0, 1, 1] = s_tt * inv_r
+    dgrad[0, 2, 1] = dgrad[0, 1, 2] = s_tz
+    dgrad[1, 1, 1] = 2.0 * s_t * inv_r
+    dgrad[0, 2, 2] = r * s_zz
+    out = {"r_phys": s * r, "grad": grad, "det": s * s, "dgrad": dgrad}
 
     if dt_delta is not None:
         s_dot, sd_t, sd_z = _delta_tables(cyl, basis, dt_delta, theta, z, 1)
-        # dt_delta enters psi and grad exactly like delta does: the entries
-        # are linear in (s, s_theta, s_z)
+        # dt_delta enters grad exactly like delta does: the entries are
+        # linear in (s, s_theta, s_z)
         sd = s_dot - 1.0  # (R + ddot)/R - 1 = ddot/R
-        sd_x = sd_t * th_x
-        sd_y = sd_t * th_y
-        dt_psi = np.stack([sd * x, sd * y, np.zeros(Q)])
         dt_grad = np.zeros((3, 3, Q))
-        dt_grad[0, 0] = sd + x * sd_x
-        dt_grad[0, 1] = x * sd_y
-        dt_grad[0, 2] = x * sd_z
-        dt_grad[1, 0] = y * sd_x
-        dt_grad[1, 1] = sd + y * sd_y
-        dt_grad[1, 2] = y * sd_z
-        dt_det = (
-            dt_grad[0, 0] * grad[1, 1]
-            + grad[0, 0] * dt_grad[1, 1]
-            - dt_grad[0, 1] * grad[1, 0]
-            - grad[0, 1] * dt_grad[1, 0]
-        )
-        out["dt_psi"] = dt_psi
+        dt_grad[0, 0] = dt_grad[1, 1] = sd
+        dt_grad[0, 1] = sd_t
+        dt_grad[0, 2] = r * sd_z
+        out["dt_psi"] = np.stack([r * sd, np.zeros(Q), np.zeros(Q)])
         out["dt_grad"] = dt_grad
-        out["dt_det"] = dt_det
+        out["dt_det"] = 2.0 * s * sd
 
     return out
 

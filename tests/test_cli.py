@@ -127,6 +127,19 @@ class TestValidation:
                          "--out-dir", str(tmp_path / "out")]) == 1
         assert "ValidationError: T must be finite" in capsys.readouterr().err
 
+    def test_negative_seed_is_rejected(self, tmp_path, capsys):
+        """A negative seed is named by validate, from a config file or from
+        --seed, before numpy's generator sees it."""
+        with pytest.raises(ValidationError, match=r"^seed must be nonnegative$"):
+            RunConfig(seed=-3).validate()
+        assert RunConfig(seed=0).validate().seed == 0
+        cfg_path = tmp_path / "seed.cfg"
+        cfg_path.write_text("[run]\nseed = -3\n")
+        for args in (["--config", str(cfg_path)], ["--seed", "-1"]):
+            assert cli.main(["run-ivp", *args, "--out-dir", str(tmp_path / "out")]) == 1
+            assert "ValidationError: seed must be nonnegative" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_eps_default_is_four_steps(self):
         cfg = RunConfig(n_t=64).validate()
         assert cfg.eps_value == pytest.approx(4.0 / 64)
@@ -329,6 +342,21 @@ class TestCsvRows:
         rows = [[t, *x, *v] for t, x, v in zip(times, a, a_dot)]
         want = self._csv_module(tmp_path / "want.csv", header, rows)
         assert (tmp_path / "c.csv").read_bytes() == want
+
+    @pytest.mark.parametrize("outer_iters", [0, 4, 123456789])
+    def test_summary(self, tmp_path, outer_iters):
+        """The float values and the integer outer_iters, which %.17g writes
+        as str does."""
+        keys = ["sup_E", "integral_D", "forcing_L2", "diffusion_ratio", "periodic_residual"]
+        v = self.VALUES
+        for i in range(len(v)):
+            row = [v[(i + j) % len(v)] for j in range(5)]
+            cli.write_summary(tmp_path / "s.csv", **dict(zip(keys, row)),
+                              outer_iters=outer_iters)
+            want = self._csv_module(tmp_path / "want.csv", keys + ["outer_iters"],
+                                    [row + [outer_iters]])
+            assert str(outer_iters).encode() + b"\r\n" in want
+            assert (tmp_path / "s.csv").read_bytes() == want
 
 
 class TestVerify:

@@ -9,13 +9,7 @@ from perifsi import extension_ops
 from perifsi.cli import RunConfig, build_model
 from perifsi.errors import LinearSolveFailure
 from perifsi.extension_ops import ExtensionField, azimuthal_damping, mollify
-from perifsi.fluidgrid import (
-    QuadJets,
-    azimuthal_factors,
-    cyl_tensor_to_cart,
-    cyl_vec_to_cart,
-    frame_tables,
-)
+from perifsi.fluidgrid import QuadJets, azimuthal_factors, frame_tables
 from perifsi.geometry import CylinderConfig, admissibility
 from perifsi.shell_solid import ShellBasis
 
@@ -75,11 +69,10 @@ def _corrector_tables(sol, parity, f, f_r, f_z, r, theta):
 
 
 def per_field_extension(ext_op, base, delta, xi, r, theta, z):
-    """Cartesian value (3, Q), gradient (3, 3, Q) and divergence (Q) of the
-    extension of h = (base + delta) xi, one field by itself: the data from
-    ShellBasis.evaluate, the corrector from its full radial and axial tables
-    at every node, the frame rotated by an explicit R G R^T.  The reference
-    for the stacked evaluation."""
+    """Cylindrical value (3, Q), frame gradient (3, 3, Q) and divergence (Q)
+    of the extension of h = (base + delta) xi, one field by itself: the data
+    from ShellBasis.evaluate, the corrector from its full radial and axial
+    tables at every node.  The reference for the stacked evaluation."""
     cyl = ext_op.cyl
     flux_table, parts = ext_op.table
     w = np.concatenate([[base], delta])
@@ -87,7 +80,6 @@ def per_field_extension(ext_op, base, delta, xi, r, theta, z):
     xv, xt, xz = ext_op.shell_basis.evaluate(xi, theta, z, 1)
     dv, dt, dz = ext_op.shell_basis.evaluate(delta, theta, z, 1)
     h, ht, hz = (base + dv) * xv, dt * xv + (base + dv) * xt, dz * xv + (base + dv) * xz
-    Q = r.size
     val, G, div = _radial_and_plug(cyl, flux, h, ht, hz, r, z)
     inn = r < cyl.R / 2.0
     ri, zi, thi = r[inn], z[inn], theta[inn]
@@ -107,10 +99,7 @@ def per_field_extension(ext_op, base, delta, xi, r, theta, z):
         val[:, inn] -= wv
         G[:, :, inn] -= wG
         div[inn] -= wdiv
-    cs, sn, zero = np.cos(theta), np.sin(theta), np.zeros(Q)
-    rot = np.array([[cs, -sn, zero], [sn, cs, zero], [zero, zero, zero + 1.0]])
-    return (np.einsum("ikq,kq->iq", rot, val),
-            np.einsum("ikq,klq,jlq->ijq", rot, G, rot), div)
+    return val, G, div
 
 
 def dof_profiles(sol, dofs, r, z, partials=True):
@@ -205,16 +194,11 @@ class DofsExtension:
     def tables(self, r, theta, z):
         r, theta, z = (np.asarray(x, dtype=float).ravel() for x in (r, theta, z))
         val, G, div = self._frame_tables(r, theta, z, partials=True)
-        return {
-            "val": cyl_vec_to_cart(val[:, 0], val[:, 1], val[:, 2], theta),
-            "grad": cyl_tensor_to_cart(G, theta),
-            "div": div,
-        }
+        return {"val": val, "grad": G, "div": div}
 
     def __call__(self, r, theta, z):
         r, theta, z = (np.asarray(x, dtype=float).ravel() for x in (r, theta, z))
-        val = self._frame_tables(r, theta, z, partials=False)[0]
-        return cyl_vec_to_cart(val[:, 0], val[:, 1], val[:, 2], theta)
+        return self._frame_tables(r, theta, z, partials=False)[0]
 
 
 class TestExtension:

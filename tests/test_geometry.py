@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
+from test_shell_solid import _frame
+
 from perifsi.fluidgrid import FluidGrid, QuadJets
-from perifsi.geometry import CylinderConfig, admissibility, check_injectivity
+from perifsi.geometry import CylinderConfig, admissibility, ale_jets, check_injectivity
 from perifsi.shell_solid import ShellBasis
 
 
@@ -127,3 +129,89 @@ class TestQuadJets:
         jets = QuadJets(grid, shell, delta, np.zeros(shell.n_modes))
         assert np.all(jets.det > 0.0)
         assert np.all(jets.weight > 0.0)
+
+
+class TestFrameJets:
+    """ale_jets in the cylindrical frame against central differences (step
+    1e-6) of the Cartesian map (s x, s y, z), to 1e-9 of the largest entry
+    of each jet, at nodes off theta = 0 under a motion with cos and sin
+    modes of m = 1 and m = 2."""
+
+    H = 1e-6
+    NODES = (np.array([0.6, 0.3, 0.9, 0.45]), np.array([0.7, 2.5, 4.1, 5.6]),
+             np.array([0.9, 1.3, 0.4, 1.7]))
+
+    @pytest.fixture(scope="class")
+    def motion(self):
+        cyl = CylinderConfig(R=1.0, L=2.0, H=0.5)
+        shell = ShellBasis(5, 3, cyl.L)
+        assert {shell.azimuthal_wavenumber(k) for k in range(shell.n_modes)} == {0, 1, 2}
+        g = np.random.default_rng(5)
+        # a unit-size velocity: the time differences of the O(1) map then
+        # lose no more than round-off / h to cancellation
+        delta = 0.05 * g.standard_normal(shell.n_modes)
+        return cyl, shell, delta, g.standard_normal(shell.n_modes)
+
+    def _stencil(self):
+        """Cylindrical coordinates of each node followed by its six
+        Cartesian neighbours x0 + h e_b, x0 - h e_b, b < 3: (3, 7, Q)."""
+        r0, t0, z0 = self.NODES
+        x0 = np.stack([r0 * np.cos(t0), r0 * np.sin(t0), z0])
+        steps = [np.zeros(3)] + [s * self.H * e for e in np.eye(3) for s in (1.0, -1.0)]
+        x, y, z = (x0[:, None] + np.array(steps).T[:, :, None])
+        return np.stack([np.hypot(x, y), np.arctan2(y, x), z])
+
+    def _map(self, cyl, shell, delta, r, theta, z):
+        """The Cartesian image (3, ...) of the cylindrical nodes."""
+        d = shell.evaluate(delta, theta.ravel(), z.ravel(), 0)[0].reshape(r.shape)
+        s = (cyl.R + d) / cyl.R
+        return np.stack([s * r * np.cos(theta), s * r * np.sin(theta), z])
+
+    def _central(self, f):
+        """Central differences (..., b, Q) along the Cartesian axes of
+        values f (..., 7, Q) at the stencil."""
+        return (f[..., 1::2, :] - f[..., 2::2, :]) / (2.0 * self.H)
+
+    @staticmethod
+    def _gap(got, want):
+        return np.max(np.abs(got - want)) / np.max(np.abs(want))
+
+    def test_gradient_and_its_frame_derivative(self, motion):
+        """r_phys is the radius of the image, grad the differences of the
+        map turned into the frame and det their determinant; dgrad the
+        differences of the Cartesian gradient R grad R^T, turned back."""
+        cyl, shell, delta, _ = motion
+        r, theta, z = self._stencil()
+        jets = ale_jets(cyl, shell, delta, r[0], theta[0], z[0])
+        Rm = _frame(theta[0])
+        psi = self._map(cyl, shell, delta, r, theta, z)
+        assert self._gap(jets["r_phys"], np.hypot(psi[0, 0], psi[1, 0])) <= 1e-14
+        # grad: d psi_k / d x_b rotated into the frame, R^T D R
+        want = np.einsum("kiq,kbq,bjq->ijq", Rm, self._central(psi), Rm)
+        assert self._gap(jets["grad"], want) <= 1e-9
+        assert self._gap(jets["det"], np.linalg.det(want.transpose(2, 0, 1))) <= 1e-9
+        # dgrad: the Cartesian gradient R F R^T at the stencil, differenced
+        # along x_b, turned back: R^T (d_b Fc) R with the direction b -> e_a
+        F = ale_jets(cyl, shell, delta, r.ravel(), theta.ravel(), z.ravel())["grad"]
+        Rs = _frame(theta.ravel())
+        Fc = np.einsum("ikq,klq,jlq->ijq", Rs, F, Rs).reshape(3, 3, 7, -1)
+        dFc = self._central(Fc)
+        want = np.einsum("kiq,klbq,ljq,baq->ijaq", Rm, dFc, Rm, Rm)
+        assert self._gap(jets["dgrad"], want) <= 1e-9
+
+    def test_time_derivatives(self, motion):
+        """dt_psi, dt_grad and dt_det against differences of the motion
+        along delta + tau dt_delta at tau = 0."""
+        cyl, shell, delta, dt_delta = motion
+        r, theta, z = self.NODES
+        jets = ale_jets(cyl, shell, delta, r, theta, z, dt_delta)
+        Rm = _frame(theta)
+        plus, minus = (ale_jets(cyl, shell, delta + t * dt_delta, r, theta, z)
+                       for t in (self.H, -self.H))
+        psi = [self._map(cyl, shell, delta + t * dt_delta, r, theta, z)
+               for t in (self.H, -self.H)]
+        want = np.einsum("kiq,kq->iq", Rm, (psi[0] - psi[1]) / (2.0 * self.H))
+        assert self._gap(jets["dt_psi"], want) <= 1e-9
+        for key, name in (("grad", "dt_grad"), ("det", "dt_det")):
+            want = (plus[key] - minus[key]) / (2.0 * self.H)
+            assert self._gap(jets[name], want) <= 1e-9, name

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from perifsi.cli import RunConfig, build_model
-from perifsi.fluidgrid import cyl_vec_to_cart
 from perifsi.geometry import CylinderConfig
 from perifsi.shell_solid import (
     ShellBasis,
@@ -118,9 +117,10 @@ class TestSolidFields:
 
 
 def _frame(theta):
-    """The rotation R = [e_r e_theta e_z] at the azimuth theta."""
-    c, s = np.cos(theta), np.sin(theta)
-    return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+    """The rotations R = [e_r e_theta e_z] (3, 3, ...) at the azimuths
+    theta (a number or an array)."""
+    c, s, zero = np.cos(theta), np.sin(theta), np.zeros_like(theta)
+    return np.array([[c, -s, zero], [s, c, zero], [zero, zero, zero + 1.0]])
 
 
 def _stencil(r0, t0, z0, h):
@@ -152,21 +152,19 @@ def _solid_fields(kind):
 
     def tables(r, theta, z):
         t = getattr(basis, kind + "_tables")(shell.n_modes, r, theta, z)
-        val, grad, div = (np.tensordot(xi, t[k], axes=1)[None] for k in ("val", "grad", "div"))
-        return cyl_vec_to_cart(*val.transpose(1, 0, 2), theta), grad, div
+        return (np.tensordot(xi, t[k], axes=1)[None] for k in ("val", "grad", "div"))
 
     return tables, (1.2, 0.7, 0.9)
 
 
 def _stokes_fields(models, parity):
-    """The Stokes modes of the given parity on the m = 1 model; their
-    Cartesian tables turned to the frame."""
+    """The Stokes modes of the given parity on the m = 1 model."""
     stokes = models["m1"].basis.stokes_basis
     rows = next(rows for _, p, rows, _ in stokes.groups if p == parity)
 
     def tables(r, theta, z):
         t = stokes.tables(r, theta, z)
-        return t["val"][rows], _to_frame(t["grad"][rows], theta), t["div"][rows]
+        return t["val"][rows], t["grad"][rows], t["div"][rows]
 
     return tables, (0.3 * models["m1"].cyl.R, 0.7, 0.37 * models["m1"].cyl.L)
 
@@ -174,7 +172,7 @@ def _stokes_fields(models, parity):
 def _extension_fields(models, which, where):
     """Every coupled extension from an interface moved by 0.02 times a
     random shell field, at a node inside C (r = 0.3 R) or outside it
-    (r = 0.7 R); Cartesian tables turned to the frame."""
+    (r = 0.7 R)."""
     model = models[which]
     shell = model.basis.shell_basis
     delta = 0.02 * np.random.default_rng(3).standard_normal(shell.n_modes)
@@ -182,16 +180,10 @@ def _extension_fields(models, which, where):
 
     def tables(r, theta, z):
         t = field.tables(r, theta, z)
-        return t["val"], _to_frame(t["grad"], theta), t["div"]
+        return t["val"], t["grad"], t["div"]
 
     r0 = {"inside": 0.3, "outside": 0.7}[where] * model.cyl.R
     return tables, (r0, 0.7, 0.37 * model.cyl.L)
-
-
-def _to_frame(G, theta):
-    """R^T G R of Cartesian gradients G (F, 3, 3, Q) at each node."""
-    Rq = np.moveaxis(np.array([_frame(t) for t in theta]), 0, -1)
-    return np.einsum("kiq,fklq,ljq->fijq", Rq, G, Rq)
 
 
 FD_CASES = {
@@ -208,12 +200,15 @@ def test_frame_gradient_against_finite_differences(fd_models, case):
     """Every tabulated frame gradient, of solid modes, of Stokes modes of
     each parity and of coupled extensions in and outside the corrector's
     cylinder C, matches central differences of the field's Cartesian values
-    along the Cartesian axes, rotated into the (e_r, e_theta, e_z) frame, to
-    1e-9 of the largest entry (measured at most 1.6e-10 with the step
-    1e-6); and div is the trace of the gradient."""
+    (its frame values turned by the frame at each stencil node) along the
+    Cartesian axes, rotated into the (e_r, e_theta, e_z) frame, to 1e-9 of
+    the largest entry (measured at most 1.6e-10 with the step 1e-6); and
+    div is the trace of the gradient."""
     tables, node = FD_CASES[case](fd_models)
     h = 1e-6
-    val, grad, div = tables(*_stencil(*node, h))
+    r, theta, z = _stencil(*node, h)
+    val, grad, div = tables(r, theta, z)
+    val = np.einsum("ikq,fkq->fiq", _frame(theta), val)
     fd = (val[..., 1::2] - val[..., 2::2]) / (2.0 * h)  # (F, i, j): d u_i / d x_j
     Rm = _frame(node[1])
     want = np.einsum("ki,fkl,lj->fij", Rm, fd, Rm)
