@@ -29,17 +29,20 @@ product of those factors, and B y and B^T z are two small products per
 component.  Relative to the largest, the singular values of B drop from
 about 1e-4 to round-off (about 1e-15) at the rank, so the rank is well
 defined, and a pivoted Cholesky of the Gram finds it.  The extension is
-a fixed linear operator of h.  For xi = sum_i x_i Y_i and
-delta = sum_k c_k Y_k, h = sum_i x_i (R Y_i + sum_k c_k Y_k Y_i): one table
-per model over the unit data Y_i and Y_k Y_i holds every flux and corrector
-dof, and an extension is that table contracted with the weights (R, c) and
-x ((0, c') for its time derivative).  The products Y_k Y_i carry
-wavenumbers 0..2 max_m, max_m the largest of the shell modes, and so does
-the table.  Its corrector dofs are themselves a contraction: at the
-collocation nodes every source is a combination of 38 unit sources, one per
-axial node, and the plug's.  A unit source and its mirror about z = L/2
-differ only in the sign of the z-odd dofs, so each wavenumber solves the 19
-of the lower half and the plug once (ExtensionOperator.corrector_dofs).
+a fixed linear operator of h.  At the collocation nodes the wavenumber-m
+part of its corrector's source is (8 / R^2) H_m(z), constant in r, with H_m
+the m-th azimuthal Fourier coefficient of h, plus the plug's Phi a(r) g'(z)
+for m = 0.  So every source is a combination of the unit sources
+(8 / R^2) 1_r x e_k, one per axial collocation node (38 on the default
+model), and the plug's.  Their dofs are solved once per model
+(ExtensionOperator.unit_dofs), and each extension contracts them with the
+H_m and fluxes of its own data (ExtensionField._corrector), the
+offline/online split of a linear problem with affine data (Prud'homme et
+al., J. Fluids Eng. 124, 2002).  The data h = (R + delta) xi carry wavenumbers
+0..2 max_m, max_m the largest of the shell modes, so there is one solver
+per wavenumber.  A unit source and its mirror about z = L/2 differ only in
+the sign of the z-odd dofs, so each wavenumber solves those of the lower
+half and the plug once.
 """
 
 from functools import cached_property
@@ -310,7 +313,7 @@ class _ModeSolver:
         P = V^T rad and Z = W^T Tz, of the component's block
         C_c X_c = [P_ix Z_jy s_ij] of the whitened system, X_c = (V x W)
         diag(s).  The radial half (lam, V, P) is the solver's own; the axial
-        half is built afresh per call, as the table needs one solve per
+        half is built afresh per call, as the unit dofs need one solve per
         solver.  All of them are small (under 16 KiB per array for m = 0)."""
         Tz, Mz, Az = self._Tz, self._Mz, self._Az
         roots, rows = [], []
@@ -328,8 +331,9 @@ class _ModeSolver:
         call takes the axial whitening of both halves afresh, so pass all
         sources at once.  The largest array of a call is the Gram of one
         half, factored in place (6.3 MiB for any m); a call on the 19 unit
-        sources and the plug of m = 0 (corrector_dofs) peaks at about
-        14.5 MiB of allocations, on the 19 of m = 1 at about 15.4 MiB.
+        sources and the plug of m = 0 (ExtensionOperator.unit_dofs) peaks
+        at about 14.5 MiB of allocations, on the 19 of m = 1 at about
+        15.4 MiB.
         Raises ValueError on a source that is not finite and
         LinearSolveFailure if the dofs come out not finite."""
         g_nodes = np.asarray_chkfinite(g_nodes)
@@ -368,17 +372,16 @@ class _ModeSolver:
         return out
 
     def line_block(self, dofs, zs):
-        """The table dofs (1 + n, n, ndof) of this solver contracted with
-        the axial table and its z derivative at the z values zs and with the
-        radial element modes: a (1 + n, zs.size, n_el, 2, nc, n) view of the
-        contraction, n_el the radial family's per-element Legendre modes, so
-        that joining the solvers' views is the only copy.  Component c of
-        datum (s, f) is then sum_e B[s, k, e, 0, c, f] P_e(r) at z = zs[k],
-        and its z derivative has B[s, k, e, 1, c, f] in its place."""
-        D = dofs.reshape(-1, len(self.comps), self.fam_r.nfun, self.fam_z.nfun)
-        B = np.tensordot(D, self.fam_z.eval_table(zs, 1), axes=1)  # (.., nfr, 2, zs)
-        B = np.tensordot(B, self.fam_r.dof_basis, axes=([2], [1]))  # (.., 2, zs, n_el)
-        return B.reshape(dofs.shape[:2] + B.shape[1:]).transpose(0, 4, 5, 3, 2, 1)
+        """The dofs (ndof, U) of U fields of this solver contracted with the
+        axial table and its z derivative at the z values zs and with the
+        radial element modes: one C-ordered (zs.size, n_el, 2, nc, U) block,
+        n_el the radial family's per-element Legendre modes.  Component c of
+        field u is then sum_e B[k, e, 0, c, u] P_e(r) at z = zs[k], and its
+        z derivative has B[k, e, 1, c, u] in its place."""
+        D = dofs.reshape(len(self.comps), self.fam_r.nfun, self.fam_z.nfun, -1)
+        B = np.tensordot(self.fam_z.eval_table(zs, 1), D, axes=([0], [2]))  # (2, zs, nc, nfr, U)
+        B = np.tensordot(self.fam_r.dof_basis, B, axes=([1], [3]))  # (n_el, 2, zs, nc, U)
+        return np.ascontiguousarray(B.transpose(2, 0, 1, 3, 4))
 
 
 # ---------------------------------------------------------------------------
@@ -389,14 +392,14 @@ class ExtensionOperator:
     """Fixed linear map from shell boundary data to divergence-free fluid
     fields on the (possibly deformed) cylinder.
 
-    The table holds the flux Phi and the corrector dofs per (m, parity) of
-    every unit datum Y_i (row 0) and Y_k Y_i (row 1 + k) of the shell basis.
-    It is built on the first evaluation of an extension; every extension
-    after that is one contraction of it, with no corrector solve and no flux
-    quadrature.  The corrector dofs are contracted once per set of z values
-    with the axial table there (line_block): the radial ALE map moves no
-    node of a FluidGrid off its z line, so every sample on a grid reuses one
-    block.
+    It holds the fluxes Phi of the unit data Y_i and Y_k Y_i of the shell
+    basis (flux_table) and, per wavenumber, the corrector dofs of the unit
+    sources (unit_dofs), both built on the first evaluation of an
+    extension; every extension after that contracts them with its own
+    data, with no corrector solve and no flux quadrature.  The unit dofs
+    are contracted once per set of z values with the axial table there
+    (line_block): the radial ALE map moves no node of a FluidGrid off its z
+    line, so every sample on a grid reuses one block.
     """
 
     def __init__(self, cyl, shell_basis):
@@ -407,109 +410,76 @@ class ExtensionOperator:
 
     @cached_property
     def solvers(self):
-        """One corrector solver per wavenumber 0..2 max_m: the product data
-        Y_k Y_i of two shell modes carry up to twice the largest shell
-        wavenumber.  Their axial family follows the shell's: max(NZ_MODES,
-        4 n_z + 2) modes resolve the products of its highest beam modes
-        (34 for n_z = 8; 50 and 66 for n_z = 12 and 16)."""
+        """One corrector solver per wavenumber 0..2 max_m: the data
+        (R + delta) xi, products of two shell modes, carry up to twice the
+        largest shell wavenumber.  Their axial family follows the shell's:
+        max(NZ_MODES, 4 n_z + 2) modes resolve the products of its highest
+        beam modes (34 for n_z = 8; 50 and 66 for n_z = 12 and 16)."""
         nz_modes = max(NZ_MODES, 4 * self.shell_basis.n_z + 2)
         return [_ModeSolver(self.cyl, m, nz_modes) for m in range(2 * self.max_m + 1)]
 
+    @cached_property
     def source_nodes(self):
-        """Flattened (theta, z) nodes at which corrector_dofs takes its
-        sources: a uniform theta grid that resolves products of two shell
-        modes, times the corrector's z collocation nodes (theta-major)."""
-        n_th = max(8, 4 * (self.max_m + 1))
-        th = np.linspace(0.0, 2.0 * np.pi, n_th, endpoint=False)
+        """Flattened (theta, z) nodes at which an extension takes the
+        azimuthal Fourier coefficients of its sources: 4 max_m + 1 uniform
+        theta nodes, the fewest that resolve the wavenumbers 0..2 max_m of
+        a product of two shell modes (one for an axisymmetric model), times
+        the corrector's z collocation nodes (theta-major)."""
+        th = np.linspace(0.0, 2.0 * np.pi, 4 * self.max_m + 1, endpoint=False)
         TT, ZZ = np.meshgrid(th, self.solvers[0].z_nodes, indexing="ij")
         return TT.ravel(), ZZ.ravel()
 
-    def corrector_dofs(self, h, flux):
-        """Corrector dofs of S boundary sources.
+    @cached_property
+    def flux_table(self):
+        """The fluxes Phi (1 + n, n) of the unit data Y_i (row 0) and
+        Y_k Y_i (row 1 + k) of the n shell modes, by the shell quadrature."""
+        basis = self.shell_basis
+        th, zz, w = basis.quadrature(refine=2)
+        Y = basis.eval_modes(th, zz, 0)[:, 0]
+        return np.concatenate([Y[None], Y[:, None] * Y[None]]) @ w
 
-        h (n_nodes, S) holds the sources at source_nodes() and flux (S,)
-        their fluxes Phi.  At the collocation nodes the wavenumber-m part of
-        a source is (8 / R^2) H_m(z), constant in r, with H_m the m-th
-        azimuthal Fourier coefficient of h, plus the plug's Phi a(r) g'(z)
-        for m = 0.  So every source lies in the span of the unit sources
-        (8 / R^2) 1_r x e_k, one per z node, and (for m = 0) the plug.
-        The unit source at a node's mirror L - z_k has the node's dofs with
-        the z-odd ones negated, so each solver makes one solve of the unit
-        sources at the lower half of the nodes and (for m = 0) the plug
-        (20 sources for m = 0, 19 for m >= 1), and the dofs are its unit
-        dofs contracted with H_m over all nodes (_ModeSolver.contract_units)
-        and the plug's with the flux, linear in h by construction.  Returns
-        [(solver, parity, dofs (ndof, S))].  Raises ValueError on a source
-        that is not finite.
-        """
-        h = np.asarray_chkfinite(h)
+    @cached_property
+    def unit_dofs(self):
+        """Per solver, the corrector dofs (ndof, U) of its unit sources
+        (8 / R^2) 1_r x e_k at all n_z collocation nodes z_k, followed for
+        m = 0 by those of the plug's source Phi a(r) g'(z) at Phi = 1
+        (U = n_z + 1 for m = 0, n_z for m >= 1).  The unit source at a
+        node's mirror L - z_k has the node's dofs with the z-odd ones
+        negated, so each solver makes one solve, of the unit sources at the
+        lower half of the nodes and (for m = 0) the plug, and
+        _ModeSolver.contract_units unfolds it to all nodes."""
         cyl = self.cyl
         sol0 = self.solvers[0]
         rc, zc = sol0.r_nodes, sol0.z_nodes
-        n_th, nh = h.shape[0] // zc.size, zc.size // 2
-        H = np.fft.rfft(h.reshape(n_th, zc.size, -1), axis=0) / n_th
-        units = np.broadcast_to(8.0 / cyl.R**2 * np.eye(zc.size, nh), (rc.size, zc.size, nh))
+        nh = zc.size // 2
+        eye = np.eye(zc.size)
+        units = np.broadcast_to(8.0 / cyl.R**2 * eye[:, :nh], (rc.size, zc.size, nh))
         plug = (plug_radial_profile(cyl, rc)[0][:, None]
                 * plug_axial_profile(cyl, zc, 1)[1][None, :])
         D = sol0.solve(np.concatenate([units, plug[..., None]], axis=-1))
-        parts = [(sol0, "cos", sol0.contract_units(D[:, :nh], H[0].real)
-                  + D[:, nh:] @ flux[None])]
-        S = h.shape[-1]
-        for sol in self.solvers[1:]:
-            # the cos and sin dofs of a wavenumber in one product
-            dofs = sol.contract_units(sol.solve(units), np.concatenate(
-                [2.0 * H[sol.m].real, -2.0 * H[sol.m].imag], axis=-1))
-            parts += [(sol, "cos", dofs[:, :S]), (sol, "sin", dofs[:, S:])]
-        return parts
-
-    @cached_property
-    def table(self):
-        """(flux (1 + n, n), [(solver, parity, dofs (1 + n, n, ndof))]) over
-        the unit data Y_i and Y_k Y_i of the n shell modes: the m = 0 cos
-        part, then the cos and sin parts of m = 1..2 max_m, taken by
-        corrector_dofs with one solve per solver."""
-        basis = self.shell_basis
-        n = basis.n_modes
-
-        def unit_data(theta, z):
-            Y = basis.eval_modes(theta, z, 0)[:, 0]
-            return np.concatenate([Y[None], Y[:, None] * Y[None]])
-
-        th, zz, w = basis.quadrature(refine=2)
-        flux = unit_data(th, zz) @ w
-        h = unit_data(*self.source_nodes())
-        parts = self.corrector_dofs(h.reshape(-1, h.shape[-1]).T, flux.ravel())
-        return flux, [
-            (sol, parity, dofs.T.reshape(1 + n, n, -1))
-            for sol, parity, dofs in parts
-        ]
+        dofs = [np.concatenate([sol0.contract_units(D[:, :nh], eye), D[:, nh:]], axis=1)]
+        return dofs + [sol.contract_units(sol.solve(units), eye) for sol in self.solvers[1:]]
 
     def line_block(self, z):
         """The z line of every node, an index into the distinct values zs of
-        z (Q,), and the table's corrector dofs at zs: _ModeSolver.line_block
-        of every (solver, parity), joined along the component axis in table
-        order, (1 + n, zs.size, n_el, 2, C, n).  The z derivative axis
-        precedes the components, so that once the weights and X are
-        contracted the value and the z-derivative columns of one z line and
-        radial element are each one matrix for ExtensionField._corrector.
+        z (Q,), and per solver its unit dofs at zs: _ModeSolver.line_block,
+        one C-ordered (zs.size, n_el, 2, C, U) block each.  The z derivative
+        axis precedes the components, so that once an extension's weights
+        are contracted the value and the z-derivative columns of one z line
+        and radial element are each one matrix for ExtensionField._corrector.
         Memoized on the node coordinates z, as ShellBasis.eval_modes
-        memoizes its tables: every sample on one grid shares them (2.0 MB
-        for the default model's 20 grid lines, 1.3 times its table).  The
-        nodes' radial elements are not: the ALE map moves the radii.  A node
-        set whose nodes share no z line (scattered points) is not kept: its
-        block grows with the node count (about 100 KB per node on the
-        default model)."""
+        memoizes its tables: every sample on one grid shares them (1.1 MB
+        for the default model's 20 grid lines, whatever the number of shell
+        modes).  The nodes' radial elements are not: the ALE map moves the
+        radii.  A node set whose nodes share no z line (scattered points) is
+        not kept: its blocks grow with the node count (about 55 KB per node
+        on the default model)."""
         key = z.tobytes()
         hit = self._line_blocks.get(key)
         if hit is not None:
             return hit
         zs, line = np.unique(z, return_inverse=True)
-        views = [sol.line_block(dofs, zs) for sol, _, dofs in self.table[1]]
-        shape = list(views[0].shape)
-        shape[4] = sum(v.shape[4] for v in views)
-        # into a C-ordered block: joined alone, the views would keep their
-        # transposed layout, and every sample's reshape would copy it
-        hit = line, np.concatenate(views, axis=4, out=np.empty(shape))
+        hit = line, [sol.line_block(D, zs) for sol, D in zip(self.solvers, self.unit_dofs)]
         if zs.size < z.size:
             if len(self._line_blocks) > 16:
                 self._line_blocks.clear()
@@ -522,7 +492,7 @@ class ExtensionOperator:
         so this is the flux table times the disk integral of a g(z0)."""
         r, _, w, _ = grid.disk(z0)
         plug = plug_radial_profile(self.cyl, r)[0] @ w
-        return plug * plug_axial_profile(self.cyl, z0)[0] * self.table[0]
+        return plug * plug_axial_profile(self.cyl, z0)[0] * self.flux_table
 
     def extend(self, delta, xi):
         """Divergence-free extension of xi e_r from the interface r = R + delta.
@@ -580,7 +550,7 @@ class ExtensionField:
     @cached_property
     def flux(self):
         """The fluxes Phi (S F,) of the fields."""
-        return (self.W @ self.op.table[0] @ self.X.T).ravel()
+        return (self.W @ self.op.flux_table @ self.X.T).ravel()
 
     def stack(self, twin):
         """One field of the fields of self followed by those of twin, the
@@ -592,23 +562,28 @@ class ExtensionField:
         return ExtensionField(self.op, np.concatenate([self.W, twin.W]), self.X,
                               twins=len(twin.W))
 
+    def _data(self, theta, z, nderiv):
+        """The data h (S, F, Q) of the fields at the nodes (theta, z), and
+        for nderiv 1 also its theta and z derivatives, from one shell-mode
+        table: the weights give (base + delta) and its derivatives, X the
+        xi_f."""
+        tab = self.op.shell_basis.eval_modes(theta, z, nderiv)
+        x = np.tensordot(self.X, tab, axes=1)  # (F, ncomp, Q)
+        d = np.tensordot(self.W[:, 1:], tab, axes=1)[:, :, None]  # (S, ncomp, 1, Q)
+        c = self.W[:, :1, None] + d[:, 0]
+        h = c * x[:, 0]
+        if not nderiv:
+            return h
+        return h, d[:, 1] * x[:, 0] + c * x[:, 1], d[:, 2] * x[:, 0] + c * x[:, 2]
+
     def _values(self, r, theta, z, n_diff):
         """Cylindrical components u (S F, 3, Q) of the fields at flat nodes,
         and the r, theta and z partials du (n_diff F, 3, 3, Q) of the fields
         of the first n_diff weight rows: the radial part f0 h e_r, plus the
         axial plug Phi a g e_z, minus the corrector inside C."""
-        cyl, W, Q = self.op.cyl, self.W, r.size
-        # the first evaluation builds the operator's table here, before any
-        # array of its own is allocated
+        cyl, Q = self.op.cyl, r.size
         flux = self.flux[:, None]
-        # the data h and its theta, z derivatives of every field, from one
-        # shell-mode table: the weights give (base + delta) and its
-        # derivatives, X the xi_f
-        tab = self.op.shell_basis.eval_modes(theta, z, 1)
-        xv, xt, xz = np.tensordot(self.X, tab, axes=1).transpose(1, 0, 2)
-        dv, dt, dz = np.tensordot(W[:, 1:], tab, axes=1).transpose(1, 0, 2)[:, :, None]
-        c = W[:, :1, None] + dv
-        h, ht, hz = (d.reshape(-1, Q) for d in (c * xv, dt * xv + c * xt, dz * xv + c * xz))
+        h, ht, hz = (d.reshape(-1, Q) for d in self._data(theta, z, 1))
         n = n_diff * len(self.X)
         (f0, df0), (a, da), (g, dg) = (_radial_factors(cyl, r), plug_radial_profile(cyl, r, 1),
                                        plug_axial_profile(cyl, z, 1))
@@ -630,36 +605,43 @@ class ExtensionField:
         components u (S F, 3, Q) and from the partials du (n_diff F, 3, 3,
         Q) of the fields of the first n_diff weight rows.
 
-        The corrector is supported in the inner cylinder C.  The weights
-        and then X are contracted with the operator's memoized line block
-        of the nodes' distinct z values, and its element modes with the
-        nodes' radial Legendre tables (fam_r.local_table) one z line and
-        radial element at a time: the nodes inside C are grouped by line
-        and element, each group's tables fill its slots (padded to the
+        The corrector is supported in the inner cylinder C.  Its source
+        is a combination of the operator's unit sources, so per (solver,
+        parity) part the fields' corrector is the solver's unit dofs
+        contracted with weights w (S, U, F) from the fields' own data: the
+        azimuthal Fourier coefficients H_m of h at the operator's source
+        nodes, taken by one rfft over theta, as [Re H_0, flux] for m = 0
+        (the plug last) and as 2 Re H_m (cos) and -2 Im H_m (sin) for
+        m >= 1.  One product of the solver's memoized line block of the
+        nodes' distinct z values with w gives each part's profile columns
+        per z line and radial element.  Their element modes are contracted
+        with the nodes' radial Legendre tables (fam_r.local_table) one z
+        line and radial element at a time: the nodes inside C are grouped by
+        line and element, each group's tables fill its slots (padded to the
         largest group, plus a spare slot that stays zero), and one batched
         product per pair of radial and axial derivatives gives every slot
-        the profile of every column of the block, one component of one
-        (solver, parity) part, for all fields.  Each node takes the row of
-        its slot, a node outside C the spare one.  The column's radial
-        factor (_ModeSolver.radial) and theta factor (azimuthal_factors)
-        make it a frame component, which is subtracted straight from u and
-        du.  The values-only twin rows take the value tables only.
+        the profile of every column, one component of the part, for all
+        fields.  Each node takes the row of its slot, a node outside C the
+        spare one.  The column's radial factor (_ModeSolver.radial) and
+        theta factor (azimuthal_factors) make it a frame component, which
+        is subtracted straight from u and du.  The values-only twin rows
+        take the value tables only.
         """
-        parts = self.op.table[1]
-        sol0 = parts[0][0]
+        op = self.op
+        sol0 = op.solvers[0]
         fam_r = sol0.fam_r
         inside = np.flatnonzero(r < sol0.r_breaks[-1])
         if not inside.size:  # no line block for nodes all outside C, such as interface points
             return
-        W, X = self.W, self.X
-        S, F, Q = len(W), len(X), r.size
+        S, F, Q = len(self.W), len(self.X), r.size
         n_diff = len(du) // F
         p, n_elem = fam_r.degree + 1, fam_r.nelem
-        line, B = self.op.line_block(z)  # B: (1 + n, line, element mode, 2, C, n)
-        G, C = B.shape[1] * n_elem, B.shape[4]
-        # the weights, then X: A[s, (line, element), mode, z derivative, (component, f)]
-        A = (W @ B.reshape(len(B), -1)).reshape(S, -1, B.shape[-1]) @ X.T
-        A = A.reshape(S, G, p, 2, C * F)
+        line, blocks = op.line_block(z)  # per solver: (line, element mode, 2, C, U)
+        G = blocks[0].shape[0] * n_elem
+        h = self._data(*op.source_nodes, 0)  # (S, F, theta x z node)
+        # H[m]: (S, z node, F)
+        n_th = h.shape[-1] // sol0.z_nodes.size
+        H = np.fft.rfft(h.reshape(S, F, n_th, -1), axis=2).transpose(2, 0, 3, 1) / n_th
         element, Tr = fam_r.local_table(r[inside], 1 if n_diff else 0)
         # the nodes inside C grouped by (line, element), each at its slot
         group = line[inside] * n_elem + element
@@ -674,28 +656,33 @@ class ExtensionField:
         slot = np.full(Q, n_slot - 1)
         slot[inside[order]] = at
 
-        def profiles(rows, dr, dz):  # (s, component, f, node)
-            v = (Tg[:, :, dr] @ A[rows, :, :, dz]).reshape(-1, G * n_slot, C * F)
-            return np.take(v.transpose(0, 2, 1), slot, axis=2).reshape(len(v), C, F, Q)
+        def profiles(A, rows, dr, dz):  # (s, component, f, node)
+            v = (Tg[:, :, dr] @ A[rows, :, :, dz]).reshape(-1, G * n_slot, A.shape[-1])
+            return np.take(v.transpose(0, 2, 1), slot, axis=2).reshape(len(v), -1, F, Q)
 
-        V = profiles(slice(None), 0, 0)
-        if n_diff:
-            V_r, V_z = profiles(slice(n_diff), 1, 0), profiles(slice(n_diff), 0, 1)
         u, du = u.reshape(S, F, 3, Q), du.reshape(n_diff, F, 3, 3, Q)  # views by weight row
-        c = 0
-        for sol, parity, _ in parts:
-            T, dT = azimuthal_factors(sol.m, parity, theta)
-            for comp, radial in zip(sol.comps, sol.radial):
-                k = "rtz".index(comp)
-                v = V[:, c]  # (s, f, node)
-                fv = r * v if radial else v
-                u[:, :, k] -= fv * T[k]
+        for sol, B in zip(op.solvers, blocks):
+            if sol.m == 0:
+                parts = [("cos", np.concatenate([H[0].real, self.flux.reshape(S, 1, F)], axis=1))]
+            else:
+                parts = [("cos", 2.0 * H[sol.m].real), ("sin", -2.0 * H[sol.m].imag)]
+            for parity, w in parts:
+                # A[s, (line, element), mode, z derivative, (component, f)]
+                A = (B.reshape(-1, B.shape[-1]) @ w).reshape(S, G, p, 2, -1)
+                V = profiles(A, slice(None), 0, 0)
                 if n_diff:
-                    v_r, v_z = V_r[:, c], V_z[:, c]
-                    du[:, :, k, 0] -= (r * v_r + v[:n_diff] if radial else v_r) * T[k]
-                    du[:, :, k, 1] -= fv[:n_diff] * dT[k]
-                    du[:, :, k, 2] -= (r * v_z if radial else v_z) * T[k]
-                c += 1
+                    V_r, V_z = profiles(A, slice(n_diff), 1, 0), profiles(A, slice(n_diff), 0, 1)
+                T, dT = azimuthal_factors(sol.m, parity, theta)
+                for c, (comp, radial) in enumerate(zip(sol.comps, sol.radial)):
+                    k = "rtz".index(comp)
+                    v = V[:, c]  # (s, f, node)
+                    fv = r * v if radial else v
+                    u[:, :, k] -= fv * T[k]
+                    if n_diff:
+                        v_r, v_z = V_r[:, c], V_z[:, c]
+                        du[:, :, k, 0] -= (r * v_r + v[:n_diff] if radial else v_r) * T[k]
+                        du[:, :, k, 1] -= fv[:n_diff] * dT[k]
+                        du[:, :, k, 2] -= (r * v_z if radial else v_z) * T[k]
 
     def tables(self, r, theta, z):
         """Frame values (S F, 3, Q), the cylindrical components of _values,

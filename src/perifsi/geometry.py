@@ -47,11 +47,11 @@ def sup_grid(basis):
     return tt.ravel(), zz.ravel()
 
 
-def _delta_tables(cyl, basis, delta, theta, z, nderiv):
+def _delta_tables(cyl, basis, delta, theta, z):
     """The scaling s = (R + delta)/R of the shell coefficients delta over
     basis, stacked with its derivatives as basis.evaluate orders them:
-    [s, s_t, s_z] for nderiv 1, then s_tt, s_tz, s_zz for nderiv 2."""
-    comp = basis.evaluate(delta, theta, z, nderiv)
+    [s, s_t, s_z, s_tt, s_tz, s_zz]."""
+    comp = basis.evaluate(delta, theta, z, 2)
     out = comp / cyl.R
     out[0] = (cyl.R + comp[0]) / cyl.R
     return out
@@ -72,7 +72,7 @@ def ale_jets(cyl, basis, delta, r, theta, z, dt_delta=None):
     dt_grad, dt_det when the coefficients dt_delta of the time derivative
     of delta are supplied.
     """
-    s, s_t, s_z, s_tt, s_tz, s_zz = _delta_tables(cyl, basis, delta, theta, z, 2)
+    s, s_t, s_z, s_tt, s_tz, s_zz = _delta_tables(cyl, basis, delta, theta, z)
     Q = r.size
     inv_r = 1.0 / r
     grad = np.zeros((3, 3, Q))
@@ -91,10 +91,11 @@ def ale_jets(cyl, basis, delta, r, theta, z, dt_delta=None):
     out = {"r_phys": s * r, "grad": grad, "det": s * s, "dgrad": dgrad}
 
     if dt_delta is not None:
-        s_dot, sd_t, sd_z = _delta_tables(cyl, basis, dt_delta, theta, z, 1)
         # dt_delta enters grad exactly like delta does: the entries are
-        # linear in (s, s_theta, s_z)
-        sd = s_dot - 1.0  # (R + ddot)/R - 1 = ddot/R
+        # linear in (s, s_theta, s_z), and the time derivative of s is
+        # ddot / R, taken as such rather than as (R + ddot) / R - 1, which
+        # keeps only about 1e-16 R / |ddot| of its relative accuracy
+        sd, sd_t, sd_z = basis.evaluate(dt_delta, theta, z, 1) / cyl.R
         dt_grad = np.zeros((3, 3, Q))
         dt_grad[0, 0] = dt_grad[1, 1] = sd
         dt_grad[0, 1] = sd_t

@@ -72,10 +72,10 @@ def _two_call_fluid_tables(basis, jets):
     zval, zgrad = zval[: basis.half], zgrad[: basis.half]
     nodes = (jets.r_phys, jets.theta, jets.z)
     X = basis.coupled_block
-    t = DofsExtension.from_table(basis.ext_op, basis.cyl.R, jets.delta, X).tables(*nodes)
+    t = DofsExtension.from_unit_dofs(basis.ext_op, basis.cyl.R, jets.delta, X).tables(*nodes)
     val[0::2], grad[0::2] = t["val"], t["grad"]
     val[1::2], grad[1::2] = push_piola(jets.A, jets.dA, jets.ginv, zval, zgrad)
-    dtX[0::2] = DofsExtension.from_table(basis.ext_op, 0.0, jets.dt_delta, X)(*nodes)
+    dtX[0::2] = DofsExtension.from_unit_dofs(basis.ext_op, 0.0, jets.dt_delta, X)(*nodes)
     dtX[1::2] = push_piola_dt(jets.dt_A, jets.dt_psi, zval, grad[1::2])
     return val, grad, dtX
 
@@ -141,11 +141,15 @@ class TestStackedSample:
 
     def test_m1_moving_sample_matches_the_per_field_oracle(self, m1_model, rng,
                                                            monkeypatch):
-        """A model with an m = 1 shell mode: cos and sin corrector parts."""
-        delta, dt_delta = _moving_inputs(m1_model, rng)
-        gaps = _oracle_gap(m1_model, monkeypatch, delta=delta, dt_delta=dt_delta,
-                           v_coeff=rng.standard_normal(m1_model.basis.n))
-        assert max(gaps.values()) <= 1e-12, gaps
+        """Models with m = 1 shell modes, so cos and sin corrector parts:
+        with n_theta = 2 the shell modes are cos modes only and the sin
+        parts carry no data; with n_theta = 3 there are sin modes too."""
+        sin_model = build_model(RunConfig(n_theta=3, n_z=2, n_interior=4).validate())
+        for model in (m1_model, sin_model):
+            delta, dt_delta = _moving_inputs(model, rng)
+            gaps = _oracle_gap(model, monkeypatch, delta=delta, dt_delta=dt_delta,
+                               v_coeff=rng.standard_normal(model.basis.n))
+            assert max(gaps.values()) <= 1e-12, gaps
 
     @pytest.mark.parametrize("moving", [False, True], ids=["rest", "moving"])
     @pytest.mark.parametrize("which", ["small", "m1"])

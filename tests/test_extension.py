@@ -68,23 +68,53 @@ def _corrector_tables(sol, parity, f, f_r, f_z, r, theta):
     return (f * T, *frame_tables(f * T, np.stack([f_r * T, f * dT, f_z * T], axis=-2), r))
 
 
+def _unit_weights(ext_op, W, X):
+    """Per (solver, parity) part, the weights (S, F, U) of its solver's
+    unit dofs in the corrector of the data h_sf = (w_s0 + sum_k w_sk Y_k)
+    xi_f, for the weight rows w_s of W (S, 1 + n) and xi_f = sum_k X[f, k]
+    Y_k: [(solver, parity, weights)].  The azimuthal Fourier coefficients
+    H_m of h at the corrector's z nodes are taken by an explicit sum over
+    max(8, 4 (max_m + 1)) uniform theta nodes of ShellBasis.evaluate: H_0
+    and then the flux for m = 0, 2 Re H_m (cos) and -2 Im H_m (sin) for
+    m >= 1.  The reference for the rfft of ExtensionField._corrector."""
+    basis = ext_op.shell_basis
+    zc = ext_op.solvers[0].z_nodes
+    n_th = max(8, 4 * (ext_op.max_m + 1))
+    th = 2.0 * np.pi * np.arange(n_th) / n_th
+    TT, ZZ = (x.ravel() for x in np.meshgrid(th, zc, indexing="ij"))
+    c = np.array([w[0] + basis.evaluate(w[1:], TT, ZZ, 0)[0] for w in W])
+    xi = np.array([basis.evaluate(x, TT, ZZ, 0)[0] for x in X])
+    h = (c[:, None] * xi[None]).reshape(len(W), len(X), n_th, zc.size)
+    parts = []
+    for sol in ext_op.solvers:
+        if sol.m == 0:
+            flux = W @ ext_op.flux_table @ X.T
+            parts.append((sol, "cos", np.concatenate([h.mean(axis=2), flux[..., None]], axis=-1)))
+        else:
+            cos, sin = (2.0 / n_th * np.einsum("sfjk,j->sfk", h, f(sol.m * th))
+                        for f in (np.cos, np.sin))
+            parts += [(sol, "cos", cos), (sol, "sin", sin)]
+    return parts
+
+
 def per_field_extension(ext_op, base, delta, xi, r, theta, z):
     """Cylindrical value (3, Q), frame gradient (3, 3, Q) and divergence (Q)
     of the extension of h = (base + delta) xi, one field by itself: the data
     from ShellBasis.evaluate, the corrector from its full radial and axial
-    tables at every node.  The reference for the stacked evaluation."""
+    tables at every node, its dofs the unit dofs contracted with the
+    weights of its own data (_unit_weights).  The reference for the stacked
+    evaluation."""
     cyl = ext_op.cyl
-    flux_table, parts = ext_op.table
     w = np.concatenate([[base], delta])
-    flux = float(w @ flux_table @ xi)
+    flux = float(w @ ext_op.flux_table @ xi)
     xv, xt, xz = ext_op.shell_basis.evaluate(xi, theta, z, 1)
     dv, dt, dz = ext_op.shell_basis.evaluate(delta, theta, z, 1)
     h, ht, hz = (base + dv) * xv, dt * xv + (base + dv) * xt, dz * xv + (base + dv) * xz
     val, G, div = _radial_and_plug(cyl, flux, h, ht, hz, r, z)
     inn = r < cyl.R / 2.0
     ri, zi, thi = r[inn], z[inn], theta[inn]
-    for sol, parity, d in parts:
-        dofs = xi @ np.tensordot(w, d, axes=1)
+    for sol, parity, weights in _unit_weights(ext_op, w[None], xi[None]):
+        dofs = ext_op.unit_dofs[sol.m] @ weights[0, 0]
         Tr, Tz = sol.fam_r.eval_table(ri, 1), sol.fam_z.eval_table(zi, 1)
         prof = np.zeros((3, 3, ri.size))  # f, f_r, f_z of the components r, t, z
         for i, comp in enumerate(sol.comps):
@@ -166,12 +196,13 @@ class DofsExtension:
         self.dofs = dofs
 
     @classmethod
-    def from_table(cls, ext_op, base, delta, X):
-        flux, parts = ext_op.table
-        w = np.concatenate([[base], delta])
-        dofs = [(sol, parity, X @ np.tensordot(w, d, axes=1))
-                for sol, parity, d in parts]
-        return cls(ext_op, X, base, delta, X @ (w @ flux), dofs)
+    def from_unit_dofs(cls, ext_op, base, delta, X):
+        """The unit dofs contracted with the weights of the data
+        (_unit_weights)."""
+        w = np.concatenate([[base], delta])[None]
+        dofs = [(sol, parity, weights[0] @ ext_op.unit_dofs[sol.m].T)
+                for sol, parity, weights in _unit_weights(ext_op, w, X)]
+        return cls(ext_op, X, base, delta, (w @ ext_op.flux_table @ X.T)[0], dofs)
 
     def _frame_tables(self, r, theta, z, partials):
         """Cylindrical values (F, 3, Q), frame gradients (F, 3, 3, Q) and
@@ -287,8 +318,10 @@ class TestExtension:
 
 class TestExtensionTable:
     def test_table_matches_a_direct_solve(self, small_model, rng):
-        """The contracted table equals the corrector solve of the pointwise
-        data (R + delta) xi and its quadrature flux."""
+        """The unit dofs contracted with the weights of the pointwise data
+        (R + delta) xi equal the corrector solve of its own source at the
+        collocation nodes, (8 / R^2) H_0(z) plus the plug of its quadrature
+        flux, and the extension's flux and tables match."""
         cyl = small_model.cyl
         ext_op = small_model.basis.ext_op
         shell = small_model.basis.shell_basis
@@ -301,27 +334,40 @@ class TestExtensionTable:
 
         th, z, w = shell.quadrature(refine=2)
         flux = float(data(th, z) @ w)
-        h = data(*ext_op.source_nodes())[:, None]
-        parts = ext_op.corrector_dofs(h, np.array([flux]))
-        direct = DofsExtension(ext_op, xi[None], cyl.R, delta,
-                               np.array([flux]), [(sol, p, d.T) for sol, p, d in parts])
-        contracted = DofsExtension.from_table(ext_op, cyl.R, delta, xi[None])
+        # the small model is axisymmetric: one solver, and h does not
+        # depend on theta, so H_0 is h at theta = 0
+        (sol,) = ext_op.solvers
+        rc, zc = sol.r_nodes, sol.z_nodes
+        H0 = data(np.zeros_like(zc), zc)
+        g = (8.0 / cyl.R**2 * H0[None, :]
+             + flux * extension_ops.plug_radial_profile(cyl, rc)[0][:, None]
+             * extension_ops.plug_axial_profile(cyl, zc, 1)[1][None, :])
+        direct = DofsExtension(ext_op, xi[None], cyl.R, delta, np.array([flux]),
+                               [(sol, "cos", sol.solve(g[..., None]).T)])
+        contracted = DofsExtension.from_unit_dofs(ext_op, cyl.R, delta, xi[None])
         field = ext_op.extend(delta, xi)
         assert abs(field.flux[0] - flux) <= 1e-12 * abs(flux)
-        for (s1, p1, d1), (s2, p2, d2) in zip(contracted.dofs, direct.dofs):
+        for (s1, p1, d1), (s2, p2, d2) in zip(contracted.dofs, direct.dofs, strict=True):
             assert s1 is s2 and p1 == p2
             assert np.max(np.abs(d1 - d2)) <= 1e-12 * np.max(np.abs(d2))
         pts = _random_points(rng, cyl)
         assert _rel_gap(field.tables(*pts), direct.tables(*pts)) <= 1e-12
 
-    def test_corrector_dofs_reject_a_source_that_is_not_finite(self, small_model):
-        """The solves see only unit sources, so the data are checked where
-        they enter."""
-        ext_op = small_model.basis.ext_op
-        h = np.zeros((ext_op.source_nodes()[0].size, 2))
-        h[7, 1] = np.inf
-        with pytest.raises(ValueError):
-            ext_op.corrector_dofs(h, np.zeros(2))
+    def test_operator_arrays_do_not_grow_with_the_shell_modes(self, rng):
+        """After one moving sample, the operators of n_theta = 2 and 3 at
+        n_z = 4 (8 and 12 shell modes, the same max_m and grid) hold equal
+        bytes of arrays but for their flux tables' (1 + n) n floats: the
+        unit dofs and the line block do not depend on the number of shell
+        modes (a table over the unit data Y_i and Y_k Y_i held 19.5 and
+        42.3 MB)."""
+        sizes = []
+        for n_theta in (2, 3):
+            model = build_model(RunConfig(n_theta=n_theta, n_z=4, n_interior=8).validate())
+            n = model.basis.shell_basis.n_modes
+            delta, dt_delta = 0.02 * rng.standard_normal((2, n))
+            model.sample(delta=delta, dt_delta=dt_delta)
+            sizes.append(_array_bytes(vars(model.basis.ext_op)) - 8 * (1 + n) * n)
+        assert sizes[0] == sizes[1]
 
     @given(st.integers(min_value=0, max_value=10**6))
     @settings(max_examples=25, deadline=None)
@@ -443,7 +489,7 @@ class TestExtensionTable:
     def test_build_model_builds_no_solver_and_no_table(self, small_cfg):
         model = build_model(small_cfg)
         built = vars(model.basis.ext_op)
-        assert "solvers" not in built and "table" not in built
+        assert "solvers" not in built and "unit_dofs" not in built
         assert "_disk_flux" not in vars(model)
 
 
@@ -631,33 +677,18 @@ def _recorded_solves(monkeypatch):
     return calls
 
 
-def _table_sources(ext_op):
-    """The table's corrector sources at the collocation nodes per
-    wavenumber m, {m: (n_r_nodes, n_z_nodes, S)}, rebuilt from the unit data
-    Y_i and Y_k Y_i at source_nodes() and their quadrature fluxes:
-    (8 / R^2) H_m(z) at every radius, H_m the m-th azimuthal Fourier
-    coefficient of the data, plus the plug Phi a(r) g'(z) for m = 0; for
-    m >= 1 the cos sources 2 Re H_m followed by the sin sources -2 Im H_m."""
-    cyl, basis = ext_op.cyl, ext_op.shell_basis
-
-    def unit_data(theta, z):
-        Y = basis.eval_modes(theta, z, 0)[:, 0]
-        return np.concatenate([Y[None], Y[:, None] * Y[None]]).reshape(-1, Y.shape[-1])
-
-    th, zz, w = basis.quadrature(refine=2)
-    flux = unit_data(th, zz) @ w
+def _unit_sources(ext_op):
+    """The unit sources at the collocation nodes per wavenumber m,
+    {m: (n_r_nodes, n_z_nodes, U)}: (8 / R^2) 1_r x e_k for every z node
+    z_k, followed for m = 0 by the plug's a(r) g'(z)."""
+    cyl = ext_op.cyl
     sol0 = ext_op.solvers[0]
     rc, zc = sol0.r_nodes, sol0.z_nodes
-    h = unit_data(*ext_op.source_nodes()).T.reshape(-1, zc.size, flux.size)
-    H = np.fft.rfft(h, axis=0) / len(h)
-    base = 8.0 / cyl.R**2 * np.ones((rc.size, 1, 1))
+    units = 8.0 / cyl.R**2 * np.broadcast_to(np.eye(zc.size), (rc.size, zc.size, zc.size))
     plug = (extension_ops.plug_radial_profile(cyl, rc)[0][:, None]
-            * extension_ops.plug_axial_profile(cyl, zc, 1)[1][None, :])[..., None] * flux
-    out = {0: base * H[0].real[None] + plug}
-    for sol in ext_op.solvers[1:]:
-        m = sol.m
-        out[m] = base * np.concatenate([2.0 * H[m].real, -2.0 * H[m].imag], axis=-1)[None]
-    return out
+            * extension_ops.plug_axial_profile(cyl, zc, 1)[1][None, :])[..., None]
+    return {sol.m: np.concatenate([units, plug], axis=-1) if sol.m == 0 else units
+            for sol in ext_op.solvers}
 
 
 @pytest.fixture(scope="module")
@@ -671,49 +702,45 @@ def mode_solvers(small_model):
 def _line_loop_corrector(field, r, theta, z, n_diff):
     """The corrector components (S F, 3, Q) of a stacked field and the r,
     theta and z partials (n_diff F, 3, 3, Q) of the fields of its first
-    n_diff weight rows, zero outside C, taken one z-line at a time: the
-    field's weights and data block contracted with the operator's line
-    block of the distinct z values in C, as the field does, then one
-    product with the radial element table per line, and each (solver,
-    parity) part's profiles summed into the frame components part by
-    part."""
+    n_diff weight rows, zero outside C, taken one z-line at a time: per
+    (solver, parity) part, the solver's line block of the distinct z
+    values in C contracted with the part's weights (_unit_weights), then one
+    product with the radial element table per line, and the part's
+    profiles summed into the frame components."""
     ext_op, W, X = field.op, field.W, field.X
-    parts = ext_op.table[1]
-    fam_r = parts[0][0].fam_r
-    inside = np.flatnonzero(r < parts[0][0].r_breaks[-1])
+    sol0 = ext_op.solvers[0]
+    inside = np.flatnonzero(r < sol0.r_breaks[-1])
     order = inside[np.argsort(z[inside], kind="stable")]
     zs = z[order]
     first = np.flatnonzero(np.diff(zs, prepend=np.nan) != 0.0)
     bounds = np.append(first, order.size)
-    line, B = ext_op.line_block(z)  # B: (1 + n, line, element mode, 2, C, n)
-    S, F, C = W.shape[0], X.shape[0], B.shape[4]
-    A = (W @ B.reshape(B.shape[0], -1)).reshape(S, -1, B.shape[-1]) @ X.T
-    # (line, (s, z derivative, component, f), element mode)
-    A = A.reshape(S, B.shape[1], -1, 2, C, F)
-    A = A.transpose(1, 0, 3, 4, 5, 2).reshape(B.shape[1], -1, A.shape[2])
-    Tr = fam_r.element_table(r[order], 1)
-    V = np.zeros((S, 2, C, F, 2, r.size))  # (.., f, r derivative, node)
-    for a, b in zip(bounds[:-1], bounds[1:]):
-        idx = order[a:b]
-        V[..., idx] = (A[line[idx[0]]] @ Tr[:, :, a:b].reshape(A.shape[-1], -1)).reshape(
-            V.shape[:-1] + (b - a,))
-    # ((s, f), component, z derivative, r derivative, node)
-    V = V.transpose(0, 3, 2, 1, 4, 5).reshape(S * F, C, 2, 2, r.size)
+    line, blocks = ext_op.line_block(z)  # per solver: (line, element mode, 2, C, U)
+    S, F = W.shape[0], X.shape[0]
+    Tr = sol0.fam_r.element_table(r[order], 1)
     w = np.zeros((S * F, 3, r.size))
     dw = np.zeros((S * F, 3, 3, r.size))
-    at = 0
-    for sol, parity, _ in parts:
+    for sol, parity, weights in _unit_weights(ext_op, W, X):
+        B = blocks[sol.m]
+        C = B.shape[3]
+        # (line, (s, z derivative, component, f), element mode)
+        A = np.einsum("lezcu,sfu->lszcfe", B, weights).reshape(B.shape[0], -1, B.shape[1])
+        V = np.zeros((S, 2, C, F, 2, r.size))  # (.., f, r derivative, node)
+        for a, b in zip(bounds[:-1], bounds[1:]):
+            idx = order[a:b]
+            V[..., idx] = (A[line[idx[0]]] @ Tr[:, :, a:b].reshape(A.shape[-1], -1)).reshape(
+                V.shape[:-1] + (b - a,))
+        # ((s, f), component, z derivative, r derivative, node)
+        V = V.transpose(0, 3, 2, 1, 4, 5).reshape(S * F, C, 2, 2, r.size)
         T, dT = azimuthal_factors(sol.m, parity, theta)
         for i, comp in enumerate(sol.comps):
             k = "rtz".index(comp)
-            W, W_z, W_r = V[:, at + i, 0, 0], V[:, at + i, 1, 0], V[:, at + i, 0, 1]
+            f, f_z, f_r = V[:, i, 0, 0], V[:, i, 1, 0], V[:, i, 0, 1]
             if comp in ("r", "t") or sol.m > 0:
-                W, W_r, W_z = r * W, W + r * W_r, r * W_z
-            w[:, k] += W * T[k]
-            dw[:, k, 0] += W_r * T[k]
-            dw[:, k, 1] += W * dT[k]
-            dw[:, k, 2] += W_z * T[k]
-        at += len(sol.comps)
+                f, f_r, f_z = r * f, f + r * f_r, r * f_z
+            w[:, k] += f * T[k]
+            dw[:, k, 0] += f_r * T[k]
+            dw[:, k, 1] += f * dT[k]
+            dw[:, k, 2] += f_z * T[k]
     return w, dw[:n_diff * F]
 
 
@@ -753,9 +780,10 @@ class TestModeSolver:
         (shared z lines), scattered points in and outside C, both together
         (groups of unequal sizes, so the slots are padded), and one z line
         with three nodes in the first radial element and two outside C (one
-        group, full but for its spare slot).  The operator's table is random
-        dofs on the m = 0 solver and, for m = 1, on the cos and sin parts of
-        the m = 1 solver too."""
+        group, full but for its spare slot).  The operator's unit dofs are
+        random on the m = 0 solver and, for m = 1, on the m = 1 solver too,
+        whose cos and sin parts take the data of a shell basis with cos and
+        sin m = 1 modes (the m = 2 solver is left out)."""
         shell = small_model.basis.shell_basis
         R, L = small_model.cyl.R, small_model.cyl.L
         delta = 0.03 * rng.standard_normal(shell.n_modes)
@@ -765,14 +793,15 @@ class TestModeSolver:
         ragged = tuple(np.concatenate(x) for x in zip(grid, scattered))
         one_group = (np.array([0.05, 0.7, 0.06, 0.9, 0.07]) * R,
                      rng.uniform(0.0, 2 * np.pi, 5), np.full(5, 0.3 * L))
-        parts = [(mode_solvers[0], "cos")]
-        if m:
-            parts += [(mode_solvers[1], "cos"), (mode_solvers[1], "sin")]
-        ext_op = extension_ops.ExtensionOperator(small_model.cyl, shell)
-        ext_op.table = (None, [(sol, parity, rng.standard_normal((3, 2, sol.ndof)))
-                               for sol, parity in parts])
-        field = ExtensionField(ext_op, rng.standard_normal((2, 3)),
-                               rng.standard_normal((3, 2)))
+        data_basis = ShellBasis(3, 2, L) if m else shell
+        ext_op = extension_ops.ExtensionOperator(small_model.cyl, data_basis)
+        ext_op.solvers = [mode_solvers[k] for k in range(m + 1)]
+        nz = mode_solvers[0].z_nodes.size
+        ext_op.unit_dofs = [rng.standard_normal((sol.ndof, nz + (sol.m == 0)))
+                            for sol in ext_op.solvers]
+        n = data_basis.n_modes
+        field = ExtensionField(ext_op, rng.standard_normal((2, 1 + n)),
+                               rng.standard_normal((3, n)))
         for r, theta, z in (grid, scattered, ragged, one_group):
             for n_diff in ((2, 1) if partials else (0,)):
                 Q = r.size
@@ -821,66 +850,54 @@ class TestModeSolver:
         assert np.all(gap <= 1e-12 * np.max(np.abs(high), axis=0))
 
     def test_matches_the_unsplit_solve_on_the_table_sources(self, monkeypatch):
-        """On the default model's 72 table sources, the table's dofs equal
-        the full-SVD solve to 1e-7 relative (measured 1.1e-8 at 1 BLAS
-        thread, 1.6e-8 at 2), well above the operator's own round-off (its
-        table moves about 3e-14 between 1 and 2 BLAS threads).  The table
-        build makes one solve, of the 19 unit sources at the lower half of
-        the 38 axial nodes and the plug."""
+        """On the default model's 39 unit sources (one per axial node and
+        the plug), the unit dofs equal the full-SVD solve to 1e-7 relative
+        (measured 7.6e-8 at 1 BLAS thread, 6.0e-8 at 2, spread over all
+        columns; the pivoted-QR solve is within 2.3e-12 of them, so most of
+        the gap is the SVD reference's).  They take one solve, of the 19
+        unit sources at the lower half of the 38 axial nodes and the
+        plug."""
         calls = _recorded_solves(monkeypatch)
         ext_op = build_model(RunConfig().validate()).basis.ext_op
-        _, parts = ext_op.table
-        assert calls == [(0, 20)] and len(parts) == 1
-        sources = _table_sources(ext_op)[0]
-        assert sources.shape[-1] == 72
-        sol, _, dofs = parts[0]
-        want = _dense_solve(sol, sources)
-        got = dofs.reshape(-1, sol.ndof).T
+        (got,) = ext_op.unit_dofs
+        assert calls == [(0, 20)]
+        sources = _unit_sources(ext_op)[0]
+        assert sources.shape[-1] == 39
+        want = _dense_solve(ext_op.solvers[0], sources)
+        assert got.shape == want.shape
         assert np.max(np.abs(got - want)) <= 1e-7 * np.max(np.abs(want))
 
     def test_m1_table_sources_match_the_unsplit_solve_in_one_call(self, monkeypatch):
-        """On a model with m = 1 shell modes, the table's m = 1 dofs are
-        the full-SVD solve of its 40 cos and sin sources to 1e-6 relative
-        (measured 4e-7 at 1 BLAS thread, 8e-8 at 2), and the table build
-        makes one solve per solver, m = 0, 1 and 2 for the products of two
-        m = 1 modes: 19 unit sources, those at the lower half of the axial
-        nodes, and the plug for m = 0, and 19 for m >= 1."""
+        """On a model with m = 1 shell modes, the m = 1 unit dofs are the
+        full-SVD solve of its 38 unit sources to 1e-6 relative (measured
+        2.0e-7 at 1 BLAS thread, 1.1e-7 at 2), and the unit dofs take one
+        solve per solver, m = 0, 1 and 2 for the products of two m = 1
+        modes: 19 unit sources, those at the lower half of the axial nodes,
+        and the plug for m = 0, and 19 for m >= 1."""
         calls = _recorded_solves(monkeypatch)
         cfg = RunConfig(n_theta=2, n_z=2, n_interior=4).validate()
         ext_op = build_model(cfg).basis.ext_op
-        _, parts = ext_op.table
+        dofs = ext_op.unit_dofs
         assert calls == [(0, 20), (1, 19), (2, 19)]
-        assert [(sol.m, parity) for sol, parity, _ in parts] == [
-            (0, "cos"), (1, "cos"), (1, "sin"), (2, "cos"), (2, "sin")]
-        sources = _table_sources(ext_op)[1]
-        assert sources.shape[-1] == 40
+        assert [d.shape[1] for d in dofs] == [39, 38, 38]
+        sources = _unit_sources(ext_op)[1]
         want = _dense_solve(ext_op.solvers[1], sources)
-        S = sources.shape[-1] // 2
-        for sol, parity, dofs in parts[1:3]:
-            got = dofs.reshape(-1, sol.ndof).T
-            ref = want[:, :S] if parity == "cos" else want[:, S:]
-            assert got.shape == ref.shape
-            assert np.max(np.abs(got - ref)) <= 1e-6 * np.max(np.abs(ref))
+        assert dofs[1].shape == want.shape
+        assert np.max(np.abs(dofs[1] - want)) <= 1e-6 * np.max(np.abs(want))
 
     @pytest.mark.parametrize("cfg", [{}, {"n_theta": 2, "n_z": 2, "n_interior": 4}],
                              ids=["default", "m1"])
     def test_table_matches_the_gelsy_solve(self, cfg):
-        """The table dofs of the default model and of a model with m = 1
-        shell modes (and so m = 2 products) are the pivoted-QR solves of
-        their table sources to 1e-8 relative.  Measured 1e-13 where the
-        sources carry data; the m1 model's shell modes are cos modes only, so
-        its sin sources are round-off, and there the gap is 5e-10 (m = 1)
-        and 1.3e-9 (m = 2) of those parts' own size."""
+        """The unit dofs of the default model and of a model with m = 1
+        shell modes (and so an m = 2 solver) are the pivoted-QR solves of
+        their unit sources to 1e-8 relative (measured 2.3e-12 for m = 0,
+        1.7e-9 and 1.4e-9 for m = 1 and 2)."""
         ext_op = build_model(RunConfig(**cfg).validate()).basis.ext_op
-        _, parts = ext_op.table
-        sources = _table_sources(ext_op)
-        want = {sol.m: _gelsy_solve(sol, sources[sol.m]) for sol in ext_op.solvers}
-        for sol, parity, dofs in parts:
-            ref = want[sol.m]
-            S = ref.shape[-1] // (1 if sol.m == 0 else 2)
-            ref = ref[:, S:] if parity == "sin" else ref[:, :S]
-            got = dofs.reshape(-1, sol.ndof).T
-            assert np.max(np.abs(got - ref)) <= 1e-8 * np.max(np.abs(ref))
+        sources = _unit_sources(ext_op)
+        for sol, got in zip(ext_op.solvers, ext_op.unit_dofs, strict=True):
+            want = _gelsy_solve(sol, sources[sol.m])
+            assert got.shape == want.shape
+            assert np.max(np.abs(got - want)) <= 1e-8 * np.max(np.abs(want))
 
     @pytest.mark.parametrize("R, L", [(1.0, 2.0), (1.0, 8.0), (0.2, 2.0)])
     def test_gram_rank_is_the_svd_rank(self, R, L):
@@ -1011,10 +1028,10 @@ class TestModeSolver:
 
     def test_keeps_no_factors_after_the_table(self, small_model):
         """The whitened factors and the Gram's pivoted Cholesky factor
-        (6.3 MiB per half for m = 0) live only inside a solve: once the table
-        is built, each solver holds under 1 MiB of arrays."""
+        (6.3 MiB per half for m = 0) live only inside a solve: once the unit
+        dofs are built, each solver holds under 1 MiB of arrays."""
         ext_op = small_model.basis.ext_op
-        ext_op.table
+        ext_op.unit_dofs
         for sol in ext_op.solvers:
             assert _array_bytes(vars(sol)) < 2**20
 

@@ -215,3 +215,18 @@ class TestFrameJets:
         for key, name in (("grad", "dt_grad"), ("det", "dt_det")):
             want = (plus[key] - minus[key]) / (2.0 * self.H)
             assert self._gap(jets[name], want) <= 1e-9, name
+
+    def test_a_small_shell_velocity_keeps_its_relative_accuracy(self, motion):
+        """Under a shell velocity of size 1e-6, dt_psi[0] / r and
+        dt_grad[0, 0] are within 4 ulps of ddot / R at every node: the
+        time derivative of the scaling is taken as ddot / R, not as
+        (R + ddot) / R - 1, which is off by about 4e-11 of the largest
+        value here."""
+        cyl, shell, delta, dt_delta = motion
+        r, theta, z = self.NODES
+        small = 1e-6 * dt_delta
+        jets = ale_jets(cyl, shell, delta, r, theta, z, small)
+        want = shell.evaluate(small, theta, z, 0)[0] / cyl.R
+        ulps = 4.0 * np.spacing(np.abs(want))
+        assert np.all(np.abs(jets["dt_psi"][0] / r - want) <= ulps)
+        assert np.all(np.abs(jets["dt_grad"][0, 0] - want) <= ulps)
