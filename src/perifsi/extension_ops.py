@@ -26,9 +26,13 @@ small generalized eigenproblems give X exactly (fast diagonalization), and
 each component's block of B is then the outer product of a radial and an
 axial factor.  B is never formed: its Gram B B^T is one small matrix
 product of those factors, and B y and B^T z are two small products per
-component.  Relative to the largest, the singular values of B drop from
-about 1e-4 to round-off (about 1e-15) at the rank, so the rank is well
-defined, and a pivoted Cholesky of the Gram finds it.  The extension is
+component.  The range of B lies in the tensor product of the spans of
+the radial and the axial factors' rows, 44 of the 48 radial and 18 of the
+19 axial node dimensions for m = 0, so the rows are taken on orthonormal
+bases of those spans: 792 instead of 912 per parity half, of rank 784.
+Relative to the largest, the singular values of B drop from about 1e-4 to
+round-off (about 1e-15) at the rank, so the rank is well defined, and a
+pivoted Cholesky of the Gram finds it.  The extension is
 a fixed linear operator of h.  At the collocation nodes the wavenumber-m
 part of its corrector's source is (8 / R^2) H_m(z), constant in r, with H_m
 the m-th azimuthal Fourier coefficient of h, plus the plug's Phi a(r) g'(z)
@@ -57,7 +61,7 @@ from .fluidgrid import azimuthal_factors, frame_tables, unit_frame_tables
 
 R_DEGREE = 10  # polynomial degree of the corrector's radial elements
 NZ_MODES = 34  # the fewest axial modes of the corrector
-GRAM_CUTOFF = 1e-13  # relative pivot cutoff of the corrector's Gram (rank)
+GRAM_CUTOFF = 1e-13  # relative cutoff of the corrector Gram's pivots (rank) and rows' spans
 
 
 # ---------------------------------------------------------------------------
@@ -97,6 +101,17 @@ def plug_axial_profile(cyl, z, nderiv=0):
 # per-wavenumber corrector solve on C = [0, R/2] x [0, L]
 
 
+def _row_span(F):
+    """An orthonormal basis (n, k) of the span of the rows of F (.., n):
+    its right singular vectors whose squared singular values exceed
+    GRAM_CUTOFF times the largest.  A span that is all of R^n is left
+    unrotated, as the identity, since a rotation would only cost the
+    Gram's pivots margin."""
+    _, sv, Vt = np.linalg.svd(F, full_matrices=False)
+    k = np.count_nonzero(sv * sv > GRAM_CUTOFF * sv[0] ** 2)
+    return np.eye(F.shape[1]) if k == F.shape[1] else Vt[:k].T
+
+
 def _gram(rows):
     """The Gram K = B B^T (n_rows square) of a whitened half B from its
     factors rows = [(P, Z, s)] (_ModeSolver._whitened), where component c
@@ -105,8 +120,9 @@ def _gram(rows):
     radial outer products with the axial ones (sum nfr, n_y^2), turned to
     (x, y), (X, Y) order.  K is symmetric and _pivoted_gram reads only its
     lower triangle, so only the blocks x >= X that hold it are formed: the
-    product takes the radial pairs x >= X alone, for m = 0
-    (1176 x 80) (80 x 361), and the blocks x < X are left zero."""
+    product takes the radial pairs x >= X alone, for m = 0 on its 44 x 18
+    rows (990 x 80) (80 x 324), and the blocks x < X are left zero (4.8 MiB
+    for m = 0, 5.7 MiB for m >= 1)."""
     nx, ny = rows[0][0].shape[1], rows[0][1].shape[1]
     x, X = np.tril_indices(nx)
     PP = np.concatenate([P[:, x] * P[:, X] for P, _, _ in rows])
@@ -163,19 +179,22 @@ def _min_norm_solve(rows, G):
     over v gives v = (I + W^T W)^-1 (G1 + W^T G2), taken by Woodbury with
     the Cholesky factor of the (n - r)-square I + W W^T.
 
+    The rows are those of _ModeSolver._whitened, on the bases of the
+    factors' spans, so r is 784 of 792 rows for m = 0 and 852 of 864 for
+    m >= 1: W and the Woodbury factor have 8 and 12 columns.
+
     The map from v to y passes through R11^-1 R11^-T, which amplifies the
     round-off by the square of the condition number of R11 before B^T
-    cancels it again, so one such solve is linear in G to only about 5e-14
-    (m = 0) and 3e-13 (m = 1) relative on the corrector's sources.
+    cancels it again, so one such solve is linear in G to only about 1e-14
+    (m = 0) and 2e-13 (m = 1) relative on the corrector's unit sources.
     One step of iterative refinement, y += B^+ (G - B y), brings that to
-    about 7e-15 and 8e-14, because those sources leave a least-squares
-    residual of only 5e-5 relative or less.  y then lies within 3e-13 of a
-    full SVD solve.  Sources with a large part outside
-    range(B) fare worse, as forming the Gram squares the conditioning of the
-    projection onto range(B) and refinement cannot mend that: on random
-    sources y is up to 3e-11 (m = 0) and 2e-9 (m = 1) from the SVD solve,
-    relative, where a pivoted-QR least-squares solve stays within 1e-13 and
-    1e-11.
+    about 5e-16 and 8e-14.  On those sources, which leave a least-squares
+    residual of about 0.3 relative, y then lies within 1e-11 (m = 0) and
+    4e-8 (m = 1) of the SVD solve of the dense half on all 912 rows,
+    relative, and on random sources within 2e-12 and 3e-9, where a
+    pivoted-QR least-squares solve stays within 3e-14: forming the Gram
+    squares the conditioning of the projection onto range(B), and
+    refinement cannot mend that.
     """
     n = G.shape[0]
     R, p, r = _pivoted_gram(_gram(rows))
@@ -219,18 +238,29 @@ class _ModeSolver:
     Ar + 1e-10 Mr (eigenvalues lam) and W, W^T Mz W = I, of Az (eigenvalues
     mu) give the root X = (V x W) diag(s), s = (lam + mu)^-1/2, with
     X^T A X = I.  With x = X y the problem is the minimum-norm least-squares
-    solve y = B^+ g of B = C X (912 x 1360 per parity half for m = 0,
-    912 x 2040 for m >= 1), taken by _min_norm_solve from a pivoted Cholesky
-    of the Gram B B^T = C A^-1 C^T.  B is never formed: component c's
-    collocation rows are outer products of a radial table rad and an axial
-    table Tz, so B_c[(x, y), (i, j)] = (V^T rad)_ix (W^T Tz)_jy s_ij, and the
-    Gram and the products with B and B^T are taken from these factors.
-    Relative to the largest, the whitened singular values of m = 0 drop from
-    5e-5 to 1e-4 at the 784th of each parity half to round-off, about 1e-15,
-    at the 785th (m = 1: from about 2e-6 at the 852nd to about 4e-16), so
-    the rank is well defined: on cylinders with R / L from 1/8 to 1 and
-    m <= 2 the Gram's kept pivots stay above 2.7e-12 and its dropped ones
-    below 8e-16 of its largest diagonal, either side of GRAM_CUTOFF.
+    solve y = B^+ g of B = C X (48 x 19 = 912 node rows per parity half,
+    1360 columns for m = 0 and 2040 for m >= 1), taken by _min_norm_solve
+    from a pivoted Cholesky of the Gram B B^T = C A^-1 C^T.  B is never
+    formed: component c's collocation rows are outer products of a radial
+    table rad and an axial table Tz, so
+    B_c[(x, y), (i, j)] = (V^T rad)_ix (W^T Tz)_jy s_ij, and the Gram and the
+    products with B and B^T are taken from these factors.  Hence range(B)
+    lies in span(rad rows) x span(Tz rows), and the rows are taken on
+    orthonormal bases of those spans (_row_span), the sources projected the
+    same way: the minimum-norm least-squares solution does not change under
+    an orthogonal change of row basis whose span holds range(B).  The radial
+    rows of m = 0 span 44 of the 48 radial nodes' dimensions and those of
+    m >= 1 all 48 (left unrotated); the axial rows of each half span 18 of
+    its 19.  So the Gram has 792 rows for m = 0 and 864 for m >= 1, instead
+    of 912; the spans' kept squared singular values stay above 1e-10 of the
+    largest and the dropped ones below 1e-31.  Relative to the largest, the
+    whitened singular values of m = 0 drop from 5e-5 to 1e-4 at the 784th of
+    each parity half to round-off, about 1e-15, at the 785th (m = 1: from
+    about 2e-6 at the 852nd to about 4e-16), so the rank is well defined: on
+    cylinders with R / L from 1/10 to 1 and m <= 2 the Gram's kept pivots
+    stay above 2.8e-12 and its dropped ones below 3e-16 of its largest
+    diagonal, either side of GRAM_CUTOFF (m = 0: above 6e-10 and below
+    5e-18).
 
     The system splits exactly by parity about z = L/2.  The z function j has
     parity j % 2 (Legendre times the even factor z(L - z)) and the Gauss
@@ -298,31 +328,39 @@ class _ModeSolver:
             np.concatenate([i * self.block + (np.arange(nfr)[:, None] * nfz + js).ravel()
                             for i, js in enumerate(self._js[parity])])
             for parity in (0, 1)]
+        # orthonormal bases of the spans of the collocation rows: of the
+        # components' radial tables, and per half of their axial tables
+        self._span_r = _row_span(np.concatenate([rad for rad, _, _, _ in self._comp_data]))
+        self._span_z = [_row_span(np.concatenate([Tz[js, zrow] for (_, zrow, _, _), js
+                                                  in zip(self._comp_data, js_half)]))
+                        for js_half in self._js]
         # per component, the parity-independent radial half of the
         # whitening: the eigenpairs (lam, V), V^T Mr V = I, of
-        # Ar + 1e-10 Mr and the radial factor P = V^T rad
+        # Ar + 1e-10 Mr and the radial factor P = V^T rad span_r
         self._radial = []
         for rad, _, Ar, Mr in self._comp_data:
             lam, V = eigh(Ar + 1e-10 * Mr, Mr, check_finite=False)
-            self._radial.append((lam, V, V.T @ rad))
+            self._radial.append((lam, V, V.T @ rad @ self._span_r))
 
     def _whitened(self, parity):
         """The z-parity half's dof indices, the fast-diagonalization root
         (V, W, s) of each component's energy block (V from the radial
-        factors, W from the half's axial ones) and the factors (P, Z, s),
-        P = V^T rad and Z = W^T Tz, of the component's block
-        C_c X_c = [P_ix Z_jy s_ij] of the whitened system, X_c = (V x W)
-        diag(s).  The radial half (lam, V, P) is the solver's own; the axial
-        half is built afresh per call, as the unit dofs need one solve per
-        solver.  All of them are small (under 16 KiB per array for m = 0)."""
+        factors, W from the half's axial ones) and the factors (P, Z, s) of
+        the component's block C_c X_c = [P_ix Z_jy s_ij] of the whitened
+        system, X_c = (V x W) diag(s), on the bases of the rows' spans:
+        P = V^T rad span_r and Z = W^T Tz span_z.  The radial half
+        (lam, V, P) and the bases are the solver's own; the axial half is
+        built afresh per call, as the unit dofs need one solve per solver.
+        All of them are small (under 16 KiB per array for m = 0)."""
         Tz, Mz, Az = self._Tz, self._Mz, self._Az
+        span_z = self._span_z[parity]
         roots, rows = [], []
         for (_, zrow, _, _), (lam, V, P), js in zip(self._comp_data, self._radial,
                                                      self._js[parity]):
             mu, W = eigh(Az[np.ix_(js, js)], Mz[np.ix_(js, js)], check_finite=False)
             s = 1.0 / np.sqrt(lam[:, None] + mu[None, :])
             roots.append((V, W, s))
-            rows.append((P, W.T @ Tz[js, zrow], s))
+            rows.append((P, W.T @ (Tz[js, zrow] @ span_z), s))
         return self._halves[parity], roots, rows
 
     def solve(self, g_nodes):
@@ -330,10 +368,10 @@ class _ModeSolver:
         for S sources, with g_nodes of shape (n_r_nodes, n_z_nodes, S).  Each
         call takes the axial whitening of both halves afresh, so pass all
         sources at once.  The largest array of a call is the Gram of one
-        half, factored in place (6.3 MiB for any m); a call on the 19 unit
-        sources and the plug of m = 0 (ExtensionOperator.unit_dofs) peaks
-        at about 14.5 MiB of allocations, on the 19 of m = 1 at about
-        15.4 MiB.
+        half, factored in place (4.8 MiB for m = 0, 5.7 MiB for m >= 1); a
+        call on the 19 unit sources and the plug of m = 0
+        (ExtensionOperator.unit_dofs) peaks at about 12.0 MiB of
+        allocations, on the 19 of m = 1 at about 14.4 MiB.
         Raises ValueError on a source that is not finite and
         LinearSolveFailure if the dofs come out not finite."""
         g_nodes = np.asarray_chkfinite(g_nodes)
@@ -343,7 +381,11 @@ class _ModeSolver:
         dofs = np.empty((self.ndof, S))
         for parity, g in enumerate((low + high, low - high)):
             idx, roots, rows = self._whitened(parity)
-            y = _min_norm_solve(rows, (0.5 * g).reshape(-1, S))
+            # the source on the rows' bases: span_r^T g span_z per source
+            span_r, span_z = self._span_r, self._span_z[parity]
+            g = span_z.T @ (span_r.T @ (0.5 * g).reshape(len(span_r), -1)).reshape(
+                span_r.shape[1], -1, S)
+            y = _min_norm_solve(rows, g.reshape(-1, S))
             # x = V (s y) W^T per component and source, as two products
             x = []
             for (V, W, s), yc in zip(roots, np.split(y, len(roots))):

@@ -359,6 +359,22 @@ class TestCsvRows:
             assert (tmp_path / "s.csv").read_bytes() == want
 
 
+def _verify_report(tmp_path, config):
+    """The rows {check: row} of the report of `perifsi verify` on the config
+    text, which must exit 0."""
+    cfg_path = tmp_path / "verify.cfg"
+    cfg_path.write_text(config)
+    out = tmp_path / "v"
+    assert cli.main(["verify", "--config", str(cfg_path), "--out-dir", str(out)]) == 0
+    with open(out / "verify_report.csv") as fh:
+        return {r[0]: r for r in list(csv.reader(fh))[1:]}
+
+
+@pytest.fixture(scope="module")
+def default_report(tmp_path_factory):
+    return _verify_report(tmp_path_factory.mktemp("default"), "")
+
+
 class TestVerify:
     def test_tiny_verify_passes(self, tmp_path):
         cfg_path = tmp_path / "tiny.cfg"
@@ -375,21 +391,33 @@ class TestVerify:
         checks = {r[0] for r in rows[1:]}
         assert {"korn_identity", "kinematic_coupling", "coupled_extension_div"} <= checks
 
-    def test_default_verify_bounds_the_moving_balance_order(self, tmp_path):
+    def test_default_verify_bounds_the_moving_balance_order(self, default_report):
         """On the default config the report has a passing
         moving_energy_balance_order row: halving the step on a prescribed
         moving path divides the summed ledger defect by 4 within 20%
         (measured ratio 4 (1 - 0.0064))."""
-        cfg_path = tmp_path / "default.cfg"
-        cfg_path.write_text("")
-        out = tmp_path / "v"
-        assert cli.main(["verify", "--config", str(cfg_path),
-                         "--out-dir", str(out)]) == 0
-        with open(out / "verify_report.csv") as fh:
-            rows = {r[0]: r for r in csv.reader(fh)}
-        _, measured, tolerance, ok = rows["moving_energy_balance_order"]
+        _, measured, tolerance, ok = default_report["moving_energy_balance_order"]
         assert ok == "true" and float(tolerance) == 0.2
         assert 0.0 <= float(measured) <= 0.2
+
+    def test_default_verify_bounds_the_ivp_balance_order(self, default_report):
+        """On the default config the report has a passing
+        ivp_energy_balance_order row: doubling the steps of an IVP from rest
+        over one period, 32 to 64, halves its summed ledger defect within
+        20% (measured ratio 2 (1 - 0.068))."""
+        _, measured, tolerance, ok = default_report["ivp_energy_balance_order"]
+        assert ok == "true" and float(tolerance) == 0.2
+        assert 0.0 <= float(measured) <= 0.2
+
+    @pytest.mark.parametrize("config", ["n_z = 16", "n_theta = 2\nn_z = 2\nn_interior = 4"],
+                             ids=["n_z_16", "n_theta_2"])
+    def test_verify_passes_on_the_resolved_configs(self, tmp_path, config):
+        """Every row passes on the long-beam config (66 axial corrector
+        modes) and on an m = 1 config (m = 1 and 2 correctors)."""
+        rows = _verify_report(tmp_path, f"[discretization]\n{config}\n")
+        assert {"ivp_energy_balance_order", "moving_energy_balance_order",
+                "coupled_extension_div"} <= rows.keys()
+        assert all(ok == "true" for _, _, _, ok in rows.values())
 
 
 

@@ -620,18 +620,22 @@ def _collocation_and_energy(sol):
 
 def _dense_solve(sol, g_nodes):
     """The corrector solve as one full SVD of the whole collocation system
-    with a dense Gram and its nullspace correction: the reference for the
-    parity-split, whitened solver."""
+    with a dense energy and its nullspace correction: the reference for the
+    parity-split, whitened solver.  Of the least-squares solutions x - N y
+    (x the minimum-norm one, N a basis of the nullspace) it takes the one
+    of least energy, min |L^T (x - N y)| with A = L L^T, by a QR of L^T N:
+    a Cholesky of N^T A N would square the conditioning of that step."""
     from scipy.linalg import solve_triangular
 
     C, A = _collocation_and_energy(sol)
     U, s, Vt = np.linalg.svd(C, full_matrices=True)
     rank = int(np.sum(s > 1e-10 * s[0]))
     N = Vt[rank:].T
-    chol = np.linalg.cholesky(N.T @ A @ N)
-    PV = Vt[:rank].T / s[:rank]
-    Y = solve_triangular(chol.T, solve_triangular(chol, N.T @ (A @ PV), lower=True))
-    return (PV - N @ Y) @ (U[:, :rank].T @ g_nodes.reshape(-1, g_nodes.shape[-1]))
+    G = g_nodes.reshape(-1, g_nodes.shape[-1])
+    x = Vt[:rank].T @ ((U[:, :rank].T @ G) / s[:rank, None])
+    Lt = np.linalg.cholesky(A).T
+    Q, R = np.linalg.qr(Lt @ N)
+    return x - N @ solve_triangular(R, Q.T @ (Lt @ x))
 
 
 def _dense_whitened(rows):
@@ -642,25 +646,55 @@ def _dense_whitened(rows):
                            for P, Z, s in rows]).T
 
 
-def _gelsy_solve(sol, g_nodes):
-    """The corrector solve with each whitened half taken by a pivoted QR
-    (LAPACK gelsy) at the relative rank cutoff 1e-10 and mapped back by the
-    dense roots (V kron W) diag(s): the reference for the pivoted Cholesky
-    of the Gram."""
-    from scipy.linalg import lstsq
+def _full_rows(sol, parity):
+    """The factors [(V^T rad, W^T Tz, s)] of a whitened half on all its
+    radial and axial node rows (48 x 19 = 912 on the default axial
+    family), from the half's roots and the solver's collocation tables:
+    the system before its rows are taken on the bases of their spans."""
+    roots = sol._whitened(parity)[1]
+    return [(V.T @ rad, W.T @ sol._Tz[js, zrow], s)
+            for (rad, zrow, _, _), (V, W, s), js in zip(sol._comp_data, roots,
+                                                         sol._js[parity])]
 
+
+def _whitened_reference_solve(sol, g_nodes, solve):
+    """The corrector solve with each whitened half B on all its node rows
+    (_full_rows, built densely) taken by solve(B, G) and mapped back by the
+    dense roots (V kron W) diag(s)."""
     S = g_nodes.shape[-1]
     nh = g_nodes.shape[1] // 2
     low, high = g_nodes[:, :nh], g_nodes[:, ::-1][:, :nh]
     dofs = np.empty((sol.ndof, S))
     for parity, g in enumerate((low + high, low - high)):
-        idx, roots, rows = sol._whitened(parity)
-        y = lstsq(_dense_whitened(rows), (0.5 * g).reshape(-1, S), cond=1e-10,
-                  lapack_driver="gelsy")[0]
+        idx, roots, _ = sol._whitened(parity)
+        y = solve(_dense_whitened(_full_rows(sol, parity)), (0.5 * g).reshape(-1, S))
         dofs[idx] = np.concatenate([
             (np.kron(V, W) * s.ravel()) @ yc
             for (V, W, s), yc in zip(roots, np.split(y, len(roots)))])
     return dofs
+
+
+def _gelsy_solve(sol, g_nodes):
+    """The corrector solve with each whitened half on all its node rows
+    taken by a pivoted QR (LAPACK gelsy) at the relative rank cutoff 1e-10:
+    the reference for the pivoted Cholesky of the Gram on the rows'
+    spans."""
+    from scipy.linalg import lstsq
+
+    return _whitened_reference_solve(
+        sol, g_nodes, lambda B, G: lstsq(B, G, cond=1e-10, lapack_driver="gelsy")[0])
+
+
+def _svd_solve(sol, g_nodes):
+    """The corrector solve with each whitened half on all its node rows
+    taken by its SVD, the singular values above 1e-10 of the largest
+    kept: the minimum-norm least-squares solution."""
+    def solve(B, G):
+        U, s, Vt = np.linalg.svd(B, full_matrices=False)
+        r = np.sum(s > 1e-10 * s[0])
+        return Vt[:r].T @ ((U[:, :r].T @ G) / s[:r, None])
+
+    return _whitened_reference_solve(sol, g_nodes, solve)
 
 
 def _recorded_solves(monkeypatch):
@@ -851,12 +885,11 @@ class TestModeSolver:
 
     def test_matches_the_unsplit_solve_on_the_table_sources(self, monkeypatch):
         """On the default model's 39 unit sources (one per axial node and
-        the plug), the unit dofs equal the full-SVD solve to 1e-7 relative
-        (measured 7.6e-8 at 1 BLAS thread, 6.0e-8 at 2, spread over all
-        columns; the pivoted-QR solve is within 2.3e-12 of them, so most of
-        the gap is the SVD reference's).  They take one solve, of the 19
-        unit sources at the lower half of the 38 axial nodes and the
-        plug."""
+        the plug), the unit dofs equal the full-SVD solve to 2e-8 relative
+        (measured 2.1e-9 at 1 BLAS thread, 1.6e-9 at 2; the pivoted-QR
+        solve is within 8e-14 of them, so most of the gap is the SVD
+        reference's).  They take one solve, of the 19 unit sources at the
+        lower half of the 38 axial nodes and the plug."""
         calls = _recorded_solves(monkeypatch)
         ext_op = build_model(RunConfig().validate()).basis.ext_op
         (got,) = ext_op.unit_dofs
@@ -865,12 +898,12 @@ class TestModeSolver:
         assert sources.shape[-1] == 39
         want = _dense_solve(ext_op.solvers[0], sources)
         assert got.shape == want.shape
-        assert np.max(np.abs(got - want)) <= 1e-7 * np.max(np.abs(want))
+        assert np.max(np.abs(got - want)) <= 2e-8 * np.max(np.abs(want))
 
     def test_m1_table_sources_match_the_unsplit_solve_in_one_call(self, monkeypatch):
         """On a model with m = 1 shell modes, the m = 1 unit dofs are the
-        full-SVD solve of its 38 unit sources to 1e-6 relative (measured
-        2.0e-7 at 1 BLAS thread, 1.1e-7 at 2), and the unit dofs take one
+        full-SVD solve of its 38 unit sources to 5e-7 relative (measured
+        4.3e-8 at 1 BLAS thread, 9.8e-8 at 2), and the unit dofs take one
         solve per solver, m = 0, 1 and 2 for the products of two m = 1
         modes: 19 unit sources, those at the lower half of the axial nodes,
         and the plug for m = 0, and 19 for m >= 1."""
@@ -883,30 +916,46 @@ class TestModeSolver:
         sources = _unit_sources(ext_op)[1]
         want = _dense_solve(ext_op.solvers[1], sources)
         assert dofs[1].shape == want.shape
-        assert np.max(np.abs(dofs[1] - want)) <= 1e-6 * np.max(np.abs(want))
+        assert np.max(np.abs(dofs[1] - want)) <= 5e-7 * np.max(np.abs(want))
 
     @pytest.mark.parametrize("cfg", [{}, {"n_theta": 2, "n_z": 2, "n_interior": 4}],
                              ids=["default", "m1"])
     def test_table_matches_the_gelsy_solve(self, cfg):
         """The unit dofs of the default model and of a model with m = 1
         shell modes (and so an m = 2 solver) are the pivoted-QR solves of
-        their unit sources to 1e-8 relative (measured 2.3e-12 for m = 0,
-        1.7e-9 and 1.4e-9 for m = 1 and 2)."""
+        their unit sources on all node rows to 1e-12 relative for m = 0, and
+        4e-9 and 7e-9 for m = 1 and 2 (measured 8.1e-14, 3.6e-10 and
+        6.6e-10)."""
         ext_op = build_model(RunConfig(**cfg).validate()).basis.ext_op
         sources = _unit_sources(ext_op)
         for sol, got in zip(ext_op.solvers, ext_op.unit_dofs, strict=True):
             want = _gelsy_solve(sol, sources[sol.m])
             assert got.shape == want.shape
-            assert np.max(np.abs(got - want)) <= 1e-8 * np.max(np.abs(want))
+            bound = {0: 1e-12, 1: 4e-9, 2: 7e-9}[sol.m]
+            assert np.max(np.abs(got - want)) <= bound * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("cfg", [{}, {"n_theta": 2, "n_z": 2, "n_interior": 4}],
+                             ids=["default", "m1"])
+    def test_table_matches_the_svd_solve(self, cfg):
+        """The same unit dofs are the minimum-norm SVD solves of their unit
+        sources on all node rows to 6e-12 relative for m = 0, and 4e-9 and
+        6e-9 for m = 1 and 2 (measured 5.5e-13, 4.0e-10 and 6.0e-10)."""
+        ext_op = build_model(RunConfig(**cfg).validate()).basis.ext_op
+        sources = _unit_sources(ext_op)
+        for sol, got in zip(ext_op.solvers, ext_op.unit_dofs, strict=True):
+            want = _svd_solve(sol, sources[sol.m])
+            bound = {0: 6e-12, 1: 4e-9, 2: 6e-9}[sol.m]
+            assert np.max(np.abs(got - want)) <= bound * np.max(np.abs(want))
 
     @pytest.mark.parametrize("R, L", [(1.0, 2.0), (1.0, 8.0), (0.2, 2.0)])
     def test_gram_rank_is_the_svd_rank(self, R, L):
         """The pivoted Cholesky of each whitened half's Gram, taken from
-        the system's factors, keeps exactly the singular values above 1e-10
-        of the largest (SVD of the dense B built from the same factors), and
-        its last kept and first dropped pivots each lie at least 10x from
-        the cutoff GRAM_CUTOFF max diag K (measured: kept >= 2.7e-12,
-        dropped <= 1.3e-15, relative), for m = 0, 1 and 2."""
+        the system's factors on the bases of the rows' spans as the solve
+        takes it, keeps exactly the singular values above 1e-10 of the
+        largest (SVD of the dense B built from the same factors), and its
+        last kept and first dropped pivots each lie at least 10x from the
+        cutoff GRAM_CUTOFF max diag K (measured: kept >= 2.9e-12, dropped
+        <= 2.6e-16, relative), for m = 0, 1 and 2."""
         cutoff = extension_ops.GRAM_CUTOFF
         cyl = CylinderConfig(R=R, L=L, H=0.1)
         for m, rank in ((0, 784), (1, 852), (2, 852)):
@@ -922,6 +971,54 @@ class TestModeSolver:
                 dropped = np.max(d[p[r:]] - np.sum(Rf[:r, r:] ** 2, axis=0))
                 assert kept >= 10.0 * cutoff * d.max()
                 assert dropped <= 0.1 * cutoff * d.max()
+
+    @pytest.mark.parametrize("m, n_rows", [(0, 44 * 18), (1, 48 * 18), (2, 48 * 18)])
+    def test_rows_are_taken_on_the_spans_of_the_factors(self, small_model, m, n_rows):
+        """On the default axial family each whitened half has 44 x 18 = 792
+        rows for m = 0 and 48 x 18 = 864 for m >= 1, not the 48 x 19 = 912
+        of its radial and axial collocation nodes: the radial tables of
+        m = 0 span 44 of the 48 radial node dimensions and those of m >= 1
+        all of them, and each half's axial tables 18 of its 19."""
+        sol = extension_ops._ModeSolver(small_model.cyl, m, extension_ops.NZ_MODES)
+        for parity in (0, 1):
+            rows = sol._whitened(parity)[2]
+            assert _dense_whitened(rows).shape[0] == n_rows
+            assert _dense_whitened(_full_rows(sol, parity)).shape[0] == 48 * 19
+
+    @pytest.mark.parametrize("m", [0, 1])
+    def test_rows_on_the_spans_keep_the_singular_values(self, mode_solvers, m):
+        """Each whitened half on the bases of its rows' spans has fewer rows
+        than on all its node rows and the same singular values above 1e-10
+        of the largest, to 1e-13 relative, and as many of them: an
+        orthogonal change of row basis whose span holds the range."""
+        sol = mode_solvers[m]
+        for parity in (0, 1):
+            B = _dense_whitened(sol._whitened(parity)[2])
+            full = _dense_whitened(_full_rows(sol, parity))
+            assert B.shape[0] < full.shape[0] and B.shape[1] == full.shape[1]
+            s, want = (np.linalg.svd(A, compute_uv=False) for A in (B, full))
+            r = np.sum(want > 1e-10 * want[0])
+            assert np.sum(s > 1e-10 * s[0]) == r
+            assert np.max(np.abs(s[:r] - want[:r])) <= 1e-13 * want[0]
+
+    @pytest.mark.parametrize("m", [0, 1])
+    def test_solve_matches_the_svd_solve_on_sources_in_the_range(self, mode_solvers,
+                                                                  rng, m):
+        """On random sources in the range of the collocation system (those
+        of random whitened coefficients on all node rows of each half), the
+        solve equals the minimum-norm SVD solve of the dense halves on all
+        their node rows to 5e-14 relative for m = 0 and 1e-11 for m = 1
+        (measured up to 4.6e-15 and 1.2e-12)."""
+        sol = mode_solvers[m]
+        nh = sol.z_nodes.size // 2
+        halves = []
+        for parity in (0, 1):
+            B = _dense_whitened(_full_rows(sol, parity))
+            halves.append((B @ rng.standard_normal((B.shape[1], 3))).reshape(-1, nh, 3))
+        even, odd = halves  # the half sum and the half difference of the sources
+        g = np.concatenate([even + odd, (even - odd)[:, ::-1]], axis=1)
+        got, want = sol.solve(g), _svd_solve(sol, g)
+        assert np.max(np.abs(got - want)) <= {0: 5e-14, 1: 1e-11}[m] * np.max(np.abs(want))
 
     @pytest.mark.parametrize("m", [0, 1])
     def test_root_whitens_the_energy(self, mode_solvers, rng, monkeypatch, m):
@@ -989,9 +1086,10 @@ class TestModeSolver:
     @pytest.mark.parametrize("m", [0, 1])
     def test_solve_forms_no_whitened_system(self, mode_solvers, rng, m):
         """One solve of 72 (m = 0) or 144 (m = 1) sources peaks below 25 or
-        40 MiB of traced allocations: the dense whitened system (9.5 MiB per
+        40 MiB of traced allocations: the dense whitened system (8.2 MiB per
         half for m = 0) and its Gram product are never formed (measured
-        20.4 and 33.2 MiB; 29.8 and 47.3 MiB when they were)."""
+        18.3 and 34.5 MiB; 29.8 and 47.3 MiB on all 912 node rows when
+        they were)."""
         import tracemalloc
 
         sol = mode_solvers[m]
@@ -1028,7 +1126,7 @@ class TestModeSolver:
 
     def test_keeps_no_factors_after_the_table(self, small_model):
         """The whitened factors and the Gram's pivoted Cholesky factor
-        (6.3 MiB per half for m = 0) live only inside a solve: once the unit
+        (4.8 MiB per half for m = 0) live only inside a solve: once the unit
         dofs are built, each solver holds under 1 MiB of arrays."""
         ext_op = small_model.basis.ext_op
         ext_op.unit_dofs
