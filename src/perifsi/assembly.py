@@ -17,12 +17,20 @@ mass term d/dt int u.X/2 + int (du/dt.X - u.dX/dt)/2 yields the ODE system
 with G = (dM_F/dt)/2 + S/2, S_kj = int (dX_j/dt . X_k - X_j . dX_k/dt)
 antisymmetric, V the fluid Dirichlet form, B the convection form linear in the
 unknown with a prescribed transport field, Q the shell transport block, and
-f the boundary pressure load.  All moving-domain integrals are pulled back to
-the reference cylinder; the time derivative of the fluid basis is analytic
-(the extension is a fixed linear operator, so its time derivative is the
-extension of the product data; Piola entries differentiate through the ALE
-jets).  Matrices are sampled on a coarse uniform grid over one period and
-trig-interpolated in time.
+f the boundary pressure load.  Over the moving domain, with dtX_k the
+Eulerian time derivative of X_k and dt_psi the domain velocity, let
+D_kl = int dtX_k . X_l, E_kl = int (grad X_k dt_psi) . X_l and
+W_kl = int X_k . X_l dt_det / det.  Then dM_F/dt = D + D^T + E + E^T + W
+and S = D^T - D, so the D halves cancel in
+
+    G = D^T + (E + E^T)/2 + W/2,
+
+the form Assembler.sample builds.  All moving-domain integrals are pulled
+back to the reference cylinder; the time derivative of the fluid basis is
+analytic (the extension is a fixed linear operator, so its time derivative
+is the extension of the product data; Piola entries differentiate through
+the ALE jets).  Matrices are sampled on a coarse uniform grid over one
+period and trig-interpolated in time.
 """
 
 from dataclasses import dataclass
@@ -325,28 +333,19 @@ class Assembler:
         jets = QuadJets(self.grid, shell, delta, dt_delta)
         val, grad, dtX = basis.fluid_tables(jets)
         w = jets.weight
-        Q_nodes = val.shape[-1]
-        vflat = val.reshape(n, 3 * Q_nodes)
-        vwflat = (val * w).reshape(n, 3 * Q_nodes)
-        M = vwflat @ vflat.T
-        M = 0.5 * (M + M.T)
+        M = _weighted_gram(val, w)
         V = _weighted_gram(grad, w)
-        # material derivative of each basis entry along the domain motion
-        mat = dtX + np.einsum("kijq,jq->kiq", grad, jets.dt_psi)
-        mflat = mat.reshape(n, 3 * Q_nodes)
-        T1 = mflat @ vwflat.T
-        dM = (
-            T1
-            + T1.T
-            + (val * (jets.grid.w * jets.dt_det)).reshape(n, 3 * Q_nodes)
-            @ vflat.T
-        )
-        D1 = (dtX * w).reshape(n, 3 * Q_nodes) @ vflat.T
-        S = D1.T - D1
-        G = 0.5 * dM + 0.5 * S
+        # each table f (n, 3, Q) is tested as f.reshape(n, -1) @ vw.T, the
+        # moving-domain integrals int f_k . X_l
+        vw = (val * w).reshape(n, -1)
+        D = dtX.reshape(n, -1) @ vw.T
+        # the transport of each entry along the domain motion, grad X_k dt_psi
+        E = np.einsum("kijq,jq->kiq", grad, jets.dt_psi).reshape(n, -1) @ vw.T
+        W = _weighted_gram(val, jets.grid.w * jets.dt_det)
+        G = D.T + 0.5 * (E + E.T) + 0.5 * W
         vval = np.einsum("k,kiq->iq", v_coeff, val)
         conv = np.einsum("jq,kijq->kiq", vval, grad)
-        cw = conv.reshape(n, 3 * Q_nodes) @ vwflat.T
+        cw = conv.reshape(n, -1) @ vw.T
         # B[k, j] = b(v, X_j, X_k) in the symmetrized (skew) form
         B = 0.5 * (cw.T - cw)
         th, zz, wsh = self._shell_quad

@@ -78,12 +78,12 @@ def coupling_residuals(state, basis, n_theta=24, n_z=33):
     # the shell velocity itself
     uval = basis.ext_op.extend(shell, shell_dot).tables(r_int, tflat, zflat)["val"][0]
     # the interior entries: their reference trace sum_j a'_{2j+1} Z_j at
-    # r = R, pushed to r = R + eta by the Piola factor grad / det
+    # r = R, pushed to r = R + eta by the Piola factor A = grad / det
     rR = np.full(tflat.size, cyl.R)
     zval = basis.stokes_basis.tables(rR, tflat, zflat)["val"][: basis.half]
     phi = np.einsum("k,kiq->iq", state.a_dot[basis.interior], zval)
-    jets = ale_jets(cyl, shell_basis, shell, rR, tflat, zflat)
-    uval += np.einsum("ijq,jq->iq", jets["grad"] / jets["det"], phi)
+    A = ale_jets(cyl, shell_basis, shell, rR, tflat, zflat)["A"]
+    uval += np.einsum("ijq,jq->iq", A, phi)
 
     # the tables carry cylindrical frame components: the fluid trace's
     # target is (eta_t, 0, 0), its tangential part is components 1 and 2,

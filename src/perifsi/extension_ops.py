@@ -744,8 +744,8 @@ class ExtensionField:
 def push_piola(A, dA, ginv, phi_val, phi_grad):
     """Piola push-forward at reference nodes given ALE jets.
 
-    A = grad(psi)/det, dA[i,j,a] its reference-space derivative, ginv the
-    inverse deformation gradient.  Returns (val, grad) at the corresponding
+    A = grad(psi)/det, dA[i,j,a] its frame derivative along e_a at the
+    node, ginv the inverse deformation gradient (geometry.ale_jets).  Returns (val, grad) at the corresponding
     physical points with grad in physical coordinates; the reference fields
     phi_val (..., 3, Q) and phi_grad (..., 3, 3, Q) may carry leading field
     axes.

@@ -5,10 +5,10 @@ All moving-domain fluid integrals are evaluated by pulling back to the fixed
 reference cylinder: nodes are a tensor product of a composite Gauss rule in r
 (elements [0, R/4], [R/4, R/2], [R/2, R], matching the piecewise structure of
 the extension operator), a uniform periodic rule in theta and Gauss in z.
-`QuadJets` bundles what the moving-domain tables need at those nodes for a
-given shell motion: physical radii, the deformation gradient and its
-inverse, the Piola factor with its spatial and time derivatives, and the
-Jacobian weight.
+`QuadJets` binds what the moving-domain tables need at those nodes for a
+given shell motion, as geometry.ale_jets gives it in closed form: physical
+radii, the deformation gradient and its inverse, the Piola factor with its
+spatial and time derivatives, and the Jacobian weight.
 
 Convention everywhere: vectors and tensors are given by their components in
 the orthonormal cylindrical frame (e_r, e_theta, e_z) at their node, and
@@ -130,10 +130,12 @@ class QuadJets:
     derivative; the rest cylinder is delta = dt_delta = 0, where every jet
     is exactly the identity and every time derivative exactly zero.
     Attributes: grid; delta; dt_delta; r_phys/theta/z physical cylindrical
-    node coordinates; det (Q); weight (quadrature weight times det); the
-    frame tensors grad, ginv, A = grad/det and dA[i,j,a], the frame
-    derivative of A[i,j] along e_a; and the time derivatives dt_psi (the
-    node velocity, a frame vector), dt_A, dt_det.
+    node coordinates; det (Q); weight (quadrature weight times det); and
+    the closed forms of geometry.ale_jets at the nodes: the frame tensors
+    grad, ginv, A = grad/det and dA[i,j,a], the frame derivative of A[i,j]
+    along e_a, and the time derivatives dt_psi (the node velocity, a frame
+    vector), dt_A, dt_det.  The derivatives of grad itself are not kept:
+    no table reads them.
     """
 
     def __init__(self, grid, shell_basis, delta, dt_delta):
@@ -146,41 +148,8 @@ class QuadJets:
         self.theta = grid.theta
         self.z = grid.z
         self.det = jets["det"]
-        g = self.grad = jets["grad"]
-        self.ginv = _invert_grad(g)
-        self.A = g / self.det
-        self.dA = piola_derivative(g, jets["dgrad"], self.det)
+        self.grad, self.ginv = jets["grad"], jets["ginv"]
+        self.A, self.dA, self.dt_A = jets["A"], jets["dA"], jets["dt_A"]
         self.dt_psi = jets["dt_psi"]
         self.dt_det = jets["dt_det"]
-        self.dt_A = jets["dt_grad"] / self.det - g * (self.dt_det / self.det**2)
         self.weight = grid.w * self.det
-
-
-def piola_derivative(g, dgrad, det):
-    """dA[i, j, a] = d_a A[i, j] of the Piola factor A = g / det, from the ALE
-    gradient g (third row (0, 0, 1), so det g is its leading 2 x 2 minor),
-    its frame derivatives dgrad[i, j, a] = d_a g[i, j] and det = det g.  The
-    frame's turning enters dgrad as a commutator [K, g], which changes no
-    determinant, so the minor's product rule gives d_a det."""
-    ddet = (
-        dgrad[0, 0] * g[1, 1][None]
-        + g[0, 0][None] * dgrad[1, 1]
-        - dgrad[0, 1] * g[1, 0][None]
-        - g[0, 1][None] * dgrad[1, 0]
-    )  # (3, Q): d_a det
-    return dgrad / det - np.einsum("ijq,aq->ijaq", g, ddet / det**2)
-
-
-def _invert_grad(g):
-    """Inverse of the ALE deformation gradient (third row is (0, 0, 1))."""
-    det2 = g[0, 0] * g[1, 1] - g[0, 1] * g[1, 0]
-    inv = np.zeros_like(g)
-    inv[0, 0] = g[1, 1] / det2
-    inv[0, 1] = -g[0, 1] / det2
-    inv[1, 0] = -g[1, 0] / det2
-    inv[1, 1] = g[0, 0] / det2
-    inv[2, 2] = 1.0
-    # third column: solve for the z-derivative part: -inv2x2 @ g[:2, 2]
-    inv[0, 2] = -(inv[0, 0] * g[0, 2] + inv[0, 1] * g[1, 2])
-    inv[1, 2] = -(inv[1, 0] * g[0, 2] + inv[1, 1] * g[1, 2])
-    return inv

@@ -4,9 +4,11 @@ The deformation map sends a reference point (r, theta, z) of the cylinder of
 radius R to ((R+d)/R r, theta, z) where d is the shell displacement at
 (theta, z).  It moves no theta, so the jets computed here are given in the
 cylindrical frame (e_r, e_theta, e_z) shared by a node and its image, the
-frame of every table in the package.  The moving-domain quadrature and the
-basis transport consume them, so the gradient and its spatial/time
-derivatives are all analytic.
+frame of every table in the package.  ale_jets is the one owner of the
+map's structure: the gradient, its inverse, the Piola factor and their
+spatial and time derivatives are closed forms in the scaling s and its
+partials, which the moving-domain quadrature and the basis transport
+consume as given.
 """
 
 from dataclasses import dataclass
@@ -63,14 +65,19 @@ def ale_jets(cyl, basis, delta, r, theta, z, dt_delta=None):
     delta (n_modes,) over the ShellBasis basis.
 
     The map (r, theta, z) -> (s r, theta, z) moves no theta, so a node and
-    its image share one frame.  Returns a dict with keys: r_phys (Q), the
+    its image share one frame, and every jet is a closed form in the
+    scaling s = (R + eta) / R and its partials.  Returns a dict with keys: r_phys (Q), the
     gradient grad (3,3,Q) = [[s, s_t, r s_z], [0, s, 0], [0, 0, 1]] with
-    row i (d_r, d_theta / r, d_z) of component i, det (Q) = s^2 and dgrad
-    (3,3,3,Q), dgrad[..., a] the frame derivative of grad along e_a: d_r
-    grad, then (d_theta grad + [K, grad]) / r with the frame's turning
-    K = [[0, -1, 0], [1, 0, 0], [0, 0, 0]], then d_z grad; plus dt_psi,
-    dt_grad, dt_det when the coefficients dt_delta of the time derivative
-    of delta are supplied.
+    row i (d_r, d_theta / r, d_z) of component i, det (Q) = s^2, its
+    inverse ginv = [[1/s, -s_t/s^2, -r s_z/s], [0, 1/s, 0], [0, 0, 1]], the
+    Piola factor A = grad / s^2, and dgrad and dA (3,3,3,Q), [..., a] the
+    frame derivative along e_a: d_r, then (d_theta + [K, .]) / r with the
+    frame's turning K = [[0, -1, 0], [1, 0, 0], [0, 0, 0]], then d_z.  The
+    frame derivative of s is (0, s_t / r, s_z), and the turning changes no
+    determinant, so dA = dgrad / s^2 - A (x) 2 (0, s_t / r, s_z) / s.  With
+    the coefficients dt_delta of the time derivative of delta it adds the
+    node velocity dt_psi (a frame vector), dt_grad, dt_det = 2 s s' and
+    dt_A = dt_grad / s^2 - A 2 s' / s.
     """
     s, s_t, s_z, s_tt, s_tz, s_zz = _delta_tables(cyl, basis, delta, theta, z)
     Q = r.size
@@ -88,7 +95,19 @@ def ale_jets(cyl, basis, delta, r, theta, z, dt_delta=None):
     dgrad[0, 2, 1] = dgrad[0, 1, 2] = s_tz
     dgrad[1, 1, 1] = 2.0 * s_t * inv_r
     dgrad[0, 2, 2] = r * s_zz
-    out = {"r_phys": s * r, "grad": grad, "det": s * s, "dgrad": dgrad}
+    det = s * s
+    inv_s = 1.0 / s
+    ginv = np.zeros((3, 3, Q))
+    ginv[0, 0] = ginv[1, 1] = inv_s
+    ginv[0, 1] = -s_t / det
+    ginv[0, 2] = -r * s_z * inv_s
+    ginv[2, 2] = 1.0
+    A = grad / det
+    dA = dgrad / det
+    dA[:, :, 1] -= A * (2.0 * s_t * inv_r * inv_s)
+    dA[:, :, 2] -= A * (2.0 * s_z * inv_s)
+    out = {"r_phys": s * r, "grad": grad, "det": det, "dgrad": dgrad,
+           "ginv": ginv, "A": A, "dA": dA}
 
     if dt_delta is not None:
         # dt_delta enters grad exactly like delta does: the entries are
@@ -103,6 +122,7 @@ def ale_jets(cyl, basis, delta, r, theta, z, dt_delta=None):
         out["dt_psi"] = np.stack([r * sd, np.zeros(Q), np.zeros(Q)])
         out["dt_grad"] = dt_grad
         out["dt_det"] = 2.0 * s * sd
+        out["dt_A"] = dt_grad / det - A * (2.0 * sd * inv_s)
 
     return out
 

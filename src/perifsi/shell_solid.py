@@ -139,7 +139,9 @@ class SolidParams:
     """Lame constants, viscoelastic coefficient and solid density.
 
     Defaults give the normalized model with all coefficients set to 1.
-    delta_visc > 0 is required for the periodic solve.
+    The paper's time-periodic existence result assumes delta_visc > 0; the
+    discrete periodic solve does not need it and also runs at
+    delta_visc = 0.
     """
 
     lambda1: float = 1.0

@@ -20,7 +20,7 @@ from perifsi.diagnostics import energies
 from perifsi.errors import BasisMismatch, DomainViolation, GridMismatch
 from perifsi.extension_ops import push_piola, push_piola_dt
 from perifsi.fluid_basis import disk_flux
-from perifsi.fluidgrid import FluidGrid
+from perifsi.fluidgrid import FluidGrid, QuadJets
 from perifsi.solver_periodic import EnergyLedger
 
 
@@ -78,6 +78,22 @@ def _two_call_fluid_tables(basis, jets):
     dtX[0::2] = DofsExtension.from_unit_dofs(basis.ext_op, 0.0, jets.dt_delta, X)(*nodes)
     dtX[1::2] = push_piola_dt(jets.dt_A, jets.dt_psi, zval, grad[1::2])
     return val, grad, dtX
+
+
+def _moving_mass_oracle(model, delta, dt_delta):
+    """G = dM/2 + S/2 as the two halves of the symmetrized moving mass term
+    are defined: dM = d/dt int X_k . X_l through the material derivative
+    mat_k = dtX_k + grad X_k dt_psi and the volume change dt_det, and the
+    antisymmetric S_kl = int (dtX_l . X_k - X_l . dtX_k).  The reference
+    for the sample's G, which cancels the two dtX halves first."""
+    jets = QuadJets(model.grid, model.basis.shell_basis, delta, dt_delta)
+    val, grad, dtX = model.basis.fluid_tables(jets)
+    w = jets.weight
+    mat = dtX + np.einsum("kijq,jq->kiq", grad, jets.dt_psi)
+    T1 = np.einsum("kiq,liq,q->kl", mat, val, w)
+    dM = T1 + T1.T + np.einsum("kiq,liq,q->kl", val, val, model.grid.w * jets.dt_det)
+    D1 = np.einsum("kiq,liq,q->kl", dtX, val, w)
+    return 0.5 * dM + 0.5 * (D1.T - D1)
 
 
 @pytest.fixture(scope="module")
@@ -361,6 +377,18 @@ class TestMovingMatrices:
         G = s["G"]
         scale = np.max(np.abs(fd)) + 1e-30
         assert np.max(np.abs(G + G.T - fd)) < 1e-5 * scale
+
+    @pytest.mark.parametrize("which", ["small", "m1"])
+    def test_moving_mass_block_matches_its_definition(self, small_model, m1_model,
+                                                      rng, which):
+        """The whole G, its antisymmetric half included, equals dM/2 + S/2
+        built term by term from the same tables."""
+        model = small_model if which == "small" else m1_model
+        delta, dt_delta = _moving_inputs(model, rng)
+        G = model.sample(delta=delta, dt_delta=dt_delta)["G"]
+        want = _moving_mass_oracle(model, delta, dt_delta)
+        assert np.max(np.abs(G - want)) <= 1e-13 * np.max(np.abs(want))
+        assert np.max(np.abs(G - G.T)) > 1e-3 * np.max(np.abs(G))
 
     def test_convection_block_skew(self, small_model, rng):
         delta, dt_delta = _moving_inputs(small_model, rng)

@@ -190,18 +190,34 @@ class TestFrameJets:
         want = np.einsum("kiq,kbq,bjq->ijq", Rm, self._central(psi), Rm)
         assert self._gap(jets["grad"], want) <= 1e-9
         assert self._gap(jets["det"], np.linalg.det(want.transpose(2, 0, 1))) <= 1e-9
-        # dgrad: the Cartesian gradient R F R^T at the stencil, differenced
-        # along x_b, turned back: R^T (d_b Fc) R with the direction b -> e_a
-        F = ale_jets(cyl, shell, delta, r.ravel(), theta.ravel(), z.ravel())["grad"]
-        Rs = _frame(theta.ravel())
-        Fc = np.einsum("ikq,klq,jlq->ijq", Rs, F, Rs).reshape(3, 3, 7, -1)
-        dFc = self._central(Fc)
-        want = np.einsum("kiq,klbq,ljq,baq->ijaq", Rm, dFc, Rm, Rm)
+        want = self._turned_differences(cyl, shell, delta, r, theta, z, "grad")
         assert self._gap(jets["dgrad"], want) <= 1e-9
 
+    def _turned_differences(self, cyl, shell, delta, r, theta, z, key):
+        """The frame derivative of the frame tensor jets[key] by differences:
+        the Cartesian tensor R F R^T at the stencil, differenced along x_b,
+        turned back, R^T (d_b Fc) R with the direction b -> e_a."""
+        F = ale_jets(cyl, shell, delta, r.ravel(), theta.ravel(), z.ravel())[key]
+        Rs = _frame(theta.ravel())
+        Fc = np.einsum("ikq,klq,jlq->ijq", Rs, F, Rs).reshape(3, 3, 7, -1)
+        Rm = _frame(theta[0])
+        return np.einsum("kiq,klbq,ljq,baq->ijaq", Rm, self._central(Fc), Rm, Rm)
+
+    def test_inverse_and_piola_factor(self, motion):
+        """The closed forms ginv and dA against independent references: the
+        matrix inverse of grad, and the turned differences of A = grad / det
+        as for dgrad."""
+        cyl, shell, delta, _ = motion
+        r, theta, z = self._stencil()
+        jets = ale_jets(cyl, shell, delta, r[0], theta[0], z[0])
+        want = np.linalg.inv(jets["grad"].transpose(2, 0, 1)).transpose(1, 2, 0)
+        assert self._gap(jets["ginv"], want) <= 1e-9
+        want = self._turned_differences(cyl, shell, delta, r, theta, z, "A")
+        assert self._gap(jets["dA"], want) <= 1e-9
+
     def test_time_derivatives(self, motion):
-        """dt_psi, dt_grad and dt_det against differences of the motion
-        along delta + tau dt_delta at tau = 0."""
+        """dt_psi, dt_grad, dt_det and dt_A against differences of the
+        motion along delta + tau dt_delta at tau = 0."""
         cyl, shell, delta, dt_delta = motion
         r, theta, z = self.NODES
         jets = ale_jets(cyl, shell, delta, r, theta, z, dt_delta)
@@ -212,7 +228,7 @@ class TestFrameJets:
                for t in (self.H, -self.H)]
         want = np.einsum("kiq,kq->iq", Rm, (psi[0] - psi[1]) / (2.0 * self.H))
         assert self._gap(jets["dt_psi"], want) <= 1e-9
-        for key, name in (("grad", "dt_grad"), ("det", "dt_det")):
+        for key, name in (("grad", "dt_grad"), ("det", "dt_det"), ("A", "dt_A")):
             want = (plus[key] - minus[key]) / (2.0 * self.H)
             assert self._gap(jets[name], want) <= 1e-9, name
 

@@ -11,7 +11,7 @@ from scipy.linalg import lu_factor, lu_solve
 from perifsi import solver_periodic
 from perifsi.assembly import GalerkinState, GlobalBasis, assemble
 from perifsi.basis1d import trig_weights
-from perifsi.cli import build_forcing
+from perifsi.cli import build_forcing, build_model
 from perifsi.errors import (
     DomainViolation,
     GridMismatch,
@@ -434,16 +434,21 @@ class TestOuterLoop:
         assert len(err.value.history) == err.value.iterations
         assert err.value.history[-1] == err.value.last_update
 
-    def test_converges_small_data(self, small_model, small_forcing):
+    @pytest.mark.parametrize("delta_visc", [1.0, 0.0])
+    def test_converges_small_data(self, small_cfg, small_model, small_forcing,
+                                  delta_visc):
+        """The loop converges with or without solid viscosity: the discrete
+        solve does not need the delta_visc > 0 of the existence result."""
+        model = (small_model if delta_visc == small_cfg.delta_visc else
+                 build_model(replace(small_cfg, delta_visc=delta_visc).validate()))
         cfg = OuterLoopConfig(eps=4.0 / 64, theta_r=1.0, max_iter=30, tol=1e-7)
-        res = outer_fixed_point(small_model, 1.0, 64, small_forcing, cfg,
-                                n_samples=8)
+        res = outer_fixed_point(model, 1.0, 64, small_forcing, cfg, n_samples=8)
         assert res.iterations <= 30
         assert res.update <= 1e-7
         scale = 1.0 + max(np.max(np.abs(res.x_star.a)),
                           np.max(np.abs(res.x_star.a_dot)))
         assert res.periodic_residual <= 1e-10 * scale
-        assert res.trajectory.a.shape == (65, small_model.basis.n)
+        assert res.trajectory.a.shape == (65, model.basis.n)
 
     def test_one_period_replay_per_iteration(self, small_model, small_forcing,
                                              monkeypatch):
