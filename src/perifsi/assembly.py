@@ -139,32 +139,40 @@ class GlobalBasis:
     def fluid_tables(self, jets):
         """Stacked fluid-entry tables at the jets' quadrature nodes, for the
         jets' shell motion delta and its time derivative dt_delta (shell
-        coefficient vectors).
+        coefficient vectors), each weighted by the square root of the
+        jets' quadrature weight jets.weight (positive: grid.w det), so that
+        every integral of a sample is one product of two tables.
 
         Returns (val, grad, dtX) with shapes (n, 3, Q), (n, 3, 3, Q),
         (n, 3, Q); dtX is the Eulerian time derivative at fixed physical
         points.  The coupled entries and their time derivatives are one
-        stacked extension field of 2 half fields, evaluated in one pass; the
-        interior entries are one stacked Piola push.  At rest
-        (delta = dt_delta = 0) the push is the identity and dtX is zero.
+        stacked extension field of 2 half fields, evaluated and weighted in
+        one pass that writes them in place; the interior entries are one
+        stacked Piola push with weighted factors A, dA and dt_A, also
+        written in place.  val and dtX are views of one buffer that holds
+        each entry's value and time derivative side by side, so their rows
+        are strided.  At rest (delta = dt_delta = 0) the push is the
+        identity and dtX is zero.
         """
         grid = jets.grid
         Q = grid.n_nodes
-        val = np.empty((self.n, 3, Q))
+        sw = np.sqrt(jets.weight)
+        # side by side, the extension pass writes its fields and their
+        # twins through one (S, F) view
+        vd = np.empty((self.n, 2, 3, Q))
         grad = np.empty((self.n, 3, 3, Q))
-        dtX = np.empty((self.n, 3, Q))
         coupled, interior = self.coupled, self.interior
         zval, zgrad = self.stokes_basis.tables_on(grid)
         zval, zgrad = zval[: self.half], zgrad[: self.half]
         fields = self.extension_fields(jets.delta).stack(
             self.ext_op.extend_dt(jets.dt_delta, self.coupled_block))
-        t = fields.tables(jets.r_phys, jets.theta, jets.z)
-        val[coupled], grad[coupled] = t["val"][: self.half], t["grad"]
-        dtX[coupled] = t["val"][self.half:]
-        val[interior], grad[interior] = push_piola(
-            jets.A, jets.dA, jets.ginv, zval, zgrad)
-        dtX[interior] = push_piola_dt(jets.dt_A, jets.dt_psi, zval, grad[interior])
-        return val, grad, dtX
+        fields.tables(jets.r_phys, jets.theta, jets.z, sw,
+                      out=(vd[coupled].transpose(1, 0, 2, 3), grad[coupled][None]))
+        push_piola(jets.A * sw, jets.dA * sw, jets.ginv, zval, zgrad,
+                   out=(vd[interior, 0], grad[interior]))
+        push_piola_dt(jets.dt_A * sw, jets.dt_psi, zval, grad[interior],
+                      out=vd[interior, 1])
+        return vd[:, 0], grad, vd[:, 1]
 
 
 class AssembledSystem:
@@ -264,7 +272,7 @@ class Assembler:
         self.solid_grid = solid_grid
         self._shell_quad = basis.shell_basis.quadrature()
         th, zz, _ = self._shell_quad
-        self._shell_tab = basis.shell_basis.eval_modes(th, zz, 2)[: basis.half]
+        self._shell_modes = np.ascontiguousarray(basis.shell_basis.eval_modes(th, zz, 2)[:, 0])
         self.constants = self._constant_blocks()
 
     @cached_property
@@ -322,6 +330,14 @@ class Assembler:
         path at delta = dt_delta = 0 and v = 0.
         Returns dict(M, G, V, B, Q, qin, qout) — the fluid blocks only;
         constant blocks are added by AssembledSystem.
+
+        The tables of GlobalBasis.fluid_tables come weighted by the root of
+        the quadrature weight, so every integral is one product of two of
+        them: M and V the Grams of the values and of the gradients, D the
+        time derivatives against the values, and E and W from one product
+        of the values with the transport of each entry along the (radial)
+        node velocity and with the values times the weight's rate
+        dt_det / det.
         """
         basis = self.basis
         n = basis.n
@@ -332,27 +348,27 @@ class Assembler:
         v_coeff = np.zeros(n) if v_coeff is None else v_coeff
         jets = QuadJets(self.grid, shell, delta, dt_delta)
         val, grad, dtX = basis.fluid_tables(jets)
-        w = jets.weight
-        M = _weighted_gram(val, w)
-        V = _weighted_gram(grad, w)
-        # each table f (n, 3, Q) is tested as f.reshape(n, -1) @ vw.T, the
-        # moving-domain integrals int f_k . X_l
-        vw = (val * w).reshape(n, -1)
-        D = dtX.reshape(n, -1) @ vw.T
-        # the transport of each entry along the domain motion, grad X_k dt_psi
-        E = np.einsum("kijq,jq->kiq", grad, jets.dt_psi).reshape(n, -1) @ vw.T
-        W = _weighted_gram(val, jets.grid.w * jets.dt_det)
-        G = D.T + 0.5 * (E + E.T) + 0.5 * W
-        vval = np.einsum("k,kiq->iq", v_coeff, val)
+        vf, gf = val.reshape(n, -1), grad.reshape(n, -1)
+        M, V = vf @ vf.T, gf @ gf.T
+        # E and W from one product with the values: of the transport
+        # grad X_k dt_psi of each entry along the domain motion (dt_psi is
+        # radial, geometry.ale_jets), and of the values times the rate
+        # dt_det / det of the weight
+        rows = np.empty((2,) + val.shape)
+        np.multiply(grad[:, :, 0], jets.dt_psi[0], out=rows[0])
+        np.multiply(val, jets.dt_det / jets.det, out=rows[1])
+        E, W = (rows.reshape(2 * n, -1) @ vf.T).reshape(2, n, n)
+        D = dtX.reshape(n, -1) @ vf.T
+        G = D.T + 0.5 * (E + E.T) + 0.25 * (W + W.T)
+        vval = (v_coeff @ vf).reshape(val.shape[1:]) / np.sqrt(jets.weight)
         conv = np.einsum("jq,kijq->kiq", vval, grad)
-        cw = conv.reshape(n, -1) @ vw.T
+        cw = conv.reshape(n, -1) @ vf.T
         # B[k, j] = b(v, X_j, X_k) in the symmetrized (skew) form
         B = 0.5 * (cw.T - cw)
-        th, zz, wsh = self._shell_quad
-        dval = shell.evaluate(dt_delta, th, zz, 0)[0]
-        rval = self.cyl.R + shell.evaluate(delta, th, zz, 0)[0]
-        tab0 = self._shell_tab[:, 0]
-        Qh = -0.5 * np.einsum("jx,kx,x->kj", tab0, tab0, wsh * dval * rval)
+        wsh = self._shell_quad[2]
+        dval, dlt = np.stack([dt_delta, delta]) @ self._shell_modes
+        tab0 = self._shell_modes[: basis.half]
+        Qh = -0.5 * ((tab0 * (wsh * dval * (self.cyl.R + dlt))) @ tab0.T)
         Q = np.zeros((n, n))
         Q[basis.coupled, basis.coupled] = Qh
         weights = np.concatenate([[self.cyl.R], delta])

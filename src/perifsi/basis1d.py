@@ -260,18 +260,36 @@ class PiecewiseLegFamily:
             self._dcache[d] = _padded_legder(np.eye(self.degree + 1), d)
         return self._dcache[d]
 
+    def element_index(self, x):
+        """The element of each point of x (flat), the last one for points at
+        or beyond the right end and the first for points before the left."""
+        return np.clip(np.searchsorted(self.breaks, x, side="right") - 1, 0, self.nelem - 1)
+
     def local_table(self, x, nderiv=0):
         """Each point's element, (nx,), and the values and derivatives of
         that element's Legendre modes at the point, (nx, nderiv + 1,
-        degree + 1): column j is element mode e * (degree + 1) + j."""
+        degree + 1): column j is element mode e * (degree + 1) + j.  The
+        values are legvander's, by its recurrence
+        P_i = ((2i - 1) s P_(i-1) - (i - 1) P_(i-2)) / i taken in place, and
+        each derivative is one product with _der_mat."""
         x = np.asarray(x, dtype=float).ravel()
-        idx = np.clip(np.searchsorted(self.breaks, x, side="right") - 1, 0, self.nelem - 1)
-        a, b = self.breaks[idx], self.breaks[idx + 1]
-        scale = 2.0 / (b - a)
-        V = npleg.legvander((2.0 * x - (a + b)) / (b - a), self.degree)
-        return idx, np.stack(
-            [(V @ self._der_mat(d).T) * (scale**d)[:, None] for d in range(nderiv + 1)],
-            axis=1)
+        idx = self.element_index(x)
+        width = (self.breaks[1:] - self.breaks[:-1])[idx]
+        s = (2.0 * x - (self.breaks[:-1] + self.breaks[1:])[idx]) / width
+        table = np.empty((nderiv + 1, self.degree + 1, x.size))
+        P, tmp = table[0], np.empty(x.size)
+        P[0] = 1.0
+        P[1] = s
+        for i in range(2, self.degree + 1):
+            np.multiply(P[i - 1], s, out=P[i])
+            P[i] *= 2 * i - 1
+            np.multiply(P[i - 2], i - 1, out=tmp)
+            P[i] -= tmp
+            P[i] /= i
+        scale = 2.0 / width
+        for d in range(1, nderiv + 1):
+            np.multiply(self._der_mat(d) @ P, scale**d, out=table[d])
+        return idx, table.transpose(2, 0, 1)
 
     def element_table(self, x, nderiv=0):
         """Values and derivatives of the per-element Legendre modes,

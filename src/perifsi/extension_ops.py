@@ -417,14 +417,14 @@ class _ModeSolver:
     def line_block(self, dofs, zs):
         """The dofs (ndof, U) of U fields of this solver contracted with the
         axial table and its z derivative at the z values zs and with the
-        radial element modes: one C-ordered (zs.size, n_el, 2, nc, U) block,
+        radial element modes: one C-ordered (2, zs.size, n_el, nc, U) block,
         n_el the radial family's per-element Legendre modes.  Component c of
-        field u is then sum_e B[k, e, 0, c, u] P_e(r) at z = zs[k], and its
-        z derivative has B[k, e, 1, c, u] in its place."""
+        field u is then sum_e B[0, k, e, c, u] P_e(r) at z = zs[k], and its
+        z derivative has B[1, k, e, c, u] in its place."""
         D = dofs.reshape(len(self.comps), self.fam_r.nfun, self.fam_z.nfun, -1)
         B = np.tensordot(self.fam_z.eval_table(zs, 1), D, axes=([0], [2]))  # (2, zs, nc, nfr, U)
         B = np.tensordot(self.fam_r.dof_basis, B, axes=([1], [3]))  # (n_el, 2, zs, nc, U)
-        return np.ascontiguousarray(B.transpose(2, 0, 1, 3, 4))
+        return np.ascontiguousarray(B.transpose(1, 2, 0, 3, 4))
 
 
 # ---------------------------------------------------------------------------
@@ -463,14 +463,23 @@ class ExtensionOperator:
 
     @cached_property
     def source_nodes(self):
-        """Flattened (theta, z) nodes at which an extension takes the
-        azimuthal Fourier coefficients of its sources: 4 max_m + 1 uniform
-        theta nodes, the fewest that resolve the wavenumbers 0..2 max_m of
-        a product of two shell modes (one for an axisymmetric model), times
-        the corrector's z collocation nodes (theta-major)."""
-        th = np.linspace(0.0, 2.0 * np.pi, 4 * self.max_m + 1, endpoint=False)
-        TT, ZZ = np.meshgrid(th, self.solvers[0].z_nodes, indexing="ij")
-        return TT.ravel(), ZZ.ravel()
+        """The flattened (theta, z) nodes at which an extension takes the
+        azimuthal Fourier coefficients of its sources, the corrector's z
+        collocation nodes times n_theta = 4 max_m + 1 uniform theta nodes
+        (z-major), the fewest that resolve the wavenumbers 0..2 max_m of a
+        product of two shell modes (one for an axisymmetric model); and the
+        real DFT (n_theta, 4 max_m + 1) on those theta nodes that gives the
+        weights of the corrector's parts: the mean (column 0), then per
+        m >= 1 the cos part 2 Re H_m (column 2m - 1) and the sin part
+        -2 Im H_m (column 2m), that is 2 / n_theta times the sums against
+        cos m theta and sin m theta."""
+        n_th = 4 * self.max_m + 1
+        th = np.linspace(0.0, 2.0 * np.pi, n_th, endpoint=False)
+        ZZ, TT = np.meshgrid(self.solvers[0].z_nodes, th, indexing="ij")
+        mth = np.outer(th, np.arange(1, 2 * self.max_m + 1))
+        trig = np.stack([np.cos(mth), np.sin(mth)], axis=-1).reshape(n_th, -1)
+        dft = np.concatenate([np.ones((n_th, 1)), 2.0 * trig], axis=1) / n_th
+        return TT.ravel(), ZZ.ravel(), dft
 
     @cached_property
     def flux_table(self):
@@ -505,24 +514,25 @@ class ExtensionOperator:
 
     def line_block(self, z):
         """The z line of every node, an index into the distinct values zs of
-        z (Q,), and per solver its unit dofs at zs: _ModeSolver.line_block,
-        one C-ordered (zs.size, n_el, 2, C, U) block each.  The z derivative
-        axis precedes the components, so that once an extension's weights
-        are contracted the value and the z-derivative columns of one z line
-        and radial element are each one matrix for ExtensionField._corrector.
-        Memoized on the node coordinates z, as ShellBasis.eval_modes
-        memoizes its tables: every sample on one grid shares them (1.1 MB
-        for the default model's 20 grid lines, whatever the number of shell
-        modes).  The nodes' radial elements are not: the ALE map moves the
-        radii.  A node set whose nodes share no z line (scattered points) is
-        not kept: its blocks grow with the node count (about 55 KB per node
-        on the default model)."""
+        z (Q,); the plug's axial profile [g, g'] (2, zs.size) there; and per
+        solver its unit dofs at zs: _ModeSolver.line_block, one C-ordered
+        (2, zs.size, n_el, C, U) block each.  The z derivative axis comes
+        first, so that each half is one (zs.size n_el C, U) matrix, which
+        takes an extension's weights in one product
+        (ExtensionField._corrector).  Memoized on the node coordinates z,
+        as ShellBasis.eval_modes memoizes its tables: every sample on one
+        grid shares them (1.1 MB for the default model's 20 grid lines,
+        whatever the number of shell modes).  The nodes' radial elements
+        are not: the ALE map moves the radii.  A node set whose nodes share
+        no z line (scattered points) is not kept: its blocks grow with the
+        node count (about 55 KB per node on the default model)."""
         key = z.tobytes()
         hit = self._line_blocks.get(key)
         if hit is not None:
             return hit
         zs, line = np.unique(z, return_inverse=True)
-        hit = line, [sol.line_block(D, zs) for sol, D in zip(self.solvers, self.unit_dofs)]
+        hit = (line, np.stack(plug_axial_profile(self.cyl, zs, 1)),
+               [sol.line_block(D, zs) for sol, D in zip(self.solvers, self.unit_dofs)])
         if zs.size < z.size:
             if len(self._line_blocks) > 16:
                 self._line_blocks.clear()
@@ -559,6 +569,14 @@ class ExtensionOperator:
         W = np.concatenate([[base], delta])[None]
         X = np.atleast_2d(xi)
         return ExtensionField(self, W, X)
+
+
+def _span(mask):
+    """The slice from the first to the last true entry of mask (empty if
+    there is none): on a FluidGrid, whose nodes run radius-major, the
+    nodes of its inner layers."""
+    idx = np.flatnonzero(mask)
+    return slice(idx[0], idx[-1] + 1) if idx.size else slice(0, 0)
 
 
 def _radial_factors(cyl, r):
@@ -605,165 +623,223 @@ class ExtensionField:
         return ExtensionField(self.op, np.concatenate([self.W, twin.W]), self.X,
                               twins=len(twin.W))
 
-    def _data(self, theta, z, nderiv):
+    def _data(self, theta, z, n_diff):
         """The data h (S, F, Q) of the fields at the nodes (theta, z), and
-        for nderiv 1 also its theta and z derivatives, from one shell-mode
-        table: the weights give (base + delta) and its derivatives, X the
-        xi_f."""
-        tab = self.op.shell_basis.eval_modes(theta, z, nderiv)
-        x = np.tensordot(self.X, tab, axes=1)  # (F, ncomp, Q)
-        d = np.tensordot(self.W[:, 1:], tab, axes=1)[:, :, None]  # (S, ncomp, 1, Q)
+        the theta and z derivatives (n_diff, F, Q) of the data of the fields
+        of the first n_diff weight rows, from one shell-mode table: the
+        weights give (base + delta) and its derivatives, X the xi_f."""
+        tab = self.op.shell_basis.eval_modes(theta, z, 1)
+        x = (self.X @ tab.reshape(len(tab), -1)).reshape(-1, *tab.shape[1:])  # (F, ncomp, Q)
+        d = (self.W[:, 1:] @ tab.reshape(len(tab), -1)).reshape(-1, *tab.shape[1:])[:, :, None]
         c = self.W[:, :1, None] + d[:, 0]
         h = c * x[:, 0]
-        if not nderiv:
-            return h
+        d, c = d[:n_diff], c[:n_diff]
         return h, d[:, 1] * x[:, 0] + c * x[:, 1], d[:, 2] * x[:, 0] + c * x[:, 2]
 
-    def _values(self, r, theta, z, n_diff):
-        """Cylindrical components u (S F, 3, Q) of the fields at flat nodes,
-        and the r, theta and z partials du (n_diff F, 3, 3, Q) of the fields
-        of the first n_diff weight rows: the radial part f0 h e_r, plus the
-        axial plug Phi a g e_z, minus the corrector inside C."""
-        cyl, Q = self.op.cyl, r.size
-        flux = self.flux[:, None]
-        h, ht, hz = (d.reshape(-1, Q) for d in self._data(theta, z, 1))
-        n = n_diff * len(self.X)
-        (f0, df0), (a, da), (g, dg) = (_radial_factors(cyl, r), plug_radial_profile(cyl, r, 1),
-                                       plug_axial_profile(cyl, z, 1))
-        u = np.zeros((len(h), 3, Q))
-        du = np.zeros((n, 3, 3, Q))
+    def _values(self, u, du, r, theta, z, weight):
+        """Fill u (S, F, 3, Q) with the cylindrical components of the fields
+        at flat nodes, and du (n_diff, F, 3, 3, Q) with the r, theta and z
+        partials of the fields of the first n_diff weight rows, all times
+        the per-node weight (Q,): the radial part f0 h e_r, plus the axial
+        plug Phi a g e_z over the span of the nodes with r < R/4 (_span),
+        minus the corrector inside C.  u and du may be strided views."""
+        cyl = self.op.cyl
+        h, ht, hz = self._data(theta, z, len(du))
+        f0, df0 = (f * weight for f in _radial_factors(cyl, r))
         # the radial part: (h / r) e_r for r >= R/2, (4 r h / R^2) e_r inside
-        u[:, 0] = f0 * h
-        du[:, 0, 0], du[:, 0, 1], du[:, 0, 2] = df0 * h[:n], f0 * ht[:n], f0 * hz[:n]
-        # the axial plug Phi a(r) g(z), zero for r >= R/4
-        u[:, 2] = flux * a * g
-        du[:, 2, 0] = flux[:n] * da * g
-        du[:, 2, 2] = flux[:n] * a * dg
+        u[:, :, 0] = f0 * h
+        du[:, :, 0, 0], du[:, :, 0, 1], du[:, :, 0, 2] = df0 * h[:len(du)], f0 * ht, f0 * hz
+        u[:, :, 1:] = 0.0
+        du[:, :, 1:] = 0.0
+        # the axial plug Phi a(r) g(z), zero for r >= R/4, its axial
+        # profile taken on the nodes' z lines
+        plug = _span(r < cyl.R / 4.0)
+        if plug.stop > plug.start:
+            line, axial, _ = self.op.line_block(z)
+            g, dg = axial[:, line[plug]]
+            a, da = (f * weight[plug] for f in plug_radial_profile(cyl, r[plug], 1))
+            flux = self.flux.reshape(len(u), -1, 1)
+            u[:, :, 2, plug] = flux * (a * g)
+            du[:, :, 2, 0, plug] = flux[:len(du)] * (da * g)
+            du[:, :, 2, 2, plug] = flux[:len(du)] * (a * dg)
         # the corrector, supported in the inner cylinder r < R/2
-        self._corrector(u, du, r, theta, z)
-        return u, du
+        self._corrector(u, du, r, theta, z, weight)
 
-    def _corrector(self, u, du, r, theta, z):
-        """Subtract the correctors of the fields from their cylindrical
-        components u (S F, 3, Q) and from the partials du (n_diff F, 3, 3,
-        Q) of the fields of the first n_diff weight rows.
+    def _corrector(self, u, du, r, theta, z, weight):
+        """Subtract the correctors of the fields, times the per-node weight,
+        from their cylindrical components u (S, F, 3, Q) and from the
+        partials du (n_diff, F, 3, 3, Q) of the fields of the first n_diff
+        weight rows.
 
-        The corrector is supported in the inner cylinder C.  Its source
-        is a combination of the operator's unit sources, so per (solver,
-        parity) part the fields' corrector is the solver's unit dofs
-        contracted with weights w (S, U, F) from the fields' own data: the
-        azimuthal Fourier coefficients H_m of h at the operator's source
-        nodes, taken by one rfft over theta, as [Re H_0, flux] for m = 0
-        (the plug last) and as 2 Re H_m (cos) and -2 Im H_m (sin) for
-        m >= 1.  One product of the solver's memoized line block of the
-        nodes' distinct z values with w gives each part's profile columns
-        per z line and radial element.  Their element modes are contracted
-        with the nodes' radial Legendre tables (fam_r.local_table) one z
-        line and radial element at a time: the nodes inside C are grouped by
-        line and element, each group's tables fill its slots (padded to the
-        largest group, plus a spare slot that stays zero), and one batched
-        product per pair of radial and axial derivatives gives every slot
-        the profile of every column, one component of the part, for all
-        fields.  Each node takes the row of its slot, a node outside C the
-        spare one.  The column's radial factor (_ModeSolver.radial) and
-        theta factor (azimuthal_factors) make it a frame component, which
-        is subtracted straight from u and du.  The values-only twin rows
-        take the value tables only.
+        The corrector is supported in the inner cylinder C, so the pass runs
+        over the span of the nodes inside C alone (the nodes from the first
+        to the last of them; on a FluidGrid, whose nodes run radius-major,
+        that is its inner layers).  Its source is a combination of the
+        operator's unit sources, so per (solver, parity) part the fields'
+        corrector is the solver's unit dofs contracted with weights w
+        (U, S F) from the fields' own data: the azimuthal Fourier
+        coefficients H_m of h at the operator's source nodes, taken by one
+        product with their real DFT over theta (source_nodes), as
+        [Re H_0, flux] for m = 0 (the plug last) and as 2 Re H_m (cos) and
+        -2 Im H_m (sin) for m >= 1.  One product of each
+        half of the solver's memoized line block (_ModeSolver.line_block)
+        with w gives the part's profile columns per z line and radial
+        element, the z-derivative half for the first n_diff weight rows
+        only.  Their element modes are contracted with the nodes' radial
+        Legendre tables (fam_r.local_table), one (z line, radial element)
+        group at a time: the span's nodes are grouped by line and element
+        into blocks of slots (padded to the largest group), each slot takes
+        its node's radius and weight, and the tables are evaluated at the
+        slots, so they need no scatter.  One batched product over the
+        groups and components writes every group's rows contiguously, a
+        node's value and its r derivative side by side.  A node of the span
+        outside C joins its line's outer group with zero table rows.  The
+        tables carry each component's radial factor (_ModeSolver.radial):
+        r P and P + r P' for a radial one.  One np.take reads the span's
+        rows in node order, and each array takes all components of a part
+        in one subtraction; for m >= 1 the rows are first multiplied by the
+        theta factors (azimuthal_factors), which for m = 0 are one and zero
+        and are not applied.  The values-only twin rows take the value
+        tables only.
         """
         op = self.op
         sol0 = op.solvers[0]
-        fam_r = sol0.fam_r
-        inside = np.flatnonzero(r < sol0.r_breaks[-1])
-        if not inside.size:  # no line block for nodes all outside C, such as interface points
+        fam_r, r_C = sol0.fam_r, sol0.r_breaks[-1]
+        span = _span(r < r_C)
+        if span.start == span.stop:  # no line block for nodes all outside C (interface points)
             return
-        S, F, Q = len(self.W), len(self.X), r.size
-        n_diff = len(du) // F
+        S, F, n_diff = len(self.W), len(self.X), len(du)
+        nd = 2 if n_diff else 1
         p, n_elem = fam_r.degree + 1, fam_r.nelem
-        line, blocks = op.line_block(z)  # per solver: (line, element mode, 2, C, U)
-        G = blocks[0].shape[0] * n_elem
-        h = self._data(*op.source_nodes, 0)  # (S, F, theta x z node)
-        # H[m]: (S, z node, F)
-        n_th = h.shape[-1] // sol0.z_nodes.size
-        H = np.fft.rfft(h.reshape(S, F, n_th, -1), axis=2).transpose(2, 0, 3, 1) / n_th
-        element, Tr = fam_r.local_table(r[inside], 1 if n_diff else 0)
-        # the nodes inside C grouped by (line, element), each at its slot
-        group = line[inside] * n_elem + element
+        line, _, blocks = op.line_block(z)  # per solver: (2, line, element mode, C, U)
+        G = blocks[0].shape[1] * n_elem
+        # the data at the source nodes, then per z node, field and part the
+        # weight: H (z node, S F, part column of the DFT)
+        th, zz, dft = op.source_nodes
+        tab = op.shell_basis.eval_modes(th, zz, 0)[:, 0]
+        nz = sol0.z_nodes.size
+        x = (self.X @ tab).reshape(F, nz, -1)
+        c = (self.W[:, :1] + self.W[:, 1:] @ tab).reshape(S, nz, -1)
+        H = ((c.transpose(1, 0, 2)[:, :, None] * x.transpose(1, 0, 2)[:, None]).reshape(
+            nz * S * F, -1) @ dft).reshape(nz, S * F, -1)
+        rs = r[span]
+        # the span's nodes grouped by (line, element), each at its slot
+        group = line[span] * n_elem + fam_r.element_index(rs)
         order = np.argsort(group, kind="stable")
-        group = group[order]
         count = np.bincount(group, minlength=G)
-        n_slot = count.max() + 1
-        at = group * n_slot + np.arange(group.size) - (np.cumsum(count) - count)[group]
-        Tg = np.zeros((G * n_slot,) + Tr.shape[1:])
-        Tg[at] = Tr[order]
-        Tg = Tg.reshape(G, n_slot, -1, p)
-        slot = np.full(Q, n_slot - 1)
-        slot[inside[order]] = at
+        n_slot = count.max()
+        slot = np.empty_like(order)
+        slot[order] = np.arange(order.size) - (np.cumsum(count) - count)[group[order]]
+        at_z = group * n_slot + slot
+        at = at_z + group * ((nd - 1) * n_slot) + n_slot * np.arange(nd)[:, None]
+        # each slot's radius and weight, zero in the padding and outside C,
+        # and its radial Legendre table (nd, p, slot), taken in slot order
+        r_slot, w_slot = np.zeros((2, G * n_slot))
+        r_slot[at_z], w_slot[at_z] = rs, (rs < r_C) * weight[span]
+        Tr = fam_r.local_table(r_slot, nd - 1)[1].transpose(1, 2, 0) * w_slot
+        # each group's block of slots holds the rows [value, r derivative]
+        # of its nodes' radial (r P, P + r P') and plain (P, P') tables:
+        # (G, kind, p, [value, r derivative] x slot)
+        Ts = np.empty((2, p, G, nd, n_slot))
+        Ts[1] = Tr.reshape(nd, p, G, n_slot).transpose(1, 2, 0, 3)
+        Ts[0, :, :, 0] = (r_slot * Tr[0]).reshape(p, G, n_slot)
+        if n_diff:
+            Ts[0, :, :, 1] = (Tr[0] + r_slot * Tr[1]).reshape(p, G, n_slot)
+        Ts = Ts.reshape(2, p, G, nd * n_slot).transpose(2, 0, 1, 3)
 
-        def profiles(A, rows, dr, dz):  # (s, component, f, node)
-            v = (Tg[:, :, dr] @ A[rows, :, :, dz]).reshape(-1, G * n_slot, A.shape[-1])
-            return np.take(v.transpose(0, 2, 1), slot, axis=2).reshape(len(v), -1, F, Q)
+        def profiles(A, C, T, rows, at):  # (C, columns, node): the groups' products in node order
+            V = np.empty((C, A.shape[-1], G, rows))
+            np.matmul(A.reshape(G, p, C, -1).transpose(0, 2, 3, 1), T,
+                      out=V.transpose(2, 0, 1, 3))
+            return np.take(V.reshape(-1, G * rows), at, axis=1)
 
-        u, du = u.reshape(S, F, 3, Q), du.reshape(n_diff, F, 3, 3, Q)  # views by weight row
+        u, du = u[..., span], du[..., span]
         for sol, B in zip(op.solvers, blocks):
+            C = len(sol.comps)
             if sol.m == 0:
-                parts = [("cos", np.concatenate([H[0].real, self.flux.reshape(S, 1, F)], axis=1))]
+                # components r and z; the axial one alone has no radial factor
+                parts = [("cos", np.concatenate([H[:, :, 0], self.flux[None]]))]
+                k, T = slice(None, None, 2), Ts
             else:
-                parts = [("cos", 2.0 * H[sol.m].real), ("sin", -2.0 * H[sol.m].imag)]
+                parts = [("cos", H[:, :, 2 * sol.m - 1]), ("sin", H[:, :, 2 * sol.m])]
+                k, T = slice(None), Ts[:, :1]
+            B0, B1 = B.reshape(2, -1, B.shape[-1])
             for parity, w in parts:
-                # A[s, (line, element), mode, z derivative, (component, f)]
-                A = (B.reshape(-1, B.shape[-1]) @ w).reshape(S, G, p, 2, -1)
-                V = profiles(A, slice(None), 0, 0)
+                # (component, s, f, [value, r derivative], node)
+                V = profiles(B0 @ w, C, T, nd * n_slot, at).reshape(C, S, F, nd, -1)
+                V = V.transpose(1, 2, 0, 3, 4)  # (s, f, component, .., node)
                 if n_diff:
-                    V_r, V_z = profiles(A, slice(n_diff), 1, 0), profiles(A, slice(n_diff), 0, 1)
-                T, dT = azimuthal_factors(sol.m, parity, theta)
-                for c, (comp, radial) in enumerate(zip(sol.comps, sol.radial)):
-                    k = "rtz".index(comp)
-                    v = V[:, c]  # (s, f, node)
-                    fv = r * v if radial else v
-                    u[:, :, k] -= fv * T[k]
+                    V_z = profiles(B1 @ w[:, :n_diff * F], C, T[..., :n_slot], n_slot, at_z)
+                    V_z = V_z.reshape(C, n_diff, F, -1).transpose(1, 2, 0, 3)
+                if sol.m == 0:
+                    u[:, :, k] -= V[..., 0, :]
                     if n_diff:
-                        v_r, v_z = V_r[:, c], V_z[:, c]
-                        du[:, :, k, 0] -= (r * v_r + v[:n_diff] if radial else v_r) * T[k]
-                        du[:, :, k, 1] -= fv[:n_diff] * dT[k]
-                        du[:, :, k, 2] -= (r * v_z if radial else v_z) * T[k]
+                        du[:, :, k, 0] -= V[:n_diff, :, :, 1]
+                        du[:, :, k, 2] -= V_z
+                    continue
+                Tk, dTk = azimuthal_factors(sol.m, parity, theta[span])
+                u[:, :, k] -= V[..., 0, :] * Tk
+                if n_diff:
+                    du[:, :, k, 0] -= V[:n_diff, :, :, 1] * Tk
+                    du[:, :, k, 1] -= V[:n_diff, :, :, 0] * dTk
+                    du[:, :, k, 2] -= V_z * Tk
 
-    def tables(self, r, theta, z):
+    def tables(self, r, theta, z, weight=1.0, out=None):
         """Frame values (S F, 3, Q), the cylindrical components of _values,
         and frame gradients (G, 3, 3, Q) and divergences (G, Q) of the first
-        G = (S - twins) F fields, by frame_tables."""
+        G = (S - twins) F fields, by frame_tables, each times weight, a
+        factor per node (or one for all): the pass is linear in every
+        per-node factor it applies, so the weight rides on those factors
+        (GlobalBasis.fluid_tables weights by the root of the quadrature
+        weight).  With out = (u, du), arrays of shapes (S, F, 3, Q) and
+        (S - twins, F, 3, 3, Q) of any strides, the values and gradients
+        are written there and returned in those shapes (divergences
+        (S - twins, F, Q))."""
         r, theta, z = (np.asarray(x, dtype=float).ravel() for x in (r, theta, z))
-        u, du = self._values(r, theta, z, len(self.W) - self.twins)
-        grad, div = frame_tables(u[:len(du)], du, r)
-        return {"val": u, "grad": grad, "div": div}
+        weight = np.broadcast_to(np.asarray(weight, dtype=float), r.shape)
+        S, F, Q = len(self.W), len(self.X), r.size
+        n_diff = S - self.twins
+        if out is None:
+            val, grad = np.empty((S * F, 3, Q)), np.empty((n_diff * F, 3, 3, Q))
+            u, du = val.reshape(S, F, 3, Q), grad.reshape(n_diff, F, 3, 3, Q)
+        else:
+            val, grad = u, du = out
+        self._values(u, du, r, theta, z, weight)
+        div = frame_tables(u[:n_diff], du, r)[1]
+        return {"val": val, "grad": grad, "div": div.reshape(grad.shape[:-3] + (Q,))}
 
 
 # ---------------------------------------------------------------------------
 # Piola transform
 
 
-def push_piola(A, dA, ginv, phi_val, phi_grad):
+def push_piola(A, dA, ginv, phi_val, phi_grad, out=None):
     """Piola push-forward at reference nodes given ALE jets.
 
     A = grad(psi)/det, dA[i,j,a] its frame derivative along e_a at the
     node, ginv the inverse deformation gradient (geometry.ale_jets).  Returns (val, grad) at the corresponding
     physical points with grad in physical coordinates; the reference fields
     phi_val (..., 3, Q) and phi_grad (..., 3, 3, Q) may carry leading field
-    axes.
+    axes.  With out = (val, grad), arrays of those shapes (any strides), the
+    push is written there.
     """
-    val = np.einsum("ijq,...jq->...iq", A, phi_val)
-    grad_ref = np.einsum("ijaq,...jq->...iaq", dA, phi_val) + np.einsum(
-        "ijq,...jaq->...iaq", A, phi_grad
-    )
-    grad = np.einsum("...iaq,abq->...ibq", grad_ref, ginv)
+    val, grad = (None, None) if out is None else out
+    val = np.einsum("ijq,...jq->...iq", A, phi_val, out=val)
+    grad_ref = np.einsum("ijaq,...jq->...iaq", dA, phi_val)
+    grad_ref += np.einsum("ijq,...jaq->...iaq", A, phi_grad)
+    grad = np.einsum("...iaq,abq->...ibq", grad_ref, ginv, out=grad)
     return val, grad
 
 
-def push_piola_dt(dt_A, dt_psi, phi_val, grad):
+def push_piola_dt(dt_A, dt_psi, phi_val, grad, out=None):
     """Eulerian time derivative of the Piola field at fixed physical points,
-    given the pushed gradient grad from push_piola."""
-    return np.einsum("ijq,...jq->...iq", dt_A, phi_val) - np.einsum(
-        "...ibq,bq->...iq", grad, dt_psi
-    )
+    given the pushed gradient grad from push_piola: dt_A phi minus the
+    transport grad dt_psi along the node velocity, which the radial ALE map
+    makes radial (geometry.ale_jets), so only its r component is read.
+    Written into out (any strides) when given."""
+    out = np.einsum("ijq,...jq->...iq", dt_A, phi_val, out=out)
+    out -= grad[..., 0, :] * dt_psi[0]
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -129,14 +129,15 @@ def ale_jets(cyl, basis, delta, r, theta, z, dt_delta=None):
 
 def admissibility(cyl, basis, coefficients):
     """sup |eta| on the sup_grid of every row of shell coefficients
-    (..., n_modes), as one product with the memoized mode table, and the
-    flat index of the first row whose sup is not below cyl.sup_bound (None
-    when every row keeps the deformed domain admissible).
+    (..., n_modes), as one product with the basis's mode table there
+    (ShellBasis.sup_table), and the flat index of the first row whose sup
+    is not below cyl.sup_bound (None when every row keeps the deformed
+    domain admissible).
 
     This is the one admissibility test made in the package: assemble, the
     outer loop, solve_ivp (every state it reaches) and
     diagnostics.coupling_residuals all decide with it."""
-    table = basis.eval_modes(*sup_grid(basis), 0)[:, 0]
+    table = basis.sup_table
     sup = np.max(np.abs(np.asarray(coefficients, dtype=float) @ table), axis=-1)
     bad = np.flatnonzero(~(sup < cyl.sup_bound))
     return sup, (int(bad[0]) if bad.size else None)

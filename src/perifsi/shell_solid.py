@@ -12,11 +12,13 @@ traction-free.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .basis1d import BeamFamily, TrigFamily, gauss
 from .fluidgrid import component_tables
+from .geometry import sup_grid
 
 
 class ShellBasis:
@@ -83,6 +85,15 @@ class ShellBasis:
             self._tab_cache.clear()
         self._tab_cache[key] = out
         return out
+
+    @cached_property
+    def sup_table(self):
+        """The modes (n_modes, n_sup) on geometry.sup_grid, read-only, built
+        once per basis: geometry.admissibility samples sup norms with it on
+        every call."""
+        table = self.eval_modes(*sup_grid(self), 0)[:, 0]
+        table.flags.writeable = False
+        return table
 
     def evaluate(self, coefficients, theta, z, nderiv):
         """The field with coefficients (n_modes,) over this basis at the

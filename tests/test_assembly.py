@@ -1,5 +1,6 @@
 """Assembled Galerkin matrices: structure, symmetries, and time sampling."""
 
+import copy
 import csv
 
 import numpy as np
@@ -21,6 +22,7 @@ from perifsi.errors import BasisMismatch, DomainViolation, GridMismatch
 from perifsi.extension_ops import push_piola, push_piola_dt
 from perifsi.fluid_basis import disk_flux
 from perifsi.fluidgrid import FluidGrid, QuadJets
+from perifsi.geometry import admissibility
 from perifsi.solver_periodic import EnergyLedger
 
 
@@ -39,7 +41,9 @@ def _moving_inputs(small_model, rng, amp=0.02):
 def _per_field_fluid_tables(basis, jets):
     """GlobalBasis.fluid_tables one entry at a time: each coupled entry and
     its time derivative by the per-field extension formula, each interior
-    entry by its own Piola push.  The reference for the stacked tables."""
+    entry by its own Piola push, all weighted at the end by the root of
+    the quadrature weight, as fluid_tables gives them.  The reference for
+    the stacked tables."""
     delta, dt_delta = jets.delta, jets.dt_delta
     Q = jets.grid.n_nodes
     val = np.empty((basis.n, 3, Q))
@@ -56,14 +60,16 @@ def _per_field_fluid_tables(basis, jets):
         dtX[2 * j] = per_field_extension(basis.ext_op, 0.0, dt_delta, Y, *nodes)[0]
         dtX[2 * j + 1] = push_piola_dt(jets.dt_A, jets.dt_psi, zval[j],
                                        grad[2 * j + 1])
-    return val, grad, dtX
+    sw = np.sqrt(jets.weight)
+    return val * sw, grad * sw, dtX * sw
 
 
 def _two_call_fluid_tables(basis, jets):
     """GlobalBasis.fluid_tables by the two calls it made before the line
     block: the coupled extensions with their gradients, then the values of
     their time-derivative twins, each a per-dofs DofsExtension; the interior
-    entries by the same Piola push.  The reference for the stacked pass."""
+    entries by the same Piola push; all weighted at the end by the root of
+    the quadrature weight.  The reference for the stacked pass."""
     Q = jets.grid.n_nodes
     val = np.empty((basis.n, 3, Q))
     grad = np.empty((basis.n, 3, 3, Q))
@@ -77,7 +83,8 @@ def _two_call_fluid_tables(basis, jets):
     val[1::2], grad[1::2] = push_piola(jets.A, jets.dA, jets.ginv, zval, zgrad)
     dtX[0::2] = DofsExtension.from_unit_dofs(basis.ext_op, 0.0, jets.dt_delta, X)(*nodes)
     dtX[1::2] = push_piola_dt(jets.dt_A, jets.dt_psi, zval, grad[1::2])
-    return val, grad, dtX
+    sw = np.sqrt(jets.weight)
+    return val * sw, grad * sw, dtX * sw
 
 
 def _moving_mass_oracle(model, delta, dt_delta):
@@ -87,8 +94,8 @@ def _moving_mass_oracle(model, delta, dt_delta):
     antisymmetric S_kl = int (dtX_l . X_k - X_l . dtX_k).  The reference
     for the sample's G, which cancels the two dtX halves first."""
     jets = QuadJets(model.grid, model.basis.shell_basis, delta, dt_delta)
-    val, grad, dtX = model.basis.fluid_tables(jets)
     w = jets.weight
+    val, grad, dtX = (t / np.sqrt(w) for t in model.basis.fluid_tables(jets))
     mat = dtX + np.einsum("kijq,jq->kiq", grad, jets.dt_psi)
     T1 = np.einsum("kiq,liq,q->kl", mat, val, w)
     dM = T1 + T1.T + np.einsum("kiq,liq,q->kl", val, val, model.grid.w * jets.dt_det)
@@ -185,6 +192,60 @@ class TestStackedSample:
         gaps = _oracle_gap(model, monkeypatch, _two_call_fluid_tables, **inputs)
         assert set(gaps) == {"M", "G", "V", "B", "Q", "qin", "qout"}
         assert max(gaps.values()) <= 1e-13, gaps
+
+
+def _shuffled_twin(model, rng):
+    """The model on its own grid with the nodes (r, theta, z, w) in a random
+    order: the same quadrature, so every block is the same up to the order
+    of its sums."""
+    grid = copy.copy(model.grid)
+    perm = rng.permutation(grid.n_nodes)
+    for name in ("r", "theta", "z", "w"):
+        setattr(grid, name, getattr(model.grid, name)[perm])
+    return Assembler(model.cyl, model.basis, model.params, grid, model.solid_grid)
+
+
+class TestNodeOrder:
+    """The moving sample groups the nodes inside C by z line and radial
+    element afresh per sample, whatever their order on the grid."""
+
+    @pytest.mark.parametrize("which", ["default", "m1"])
+    def test_shuffled_grid_gives_the_same_blocks(self, which, rng):
+        """A moving sample with transport on a FluidGrid whose nodes are
+        shuffled: every block within 1e-13 relative of the grid's own, on
+        the default model and on n_theta = 2, n_z = 4, n_interior = 8."""
+        cfg = {"default": RunConfig(),
+               "m1": RunConfig(n_theta=2, n_z=4, n_interior=8)}[which].validate()
+        model = build_model(cfg)
+        twin = _shuffled_twin(model, rng)
+        delta, dt_delta = _moving_inputs(model, rng)
+        inputs = {"delta": delta, "dt_delta": dt_delta,
+                  "v_coeff": rng.standard_normal(model.basis.n)}
+        got, want = twin.sample(**inputs), model.sample(**inputs)
+        assert got.keys() == want.keys()
+        for k in want:
+            assert _rel_gap(got[k], want[k]) <= 1e-13, k
+
+    def test_nodes_crossing_the_corrector_breaks(self, small_model, rng, monkeypatch):
+        """Two consecutive moving samples, the shell pulled in and then
+        pushed out by a fifth of R, so that grid nodes cross each corrector
+        element break R/8, R/4, 3R/8 and the boundary R/2 of C between the
+        rest cylinder and either sample: both match the per-field oracle at
+        the bar of TestStackedSample."""
+        model, R = small_model, small_model.cyl.R
+        shell = model.basis.shell_basis
+        unit = np.eye(shell.n_modes)[0]
+        unit /= admissibility(model.cyl, shell, unit)[0]
+        breaks = (R / 8.0, R / 4.0, 3.0 * R / 8.0, R / 2.0)
+        for sign in (-1.0, 1.0):
+            delta = sign * 0.2 * R * unit
+            jets = QuadJets(model.grid, shell, delta, np.zeros(shell.n_modes))
+            for b in breaks:
+                assert np.any((model.grid.r < b) != (jets.r_phys < b)), (sign, b)
+            gaps = _oracle_gap(model, monkeypatch, delta=delta,
+                               dt_delta=0.02 * rng.standard_normal(shell.n_modes),
+                               v_coeff=rng.standard_normal(model.basis.n))
+            assert max(gaps.values()) <= 1e-12, gaps
 
 
 def _eight_node_twin(model, cfg):

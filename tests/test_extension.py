@@ -76,7 +76,7 @@ def _unit_weights(ext_op, W, X):
     H_m of h at the corrector's z nodes are taken by an explicit sum over
     max(8, 4 (max_m + 1)) uniform theta nodes of ShellBasis.evaluate: H_0
     and then the flux for m = 0, 2 Re H_m (cos) and -2 Im H_m (sin) for
-    m >= 1.  The reference for the rfft of ExtensionField._corrector."""
+    m >= 1.  The reference for the DFT of ExtensionField._corrector."""
     basis = ext_op.shell_basis
     zc = ext_op.solvers[0].z_nodes
     n_th = max(8, 4 * (ext_op.max_m + 1))
@@ -748,7 +748,7 @@ def _line_loop_corrector(field, r, theta, z, n_diff):
     zs = z[order]
     first = np.flatnonzero(np.diff(zs, prepend=np.nan) != 0.0)
     bounds = np.append(first, order.size)
-    line, blocks = ext_op.line_block(z)  # per solver: (line, element mode, 2, C, U)
+    line, _, blocks = ext_op.line_block(z)  # per solver: (2, line, element mode, C, U)
     S, F = W.shape[0], X.shape[0]
     Tr = sol0.fam_r.element_table(r[order], 1)
     w = np.zeros((S * F, 3, r.size))
@@ -757,7 +757,7 @@ def _line_loop_corrector(field, r, theta, z, n_diff):
         B = blocks[sol.m]
         C = B.shape[3]
         # (line, (s, z derivative, component, f), element mode)
-        A = np.einsum("lezcu,sfu->lszcfe", B, weights).reshape(B.shape[0], -1, B.shape[1])
+        A = np.einsum("zlecu,sfu->lszcfe", B, weights).reshape(B.shape[1], -1, B.shape[2])
         V = np.zeros((S, 2, C, F, 2, r.size))  # (.., f, r derivative, node)
         for a, b in zip(bounds[:-1], bounds[1:]):
             idx = order[a:b]
@@ -840,7 +840,8 @@ class TestModeSolver:
             for n_diff in ((2, 1) if partials else (0,)):
                 Q = r.size
                 u, du = np.zeros((6, 3, Q)), np.zeros((3 * n_diff, 3, 3, Q))
-                field._corrector(u, du, r, theta, z)
+                field._corrector(u.reshape(2, 3, 3, Q), du.reshape(n_diff, 3, 3, 3, Q),
+                                 r, theta, z, np.ones(Q))
                 w, dw = _line_loop_corrector(field, r, theta, z, n_diff)
                 pairs = [(-u, w)] + [(-du[:, :, j], dw[:, :, j]) for j in range(3) if n_diff]
                 for k, (a, b) in enumerate(pairs):
@@ -1143,7 +1144,7 @@ class TestPiola:
         basis = small_model.basis
         zero = np.zeros(basis.shell_basis.n_modes)
         jets = QuadJets(small_model.grid, basis.shell_basis, zero, zero)
-        val, grad, _ = basis.fluid_tables(jets)
+        val, grad, _ = (t / np.sqrt(jets.weight) for t in basis.fluid_tables(jets))
         zval, zgrad = basis.stokes_basis.tables_on(small_model.grid)
         assert np.max(np.abs(val[1::2] - zval[: basis.half])) < 1e-12
         assert np.max(np.abs(grad[1::2] - zgrad[: basis.half])) < 1e-10

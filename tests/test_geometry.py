@@ -5,8 +5,15 @@ import pytest
 
 from test_shell_solid import _frame
 
+from perifsi import shell_solid
 from perifsi.fluidgrid import FluidGrid, QuadJets
-from perifsi.geometry import CylinderConfig, admissibility, ale_jets, check_injectivity
+from perifsi.geometry import (
+    CylinderConfig,
+    admissibility,
+    ale_jets,
+    check_injectivity,
+    sup_grid,
+)
 from perifsi.shell_solid import ShellBasis
 
 
@@ -91,6 +98,39 @@ class TestInjectivity:
         eta = np.zeros(shell.n_modes)
         eta[0] = 5.0
         assert not check_injectivity(cyl, shell, eta)
+
+
+class TestSupTable:
+    """admissibility reads the shell modes on the sup grid from one table
+    per shell basis (ShellBasis.sup_table)."""
+
+    def test_one_table_per_basis(self, rng, monkeypatch):
+        """The table is built once, on the first call for a basis, and is
+        the same object on every call after; it equals the table of a fresh
+        basis on a sup grid built for the check, and admissibility's sups
+        are bit for bit those of that per-call table."""
+        cyl = CylinderConfig(R=1.0, L=2.0, H=0.5)
+        basis = ShellBasis(3, 4, cyl.L)
+        built = []
+        monkeypatch.setattr(shell_solid, "sup_grid",
+                            lambda b, f=shell_solid.sup_grid: built.append(b) or f(b))
+        coeffs = 0.1 * rng.standard_normal((5, basis.n_modes))
+        results = [admissibility(cyl, basis, coeffs) for _ in range(3)]
+        table = basis.sup_table
+        assert built == [basis] and basis.sup_table is table
+        assert not table.flags.writeable
+        fresh = ShellBasis(3, 4, cyl.L).eval_modes(*sup_grid(basis), 0)[:, 0]
+        assert np.array_equal(table, fresh)
+        want = np.max(np.abs(coeffs @ fresh), axis=-1)
+        for sup, bad in results:
+            assert np.array_equal(sup, want) and bad is None
+        assert admissibility(cyl, basis, 10.0 * coeffs)[1] == 0
+
+    def test_tables_follow_their_basis(self):
+        """Two bases of other mode counts get tables of their own shapes."""
+        small, large = ShellBasis(1, 4, 2.0), ShellBasis(3, 6, 2.0)
+        assert small.sup_table.shape == (4, sup_grid(small)[0].size)
+        assert large.sup_table.shape == (18, sup_grid(large)[0].size)
 
 
 class TestQuadJets:
