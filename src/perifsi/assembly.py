@@ -335,8 +335,8 @@ class Assembler:
         the quadrature weight, so every integral is one product of two of
         them: M and V the Grams of the values and of the gradients, D the
         time derivatives against the values, and E and W from one product
-        of the values with the transport of each entry along the (radial)
-        node velocity and with the values times the weight's rate
+        of the values with the transport of each entry along the node
+        velocity and with the values times the weight's rate
         dt_det / det.
         """
         basis = self.basis
@@ -351,11 +351,10 @@ class Assembler:
         vf, gf = val.reshape(n, -1), grad.reshape(n, -1)
         M, V = vf @ vf.T, gf @ gf.T
         # E and W from one product with the values: of the transport
-        # grad X_k dt_psi of each entry along the domain motion (dt_psi is
-        # radial, geometry.ale_jets), and of the values times the rate
-        # dt_det / det of the weight
+        # grad X_k dt_psi of each entry along the domain motion, and of the
+        # values times the rate dt_det / det of the weight
         rows = np.empty((2,) + val.shape)
-        np.multiply(grad[:, :, 0], jets.dt_psi[0], out=rows[0])
+        np.einsum("kijq,jq->kiq", grad, jets.dt_psi, out=rows[0])
         np.multiply(val, jets.dt_det / jets.det, out=rows[1])
         E, W = (rows.reshape(2 * n, -1) @ vf.T).reshape(2, n, n)
         D = dtX.reshape(n, -1) @ vf.T

@@ -470,9 +470,9 @@ class ExtensionOperator:
         product of two shell modes (one for an axisymmetric model); and the
         real DFT (n_theta, 4 max_m + 1) on those theta nodes that gives the
         weights of the corrector's parts: the mean (column 0), then per
-        m >= 1 the cos part 2 Re H_m (column 2m - 1) and the sin part
-        -2 Im H_m (column 2m), that is 2 / n_theta times the sums against
-        cos m theta and sin m theta."""
+        m = 1..2 max_m, one solver each, the cos part 2 Re H_m (column
+        2m - 1) and the sin part -2 Im H_m (column 2m), that is 2 / n_theta
+        times the sums against cos m theta and sin m theta."""
         n_th = 4 * self.max_m + 1
         th = np.linspace(0.0, 2.0 * np.pi, n_th, endpoint=False)
         ZZ, TT = np.meshgrid(self.solvers[0].z_nodes, th, indexing="ij")
@@ -514,11 +514,10 @@ class ExtensionOperator:
 
     def line_block(self, z):
         """The z line of every node, an index into the distinct values zs of
-        z (Q,); the plug's axial profile [g, g'] (2, zs.size) there; and per
-        solver its unit dofs at zs: _ModeSolver.line_block, one C-ordered
-        (2, zs.size, n_el, C, U) block each.  The z derivative axis comes
-        first, so that each half is one (zs.size n_el C, U) matrix, which
-        takes an extension's weights in one product
+        z (Q,), and per solver its unit dofs at zs: _ModeSolver.line_block,
+        one C-ordered (2, zs.size, n_el, C, U) block each.  The z derivative
+        axis comes first, so that each half is one (zs.size n_el C, U)
+        matrix, which takes an extension's weights in one product
         (ExtensionField._corrector).  Memoized on the node coordinates z,
         as ShellBasis.eval_modes memoizes its tables: every sample on one
         grid shares them (1.1 MB for the default model's 20 grid lines,
@@ -531,8 +530,7 @@ class ExtensionOperator:
         if hit is not None:
             return hit
         zs, line = np.unique(z, return_inverse=True)
-        hit = (line, np.stack(plug_axial_profile(self.cyl, zs, 1)),
-               [sol.line_block(D, zs) for sol, D in zip(self.solvers, self.unit_dofs)])
+        hit = line, [sol.line_block(D, zs) for sol, D in zip(self.solvers, self.unit_dofs)]
         if zs.size < z.size:
             if len(self._line_blocks) > 16:
                 self._line_blocks.clear()
@@ -651,12 +649,10 @@ class ExtensionField:
         du[:, :, 0, 0], du[:, :, 0, 1], du[:, :, 0, 2] = df0 * h[:len(du)], f0 * ht, f0 * hz
         u[:, :, 1:] = 0.0
         du[:, :, 1:] = 0.0
-        # the axial plug Phi a(r) g(z), zero for r >= R/4, its axial
-        # profile taken on the nodes' z lines
+        # the axial plug Phi a(r) g(z), zero for r >= R/4
         plug = _span(r < cyl.R / 4.0)
         if plug.stop > plug.start:
-            line, axial, _ = self.op.line_block(z)
-            g, dg = axial[:, line[plug]]
+            g, dg = plug_axial_profile(cyl, z[plug], 1)
             a, da = (f * weight[plug] for f in plug_radial_profile(cyl, r[plug], 1))
             flux = self.flux.reshape(len(u), -1, 1)
             u[:, :, 2, plug] = flux * (a * g)
@@ -681,7 +677,7 @@ class ExtensionField:
         coefficients H_m of h at the operator's source nodes, taken by one
         product with their real DFT over theta (source_nodes), as
         [Re H_0, flux] for m = 0 (the plug last) and as 2 Re H_m (cos) and
-        -2 Im H_m (sin) for m >= 1.  One product of each
+        -2 Im H_m (sin) for m = 1..2 max_m.  One product of each
         half of the solver's memoized line block (_ModeSolver.line_block)
         with w gives the part's profile columns per z line and radial
         element, the z-derivative half for the first n_diff weight rows
@@ -711,7 +707,7 @@ class ExtensionField:
         S, F, n_diff = len(self.W), len(self.X), len(du)
         nd = 2 if n_diff else 1
         p, n_elem = fam_r.degree + 1, fam_r.nelem
-        line, _, blocks = op.line_block(z)  # per solver: (2, line, element mode, C, U)
+        line, blocks = op.line_block(z)  # per solver: (2, line, element mode, C, U)
         G = blocks[0].shape[1] * n_elem
         # the data at the source nodes, then per z node, field and part the
         # weight: H (z node, S F, part column of the DFT)
@@ -834,11 +830,10 @@ def push_piola(A, dA, ginv, phi_val, phi_grad, out=None):
 def push_piola_dt(dt_A, dt_psi, phi_val, grad, out=None):
     """Eulerian time derivative of the Piola field at fixed physical points,
     given the pushed gradient grad from push_piola: dt_A phi minus the
-    transport grad dt_psi along the node velocity, which the radial ALE map
-    makes radial (geometry.ale_jets), so only its r component is read.
-    Written into out (any strides) when given."""
+    transport grad dt_psi along the node velocity.  Written into out (any
+    strides) when given."""
     out = np.einsum("ijq,...jq->...iq", dt_A, phi_val, out=out)
-    out -= grad[..., 0, :] * dt_psi[0]
+    out -= np.einsum("...ibq,bq->...iq", grad, dt_psi)
     return out
 
 

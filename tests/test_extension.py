@@ -748,7 +748,7 @@ def _line_loop_corrector(field, r, theta, z, n_diff):
     zs = z[order]
     first = np.flatnonzero(np.diff(zs, prepend=np.nan) != 0.0)
     bounds = np.append(first, order.size)
-    line, _, blocks = ext_op.line_block(z)  # per solver: (2, line, element mode, C, U)
+    line, blocks = ext_op.line_block(z)  # per solver: (2, line, element mode, C, U)
     S, F = W.shape[0], X.shape[0]
     Tr = sol0.fam_r.element_table(r[order], 1)
     w = np.zeros((S * F, 3, r.size))
@@ -1154,7 +1154,7 @@ class TestPiola:
         shell = basis.shell_basis
         eta = 0.03 * rng.standard_normal(shell.n_modes)
         jets = QuadJets(small_model.grid, shell, eta, np.zeros(shell.n_modes))
-        val, grad, _ = basis.fluid_tables(jets)
+        val, grad, _ = (t / np.sqrt(jets.weight) for t in basis.fluid_tables(jets))
         for v, g in zip(val[1::2], grad[1::2]):
             scale = np.max(np.abs(v)) + 1e-30
             assert np.max(np.abs(np.einsum("iiq->q", g))) < 1e-8 * scale
