@@ -54,6 +54,6 @@ from .diagnostics import (
     energies,
     korn_check,
 )
-from .config import RunConfig, emit_config, parse_config
+from .config import RunConfig, parse_config
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -1,16 +1,15 @@
-"""Run configuration: the RunConfig schema, its flat-text parser and its
-canonical emitter.
+"""Run configuration: the RunConfig schema and its flat-text parser.
 
 Config files are flat ``key = value`` assignments grouped under
 ``[section]`` headers; every key is known in advance and unknown keys are
-rejected with their line number.  The canonical emitter reproduces a parsed
-configuration exactly, so emit -> parse is the identity on RunConfig.
+rejected with their line number.
 """
 
 import math
 from dataclasses import dataclass, fields, replace
 
 from .errors import ParseError, ValidationError
+from .fluid_basis import FORCING_SAMPLES
 
 
 @dataclass
@@ -81,6 +80,12 @@ class RunConfig:
             raise ValidationError("tol must be positive")
         if self.n_t % self.matrix_samples:
             raise ValidationError("matrix_samples must divide n_t")
+        # a sine of frequency k is sampled FORCING_SAMPLES - 1 times per
+        # period, so |k| at or above half that aliases to another frequency
+        limit = (FORCING_SAMPLES - 1) // 2
+        for name in ("p_in_frequency", "p_out_frequency"):
+            if abs(getattr(self, name)) >= limit:
+                raise ValidationError(f"|{name}| must be below {limit}")
         if len(self.p_in_series) != len(self.p_out_series):
             raise ValidationError(
                 "p_in_series and p_out_series must have equal length"
@@ -154,22 +159,6 @@ def parse_config(text):
             raise ParseError(f"duplicate key {key!r}", line=line_no)
         values[key] = _convert(key, raw, line_no)
     return replace(RunConfig(), **values).validate()
-
-
-def emit_config(cfg):
-    """Canonical text form; parse_config(emit_config(cfg)) == cfg."""
-    lines = []
-    for section, keys in _SECTIONS.items():
-        lines.append(f"[{section}]")
-        for key in keys:
-            v = getattr(cfg, key)
-            if isinstance(v, tuple):
-                v = ",".join(repr(x) for x in v)
-            elif isinstance(v, float):
-                v = repr(v)
-            lines.append(f"{key} = {v}")
-        lines.append("")
-    return "\n".join(lines)
 
 
 def load_config(path):

@@ -50,10 +50,11 @@ def korn_check(tu, tq, weight):
     return abs(lhs - rhs) / (1.0 + abs(lhs)), lhs, rhs
 
 
-def coupling_residuals(state, basis, n_theta=24, n_z=33):
+def coupling_residuals(state, basis):
     """Sup-norm defects of the kinematic couplings of a Galerkin state.
 
-    Checks, on a tensor sample of the interface:
+    Checks, on a tensor sample of the interface (24 uniform theta points
+    over the period by 33 uniform z points from 0 to L):
       * fluid trace on the moving interface equals the shell velocity times
         the radial direction,
       * solid trace at r = R equals the shell displacement times e_r,
@@ -67,8 +68,8 @@ def coupling_residuals(state, basis, n_theta=24, n_z=33):
     if admissibility(cyl, shell_basis, shell)[1] is not None:
         raise DomainViolation("shell displacement breaks domain injectivity")
     shell_dot = basis.shell_coefficients(state.a_dot)
-    th = np.linspace(0.0, 2.0 * np.pi, n_theta, endpoint=False)
-    zz = np.linspace(0.0, cyl.L, n_z)
+    th = np.linspace(0.0, 2.0 * np.pi, 24, endpoint=False)
+    zz = np.linspace(0.0, cyl.L, 33)
     TT, ZZ = np.meshgrid(th, zz, indexing="ij")
     tflat, zflat = TT.ravel(), ZZ.ravel()
     eval_eta = shell_basis.evaluate(shell, tflat, zflat, 0)[0]

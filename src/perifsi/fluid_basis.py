@@ -24,6 +24,9 @@ from .fluidgrid import azimuthal_factors, frame_tables, unit_frame_tables
 
 NR_STOKES = 8  # radial polynomial count of the Stokes sector spaces
 NZ_STOKES = 8  # axial polynomial count of the Stokes sector spaces
+# closed-grid samples of a forcing given by callables: 256 per period, so a
+# sinusoid of integer frequency below 128 in magnitude is interpolated exactly
+FORCING_SAMPLES = 257
 
 
 class _SectorSpace:
@@ -146,20 +149,19 @@ class StokesBasis:
         self._grid_cache = {}
 
     def tables(self, r, theta, z):
-        """Frame values (n, 3, Q), frame gradients (n, 3, 3, Q) and pointwise
-        divergences (n, Q) of all modes at reference-cylinder points, one
-        stacked evaluation per group."""
+        """Frame values (n, 3, Q) and frame gradients (n, 3, 3, Q) of all
+        modes at reference-cylinder points, one stacked evaluation per
+        group."""
         r, theta, z = (np.asarray(x, dtype=float).ravel() for x in (r, theta, z))
         val = np.empty((self.n_modes, 3, r.size))
         G = np.empty((self.n_modes, 3, 3, r.size))
-        div = np.empty((self.n_modes, r.size))
         for space, parity, rows, dofs in self.groups:
             f, f_r, f_z = space.profile_tables(dofs, r, z)
             T, dT = azimuthal_factors(space.m, parity, theta)
             val[rows] = f * T
             du = np.stack([f_r * T, f * dT, f_z * T], axis=-2)
-            G[rows], div[rows] = frame_tables(val[rows], du, r)
-        return {"val": val, "grad": G, "div": div}
+            G[rows] = frame_tables(val[rows], du, r)[0]
+        return {"val": val, "grad": G}
 
     def tables_on(self, grid):
         """Stacked (val, grad) arrays of all modes at the grid's reference
@@ -289,8 +291,8 @@ class BoundaryForcing:
         self._coef = c
 
     @classmethod
-    def from_callables(cls, f_in, f_out, T, n=257):
-        t = np.linspace(0.0, T, n)
+    def from_callables(cls, f_in, f_out, T):
+        t = np.linspace(0.0, T, FORCING_SAMPLES)
         return cls(t, np.array([f_in(s) for s in t]), np.array([f_out(s) for s in t]))
 
     def values(self, time):

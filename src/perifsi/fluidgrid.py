@@ -7,7 +7,7 @@ reference cylinder: nodes are a tensor product of a composite Gauss rule in r
 the extension operator), a uniform periodic rule in theta and Gauss in z.
 `QuadJets` binds what the moving-domain tables need at those nodes for a
 given shell motion, as geometry.ale_jets gives it in closed form: physical
-radii, the deformation gradient and its inverse, the Piola factor with its
+radii, the inverse of the deformation gradient, the Piola factor with its
 spatial and time derivatives, and the Jacobian weight.
 
 Convention everywhere: vectors and tensors are given by their components in
@@ -131,11 +131,12 @@ class QuadJets:
     is exactly the identity and every time derivative exactly zero.
     Attributes: grid; delta; dt_delta; r_phys/theta/z physical cylindrical
     node coordinates; det (Q); weight (quadrature weight times det); and
-    the closed forms of geometry.ale_jets at the nodes: the frame tensors
-    grad, ginv, A = grad/det and dA[i,j,a], the frame derivative of A[i,j]
-    along e_a, and the time derivatives dt_psi (the node velocity, a frame
-    vector), dt_A, dt_det.  The derivatives of grad itself are not kept:
-    no table reads them.
+    the closed forms of geometry.ale_jets at the nodes that the tables
+    read: the frame tensors ginv, A = grad/det and dA[i,j,a], the frame
+    derivative of A[i,j] along e_a, and the time derivatives dt_psi (the
+    node velocity, a frame vector), dt_A, dt_det.  The deformation
+    gradient grad and its derivatives are not kept: no table reads them,
+    and geometry.ale_jets gives them.
     """
 
     def __init__(self, grid, shell_basis, delta, dt_delta):
@@ -148,7 +149,7 @@ class QuadJets:
         self.theta = grid.theta
         self.z = grid.z
         self.det = jets["det"]
-        self.grad, self.ginv = jets["grad"], jets["ginv"]
+        self.ginv = jets["ginv"]
         self.A, self.dA, self.dt_A = jets["A"], jets["dA"], jets["dt_A"]
         self.dt_psi = jets["dt_psi"]
         self.dt_det = jets["dt_det"]

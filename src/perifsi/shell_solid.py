@@ -119,16 +119,6 @@ class ShellBasis:
         return TT.ravel(), ZZ.ravel(), WW.ravel()
 
 
-def biharmonic_form(basis, eta, xi):
-    """K(eta, xi) = int_omega Hess(eta) : Hess(xi) dA by tensor quadrature,
-    for coefficient vectors eta and xi over basis."""
-    theta, z, w = basis.quadrature()
-    a = basis.evaluate(eta, theta, z, 2)
-    b = basis.evaluate(xi, theta, z, 2)
-    integrand = a[3] * b[3] + 2.0 * a[4] * b[4] + a[5] * b[5]
-    return float(integrand @ w)
-
-
 def shell_matrices(basis, mode_indices=None):
     """Mass and biharmonic stiffness matrices over the selected shell modes."""
     if mode_indices is None:
@@ -246,22 +236,3 @@ class SolidBasis:
         dpz = kz * np.cos(kz * z)
         return component_tables(comp, pr * tt[:, 0] * pz, dpr * tt[:, 0] * pz,
                                 pr * tt[:, 1] * pz, pr * tt[:, 0] * dpz, r)
-
-
-def lame_form(td, tdd, tz, params, weight):
-    """lambda1 int grad d : grad zeta + lambda1 delta_visc int grad d_dot :
-    grad zeta + lambda2 int (div d)(div zeta) over the solid annulus, from
-    the tables of d, d_dot and zeta: dicts with "grad" (3, 3, Q) and "div"
-    (Q,) at quadrature nodes of weights (Q,).  None stands for a zero d or
-    d_dot."""
-    total = 0.0
-    if td is not None:
-        total += params.lambda1 * np.einsum(
-            "ijq,ijq,q->", td["grad"], tz["grad"], weight
-        )
-        total += params.lambda2 * np.einsum("q,q,q->", td["div"], tz["div"], weight)
-    if tdd is not None and params.delta_visc > 0:
-        total += params.lambda1 * params.delta_visc * np.einsum(
-            "ijq,ijq,q->", tdd["grad"], tz["grad"], weight
-        )
-    return float(total)

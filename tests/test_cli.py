@@ -1,4 +1,7 @@
-"""Config parsing, CSV outputs, exit codes, and the CLI entry point."""
+"""Config parsing, CSV outputs, exit codes, and the CLI entry point.
+
+`emit_config` is a test-local canonical emitter, the inverse of
+`parse_config` that the round-trip tests check."""
 
 import csv
 import os
@@ -13,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from perifsi import cli
-from perifsi.config import RunConfig, emit_config, parse_config
+from perifsi.config import _SECTIONS, RunConfig, parse_config
 from perifsi.errors import (
     EXIT_CODES,
     DomainViolation,
@@ -41,6 +44,22 @@ matrix_samples = 8
 [forcing]
 p_in_amplitude = 0.0
 """
+
+
+def emit_config(cfg):
+    """Canonical text form; parse_config(emit_config(cfg)) == cfg."""
+    lines = []
+    for section, keys in _SECTIONS.items():
+        lines.append(f"[{section}]")
+        for key in keys:
+            v = getattr(cfg, key)
+            if isinstance(v, tuple):
+                v = ",".join(repr(x) for x in v)
+            elif isinstance(v, float):
+                v = repr(v)
+            lines.append(f"{key} = {v}")
+        lines.append("")
+    return "\n".join(lines)
 
 
 class TestParse:
@@ -139,6 +158,36 @@ class TestValidation:
             assert cli.main(["run-ivp", *args, "--out-dir", str(tmp_path / "out")]) == 1
             assert "ValidationError: seed must be nonnegative" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("name", ["p_in_frequency", "p_out_frequency"])
+    @pytest.mark.parametrize("bad", [128, -128, 200])
+    def test_aliasing_frequency_is_rejected(self, name, bad):
+        """The forcing samples each sine 256 times a period, so a frequency
+        of magnitude 128 or more would alias to another one."""
+        with pytest.raises(ValidationError, match=rf"^\|{name}\| must be below 128$"):
+            replace(RunConfig(), **{name: bad}).validate()
+
+    @pytest.mark.parametrize("name", ["p_in_frequency", "p_out_frequency"])
+    def test_aliasing_frequency_exits_one(self, name, tmp_path, capsys):
+        cfg_path = tmp_path / "freq.cfg"
+        cfg_path.write_text(f"[forcing]\n{name} = 128\n")
+        assert cli.main(["run-periodic", "--config", str(cfg_path),
+                         "--out-dir", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == (
+            f"ValidationError: |{name}| must be below 128\n")
+
+    @pytest.mark.parametrize("name", ["p_in_frequency", "p_out_frequency"])
+    @pytest.mark.parametrize("k", [127, -127])
+    def test_highest_frequency_is_the_sine(self, name, k):
+        """At the largest accepted frequency the forcing is the configured
+        sine at any time, to round-off."""
+        cfg = replace(RunConfig(), p_in_amplitude=1.0, p_out_amplitude=1.0,
+                      p_in_phase=0.3, p_out_phase=0.3, **{name: k}).validate()
+        forcing = cli.build_forcing(cfg)
+        t = np.random.default_rng(0).uniform(0.0, cfg.T, 200)
+        got = forcing.values(t)[name.startswith("p_out")]
+        want = np.sin(2.0 * np.pi * k * t / cfg.T + 0.3)
+        assert np.max(np.abs(got - want)) <= 1e-12
 
     def test_eps_default_is_four_steps(self):
         cfg = RunConfig(n_t=64).validate()

@@ -74,7 +74,7 @@ class TestCouplingResiduals:
         n = basis.n
         s = GalerkinState(0.01 * rng.standard_normal(n),
                           0.01 * rng.standard_normal(n))
-        res = coupling_residuals(s, basis, n_theta=8, n_z=9)
+        res = coupling_residuals(s, basis)
         assert res["fluid_trace"] < 1e-8
         assert res["tangential_trace"] < 1e-8
         assert res["solid_trace"] < 1e-8
@@ -86,7 +86,7 @@ class TestCouplingResiduals:
         a[0] = 5.0
         s = GalerkinState(a, np.zeros_like(a))
         with pytest.raises(DomainViolation):
-            coupling_residuals(s, small_model.basis, n_theta=8, n_z=9)
+            coupling_residuals(s, small_model.basis)
 
 
 class TestDiffusionRatio:
