@@ -21,7 +21,6 @@ from .errors import (
     ParseError,
     SingularMonodromy,
     ValidationError,
-    ZeroForcing,
     EXIT_CODES,
     exit_code_for,
 )

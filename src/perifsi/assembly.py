@@ -176,33 +176,33 @@ class GlobalBasis:
 
 
 class AssembledSystem:
-    """Time-sampled matrices of the Galerkin ODE over one period.
+    """Time-sampled matrices of the Galerkin ODE over one period T.
 
     matrices_at(t) trig-interpolates the periodic samples.  The mass and
     damping samples are summed with their constant blocks once, here, so an
-    interpolation takes one product per matrix.
+    interpolation takes one product per matrix.  The system holds matrices
+    only: the pressures that drive it belong to the time grid it is stepped
+    on (PeriodicProblem, solve_ivp).  A one-sample system is constant in t
+    and has no period (T None).
     """
 
-    def __init__(self, T, times, stacks, constants, forcing, basis):
-        self.T = float(T)
+    def __init__(self, T, times, stacks, constants):
+        self.T = T
         self.times = times
         self.stacks = stacks  # dict name -> (S, n, n) or (S, n)
         self.constants = constants  # dict name -> (n, n)
-        self.forcing = forcing
-        self.basis = basis
-        self.n = basis.n
         c = constants
+        self.n = len(c["K_sh"])
         self.K = c["K_sh"] + c["A_el"]
         self._M = stacks["M"] + c["M_shell"] + c["M_solid"]
         self._C = stacks["G"] + stacks["B"] + stacks["Q"] + stacks["V"] + c["A_visc"]
 
     @classmethod
-    def from_sample(cls, T, sample, assembler, forcing):
+    def from_sample(cls, sample, assembler):
         """A constant-in-t system from one Assembler.sample: matrices_at
-        gives that sample at every t, so T only names the period."""
+        gives that sample at every t, and T is None."""
         stacks = {k: v[None] for k, v in sample.items()}
-        return cls(T, np.zeros(1), stacks, assembler.constants, forcing,
-                   assembler.basis)
+        return cls(None, np.zeros(1), stacks, assembler.constants)
 
     def _interpolated(self, t, *stacks):
         """The stacks (S, ...) trig-interpolated at t, a time or a 1-D array
@@ -384,24 +384,23 @@ class Assembler:
         return q
 
 
-def assemble(assembler, T, forcing, shell=None, transport=None,
-             n_samples=None):
+def assemble(assembler, T, shell=None, transport=None, n_samples=None):
     """Assemble the linearized periodic system for a given geometry path.
 
     shell (n_t, n_modes) holds the shell coefficients of the prescribed
     motion and transport (n_t, n) the Galerkin coefficients of the transport
     field, both sampled on the open uniform period grid j T / n_t.  With
     shell None the geometry is the rest cylinder and the matrices are
-    constant (a single sample).  Matrices are sampled on a coarse divisor
-    grid of n_samples times and trig-interpolated; the shell at every coarse
-    time is checked in one batch before any sample is built, and the first
-    inadmissible one raises DomainViolation.
+    constant (a single sample, T None).  Matrices are sampled on a coarse
+    divisor grid of n_samples times and trig-interpolated; the shell at
+    every coarse time is checked in one batch before any sample is built,
+    and the first inadmissible one raises DomainViolation.
     """
     basis = assembler.basis
     if shell is None:
         if transport is not None:
             raise GridMismatch("a transport path requires a shell path grid")
-        return AssembledSystem.from_sample(T, assembler.sample(), assembler, forcing)
+        return AssembledSystem.from_sample(assembler.sample(), assembler)
     shell = np.asarray(shell, dtype=float)
     if shell.ndim != 2:
         raise GridMismatch("path samples must be (n_t, n_coeff)")
@@ -432,4 +431,4 @@ def assemble(assembler, T, forcing, shell=None, transport=None,
             stacks = {k: np.empty((n_samples,) + v.shape) for k, v in sample.items()}
         for k, v in sample.items():
             stacks[k][s] = v
-    return AssembledSystem(T, times, stacks, assembler.constants, forcing, basis)
+    return AssembledSystem(float(T), times, stacks, assembler.constants)

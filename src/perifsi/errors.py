@@ -45,10 +45,6 @@ class NoConvergence(RuntimeError):
         self.history = history
 
 
-class ZeroForcing(ValueError):
-    """Diffusion ratio requested with identically zero boundary forcing."""
-
-
 class ParseError(ValueError):
     """Config text could not be parsed."""
 

@@ -322,9 +322,6 @@ class BoundaryForcing:
             np.sqrt(np.trapezoid(self.p_in**2 + self.p_out**2, self.t))
         )
 
-    def is_zero(self):
-        return np.max(np.abs(self.p_in)) == 0.0 and np.max(np.abs(self.p_out)) == 0.0
-
 
 def disk_flux(q, grid, z0):
     """Net axial flux int q_z dA of a reference fluid field through a disk;

@@ -161,17 +161,12 @@ class SolidParams:
             raise ValueError("rho_s2 > 0 required")
 
 
-def cutoff_profile(cyl, r, nderiv=0):
+def cutoff_profile(cyl, r):
     """Cubic Hermite cutoff s on [R, R+H]: s(R)=1, s'(R)=0, s(R+H)=0,
-    s'(R+H)=0.  Returns stacked derivatives (nderiv+1, npts)."""
+    s'(R+H)=0.  Returns s and s' stacked (2, npts)."""
     r = np.asarray(r, dtype=float).ravel()
     u = (r - cyl.R) / cyl.H
-    out = [(1.0 - u) ** 2 * (1.0 + 2.0 * u)]
-    if nderiv >= 1:
-        out.append(6.0 * u * (u - 1.0) / cyl.H)
-    if nderiv >= 2:
-        out.append((12.0 * u - 6.0) / cyl.H**2)
-    return np.stack(out)
+    return np.stack([(1.0 - u) ** 2 * (1.0 + 2.0 * u), 6.0 * u * (u - 1.0) / cyl.H])
 
 
 class SolidGrid:
@@ -210,7 +205,7 @@ class SolidBasis:
     def lifted_tables(self, count, r, theta, z):
         """Tables of the lifted modes of the first `count` shell modes."""
         r = np.asarray(r, dtype=float).ravel()
-        s = cutoff_profile(self.cyl, r, 1)
+        s = cutoff_profile(self.cyl, r)
         Y = self.shell_basis.eval_modes(theta, z, 1)[:count]
         return component_tables(np.zeros(count, dtype=int), s[0] * Y[:, 0],
                                 s[1] * Y[:, 0], s[0] * Y[:, 1], s[0] * Y[:, 2], r)

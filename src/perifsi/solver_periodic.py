@@ -49,20 +49,23 @@ def _whole_steps(span, dt, what):
 
 @dataclass
 class PeriodicProblem:
-    """A linear periodic system on its time grid, stacked over one period.
+    """A linear periodic system driven by a boundary forcing, stacked over
+    the forcing's period on a grid of steps dt.
 
-    The period's steps split into lanes of `lane` consecutive steps,
-    min(STEP_CHUNK, ceil(n_steps / LANES)), the last one possibly shorter,
-    so a period of up to LANES STEP_CHUNK steps has LANES lanes or fewer.
-    On first use the period is built: step_maps gives the step maps of
-    STEP_CHUNK steps at a time from one interpolation and one batched
-    inverse (one inverse in all for a one-sample system, which is constant
-    in t); the 2n + 1 identity columns in (a, a', 1) are stepped through
-    every lane at once (_replay), which gives each lane's affine map; and
-    the lane maps compose in time order into the one-period map
-    x -> A x + b.  The pressure signals at every midpoint come from one FFT
-    of the forcing when the steps span its period (BoundaryForcing.
-    midpoint_values), else from its series.  The problem keeps the step map
+    The period is forcing.T and must be a whole number of steps; a sampled
+    system must have that period as its T (GridMismatch otherwise), and a
+    one-sample system (T None) is constant in t.  An unforced problem has a
+    zero forcing.  The period's steps split into lanes of `lane`
+    consecutive steps, min(STEP_CHUNK, ceil(n_steps / LANES)), the last one
+    possibly shorter, so a period of up to LANES STEP_CHUNK steps has LANES
+    lanes or fewer.  On first use the period is built: step_maps gives the
+    step maps of STEP_CHUNK steps at a time from one interpolation and one
+    batched inverse (one inverse in all for a one-sample system); the
+    2n + 1 identity columns in (a, a', 1) are stepped through every lane at
+    once (_replay), which gives each lane's affine map; and the lane maps
+    compose in time order into the one-period map x -> A x + b.  The
+    pressure signals at every midpoint come from one FFT of the forcing
+    (BoundaryForcing.midpoint_values).  The problem keeps the step map
     V (n_steps, n, 2n + 1) and the midpoint load f (n_steps, n) of every
     step, which the orbit replay and the energy ledger read, the affine map
     of the steps before each lane (prefix_maps, which seed the replay's
@@ -70,11 +73,14 @@ class PeriodicProblem:
     """
 
     system: object
-    T: float
+    forcing: object
     dt: float
 
     def __post_init__(self):
-        self.n_steps = _whole_steps(self.T, self.dt, "the period")
+        T, T_sys = self.forcing.T, self.system.T
+        if T_sys is not None and abs(T_sys - T) > 1e-12 * T:
+            raise GridMismatch(f"the system's period {T_sys} is not the forcing's {T}")
+        self.n_steps = _whole_steps(T, self.dt, "the period")
         self.lane = min(STEP_CHUNK, -(-self.n_steps // LANES))
 
     @cached_property
@@ -82,11 +88,11 @@ class PeriodicProblem:
         n, dt, N = self.system.n, self.dt, self.n_steps
         V = np.empty((N, n, 2 * n + 1))
         f = np.empty((N, n))
-        pressure = self._midpoint_pressures()
+        pressure = self.forcing.midpoint_values(N)
         for start in range(0, N, STEP_CHUNK):
             block = slice(start, min(start + STEP_CHUNK, N))
             t_mid = (np.arange(block.start, block.stop) + 0.5) * dt
-            p = None if pressure is None else tuple(q[block] for q in pressure)
+            p = tuple(q[block] for q in pressure)
             V[block], f[block] = step_maps(self.system, t_mid, dt, p)
         eye = np.eye(2 * n + 1)
         lanes = np.tile(eye, (-(-N // self.lane), 1, 1))
@@ -97,17 +103,6 @@ class PeriodicProblem:
         for k, lane_map in enumerate(lanes):
             prefix[k + 1] = lane_map @ prefix[k]
         return V, f, prefix
-
-    def _midpoint_pressures(self):
-        """The forcing's (p_in, p_out) at every midpoint, None unforced.
-        The FFT gives them at (m + 1/2) T_f / n_steps for the forcing period
-        T_f, so it stands in for the series at (m + 1/2) dt only when the
-        steps span T_f to round-off (a one-step period, say, does not)."""
-        forcing = self.system.forcing
-        span = self.n_steps * self.dt
-        if forcing is not None and abs(span - forcing.T) <= 1e-14 * forcing.T:
-            return forcing.midpoint_values(self.n_steps)
-        return _pressures(forcing, (np.arange(self.n_steps) + 0.5) * self.dt)
 
     @property
     def V(self):
@@ -130,11 +125,6 @@ class PeriodicProblem:
         return Ab[:-1, :-1], Ab[:-1, -1]
 
 
-def _pressures(forcing, t):
-    """The forcing's (p_in, p_out) at the times t, None without forcing."""
-    return None if forcing is None else forcing.values(np.asarray(t) % forcing.T)
-
-
 def step_maps(system, t_mid, dt, pressure):
     """The implicit midpoint step maps and loads at the midpoints t_mid.
 
@@ -143,11 +133,11 @@ def step_maps(system, t_mid, dt, pressure):
     with P = M + dt C / 2 + dt^2 K / 4 and Pm = 2 M - P its reflection, so
     V = [-dt P^-1 K, P^-1 Pm, dt P^-1 f].  One matrices_at call interpolates
     every midpoint of the 1-D array t_mid, the load is f = p_in qin - p_out
-    qout of the interpolated flux vectors and the pressures (p_in, p_out) at
-    t_mid (None: no load), and one batched inverse of P gives every V.  A
-    one-sample system gives its matrices with a time axis of length 1, which
-    broadcasts: P is inverted once and its first two blocks serve every
-    midpoint.  This is the one step-map builder: the period calls it once
+    qout of the interpolated flux vectors and the pressure arrays
+    (p_in, p_out) at t_mid (zeros unforced), and one batched inverse of P
+    gives every V.  A one-sample system gives its matrices with a time axis
+    of length 1, which broadcasts: P is inverted once and its first two
+    blocks serve every midpoint.  This is the one step-map builder: the period calls it once
     per STEP_CHUNK steps and an IVP step once with a single midpoint.
     Returns the step maps (len(t_mid), n, 2n + 1) and loads (len(t_mid), n);
     a singular or non-finite P raises LinearSolveFailure at the first such
@@ -157,11 +147,8 @@ def step_maps(system, t_mid, dt, pressure):
     M, C, K = mats["M"], mats["C"], mats["K"]
     n, k = system.n, len(t_mid)
     P = M + 0.5 * dt * C + 0.25 * dt * dt * K
-    if pressure is None:
-        f = np.zeros((k, n))
-    else:
-        p_in, p_out = pressure
-        f = p_in[:, None] * mats["qin"] - p_out[:, None] * mats["qout"]
+    p_in, p_out = pressure
+    f = p_in[:, None] * mats["qin"] - p_out[:, None] * mats["qout"]
     try:
         P_inv = np.linalg.inv(P)
     except np.linalg.LinAlgError:  # an exactly singular P: find it
@@ -397,9 +384,9 @@ def _shell_violation(basis, shell, dt, cyl):
     return None if bad is None else float(bad * dt)
 
 
-def outer_fixed_point(assembler, T, n_t, forcing, config, n_samples=None):
+def outer_fixed_point(assembler, n_t, forcing, config, n_samples=None):
     """Anderson-accelerated fixed point over the (shell motion, transport
-    field) pair.
+    field) pair, over the forcing's period forcing.T on n_t steps.
 
     Each pass assembles the linearized periodic system for the current pair
     p (the stacked shell and transport path samples), solves for its periodic
@@ -420,6 +407,7 @@ def outer_fixed_point(assembler, T, n_t, forcing, config, n_samples=None):
     """
     basis = assembler.basis
     cyl = assembler.cyl
+    T = forcing.T
     dt = T / n_t
     theta = config.theta_r
     p = None  # the stacked pair of this pass; None is the rest state
@@ -428,9 +416,9 @@ def outer_fixed_point(assembler, T, n_t, forcing, config, n_samples=None):
     history = []
     for it in range(1, config.max_iter + 1):
         shell, transport = (None, None) if p is None else _unstack(p, n_shell, n_t)
-        system = assemble(assembler, T, forcing, shell=shell, transport=transport,
+        system = assemble(assembler, T, shell=shell, transport=transport,
                           n_samples=n_samples)
-        problem = PeriodicProblem(system, T, dt)
+        problem = PeriodicProblem(system, forcing, dt)
         x_star, info = periodic_solve(problem)
         traj = info["trajectory"]
         shell_new, v_new = _regularize_paths(basis, traj.a[:-1], traj.a_dot[:-1],
@@ -489,8 +477,10 @@ class IvpResult:
         return self.violation_time is None
 
 
-def solve_ivp(assembler, x0, t_final, dt, forcing=None):
-    """Nonlinear initial value integration with geometry lagged one step.
+def solve_ivp(assembler, x0, t_final, dt, forcing):
+    """Nonlinear initial value integration with geometry lagged one step,
+    driven by the forcing's pressures (a zero forcing for an unforced run),
+    read from its series at each step's midpoint.
 
     At each step the domain motion and the convective transport are frozen at
     the current state (explicit in geometry), and the implicit midpoint step
@@ -518,9 +508,9 @@ def solve_ivp(assembler, x0, t_final, dt, forcing=None):
             break
         sample = assembler.sample(shell, basis.shell_coefficients(state.a_dot),
                                   state.a_dot)
-        frozen = AssembledSystem.from_sample(t_final, sample, assembler, forcing)
+        frozen = AssembledSystem.from_sample(sample, assembler)
         t_mid = np.array([state.t + 0.5 * dt])
-        V, f = step_maps(frozen, t_mid, dt, _pressures(forcing, t_mid))
+        V, f = step_maps(frozen, t_mid, dt, forcing.values(t_mid % forcing.T))
         new = step(V[0], state, dt)
         pair = _stack([state, new])
         ledgers.append(EnergyLedger.from_trajectory(frozen, pair, dt, f))

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from perifsi.cli import RunConfig, build_forcing, build_model
+from perifsi.fluid_basis import BoundaryForcing
 
 
 @pytest.fixture(scope="session")
@@ -20,6 +21,12 @@ def small_model(small_cfg):
 @pytest.fixture(scope="session")
 def small_forcing(small_cfg):
     return build_forcing(small_cfg)
+
+
+@pytest.fixture(scope="session")
+def unforced(small_cfg):
+    """Zero pressure data over the small config's period."""
+    return BoundaryForcing.from_callables(lambda t: 0.0, lambda t: 0.0, small_cfg.T)
 
 
 @pytest.fixture(scope="session")

@@ -31,6 +31,10 @@ DEFAULT = dict(n_z=8, n_interior=16, n_t=256, matrix_samples=16,
                p_in_amplitude=0.1)
 
 
+# zero pressure data over the default period 1
+UNFORCED = BoundaryForcing.from_callables(lambda t: 0.0, lambda t: 0.0, 1.0)
+
+
 @pytest.fixture(scope="module")
 def cfg():
     return RunConfig(**DEFAULT).validate()
@@ -51,7 +55,7 @@ def _outer_run(run_cfg):
     fc = build_forcing(run_cfg)
     oc = OuterLoopConfig(eps=run_cfg.eps_value, theta_r=1.0, max_iter=50,
                          tol=1e-8)
-    res = outer_fixed_point(asm, run_cfg.T, run_cfg.n_t, fc, oc,
+    res = outer_fixed_point(asm, run_cfg.n_t, fc, oc,
                             n_samples=run_cfg.matrix_samples)
     ledger = EnergyLedger.from_trajectory(res.problem.system, res.trajectory,
                                           run_cfg.T / run_cfg.n_t,
@@ -193,8 +197,8 @@ def test_criterion_05_energy_balance(model, forcing):
     """Frozen geometry satisfies the discrete energy identity to 1e-10 of the
     peak energy per step; on a moving geometry the accumulated defect over a
     period shrinks by 4x (within 20%) when the step is halved."""
-    system = assemble(model, 1.0, forcing)
-    prob = PeriodicProblem(system, 1.0, 1.0 / 256)
+    system = assemble(model, 1.0)
+    prob = PeriodicProblem(system, forcing, 1.0 / 256)
     x_star, _ = periodic_solve(prob)
     traj = poincare_map(prob, x_star)
     led = EnergyLedger.from_trajectory(system, traj, prob.dt, prob.f)
@@ -205,14 +209,14 @@ def test_criterion_05_energy_balance(model, forcing):
     t = np.arange(N) / N
     samples = np.zeros((N, shell.n_modes))
     samples[:, 0] = 0.01 * np.sin(2 * np.pi * t)
-    moving = assemble(model, 1.0, None, shell=samples, n_samples=64)
+    moving = assemble(model, 1.0, shell=samples, n_samples=64)
     rng = np.random.default_rng(55)
     n = moving.n
     x0 = GalerkinState(0.01 * rng.standard_normal(n) / (1 + np.arange(n)),
                        0.01 * rng.standard_normal(n) / (1 + np.arange(n)))
     sums = []
     for nt in (64, 128):
-        p = PeriodicProblem(moving, 1.0, 1.0 / nt)
+        p = PeriodicProblem(moving, UNFORCED, 1.0 / nt)
         tr = poincare_map(p, x0)
         ledger = EnergyLedger.from_trajectory(moving, tr, p.dt, p.f)
         sums.append(float(np.sum(ledger.balance_residual)))
@@ -222,8 +226,8 @@ def test_criterion_05_energy_balance(model, forcing):
 
 def test_criterion_06_zero_forcing_zero_orbit(model):
     """With no pressure data the unique periodic orbit is rest."""
-    system = assemble(model, 1.0, None)
-    prob = PeriodicProblem(system, 1.0, 1.0 / 256)
+    system = assemble(model, 1.0)
+    prob = PeriodicProblem(system, UNFORCED, 1.0 / 256)
     x_star, info = periodic_solve(prob)
     assert max(np.max(np.abs(x_star.a)), np.max(np.abs(x_star.a_dot))) <= 1e-10
     assert info["residual"] <= 1e-12
@@ -275,7 +279,7 @@ def test_criterion_09_initial_value_problem(model):
     n = model.basis.n
     x0 = GalerkinState(0.005 * rng.standard_normal(n) / (1 + np.arange(n)),
                        0.005 * rng.standard_normal(n) / (1 + np.arange(n)))
-    res = solve_ivp(model, x0, 0.25, 1.0 / 256)
+    res = solve_ivp(model, x0, 0.25, 1.0 / 256, UNFORCED)
     assert res.completed
     E = res.ledger.E
     assert np.all(np.diff(E) <= 1e-8 * (1.0 + E[0]))
@@ -283,7 +287,7 @@ def test_criterion_09_initial_value_problem(model):
     # a constant oversized inlet pressure inflates the shell monotonically
     # until it leaves the admissible region
     big = BoundaryForcing.from_callables(lambda t: 3.0e4, lambda t: 0.0, 1.0)
-    out = solve_ivp(model, GalerkinState.zero(n), 0.25, 1.0 / 256, forcing=big)
+    out = solve_ivp(model, GalerkinState.zero(n), 0.25, 1.0 / 256, big)
     assert not out.completed
     assert out.violation_time is not None and 0.0 <= out.violation_time <= 0.25
 
@@ -304,20 +308,24 @@ def test_criterion_10_mollifier():
     assert np.max(np.abs(out + 2.5)) <= 1e-12
 
 
+# the load (sin 2 pi t, cos 2 pi t) of _ResonantPair: p_in drives mode 0,
+# p_out mode 1
+RESONANT_LOAD = BoundaryForcing.from_callables(
+    lambda s: np.sin(2.0 * np.pi * s), lambda s: -np.cos(2.0 * np.pi * s), 1.0)
+
+
 class _ResonantPair:
-    """Two-mode system: one mode with tunable damping and stiffness tuned so
-    its discrete Floquet multiplier sits exactly at 1 when undamped, plus a
-    generic damped companion mode."""
+    """Two-mode system, constant in t: one mode with tunable damping and
+    stiffness tuned so its discrete Floquet multiplier sits exactly at 1
+    when undamped, plus a generic damped companion mode."""
+
+    T = None
 
     def __init__(self, omega2, damping):
         self.n = 2
         self.M = np.eye(2)
         self.C = np.diag([damping, 0.3])
         self.K = np.diag([omega2, 7.3])
-
-        # the load (sin 2 pi t, cos 2 pi t): p_in drives mode 0, p_out mode 1
-        self.forcing = BoundaryForcing.from_callables(
-            lambda s: np.sin(2.0 * np.pi * s), lambda s: -np.cos(2.0 * np.pi * s), 1.0)
 
     def matrices_at(self, t):
         shape = np.shape(t) + (2, 2)
@@ -335,12 +343,12 @@ def test_criterion_11_resonance_sentinel():
     dt = T / N
     omega = (2.0 / dt) * np.tan(np.pi / N)  # discrete multiplier exactly at 1
     with pytest.raises(SingularMonodromy) as err:
-        periodic_solve(PeriodicProblem(_ResonantPair(omega**2, 0.0), T, dt))
+        periodic_solve(PeriodicProblem(_ResonantPair(omega**2, 0.0), RESONANT_LOAD, dt))
     assert exit_code_for(err.value) == 4
     assert EXIT_CODES[SingularMonodromy] == 4
 
     x_star, info = periodic_solve(
-        PeriodicProblem(_ResonantPair(omega**2, 0.1), T, dt)
+        PeriodicProblem(_ResonantPair(omega**2, 0.1), RESONANT_LOAD, dt)
     )
     assert np.all(np.isfinite(x_star.a))
     assert info["residual"] <= 1e-10 * (1.0 + np.max(np.abs(x_star.a)))

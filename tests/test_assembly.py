@@ -481,20 +481,20 @@ class TestMovingMatrices:
 
 
 class TestAssemble:
-    def test_rest_assembly_single_sample(self, small_model, small_forcing):
-        system = assemble(small_model, 1.0, small_forcing)
+    def test_rest_assembly_single_sample(self, small_model):
+        system = assemble(small_model, 1.0)
         assert system.times.size == 1
         mats = system.matrices_at(0.3)
         assert np.all(np.linalg.eigvalsh(mats["M"]) > 0.0)
 
-    def test_stiffness_is_built_once(self, small_model, small_forcing):
-        system = assemble(small_model, 1.0, small_forcing)
+    def test_stiffness_is_built_once(self, small_model):
+        system = assemble(small_model, 1.0)
         K0 = system.matrices_at(0.1)["K"]
         assert system.matrices_at(0.6)["K"] is K0
         c = small_model.constants
         assert np.array_equal(K0, c["K_sh"] + c["A_el"])
 
-    def test_mass_at_is_matrices_at(self, small_model, small_forcing, rng):
+    def test_mass_at_is_matrices_at(self, small_model, rng):
         """The batched mass interpolation equals matrices_at(t)["M"] at each
         t, on a sampled path and on a one-sample system, whose mass_at and
         matrices_at give their one sample with a time axis of length 1;
@@ -505,14 +505,14 @@ class TestAssemble:
         t = np.arange(16) / 16
         samples = np.zeros((16, shell.n_modes))
         samples[:, 0] = 0.02 * np.sin(2 * np.pi * t)
-        moving = assemble(small_model, 1.0, small_forcing, shell=samples,
+        moving = assemble(small_model, 1.0, shell=samples,
                           n_samples=8)
         times = np.linspace(0.0, 1.0, 11)
         dt = times[1]
         traj = GalerkinState(rng.standard_normal((11, n)), rng.standard_normal((11, n)),
                              times)
         loads = rng.standard_normal((10, n))
-        rest = assemble(small_model, 1.0, small_forcing)
+        rest = assemble(small_model, 1.0)
         for system, steps in ((moving, 11), (rest, 1)):
             M = system.mass_at(times)
             mats = system.matrices_at(times)
@@ -539,8 +539,7 @@ class TestAssemble:
             np.testing.assert_allclose(led.D, D, rtol=1e-13, atol=0.0)
             np.testing.assert_allclose(led.work_rate, work, rtol=1e-13, atol=0.0)
 
-    def test_summed_stacks_match_the_per_block_interpolation(self, small_model,
-                                                              small_forcing, rng):
+    def test_summed_stacks_match_the_per_block_interpolation(self, small_model, rng):
         """matrices_at interpolates the mass and damping samples summed with
         their constant blocks; that equals interpolating each sampled block
         on its own and adding the constants after (the trig weights sum to
@@ -551,7 +550,7 @@ class TestAssemble:
         samples[:, 0] = 0.02 * np.sin(2 * np.pi * t)
         transport = 0.05 * np.outer(np.cos(2 * np.pi * t),
                                     rng.standard_normal(small_model.basis.n))
-        system = assemble(small_model, 1.0, small_forcing, shell=samples,
+        system = assemble(small_model, 1.0, shell=samples,
                           transport=transport, n_samples=8)
         c = system.constants
         for times in (0.37, rng.uniform(0.0, 1.0, 5)):
@@ -565,22 +564,22 @@ class TestAssemble:
                 assert got[k].shape == v.shape
                 assert np.max(np.abs(got[k] - v)) <= 1e-14 * np.max(np.abs(v)), k
 
-    def test_transport_requires_geometry_path(self, small_model, small_forcing):
+    def test_transport_requires_geometry_path(self, small_model):
         transport = np.zeros((8, small_model.basis.n))
         with pytest.raises(GridMismatch):
-            assemble(small_model, 1.0, small_forcing, transport=transport)
+            assemble(small_model, 1.0, transport=transport)
 
-    def test_transport_path_of_another_length(self, small_model, small_forcing):
+    def test_transport_path_of_another_length(self, small_model):
         shell = np.zeros((16, small_model.basis.shell_basis.n_modes))
         transport = np.zeros((8, small_model.basis.n))
         with pytest.raises(GridMismatch):
-            assemble(small_model, 1.0, small_forcing, shell=shell,
+            assemble(small_model, 1.0, shell=shell,
                      transport=transport)
 
-    def test_sample_count_must_divide_the_grid(self, small_model, small_forcing):
+    def test_sample_count_must_divide_the_grid(self, small_model):
         shell = np.zeros((12, small_model.basis.shell_basis.n_modes))
         with pytest.raises(GridMismatch):
-            assemble(small_model, 1.0, small_forcing, shell=shell, n_samples=5)
+            assemble(small_model, 1.0, shell=shell, n_samples=5)
 
     def test_spectral_derivative_on_the_coarse_grid(self, small_model,
                                                      monkeypatch):
@@ -599,7 +598,7 @@ class TestAssemble:
             return sample(delta, dt_delta, v_coeff)
 
         monkeypatch.setattr(small_model, "sample", recording)
-        system = assemble(small_model, T, None, shell=shell, n_samples=4)
+        system = assemble(small_model, T, shell=shell, n_samples=4)
         idx = [0, 8, 16, 24]
         assert np.array_equal(system.times, t[idx])
         exact = (2 * np.pi / T) * 0.01 * np.cos(2 * np.pi * t[idx] / T)
@@ -607,13 +606,13 @@ class TestAssemble:
             assert np.array_equal(c, shell[i]) and v is None
             assert abs(dc[0] - want) < 1e-12 and not np.any(dc[1:])
 
-    def test_interpolation_hits_samples(self, small_model, small_forcing):
+    def test_interpolation_hits_samples(self, small_model):
         shell = small_model.basis.shell_basis
         N = 16
         t = np.arange(N) / N
         samples = np.zeros((N, shell.n_modes))
         samples[:, 0] = 0.02 * np.sin(2 * np.pi * t)
-        system = assemble(small_model, 1.0, small_forcing, shell=samples,
+        system = assemble(small_model, 1.0, shell=samples,
                           n_samples=8)
         for s, ts in enumerate(system.times):
             M = system.matrices_at(float(ts))["M"]
@@ -622,14 +621,14 @@ class TestAssemble:
                       + system.constants["M_solid"])
             assert np.max(np.abs(M - direct)) < 1e-10 * np.max(np.abs(direct))
 
-    def test_inadmissible_path_reports_time(self, small_model, small_forcing):
+    def test_inadmissible_path_reports_time(self, small_model):
         shell = small_model.basis.shell_basis
         N = 16
         t = np.arange(N) / N
         samples = np.zeros((N, shell.n_modes))
         samples[:, 0] = 3.0 * np.sin(2 * np.pi * t)
         with pytest.raises(DomainViolation) as err:
-            assemble(small_model, 1.0, small_forcing, shell=samples,
+            assemble(small_model, 1.0, shell=samples,
                      n_samples=8)
         assert err.value.time is not None
 
@@ -643,6 +642,6 @@ class TestAssemble:
         built = []
         monkeypatch.setattr(small_model, "sample", lambda *a, **k: built.append(1))
         with pytest.raises(DomainViolation) as err:
-            assemble(small_model, 1.0, None, shell=samples, n_samples=8)
+            assemble(small_model, 1.0, shell=samples, n_samples=8)
         assert err.value.time == 6 / 16
         assert built == []

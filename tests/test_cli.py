@@ -278,6 +278,21 @@ class TestRunIvp:
                            "outer_iters"]
         assert float(rows[1][0]) > 0.0
 
+    def test_unforced_summary(self, tmp_path):
+        """TINY has zero pressure data: its summary writes forcing_L2 0 and
+        the undefined diffusion ratio as nan, next to the dissipation."""
+        cfg_path = tmp_path / "tiny.cfg"
+        cfg_path.write_text(TINY)
+        assert cli.main(["run-ivp", "--config", str(cfg_path),
+                         "--out-dir", str(tmp_path)]) == 0
+        with open(tmp_path / "summary.csv") as fh:
+            row = dict(zip(*csv.reader(fh)))
+        assert row["forcing_L2"] == "0"
+        assert row["diffusion_ratio"] == "nan"
+        assert row["periodic_residual"] == "nan"
+        assert row["outer_iters"] == "0"
+        assert float(row["integral_D"]) > 0.0
+
     def test_seed_flag_changes_trajectory(self, tmp_path):
         cfg_path = tmp_path / "tiny.cfg"
         cfg_path.write_text(TINY)

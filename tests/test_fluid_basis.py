@@ -243,8 +243,3 @@ class TestBoundaryForcing:
         p = np.sin(1.5 * np.pi * t)  # p(0) != p(T)
         with pytest.raises(GridMismatch):
             BoundaryForcing(t, p, np.zeros_like(t))
-
-    def test_is_zero(self):
-        t = np.linspace(0.0, 1.0, 17)
-        assert BoundaryForcing(t, np.zeros(17), np.zeros(17)).is_zero()
-        assert not BoundaryForcing(t, np.sin(2 * np.pi * t), np.zeros(17)).is_zero()

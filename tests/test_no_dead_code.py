@@ -3,9 +3,12 @@
 Four rules, each over the sources of src/perifsi alone, so a use in a test
 or in perfbench keeps nothing:
 
-* every module-level function, class and UPPER_CASE constant is loaded, as
-  a name (`name`) or an attribute (`.name`), outside the lines of its own
-  definition (for a constant, the lines of its assignment);
+* every module-level function, class and UPPER_CASE constant is loaded
+  outside the lines of its own definition (for a constant, the lines of
+  its assignment) by a load that resolves to it: a name load in its own
+  module that no local binding shadows, a name load of its alias from
+  `from .module import name` (with or without `as`), or an attribute load
+  `module.name` on a name bound to its module;
 * every method and property is read as an attribute (`.name`) outside its
   own definition;
 * every parameter whose default is True or False is passed by keyword,
@@ -15,9 +18,12 @@ or in perfbench keeps nothing:
 
 Uses are read from the syntax tree, so a mention in a docstring, a comment
 or a string is not a use, and neither is an import: a re-export in
-__init__.py keeps nothing.  The rules match by name only: a method whose
-name another class's method shares, or a parameter passed to another
-function of the same name, passes trivially.  Dunder methods are called by
+__init__.py keeps nothing.  A module-level name is resolved through the
+scopes of each load (function, lambda, comprehension and class bodies, with
+`global` declarations), so a local variable or an attribute of another
+object that shares its name keeps nothing.  The other rules match by name
+only: a method whose name another class's method shares, or a parameter
+passed to another function of the same name, passes trivially.  Dunder methods are called by
 the language and are not checked.  A name that the rules report and that
 stays on purpose is an entry of EXCEPTIONS, with its reason; an entry that
 no rule reports any more (the name is gone, or it has gained a caller in
@@ -63,12 +69,129 @@ def _outside(module, node, m, i):
     return not (m == module and node.lineno - 1 <= i < node.end_lineno)
 
 
-def _loads(trees, attributes_only=False):
-    """(module, line index, name) of every name and attribute load."""
-    return [(m, node.lineno - 1, node.attr if isinstance(node, ast.Attribute) else node.id)
+def _attribute_loads(trees):
+    """(module, line index, name) of every attribute load (`.name`)."""
+    return [(m, node.lineno - 1, node.attr)
             for m, tree in trees.items() for node in ast.walk(tree)
-            if isinstance(node, ast.Attribute if attributes_only else (ast.Name, ast.Attribute))
-            and isinstance(node.ctx, ast.Load)]
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)]
+
+
+_SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef,
+           ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+
+
+def _in_package(dotted):
+    """The module path of a dotted name inside perifsi ("" for the package
+    itself), None for a name outside it."""
+    head, _, rest = (dotted or "").partition(".")
+    return rest if head == "perifsi" else None
+
+
+def _imported(node):
+    """{bound name: origin} of an import statement.  The origin is
+    ("name", module, name) for a name of a package module, ("module",
+    module) for a package module itself, and None for anything else."""
+    out = {}
+    for alias in node.names:
+        origin = None
+        if isinstance(node, ast.ImportFrom):
+            source = {0: _in_package(node.module), 1: node.module or ""}.get(node.level)
+            if source is not None:
+                origin = ("name", source, alias.name) if source else ("module", alias.name)
+        elif alias.asname and _in_package(alias.name):
+            origin = ("module", _in_package(alias.name))
+        out[alias.asname or alias.name.split(".")[0]] = origin
+    return out
+
+
+def _params(args):
+    """The parameters (ast.arg) of a def's or a lambda's arguments."""
+    return [a for a in args.posonlyargs + args.args + args.kwonlyargs + [args.vararg, args.kwarg]
+            if a]
+
+
+def _outer_parts(scope):
+    """The parts of a nested scope's node that its enclosing scope
+    evaluates: decorators, bases, defaults, annotations and a
+    comprehension's first iterable."""
+    if isinstance(scope, ast.ClassDef):
+        return scope.decorator_list + scope.bases + [k.value for k in scope.keywords]
+    if not hasattr(scope, "args"):
+        return [scope.generators[0].iter]
+    args = scope.args
+    outer = args.defaults + [d for d in args.kw_defaults if d]
+    if isinstance(scope, ast.Lambda):
+        return outer
+    return (outer + scope.decorator_list + [scope.returns]
+            + [a.annotation for a in _params(args)])
+
+
+def _bindings(scope, module):
+    """{name: origin} of the names a scope binds (see _imported).  A module
+    binds its own names to ("name", module, name), any other scope to
+    None; `global` and `nonlocal` names are not bound."""
+    own = isinstance(scope, ast.Module)
+    args = getattr(scope, "args", None)
+    bound = {a.arg: None for a in _params(args)} if isinstance(args, ast.arguments) else {}
+    declared = set()
+    todo = list(ast.iter_child_nodes(scope))
+    while todo:
+        node = todo.pop()
+        name = None
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Load):
+            name = node.id
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            name = node.name
+        elif isinstance(node, ast.ExceptHandler):
+            name = node.name
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            bound.update(_imported(node))
+        elif isinstance(node, (ast.Global, ast.Nonlocal)):
+            declared.update(node.names)
+        if name:
+            bound[name] = ("name", module, name) if own else None
+        if not isinstance(node, _SCOPES):
+            todo.extend(ast.iter_child_nodes(node))
+    return {k: v for k, v in bound.items() if k not in declared}
+
+
+def _resolved_loads(module, tree):
+    """(line index, module, name) of every load of a parsed package module
+    that resolves to a module-level name: each name load through its
+    scopes, and each attribute load `x.name` on a name x bound to a package
+    module.  A name no scope binds is the module's own (or a builtin)."""
+    out, done = [], set()
+
+    def lookup(chain, name):
+        # a class body's names are not visible in the scopes it holds
+        for depth, (is_class, bound) in enumerate(reversed(chain)):
+            if name in bound and not (is_class and depth):
+                return bound[name]
+        return ("name", module, name)
+
+    def visit(node, chain):
+        if id(node) in done:
+            return
+        load = isinstance(getattr(node, "ctx", None), ast.Load)
+        if isinstance(node, ast.Name) and load:
+            origin = lookup(chain, node.id)
+            if origin and origin[0] == "name":
+                out.append((node.lineno - 1, origin[1], origin[2]))
+        elif isinstance(node, ast.Attribute) and load and isinstance(node.value, ast.Name):
+            origin = lookup(chain, node.value.id)
+            if origin and origin[0] == "module":
+                out.append((node.lineno - 1, origin[1], node.attr))
+        if isinstance(node, _SCOPES):
+            for part in _outer_parts(node):
+                if part is not None:
+                    visit(part, chain)
+                    done.add(id(part))
+            chain = chain + ((isinstance(node, ast.ClassDef), _bindings(node, module)),)
+        for child in ast.iter_child_nodes(node):
+            visit(child, chain)
+
+    visit(tree, ((False, _bindings(tree, module)),))
+    return out
 
 
 def _functions(tree):
@@ -104,20 +227,23 @@ def _calls(trees):
 
 
 def unused_module_names(trees):
-    """{module.name: location} of each module-level name with no load
-    outside its own definition."""
-    loads = _loads(trees)
+    """{module.name: location} of each module-level name with no load that
+    resolves to it outside its own definition."""
+    uses = {}
+    for p, tree in trees.items():
+        for i, m, name in _resolved_loads(p, tree):
+            uses.setdefault((m, name), []).append((p, i))
     return {
         f"{m}.{name}": f"{m}.py:{node.lineno}"
         for m, tree in trees.items() for name, node in _module_level_names(tree)
-        if not any(n == name and _outside(m, node, p, i) for p, i, n in loads)
+        if not any(_outside(m, node, p, i) for p, i in uses.get((m, name), ()))
     }
 
 
 def unread_methods(trees):
     """{module.Class.method: location} of each method or property never read
     as an attribute outside its own definition."""
-    reads = _loads(trees, attributes_only=True)
+    reads = _attribute_loads(trees)
     return {
         f"{m}.{cls.name}.{node.name}": f"{m}.py:{node.lineno}"
         for m, tree in trees.items() for node, cls in _functions(tree)
@@ -259,7 +385,7 @@ if __name__ == "__main__":
 ''',
 }
 SYNTHETIC_TEST = '''
-from core import Model, oracle
+from perifsi.core import Model, oracle
 
 def test_oracle():
     assert oracle(1, n=4) == Model().reference()
@@ -306,6 +432,68 @@ def caller():
 ''')
     found = {**unused_module_names(trees), **unread_methods(trees)}
     assert {"extra.helper", "extra.caller", "core.Model.reference"} <= set(found)
+
+
+SHADOWED = {
+    "shapes": '''
+X = 0
+Q = 1
+R = 2
+S = 3
+T = 4
+
+
+def f(X, obj, R=R):
+    Q = obj.R
+    return X + Q + R + sum(S for S in obj) + obj.T
+
+
+class Box:
+    T = 5
+    S = T
+''',
+    "user": '''
+def g(a):
+    X = a
+    return X
+''',
+}
+RESOLVED = {
+    "shapes": SHADOWED["shapes"] + '''
+
+def h():
+    global R
+    R = 1
+    return R + S
+''',
+    "user": '''
+from . import shapes
+from .shapes import X as Y
+from perifsi.shapes import T
+
+
+def g():
+    return Y + shapes.Q + T
+''',
+}
+
+
+def _constants(found):
+    return sorted(k for k in found if k.split(".")[1].isupper())
+
+
+def test_a_shadowing_local_is_not_a_use():
+    """A load of a module-level name resolves through its scopes: a
+    parameter, a local, a comprehension variable, a class body's name or
+    another object's attribute that shares the name is not a use of it, in
+    its module or any other.  (The default R=R of f does read the
+    module's R.)  A plain load, an alias of an import with or without `as`,
+    a `module.name` attribute and a `global` declaration are uses."""
+    shadowed = {m: ast.parse(src) for m, src in SHADOWED.items()}
+    assert _constants(unused_module_names(shadowed)) == [
+        "shapes.Q", "shapes.S", "shapes.T", "shapes.X"]
+    resolved = {m: ast.parse(src) for m, src in RESOLVED.items()}
+    assert _constants(unused_module_names(resolved)) == []
 
 
 def test_a_stale_exception_fails():

@@ -92,7 +92,7 @@ class TestCutoff:
     def test_hermite_endpoint_conditions(self, setup):
         cyl, _ = setup
         ends = np.array([cyl.R, cyl.R + cyl.H])
-        s = cutoff_profile(cyl, ends, 1)
+        s = cutoff_profile(cyl, ends)
         assert s[0, 0] == pytest.approx(1.0)
         assert s[0, 1] == pytest.approx(0.0)
         assert np.max(np.abs(s[1])) < 1e-14  # s' = 0 at both ends

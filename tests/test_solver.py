@@ -19,6 +19,7 @@ from perifsi.errors import (
     NoConvergence,
 )
 from perifsi.extension_ops import azimuthal_damping, mollify
+from perifsi.fluid_basis import BoundaryForcing
 from perifsi.geometry import MARGIN_FRAC, CylinderConfig, admissibility, sup_grid
 from perifsi.shell_solid import ShellBasis
 from perifsi.solver_periodic import (
@@ -42,7 +43,7 @@ class _CountingSystem:
         self.system = system
         self.n = system.n
         self.K = system.K
-        self.forcing = system.forcing
+        self.T = system.T
         self.calls = 0
         self.mass_calls = 0
 
@@ -58,18 +59,17 @@ class _CountingSystem:
         return self.system.quadratic_forms(times, v)
 
 
-def _oracle_load(system, t, mats):
+def _oracle_load(forcing, t, mats):
     """The pressure load p_in qin - p_out qout at t, from the forcing's
     series at t."""
-    if system.forcing is None:
-        return np.zeros(system.n)
-    (p_in,), (p_out,) = system.forcing.values(t % system.forcing.T)
+    (p_in,), (p_out,) = forcing.values(t % forcing.T)
     return p_in * mats["qin"] - p_out * mats["qout"]
 
 
-def _oracle_operators(system, n_steps, dt):
+def _oracle_operators(system, forcing, n_steps, dt):
     """The sequential stepping path: one matrices_at call and one LU solve
-    per step, V = P^-1 [-dt K, Pm, dt f] with the step's midpoint load f."""
+    per step, V = P^-1 [-dt K, Pm, dt f] with the step's midpoint load f of
+    the forcing."""
     ops = []
     for m in range(n_steps):
         t = (m + 0.5) * dt
@@ -77,7 +77,7 @@ def _oracle_operators(system, n_steps, dt):
         M, C, K = mats["M"], mats["C"], mats["K"]
         P = M + 0.5 * dt * C + 0.25 * dt * dt * K
         Pm = M - 0.5 * dt * C - 0.25 * dt * dt * K
-        f = _oracle_load(system, t, mats)
+        f = _oracle_load(forcing, t, mats)
         V = lu_solve(lu_factor(P), np.column_stack([-dt * K, Pm, dt * f]))
         ops.append((V, f))
     return ops
@@ -129,8 +129,8 @@ def _rel(got, want):
 
 
 @pytest.fixture(scope="module")
-def rest_system(small_model, small_forcing):
-    return assemble(small_model, 1.0, small_forcing)
+def rest_system(small_model):
+    return assemble(small_model, 1.0)
 
 
 @pytest.fixture(scope="module")
@@ -141,12 +141,7 @@ def phased_forcing(small_cfg):
 
 
 @pytest.fixture(scope="module")
-def rest_phased(small_model, phased_forcing):
-    return assemble(small_model, 1.0, phased_forcing)
-
-
-@pytest.fixture(scope="module")
-def moving_system(small_model, phased_forcing):
+def moving_system(small_model):
     """A moving shell with a transport field, sampled 8 times a period."""
     rng = np.random.default_rng(21)
     t = np.arange(16) / 16
@@ -154,32 +149,47 @@ def moving_system(small_model, phased_forcing):
     shell[:, 0] = 0.02 * np.sin(2 * np.pi * t)
     shell[:, 1] = 0.01 * np.cos(2 * np.pi * t)
     v = 0.05 * np.outer(np.sin(2 * np.pi * t), rng.standard_normal(small_model.basis.n))
-    return assemble(small_model, 1.0, phased_forcing, shell=shell, transport=v,
-                    n_samples=8)
+    return assemble(small_model, 1.0, shell=shell, transport=v, n_samples=8)
 
 
-@pytest.fixture(scope="module")
-def free_system(small_model):
-    return assemble(small_model, 1.0, None)
+def _one_step(system, forcing, dt):
+    """The step map and load (V, f) of the one step [0, dt], the forcing
+    read from its series at the midpoint."""
+    t_mid = np.array([0.5 * dt])
+    (V,), (f,) = solver_periodic.step_maps(system, t_mid, dt, forcing.values(t_mid))
+    return V, f
 
 
 class TestStepping:
-    def test_problem_requires_integer_steps(self, rest_system):
+    def test_problem_requires_integer_steps(self, rest_system, small_forcing):
         with pytest.raises(GridMismatch):
-            PeriodicProblem(rest_system, 1.0, 1.0 / 64.5)
+            PeriodicProblem(rest_system, small_forcing, 1.0 / 64.5)
 
-    def test_unforced_energy_decays(self, free_system, rng):
-        n = free_system.n
+    def test_sampled_system_must_share_the_forcing_period(
+            self, rest_system, moving_system, small_forcing):
+        """A sampled system interpolates its matrices over its own period, so
+        a forcing of another period is a GridMismatch; a one-sample system
+        (T None) is constant in t and takes any forcing period."""
+        half = BoundaryForcing.from_callables(lambda t: 0.0, lambda t: 0.0, 0.5)
+        assert moving_system.T == small_forcing.T == 1.0
+        with pytest.raises(GridMismatch, match="period 1.0 is not the forcing's 0.5"):
+            PeriodicProblem(moving_system, half, 1.0 / 64)
+        PeriodicProblem(moving_system, small_forcing, 1.0 / 64)
+        assert rest_system.T is None
+        assert PeriodicProblem(rest_system, half, 1.0 / 64).n_steps == 32
+
+    def test_unforced_energy_decays(self, rest_system, unforced, rng):
+        n = rest_system.n
         state = GalerkinState(0.01 * rng.standard_normal(n),
                               0.01 * rng.standard_normal(n))
-        prob = PeriodicProblem(free_system, 1.0, 1.0 / 64)
+        prob = PeriodicProblem(rest_system, unforced, 1.0 / 64)
         traj = poincare_map(prob, state)
-        led = EnergyLedger.from_trajectory(free_system, traj, prob.dt, prob.f)
+        led = EnergyLedger.from_trajectory(rest_system, traj, prob.dt, prob.f)
         assert np.all(np.diff(led.E) <= 1e-12 * led.E[0])
 
-    def test_step_advances_time(self, rest_system):
+    def test_step_advances_time(self, rest_system, small_forcing):
         s0 = GalerkinState.zero(rest_system.n)
-        (V,) = PeriodicProblem(rest_system, 1.0 / 64, 1.0 / 64).V
+        V, _ = _one_step(rest_system, small_forcing, 1.0 / 64)
         s1 = step(V, s0, 1.0 / 64)
         assert s1.t == pytest.approx(1.0 / 64)
 
@@ -189,13 +199,17 @@ def _lane_ends(prob):
     return np.append(np.arange(prob.lane, prob.n_steps, prob.lane), prob.n_steps)
 
 
+# the systems run under the phased forcing, by the case name
+PHASED = {"rest_phased": "rest_system", "moving_system": "moving_system"}
+
+
 class TestStackedPeriod:
     """The period stepped in lockstep lanes against the sequential path."""
 
     @pytest.mark.parametrize("n_steps", [1, 5, 15, 16, 17, 64, 300, 2 * STEP_CHUNK,
                                          2 * STEP_CHUNK + 1])
-    @pytest.mark.parametrize("name", ["rest_phased", "moving_system"])
-    def test_matches_the_sequential_path(self, name, n_steps, request):
+    @pytest.mark.parametrize("name", list(PHASED))
+    def test_matches_the_sequential_path(self, name, n_steps, phased_forcing, request):
         """x_star and its orbit, and the orbit and ledger of a replay from a
         random state (on a one-step periodic orbit the midpoint velocity is
         zero, so its ledger is round-off).  Up to LANES steps are one step
@@ -203,12 +217,12 @@ class TestStackedPeriod:
         steps, the last of 1, and 16 of 19, the last of 15); 64 steps are
         16 lanes of 4; 2 STEP_CHUNK steps are two full build blocks, and
         one step more adds a one-step third block."""
-        system = request.getfixturevalue(name)
+        system = request.getfixturevalue(PHASED[name])
         n, dt = system.n, 1.0 / n_steps
-        ops = _oracle_operators(system, n_steps, dt)
+        ops = _oracle_operators(system, phased_forcing, n_steps, dt)
         A, b = _oracle_period_map(ops, dt, n)
         x_want = np.linalg.solve(np.eye(2 * n) - A, b)
-        prob = PeriodicProblem(system, 1.0, dt)
+        prob = PeriodicProblem(system, phased_forcing, dt)
         x_star, info = periodic_solve(prob)
         assert _rel(np.concatenate([x_star.a, x_star.a_dot]), x_want) <= 1e-12
         assert _rel(_states(info["trajectory"]), _oracle_replay(ops, x_want, dt)) <= 1e-12
@@ -221,14 +235,14 @@ class TestStackedPeriod:
         for k, want in _oracle_ledger(system, ops, orbit, dt).items():
             assert _rel(getattr(got, k), want) <= 1e-12, k
 
-    def test_a_perturbed_step_map_opens_a_seam(self, rest_phased):
+    def test_a_perturbed_step_map_opens_a_seam(self, rest_system, phased_forcing):
         """Each lane of the replay starts from its seed, the prefix map of
         the steps before it applied to x_star, so a step map changed in the
         middle of a lane after the period is built leaves the orbit's end
         at x_star but opens the seam at that lane's end: the residual, the
         largest seam gap, sees it, and no other seam opens."""
         n_steps = 2 * STEP_CHUNK + 1
-        prob = PeriodicProblem(rest_phased, 1.0, 1.0 / n_steps)
+        prob = PeriodicProblem(rest_system, phased_forcing, 1.0 / n_steps)
         x_star, info = periodic_solve(prob)
         scale = np.max(np.abs(_states(info["trajectory"])))
         assert info["residual"] <= 1e-12 * scale
@@ -243,16 +257,16 @@ class TestStackedPeriod:
         assert np.flatnonzero(gaps > 1e-12 * scale).tolist() == [lane]
         assert gaps[lane] == perturbed["residual"]
 
-    def test_step_maps_are_the_sequential_ones(self, moving_system):
+    def test_step_maps_are_the_sequential_ones(self, moving_system, phased_forcing):
         n_steps = 300
-        prob = PeriodicProblem(moving_system, 1.0, 1.0 / n_steps)
-        ops = _oracle_operators(moving_system, n_steps, prob.dt)
+        prob = PeriodicProblem(moving_system, phased_forcing, 1.0 / n_steps)
+        ops = _oracle_operators(moving_system, phased_forcing, n_steps, prob.dt)
         assert prob.V.shape == (n_steps, prob.system.n, 2 * prob.system.n + 1)
         assert _rel(prob.V, np.array([V for V, _ in ops])) <= 1e-12
         assert _rel(prob.f, np.array([f for _, f in ops])) <= 1e-14
 
     @pytest.mark.filterwarnings("error")
-    def test_singular_midpoint_in_a_later_chunk(self):
+    def test_singular_midpoint_in_a_later_chunk(self, unforced):
         """P is singular at one midpoint of the second build block of
         STEP_CHUNK steps only, in the middle of a lane: the failure names
         that midpoint."""
@@ -263,24 +277,37 @@ class TestStackedPeriod:
         def matrices_at(t):
             M = np.broadcast_to(np.eye(2), np.shape(t) + (2, 2)).copy()
             M[np.asarray(t) == t_bad] = 0.0
-            return {"M": M, "C": np.zeros_like(M), "K": np.zeros((2, 2))}
+            q = np.zeros(np.shape(t) + (2,))
+            return {"M": M, "C": np.zeros_like(M), "K": np.zeros((2, 2)),
+                    "qin": q, "qout": q}
 
-        system = SimpleNamespace(n=2, matrices_at=matrices_at, forcing=None)
+        system = SimpleNamespace(n=2, T=None, matrices_at=matrices_at)
         with pytest.raises(LinearSolveFailure,
                            match=re.escape(f"t={t_bad}") + "$"):
-            periodic_solve(PeriodicProblem(system, 1.0, dt))
+            periodic_solve(PeriodicProblem(system, unforced, dt))
+
+
+def _zero_system(S):
+    """A system whose S samples of M, C and K are all zero (S = 1: constant
+    in t), with zero flux vectors, so every midpoint operator is singular."""
+    zero = np.zeros((S, 2, 2))
+    return SimpleNamespace(
+        n=2, T=None,
+        matrices_at=lambda t: {"M": zero, "C": zero, "K": zero[0],
+                               "qin": zero[:, 0], "qout": zero[:, 0]},
+    )
 
 
 class TestPeriodicSolve:
-    def test_zero_forcing_zero_orbit(self, free_system):
-        prob = PeriodicProblem(free_system, 1.0, 1.0 / 64)
+    def test_zero_forcing_zero_orbit(self, rest_system, unforced):
+        prob = PeriodicProblem(rest_system, unforced, 1.0 / 64)
         x_star, info = periodic_solve(prob)
         assert np.max(np.abs(x_star.a)) == 0.0
         assert np.max(np.abs(x_star.a_dot)) == 0.0
         assert info["residual"] <= 1e-12
 
-    def test_forced_orbit_closes_period(self, rest_system):
-        prob = PeriodicProblem(rest_system, 1.0, 1.0 / 128)
+    def test_forced_orbit_closes_period(self, rest_system, small_forcing):
+        prob = PeriodicProblem(rest_system, small_forcing, 1.0 / 128)
         x_star, info = periodic_solve(prob)
         x_T = poincare_map(prob, x_star)
         gap = max(np.max(np.abs(x_T.a[-1] - x_star.a)),
@@ -290,20 +317,14 @@ class TestPeriodicSolve:
         assert info["sigma_min"] > 0.0
 
     @pytest.mark.filterwarnings("error")
-    def test_singular_step_is_a_linear_solve_failure(self):
+    def test_singular_step_is_a_linear_solve_failure(self, unforced):
         """M = C = K = 0 makes every midpoint operator singular: the solve
         names the first step's midpoint instead of failing inside the
         monodromy's SVD."""
-        zero = np.zeros((4, 2, 2))
-        system = SimpleNamespace(
-            n=2,
-            matrices_at=lambda t: {"M": zero, "C": zero, "K": zero[0]},
-            forcing=None,
-        )
         with pytest.raises(LinearSolveFailure, match="t=0.125"):
-            periodic_solve(PeriodicProblem(system, 1.0, 0.25))
+            periodic_solve(PeriodicProblem(_zero_system(4), unforced, 0.25))
 
-    def test_each_step_is_built_once(self, rest_system, monkeypatch):
+    def test_each_step_is_built_once(self, rest_system, small_forcing, monkeypatch):
         """One matrices_at call per build block of STEP_CHUNK steps, none in
         the replay, and one lockstep stepping of the lanes for the period
         map and one for the orbit; a period has LANES lanes of
@@ -323,31 +344,31 @@ class TestPeriodicSolve:
                                              (2 * STEP_CHUNK + 1, 3, 33, 16),
                                              (LANES * STEP_CHUNK + 1, 17, STEP_CHUNK, 17)):
             counting = _CountingSystem(rest_system)
-            prob = PeriodicProblem(counting, 1.0, 1.0 / n_steps)
+            prob = PeriodicProblem(counting, small_forcing, 1.0 / n_steps)
             replays.clear()
             periodic_solve(prob)
             assert counting.calls == blocks
             assert replays == [(n_steps, (lanes, 2 * n + 1), lane),
                                (n_steps, (lanes, 1), lane)]
 
-    def test_ledger_reads_the_step_operators(self, moving_system):
+    def test_ledger_reads_the_step_operators(self, moving_system, phased_forcing):
         """The ledger interpolates only the mass matrix, once for all
         states, and reads the stored loads; its dissipation and work rate
         are those of the midpoint matrices (1e-13 relative: the sampled
         forms sum in another order)."""
         counting = _CountingSystem(moving_system)
-        prob = PeriodicProblem(counting, 1.0, 1.0 / 32)
+        prob = PeriodicProblem(counting, phased_forcing, 1.0 / 32)
         traj = periodic_solve(prob)[1]["trajectory"]
         counting.calls = 0
         led = EnergyLedger.from_trajectory(counting, traj, prob.dt, prob.f)
         assert (counting.calls, counting.mass_calls) == (0, 1)
-        ops = _oracle_operators(moving_system, prob.n_steps, prob.dt)
+        ops = _oracle_operators(moving_system, phased_forcing, prob.n_steps, prob.dt)
         want = _oracle_ledger(moving_system, ops, _states(traj), prob.dt)
         for k in ("D", "work_rate"):
             np.testing.assert_allclose(getattr(led, k), want[k], rtol=1e-13, atol=0.0)
 
-    def test_orbit_comes_from_the_solve(self, rest_system):
-        prob = PeriodicProblem(rest_system, 1.0, 1.0 / 32)
+    def test_orbit_comes_from_the_solve(self, rest_system, small_forcing):
+        prob = PeriodicProblem(rest_system, small_forcing, 1.0 / 32)
         x_star, info = periodic_solve(prob)
         traj = info["trajectory"]
         assert traj.a.shape == traj.a_dot.shape == (prob.n_steps + 1, prob.system.n)
@@ -374,15 +395,15 @@ class TestConstantSystem:
     matrices come with a time axis of length 1 and step_maps inverts its P
     once per build block."""
 
-    def test_step_maps_are_the_sequential_ones(self, rest_phased):
+    def test_step_maps_are_the_sequential_ones(self, rest_system, phased_forcing):
         n_steps = 300
-        prob = PeriodicProblem(rest_phased, 1.0, 1.0 / n_steps)
-        ops = _oracle_operators(rest_phased, n_steps, prob.dt)
+        prob = PeriodicProblem(rest_system, phased_forcing, 1.0 / n_steps)
+        ops = _oracle_operators(rest_system, phased_forcing, n_steps, prob.dt)
         assert prob.V.shape == (n_steps, prob.system.n, 2 * prob.system.n + 1)
         assert _rel(prob.V, np.array([V for V, _ in ops])) <= 1e-12
         assert _rel(prob.f, np.array([f for _, f in ops])) <= 1e-14
 
-    def test_one_inverse_per_build_block(self, rest_phased, monkeypatch):
+    def test_one_inverse_per_build_block(self, rest_system, phased_forcing, monkeypatch):
         inverted = []
         inv = np.linalg.inv
 
@@ -391,22 +412,17 @@ class TestConstantSystem:
             return inv(P)
 
         monkeypatch.setattr(solver_periodic.np.linalg, "inv", spy)
-        n = rest_phased.n
-        periodic_solve(PeriodicProblem(rest_phased, 1.0, 1.0 / (2 * STEP_CHUNK + 1)))
+        n = rest_system.n
+        periodic_solve(PeriodicProblem(rest_system, phased_forcing,
+                                       1.0 / (2 * STEP_CHUNK + 1)))
         assert inverted == [(1, n, n)] * 3
 
     @pytest.mark.filterwarnings("error")
-    def test_singular_constant_operator(self):
+    def test_singular_constant_operator(self, unforced):
         """A constant P that is singular fails at the first midpoint."""
-        zero = np.zeros((1, 2, 2))
-        system = SimpleNamespace(
-            n=2,
-            matrices_at=lambda t: {"M": zero, "C": zero, "K": zero[0]},
-            forcing=None,
-        )
         dt = 1.0 / 300
         with pytest.raises(LinearSolveFailure, match=re.escape(f"t={0.5 * dt}") + "$"):
-            periodic_solve(PeriodicProblem(system, 1.0, dt))
+            periodic_solve(PeriodicProblem(_zero_system(1), unforced, dt))
 
 
 class TestOuterLoop:
@@ -427,7 +443,7 @@ class TestOuterLoop:
     def test_exhausted_budget_raises(self, small_model, small_forcing):
         cfg = OuterLoopConfig(eps=4.0 / 64, theta_r=0.5, max_iter=1, tol=1e-14)
         with pytest.raises(NoConvergence) as err:
-            outer_fixed_point(small_model, 1.0, 64, small_forcing, cfg,
+            outer_fixed_point(small_model, 64, small_forcing, cfg,
                               n_samples=8)
         assert err.value.iterations == 1
         assert err.value.last_update > 0.0
@@ -442,7 +458,7 @@ class TestOuterLoop:
         model = (small_model if delta_visc == small_cfg.delta_visc else
                  build_model(replace(small_cfg, delta_visc=delta_visc).validate()))
         cfg = OuterLoopConfig(eps=4.0 / 64, theta_r=1.0, max_iter=30, tol=1e-7)
-        res = outer_fixed_point(model, 1.0, 64, small_forcing, cfg, n_samples=8)
+        res = outer_fixed_point(model, 64, small_forcing, cfg, n_samples=8)
         assert res.iterations <= 30
         assert res.update <= 1e-7
         scale = 1.0 + max(np.max(np.abs(res.x_star.a)),
@@ -462,14 +478,14 @@ class TestOuterLoop:
         monkeypatch.setattr(solver_periodic, "poincare_map", counting)
         cfg = OuterLoopConfig(eps=4.0 / 64, theta_r=0.5, max_iter=2, tol=1e-14)
         with pytest.raises(NoConvergence):
-            outer_fixed_point(small_model, 1.0, 64, small_forcing, cfg,
+            outer_fixed_point(small_model, 64, small_forcing, cfg,
                               n_samples=8)
         assert len(passes) == 2
 
 
 def _outer_small(small_model, small_forcing, tol, max_iter=20):
     cfg = OuterLoopConfig(eps=4.0 / 64, theta_r=0.5, max_iter=max_iter, tol=tol)
-    return outer_fixed_point(small_model, 1.0, 64, small_forcing, cfg,
+    return outer_fixed_point(small_model, 64, small_forcing, cfg,
                              n_samples=8)
 
 
@@ -528,8 +544,8 @@ class TestAndersonOuterLoop:
         res = _outer_small(small_model, small_forcing, 1e-8)
         assert len(rec.p) == res.iterations
         shell, transport = rec.p[-1]
-        want = assemble(small_model, 1.0, small_forcing, shell=shell,
-                        transport=transport, n_samples=8)
+        want = assemble(small_model, 1.0, shell=shell, transport=transport,
+                        n_samples=8)
         system = res.problem.system
         assert system.stacks.keys() == want.stacks.keys()
         for k, v in want.stacks.items():
@@ -639,25 +655,26 @@ class TestRegularizePaths:
 
 
 class TestIvp:
-    def test_unforced_nonlinear_run_dissipates(self, small_model, rng):
+    def test_unforced_nonlinear_run_dissipates(self, small_model, unforced, rng):
         n = small_model.basis.n
         x0 = GalerkinState(0.01 * rng.standard_normal(n),
                            0.01 * rng.standard_normal(n))
-        res = solve_ivp(small_model, x0, 0.125, 1.0 / 64)
+        res = solve_ivp(small_model, x0, 0.125, 1.0 / 64, unforced)
         assert res.completed
         E = res.ledger.E
         assert np.all(np.diff(E) <= 1e-10 * E[0])
 
-    def test_domain_violation_is_graceful(self, small_model):
+    def test_domain_violation_is_graceful(self, small_model, unforced):
         n = small_model.basis.n
         a = np.zeros(n)
         a[0] = 10.0  # coupled mode amplitude far beyond the margin
-        res = solve_ivp(small_model, GalerkinState(a, np.zeros(n)), 0.125, 1.0 / 64)
+        res = solve_ivp(small_model, GalerkinState(a, np.zeros(n)), 0.125, 1.0 / 64,
+                        unforced)
         assert not res.completed
         assert res.violation_time == 0.0
 
     @pytest.mark.parametrize("n_steps", [1, 2])
-    def test_leaving_the_domain_on_the_last_step(self, small_model, n_steps):
+    def test_leaving_the_domain_on_the_last_step(self, small_model, unforced, n_steps):
         """A shell at 0.93 of the bound moving out fast reaches sup |eta|
         0.964 > 0.95 = sup_bound after one step: the run stops there with
         that state's time, whether or not it is the final one, after one
@@ -669,7 +686,7 @@ class TestIvp:
         a[0] = 0.93 / sup_y0
         a_dot[0] = 5.0 * np.sign(a[0])
         dt = 1.0 / 64
-        res = solve_ivp(small_model, GalerkinState(a, a_dot), n_steps * dt, dt)
+        res = solve_ivp(small_model, GalerkinState(a, a_dot), n_steps * dt, dt, unforced)
         assert not res.completed
         assert res.violation_time == dt
         assert res.trajectory.t.tolist() == [0.0, dt]
@@ -685,22 +702,22 @@ class TestIvp:
         x0 = GalerkinState(1e-2 * rng.standard_normal(n), 1e-2 * rng.standard_normal(n))
         sums = []
         for n_t in (128, 256):
-            led = solve_ivp(small_model, x0, 1.0, 1.0 / n_t, forcing=small_forcing).ledger
+            led = solve_ivp(small_model, x0, 1.0, 1.0 / n_t, small_forcing).ledger
             sums.append(float(np.sum(led.balance_residual)) / led.sup_energy())
         assert sums[0] / sums[1] >= 1.5
 
-    def test_off_grid_final_time_is_a_grid_mismatch(self, small_model):
+    def test_off_grid_final_time_is_a_grid_mismatch(self, small_model, unforced):
         x0 = GalerkinState.zero(small_model.basis.n)
         for t_final in (0.01, 0.005):
             with pytest.raises(GridMismatch):
-                solve_ivp(small_model, x0, t_final, 1.0 / 64)
+                solve_ivp(small_model, x0, t_final, 1.0 / 64, unforced)
 
-    def test_one_step_ledger_integrates_dissipation(self, small_model, rng):
+    def test_one_step_ledger_integrates_dissipation(self, small_model, unforced, rng):
         n = small_model.basis.n
         x0 = GalerkinState(0.01 * rng.standard_normal(n),
                            0.01 * rng.standard_normal(n))
         dt = 1.0 / 64
-        res = solve_ivp(small_model, x0, dt, dt)
+        res = solve_ivp(small_model, x0, dt, dt, unforced)
         (D,) = res.ledger.D
         assert D > 0.0
         assert res.ledger.integral_dissipation() == D * dt
@@ -715,16 +732,16 @@ class TestIvp:
         a[1::2] = 0.01 * rng.standard_normal(n // 2)
         x0 = GalerkinState(a, np.zeros(n))
         dt = 1.0 / 64
-        res = solve_ivp(small_model, x0, dt, dt, forcing=small_forcing)
+        res = solve_ivp(small_model, x0, dt, dt, small_forcing)
         got = res.trajectory
-        prob = PeriodicProblem(rest_system, dt, dt)
-        want = step(prob.V[0], x0, dt)
+        V, f = _one_step(rest_system, small_forcing, dt)
+        want = step(V, x0, dt)
         scale = max(np.max(np.abs(want.a)), np.max(np.abs(want.a_dot)))
         assert np.max(np.abs(got.a[1] - want.a)) <= 1e-14 * scale
         assert np.max(np.abs(got.a_dot[1] - want.a_dot)) <= 1e-14 * scale
         pair = GalerkinState(np.stack([x0.a, want.a]), np.stack([x0.a_dot, want.a_dot]),
                              [x0.t, want.t])
-        led = EnergyLedger.from_trajectory(rest_system, pair, dt, prob.f)
+        led = EnergyLedger.from_trajectory(rest_system, pair, dt, f[None])
         got_rec = np.array([getattr(res.ledger, k) for k in EnergyLedger.COLUMNS])
         want_rec = np.array([getattr(led, k) for k in EnergyLedger.COLUMNS])
         assert got_rec.shape == (7, 1)
