@@ -384,23 +384,20 @@ class Assembler:
         return q
 
 
-def assemble(assembler, T, shell=None, transport=None, n_samples=None):
+def assemble(assembler, T, shell, transport=None, n_samples=None):
     """Assemble the linearized periodic system for a given geometry path.
 
     shell (n_t, n_modes) holds the shell coefficients of the prescribed
     motion and transport (n_t, n) the Galerkin coefficients of the transport
-    field, both sampled on the open uniform period grid j T / n_t.  With
-    shell None the geometry is the rest cylinder and the matrices are
-    constant (a single sample, T None).  Matrices are sampled on a coarse
-    divisor grid of n_samples times and trig-interpolated; the shell at
-    every coarse time is checked in one batch before any sample is built,
-    and the first inadmissible one raises DomainViolation.
+    field (None for no transport), both sampled on the open uniform period
+    grid j T / n_t.  Matrices are sampled on a coarse divisor grid of
+    n_samples times and trig-interpolated; the shell at every coarse time is
+    checked in one batch before any sample is built, and the first
+    inadmissible one raises DomainViolation.  The rest cylinder is the
+    one-sample system AssembledSystem.from_sample(assembler.sample(),
+    assembler), constant in t.
     """
     basis = assembler.basis
-    if shell is None:
-        if transport is not None:
-            raise GridMismatch("a transport path requires a shell path grid")
-        return AssembledSystem.from_sample(assembler.sample(), assembler)
     shell = np.asarray(shell, dtype=float)
     if shell.ndim != 2:
         raise GridMismatch("path samples must be (n_t, n_coeff)")

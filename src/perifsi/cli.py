@@ -22,10 +22,10 @@ from dataclasses import replace
 
 import numpy as np
 
-from .assembly import Assembler, GalerkinState, GlobalBasis, assemble
+from .assembly import AssembledSystem, Assembler, GalerkinState, GlobalBasis, assemble
 from .config import RunConfig, load_config
 from .diagnostics import coupling_residuals, diffusion_ratio, korn_check
-from .errors import exit_code_for
+from .errors import GridMismatch, exit_code_for
 from .extension_ops import ExtensionOperator, mollify
 from .fluid_basis import BoundaryForcing, build_stokes_basis, trilinear_b
 from .fluidgrid import FluidGrid, QuadJets
@@ -77,9 +77,7 @@ def build_model(cfg):
 
 def build_forcing(cfg):
     if cfg.p_in_series:
-        n = len(cfg.p_in_series)
-        t = np.linspace(0.0, cfg.T, n)
-        return BoundaryForcing(t, np.array(cfg.p_in_series), np.array(cfg.p_out_series))
+        return BoundaryForcing(cfg.T, cfg.p_in_series, cfg.p_out_series)
     w = 2.0 * np.pi / cfg.T
 
     def p_in(t):
@@ -169,7 +167,7 @@ def run_periodic(cfg, out_dir):
         assembler, cfg.n_t, forcing, outer, n_samples=cfg.matrix_samples
     )
     ledger = EnergyLedger.from_trajectory(
-        result.problem.system, result.trajectory, cfg.T / cfg.n_t, result.problem.f
+        result.problem.system, result.trajectory, result.problem.dt, result.problem.f
     )
     _write_run(out_dir, ledger, result.trajectory, forcing,
                result.periodic_residual, result.iterations)
@@ -177,6 +175,13 @@ def run_periodic(cfg, out_dir):
 
 
 def run_ivp(cfg, out_dir):
+    # t_final is the one time the config gives as a float: it must be a
+    # whole number of steps of T / n_t (to 1e-9 relative)
+    ratio = cfg.t_final / (cfg.T / cfg.n_t)
+    n_steps = round(ratio)
+    if abs(ratio - n_steps) > 1e-9 * ratio:
+        raise GridMismatch(
+            f"t_final {cfg.t_final} is not a whole number of steps of T / n_t")
     forcing = build_forcing(cfg)
     assembler = build_model(cfg)
     n = assembler.basis.n
@@ -185,8 +190,7 @@ def run_ivp(cfg, out_dir):
         cfg.ivp_amplitude * rng.standard_normal(n),
         cfg.ivp_amplitude * rng.standard_normal(n),
     )
-    dt = cfg.T / cfg.n_t
-    result = solve_ivp(assembler, x0, cfg.t_final, dt, forcing)
+    result = solve_ivp(assembler, x0, forcing, cfg.n_t, n_steps)
     _write_run(out_dir, result.ledger, result.trajectory, forcing, float("nan"), 0)
     if not result.completed:
         print(
@@ -243,8 +247,8 @@ def run_verify(cfg, out_dir):
     )
 
     # frozen-geometry energy balance over one period
-    rest = assemble(assembler, cfg.T)
-    prob = PeriodicProblem(rest, forcing, cfg.T / cfg.n_t)
+    rest = AssembledSystem.from_sample(assembler.sample(), assembler)
+    prob = PeriodicProblem(rest, forcing, cfg.n_t)
     x0 = GalerkinState.zero(basis.n)
     traj = poincare_map(prob, x0)
     led = EnergyLedger.from_trajectory(rest, traj, prob.dt, prob.f)
@@ -259,7 +263,7 @@ def run_verify(cfg, out_dir):
     # measured is the ratio's relative distance from 4
     path = np.zeros((64, shell.n_modes))
     path[:, 0] = 0.01 * np.sin(2.0 * np.pi * np.arange(64) / 64)
-    moving = assemble(assembler, cfg.T, shell=path, n_samples=64)
+    moving = assemble(assembler, cfg.T, path, n_samples=64)
     # its own generator, so the rows below see the same draws for a seed
     # as without this row
     own = np.random.default_rng(cfg.seed + 1)
@@ -268,7 +272,7 @@ def run_verify(cfg, out_dir):
                        decay * own.standard_normal(basis.n))
     sums = []
     for n_t in (64, 128):
-        p = PeriodicProblem(moving, unforced, cfg.T / n_t)
+        p = PeriodicProblem(moving, unforced, n_t)
         led = EnergyLedger.from_trajectory(moving, poincare_map(p, x0), p.dt, p.f)
         sums.append(float(np.sum(led.balance_residual)))
     checks.append(
@@ -283,15 +287,15 @@ def run_verify(cfg, out_dir):
     # on n_theta = 2)
     pulse = BoundaryForcing.from_callables(
         lambda t: 0.1 * np.sin(2.0 * np.pi * t / cfg.T), lambda t: 0.0, cfg.T)
-    sums = [float(np.sum(solve_ivp(assembler, GalerkinState.zero(basis.n), cfg.T,
-                                   cfg.T / n_t, pulse).ledger.balance_residual))
+    sums = [float(np.sum(solve_ivp(assembler, GalerkinState.zero(basis.n), pulse,
+                                   n_t, n_t).ledger.balance_residual))
             for n_t in (32, 64)]
     checks.append(
         ("ivp_energy_balance_order", abs(sums[0] / sums[1] / 2.0 - 1.0), 0.2)
     )
 
     # zero forcing gives the zero periodic orbit
-    x_star, info = periodic_solve(PeriodicProblem(rest, unforced, cfg.T / cfg.n_t))
+    x_star, info = periodic_solve(PeriodicProblem(rest, unforced, cfg.n_t))
     checks.append(
         ("zero_forcing_orbit", float(np.max(np.abs(x_star.a)) + np.max(np.abs(x_star.a_dot))), 1e-10)
     )

@@ -118,16 +118,13 @@ _KEY_SECTION = {k: s for s, keys in _SECTIONS.items() for k in keys}
 
 
 def _convert(name, raw, line_no):
-    kind = RunConfig.__dataclass_fields__[name].type
+    """A field's value from its text: a comma-separated series of floats
+    (empty for none) for a tuple field, int(raw) or float(raw) otherwise."""
+    kind = {f.name: f.type for f in fields(RunConfig)}[name]
     try:
-        if name in ("p_in_series", "p_out_series"):
-            raw = raw.strip()
+        if kind is tuple:
             return tuple(float(x) for x in raw.split(",")) if raw else ()
-        if kind in (int, "int"):
-            return int(raw)
-        if kind in (float, "float"):
-            return float(raw)
-        return raw
+        return kind(raw)
     except ValueError as exc:
         raise ParseError(f"bad value for {name!r}: {raw!r}", line=line_no) from exc
 

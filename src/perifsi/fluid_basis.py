@@ -252,38 +252,35 @@ def trilinear_b(tu, tv, tw, weight):
 class BoundaryForcing:
     """Time-periodic inlet/outlet dynamic pressures over one period [0, T].
 
-    Samples live on the uniform closed grid t_j = j T / (n - 1) with the first
-    and last samples equal; values at arbitrary times come from trigonometric
-    interpolation of the (n - 1)-point open grid, evaluated as a cos/sin
-    series over the samples' discrete Fourier coefficients.  At the N
-    midpoints of a uniform grid of N steps over the period the same series
-    is one inverse FFT of length N (midpoint_values).
+    The samples p_in and p_out live on the uniform closed grid
+    t_j = j T / (n - 1), with the first and last samples equal; the pressure
+    at any time is the trigonometric interpolant of the (n - 1)-point open
+    grid (basis1d.trig_weights).  A time grid is a whole number N of steps
+    over the period, and the pressures at its N step midpoints are one
+    inverse FFT of length N (midpoint_values).
     """
 
-    def __init__(self, t, p_in, p_out):
-        t = np.asarray(t, dtype=float)
+    def __init__(self, T, p_in, p_out):
         p_in = np.asarray(p_in, dtype=float)
         p_out = np.asarray(p_out, dtype=float)
-        if t.ndim != 1 or p_in.shape != t.shape or p_out.shape != t.shape:
+        if not 0.0 < T < np.inf:
+            raise GridMismatch(f"the forcing period must be positive and finite, got {T}")
+        if p_in.ndim != 1 or p_out.shape != p_in.shape:
             raise GridMismatch("forcing samples must share one 1D time grid")
-        if t.size < 3:
+        if p_in.size < 3:
             raise GridMismatch(
-                f"forcing needs at least 3 samples over the period, got {t.size}")
-        dt = np.diff(t)
-        if not np.allclose(dt, dt[0], rtol=1e-10, atol=1e-12 * t[-1]):
-            raise GridMismatch("forcing time grid must be uniform")
+                f"forcing needs at least 3 samples over the period, got {p_in.size}")
         if abs(p_in[0] - p_in[-1]) > 1e-12 * (1 + np.max(np.abs(p_in))) or abs(
             p_out[0] - p_out[-1]
         ) > 1e-12 * (1 + np.max(np.abs(p_out))):
             raise GridMismatch("forcing signals must close the period (first = last)")
-        self.T = float(t[-1] - t[0])
-        self.t = t
+        self.T = float(T)
         self.p_in = p_in
         self.p_out = p_out
         # the interpolant of the S open-grid samples at time s is
         # Re sum_k c_k exp(2 pi i k s / T), with c_k the rfft coefficients
         # times 2 / S, but 1 / S for the mean and an even S's Nyquist mode
-        S = t.size - 1
+        S = p_in.size - 1
         c = np.fft.rfft(np.stack([p_in[:-1], p_out[:-1]], axis=-1), axis=0) * (2.0 / S)
         c[0] /= 2.0
         if S % 2 == 0:
@@ -293,15 +290,7 @@ class BoundaryForcing:
     @classmethod
     def from_callables(cls, f_in, f_out, T):
         t = np.linspace(0.0, T, FORCING_SAMPLES)
-        return cls(t, np.array([f_in(s) for s in t]), np.array([f_out(s) for s in t]))
-
-    def values(self, time):
-        """(P_in, P_out) at arbitrary times by trigonometric interpolation."""
-        c = self._coef
-        phase = np.multiply.outer(np.atleast_1d(time) * (2.0 * np.pi / self.T),
-                                  np.arange(c.shape[0]))
-        vals = np.cos(phase) @ c.real - np.sin(phase) @ c.imag
-        return vals[..., 0], vals[..., 1]
+        return cls(T, np.array([f_in(s) for s in t]), np.array([f_out(s) for s in t]))
 
     def midpoint_values(self, n):
         """(P_in, P_out) at the n midpoints (m + 1/2) T / n, m < n, from one
@@ -318,9 +307,8 @@ class BoundaryForcing:
 
     def l2_norm(self):
         """L2(0, T) norm of the pressure pair (trapezoid on the closed grid)."""
-        return float(
-            np.sqrt(np.trapezoid(self.p_in**2 + self.p_out**2, self.t))
-        )
+        t = np.linspace(0.0, self.T, self.p_in.size)
+        return float(np.sqrt(np.trapezoid(self.p_in**2 + self.p_out**2, t)))
 
 
 def disk_flux(q, grid, z0):

@@ -15,6 +15,7 @@ coefficients, and mix the pair with the last few passes (Anderson
 acceleration) until self-consistency.
 """
 
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -37,34 +38,24 @@ STEP_CHUNK = 256  # steps whose maps are interpolated and solved together; the l
 LANES = 16  # lanes a period of up to LANES * STEP_CHUNK steps is stepped in
 
 
-def _whole_steps(span, dt, what):
-    """The number of steps of size dt in span; GridMismatch unless it is a
-    positive whole number (to 1e-9 relative)."""
-    ratio = span / dt
-    n_steps = int(round(ratio))
-    if n_steps < 1 or abs(ratio - n_steps) > 1e-9 * ratio:
-        raise GridMismatch(f"{what} must be an integer number of steps")
-    return n_steps
-
-
 @dataclass
 class PeriodicProblem:
     """A linear periodic system driven by a boundary forcing, stacked over
-    the forcing's period on a grid of steps dt.
+    the forcing's period forcing.T on n_steps steps of dt = forcing.T /
+    n_steps.
 
-    The period is forcing.T and must be a whole number of steps; a sampled
-    system must have that period as its T (GridMismatch otherwise), and a
-    one-sample system (T None) is constant in t.  An unforced problem has a
-    zero forcing.  The period's steps split into lanes of `lane`
-    consecutive steps, min(STEP_CHUNK, ceil(n_steps / LANES)), the last one
-    possibly shorter, so a period of up to LANES STEP_CHUNK steps has LANES
-    lanes or fewer.  On first use the period is built: step_maps gives the
-    step maps of STEP_CHUNK steps at a time from one interpolation and one
-    batched inverse (one inverse in all for a one-sample system); the
-    2n + 1 identity columns in (a, a', 1) are stepped through every lane at
-    once (_replay), which gives each lane's affine map; and the lane maps
-    compose in time order into the one-period map x -> A x + b.  The
-    pressure signals at every midpoint come from one FFT of the forcing
+    A sampled system must have the forcing's period as its T (GridMismatch
+    otherwise), and a one-sample system (T None) is constant in t.  An
+    unforced problem has a zero forcing.  The period's steps split into
+    lanes of `lane` consecutive steps, min(STEP_CHUNK, ceil(n_steps /
+    LANES)), the last one possibly shorter, so a period of up to LANES
+    STEP_CHUNK steps has LANES lanes or fewer.  On first use the period is
+    built: step_maps gives the step maps of STEP_CHUNK steps at a time from
+    one interpolation and one batched inverse (one inverse in all for a
+    one-sample system); the 2n + 1 identity columns in (a, a', 1) are
+    stepped through every lane at once (_replay), which gives each lane's
+    affine map; and the lane maps compose in time order into the one-period
+    map x -> A x + b.  The pressure signals at every midpoint come from one FFT of the forcing
     (BoundaryForcing.midpoint_values).  The problem keeps the step map
     V (n_steps, n, 2n + 1) and the midpoint load f (n_steps, n) of every
     step, which the orbit replay and the energy ledger read, the affine map
@@ -74,13 +65,16 @@ class PeriodicProblem:
 
     system: object
     forcing: object
-    dt: float
+    n_steps: int
 
     def __post_init__(self):
         T, T_sys = self.forcing.T, self.system.T
         if T_sys is not None and abs(T_sys - T) > 1e-12 * T:
             raise GridMismatch(f"the system's period {T_sys} is not the forcing's {T}")
-        self.n_steps = _whole_steps(T, self.dt, "the period")
+        self.n_steps = operator.index(self.n_steps)  # a whole number, or TypeError
+        if self.n_steps < 1:
+            raise GridMismatch(f"a period needs at least one step, got {self.n_steps}")
+        self.dt = T / self.n_steps
         self.lane = min(STEP_CHUNK, -(-self.n_steps // LANES))
 
     @cached_property
@@ -415,10 +409,13 @@ def outer_fixed_point(assembler, n_t, forcing, config, n_samples=None):
     dP, dR = [], []
     history = []
     for it in range(1, config.max_iter + 1):
-        shell, transport = (None, None) if p is None else _unstack(p, n_shell, n_t)
-        system = assemble(assembler, T, shell=shell, transport=transport,
-                          n_samples=n_samples)
-        problem = PeriodicProblem(system, forcing, dt)
+        if p is None:
+            system = AssembledSystem.from_sample(assembler.sample(), assembler)
+        else:
+            shell, transport = _unstack(p, n_shell, n_t)
+            system = assemble(assembler, T, shell, transport=transport,
+                              n_samples=n_samples)
+        problem = PeriodicProblem(system, forcing, n_t)
         x_star, info = periodic_solve(problem)
         traj = info["trajectory"]
         shell_new, v_new = _regularize_paths(basis, traj.a[:-1], traj.a_dot[:-1],
@@ -477,10 +474,11 @@ class IvpResult:
         return self.violation_time is None
 
 
-def solve_ivp(assembler, x0, t_final, dt, forcing):
-    """Nonlinear initial value integration with geometry lagged one step,
-    driven by the forcing's pressures (a zero forcing for an unforced run),
-    read from its series at each step's midpoint.
+def solve_ivp(assembler, x0, forcing, n_t, n_steps):
+    """Nonlinear initial value integration of n_steps steps of dt =
+    forcing.T / n_t with geometry lagged one step, driven by the forcing's
+    pressures (a zero forcing for an unforced run): step m reads row
+    m mod n_t of the forcing's midpoint values on n_t steps.
 
     At each step the domain motion and the convective transport are frozen at
     the current state (explicit in geometry), and the implicit midpoint step
@@ -489,12 +487,12 @@ def solve_ivp(assembler, x0, t_final, dt, forcing):
     whose shell is beyond the injectivity margin ends the run gracefully: the
     result reports its time instead of raising.  Each step's ledger row books
     E with the step's frozen mass, so E_{m+1} of row m is row m + 1's E and
-    the last state keeps the last step's frozen mass.  t_final must be a
-    whole number of steps (GridMismatch otherwise).
+    the last state keeps the last step's frozen mass.
     """
     basis = assembler.basis
     cyl = assembler.cyl
-    n_steps = _whole_steps(t_final, dt, "t_final")
+    dt = forcing.T / n_t
+    pressure = np.array(forcing.midpoint_values(n_t))  # (2, n_t)
     state = GalerkinState(np.array(x0.a), np.array(x0.a_dot), 0.0)
     states = [state]
     ledgers = []
@@ -510,7 +508,7 @@ def solve_ivp(assembler, x0, t_final, dt, forcing):
                                   state.a_dot)
         frozen = AssembledSystem.from_sample(sample, assembler)
         t_mid = np.array([state.t + 0.5 * dt])
-        V, f = step_maps(frozen, t_mid, dt, forcing.values(t_mid % forcing.T))
+        V, f = step_maps(frozen, t_mid, dt, pressure[:, [m % n_t]])
         new = step(V[0], state, dt)
         pair = _stack([state, new])
         ledgers.append(EnergyLedger.from_trajectory(frozen, pair, dt, f))

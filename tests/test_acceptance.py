@@ -9,7 +9,7 @@ tolerance, so `pytest -v` reports one pass/fail line per criterion.
 import numpy as np
 import pytest
 
-from perifsi.assembly import GalerkinState, assemble
+from perifsi.assembly import AssembledSystem, GalerkinState, assemble
 from perifsi.cli import RunConfig, build_forcing, build_model
 from perifsi.diagnostics import diffusion_ratio, korn_check
 from perifsi.errors import EXIT_CODES, SingularMonodromy, exit_code_for
@@ -197,8 +197,8 @@ def test_criterion_05_energy_balance(model, forcing):
     """Frozen geometry satisfies the discrete energy identity to 1e-10 of the
     peak energy per step; on a moving geometry the accumulated defect over a
     period shrinks by 4x (within 20%) when the step is halved."""
-    system = assemble(model, 1.0)
-    prob = PeriodicProblem(system, forcing, 1.0 / 256)
+    system = AssembledSystem.from_sample(model.sample(), model)
+    prob = PeriodicProblem(system, forcing, 256)
     x_star, _ = periodic_solve(prob)
     traj = poincare_map(prob, x_star)
     led = EnergyLedger.from_trajectory(system, traj, prob.dt, prob.f)
@@ -209,14 +209,14 @@ def test_criterion_05_energy_balance(model, forcing):
     t = np.arange(N) / N
     samples = np.zeros((N, shell.n_modes))
     samples[:, 0] = 0.01 * np.sin(2 * np.pi * t)
-    moving = assemble(model, 1.0, shell=samples, n_samples=64)
+    moving = assemble(model, 1.0, samples, n_samples=64)
     rng = np.random.default_rng(55)
     n = moving.n
     x0 = GalerkinState(0.01 * rng.standard_normal(n) / (1 + np.arange(n)),
                        0.01 * rng.standard_normal(n) / (1 + np.arange(n)))
     sums = []
     for nt in (64, 128):
-        p = PeriodicProblem(moving, UNFORCED, 1.0 / nt)
+        p = PeriodicProblem(moving, UNFORCED, nt)
         tr = poincare_map(p, x0)
         ledger = EnergyLedger.from_trajectory(moving, tr, p.dt, p.f)
         sums.append(float(np.sum(ledger.balance_residual)))
@@ -226,8 +226,8 @@ def test_criterion_05_energy_balance(model, forcing):
 
 def test_criterion_06_zero_forcing_zero_orbit(model):
     """With no pressure data the unique periodic orbit is rest."""
-    system = assemble(model, 1.0)
-    prob = PeriodicProblem(system, UNFORCED, 1.0 / 256)
+    system = AssembledSystem.from_sample(model.sample(), model)
+    prob = PeriodicProblem(system, UNFORCED, 256)
     x_star, info = periodic_solve(prob)
     assert max(np.max(np.abs(x_star.a)), np.max(np.abs(x_star.a_dot))) <= 1e-10
     assert info["residual"] <= 1e-12
@@ -279,7 +279,7 @@ def test_criterion_09_initial_value_problem(model):
     n = model.basis.n
     x0 = GalerkinState(0.005 * rng.standard_normal(n) / (1 + np.arange(n)),
                        0.005 * rng.standard_normal(n) / (1 + np.arange(n)))
-    res = solve_ivp(model, x0, 0.25, 1.0 / 256, UNFORCED)
+    res = solve_ivp(model, x0, UNFORCED, 256, 64)
     assert res.completed
     E = res.ledger.E
     assert np.all(np.diff(E) <= 1e-8 * (1.0 + E[0]))
@@ -287,7 +287,7 @@ def test_criterion_09_initial_value_problem(model):
     # a constant oversized inlet pressure inflates the shell monotonically
     # until it leaves the admissible region
     big = BoundaryForcing.from_callables(lambda t: 3.0e4, lambda t: 0.0, 1.0)
-    out = solve_ivp(model, GalerkinState.zero(n), 0.25, 1.0 / 256, big)
+    out = solve_ivp(model, GalerkinState.zero(n), big, 256, 64)
     assert not out.completed
     assert out.violation_time is not None and 0.0 <= out.violation_time <= 0.25
 
@@ -343,12 +343,12 @@ def test_criterion_11_resonance_sentinel():
     dt = T / N
     omega = (2.0 / dt) * np.tan(np.pi / N)  # discrete multiplier exactly at 1
     with pytest.raises(SingularMonodromy) as err:
-        periodic_solve(PeriodicProblem(_ResonantPair(omega**2, 0.0), RESONANT_LOAD, dt))
+        periodic_solve(PeriodicProblem(_ResonantPair(omega**2, 0.0), RESONANT_LOAD, N))
     assert exit_code_for(err.value) == 4
     assert EXIT_CODES[SingularMonodromy] == 4
 
     x_star, info = periodic_solve(
-        PeriodicProblem(_ResonantPair(omega**2, 0.1), RESONANT_LOAD, dt)
+        PeriodicProblem(_ResonantPair(omega**2, 0.1), RESONANT_LOAD, N)
     )
     assert np.all(np.isfinite(x_star.a))
     assert info["residual"] <= 1e-10 * (1.0 + np.max(np.abs(x_star.a)))

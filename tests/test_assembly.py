@@ -10,6 +10,7 @@ from test_extension import DofsExtension, per_field_extension
 
 from perifsi import cli
 from perifsi.assembly import (
+    AssembledSystem,
     Assembler,
     GalerkinState,
     GlobalBasis,
@@ -482,13 +483,13 @@ class TestMovingMatrices:
 
 class TestAssemble:
     def test_rest_assembly_single_sample(self, small_model):
-        system = assemble(small_model, 1.0)
+        system = AssembledSystem.from_sample(small_model.sample(), small_model)
         assert system.times.size == 1
         mats = system.matrices_at(0.3)
         assert np.all(np.linalg.eigvalsh(mats["M"]) > 0.0)
 
     def test_stiffness_is_built_once(self, small_model):
-        system = assemble(small_model, 1.0)
+        system = AssembledSystem.from_sample(small_model.sample(), small_model)
         K0 = system.matrices_at(0.1)["K"]
         assert system.matrices_at(0.6)["K"] is K0
         c = small_model.constants
@@ -505,14 +506,13 @@ class TestAssemble:
         t = np.arange(16) / 16
         samples = np.zeros((16, shell.n_modes))
         samples[:, 0] = 0.02 * np.sin(2 * np.pi * t)
-        moving = assemble(small_model, 1.0, shell=samples,
-                          n_samples=8)
+        moving = assemble(small_model, 1.0, samples, n_samples=8)
         times = np.linspace(0.0, 1.0, 11)
         dt = times[1]
         traj = GalerkinState(rng.standard_normal((11, n)), rng.standard_normal((11, n)),
                              times)
         loads = rng.standard_normal((10, n))
-        rest = assemble(small_model, 1.0)
+        rest = AssembledSystem.from_sample(small_model.sample(), small_model)
         for system, steps in ((moving, 11), (rest, 1)):
             M = system.mass_at(times)
             mats = system.matrices_at(times)
@@ -550,8 +550,7 @@ class TestAssemble:
         samples[:, 0] = 0.02 * np.sin(2 * np.pi * t)
         transport = 0.05 * np.outer(np.cos(2 * np.pi * t),
                                     rng.standard_normal(small_model.basis.n))
-        system = assemble(small_model, 1.0, shell=samples,
-                          transport=transport, n_samples=8)
+        system = assemble(small_model, 1.0, samples, transport=transport, n_samples=8)
         c = system.constants
         for times in (0.37, rng.uniform(0.0, 1.0, 5)):
             w = trig_weights(np.asarray(times), 1.0, 8)
@@ -565,21 +564,21 @@ class TestAssemble:
                 assert np.max(np.abs(got[k] - v)) <= 1e-14 * np.max(np.abs(v)), k
 
     def test_transport_requires_geometry_path(self, small_model):
+        """A transport path without a shell path is not a path grid."""
         transport = np.zeros((8, small_model.basis.n))
-        with pytest.raises(GridMismatch):
-            assemble(small_model, 1.0, transport=transport)
+        with pytest.raises(GridMismatch, match="path samples must be"):
+            assemble(small_model, 1.0, None, transport=transport)
 
     def test_transport_path_of_another_length(self, small_model):
         shell = np.zeros((16, small_model.basis.shell_basis.n_modes))
         transport = np.zeros((8, small_model.basis.n))
         with pytest.raises(GridMismatch):
-            assemble(small_model, 1.0, shell=shell,
-                     transport=transport)
+            assemble(small_model, 1.0, shell, transport=transport)
 
     def test_sample_count_must_divide_the_grid(self, small_model):
         shell = np.zeros((12, small_model.basis.shell_basis.n_modes))
         with pytest.raises(GridMismatch):
-            assemble(small_model, 1.0, shell=shell, n_samples=5)
+            assemble(small_model, 1.0, shell, n_samples=5)
 
     def test_spectral_derivative_on_the_coarse_grid(self, small_model,
                                                      monkeypatch):
@@ -598,7 +597,7 @@ class TestAssemble:
             return sample(delta, dt_delta, v_coeff)
 
         monkeypatch.setattr(small_model, "sample", recording)
-        system = assemble(small_model, T, shell=shell, n_samples=4)
+        system = assemble(small_model, T, shell, n_samples=4)
         idx = [0, 8, 16, 24]
         assert np.array_equal(system.times, t[idx])
         exact = (2 * np.pi / T) * 0.01 * np.cos(2 * np.pi * t[idx] / T)
@@ -612,8 +611,7 @@ class TestAssemble:
         t = np.arange(N) / N
         samples = np.zeros((N, shell.n_modes))
         samples[:, 0] = 0.02 * np.sin(2 * np.pi * t)
-        system = assemble(small_model, 1.0, shell=samples,
-                          n_samples=8)
+        system = assemble(small_model, 1.0, samples, n_samples=8)
         for s, ts in enumerate(system.times):
             M = system.matrices_at(float(ts))["M"]
             direct = (system.stacks["M"][s]
@@ -628,8 +626,7 @@ class TestAssemble:
         samples = np.zeros((N, shell.n_modes))
         samples[:, 0] = 3.0 * np.sin(2 * np.pi * t)
         with pytest.raises(DomainViolation) as err:
-            assemble(small_model, 1.0, shell=samples,
-                     n_samples=8)
+            assemble(small_model, 1.0, samples, n_samples=8)
         assert err.value.time is not None
 
     def test_inadmissible_path_builds_no_sample(self, small_model, monkeypatch):
@@ -642,6 +639,6 @@ class TestAssemble:
         built = []
         monkeypatch.setattr(small_model, "sample", lambda *a, **k: built.append(1))
         with pytest.raises(DomainViolation) as err:
-            assemble(small_model, 1.0, shell=samples, n_samples=8)
+            assemble(small_model, 1.0, samples, n_samples=8)
         assert err.value.time == 6 / 16
         assert built == []

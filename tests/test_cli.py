@@ -180,14 +180,16 @@ class TestValidation:
     @pytest.mark.parametrize("k", [127, -127])
     def test_highest_frequency_is_the_sine(self, name, k):
         """At the largest accepted frequency the forcing is the configured
-        sine at any time, to round-off."""
+        sine at the step midpoints of grids of fewer, as many and more
+        steps than its 256 samples, odd and even, to round-off."""
         cfg = replace(RunConfig(), p_in_amplitude=1.0, p_out_amplitude=1.0,
                       p_in_phase=0.3, p_out_phase=0.3, **{name: k}).validate()
         forcing = cli.build_forcing(cfg)
-        t = np.random.default_rng(0).uniform(0.0, cfg.T, 200)
-        got = forcing.values(t)[name.startswith("p_out")]
-        want = np.sin(2.0 * np.pi * k * t / cfg.T + 0.3)
-        assert np.max(np.abs(got - want)) <= 1e-12
+        for n_t in (255, 256, 1000, 1001):
+            t = (np.arange(n_t) + 0.5) * (cfg.T / n_t)
+            got = forcing.midpoint_values(n_t)[name.startswith("p_out")]
+            want = np.sin(2.0 * np.pi * k * t / cfg.T + 0.3)
+            assert np.max(np.abs(got - want)) <= 1e-12
 
     def test_eps_default_is_four_steps(self):
         cfg = RunConfig(n_t=64).validate()
@@ -353,7 +355,9 @@ class TestRunIvp:
     def test_off_grid_final_time_fails(self, tmp_path, capsys):
         """With n_t = 64, t_final = 0.01 used to integrate to 0.015625 and
         t_final = 0.005 to take no step at all and exit 0; a t_final that is
-        not a whole number of steps is a grid mismatch with exit code 1."""
+        not a whole number of steps is a grid mismatch: run-ivp exits 1 with
+        one line on stderr and writes nothing.  run-periodic does not read
+        t_final, so it runs the same config."""
         cfg_path = tmp_path / "tiny.cfg"
         for t_final in ("0.01", "0.005"):
             cfg_path.write_text(TINY.replace("n_t = 16", "n_t = 64").replace(
@@ -361,8 +365,13 @@ class TestRunIvp:
             out = tmp_path / t_final
             assert cli.main(["run-ivp", "--config", str(cfg_path),
                              "--out-dir", str(out)]) == 1
-            assert "GridMismatch" in capsys.readouterr().err
-            assert not (out / "summary.csv").exists()
+            err = capsys.readouterr().err
+            assert err == (f"GridMismatch: t_final {t_final} is not a whole "
+                           f"number of steps of T / n_t\n")
+            assert not any(out.iterdir())
+            assert cli.main(["run-periodic", "--config", str(cfg_path),
+                             "--out-dir", str(out)]) == 0
+            assert (out / "summary.csv").is_file()
 
 
 class TestCsvRows:

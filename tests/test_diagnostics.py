@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from perifsi.assembly import GalerkinState, assemble
+from perifsi.assembly import AssembledSystem, GalerkinState
 from perifsi.diagnostics import (
     coupling_residuals,
     diffusion_ratio,
@@ -16,7 +16,7 @@ from perifsi.fluidgrid import FluidGrid
 
 class TestEnergy:
     def test_nonnegative_and_additive(self, small_model, rng):
-        system = assemble(small_model, 1.0)
+        system = AssembledSystem.from_sample(small_model.sample(), small_model)
         n = system.n
         s = GalerkinState(rng.standard_normal((1, n)), rng.standard_normal((1, n)),
                           [0.0])
@@ -28,7 +28,7 @@ class TestEnergy:
         assert D[0] > 0.0
 
     def test_zero_state_zero_energy(self, small_model):
-        system = assemble(small_model, 1.0)
+        system = AssembledSystem.from_sample(small_model.sample(), small_model)
         zero = GalerkinState(np.zeros((2, system.n)), np.zeros((2, system.n)),
                              [0.0, 0.5])
         E_kin, E_el = energies(system, zero)

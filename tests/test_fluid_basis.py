@@ -166,57 +166,76 @@ class TestTrilinear:
         assert b1 == pytest.approx(-b2, abs=1e-15)
 
 
+def _series_signal(T, n, g):
+    """Samples on the closed grid of n points over [0, T] of a smooth random
+    Fourier series (modes decaying like exp(-k / 4)) up to the Nyquist mode
+    of the n - 1 open samples, and the series itself as a function of t.
+    An even n - 1's Nyquist sine vanishes at the samples, so it is left
+    out: the series is then the samples' trigonometric interpolant."""
+    k = np.arange((n - 1) // 2 + 1)
+    a, b = g.standard_normal((2, 2, k.size)) * np.exp(-k / 4.0)
+    if (n - 1) % 2 == 0:
+        b[:, -1] = 0.0
+
+    def series(t):
+        phase = np.multiply.outer(2.0 * np.pi * np.asarray(t) / T, k)
+        return (np.cos(phase) @ a.T + np.sin(phase) @ b.T).T
+
+    return series(np.linspace(0.0, T, n)), series
+
+
+def _midpoints(T, n):
+    return (np.arange(n) + 0.5) * (T / n)
+
+
 class TestBoundaryForcing:
-    def test_interpolation_reproduces_samples(self):
+    @pytest.mark.parametrize("n", [32, 33, 100])
+    def test_interpolation_reproduces_the_sampled_signal(self, n):
+        """A signal of frequencies below half the 32 open samples is its own
+        interpolant: the midpoint values on grids of as many, more and
+        fewer points than the samples are the signal's (the outlet's zero)."""
         T = 1.0
         t = np.linspace(0.0, T, 33)
-        p = np.sin(2 * np.pi * t) + 0.3 * np.cos(4 * np.pi * t) - 0.3
-        f = BoundaryForcing(t, p, np.zeros_like(t))
-        pin, pout = f.values(t[:-1])
-        assert np.max(np.abs(pin - p[:-1])) < 1e-12
+
+        def p(s):
+            return np.sin(2 * np.pi * s) + 0.3 * np.cos(4 * np.pi * s) - 0.3
+
+        f = BoundaryForcing(T, p(t), np.zeros_like(t))
+        pin, pout = f.midpoint_values(n)
+        assert np.max(np.abs(pin - p(_midpoints(T, n)))) < 1e-12
         assert np.max(np.abs(pout)) < 1e-14
 
     @pytest.mark.parametrize("n", [4, 5, 18, 33, 257])
     def test_values_match_the_trig_weights(self, n):
-        """The cos/sin series over the cached spectrum equals the
-        trigonometric interpolant of trig_weights to 1e-14 relative, for
-        odd and even open-grid sample counts n - 1, at an array of times and
-        at a scalar time.  The signals are smooth, as forcing signals are:
-        random Fourier series whose modes decay like exp(-k / 4).  (On white
-        noise the two evaluations differ by some 5e-14, because each rounds
-        the phases 2 pi k t / T its own way.)"""
+        """The midpoint values equal the trigonometric interpolant of
+        trig_weights over the open samples to 1e-14 relative, for odd and
+        even open-grid sample counts n - 1, on grids of fewer, as many and
+        more points than the (n - 1) // 2 + 1 coefficients, odd and even."""
         g = np.random.default_rng(n)
         T = 1.3
-        t = np.linspace(0.0, T, n)
-        k = np.arange(n // 2 + 1)  # up to the Nyquist mode of an even n - 1
-        a, b = g.standard_normal((2, 2, k.size)) * np.exp(-k / 4.0)
-        phase = np.multiply.outer(2.0 * np.pi * t / T, k)
-        p = (np.cos(phase) @ a.T + np.sin(phase) @ b.T).T
-        f = BoundaryForcing(t, *p)
-        times = np.concatenate([g.uniform(0.0, T, 300), t])
-        for s in (times, times[0]):
-            w = trig_weights(np.atleast_1d(s), T, n - 1)
-            for got, q in zip(f.values(s), p):
-                assert got.shape == (np.size(s),)
+        p, _ = _series_signal(T, n, g)
+        f = BoundaryForcing(T, *p)
+        c = (n - 1) // 2 + 1
+        for N in sorted({1, 2, max(1, c - 1), c, c + 1, 2 * c, 2 * c + 1, 100}):
+            w = trig_weights(_midpoints(T, N), T, n - 1)
+            for got, q in zip(f.midpoint_values(N), p):
+                assert got.shape == (N,)
                 assert np.max(np.abs(got - w @ q[:-1])) <= 1e-14 * np.max(np.abs(q))
 
-    @pytest.mark.parametrize("n", [4096, 4095, 64, 99])
+    @pytest.mark.parametrize("n", [4096, 4095, 129, 128, 64, 99])
     def test_midpoint_values_match_the_series(self, n):
         """The one-FFT evaluation at the n midpoints (m + 1/2) T / n equals
-        the cos/sin series of values() there to 1e-14 relative, for 257
-        samples (129 coefficients): on even and odd grids, and on grids of
+        the Fourier series that the 257 samples (129 coefficients) come
+        from, to 1e-14 relative: on even and odd grids, and on grids of
         fewer points than coefficients, whose aliased coefficients fold onto
-        frequency k mod n.  The signals are smooth random Fourier series
-        whose modes decay like exp(-k / 4), so the modes above n / 2 are
-        still some 1e-7 of the signal and the fold must be right."""
+        frequency k mod n.  The modes decay like exp(-k / 4), so the modes
+        above n / 2 are still some 1e-7 of the signal and the fold must be
+        right."""
         g = np.random.default_rng(n)
-        T, k = 1.3, np.arange(129)
-        t = np.linspace(0.0, T, 257)
-        a, b = g.standard_normal((2, 2, k.size)) * np.exp(-k / 4.0)
-        phase = np.multiply.outer(2.0 * np.pi * t / T, k)
-        f = BoundaryForcing(t, *(np.cos(phase) @ a.T + np.sin(phase) @ b.T).T)
-        for got, want in zip(f.midpoint_values(n),
-                             f.values((np.arange(n) + 0.5) * (T / n))):
+        T = 1.3
+        p, series = _series_signal(T, 257, g)
+        f = BoundaryForcing(T, *p)
+        for got, want in zip(f.midpoint_values(n), series(_midpoints(T, n))):
             assert got.shape == (n,)
             assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
@@ -227,19 +246,20 @@ class TestBoundaryForcing:
         )
         assert f.l2_norm() == pytest.approx(np.sqrt(T / 2.0), rel=1e-6)
 
-    def test_nonuniform_grid_rejected(self):
-        t = np.array([0.0, 0.1, 0.5, 1.0])
-        with pytest.raises(GridMismatch):
-            BoundaryForcing(t, np.zeros(4), np.zeros(4))
+    @pytest.mark.parametrize("T", [0.0, -1.0, np.nan, np.inf])
+    def test_period_must_be_positive_and_finite(self, T):
+        """A period that is not positive and finite is rejected; a reversed
+        time grid used to give T = -1 and a nan L2 norm."""
+        with pytest.raises(GridMismatch, match="period must be positive and finite"):
+            BoundaryForcing(T, np.zeros(5), np.zeros(5))
 
     def test_too_few_samples_rejected(self):
         for n in (1, 2):
-            t = np.linspace(0.0, 1.0, n)
             with pytest.raises(GridMismatch, match="at least 3 samples"):
-                BoundaryForcing(t, np.zeros(n), np.zeros(n))
+                BoundaryForcing(1.0, np.zeros(n), np.zeros(n))
 
     def test_open_period_rejected(self):
         t = np.linspace(0.0, 1.0, 17)
         p = np.sin(1.5 * np.pi * t)  # p(0) != p(T)
         with pytest.raises(GridMismatch):
-            BoundaryForcing(t, p, np.zeros_like(t))
+            BoundaryForcing(1.0, p, np.zeros_like(t))

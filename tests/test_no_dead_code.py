@@ -9,8 +9,11 @@ or in perfbench keeps nothing:
   module that no local binding shadows, a name load of its alias from
   `from .module import name` (with or without `as`), or an attribute load
   `module.name` on a name bound to its module;
-* every method and property is read as an attribute (`.name`) outside its
-  own definition;
+* every method and property is read as an attribute (`x.name`) outside
+  its own definition; for a name that dict, list or np.ndarray also
+  defines, only a read on the receiver `self`, `cls` or the class's own
+  name counts, so a container read such as `sample.items()` keeps no
+  method `items`;
 * every parameter whose default is True or False is passed by keyword,
   with a value other than that literal, outside its own definition;
 * every parameter with a default is passed, by keyword or by position, by
@@ -22,9 +25,10 @@ __init__.py keeps nothing.  A module-level name is resolved through the
 scopes of each load (function, lambda, comprehension and class bodies, with
 `global` declarations), so a local variable or an attribute of another
 object that shares its name keeps nothing.  The other rules match by name
-only: a method whose name another class's method shares, or a parameter
-passed to another function of the same name, passes trivially.  Dunder methods are called by
-the language and are not checked.  A name that the rules report and that
+only: a method whose name another class's method shares (outside the
+container names), or a parameter passed to another function of the same
+name, passes trivially.  Dunder methods are called by the language and are
+not checked.  A name that the rules report and that
 stays on purpose is an entry of EXCEPTIONS, with its reason; an entry that
 no rule reports any more (the name is gone, or it has gained a caller in
 the package) fails the guard.
@@ -33,6 +37,8 @@ the package) fails the guard.
 import ast
 import re
 from pathlib import Path
+
+import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "perifsi"
@@ -44,6 +50,9 @@ EXCEPTIONS = {
     "cli.main(argv=)":
         "the console script calls main() with no arguments; perfbench/child.py "
         "and the tests pass argv",
+    "extension_ops.ExtensionOperator.extend":
+        "list defines extend too, and the package reads it as "
+        "basis.ext_op.extend, on a receiver the method rule does not resolve",
 }
 
 
@@ -70,8 +79,9 @@ def _outside(module, node, m, i):
 
 
 def _attribute_loads(trees):
-    """(module, line index, name) of every attribute load (`.name`)."""
-    return [(m, node.lineno - 1, node.attr)
+    """(module, line index, name, receiver) of every attribute load
+    (`x.name`); the receiver is the name x, or None when x is not a name."""
+    return [(m, node.lineno - 1, node.attr, getattr(node.value, "id", None))
             for m, tree in trees.items() for node in ast.walk(tree)
             if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)]
 
@@ -240,15 +250,28 @@ def unused_module_names(trees):
     }
 
 
+# attribute names of the containers the package reads most: a read of one
+# of these names on any other receiver is taken to be the container's
+CONTAINER_ATTRS = frozenset(dir(dict)) | frozenset(dir(list)) | frozenset(dir(np.ndarray))
+
+
 def unread_methods(trees):
     """{module.Class.method: location} of each method or property never read
-    as an attribute outside its own definition."""
+    as an attribute outside its own definition.  A method whose name dict,
+    list or np.ndarray also defines is read only through the receivers
+    `self`, `cls` or its class's name."""
     reads = _attribute_loads(trees)
+
+    def read(m, cls, node):
+        own = {"self", "cls", cls.name} if node.name in CONTAINER_ATTRS else None
+        return any(n == node.name and _outside(m, node, p, i) and (own is None or r in own)
+                   for p, i, n, r in reads)
+
     return {
         f"{m}.{cls.name}.{node.name}": f"{m}.py:{node.lineno}"
         for m, tree in trees.items() for node, cls in _functions(tree)
         if cls is not None and not (node.name.startswith("__") and node.name.endswith("__"))
-        and not any(n == node.name and _outside(m, node, p, i) for p, i, n in reads)
+        and not read(m, cls, node)
     }
 
 
@@ -417,6 +440,35 @@ def test_an_option_only_a_test_passes_is_reported():
     assert unpassed_parameters(_synthetic(test_core=SYNTHETIC_TEST)) == {}
     passed = _synthetic(cli=SYNTHETIC["cli"] + "\nfrom .core import oracle\noracle(2, n=3)\n")
     assert unpassed_parameters(passed) == {}
+
+
+BOX = '''
+class Box:
+    def items(self):
+        return []
+'''
+
+
+def test_a_container_read_keeps_no_method_of_its_name():
+    """`d.items()` reads a dict's items, not Box.items, which is reported;
+    a read on `self` or on the class's name keeps it."""
+    unread = _synthetic(extra=BOX + '''
+
+def walk(d):
+    return list(d.items())
+''')
+    assert unread_methods(unread) == {"core.Model.reference": "core.py:18",
+                                      "extra.Box.items": "extra.py:3"}
+    for read in ("self.items()", "Box.items(self)"):
+        kept = _synthetic(extra=BOX + f'''
+    def pairs(self):
+        return {read}
+
+
+def walk(d):
+    return list(d.items()) + Box().pairs()
+''')
+        assert unread_methods(kept) == {"core.Model.reference": "core.py:18"}, read
 
 
 def test_a_docstring_or_comment_mention_is_not_a_use():

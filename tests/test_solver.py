@@ -9,7 +9,7 @@ import pytest
 from scipy.linalg import lu_factor, lu_solve
 
 from perifsi import solver_periodic
-from perifsi.assembly import GalerkinState, GlobalBasis, assemble
+from perifsi.assembly import AssembledSystem, GalerkinState, GlobalBasis, assemble
 from perifsi.basis1d import trig_weights
 from perifsi.cli import build_forcing, build_model
 from perifsi.errors import (
@@ -59,10 +59,17 @@ class _CountingSystem:
         return self.system.quadratic_forms(times, v)
 
 
+def _oracle_pressure(forcing, t):
+    """(p_in, p_out) at the times t: the trigonometric interpolant of the
+    forcing's open-grid samples, from trig_weights."""
+    w = trig_weights(np.atleast_1d(t), forcing.T, forcing.p_in.size - 1)
+    return w @ forcing.p_in[:-1], w @ forcing.p_out[:-1]
+
+
 def _oracle_load(forcing, t, mats):
     """The pressure load p_in qin - p_out qout at t, from the forcing's
-    series at t."""
-    (p_in,), (p_out,) = forcing.values(t % forcing.T)
+    interpolant at t."""
+    (p_in,), (p_out,) = _oracle_pressure(forcing, t)
     return p_in * mats["qin"] - p_out * mats["qout"]
 
 
@@ -130,7 +137,7 @@ def _rel(got, want):
 
 @pytest.fixture(scope="module")
 def rest_system(small_model):
-    return assemble(small_model, 1.0)
+    return AssembledSystem.from_sample(small_model.sample(), small_model)
 
 
 @pytest.fixture(scope="module")
@@ -149,21 +156,19 @@ def moving_system(small_model):
     shell[:, 0] = 0.02 * np.sin(2 * np.pi * t)
     shell[:, 1] = 0.01 * np.cos(2 * np.pi * t)
     v = 0.05 * np.outer(np.sin(2 * np.pi * t), rng.standard_normal(small_model.basis.n))
-    return assemble(small_model, 1.0, shell=shell, transport=v, n_samples=8)
-
-
-def _one_step(system, forcing, dt):
-    """The step map and load (V, f) of the one step [0, dt], the forcing
-    read from its series at the midpoint."""
-    t_mid = np.array([0.5 * dt])
-    (V,), (f,) = solver_periodic.step_maps(system, t_mid, dt, forcing.values(t_mid))
-    return V, f
+    return assemble(small_model, 1.0, shell, transport=v, n_samples=8)
 
 
 class TestStepping:
     def test_problem_requires_integer_steps(self, rest_system, small_forcing):
-        with pytest.raises(GridMismatch):
-            PeriodicProblem(rest_system, small_forcing, 1.0 / 64.5)
+        """A period is a whole, positive number of steps, and its step is
+        the forcing's period over that number."""
+        with pytest.raises(TypeError):
+            PeriodicProblem(rest_system, small_forcing, 64.5)
+        for n_steps in (0, -1):
+            with pytest.raises(GridMismatch, match="at least one step"):
+                PeriodicProblem(rest_system, small_forcing, n_steps)
+        assert PeriodicProblem(rest_system, small_forcing, np.int64(3)).dt == 1.0 / 3
 
     def test_sampled_system_must_share_the_forcing_period(
             self, rest_system, moving_system, small_forcing):
@@ -173,24 +178,24 @@ class TestStepping:
         half = BoundaryForcing.from_callables(lambda t: 0.0, lambda t: 0.0, 0.5)
         assert moving_system.T == small_forcing.T == 1.0
         with pytest.raises(GridMismatch, match="period 1.0 is not the forcing's 0.5"):
-            PeriodicProblem(moving_system, half, 1.0 / 64)
-        PeriodicProblem(moving_system, small_forcing, 1.0 / 64)
+            PeriodicProblem(moving_system, half, 64)
+        PeriodicProblem(moving_system, small_forcing, 64)
         assert rest_system.T is None
-        assert PeriodicProblem(rest_system, half, 1.0 / 64).n_steps == 32
+        assert PeriodicProblem(rest_system, half, 32).dt == 1.0 / 64
 
     def test_unforced_energy_decays(self, rest_system, unforced, rng):
         n = rest_system.n
         state = GalerkinState(0.01 * rng.standard_normal(n),
                               0.01 * rng.standard_normal(n))
-        prob = PeriodicProblem(rest_system, unforced, 1.0 / 64)
+        prob = PeriodicProblem(rest_system, unforced, 64)
         traj = poincare_map(prob, state)
         led = EnergyLedger.from_trajectory(rest_system, traj, prob.dt, prob.f)
         assert np.all(np.diff(led.E) <= 1e-12 * led.E[0])
 
     def test_step_advances_time(self, rest_system, small_forcing):
         s0 = GalerkinState.zero(rest_system.n)
-        V, _ = _one_step(rest_system, small_forcing, 1.0 / 64)
-        s1 = step(V, s0, 1.0 / 64)
+        prob = PeriodicProblem(rest_system, small_forcing, 64)
+        s1 = step(prob.V[0], s0, prob.dt)
         assert s1.t == pytest.approx(1.0 / 64)
 
 
@@ -222,7 +227,7 @@ class TestStackedPeriod:
         ops = _oracle_operators(system, phased_forcing, n_steps, dt)
         A, b = _oracle_period_map(ops, dt, n)
         x_want = np.linalg.solve(np.eye(2 * n) - A, b)
-        prob = PeriodicProblem(system, phased_forcing, dt)
+        prob = PeriodicProblem(system, phased_forcing, n_steps)
         x_star, info = periodic_solve(prob)
         assert _rel(np.concatenate([x_star.a, x_star.a_dot]), x_want) <= 1e-12
         assert _rel(_states(info["trajectory"]), _oracle_replay(ops, x_want, dt)) <= 1e-12
@@ -242,7 +247,7 @@ class TestStackedPeriod:
         at x_star but opens the seam at that lane's end: the residual, the
         largest seam gap, sees it, and no other seam opens."""
         n_steps = 2 * STEP_CHUNK + 1
-        prob = PeriodicProblem(rest_system, phased_forcing, 1.0 / n_steps)
+        prob = PeriodicProblem(rest_system, phased_forcing, n_steps)
         x_star, info = periodic_solve(prob)
         scale = np.max(np.abs(_states(info["trajectory"])))
         assert info["residual"] <= 1e-12 * scale
@@ -259,7 +264,7 @@ class TestStackedPeriod:
 
     def test_step_maps_are_the_sequential_ones(self, moving_system, phased_forcing):
         n_steps = 300
-        prob = PeriodicProblem(moving_system, phased_forcing, 1.0 / n_steps)
+        prob = PeriodicProblem(moving_system, phased_forcing, n_steps)
         ops = _oracle_operators(moving_system, phased_forcing, n_steps, prob.dt)
         assert prob.V.shape == (n_steps, prob.system.n, 2 * prob.system.n + 1)
         assert _rel(prob.V, np.array([V for V, _ in ops])) <= 1e-12
@@ -284,7 +289,7 @@ class TestStackedPeriod:
         system = SimpleNamespace(n=2, T=None, matrices_at=matrices_at)
         with pytest.raises(LinearSolveFailure,
                            match=re.escape(f"t={t_bad}") + "$"):
-            periodic_solve(PeriodicProblem(system, unforced, dt))
+            periodic_solve(PeriodicProblem(system, unforced, n_steps))
 
 
 def _zero_system(S):
@@ -300,14 +305,14 @@ def _zero_system(S):
 
 class TestPeriodicSolve:
     def test_zero_forcing_zero_orbit(self, rest_system, unforced):
-        prob = PeriodicProblem(rest_system, unforced, 1.0 / 64)
+        prob = PeriodicProblem(rest_system, unforced, 64)
         x_star, info = periodic_solve(prob)
         assert np.max(np.abs(x_star.a)) == 0.0
         assert np.max(np.abs(x_star.a_dot)) == 0.0
         assert info["residual"] <= 1e-12
 
     def test_forced_orbit_closes_period(self, rest_system, small_forcing):
-        prob = PeriodicProblem(rest_system, small_forcing, 1.0 / 128)
+        prob = PeriodicProblem(rest_system, small_forcing, 128)
         x_star, info = periodic_solve(prob)
         x_T = poincare_map(prob, x_star)
         gap = max(np.max(np.abs(x_T.a[-1] - x_star.a)),
@@ -322,7 +327,7 @@ class TestPeriodicSolve:
         names the first step's midpoint instead of failing inside the
         monodromy's SVD."""
         with pytest.raises(LinearSolveFailure, match="t=0.125"):
-            periodic_solve(PeriodicProblem(_zero_system(4), unforced, 0.25))
+            periodic_solve(PeriodicProblem(_zero_system(4), unforced, 4))
 
     def test_each_step_is_built_once(self, rest_system, small_forcing, monkeypatch):
         """One matrices_at call per build block of STEP_CHUNK steps, none in
@@ -344,7 +349,7 @@ class TestPeriodicSolve:
                                              (2 * STEP_CHUNK + 1, 3, 33, 16),
                                              (LANES * STEP_CHUNK + 1, 17, STEP_CHUNK, 17)):
             counting = _CountingSystem(rest_system)
-            prob = PeriodicProblem(counting, small_forcing, 1.0 / n_steps)
+            prob = PeriodicProblem(counting, small_forcing, n_steps)
             replays.clear()
             periodic_solve(prob)
             assert counting.calls == blocks
@@ -357,7 +362,7 @@ class TestPeriodicSolve:
         are those of the midpoint matrices (1e-13 relative: the sampled
         forms sum in another order)."""
         counting = _CountingSystem(moving_system)
-        prob = PeriodicProblem(counting, phased_forcing, 1.0 / 32)
+        prob = PeriodicProblem(counting, phased_forcing, 32)
         traj = periodic_solve(prob)[1]["trajectory"]
         counting.calls = 0
         led = EnergyLedger.from_trajectory(counting, traj, prob.dt, prob.f)
@@ -368,7 +373,7 @@ class TestPeriodicSolve:
             np.testing.assert_allclose(getattr(led, k), want[k], rtol=1e-13, atol=0.0)
 
     def test_orbit_comes_from_the_solve(self, rest_system, small_forcing):
-        prob = PeriodicProblem(rest_system, small_forcing, 1.0 / 32)
+        prob = PeriodicProblem(rest_system, small_forcing, 32)
         x_star, info = periodic_solve(prob)
         traj = info["trajectory"]
         assert traj.a.shape == traj.a_dot.shape == (prob.n_steps + 1, prob.system.n)
@@ -397,7 +402,7 @@ class TestConstantSystem:
 
     def test_step_maps_are_the_sequential_ones(self, rest_system, phased_forcing):
         n_steps = 300
-        prob = PeriodicProblem(rest_system, phased_forcing, 1.0 / n_steps)
+        prob = PeriodicProblem(rest_system, phased_forcing, n_steps)
         ops = _oracle_operators(rest_system, phased_forcing, n_steps, prob.dt)
         assert prob.V.shape == (n_steps, prob.system.n, 2 * prob.system.n + 1)
         assert _rel(prob.V, np.array([V for V, _ in ops])) <= 1e-12
@@ -413,8 +418,7 @@ class TestConstantSystem:
 
         monkeypatch.setattr(solver_periodic.np.linalg, "inv", spy)
         n = rest_system.n
-        periodic_solve(PeriodicProblem(rest_system, phased_forcing,
-                                       1.0 / (2 * STEP_CHUNK + 1)))
+        periodic_solve(PeriodicProblem(rest_system, phased_forcing, 2 * STEP_CHUNK + 1))
         assert inverted == [(1, n, n)] * 3
 
     @pytest.mark.filterwarnings("error")
@@ -422,7 +426,7 @@ class TestConstantSystem:
         """A constant P that is singular fails at the first midpoint."""
         dt = 1.0 / 300
         with pytest.raises(LinearSolveFailure, match=re.escape(f"t={0.5 * dt}") + "$"):
-            periodic_solve(PeriodicProblem(_zero_system(1), unforced, dt))
+            periodic_solve(PeriodicProblem(_zero_system(1), unforced, 300))
 
 
 class TestOuterLoop:
@@ -499,13 +503,14 @@ class _Recorder:
     transport paths p and their regularized images G(p)."""
 
     def __init__(self, monkeypatch):
-        self.p, self.g = [], []
+        # the first pass runs on the rest cylinder, built without assemble
+        self.p, self.g = [(None, None)], []
         assemble_ = solver_periodic.assemble
         regularize = solver_periodic._regularize_paths
 
-        def recording_assemble(*args, shell=None, transport=None, **kwargs):
+        def recording_assemble(assembler, T, shell, transport=None, **kwargs):
             self.p.append((shell, transport))
-            return assemble_(*args, shell=shell, transport=transport, **kwargs)
+            return assemble_(assembler, T, shell, transport=transport, **kwargs)
 
         def recording_regularize(*args):
             self.g.append(regularize(*args))
@@ -544,8 +549,7 @@ class TestAndersonOuterLoop:
         res = _outer_small(small_model, small_forcing, 1e-8)
         assert len(rec.p) == res.iterations
         shell, transport = rec.p[-1]
-        want = assemble(small_model, 1.0, shell=shell, transport=transport,
-                        n_samples=8)
+        want = assemble(small_model, 1.0, shell, transport=transport, n_samples=8)
         system = res.problem.system
         assert system.stacks.keys() == want.stacks.keys()
         for k, v in want.stacks.items():
@@ -659,7 +663,7 @@ class TestIvp:
         n = small_model.basis.n
         x0 = GalerkinState(0.01 * rng.standard_normal(n),
                            0.01 * rng.standard_normal(n))
-        res = solve_ivp(small_model, x0, 0.125, 1.0 / 64, unforced)
+        res = solve_ivp(small_model, x0, unforced, 64, 8)
         assert res.completed
         E = res.ledger.E
         assert np.all(np.diff(E) <= 1e-10 * E[0])
@@ -668,8 +672,7 @@ class TestIvp:
         n = small_model.basis.n
         a = np.zeros(n)
         a[0] = 10.0  # coupled mode amplitude far beyond the margin
-        res = solve_ivp(small_model, GalerkinState(a, np.zeros(n)), 0.125, 1.0 / 64,
-                        unforced)
+        res = solve_ivp(small_model, GalerkinState(a, np.zeros(n)), unforced, 64, 8)
         assert not res.completed
         assert res.violation_time == 0.0
 
@@ -686,7 +689,7 @@ class TestIvp:
         a[0] = 0.93 / sup_y0
         a_dot[0] = 5.0 * np.sign(a[0])
         dt = 1.0 / 64
-        res = solve_ivp(small_model, GalerkinState(a, a_dot), n_steps * dt, dt, unforced)
+        res = solve_ivp(small_model, GalerkinState(a, a_dot), unforced, 64, n_steps)
         assert not res.completed
         assert res.violation_time == dt
         assert res.trajectory.t.tolist() == [0.0, dt]
@@ -702,22 +705,38 @@ class TestIvp:
         x0 = GalerkinState(1e-2 * rng.standard_normal(n), 1e-2 * rng.standard_normal(n))
         sums = []
         for n_t in (128, 256):
-            led = solve_ivp(small_model, x0, 1.0, 1.0 / n_t, small_forcing).ledger
+            led = solve_ivp(small_model, x0, small_forcing, n_t, n_t).ledger
             sums.append(float(np.sum(led.balance_residual)) / led.sup_energy())
         assert sums[0] / sums[1] >= 1.5
 
-    def test_off_grid_final_time_is_a_grid_mismatch(self, small_model, unforced):
-        x0 = GalerkinState.zero(small_model.basis.n)
-        for t_final in (0.01, 0.005):
-            with pytest.raises(GridMismatch):
-                solve_ivp(small_model, x0, t_final, 1.0 / 64, unforced)
+    def test_step_m_reads_the_forcing_row_m_mod_n_t(self, small_model, small_forcing,
+                                                 monkeypatch):
+        """Each step reads its pressures from the one midpoint evaluation on
+        n_t steps, at row m mod n_t, so a run of more than a period repeats
+        the period's pressures; they are the forcing's interpolant at the
+        step midpoints (m + 1/2) T / n_t."""
+        seen = []
+        step_maps = solver_periodic.step_maps
+
+        def recording(system, t_mid, dt, pressure):
+            seen.append(np.concatenate(pressure))
+            return step_maps(system, t_mid, dt, pressure)
+
+        monkeypatch.setattr(solver_periodic, "step_maps", recording)
+        res = solve_ivp(small_model, GalerkinState.zero(small_model.basis.n),
+                        small_forcing, 4, 10)
+        assert res.completed
+        rows = np.array(small_forcing.midpoint_values(4)).T
+        assert np.array_equal(np.array(seen), rows[np.arange(10) % 4])
+        want = np.array(_oracle_pressure(small_forcing, (np.arange(4) + 0.5) / 4)).T
+        assert np.max(np.abs(rows - want)) <= 1e-14 * np.max(np.abs(want))
 
     def test_one_step_ledger_integrates_dissipation(self, small_model, unforced, rng):
         n = small_model.basis.n
         x0 = GalerkinState(0.01 * rng.standard_normal(n),
                            0.01 * rng.standard_normal(n))
         dt = 1.0 / 64
-        res = solve_ivp(small_model, x0, dt, dt, unforced)
+        res = solve_ivp(small_model, x0, unforced, 64, 1)
         (D,) = res.ledger.D
         assert D > 0.0
         assert res.ledger.integral_dissipation() == D * dt
@@ -725,16 +744,16 @@ class TestIvp:
     def test_rest_step_matches_the_periodic_system(self, small_model, small_forcing,
                                                    rest_system, rng):
         """With the shell at rest (zero coupled entries, zero velocity) an IVP
-        step runs on the rest geometry, so it and its ledger record equal a
-        step of the assembled periodic system and that system's ledger."""
+        step runs on the rest geometry, so it and its ledger record equal the
+        first step of the rest system's period and that system's ledger."""
         n = small_model.basis.n
         a = np.zeros(n)
         a[1::2] = 0.01 * rng.standard_normal(n // 2)
         x0 = GalerkinState(a, np.zeros(n))
-        dt = 1.0 / 64
-        res = solve_ivp(small_model, x0, dt, dt, small_forcing)
+        res = solve_ivp(small_model, x0, small_forcing, 64, 1)
         got = res.trajectory
-        V, f = _one_step(rest_system, small_forcing, dt)
+        prob = PeriodicProblem(rest_system, small_forcing, 64)
+        dt, V, f = prob.dt, prob.V[0], prob.f[0]
         want = step(V, x0, dt)
         scale = max(np.max(np.abs(want.a)), np.max(np.abs(want.a_dot)))
         assert np.max(np.abs(got.a[1] - want.a)) <= 1e-14 * scale
